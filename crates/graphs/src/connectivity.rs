@@ -5,25 +5,24 @@
 //! (Theorem 5 / Corollary 1): the constructive `m + 4` disjoint paths built
 //! by `hb-core::disjoint` are cross-checked against the flow-based maximum
 //! computed here, and the global vertex connectivity `kappa(HB(m,n)) = m+4`
-//! is certified exactly on small instances.
-
-use rayon::prelude::*;
+//! is certified exactly on instances up to thousands of nodes.
 
 use crate::error::{GraphError, Result};
 use crate::flow::FlowNetwork;
 use crate::graph::{Graph, NodeId};
 use crate::traverse;
 
-/// Builds the node-split flow network for internally-vertex-disjoint
-/// `s`–`t` paths: every vertex `v` becomes `v_in = 2v` and `v_out = 2v + 1`
-/// joined by a unit arc; every undirected edge becomes two unit arcs between
-/// the split halves. The internal arcs of `s` and `t` get capacity `inf`.
-fn split_network(g: &Graph, s: NodeId, t: NodeId) -> FlowNetwork {
+/// Builds the node-split flow network for internally vertex-disjoint
+/// paths: every vertex `v` becomes `v_in = 2v` and `v_out = 2v + 1` joined
+/// by a unit arc; every undirected edge becomes two unit arcs between the
+/// split halves. Paths from `s` to `t` run from `s_out` to `t_in`, so no
+/// augmenting path crosses the endpoints' own unit arcs and one network
+/// serves every pair. `extra` spare nodes follow the split halves.
+fn split_network(g: &Graph, extra: usize) -> FlowNetwork {
     let n = g.num_nodes();
-    let mut f = FlowNetwork::new(2 * n);
+    let mut f = FlowNetwork::new(2 * n + extra);
     for v in 0..n {
-        let cap = if v == s || v == t { u32::MAX / 2 } else { 1 };
-        f.add_edge(2 * v, 2 * v + 1, cap);
+        f.add_edge(2 * v, 2 * v + 1, 1);
     }
     for (u, v) in g.edges() {
         f.add_edge(2 * u + 1, 2 * v, 1);
@@ -37,14 +36,14 @@ fn split_network(g: &Graph, s: NodeId, t: NodeId) -> FlowNetwork {
 /// for the exact value).
 pub fn max_disjoint_path_count(g: &Graph, s: NodeId, t: NodeId, limit: u32) -> u32 {
     assert_ne!(s, t, "endpoints must differ");
-    split_network(g, s, t).max_flow(2 * s + 1, 2 * t, limit)
+    split_network(g, 0).max_flow(2 * s + 1, 2 * t, limit)
 }
 
 /// A maximum family of internally vertex-disjoint `s`–`t` paths, each path
 /// listed from `s` to `t` inclusive, extracted from a max-flow.
 pub fn max_disjoint_paths(g: &Graph, s: NodeId, t: NodeId) -> Vec<Vec<NodeId>> {
     assert_ne!(s, t, "endpoints must differ");
-    let mut f = split_network(g, s, t);
+    let mut f = split_network(g, 0);
     let value = f.max_flow(2 * s + 1, 2 * t, u32::MAX);
 
     // Decompose the integral flow into paths. Record, for every split node,
@@ -108,11 +107,15 @@ pub fn max_disjoint_paths(g: &Graph, s: NodeId, t: NodeId) -> Vec<Vec<NodeId>> {
 
 /// Exact vertex connectivity `kappa(G)`.
 ///
-/// Uses the classic Even-style reduction: fix a minimum-degree vertex `v0`;
-/// for every `s` in `{v0} union N(v0)` (this set is larger than any vertex
-/// cut below the degree bound, so at least one member avoids every minimum
-/// cut), take the min max-flow to all nodes non-adjacent to `s`.
-/// Flow computations for different sinks run in parallel.
+/// Uses the Esfahanian–Hakimi reduction. Fix a minimum-degree vertex `v0`
+/// and a minimum vertex cut `S`. If `S` avoids `v0`, it separates `v0`
+/// from some non-neighbour `t`. If `S` contains `v0`, then `v0` has a
+/// neighbour in every component of `G - S` (else `S - v0` would still
+/// cut), so `S` separates two non-adjacent neighbours `x`, `y` of `v0`.
+/// Hence `kappa` is the minimum local connectivity over the pairs
+/// `(v0, t)` and `(x, y)`, at most `n - 1 - delta + delta(delta - 1)/2`
+/// max-flows. All of them run on one node-split network, reset between
+/// pairs, and each is capped at the best cut found so far.
 ///
 /// # Errors
 /// [`GraphError::InvalidParameter`] for graphs with fewer than 2 nodes;
@@ -134,26 +137,28 @@ pub fn vertex_connectivity(g: &Graph) -> Result<u32> {
     if !traverse::is_connected(g) {
         return Ok(0);
     }
-    let v0 = (0..n).min_by_key(|&v| g.degree(v)).expect("n >= 2");
-    let delta = g.degree(v0) as u32;
     // Complete graph: no non-adjacent pair exists anywhere.
     if g.num_edges() == n * (n - 1) / 2 {
         return Ok(n as u32 - 1);
     }
-    let mut sources: Vec<NodeId> = vec![v0];
-    sources.extend(g.neighbors(v0).iter().map(|&w| w as usize));
-
-    let mut best = delta;
-    for s in sources {
-        let sinks: Vec<NodeId> = (0..n).filter(|&t| t != s && !g.has_edge(s, t)).collect();
-        let local = sinks
-            .par_iter()
-            .map(|&t| max_disjoint_path_count(g, s, t, best + 1))
-            .min()
-            .unwrap_or(best);
-        best = best.min(local);
-        if best == 0 {
-            break;
+    let v0 = (0..n).min_by_key(|&v| g.degree(v)).expect("n >= 2");
+    let nbrs = g.neighbors(v0);
+    let mut f = split_network(g, 0);
+    let mut best = nbrs.len() as u32;
+    let mut local = |s: NodeId, t: NodeId| {
+        f.reset();
+        best = best.min(f.max_flow(2 * s + 1, 2 * t, best));
+    };
+    // Cuts avoiding v0 separate it from a non-neighbour.
+    for t in (0..n).filter(|&t| t != v0 && !g.has_edge(v0, t)) {
+        local(v0, t);
+    }
+    // Cuts containing v0 separate two non-adjacent neighbours of v0.
+    for (i, &x) in nbrs.iter().enumerate() {
+        for &y in &nbrs[i + 1..] {
+            if !g.has_edge(x as usize, y as usize) {
+                local(x as usize, y as usize);
+            }
         }
     }
     Ok(best)
@@ -161,7 +166,7 @@ pub fn vertex_connectivity(g: &Graph) -> Result<u32> {
 
 /// Exact edge connectivity `lambda(G)`: with a fixed source, every minimum
 /// edge cut separates it from some other node, so `min_t maxflow(s, t)`
-/// over all `t != s` is exact.
+/// over all `t != s` is exact. One network serves every sink.
 pub fn edge_connectivity(g: &Graph) -> Result<u32> {
     let n = g.num_nodes();
     if n < 2 {
@@ -172,20 +177,17 @@ pub fn edge_connectivity(g: &Graph) -> Result<u32> {
     if !traverse::is_connected(g) {
         return Ok(0);
     }
-    let delta = (0..n).map(|v| g.degree(v)).min().expect("n >= 2") as u32;
-    let best = (1..n)
-        .into_par_iter()
-        .map(|t| {
-            let mut f = FlowNetwork::new(n);
-            for (u, v) in g.edges() {
-                f.add_edge(u, v, 1);
-                f.add_edge(v, u, 1);
-            }
-            f.max_flow(0, t, delta)
-        })
-        .min()
-        .unwrap_or(delta);
-    Ok(best.min(delta))
+    let mut f = FlowNetwork::new(n);
+    for (u, v) in g.edges() {
+        f.add_edge(u, v, 1);
+        f.add_edge(v, u, 1);
+    }
+    let mut best = (0..n).map(|v| g.degree(v)).min().expect("n >= 2") as u32;
+    for t in 1..n {
+        f.reset();
+        best = best.min(f.max_flow(0, t, best));
+    }
+    Ok(best)
 }
 
 /// A **fan**: internally vertex-disjoint paths from `center` to each node
@@ -214,22 +216,10 @@ pub fn fan_paths(g: &Graph, center: NodeId, targets: &[NodeId]) -> Result<Vec<Ve
         }
     }
     // Node-split network plus a super-sink; every target's out-half feeds
-    // the sink. Center is uncapped; targets keep capacity 1 so no path
-    // passes *through* a target.
-    let mut f = FlowNetwork::new(2 * n + 1);
+    // the sink. Targets keep capacity 1 so no path passes *through* a
+    // target.
+    let mut f = split_network(g, 1);
     let sink = 2 * n;
-    let mut is_target = vec![false; n];
-    for &t in targets {
-        is_target[t] = true;
-    }
-    for v in 0..n {
-        let cap = if v == center { u32::MAX / 2 } else { 1 };
-        f.add_edge(2 * v, 2 * v + 1, cap);
-    }
-    for (u, v) in g.edges() {
-        f.add_edge(2 * u + 1, 2 * v, 1);
-        f.add_edge(2 * v + 1, 2 * u, 1);
-    }
     for &t in targets {
         f.add_edge(2 * t + 1, sink, 1);
     }
@@ -287,12 +277,6 @@ pub fn fan_paths(g: &Graph, center: NodeId, targets: &[NodeId]) -> Result<Vec<Ve
                 path.push(cur / 2);
             }
         };
-        // The uncapped center may sit on a flow cycle; if the walk looped
-        // back through it, splice the loop out (all other nodes have unit
-        // capacity and cannot repeat).
-        if let Some(last) = path.iter().rposition(|&v| v == center) {
-            path.drain(1..=last);
-        }
         by_target.insert(end, path);
     }
     targets
@@ -425,6 +409,37 @@ mod tests {
         // 0-1-2-0 and 2-3-4-2: vertex 2 is a cut vertex.
         let g = Graph::from_edges(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)]).unwrap();
         assert_eq!(vertex_connectivity(&g).unwrap(), 1);
+    }
+
+    #[test]
+    fn cut_through_the_min_degree_vertex_needs_the_neighbour_pairs() {
+        // Two K6 cliques {0..5} and {6..11} joined by the edge 5-11 and by
+        // node 12, adjacent to 0, 1, 6 and 7. Node 12 is the unique
+        // minimum-degree vertex and lies in both minimum cuts, so every
+        // non-neighbour is 3-connected to it: only the pairs of its
+        // neighbours find kappa = 2.
+        let mut edges = Vec::new();
+        for base in [0, 6] {
+            for u in base..base + 6 {
+                edges.extend((u + 1..base + 6).map(|v| (u, v)));
+            }
+        }
+        edges.extend([(5, 11), (0, 12), (1, 12), (6, 12), (7, 12)]);
+        let g = Graph::from_edges(13, edges).unwrap();
+        assert_eq!(g.degree(12), 4);
+        assert!((0..12).all(|v| g.degree(v) > 4));
+
+        let two_cuts: Vec<(usize, usize)> = (0..13)
+            .flat_map(|a| (a + 1..13).map(move |b| (a, b)))
+            .filter(|&(a, b)| !traverse::is_connected_avoiding(&g, &[a, b]))
+            .collect();
+        assert_eq!(two_cuts, [(5, 12), (11, 12)]);
+        assert!((0..13).all(|a| traverse::is_connected_avoiding(&g, &[a])));
+
+        let non_neighbours = (0..12).filter(|&t| !g.has_edge(12, t));
+        let from_v0 = non_neighbours.map(|t| max_disjoint_path_count(&g, 12, t, u32::MAX));
+        assert_eq!(from_v0.min(), Some(3));
+        assert_eq!(vertex_connectivity(&g).unwrap(), 2);
     }
 
     #[test]

@@ -102,11 +102,20 @@ proptest! {
     /// Vertex connectivity from the flow algorithm equals brute force on
     /// small graphs.
     #[test]
-    fn vertex_connectivity_matches_brute_force(n in 2usize..8, p in 25u32..85, seed in 0u64..300) {
+    fn vertex_connectivity_matches_brute_force(n in 2usize..12, p in 25u32..85, seed in 0u64..300) {
         let g = random_graph(n, p, seed);
         let fast = connectivity::vertex_connectivity(&g).unwrap();
         let brute = brute_force_kappa(&g);
         prop_assert_eq!(fast, brute);
+    }
+
+    /// Edge connectivity from the flow algorithm equals brute force on
+    /// small graphs.
+    #[test]
+    fn edge_connectivity_matches_brute_force(n in 2usize..12, p in 25u32..85, seed in 0u64..300) {
+        let g = random_graph(n, p, seed);
+        let fast = connectivity::edge_connectivity(&g).unwrap();
+        prop_assert_eq!(fast, brute_force_lambda(&g));
     }
 
     /// Greedy broadcast verifies on every connected random graph.
@@ -175,7 +184,7 @@ proptest! {
 }
 
 /// Brute-force vertex connectivity: exhaustive over cut bitmasks
-/// (n <= 8 keeps it trivial).
+/// (n < 12 keeps it cheap).
 fn brute_force_kappa(g: &Graph) -> u32 {
     let n = g.num_nodes();
     if !traverse::is_connected(g) {
@@ -192,4 +201,17 @@ fn brute_force_kappa(g: &Graph) -> u32 {
         }
     }
     best
+}
+
+/// Brute-force edge connectivity: the fewest edges leaving any nonempty
+/// proper vertex subset `S` (0 when the graph is disconnected).
+fn brute_force_lambda(g: &Graph) -> u32 {
+    let n = g.num_nodes();
+    (1u32..(1 << n) - 1)
+        .map(|mask| {
+            let inside = |v: usize| mask >> v & 1 == 1;
+            g.edges().filter(|&(u, v)| inside(u) != inside(v)).count() as u32
+        })
+        .min()
+        .expect("n >= 2 leaves a proper subset")
 }
