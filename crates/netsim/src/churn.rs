@@ -15,7 +15,7 @@
 //!    then resolved under the plan in force at its cycle and frozen
 //!    into per-injection [`ChurnRoutes`].
 //! 2. **Run** — the frozen routes drive the ordinary engines through
-//!    [`RouteSrc::Churn`]. The compile is engine-independent and fully
+//!    churn-snapshot. The compile is engine-independent and fully
 //!    deterministic, so serial, bounded, adaptive, flight, and sharded
 //!    runs all see byte-identical routes — the sharded engine at any
 //!    thread count included (`par_equiv`).
@@ -190,8 +190,8 @@ pub fn run_with_timeline(
     crate::flight::run_flight(
         topo,
         injections,
-        cfg,
-        RouteSrc::Churn(&compiled.routes),
+        &cfg,
+        RouteSrc::churn(&compiled.routes),
         &compiled.hot_plan,
         sampling,
     )
@@ -213,13 +213,16 @@ pub fn run_bounded_with_timeline(
 ) -> SimStats {
     let compiled = compile(topo, injections, base, timeline);
     record_repair(cfg.telemetry.as_ref(), cfg.profile, timeline, &compiled);
-    crate::sim::run_bounded_impl(
+    let queues = crate::kernel::Bounded {
+        capacity,
+        sweep: false,
+    };
+    crate::sim::run_bounded_on(
         topo,
         injections,
         &cfg,
-        capacity,
-        false,
-        RouteSrc::Churn(&compiled.routes),
+        queues,
+        RouteSrc::churn(&compiled.routes),
     )
 }
 
@@ -240,7 +243,8 @@ pub fn run_adaptive_with_timeline(
 ) -> SimStats {
     let compiled = compile(topo, injections, base, timeline);
     record_repair(cfg.telemetry.as_ref(), cfg.profile, timeline, &compiled);
-    crate::sim::run_adaptive_impl(topo, injections, &cfg, Some(&compiled.routes))
+    let admission = Some(RouteSrc::churn(&compiled.routes));
+    crate::sim::run_adaptive_on(topo, injections, &cfg, admission)
 }
 
 #[cfg(test)]

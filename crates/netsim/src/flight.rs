@@ -32,15 +32,12 @@
 //! deterministic.
 
 use crate::faults::FaultPlan;
-use crate::pool::PacketPool;
+use crate::kernel::{run_serial, Packet, RunCtx, SourceRouted, Unbounded};
 use crate::routes::{RouteSrc, RouteTable};
-use crate::sim::{
-    ChanLayout, ChanQueues, Injection, ProfCounters, Scoreboard, SimConfig, SimStats,
-};
+use crate::sim::{Injection, SimConfig, SimStats};
 use crate::topology::NetTopology;
-use crate::tsrec::{GlobalTs, LinkTs};
 use hb_graphs::NodeId;
-use hb_telemetry::{Event, SpanId, Telemetry};
+use hb_telemetry::{SpanId, Telemetry};
 use std::collections::BTreeSet;
 
 pub use crate::routes::{plan_route, survivor_route};
@@ -77,8 +74,8 @@ impl TraceSampling {
 }
 
 /// Fault-adjacency mask for [`TraceSampling::FaultAdjacent`]: dense over
-/// explicit graphs (as before), a sparse id set over implicit topologies
-/// so memory stays O(faults × degree) at million-node scale.
+/// explicit graphs, a sparse id set over implicit topologies so memory
+/// stays O(faults × degree) at million-node scale.
 enum HotSet {
     Empty,
     Dense(Vec<bool>),
@@ -96,21 +93,133 @@ impl HotSet {
     }
 }
 
-/// One packet in flight, carrying its recorder state. Copy-sized: the
-/// route (and its detour attribution) lives in the [`RouteTable`].
-#[derive(Clone, Copy, Debug)]
-struct FlightPacket {
-    id: u64,
-    /// [`RouteTable`] slot.
-    route: u32,
-    hop: u32,
-    injected_at: u64,
+/// One packet's recorder state, kept beside the packet pool by key.
+#[derive(Clone, Copy, Debug, Default)]
+struct SpanRec {
     /// Root span (`None` when unsampled or the span store filled up).
-    span: Option<SpanId>,
+    root: Option<SpanId>,
     /// Open span of the hop currently being waited on / crossed.
-    hop_span: Option<SpanId>,
+    hop: Option<SpanId>,
     /// Cycle the packet joined its current channel queue.
     enqueued_at: u64,
+}
+
+/// The flight recorder the cycle kernel calls into on a traced run:
+/// a root span per sampled packet and one child span per hop.
+pub(crate) struct Spans<'a> {
+    tel: &'a Telemetry,
+    routes: RouteSrc<'a>,
+    sampling: TraceSampling,
+    hot: HotSet,
+    /// Indexed by packet-pool key.
+    recs: Vec<SpanRec>,
+}
+
+impl<'a> Spans<'a> {
+    /// The recorder for a run, or `None` unless the handle traces and
+    /// sampling is on. `hot_plan` only seeds the
+    /// [`TraceSampling::FaultAdjacent`] mask.
+    fn new(
+        ctx: &RunCtx<'a>,
+        routes: RouteSrc<'a>,
+        hot_plan: &FaultPlan,
+        sampling: TraceSampling,
+    ) -> Option<Self> {
+        let tel = ctx.tel().filter(|t| t.trace_enabled())?;
+        let hot = match sampling {
+            TraceSampling::Off => return None,
+            TraceSampling::FaultAdjacent => match ctx.topo.explicit_graph() {
+                Some(g) if !ctx.sparse => HotSet::Dense(hot_plan.hot_nodes(g)),
+                _ => HotSet::Sparse(hot_plan.hot_node_set(ctx.topo)),
+            },
+            _ => HotSet::Empty,
+        };
+        Some(Spans {
+            tel,
+            routes,
+            sampling,
+            hot,
+            recs: Vec::new(),
+        })
+    }
+
+    /// A packet entered the network: opens its root span if sampled.
+    pub(crate) fn open_root(
+        &mut self,
+        key: u32,
+        id: u64,
+        inj: Injection,
+        slot: u32,
+        detoured: bool,
+        cycle: u64,
+    ) {
+        let root = if self.sampling.samples(id, self.routes.path(slot), &self.hot) {
+            let label = format!("packet #{id} {}->{}", inj.src, inj.dst);
+            let span = self.tel.span_start(&label, None, cycle);
+            if detoured {
+                self.tel.span_attr(span, "rerouted", "true");
+            }
+            span
+        } else {
+            None
+        };
+        let k = key as usize;
+        if k >= self.recs.len() {
+            self.recs.resize(k + 1, SpanRec::default());
+        }
+        self.recs[k] = SpanRec {
+            root,
+            hop: None,
+            enqueued_at: cycle,
+        };
+    }
+
+    /// Packet `key` joins its next channel with `depth` packets queued
+    /// ahead of it: opens the hop span.
+    pub(crate) fn open_hop(&mut self, key: u32, p: &Packet, cycle: u64, depth: usize) {
+        let rec = &mut self.recs[key as usize];
+        if rec.root.is_none() {
+            return;
+        }
+        let t = self.tel;
+        let path = self.routes.path(p.target);
+        let (u, v) = (path[p.hop as usize], path[p.hop as usize + 1]);
+        let span = t.span_start(&format!("hop {u}->{v}"), rec.root, cycle);
+        t.span_attr(span, "node", u.to_string());
+        t.span_attr(span, "link", format!("{u}->{v}"));
+        t.span_attr(span, "queue", depth.to_string());
+        match self.routes.detour(p.target) {
+            Some((at, reason)) if at == p.hop => {
+                t.span_attr(span, "decision", "reroute");
+                t.span_attr(span, "reason", reason.to_string());
+            }
+            _ => t.span_attr(span, "decision", "oblivious"),
+        }
+        rec.hop = span;
+        rec.enqueued_at = cycle;
+    }
+
+    /// Packet `key` crossed its channel in `cycle`: closes the hop span.
+    pub(crate) fn close_hop(&mut self, key: u32, cycle: u64) {
+        let rec = &mut self.recs[key as usize];
+        if rec.hop.is_some() {
+            // Cycles queued beyond the 1-cycle link transit.
+            let wait = cycle - rec.enqueued_at;
+            self.tel.span_attr(rec.hop, "wait", wait.to_string());
+            self.tel.span_end(rec.hop, cycle + 1);
+            rec.hop = None;
+        }
+    }
+
+    /// Packet `key` arrived: closes the root span.
+    pub(crate) fn close_root(&mut self, key: u32, latency: u64, hops: u32, cycle: u64) {
+        let root = self.recs[key as usize].root;
+        if root.is_some() {
+            self.tel.span_attr(root, "latency", latency.to_string());
+            self.tel.span_attr(root, "hops", hops.to_string());
+            self.tel.span_end(root, cycle + 1);
+        }
+    }
 }
 
 /// Runs the oblivious simulation of `injections` (sorted by `at`) on
@@ -136,341 +245,37 @@ pub fn run_with_faults(
     run_flight(
         topo,
         injections,
-        cfg,
-        RouteSrc::Table(&table),
+        &cfg,
+        RouteSrc::table(&table),
         plan,
         sampling,
     )
 }
 
-/// The flight loop proper, over prebuilt routes: a single shared table
-/// (static plan) or a per-injection churn snapshot. `hot_plan` only
-/// seeds the [`TraceSampling::FaultAdjacent`] mask — for churn runs it
-/// is the union of the base plan and every timeline fault target, so a
-/// packet near *any* fault epoch is eligible for sampling.
-// analyze: hot(fault-flight cycle loop must stay allocation-free; see alloc_free.rs)
+/// The flight run over prebuilt routes: a single shared table (static
+/// plan) or a per-injection churn snapshot. `hot_plan` seeds the
+/// [`TraceSampling::FaultAdjacent`] mask — for churn runs the union of
+/// the base plan and every timeline fault target, so a packet near
+/// *any* fault epoch is eligible for sampling.
 pub(crate) fn run_flight(
     topo: &dyn NetTopology,
     injections: &[Injection],
-    cfg: SimConfig,
+    cfg: &SimConfig,
     routes: RouteSrc<'_>,
     hot_plan: &FaultPlan,
     sampling: TraceSampling,
 ) -> SimStats {
-    assert!(
-        injections.windows(2).all(|w| w[0].at <= w[1].at),
-        "injections must be sorted by cycle"
-    );
-
-    let tel = cfg.telemetry.as_ref();
-    let tracing = tel.is_some_and(Telemetry::trace_enabled) && sampling != TraceSampling::Off;
-    if cfg.threads > 1 && !tracing {
-        return crate::par::run_sharded(topo, injections, &cfg, routes, true);
-    }
-
-    let layout = ChanLayout::new(topo, cfg.implicit);
-    let num_channels = layout.num_channels();
-    let sparse = cfg.implicit || topo.explicit_graph().is_none();
-    let mut queues: ChanQueues<u32> = ChanQueues::new(num_channels, sparse, false);
-    let mut pool: PacketPool<FlightPacket> = PacketPool::new();
-    let mut active: Vec<usize> = Vec::new();
-
-    let mut board = tel.map(|_| Scoreboard::new(layout.endpoints()));
-    let mut ts = tel
-        .and_then(|t| t.timeseries_config())
-        .map(|c| (GlobalTs::new(c, true), LinkTs::new(c, 0, num_channels)));
-    let hot = if matches!(sampling, TraceSampling::FaultAdjacent) {
-        match topo.explicit_graph() {
-            Some(g) if !sparse => HotSet::Dense(hot_plan.hot_nodes(g)),
-            _ => HotSet::Sparse(hot_plan.hot_node_set(topo)),
-        }
-    } else {
-        HotSet::Empty
+    let ctx = RunCtx::new(topo, injections, cfg);
+    let route = SourceRouted {
+        routes,
+        layout: &ctx.layout,
+        faults: true,
     };
-
-    // Opens the hop span for a packet joining channel `(u, v)` with
-    // `depth` packets already queued ahead of it.
-    let open_hop_span =
-        |tel: Option<&Telemetry>, p: &mut FlightPacket, cycle: u64, depth: usize| {
-            let Some(t) = tel else { return };
-            if p.span.is_none() {
-                return;
-            }
-            let path = routes.path(p.route);
-            let u = path[p.hop as usize];
-            let v = path[p.hop as usize + 1];
-            let span = t.span_start(&format!("hop {u}->{v}"), p.span, cycle);
-            t.span_attr(span, "node", u.to_string());
-            t.span_attr(span, "link", format!("{u}->{v}"));
-            t.span_attr(span, "queue", depth.to_string());
-            match routes.detour(p.route) {
-                Some((at, reason)) if at == p.hop => {
-                    t.span_attr(span, "decision", "reroute");
-                    t.span_attr(span, "reason", reason.to_string());
-                }
-                _ => t.span_attr(span, "decision", "oblivious"),
-            }
-            p.hop_span = span;
-            p.enqueued_at = cycle;
-        };
-
-    let profiling = cfg.profile && tel.is_some();
-    let mut prof = ProfCounters::default();
-
-    let mut stats = SimStats {
-        offered: injections.len() as u64,
-        ..Default::default()
-    };
-    let mut total_latency = 0u64;
-    let mut total_hops = 0u64;
-    let mut latency_samples = 0u64;
-    let mut next_inject = 0usize;
-    let mut in_flight = 0u64;
-    let mut reroutes = 0u64;
-    let mut unroutable = 0u64;
-    let mut cycle = 0u64;
-
-    let mut moved: Vec<(usize, u32)> = Vec::new(); // (next channel, pool key)
-    let mut still_active: Vec<usize> = Vec::new();
-
-    while cycle < cfg.max_cycles {
-        let injected_before = next_inject;
-        let delivered_before = stats.delivered;
-        let reroutes_before = reroutes;
-        let unroutable_before = unroutable;
-        while next_inject < injections.len() && injections[next_inject].at == cycle {
-            let idx = next_inject;
-            let inj = injections[idx];
-            let id = idx as u64;
-            next_inject += 1;
-            if let Some(t) = tel {
-                t.event(|| Event::PacketInjected {
-                    id,
-                    src: inj.src as u32,
-                    dst: inj.dst as u32,
-                    cycle,
-                });
-            }
-            let slot = routes
-                .slot_for(idx, inj.src, inj.dst)
-                .expect("invariant: route table was built from this exact workload");
-            let path = routes.path(slot);
-            if profiling {
-                prof.lookup_inv += 1;
-                prof.lookup_work += path.len() as u64;
-            }
-            if path.is_empty() {
-                // Faulty endpoint or no survivor path: refused.
-                unroutable += 1;
-                if let Some(t) = tel {
-                    t.event(|| Event::PacketDropped {
-                        id,
-                        at: inj.src as u32,
-                        cycle,
-                    });
-                }
-                continue;
-            }
-            if path.len() <= 1 {
-                stats.delivered += 1;
-                if let Some(t) = tel {
-                    t.event(|| Event::PacketDelivered {
-                        id,
-                        dst: inj.dst as u32,
-                        latency: 0,
-                        cycle,
-                    });
-                }
-                continue;
-            }
-            let detoured = routes.detour(slot).is_some();
-            let span = if tracing && sampling.samples(id, path, &hot) {
-                let t = tel.expect("invariant: tracing is only enabled with telemetry on");
-                let span = t.span_start(
-                    // analyze: allow(alloc-in-hot, span label built only for sampled trace packets)
-                    &format!("packet #{id} {}->{}", inj.src, inj.dst),
-                    None,
-                    cycle,
-                );
-                if detoured {
-                    t.span_attr(span, "rerouted", "true");
-                }
-                span
-            } else {
-                None
-            };
-            if detoured {
-                reroutes += 1;
-            }
-            let ch = layout.channel_of(path[0] as NodeId, path[1] as NodeId);
-            let mut p = FlightPacket {
-                id,
-                route: slot,
-                hop: 0,
-                injected_at: cycle,
-                span,
-                hop_span: None,
-                enqueued_at: cycle,
-            };
-            open_hop_span(tel, &mut p, cycle, queues.len(ch));
-            let key = pool.alloc(p);
-            queues.push_back(ch, key);
-            if queues.activate(ch) {
-                active.push(ch);
-            }
-            in_flight += 1;
-        }
-
-        // Canonical ascending-channel service order (see `crate::run`).
-        active.sort_unstable();
-
-        let mut cycle_peak = 0usize;
-        if let Some(b) = board.as_mut() {
-            for &ch in &active {
-                let len = queues.len(ch);
-                b.peak[ch] = b.peak[ch].max(len);
-                cycle_peak = cycle_peak.max(len);
-                if let Some((_, lt)) = ts.as_mut() {
-                    lt.observe(ch, cycle, len as u64);
-                }
-            }
-        } else {
-            cycle_peak = active.iter().map(|&ch| queues.len(ch)).max().unwrap_or(0);
-        }
-        stats.peak_queue = stats.peak_queue.max(cycle_peak);
-        let cycle_active = active.len();
-
-        // Two-phase advance, exactly as `run`: one packet per active
-        // channel moves one hop.
-        moved.clear();
-        still_active.clear();
-        for &ch in &active {
-            if profiling {
-                prof.service_inv += 1;
-                prof.service_work += queues.len(ch) as u64;
-            }
-            if let Some(key) = queues.pop_front(ch) {
-                let mut p = *pool.get(key);
-                p.hop += 1;
-                let path = routes.path(p.route);
-                let here = path[p.hop as usize];
-                if let Some(b) = board.as_mut() {
-                    b.busy[ch] += 1;
-                    b.fwd[ch] += 1;
-                    let (from, to) = b.ends[ch];
-                    tel.expect("invariant: a scoreboard is only handed out with telemetry on")
-                        .event(|| Event::PacketHop {
-                            id: p.id,
-                            from,
-                            to,
-                            cycle: cycle + 1,
-                        });
-                }
-                if p.hop_span.is_some() {
-                    let t = tel.expect("invariant: spans are only recorded with telemetry on");
-                    // Cycles queued beyond the 1-cycle link transit.
-                    t.span_attr(p.hop_span, "wait", (cycle - p.enqueued_at).to_string());
-                    t.span_end(p.hop_span, cycle + 1);
-                    p.hop_span = None;
-                }
-                if p.hop as usize + 1 == path.len() {
-                    let latency = cycle + 1 - p.injected_at;
-                    total_latency += latency;
-                    total_hops += u64::from(p.hop);
-                    latency_samples += 1;
-                    stats.max_latency = stats.max_latency.max(latency);
-                    stats.delivered += 1;
-                    in_flight -= 1;
-                    pool.free(key);
-                    if let Some(b) = board.as_mut() {
-                        b.deliver(latency, u64::from(p.hop));
-                        tel.expect("invariant: a scoreboard is only handed out with telemetry on")
-                            .event(|| Event::PacketDelivered {
-                                id: p.id,
-                                dst: here,
-                                latency,
-                                cycle: cycle + 1,
-                            });
-                    }
-                    if let (Some(t), Some(_)) = (tel, p.span) {
-                        t.span_attr(p.span, "latency", latency.to_string());
-                        t.span_attr(p.span, "hops", p.hop.to_string());
-                        t.span_end(p.span, cycle + 1);
-                    }
-                } else {
-                    let next = path[p.hop as usize + 1];
-                    *pool.get_mut(key) = p;
-                    moved.push((layout.channel_of(here as NodeId, next as NodeId), key));
-                }
-            }
-            if queues.len(ch) == 0 {
-                queues.deactivate(ch);
-            } else {
-                still_active.push(ch);
-            }
-        }
-        std::mem::swap(&mut active, &mut still_active);
-        for &(ch, key) in &moved {
-            open_hop_span(tel, pool.get_mut(key), cycle + 1, queues.len(ch));
-            queues.push_back(ch, key);
-            if queues.activate(ch) {
-                active.push(ch);
-            }
-        }
-
-        if let Some((gt, _)) = ts.as_mut() {
-            gt.record(
-                cycle,
-                in_flight,
-                (next_inject - injected_before) as u64,
-                stats.delivered - delivered_before,
-                cycle_peak as u64,
-                cycle_active as u64,
-            );
-            gt.record_faults(
-                cycle,
-                reroutes - reroutes_before,
-                unroutable - unroutable_before,
-            );
-        }
-
-        cycle += 1;
-
-        if cfg.stop_when_drained && in_flight == 0 && next_inject == injections.len() {
-            break;
-        }
+    let spans = Spans::new(&ctx, routes, hot_plan, sampling);
+    if cfg.threads > 1 && spans.is_none() {
+        return crate::par::run_sharded(&ctx, route);
     }
-
-    stats.cycles = cycle;
-    stats.stranded = unroutable + in_flight + (injections.len() - next_inject) as u64;
-    if latency_samples > 0 {
-        // analyze: allow(float-determinism, one division over exact integer totals at run end)
-        stats.avg_latency = total_latency as f64 / latency_samples as f64;
-        // analyze: allow(float-determinism, one division over exact integer totals at run end)
-        stats.avg_hops = total_hops as f64 / latency_samples as f64;
-    }
-    debug_assert_eq!(
-        stats.delivered + stats.stranded,
-        stats.offered,
-        "packet conservation"
-    );
-    if let (Some(t), Some(b)) = (tel, board) {
-        if profiling {
-            prof.finish(
-                t,
-                Some((routes.num_pairs() as u64, routes.total_route_nodes() as u64)),
-            );
-        }
-        t.counter("sim.reroutes").add(reroutes);
-        t.counter("sim.unroutable").add(unroutable);
-        if let Some((gt, lt)) = ts.take() {
-            lt.merge_into(t, &b.ends);
-            gt.merge_into(t);
-        }
-        b.finish(t, &stats);
-        t.detect_congestion(stats.cycles);
-    }
-    stats
+    run_serial(&ctx, route, Unbounded, spans, None)
 }
 
 #[cfg(test)]

@@ -42,6 +42,7 @@ pub mod churn;
 pub mod faults;
 pub mod flight;
 pub mod forwarding;
+mod kernel;
 mod par;
 pub mod pool;
 pub mod routes;

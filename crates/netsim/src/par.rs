@@ -26,220 +26,164 @@
 //!    sender-shard order, and sender ranges are ascending, so the
 //!    concatenation reproduces the serial enqueue order exactly.
 //!
-//! Cycle protocol (two barriers): *phase A* — each worker injects its
-//! due packets, services its channels, publishes cross-shard movers to
-//! per-(sender, receiver) mailboxes, and adds its deltas to three
-//! monotone counters (injections consumed, packets entering the
-//! network, packets delivered); *barrier*; every worker reads the
-//! counters and reaches the same drain decision; *phase B* — each
-//! worker applies its own local movers and drains its incoming
-//! mailboxes in sender order; *barrier*; everyone advances the cycle
-//! and stops together. The counters only change in phase A, so the
-//! decision read between the barriers is consistent across workers.
+//! Each worker runs the shared cycle kernel ([`crate::kernel::Kernel`])
+//! over its own channel range, admitting only injections sourced in its
+//! node range. Cycle protocol (two barriers): *phase A* — each worker
+//! runs one kernel step (inject, sample, serve), posts cross-shard
+//! movers to per-(sender, receiver) mailboxes, and publishes its
+//! cycle sample (deliveries, queue peak, active channels, fault counts,
+//! packets in flight); *barrier*; every worker sums the published
+//! samples and reaches the same drain decision, and shard 0 records the
+//! whole-network time series from the same sums; *phase B* — each
+//! worker lands its own movers and drains its incoming mailboxes in
+//! sender order; *barrier*; everyone advances the cycle and stops
+//! together. Samples only change in phase A, so the decision read
+//! between the barriers is consistent across workers.
 //!
-//! Stats, scoreboards, and buffered trace events are merged in fixed
-//! shard-index order after the join: integer sums/maxes are exact, and
-//! events are stable-sorted by `(cycle, phase, channel-or-id)` — a key
-//! that is unique across shards — reconstructing the serial emission
-//! order.
+//! Kernel results (tallies, scoreboards, buffered trace events) merge
+//! in fixed shard-index order after the join: integer sums/maxes are
+//! exact, and events are stable-sorted by `(cycle, phase,
+//! channel-or-id)` — a key that is unique across shards —
+//! reconstructing the serial emission order.
 
+use crate::kernel::{CycleSample, Kernel, Packet, RunCtx, SourceRouted, Unbounded};
 use crate::pool::PacketPool;
-use crate::routes::RouteSrc;
-use crate::sim::{ChanLayout, ChanQueues, Injection, Packet, ProfCounters, SimConfig, SimStats};
-use crate::topology::NetTopology;
-use crate::tsrec::{GlobalTs, LinkTs};
-use hb_graphs::NodeId;
-use hb_telemetry::{Event, Histogram, LinkStats, Series, Telemetry, TsConfig, CYCLES_COUNTER};
-use std::sync::atomic::{AtomicU64, Ordering};
+use crate::sim::{ChanLayout, SimStats};
+use crate::tsrec::GlobalTs;
+use hb_telemetry::Series;
 use std::sync::{Barrier, Mutex};
-
-/// Per-shard dense instrument mirror of `sim::Scoreboard`, covering only
-/// the shard's own channel range (index = channel - chan_lo[k]).
-struct ShardBoard {
-    latency: Histogram,
-    hops: Histogram,
-    fwd: Vec<u64>,
-    busy: Vec<u64>,
-    peak: Vec<usize>,
-}
-
-/// A buffered trace event: (iteration cycle, phase, order key, event).
-/// Phase 0 = injection (key = injection id), phase 1 = service
-/// (key = 2*channel for hops, 2*channel + 1 for deliveries).
-type BufferedEvent = (u64, u8, u64, Event);
 
 /// One (sender, receiver) mailbox cell: packets that crossed a shard
 /// boundary this cycle, with their destination channel. Exactly one
 /// writer (phase A) and one reader (phase B), separated by a barrier.
-type Mailbox = Mutex<Vec<(u32, Packet)>>;
+type Mailbox = Mutex<Vec<(usize, Packet)>>;
 
-/// What one worker hands back for the in-order merge.
-struct ShardResult {
-    delivered: u64,
-    total_latency: u64,
-    total_hops: u64,
-    latency_samples: u64,
-    max_latency: u64,
-    peak_queue: usize,
-    reroutes: u64,
-    unroutable: u64,
-    forwarded: u64,
-    cycles: u64,
-    pool_live: u64,
-    board: Option<ShardBoard>,
-    events: Vec<BufferedEvent>,
-    /// Whole-network per-cycle series; recorded by shard 0 only (from
-    /// the shared schedule, counters, and publish slots).
-    globals: Option<GlobalTs>,
-    /// This shard's per-channel queue-depth series.
-    links: Option<LinkTs>,
-    /// Cross-shard packets received per cycle (`--shard-stats` only).
-    mailbox: Option<Series>,
-    /// Deterministic work counters (`SimConfig::profile` only). The
-    /// `sim/*` phases sum identically across any shard count because
-    /// the sharded engine services exactly the channels the serial
-    /// loop would; `shard/*` phases are gated on `shard_telemetry`.
-    prof: ProfCounters,
+/// A shard kernel's side of the mailbox exchange.
+pub(crate) struct ShardPort<'a> {
+    k: usize,
+    /// Shard boundaries over channels (last entry = total channels;
+    /// repeated entries denote empty shards).
+    chan_lo: &'a [usize],
+    /// Movers staying in this shard, landed at its turn in phase B.
+    pub(crate) pending: Vec<(usize, u32)>,
+    /// Movers bound for each other shard, posted after phase A.
+    outbox: Vec<Vec<(usize, Packet)>>,
 }
 
-/// Shard owning channel `ch` under boundaries `chan_lo` (last entry =
-/// total channels; repeated entries denote empty shards).
+impl ShardPort<'_> {
+    /// Routes a mover bound for channel `ch`: kept for phase B when this
+    /// shard owns `ch`, otherwise taken out of `pool` into the outbox
+    /// (returns `true` then).
+    #[inline]
+    pub(crate) fn hand_off(&mut self, ch: usize, key: u32, pool: &mut PacketPool<Packet>) -> bool {
+        let dst = shard_of(self.chan_lo, ch);
+        if dst == self.k {
+            self.pending.push((ch, key));
+            return false;
+        }
+        self.outbox[dst].push((ch, *pool.get(key)));
+        pool.free(key);
+        true
+    }
+
+    /// Phase A: moves the outbox into this sender's mailbox row.
+    fn post(&mut self, row: &[Mailbox]) {
+        for (dst, out) in self.outbox.iter_mut().enumerate() {
+            if !out.is_empty() {
+                lock(&row[dst]).append(out);
+            }
+        }
+    }
+}
+
+/// Shard owning channel `ch` under boundaries `chan_lo`.
 fn shard_of(chan_lo: &[usize], ch: usize) -> usize {
     chan_lo.partition_point(|&c| c <= ch) - 1
 }
 
 /// Node-aligned shard boundaries balancing *channels* (not nodes) across
-/// `s` workers: `node_lo[k]` is the first node whose channel offset
-/// reaches `k/s` of the channel total.
-fn shard_boundaries(offsets: &[usize], n: usize, s: usize) -> Vec<usize> {
-    let num_channels = offsets[n];
+/// `s` workers: `node_lo[k]` is the first node whose first channel
+/// reaches `k/s` of the channel total. Both layouts number channels
+/// identically, so they cut at identical points — a prerequisite for
+/// implicit-mode parallel runs matching explicit ones byte for byte.
+fn shard_boundaries(layout: &ChanLayout<'_>, n: usize, s: usize) -> Vec<usize> {
+    let num_channels = layout.num_channels();
     let mut node_lo = vec![0usize; s + 1];
     node_lo[s] = n;
     for (k, lo) in node_lo.iter_mut().enumerate().take(s).skip(1) {
         let target = k * num_channels / s;
-        *lo = offsets.partition_point(|&o| o < target).min(n);
+        let (mut a, mut b) = (0, n);
+        while a < b {
+            let mid = a + (b - a) / 2;
+            if layout.node_first_channel(mid) < target {
+                a = mid + 1;
+            } else {
+                b = mid;
+            }
+        }
+        *lo = a;
     }
     node_lo
 }
 
-/// Layout-generic shard boundaries. Under the uniform arithmetic layout
-/// the CSR `partition_point` degenerates to `ceil(target / degree)`, so
-/// both layouts cut the channel space at identical node-aligned points —
-/// a prerequisite for implicit-mode parallel runs matching explicit ones
-/// byte for byte.
-fn shard_boundaries_layout(layout: &ChanLayout<'_>, n: usize, s: usize) -> Vec<usize> {
-    match layout {
-        ChanLayout::Csr { offsets, .. } => shard_boundaries(offsets, n, s),
-        ChanLayout::Uniform { degree, .. } => {
-            let num_channels = n * degree;
-            let mut node_lo = vec![0usize; s + 1];
-            node_lo[s] = n;
-            for (k, lo) in node_lo.iter_mut().enumerate().take(s).skip(1) {
-                let target = k * num_channels / s;
-                // First v with v * degree >= target, capped at n —
-                // exactly `offsets.partition_point(|&o| o < target)` on
-                // the arithmetic offsets `v * degree`.
-                *lo = target.div_ceil(*degree).min(n);
-            }
-            node_lo
-        }
-    }
+/// What one worker hands back for the in-order merge.
+struct ShardOut<'a> {
+    kernel: Kernel<'a, SourceRouted<'a>, Unbounded>,
+    cycles: u64,
+    /// Whole-network series; recorded by shard 0 only.
+    globals: Option<GlobalTs>,
+    /// Cross-shard packets received per cycle (`shard_telemetry` only).
+    mailbox: Option<Series>,
 }
 
-/// The sharded parallel engine behind [`SimConfig::with_threads`].
-/// `faulted` selects flight semantics: empty route paths are counted as
-/// unroutable (with drop events), and `sim.reroutes`/`sim.unroutable`
-/// counters are emitted on the telemetry handle. `routes` is either a
-/// single shared table (static plan) or a per-injection churn snapshot
-/// compiled ahead of the run — both are read-only here, which keeps the
-/// determinism argument untouched by fault churn.
-// analyze: hot(sharded cycle loop is the perf-gated engine; see BENCH_parallel.json)
-pub(crate) fn run_sharded(
-    topo: &dyn NetTopology,
-    injections: &[Injection],
-    cfg: &SimConfig,
-    routes: RouteSrc<'_>,
-    faulted: bool,
-) -> SimStats {
-    let layout = ChanLayout::new(topo, cfg.implicit);
-    let n = topo.num_nodes();
-    let sparse = cfg.implicit || topo.explicit_graph().is_none();
-    let s = cfg.threads.min(n.max(1)).max(1);
+/// Shared state of one sharded run.
+struct Exchange<'a> {
+    ctx: &'a RunCtx<'a>,
+    route: SourceRouted<'a>,
+    node_lo: &'a [usize],
+    chan_lo: &'a [usize],
+    barrier: Barrier,
+    /// `mailboxes[sender][receiver]`.
+    mailboxes: Vec<Vec<Mailbox>>,
+    /// Each shard's cycle sample, written in phase A and read by every
+    /// shard between the barriers.
+    samples: Vec<Mutex<CycleSample>>,
+    /// Per-shard counters, spans, mailbox series, and shard profile
+    /// phases.
+    shard_telemetry: bool,
+}
 
-    let node_lo = shard_boundaries_layout(&layout, n, s);
+/// The sharded parallel engine behind [`crate::SimConfig::with_threads`]:
+/// one kernel per shard plus the mailbox exchange. `route` reads a
+/// single shared table (static plan) or a per-injection churn snapshot
+/// compiled ahead of the run — both read-only here, which keeps the
+/// determinism argument untouched by fault churn.
+pub(crate) fn run_sharded(ctx: &RunCtx<'_>, route: SourceRouted<'_>) -> SimStats {
+    let n = ctx.topo.num_nodes();
+    let s = ctx.cfg.threads.min(n.max(1)).max(1);
+    let node_lo = shard_boundaries(&ctx.layout, n, s);
     let chan_lo: Vec<usize> = node_lo
         .iter()
-        .map(|&v| layout.node_first_channel(v))
+        .map(|&v| ctx.layout.node_first_channel(v))
         .collect();
-
-    let tel = cfg.telemetry.as_ref();
-    let with_board = tel.is_some();
-    let buffer_events = tel.is_some_and(Telemetry::trace_enabled);
-    // Dense endpoint table: O(channels), needed only by the telemetry
-    // merge and trace paths — skipped entirely on telemetry-off runs so
-    // implicit-mode memory stays bounded by active traffic.
-    let ends: Vec<(u32, u32)> = if with_board {
-        layout.endpoints()
-    } else {
-        Vec::new()
+    let tel = ctx.tel();
+    let ex = Exchange {
+        ctx,
+        route,
+        node_lo: &node_lo,
+        chan_lo: &chan_lo,
+        barrier: Barrier::new(s),
+        mailboxes: (0..s)
+            .map(|_| (0..s).map(|_| Mutex::new(Vec::new())).collect())
+            .collect(),
+        samples: (0..s).map(|_| Mutex::default()).collect(),
+        shard_telemetry: ctx.cfg.shard_telemetry && tel.is_some(),
     };
-
-    let total = injections.len() as u64;
-    let barrier = Barrier::new(s);
-    // mailboxes[sender][receiver]: written by one worker in phase A,
-    // drained by one worker in phase B, with a barrier in between.
-    let mailboxes: Vec<Vec<Mailbox>> = (0..s)
-        .map(|_| (0..s).map(|_| Mutex::new(Vec::new())).collect())
-        .collect();
-    let consumed = AtomicU64::new(0); // injections taken off the schedule
-    let net_in = AtomicU64::new(0); // packets that entered a queue
-    let net_out = AtomicU64::new(0); // routed packets delivered
-
-    // Time-series plumbing: per-shard publish slots written in phase A
-    // and read by shard 0 between the barriers, plus monotone totals for
-    // the fault-routing series. All idle when no cadence is configured.
-    let ts_cfg = tel.and_then(|t| t.timeseries_config());
-    let pub_peak: Vec<AtomicU64> = (0..s).map(|_| AtomicU64::new(0)).collect();
-    let pub_active: Vec<AtomicU64> = (0..s).map(|_| AtomicU64::new(0)).collect();
-    let reroutes_total = AtomicU64::new(0);
-    let unroutable_total = AtomicU64::new(0);
-
-    let mut results: Vec<ShardResult> = std::thread::scope(|scope| {
+    let mut results: Vec<ShardOut<'_>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..s)
             .map(|k| {
-                let (layout, ends) = (&layout, &ends);
-                let (node_lo, chan_lo) = (&node_lo, &chan_lo);
-                let (barrier, mailboxes) = (&barrier, &mailboxes);
-                let (consumed, net_in, net_out) = (&consumed, &net_in, &net_out);
-                let (pub_peak, pub_active) = (&pub_peak, &pub_active);
-                let (reroutes_total, unroutable_total) = (&reroutes_total, &unroutable_total);
-                scope.spawn(move || {
-                    run_shard(ShardCtx {
-                        k,
-                        layout,
-                        sparse,
-                        routes,
-                        injections,
-                        cfg,
-                        ends,
-                        node_lo,
-                        chan_lo,
-                        barrier,
-                        mailboxes,
-                        consumed,
-                        net_in,
-                        net_out,
-                        total,
-                        with_board,
-                        buffer_events,
-                        faulted,
-                        ts_cfg,
-                        pub_peak,
-                        pub_active,
-                        reroutes_total,
-                        unroutable_total,
-                    })
-                })
+                let ex = &ex;
+                scope.spawn(move || run_shard(ex, k))
             })
             .collect();
         handles
@@ -252,594 +196,133 @@ pub(crate) fn run_sharded(
             .collect()
     });
 
-    // ---- in-order merge (shard index order, exact integer arithmetic) ----
-    let mut stats = SimStats {
-        offered: total,
-        ..Default::default()
-    };
-    let mut total_latency = 0u64;
-    let mut total_hops = 0u64;
-    let mut latency_samples = 0u64;
-    let mut reroutes = 0u64;
-    let mut unroutable = 0u64;
-    let mut in_flight = 0u64;
-    let mut prof = ProfCounters::default();
-    for r in &results {
-        prof.absorb(&r.prof);
-        stats.delivered += r.delivered;
-        stats.max_latency = stats.max_latency.max(r.max_latency);
-        stats.peak_queue = stats.peak_queue.max(r.peak_queue);
-        stats.cycles = stats.cycles.max(r.cycles);
-        total_latency += r.total_latency;
-        total_hops += r.total_hops;
-        latency_samples += r.latency_samples;
-        reroutes += r.reroutes;
-        unroutable += r.unroutable;
-        in_flight += r.pool_live;
-    }
-    let consumed_final = consumed.load(Ordering::SeqCst);
-    debug_assert_eq!(
-        in_flight,
-        net_in.load(Ordering::SeqCst) - net_out.load(Ordering::SeqCst),
-        "pool residents equal net in-flight"
-    );
-    stats.stranded = unroutable + in_flight + (total - consumed_final);
-    if latency_samples > 0 {
-        // analyze: allow(float-determinism, one division over exact integer totals at run end)
-        stats.avg_latency = total_latency as f64 / latency_samples as f64;
-        // analyze: allow(float-determinism, one division over exact integer totals at run end)
-        stats.avg_hops = total_hops as f64 / latency_samples as f64;
-    }
-    debug_assert_eq!(
-        stats.delivered + stats.stranded,
-        stats.offered,
-        "packet conservation"
-    );
-
+    let cycles = results[0].cycles;
     if let Some(t) = tel {
-        if cfg.profile {
-            prof.finish(
-                t,
-                Some((routes.num_pairs() as u64, routes.total_route_nodes() as u64)),
-            );
-        }
-        if buffer_events {
-            // Stable sort on (cycle, phase, key): the key is unique
-            // across shards, and equal keys only occur within one shard
-            // (injected-then-delivered pairs), whose local order the
-            // stable sort preserves — exactly the serial emission order.
-            let mut all: Vec<BufferedEvent> = results
-                .iter()
-                .flat_map(|r| r.events.iter().cloned())
-                .collect();
-            // analyze: allow(unstable-order, stable sort; ties share a shard and keep serial emission order)
-            all.sort_by_key(|e| (e.0, e.1, e.2));
-            for (_, _, _, ev) in all {
-                t.event(|| ev);
-            }
-        }
-        if faulted {
-            t.counter("sim.reroutes").add(reroutes);
-            t.counter("sim.unroutable").add(unroutable);
-        }
-        t.counter("sim.offered").add(stats.offered);
-        t.counter("sim.delivered").add(stats.delivered);
-        t.counter("sim.stranded").add(stats.stranded);
-        t.counter(CYCLES_COUNTER).add(stats.cycles);
-        let mut ls = LinkStats::new();
-        for (k, r) in results.iter().enumerate() {
-            let Some(b) = &r.board else { continue };
-            t.merge_histogram("sim.latency", &b.latency);
-            t.merge_histogram("sim.hops", &b.hops);
-            let base = chan_lo[k];
-            for i in 0..b.fwd.len() {
-                let (from, to) = ends[base + i];
-                if b.fwd[i] > 0 {
-                    ls.record_forward(from, to, b.fwd[i]);
-                }
-                if b.busy[i] > 0 {
-                    ls.record_busy(from, to, b.busy[i]);
-                }
-                if b.peak[i] > 0 {
-                    ls.observe_queue(from, to, b.peak[i]);
-                }
-            }
-        }
-        if with_board {
-            t.merge_links(&ls);
-        }
-        if cfg.shard_telemetry {
-            for (k, r) in results.iter().enumerate() {
-                // analyze: allow(alloc-in-hot, once-per-run shard telemetry merge, not cycle work)
+        for (k, r) in results.iter_mut().enumerate() {
+            if ex.shard_telemetry {
+                let delivered = r.kernel.tally.delivered;
+                let forwarded = r.kernel.board.as_ref().map_or(0, |b| b.forwarded());
                 t.counter(&format!("sim.shard.{k}.delivered"))
-                    .add(r.delivered);
-                // analyze: allow(alloc-in-hot, once-per-run shard telemetry merge, not cycle work)
+                    .add(delivered);
                 t.counter(&format!("sim.shard.{k}.forwarded"))
-                    .add(r.forwarded);
-                // analyze: allow(alloc-in-hot, once-per-run shard telemetry merge, not cycle work)
+                    .add(forwarded);
                 let span = t.span_start(&format!("shard {k}"), None, 0);
-                // analyze: allow(alloc-in-hot, once-per-run shard telemetry merge, not cycle work)
                 t.span_attr(span, "nodes", format!("{}..{}", node_lo[k], node_lo[k + 1]));
                 t.span_attr(
                     span,
                     "channels",
-                    // analyze: allow(alloc-in-hot, once-per-run shard telemetry merge, not cycle work)
                     format!("{}..{}", chan_lo[k], chan_lo[k + 1]),
                 );
-                t.span_attr(span, "delivered", r.delivered.to_string());
-                t.span_end(span, stats.cycles);
-            }
-        }
-        // Merge the time-series recorders (the final store is
-        // name-ordered, so shard order is immaterial — done in shard
-        // order anyway for clarity), then run detection exactly once.
-        for (k, r) in results.iter_mut().enumerate() {
-            if let Some(lt) = r.links.take() {
-                lt.merge_into(t, &ends);
-            }
-            if let Some(gt) = r.globals.take() {
-                gt.merge_into(t);
+                t.span_attr(span, "delivered", delivered.to_string());
+                t.span_end(span, cycles);
             }
             if let Some(mb) = r.mailbox.take() {
-                // analyze: allow(alloc-in-hot, once-per-run shard telemetry merge, not cycle work)
                 t.merge_series(&format!("sim.shard.{k}.mailbox"), mb);
             }
         }
-        t.detect_congestion(stats.cycles);
     }
-    stats
+    let globals = results[0].globals.take();
+    let kernels = results.into_iter().map(|r| r.kernel).collect();
+    ctx.finish(kernels, globals, cycles)
 }
 
-/// Everything one worker needs, bundled to keep the spawn site readable.
-struct ShardCtx<'a> {
-    k: usize,
-    layout: &'a ChanLayout<'a>,
-    /// Use the lazily materialised sparse channel store.
-    sparse: bool,
-    routes: RouteSrc<'a>,
-    injections: &'a [Injection],
-    cfg: &'a SimConfig,
-    ends: &'a [(u32, u32)],
-    node_lo: &'a [usize],
-    chan_lo: &'a [usize],
-    barrier: &'a Barrier,
-    mailboxes: &'a [Vec<Mailbox>],
-    consumed: &'a AtomicU64,
-    net_in: &'a AtomicU64,
-    net_out: &'a AtomicU64,
-    total: u64,
-    with_board: bool,
-    buffer_events: bool,
-    faulted: bool,
-    ts_cfg: Option<TsConfig>,
-    pub_peak: &'a [AtomicU64],
-    pub_active: &'a [AtomicU64],
-    reroutes_total: &'a AtomicU64,
-    unroutable_total: &'a AtomicU64,
-}
-
-fn run_shard(ctx: ShardCtx<'_>) -> ShardResult {
-    let ShardCtx {
+fn run_shard<'a>(ex: &'a Exchange<'a>, k: usize) -> ShardOut<'a> {
+    let s = ex.chan_lo.len() - 1;
+    let cfg = ex.ctx.cfg;
+    let port = ShardPort {
         k,
-        layout,
-        sparse,
-        routes,
-        injections,
-        cfg,
-        ends,
-        node_lo,
-        chan_lo,
-        barrier,
-        mailboxes,
-        consumed,
-        net_in,
-        net_out,
-        total,
-        with_board,
-        buffer_events,
-        faulted,
-        ts_cfg,
-        pub_peak,
-        pub_active,
-        reroutes_total,
-        unroutable_total,
-    } = ctx;
-    let s = chan_lo.len() - 1;
-    let base = chan_lo[k];
-    let width = chan_lo[k + 1] - base;
-
-    let channel_of = |u: NodeId, v: NodeId| -> usize { layout.channel_of(u, v) };
-
-    // My injections: those sourced in my node range, in global id order.
-    let my_inj: Vec<usize> = injections
-        .iter()
-        .enumerate()
-        .filter(|(_, inj)| node_lo[k] <= inj.src && inj.src < node_lo[k + 1])
-        .map(|(i, _)| i)
-        .collect();
-    let mut next_inj = 0usize;
-
-    // Local per-channel store, indexed by `ch - base`.
-    let mut queues: ChanQueues<u32> = ChanQueues::new(width, sparse, false);
-    let mut pool: PacketPool<Packet> = PacketPool::new();
-    let mut active: Vec<usize> = Vec::new(); // global channel ids, own range
-    let mut board = with_board.then(|| ShardBoard {
-        latency: Histogram::new(),
-        hops: Histogram::new(),
-        fwd: vec![0; width],
-        busy: vec![0; width],
-        peak: vec![0; width],
-    });
-    let mut events: Vec<BufferedEvent> = Vec::new();
-    let profiling = cfg.profile && with_board;
-    let mut prof = ProfCounters::default();
-
-    // Link-depth series over this shard's own (disjoint) channel range;
-    // shard 0 additionally records the whole-network series — it derives
-    // the per-cycle globals from the shared injection schedule, the
-    // monotone counters, and the publish slots, all stable between the
-    // barriers.
-    let mut ts_links = ts_cfg.map(|c| LinkTs::new(c, base, width));
-    let mut globals = ts_cfg.filter(|_| k == 0).map(|c| GlobalTs::new(c, faulted));
-    let mut mailbox_series = ts_cfg.filter(|_| cfg.shard_telemetry).map(Series::new);
-    let mut all_next = 0usize; // shard 0's cursor over the full schedule
-    let mut prev_out = 0u64;
-    let mut prev_reroutes = 0u64;
-    let mut prev_unroutable = 0u64;
-
-    let mut delivered = 0u64;
-    let mut total_latency = 0u64;
-    let mut total_hops = 0u64;
-    let mut latency_samples = 0u64;
-    let mut max_latency = 0u64;
-    let mut peak_queue = 0usize;
-    let mut reroutes = 0u64;
-    let mut unroutable = 0u64;
-    let mut forwarded = 0u64;
+        chan_lo: ex.chan_lo,
+        pending: Vec::new(),
+        outbox: vec![Vec::new(); s],
+    };
+    let mut kernel = Kernel::new(
+        ex.ctx,
+        ex.route,
+        Unbounded,
+        ex.chan_lo[k]..ex.chan_lo[k + 1],
+        ex.node_lo[k]..ex.node_lo[k + 1],
+        Some(port),
+    );
+    let ts = ex.ctx.ts_config();
+    let mut globals = ts
+        .filter(|_| k == 0)
+        .map(|c| GlobalTs::new(c, ex.route.faults));
+    let mut mailbox = ts.filter(|_| ex.shard_telemetry).map(Series::new);
     let mut cycle = 0u64;
-
-    let mut local_pending: Vec<(usize, u32)> = Vec::new(); // (dst channel, key)
-    let mut outbox: Vec<Vec<(u32, Packet)>> = vec![Vec::new(); s];
-    let mut still_active: Vec<usize> = Vec::new();
-
     while cycle < cfg.max_cycles {
-        // ---- phase A: inject + service own channels ----
-        let mut consumed_delta = 0u64;
-        let mut in_delta = 0u64;
-        let mut out_delta = 0u64;
-        let reroutes_before = reroutes;
-        let unroutable_before = unroutable;
-        while next_inj < my_inj.len() && injections[my_inj[next_inj]].at == cycle {
-            let idx = my_inj[next_inj];
-            let inj = injections[idx];
-            let id = idx as u64;
-            next_inj += 1;
-            consumed_delta += 1;
-            if buffer_events {
-                events.push((
-                    cycle,
-                    0,
-                    id,
-                    Event::PacketInjected {
-                        id,
-                        src: inj.src as u32,
-                        dst: inj.dst as u32,
-                        cycle,
-                    },
-                ));
-            }
-            let slot = routes
-                .slot_for(idx, inj.src, inj.dst)
-                .expect("invariant: route table was built from this exact workload");
-            let path = routes.path(slot);
-            if profiling {
-                prof.lookup_inv += 1;
-                prof.lookup_work += path.len() as u64;
-            }
-            if path.is_empty() {
-                debug_assert!(faulted, "empty routes only exist under faults");
-                unroutable += 1;
-                if buffer_events {
-                    events.push((
-                        cycle,
-                        0,
-                        id,
-                        Event::PacketDropped {
-                            id,
-                            at: inj.src as u32,
-                            cycle,
-                        },
-                    ));
-                }
-                continue;
-            }
-            if path.len() <= 1 {
-                delivered += 1;
-                if buffer_events {
-                    events.push((
-                        cycle,
-                        0,
-                        id,
-                        Event::PacketDelivered {
-                            id,
-                            dst: inj.dst as u32,
-                            latency: 0,
-                            cycle,
-                        },
-                    ));
-                }
-                continue;
-            }
-            if faulted && routes.detour(slot).is_some() {
-                reroutes += 1;
-            }
-            let ch = channel_of(path[0] as NodeId, path[1] as NodeId);
-            debug_assert!(
-                base <= ch && ch < chan_lo[k + 1],
-                "injection lands in own shard"
-            );
-            let key = pool.alloc(Packet {
-                id,
-                route: slot,
-                hop: 0,
-                injected_at: cycle,
-            });
-            queues.push_back(ch - base, key);
-            if queues.activate(ch - base) {
-                active.push(ch);
-            }
-            in_delta += 1;
-        }
+        // ---- phase A: one kernel step, then post movers and samples ----
+        let sample = kernel.step(cycle);
+        kernel
+            .shard
+            .as_mut()
+            .expect("invariant: shard kernels carry a port")
+            .post(&ex.mailboxes[k]);
+        *lock(&ex.samples[k]) = sample;
+        wait(ex, &mut kernel);
 
-        // Canonical ascending order within the shard's disjoint range.
-        active.sort_unstable();
-
-        let mut cycle_peak = 0usize;
-        for &ch in &active {
-            let len = queues.len(ch - base);
-            if let Some(b) = board.as_mut() {
-                b.peak[ch - base] = b.peak[ch - base].max(len);
-            }
-            cycle_peak = cycle_peak.max(len);
-            if let Some(lt) = ts_links.as_mut() {
-                lt.observe(ch, cycle, len as u64);
-            }
+        // Samples are stable until the next phase A, so every worker
+        // reaches the same decision here, and shard 0 records exactly
+        // what the serial loop sees at its own recording point.
+        let mut total = CycleSample {
+            injected: sample.injected,
+            ..CycleSample::default()
+        };
+        for shard in &ex.samples {
+            total.absorb(&lock(shard));
         }
-        peak_queue = peak_queue.max(cycle_peak);
-        // Sampled here (post-injection, pre-service) to match the serial
-        // loop; `active` is mutated again before the publish below.
-        let cycle_active = active.len();
-
-        still_active.clear();
-        for &ch in &active {
-            if profiling {
-                prof.service_inv += 1;
-                prof.service_work += queues.len(ch - base) as u64;
-            }
-            if let Some(key) = queues.pop_front(ch - base) {
-                let mut p = *pool.get(key);
-                p.hop += 1;
-                let path = routes.path(p.route);
-                let here = path[p.hop as usize];
-                forwarded += 1;
-                if let Some(b) = board.as_mut() {
-                    b.busy[ch - base] += 1;
-                    b.fwd[ch - base] += 1;
-                }
-                if buffer_events {
-                    let (from, to) = ends[ch];
-                    events.push((
-                        cycle,
-                        1,
-                        2 * ch as u64,
-                        Event::PacketHop {
-                            id: p.id,
-                            from,
-                            to,
-                            cycle: cycle + 1,
-                        },
-                    ));
-                }
-                if p.hop as usize + 1 == path.len() {
-                    let latency = cycle + 1 - p.injected_at;
-                    total_latency += latency;
-                    total_hops += u64::from(p.hop);
-                    latency_samples += 1;
-                    max_latency = max_latency.max(latency);
-                    delivered += 1;
-                    out_delta += 1;
-                    pool.free(key);
-                    if let Some(b) = board.as_mut() {
-                        b.latency.record(latency);
-                        b.hops.record(u64::from(p.hop));
-                    }
-                    if buffer_events {
-                        events.push((
-                            cycle,
-                            1,
-                            2 * ch as u64 + 1,
-                            Event::PacketDelivered {
-                                id: p.id,
-                                dst: here,
-                                latency,
-                                cycle: cycle + 1,
-                            },
-                        ));
-                    }
-                } else {
-                    let next = path[p.hop as usize + 1];
-                    let dst_ch = channel_of(here as NodeId, next as NodeId);
-                    let dst_shard = shard_of(chan_lo, dst_ch);
-                    if dst_shard == k {
-                        *pool.get_mut(key) = p;
-                        local_pending.push((dst_ch, key));
-                    } else {
-                        pool.free(key);
-                        outbox[dst_shard].push((dst_ch as u32, p));
-                    }
-                }
-            }
-            if queues.len(ch - base) == 0 {
-                queues.deactivate(ch - base);
-            } else {
-                still_active.push(ch);
-            }
-        }
-        std::mem::swap(&mut active, &mut still_active);
-
-        for (dst, out) in outbox.iter_mut().enumerate() {
-            if !out.is_empty() {
-                mailboxes[k][dst]
-                    .lock()
-                    .expect("invariant: mailbox mutex unpoisoned (holders never panic)")
-                    .append(out);
-            }
-        }
-        if consumed_delta > 0 {
-            consumed.fetch_add(consumed_delta, Ordering::SeqCst);
-        }
-        if in_delta > 0 {
-            net_in.fetch_add(in_delta, Ordering::SeqCst);
-        }
-        if out_delta > 0 {
-            net_out.fetch_add(out_delta, Ordering::SeqCst);
-        }
-        if ts_cfg.is_some() {
-            pub_peak[k].store(cycle_peak as u64, Ordering::SeqCst);
-            pub_active[k].store(cycle_active as u64, Ordering::SeqCst);
-            if faulted {
-                if reroutes > reroutes_before {
-                    reroutes_total.fetch_add(reroutes - reroutes_before, Ordering::SeqCst);
-                }
-                if unroutable > unroutable_before {
-                    unroutable_total.fetch_add(unroutable - unroutable_before, Ordering::SeqCst);
-                }
-            }
-        }
-
-        barrier.wait();
-        if profiling && cfg.shard_telemetry {
-            prof.barrier_inv += 1;
-            prof.barrier_work += 1;
-        }
-
-        // Counters are stable until the next phase A, so every worker
-        // computes the same decision here.
         let drained = cfg.stop_when_drained
-            && consumed.load(Ordering::SeqCst) == total
-            && net_in.load(Ordering::SeqCst) == net_out.load(Ordering::SeqCst);
-
-        // Shard 0 records the whole-network samples for this cycle: the
-        // values are exactly what the serial loop sees at its own
-        // end-of-cycle recording point (phase A fixed every injection,
-        // delivery, and queue peak of the cycle; phase B only moves
-        // packets between queues).
+            && kernel.consumed() == ex.ctx.injections.len()
+            && total.in_flight == 0;
         if let Some(gt) = globals.as_mut() {
-            let mut injected_now = 0u64;
-            let mut self_delivered = 0u64;
-            while all_next < injections.len() && injections[all_next].at == cycle {
-                let inj = injections[all_next];
-                let idx = all_next;
-                all_next += 1;
-                injected_now += 1;
-                let slot = routes
-                    .slot_for(idx, inj.src, inj.dst)
-                    .expect("invariant: route table was built from this exact workload");
-                if routes.path(slot).len() == 1 {
-                    self_delivered += 1;
-                }
-            }
-            let out_now = net_out.load(Ordering::SeqCst);
-            let in_flight_now = net_in.load(Ordering::SeqCst) - out_now;
-            let peak_now = pub_peak
-                .iter()
-                .map(|a| a.load(Ordering::SeqCst))
-                .max()
-                .unwrap_or(0);
-            let active_now = pub_active.iter().map(|a| a.load(Ordering::SeqCst)).sum();
-            gt.record(
-                cycle,
-                in_flight_now,
-                injected_now,
-                self_delivered + (out_now - prev_out),
-                peak_now,
-                active_now,
-            );
-            prev_out = out_now;
-            if faulted {
-                let r_now = reroutes_total.load(Ordering::SeqCst);
-                let u_now = unroutable_total.load(Ordering::SeqCst);
-                gt.record_faults(cycle, r_now - prev_reroutes, u_now - prev_unroutable);
-                prev_reroutes = r_now;
-                prev_unroutable = u_now;
-            }
+            gt.record(cycle, &total);
         }
 
-        // ---- phase B: apply movers in ascending source-channel order ----
-        let mut incoming_total = 0u64;
-        for (src, sender_row) in mailboxes.iter().enumerate().take(s) {
+        // ---- phase B: land movers in ascending source-channel order ----
+        let mut received = 0u64;
+        for (src, row) in ex.mailboxes.iter().enumerate() {
             if src == k {
-                for &(ch, key) in &local_pending {
-                    queues.push_back(ch - base, key);
-                    if queues.activate(ch - base) {
-                        active.push(ch);
-                    }
-                }
-                local_pending.clear();
+                kernel.land_pending(cycle);
             } else {
-                let mut incoming = std::mem::take(
-                    &mut *sender_row[k]
-                        .lock()
-                        .expect("invariant: mailbox mutex unpoisoned (holders never panic)"),
-                );
-                incoming_total += incoming.len() as u64;
+                let mut incoming = std::mem::take(&mut *lock(&row[k]));
+                received += incoming.len() as u64;
                 for (ch, p) in incoming.drain(..) {
-                    let ch = ch as usize;
-                    let key = pool.alloc(p);
-                    queues.push_back(ch - base, key);
-                    if queues.activate(ch - base) {
-                        active.push(ch);
-                    }
+                    kernel.receive(ch, p, cycle);
                 }
             }
         }
-        if profiling && cfg.shard_telemetry {
-            prof.mailbox_inv += 1;
-            prof.mailbox_work += incoming_total;
+        if ex.shard_telemetry {
+            kernel.prof.mailbox_inv += 1;
+            kernel.prof.mailbox_work += received;
         }
-        if let Some(mb) = mailbox_series.as_mut() {
-            mb.record(cycle, incoming_total);
+        if let Some(mb) = mailbox.as_mut() {
+            mb.record(cycle, received);
         }
-
-        barrier.wait();
-        if profiling && cfg.shard_telemetry {
-            prof.barrier_inv += 1;
-            prof.barrier_work += 1;
-        }
+        wait(ex, &mut kernel);
         cycle += 1;
         if drained {
             break;
         }
     }
-
-    ShardResult {
-        delivered,
-        total_latency,
-        total_hops,
-        latency_samples,
-        max_latency,
-        peak_queue,
-        reroutes,
-        unroutable,
-        forwarded,
+    ShardOut {
+        kernel,
         cycles: cycle,
-        pool_live: pool.live() as u64,
-        board,
-        events,
         globals,
-        links: ts_links,
-        mailbox: mailbox_series,
-        prof,
+        mailbox,
+    }
+}
+
+/// Locks an exchange cell (holders never panic, so it is never poisoned).
+fn lock<T>(cell: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    cell.lock()
+        .expect("invariant: exchange mutex unpoisoned (holders never panic)")
+}
+
+/// One barrier wait, counted in the shard profile phases.
+fn wait(ex: &Exchange<'_>, kernel: &mut Kernel<'_, SourceRouted<'_>, Unbounded>) {
+    ex.barrier.wait();
+    if ex.shard_telemetry {
+        kernel.prof.barrier_inv += 1;
+        kernel.prof.barrier_work += 1;
     }
 }
 
@@ -848,9 +331,10 @@ mod tests {
     use super::*;
     use crate::faults::FaultPlan;
     use crate::flight::{run_with_faults, TraceSampling};
-    use crate::sim::{channel_offsets, run};
-    use crate::topology::{HbRouteOrder, HyperButterflyNet, HypercubeNet};
+    use crate::sim::{channel_offsets, run, SimConfig};
+    use crate::topology::{HbRouteOrder, HyperButterflyNet, HypercubeNet, NetTopology};
     use crate::workload;
+    use hb_telemetry::Telemetry;
 
     #[test]
     fn shard_boundaries_are_node_aligned_and_cover_all_channels() {
@@ -858,8 +342,15 @@ mod tests {
         let g = t.graph();
         let offsets = channel_offsets(g);
         let n = g.num_nodes();
+        let csr = ChanLayout::new(&t, false);
+        let uniform = ChanLayout::new(&t, true);
         for s in [1, 2, 3, 4, 7, 16] {
-            let node_lo = shard_boundaries(&offsets, n, s);
+            let node_lo = shard_boundaries(&csr, n, s);
+            assert_eq!(
+                node_lo,
+                shard_boundaries(&uniform, n, s),
+                "layouts cut alike"
+            );
             assert_eq!(node_lo[0], 0);
             assert_eq!(node_lo[s], n);
             assert!(node_lo.windows(2).all(|w| w[0] <= w[1]));

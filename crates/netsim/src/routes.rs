@@ -776,87 +776,79 @@ impl ChurnRoutes {
     pub(crate) fn forget_dead(&mut self, cache: &RouteCache) {
         self.interned.retain(|&slot, _| cache.is_live(slot));
     }
+}
 
-    pub(crate) fn slot_of(&self, inj: usize) -> u32 {
-        self.slots[inj]
+/// Where a kernel reads routes from: a per-pair [`RouteTable`] (static
+/// plan — one route per endpoint pair for the whole run) or per-
+/// injection [`ChurnRoutes`] (fault timeline — the route each packet
+/// was admitted with). Both keep their routes in a [`RouteArena`], which
+/// kernels address by slot; only admission differs, via
+/// [`RouteSrc::slot_for`].
+#[derive(Clone, Copy)]
+pub(crate) struct RouteSrc<'a> {
+    arena: &'a RouteArena,
+    slots: SlotIndex<'a>,
+}
+
+/// How an injection finds its route slot.
+#[derive(Clone, Copy)]
+enum SlotIndex<'a> {
+    /// By endpoint pair in a static table.
+    Pair(&'a RouteTable),
+    /// By injection index in a churn snapshot.
+    Injection(&'a [u32]),
+}
+
+impl<'a> RouteSrc<'a> {
+    pub(crate) fn table(table: &'a RouteTable) -> Self {
+        Self {
+            arena: &table.arena,
+            slots: SlotIndex::Pair(table),
+        }
     }
 
-    pub(crate) fn path(&self, slot: u32) -> &[u32] {
+    pub(crate) fn churn(churn: &'a ChurnRoutes) -> Self {
+        Self {
+            arena: &churn.arena,
+            slots: SlotIndex::Injection(&churn.slots),
+        }
+    }
+
+    /// Route slot for injection `inj` (its index in the run's sorted
+    /// injection slice) from `src` to `dst`. `None` only for a table
+    /// miss, which kernels treat as a build-set invariant violation.
+    #[inline]
+    pub(crate) fn slot_for(&self, inj: usize, src: NodeId, dst: NodeId) -> Option<u32> {
+        match self.slots {
+            SlotIndex::Pair(t) => t.slot(src, dst),
+            SlotIndex::Injection(slots) => Some(slots[inj]),
+        }
+    }
+
+    #[inline]
+    pub(crate) fn path(&self, slot: u32) -> &'a [u32] {
         self.arena.path(slot)
     }
 
+    #[inline]
     pub(crate) fn detour(&self, slot: u32) -> Detour {
         self.arena.detour(slot)
     }
 
-    /// Distinct routes frozen (the `sim/route_build` pair count for
-    /// churn runs).
+    /// Distinct routes held — the `sim/route_build` profiler pair count.
     pub(crate) fn num_pairs(&self) -> usize {
         self.arena.len()
     }
 
-    /// Total nodes stored (the `sim/route_build` work unit).
+    /// Total route nodes held — the `sim/route_build` work unit.
     pub(crate) fn total_route_nodes(&self) -> usize {
         self.arena.nodes.len()
     }
-}
 
-/// Where an engine reads routes from: a per-pair [`RouteTable`] (static
-/// plan — one route per endpoint pair for the whole run) or per-
-/// injection [`ChurnRoutes`] (fault timeline — the route each packet
-/// was admitted with). Engines address routes by slot either way; only
-/// admission differs, via [`RouteSrc::slot_for`].
-#[derive(Clone, Copy)]
-pub(crate) enum RouteSrc<'a> {
-    Table(&'a RouteTable),
-    Churn(&'a ChurnRoutes),
-}
-
-impl<'a> RouteSrc<'a> {
-    /// Route slot for injection `inj` (its index in the run's sorted
-    /// injection slice) from `src` to `dst`. `None` only for a table
-    /// miss, which engines treat as a build-set invariant violation.
-    pub(crate) fn slot_for(&self, inj: usize, src: NodeId, dst: NodeId) -> Option<u32> {
-        match *self {
-            RouteSrc::Table(t) => t.slot(src, dst),
-            RouteSrc::Churn(c) => Some(c.slot_of(inj)),
-        }
-    }
-
-    pub(crate) fn path(&self, slot: u32) -> &'a [u32] {
-        match *self {
-            RouteSrc::Table(t) => t.path(slot),
-            RouteSrc::Churn(c) => c.path(slot),
-        }
-    }
-
-    pub(crate) fn detour(&self, slot: u32) -> Detour {
-        match *self {
-            RouteSrc::Table(t) => t.detour(slot),
-            RouteSrc::Churn(c) => c.detour(slot),
-        }
-    }
-
-    /// Distinct routes held — the `sim/route_build` profiler pair count.
-    pub(crate) fn num_pairs(&self) -> usize {
-        match *self {
-            RouteSrc::Table(t) => t.num_pairs(),
-            RouteSrc::Churn(c) => c.num_pairs(),
-        }
-    }
-
-    /// Total route nodes held — the `sim/route_build` work unit.
-    pub(crate) fn total_route_nodes(&self) -> usize {
-        match *self {
-            RouteSrc::Table(t) => t.total_route_nodes(),
-            RouteSrc::Churn(c) => c.total_route_nodes(),
-        }
-    }
-
-    /// Whether routes came from a fault timeline (drives unroutable
-    /// accounting in the bounded engine).
+    /// Whether routes came from a fault timeline (its admissions may be
+    /// refused, so runs account `sim.unroutable`).
     pub(crate) fn is_churn(&self) -> bool {
-        matches!(self, RouteSrc::Churn(_))
+        matches!(self.slots, SlotIndex::Injection(_))
     }
 }
 
@@ -1121,12 +1113,14 @@ mod tests {
         churn.assign(&cache, a);
         churn.assign(&cache, b);
         churn.assign(&cache, a); // same cache slot: interned once
-        assert_eq!(churn.num_pairs(), 2);
-        assert_eq!(churn.slot_of(0), churn.slot_of(2));
-        assert_eq!(churn.path(churn.slot_of(0)), cache.path(a));
-        assert_eq!(churn.detour(churn.slot_of(1)), cache.detour(b));
+        let src = RouteSrc::churn(&churn);
+        let slot = |inj| src.slot_for(inj, 0, 0).unwrap();
+        assert_eq!(src.num_pairs(), 2);
+        assert_eq!(slot(0), slot(2));
+        assert_eq!(src.path(slot(0)), cache.path(a));
+        assert_eq!(src.detour(slot(1)), cache.detour(b));
         assert_eq!(
-            churn.total_route_nodes(),
+            src.total_route_nodes(),
             cache.path(a).len() + cache.path(b).len()
         );
 
@@ -1139,14 +1133,10 @@ mod tests {
         let a2 = cache.resolve(&t, 0, 15);
         assert_ne!(a2, a);
         churn.assign(&cache, a2);
-        assert_eq!(churn.num_pairs(), 3);
-        assert_eq!(churn.path(churn.slot_of(3)), cache.path(a2));
-
         // RouteSrc answers per-injection lookups from the frozen arena.
-        let src = RouteSrc::Churn(&churn);
-        assert_eq!(src.slot_for(0, 0, 15), Some(churn.slot_of(0)));
-        assert_eq!(src.path(churn.slot_of(3)), cache.path(a2));
+        let src = RouteSrc::churn(&churn);
         assert_eq!(src.num_pairs(), 3);
+        assert_eq!(src.path(src.slot_for(3, 0, 15).unwrap()), cache.path(a2));
         assert!(src.is_churn());
     }
 

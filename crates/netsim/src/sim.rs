@@ -6,12 +6,19 @@
 //! * every undirected edge is two directed **channels**, each moving at
 //!   most one packet per cycle (1 packet = 1 flit);
 //! * each channel has a FIFO queue at its sending node (unbounded —
-//!   latency-versus-load studies measure occupancy instead of dropping);
+//!   latency-versus-load studies measure occupancy instead of dropping;
+//!   [`run_bounded`] adds finite buffers with backpressure);
 //! * packets are **source routed**: the topology's oblivious router fixes
-//!   the path at injection (hop = 1 cycle);
+//!   the path at injection (hop = 1 cycle) — or, in [`run_adaptive`],
+//!   pick the least-loaded shortest-path hop at every step;
 //! * a node's channels are served independently (all-port model), which
 //!   matches the bounded-degree design point the paper argues for: a
 //!   node never serves more than `degree` channels.
+//!
+//! Every entry point here, in [`crate::flight`], and in [`crate::churn`]
+//! instantiates the one cycle kernel (`crate::kernel`, DESIGN.md §17)
+//! with a route policy and a queue discipline; this module holds the
+//! shared run types, the channel layout, and the channel queue store.
 //!
 //! # Observability
 //!
@@ -21,34 +28,19 @@
 //! `sim.delivered`, `sim.stranded`, `sim.cycles`, and `sim.dropped` for
 //! bounded runs), per-directed-link forwarding/busy/peak statistics, and
 //! — at trace level — per-packet lifecycle events. With `telemetry:
-//! None` the hot loops take the exact same code paths as before the
-//! instrumentation existed and the returned [`SimStats`] are identical
-//! (a unit test asserts this). Hot loops accumulate into dense local
-//! vectors and a private histogram, merging into the shared handle once
-//! at the end, so the summary-level overhead is O(channels) memory and
-//! one branch per serviced channel.
+//! None` the kernel takes the same code paths and the returned
+//! [`SimStats`] are identical (a unit test asserts this). The kernel
+//! accumulates into dense local vectors and a private histogram,
+//! merging into the shared handle once at the end, so the summary-level
+//! overhead is O(channels) memory and one branch per served channel.
 
-use crate::pool::PacketPool;
+use crate::kernel::{run_serial, Adaptive, Bounded, RunCtx, SourceRouted, Unbounded};
 use crate::routes::{RouteSrc, RouteTable};
 use crate::topology::{NetTopology, MAX_PRODUCTIVE};
-use crate::tsrec::{GlobalTs, LinkTs};
 use hb_graphs::NodeId;
-use hb_telemetry::{Event, Histogram, LinkStats, Profile, Telemetry, CYCLES_COUNTER};
+use hb_telemetry::Telemetry;
 use std::collections::VecDeque;
-
-/// One packet in flight. Copy-sized: the route lives in a
-/// [`RouteTable`] and the packet carries only its slot, so queues move
-/// 24-byte values (or, pool-backed, 4-byte keys) instead of owned
-/// `Vec<NodeId>` routes.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct Packet {
-    /// Injection index, used as the trace id.
-    pub(crate) id: u64,
-    /// [`RouteTable`] slot; `table.path(route)[hop]` is the current node.
-    pub(crate) route: u32,
-    pub(crate) hop: u32,
-    pub(crate) injected_at: u64,
-}
+use std::ops::Range;
 
 /// A packet to inject: source, destination, injection cycle.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -68,9 +60,11 @@ pub struct SimStats {
     pub offered: u64,
     /// Packets delivered before the cycle limit.
     pub delivered: u64,
-    /// Packets not delivered when the simulation stopped: still queued,
-    /// in flight, or never injected (injection time past the cycle
-    /// limit). Invariant: `delivered + stranded == offered`.
+    /// Packets not delivered when the simulation stopped: refused at
+    /// admission (unroutable under faults or a fault timeline), dropped
+    /// at a full source queue (bounded runs), still queued, or never
+    /// injected (injection time past the cycle limit). Invariant:
+    /// `delivered + stranded == offered`.
     pub stranded: u64,
     /// Mean delivered latency (cycles), 0 if nothing was delivered.
     // analyze: allow(float-determinism, derived summary statistic; engines compare on integer counters)
@@ -99,16 +93,18 @@ pub struct SimConfig {
     /// only, matching `avg_latency` (zero-hop self-deliveries are
     /// excluded).
     pub telemetry: Option<Telemetry>,
-    /// Worker threads for the sharded parallel engine (`1` = in-place
-    /// serial loop). Results are **byte-identical** at every thread
-    /// count: shards service channels in the same canonical ascending
-    /// channel order the serial loop uses and merge cross-shard traffic
-    /// in fixed shard-index order. Applies to [`run`] and
-    /// [`crate::flight::run_with_faults`]; the bounded and adaptive
-    /// runners have inherently sequential per-cycle dependences
-    /// (head-of-line credit admission, least-queue choice) and always
-    /// run serially — parallelise those at the experiment-grid level
-    /// instead (`hb-bench`).
+    /// Worker threads for the sharded parallel engine (`1` = one serial
+    /// kernel). Results are **byte-identical** at every thread count:
+    /// shards serve channels in the same canonical ascending channel
+    /// order the serial kernel uses and merge cross-shard traffic in
+    /// fixed shard-index order. Applies to [`run`],
+    /// [`crate::flight::run_with_faults`], and
+    /// [`crate::churn::run_with_timeline`] (the last two stay serial
+    /// while span tracing is live); the bounded and adaptive runners
+    /// have inherently sequential per-cycle dependences (head-of-line
+    /// credit admission, least-queue choice) and always run serially —
+    /// parallelise those at the experiment-grid level instead
+    /// (`hb-bench`).
     pub threads: usize,
     /// Emit per-shard `sim.shard.<i>.*` counters and one root span per
     /// shard (trace level) after a parallel run. Off by default so
@@ -196,131 +192,6 @@ impl SimConfig {
     pub fn with_implicit_topology(mut self, on: bool) -> Self {
         self.implicit = on;
         self
-    }
-}
-
-/// Dense per-channel scoreboard a run accumulates into locally, merged
-/// into the shared [`Telemetry`] handle once at the end (keeps the hot
-/// loop free of locks and string lookups). Shared with the fault-aware
-/// runner in [`crate::flight`].
-pub(crate) struct Scoreboard {
-    pub(crate) latency: Histogram,
-    pub(crate) hops: Histogram,
-    pub(crate) fwd: Vec<u64>,
-    pub(crate) busy: Vec<u64>,
-    pub(crate) peak: Vec<usize>,
-    /// Channel id -> (tail node, head node).
-    pub(crate) ends: Vec<(u32, u32)>,
-}
-
-impl Scoreboard {
-    pub(crate) fn new(ends: Vec<(u32, u32)>) -> Self {
-        let c = ends.len();
-        Self {
-            latency: Histogram::new(),
-            hops: Histogram::new(),
-            fwd: vec![0; c],
-            busy: vec![0; c],
-            peak: vec![0; c],
-            ends,
-        }
-    }
-
-    #[inline]
-    pub(crate) fn deliver(&mut self, latency: u64, hops: u64) {
-        self.latency.record(latency);
-        self.hops.record(hops);
-    }
-
-    pub(crate) fn finish(self, tel: &Telemetry, stats: &SimStats) {
-        tel.counter("sim.offered").add(stats.offered);
-        tel.counter("sim.delivered").add(stats.delivered);
-        tel.counter("sim.stranded").add(stats.stranded);
-        tel.counter(CYCLES_COUNTER).add(stats.cycles);
-        tel.merge_histogram("sim.latency", &self.latency);
-        tel.merge_histogram("sim.hops", &self.hops);
-        let mut ls = LinkStats::new();
-        for (ch, &(from, to)) in self.ends.iter().enumerate() {
-            if self.fwd[ch] > 0 {
-                ls.record_forward(from, to, self.fwd[ch]);
-            }
-            if self.busy[ch] > 0 {
-                ls.record_busy(from, to, self.busy[ch]);
-            }
-            if self.peak[ch] > 0 {
-                ls.observe_queue(from, to, self.peak[ch]);
-            }
-        }
-        tel.merge_links(&ls);
-    }
-}
-
-/// Plain-local profiler counters for one run (or one shard): the hot
-/// loops bump `u64` fields and the totals become a
-/// [`hb_telemetry::Profile`] once at the end, so profiling adds no
-/// allocation to the steady state. Work units are logical —
-/// route nodes looked up, queue depth held at service, productive
-/// candidates scanned — never wall clock, which keeps profiles
-/// byte-identical run to run and across thread counts (shard counters
-/// sum to exactly the serial totals because the engines are
-/// byte-identical).
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct ProfCounters {
-    /// `sim/route_lookup`: one invocation per injection slot lookup;
-    /// work = nodes on the resolved path.
-    pub(crate) lookup_inv: u64,
-    pub(crate) lookup_work: u64,
-    /// `sim/queue_service`: one invocation per serviced channel;
-    /// work = queue depth at service time (backlog held).
-    pub(crate) service_inv: u64,
-    pub(crate) service_work: u64,
-    /// `sim/adaptive_scan`: one invocation per least-queue choice;
-    /// work = productive candidates examined.
-    pub(crate) scan_inv: u64,
-    pub(crate) scan_work: u64,
-    /// `shard/mailbox_merge` (parallel engine, `shard_telemetry` only):
-    /// one invocation per phase-B drain; work = packets received.
-    pub(crate) mailbox_inv: u64,
-    pub(crate) mailbox_work: u64,
-    /// `shard/barrier_epoch` (parallel engine, `shard_telemetry` only):
-    /// one invocation and one work unit per barrier wait.
-    pub(crate) barrier_inv: u64,
-    pub(crate) barrier_work: u64,
-}
-
-impl ProfCounters {
-    /// Sums another shard's counters into this one (plain commutative
-    /// addition, so merge order never matters).
-    pub(crate) fn absorb(&mut self, o: &ProfCounters) {
-        self.lookup_inv += o.lookup_inv;
-        self.lookup_work += o.lookup_work;
-        self.service_inv += o.service_inv;
-        self.service_work += o.service_work;
-        self.scan_inv += o.scan_inv;
-        self.scan_work += o.scan_work;
-        self.mailbox_inv += o.mailbox_inv;
-        self.mailbox_work += o.mailbox_work;
-        self.barrier_inv += o.barrier_inv;
-        self.barrier_work += o.barrier_work;
-    }
-
-    /// Folds the counters — plus the one-shot `sim/route_build` phase
-    /// when a route table was built — into a profile and merges it into
-    /// `tel`. Zero phases are skipped, so runners that never touch a
-    /// phase leave it absent.
-    pub(crate) fn finish(&self, tel: &Telemetry, route_build: Option<(u64, u64)>) {
-        let mut p = Profile::new();
-        if let Some((pairs, nodes)) = route_build {
-            p.record("sim/route_build", pairs, nodes);
-        }
-        p.record("sim/route_lookup", self.lookup_inv, self.lookup_work);
-        p.record("sim/queue_service", self.service_inv, self.service_work);
-        p.record("sim/adaptive_scan", self.scan_inv, self.scan_work);
-        p.record("shard/mailbox_merge", self.mailbox_inv, self.mailbox_work);
-        p.record("shard/barrier_epoch", self.barrier_inv, self.barrier_work);
-        if !p.is_empty() {
-            tel.merge_profile(&p);
-        }
     }
 }
 
@@ -506,38 +377,38 @@ impl ChanHeads<'_> {
     }
 }
 
-/// Per-channel queue storage for the frontier engines. `Dense` is the
-/// historical layout: one `VecDeque` per channel, O(channels) memory,
-/// O(1) access. `Sparse` materialises a [`crate::pool::ChannelMap`]
-/// record on first touch and retires it once the channel is idle, so
-/// memory tracks **concurrently busy channels** instead of topology
-/// size. Both present identical FIFO semantics; the engines drain the
-/// same sorted active worklist either way, so results are
-/// byte-identical across storage modes.
+/// Per-channel queue storage for one cycle kernel's channel range.
+/// `Dense` is the historical layout: one `VecDeque` per channel,
+/// O(channels) memory, O(1) access. `Sparse` materialises a
+/// [`crate::pool::ChannelMap`] record on first touch and retires it once
+/// the channel is idle, so memory tracks **concurrently busy channels**
+/// instead of topology size. Both present identical FIFO semantics and
+/// take global channel ids; the kernel drains the same active worklist
+/// either way, so results are byte-identical across storage modes.
 pub(crate) enum ChanQueues<T> {
     Dense {
+        /// First channel of the range; vectors are indexed `ch - base`.
+        base: usize,
         queues: Vec<VecDeque<T>>,
         is_active: Vec<bool>,
-        /// Same-cycle credit counts (bounded runner only; empty when the
-        /// runner does not track credits).
+        /// Same-cycle credit counts (bounded discipline only; empty
+        /// otherwise).
         incoming: Vec<usize>,
     },
     Sparse(crate::pool::ChannelMap<T>),
 }
 
 impl<T> ChanQueues<T> {
-    pub(crate) fn new(num_channels: usize, sparse: bool, credits: bool) -> Self {
+    pub(crate) fn new(channels: Range<usize>, sparse: bool, credits: bool) -> Self {
         if sparse {
             ChanQueues::Sparse(crate::pool::ChannelMap::new())
         } else {
+            let n = channels.len();
             ChanQueues::Dense {
-                queues: (0..num_channels).map(|_| VecDeque::new()).collect(),
-                is_active: vec![false; num_channels],
-                incoming: if credits {
-                    vec![0; num_channels]
-                } else {
-                    Vec::new()
-                },
+                base: channels.start,
+                queues: (0..n).map(|_| VecDeque::new()).collect(),
+                is_active: vec![false; n],
+                incoming: if credits { vec![0; n] } else { Vec::new() },
             }
         }
     }
@@ -545,7 +416,7 @@ impl<T> ChanQueues<T> {
     #[inline]
     pub(crate) fn len(&self, ch: usize) -> usize {
         match self {
-            ChanQueues::Dense { queues, .. } => queues[ch].len(),
+            ChanQueues::Dense { base, queues, .. } => queues[ch - base].len(),
             ChanQueues::Sparse(map) => map.get(ch).map_or(0, |r| r.queue.len()),
         }
     }
@@ -553,7 +424,7 @@ impl<T> ChanQueues<T> {
     #[inline]
     pub(crate) fn front(&self, ch: usize) -> Option<&T> {
         match self {
-            ChanQueues::Dense { queues, .. } => queues[ch].front(),
+            ChanQueues::Dense { base, queues, .. } => queues[ch - base].front(),
             ChanQueues::Sparse(map) => map.get(ch).and_then(|r| r.queue.front()),
         }
     }
@@ -561,7 +432,7 @@ impl<T> ChanQueues<T> {
     #[inline]
     pub(crate) fn push_back(&mut self, ch: usize, value: T) {
         match self {
-            ChanQueues::Dense { queues, .. } => queues[ch].push_back(value),
+            ChanQueues::Dense { base, queues, .. } => queues[ch - *base].push_back(value),
             ChanQueues::Sparse(map) => map.ensure(ch).queue.push_back(value),
         }
     }
@@ -569,7 +440,7 @@ impl<T> ChanQueues<T> {
     #[inline]
     pub(crate) fn pop_front(&mut self, ch: usize) -> Option<T> {
         match self {
-            ChanQueues::Dense { queues, .. } => queues[ch].pop_front(),
+            ChanQueues::Dense { base, queues, .. } => queues[ch - *base].pop_front(),
             ChanQueues::Sparse(map) => map.get_mut(ch).and_then(|r| r.queue.pop_front()),
         }
     }
@@ -579,14 +450,9 @@ impl<T> ChanQueues<T> {
     #[inline]
     pub(crate) fn activate(&mut self, ch: usize) -> bool {
         match self {
-            ChanQueues::Dense { is_active, .. } => {
-                if is_active[ch] {
-                    false
-                } else {
-                    is_active[ch] = true;
-                    true
-                }
-            }
+            ChanQueues::Dense {
+                base, is_active, ..
+            } => !std::mem::replace(&mut is_active[ch - *base], true),
             ChanQueues::Sparse(map) => {
                 let rec = map.ensure(ch);
                 if rec.active {
@@ -605,7 +471,9 @@ impl<T> ChanQueues<T> {
     #[inline]
     pub(crate) fn deactivate(&mut self, ch: usize) {
         match self {
-            ChanQueues::Dense { is_active, .. } => is_active[ch] = false,
+            ChanQueues::Dense {
+                base, is_active, ..
+            } => is_active[ch - *base] = false,
             ChanQueues::Sparse(map) => {
                 if let Some(rec) = map.get_mut(ch) {
                     rec.active = false;
@@ -621,8 +489,11 @@ impl<T> ChanQueues<T> {
     pub(crate) fn len_plus_incoming(&self, ch: usize) -> usize {
         match self {
             ChanQueues::Dense {
-                queues, incoming, ..
-            } => queues[ch].len() + incoming[ch],
+                base,
+                queues,
+                incoming,
+                ..
+            } => queues[ch - base].len() + incoming[ch - base],
             ChanQueues::Sparse(map) => map.get(ch).map_or(0, |r| r.queue.len() + r.incoming),
         }
     }
@@ -633,9 +504,9 @@ impl<T> ChanQueues<T> {
     #[inline]
     pub(crate) fn add_incoming(&mut self, ch: usize) -> bool {
         match self {
-            ChanQueues::Dense { incoming, .. } => {
-                incoming[ch] += 1;
-                incoming[ch] == 1
+            ChanQueues::Dense { base, incoming, .. } => {
+                incoming[ch - *base] += 1;
+                incoming[ch - *base] == 1
             }
             ChanQueues::Sparse(map) => {
                 let rec = map.ensure(ch);
@@ -650,7 +521,7 @@ impl<T> ChanQueues<T> {
     #[inline]
     pub(crate) fn clear_incoming(&mut self, ch: usize) {
         match self {
-            ChanQueues::Dense { incoming, .. } => incoming[ch] = 0,
+            ChanQueues::Dense { base, incoming, .. } => incoming[ch - *base] = 0,
             ChanQueues::Sparse(map) => {
                 if let Some(rec) = map.get_mut(ch) {
                     rec.incoming = 0;
@@ -680,6 +551,7 @@ impl<T> ChanQueues<T> {
                 queues,
                 is_active,
                 incoming,
+                ..
             } => {
                 queues.capacity() * size_of::<VecDeque<T>>()
                     + queues
@@ -727,13 +599,18 @@ pub fn run_with_mem(
     cfg: SimConfig,
 ) -> (SimStats, MemStats) {
     assert!(cfg.threads <= 1, "memory accounting is serial-only");
-    assert!(
-        injections.windows(2).all(|w| w[0].at <= w[1].at),
-        "injections must be sorted by cycle"
-    );
+    let ctx = RunCtx::new(topo, injections, &cfg);
     let table = RouteTable::for_injections(topo, injections, &crate::faults::FaultPlan::new());
-    let mut mem = MemStats::default();
-    let stats = run_serial(topo, injections, &cfg, &table, Some(&mut mem));
+    let mut mem = MemStats {
+        route_table_bytes: table.heap_bytes(),
+        ..MemStats::default()
+    };
+    let route = SourceRouted {
+        routes: RouteSrc::table(&table),
+        layout: &ctx.layout,
+        faults: false,
+    };
+    let stats = run_serial(&ctx, route, Unbounded, None, Some(&mut mem));
     (stats, mem)
 }
 
@@ -741,12 +618,12 @@ pub fn run_with_mem(
 /// `topo`.
 ///
 /// Routes are precomputed once per distinct `(src, dst)` pair into a
-/// [`RouteTable`] and packets live in a slab [`PacketPool`], so the per
-/// cycle loop allocates nothing in steady state. Channels are serviced
-/// in ascending channel-id order — the canonical order the sharded
-/// parallel engine ([`SimConfig::with_threads`]) reproduces exactly, so
-/// the returned stats (and telemetry snapshots) are identical at every
-/// thread count.
+/// [`RouteTable`] and packets live in a slab [`crate::pool::PacketPool`],
+/// so the cycle kernel allocates nothing in steady state. Channels are
+/// served in ascending channel-id order — the canonical order the
+/// sharded parallel engine ([`SimConfig::with_threads`]) reproduces
+/// exactly, so the returned stats (and telemetry snapshots) are
+/// identical at every thread count.
 ///
 /// # Panics
 /// Panics if injections are not sorted by injection cycle, or reference
@@ -762,256 +639,17 @@ pub fn run_with_mem(
 /// assert_eq!(stats.delivered, stats.offered);
 /// ```
 pub fn run(topo: &dyn NetTopology, injections: &[Injection], cfg: SimConfig) -> SimStats {
-    assert!(
-        injections.windows(2).all(|w| w[0].at <= w[1].at),
-        "injections must be sorted by cycle"
-    );
+    let ctx = RunCtx::new(topo, injections, &cfg);
     let table = RouteTable::for_injections(topo, injections, &crate::faults::FaultPlan::new());
+    let route = SourceRouted {
+        routes: RouteSrc::table(&table),
+        layout: &ctx.layout,
+        faults: false,
+    };
     if cfg.threads > 1 {
-        return crate::par::run_sharded(topo, injections, &cfg, RouteSrc::Table(&table), false);
+        return crate::par::run_sharded(&ctx, route);
     }
-    run_serial(topo, injections, &cfg, &table, None)
-}
-
-/// The serial oblivious loop over a prebuilt route table (canonical
-/// ascending-channel service order). `mem`, when given, receives the
-/// channel-storage accounting at run end.
-// analyze: hot(steady-state cycle loop must stay allocation-free; see alloc_free.rs)
-fn run_serial(
-    topo: &dyn NetTopology,
-    injections: &[Injection],
-    cfg: &SimConfig,
-    table: &RouteTable,
-    mem: Option<&mut MemStats>,
-) -> SimStats {
-    let layout = ChanLayout::new(topo, cfg.implicit);
-    let num_channels = layout.num_channels();
-    let sparse = cfg.implicit || topo.explicit_graph().is_none();
-    let mut queues: ChanQueues<u32> = ChanQueues::new(num_channels, sparse, false);
-    let mut pool: PacketPool<Packet> = PacketPool::new();
-    // Channels with any queued packet, to avoid scanning all E per cycle.
-    let mut active: Vec<usize> = Vec::new();
-
-    let tel = cfg.telemetry.as_ref();
-    let mut board = tel.map(|_| Scoreboard::new(layout.endpoints()));
-    let mut ts = tel
-        .and_then(|t| t.timeseries_config())
-        .map(|c| (GlobalTs::new(c, false), LinkTs::new(c, 0, num_channels)));
-    let profiling = cfg.profile && tel.is_some();
-    let mut prof = ProfCounters::default();
-
-    let mut stats = SimStats {
-        offered: injections.len() as u64,
-        ..Default::default()
-    };
-    let mut total_latency = 0u64;
-    let mut total_hops = 0u64;
-    let mut latency_samples = 0u64;
-    let mut next_inject = 0usize;
-    let mut in_flight = 0u64;
-    let mut cycle = 0u64;
-
-    let enqueue = |queues: &mut ChanQueues<u32>, active: &mut Vec<usize>, ch: usize, key: u32| {
-        queues.push_back(ch, key);
-        if queues.activate(ch) {
-            active.push(ch);
-        }
-    };
-
-    let mut moved: Vec<(usize, u32)> = Vec::new(); // (next channel, pool key)
-    let mut still_active: Vec<usize> = Vec::new();
-
-    while cycle < cfg.max_cycles {
-        let injected_before = next_inject;
-        let delivered_before = stats.delivered;
-        // Inject everything due this cycle.
-        while next_inject < injections.len() && injections[next_inject].at == cycle {
-            let inj = injections[next_inject];
-            let id = next_inject as u64;
-            next_inject += 1;
-            if let Some(t) = tel {
-                t.event(|| Event::PacketInjected {
-                    id,
-                    src: inj.src as u32,
-                    dst: inj.dst as u32,
-                    cycle,
-                });
-            }
-            let slot = table
-                .slot(inj.src, inj.dst)
-                .expect("invariant: route table was built from this exact workload");
-            let path = table.path(slot);
-            if profiling {
-                prof.lookup_inv += 1;
-                prof.lookup_work += path.len() as u64;
-            }
-            if path.len() <= 1 {
-                // Self-delivery: zero-latency, zero hops.
-                stats.delivered += 1;
-                if let Some(t) = tel {
-                    t.event(|| Event::PacketDelivered {
-                        id,
-                        dst: inj.dst as u32,
-                        latency: 0,
-                        cycle,
-                    });
-                }
-                continue;
-            }
-            let ch = layout.channel_of(path[0] as NodeId, path[1] as NodeId);
-            let key = pool.alloc(Packet {
-                id,
-                route: slot,
-                hop: 0,
-                injected_at: cycle,
-            });
-            enqueue(&mut queues, &mut active, ch, key);
-            in_flight += 1;
-        }
-
-        // Canonical service order: ascending channel id. This fixes the
-        // only order-sensitive effect in the model — the FIFO order in
-        // which same-cycle arrivals land on a shared target channel —
-        // and is what makes sharded runs byte-identical.
-        active.sort_unstable();
-
-        // Queue occupancy peaks right after injections and moves land.
-        // This is also the per-cycle sampling point for the time series:
-        // every active channel has a non-empty queue here, so a link
-        // sample is the depth on an occupied cycle.
-        let mut cycle_peak = 0usize;
-        if let Some(b) = board.as_mut() {
-            for &ch in &active {
-                let len = queues.len(ch);
-                b.peak[ch] = b.peak[ch].max(len);
-                cycle_peak = cycle_peak.max(len);
-                if let Some((_, lt)) = ts.as_mut() {
-                    lt.observe(ch, cycle, len as u64);
-                }
-            }
-        } else {
-            cycle_peak = active.iter().map(|&ch| queues.len(ch)).max().unwrap_or(0);
-        }
-        stats.peak_queue = stats.peak_queue.max(cycle_peak);
-        let cycle_active = active.len();
-
-        // Advance one packet per active channel (two-phase: collect moves
-        // first so a packet moves at most one hop per cycle).
-        moved.clear();
-        still_active.clear();
-        for &ch in &active {
-            if profiling {
-                prof.service_inv += 1;
-                prof.service_work += queues.len(ch) as u64;
-            }
-            if let Some(key) = queues.pop_front(ch) {
-                let mut p = *pool.get(key);
-                p.hop += 1;
-                let path = table.path(p.route);
-                let here = path[p.hop as usize];
-                if let Some(b) = board.as_mut() {
-                    b.busy[ch] += 1;
-                    b.fwd[ch] += 1;
-                    let (from, to) = b.ends[ch];
-                    tel.expect("invariant: a scoreboard is only handed out with telemetry on")
-                        .event(|| Event::PacketHop {
-                            id: p.id,
-                            from,
-                            to,
-                            cycle: cycle + 1,
-                        });
-                }
-                if p.hop as usize + 1 == path.len() {
-                    // Arrived.
-                    let latency = cycle + 1 - p.injected_at;
-                    total_latency += latency;
-                    total_hops += u64::from(p.hop);
-                    latency_samples += 1;
-                    stats.max_latency = stats.max_latency.max(latency);
-                    stats.delivered += 1;
-                    in_flight -= 1;
-                    pool.free(key);
-                    if let Some(b) = board.as_mut() {
-                        b.deliver(latency, u64::from(p.hop));
-                        tel.expect("invariant: a scoreboard is only handed out with telemetry on")
-                            .event(|| Event::PacketDelivered {
-                                id: p.id,
-                                dst: here,
-                                latency,
-                                cycle: cycle + 1,
-                            });
-                    }
-                } else {
-                    let next = path[p.hop as usize + 1];
-                    *pool.get_mut(key) = p;
-                    moved.push((layout.channel_of(here as NodeId, next as NodeId), key));
-                }
-            }
-            if queues.len(ch) == 0 {
-                queues.deactivate(ch);
-            } else {
-                still_active.push(ch);
-            }
-        }
-        std::mem::swap(&mut active, &mut still_active);
-        for &(ch, key) in &moved {
-            enqueue(&mut queues, &mut active, ch, key);
-        }
-
-        if let Some((gt, _)) = ts.as_mut() {
-            gt.record(
-                cycle,
-                in_flight,
-                (next_inject - injected_before) as u64,
-                stats.delivered - delivered_before,
-                cycle_peak as u64,
-                cycle_active as u64,
-            );
-        }
-
-        cycle += 1;
-
-        if cfg.stop_when_drained && in_flight == 0 && next_inject == injections.len() {
-            break;
-        }
-    }
-
-    stats.cycles = cycle;
-    // Stranded = still queued plus never injected (cycle limit reached
-    // before their injection time): delivered + stranded == offered.
-    stats.stranded = in_flight + (injections.len() - next_inject) as u64;
-    if latency_samples > 0 {
-        // analyze: allow(float-determinism, one division over exact integer totals at run end)
-        stats.avg_latency = total_latency as f64 / latency_samples as f64;
-        // analyze: allow(float-determinism, one division over exact integer totals at run end)
-        stats.avg_hops = total_hops as f64 / latency_samples as f64;
-    }
-    debug_assert_eq!(
-        stats.delivered + stats.stranded,
-        stats.offered,
-        "packet conservation"
-    );
-    if let Some(m) = mem {
-        m.peak_channel_records = queues.peak_records();
-        m.num_channels = num_channels;
-        m.channel_store_bytes = queues.heap_bytes();
-        m.route_table_bytes = table.heap_bytes();
-    }
-    if let (Some(t), Some(b)) = (tel, board) {
-        if profiling {
-            prof.finish(
-                t,
-                Some((table.num_pairs() as u64, table.total_route_nodes() as u64)),
-            );
-        }
-        if let Some((gt, lt)) = ts.take() {
-            lt.merge_into(t, &b.ends);
-            gt.merge_into(t);
-        }
-        b.finish(t, &stats);
-        t.detect_congestion(stats.cycles);
-    }
-    stats
+    run_serial(&ctx, route, Unbounded, None, None)
 }
 
 /// Runs the oblivious simulation with **bounded queues and
@@ -1041,21 +679,18 @@ pub fn run_bounded(
     capacity: usize,
 ) -> SimStats {
     let table = RouteTable::for_injections(topo, injections, &crate::faults::FaultPlan::new());
-    run_bounded_impl(
-        topo,
-        injections,
-        &cfg,
+    let queues = Bounded {
         capacity,
-        false,
-        RouteSrc::Table(&table),
-    )
+        sweep: false,
+    };
+    run_bounded_on(topo, injections, &cfg, queues, RouteSrc::table(&table))
 }
 
 /// Reference **full-sweep** implementation of [`run_bounded`]: the same
 /// model, but each cycle scans every channel in ascending id order
 /// instead of draining the active worklist — O(channels) per cycle
 /// regardless of traffic. Retained as the differential-testing oracle
-/// that pins the frontier engine byte-identical (stats, counters,
+/// that pins the frontier worklist byte-identical (stats, counters,
 /// histograms, link stats, profiles, traces); not intended for large
 /// topologies.
 ///
@@ -1068,333 +703,35 @@ pub fn run_bounded_sweep(
     capacity: usize,
 ) -> SimStats {
     let table = RouteTable::for_injections(topo, injections, &crate::faults::FaultPlan::new());
-    run_bounded_impl(
-        topo,
-        injections,
-        &cfg,
+    let queues = Bounded {
         capacity,
-        true,
-        RouteSrc::Table(&table),
-    )
+        sweep: true,
+    };
+    run_bounded_on(topo, injections, &cfg, queues, RouteSrc::table(&table))
 }
 
-/// Shared bounded-queue engine. `sweep` selects how the per-cycle
-/// service set is enumerated; both modes visit exactly the non-empty
-/// channels in ascending id order, so every order-sensitive effect
-/// (FIFO landing order on shared target channels, trace event order,
-/// profile work counts) coincides byte-for-byte.
-///
-/// With [`RouteSrc::Churn`] routes (a fault-timeline run,
+/// The bounded-queue run over prebuilt routes. With
+/// churn-snapshot routes (a fault-timeline run,
 /// [`crate::run_bounded_with_timeline`]) an injection whose compiled
 /// route is empty is **unroutable** under the plan in force at its
 /// cycle: refused at admission, counted in `sim.unroutable` and
-/// `stranded`. Detour *attribution* stays the flight/sharded engines'
-/// job — the bounded model only accounts deliverability.
-// analyze: hot(bounded-queue cycle loop must stay allocation-free; see alloc_free.rs)
-pub(crate) fn run_bounded_impl(
+/// `stranded`. Detour *attribution* stays the flight runs' job — the
+/// bounded model only accounts deliverability.
+pub(crate) fn run_bounded_on(
     topo: &dyn NetTopology,
     injections: &[Injection],
     cfg: &SimConfig,
-    capacity: usize,
-    sweep: bool,
+    queues: Bounded,
     routes: RouteSrc<'_>,
 ) -> SimStats {
-    assert!(capacity >= 1, "queues need capacity >= 1");
-    assert!(
-        injections.windows(2).all(|w| w[0].at <= w[1].at),
-        "injections must be sorted by cycle"
-    );
-    let layout = ChanLayout::new(topo, cfg.implicit);
-    let num_channels = layout.num_channels();
-    let sparse = cfg.implicit || topo.explicit_graph().is_none();
-    let mut queues: ChanQueues<Packet> = ChanQueues::new(num_channels, sparse, true);
-    // Frontier worklist: exactly the non-empty channels (maintained
-    // incrementally; the sweep rebuilds the same set by scanning).
-    let mut active: Vec<usize> = Vec::new();
-    let mut order: Vec<usize> = Vec::new();
-    let mut touched: Vec<usize> = Vec::new(); // channels with credits to reset
-    let mut arrivals: Vec<(usize, Packet)> = Vec::new();
-
-    let tel = cfg.telemetry.as_ref();
-    let mut board = tel.map(|_| Scoreboard::new(layout.endpoints()));
-    let mut ts = tel
-        .and_then(|t| t.timeseries_config())
-        .map(|c| (GlobalTs::new(c, false), LinkTs::new(c, 0, num_channels)));
-    let profiling = cfg.profile && tel.is_some();
-    let mut prof = ProfCounters::default();
-
-    let mut stats = SimStats {
-        offered: injections.len() as u64,
-        ..Default::default()
+    assert!(queues.capacity >= 1, "queues need capacity >= 1");
+    let ctx = RunCtx::new(topo, injections, cfg);
+    let route = SourceRouted {
+        routes,
+        layout: &ctx.layout,
+        faults: false,
     };
-    let mut total_latency = 0u64;
-    let mut total_hops = 0u64;
-    let mut latency_samples = 0u64;
-    let mut next_inject = 0usize;
-    let mut in_flight = 0u64;
-    let mut dropped = 0u64;
-    let mut unroutable = 0u64;
-    let mut cycle = 0u64;
-
-    while cycle < cfg.max_cycles {
-        let injected_before = next_inject;
-        let delivered_before = stats.delivered;
-        while next_inject < injections.len() && injections[next_inject].at == cycle {
-            let idx = next_inject;
-            let inj = injections[idx];
-            let id = idx as u64;
-            next_inject += 1;
-            if let Some(t) = tel {
-                t.event(|| Event::PacketInjected {
-                    id,
-                    src: inj.src as u32,
-                    dst: inj.dst as u32,
-                    cycle,
-                });
-            }
-            let slot = routes
-                .slot_for(idx, inj.src, inj.dst)
-                .expect("invariant: route table was built from this exact workload");
-            let path = routes.path(slot);
-            if profiling {
-                prof.lookup_inv += 1;
-                prof.lookup_work += path.len() as u64;
-            }
-            if path.is_empty() {
-                // No survivor route under the plan in force at this
-                // cycle (churn runs only): refused at admission.
-                unroutable += 1;
-                if let Some(t) = tel {
-                    t.event(|| Event::PacketDropped {
-                        id,
-                        // analyze: allow(narrowing-cast, node ids < 2^32 by route-table construction)
-                        at: inj.src as u32,
-                        cycle,
-                    });
-                }
-                continue;
-            }
-            if path.len() == 1 {
-                stats.delivered += 1;
-                if let Some(t) = tel {
-                    t.event(|| Event::PacketDelivered {
-                        id,
-                        dst: inj.dst as u32,
-                        latency: 0,
-                        cycle,
-                    });
-                }
-                continue;
-            }
-            let ch = layout.channel_of(path[0] as NodeId, path[1] as NodeId);
-            if queues.len(ch) >= capacity {
-                dropped += 1; // source buffer full: injection refused
-                if let Some(t) = tel {
-                    t.event(|| Event::PacketDropped {
-                        id,
-                        at: inj.src as u32,
-                        cycle,
-                    });
-                }
-                continue;
-            }
-            queues.push_back(
-                ch,
-                Packet {
-                    id,
-                    route: slot,
-                    hop: 0,
-                    injected_at: cycle,
-                },
-            );
-            if !sweep && queues.activate(ch) {
-                active.push(ch);
-            }
-            in_flight += 1;
-        }
-
-        // The per-cycle service set: non-empty channels, ascending.
-        order.clear();
-        if sweep {
-            order.extend((0..num_channels).filter(|&ch| queues.len(ch) > 0));
-        } else {
-            active.sort_unstable();
-            order.extend_from_slice(&active);
-        }
-
-        let mut cycle_peak = 0usize;
-        let mut cycle_active = 0usize;
-        if let Some(b) = board.as_mut() {
-            for &ch in &order {
-                let len = queues.len(ch);
-                b.peak[ch] = b.peak[ch].max(len);
-                cycle_peak = cycle_peak.max(len);
-                cycle_active += 1;
-                if let Some((_, lt)) = ts.as_mut() {
-                    lt.observe(ch, cycle, len as u64);
-                }
-            }
-        } else {
-            cycle_peak = order.iter().map(|&ch| queues.len(ch)).max().unwrap_or(0);
-        }
-        stats.peak_queue = stats.peak_queue.max(cycle_peak);
-
-        // Two-phase advance: a head packet moves only if its target queue
-        // currently has room; room freed this cycle becomes visible next
-        // cycle (conservative credit model).
-        for &ch in &order {
-            let Some(front) = queues.front(ch) else {
-                continue;
-            };
-            if profiling {
-                prof.service_inv += 1;
-                prof.service_work += queues.len(ch) as u64;
-            }
-            if let Some(b) = board.as_mut() {
-                b.busy[ch] += 1;
-            }
-            let hop = front.hop as usize;
-            let path = routes.path(front.route);
-            let arriving_last = hop + 2 == path.len();
-            if arriving_last {
-                let mut p = queues
-                    .pop_front(ch)
-                    .expect("invariant: channel was queued non-empty this cycle");
-                p.hop += 1;
-                let latency = cycle + 1 - p.injected_at;
-                total_latency += latency;
-                total_hops += p.hop as u64;
-                latency_samples += 1;
-                stats.max_latency = stats.max_latency.max(latency);
-                stats.delivered += 1;
-                in_flight -= 1;
-                if let Some(b) = board.as_mut() {
-                    b.fwd[ch] += 1;
-                    b.deliver(latency, p.hop as u64);
-                    let (from, to) = b.ends[ch];
-                    let t =
-                        tel.expect("invariant: a scoreboard is only handed out with telemetry on");
-                    t.event(|| Event::PacketHop {
-                        id: p.id,
-                        from,
-                        to,
-                        cycle: cycle + 1,
-                    });
-                    t.event(|| Event::PacketDelivered {
-                        id: p.id,
-                        dst: to,
-                        latency,
-                        cycle: cycle + 1,
-                    });
-                }
-            } else {
-                let here = path[hop + 1] as NodeId;
-                let next = path[hop + 2] as NodeId;
-                let next_ch = layout.channel_of(here, next);
-                if queues.len_plus_incoming(next_ch) < capacity {
-                    let mut p = queues
-                        .pop_front(ch)
-                        .expect("invariant: channel was queued non-empty this cycle");
-                    p.hop += 1;
-                    if queues.add_incoming(next_ch) {
-                        touched.push(next_ch);
-                    }
-                    if let Some(b) = board.as_mut() {
-                        b.fwd[ch] += 1;
-                        let (from, to) = b.ends[ch];
-                        tel.expect("invariant: a scoreboard is only handed out with telemetry on")
-                            .event(|| Event::PacketHop {
-                                id: p.id,
-                                from,
-                                to,
-                                cycle: cycle + 1,
-                            });
-                    }
-                    arrivals.push((next_ch, p));
-                }
-                // else: head-of-line blocked; wait.
-            }
-        }
-        if !sweep {
-            // Drop drained channels from the worklist before arrivals
-            // land (an arrival re-activates its channel below).
-            active.retain(|&ch| {
-                if queues.len(ch) > 0 {
-                    true
-                } else {
-                    queues.deactivate(ch);
-                    false
-                }
-            });
-        }
-        for (ch, p) in arrivals.drain(..) {
-            queues.push_back(ch, p);
-            if !sweep && queues.activate(ch) {
-                active.push(ch);
-            }
-        }
-        for &ch in &touched {
-            queues.clear_incoming(ch);
-        }
-        touched.clear();
-        if let Some((gt, _)) = ts.as_mut() {
-            gt.record(
-                cycle,
-                in_flight,
-                (next_inject - injected_before) as u64,
-                stats.delivered - delivered_before,
-                cycle_peak as u64,
-                cycle_active as u64,
-            );
-        }
-        cycle += 1;
-        if cfg.stop_when_drained && in_flight == 0 && next_inject == injections.len() {
-            break;
-        }
-    }
-    stats.cycles = cycle;
-    stats.stranded = dropped + unroutable + in_flight + (injections.len() - next_inject) as u64;
-    if latency_samples > 0 {
-        // analyze: allow(float-determinism, one division over exact integer totals at run end)
-        stats.avg_latency = total_latency as f64 / latency_samples as f64;
-        // analyze: allow(float-determinism, one division over exact integer totals at run end)
-        stats.avg_hops = total_hops as f64 / latency_samples as f64;
-    }
-    debug_assert_eq!(
-        stats.delivered + stats.stranded,
-        stats.offered,
-        "packet conservation"
-    );
-    if let (Some(t), Some(b)) = (tel, board) {
-        if profiling {
-            prof.finish(
-                t,
-                Some((routes.num_pairs() as u64, routes.total_route_nodes() as u64)),
-            );
-        }
-        t.counter("sim.dropped").add(dropped);
-        if routes.is_churn() {
-            t.counter("sim.unroutable").add(unroutable);
-        }
-        if let Some((gt, lt)) = ts.take() {
-            lt.merge_into(t, &b.ends);
-            gt.merge_into(t);
-        }
-        b.finish(t, &stats);
-        t.detect_congestion(stats.cycles);
-    }
-    stats
-}
-
-/// A packet in the adaptive simulator: no fixed route, only a
-/// destination.
-#[derive(Clone, Debug)]
-struct AdaptivePacket {
-    /// Injection index, used as the trace id.
-    id: u64,
-    dst: NodeId,
-    hops: u32,
-    injected_at: u64,
+    run_serial(&ctx, route, queues, None, None)
 }
 
 /// Runs a **minimal adaptive** simulation: at every hop the packet picks,
@@ -1409,273 +746,37 @@ struct AdaptivePacket {
 /// hop for an undelivered packet (which would contradict shortest-path
 /// reachability).
 pub fn run_adaptive(topo: &dyn NetTopology, injections: &[Injection], cfg: SimConfig) -> SimStats {
-    run_adaptive_impl(topo, injections, &cfg, None)
+    run_adaptive_on(topo, injections, &cfg, None)
 }
 
-/// The adaptive engine body. `admission`, set by
+/// The adaptive run. `admission`, set by
 /// [`crate::run_adaptive_with_timeline`], gates injections on the
 /// fault-timeline routes compiled for their cycle: a packet whose
 /// compiled route is empty is unroutable and refused. In-transit
 /// adaptivity stays **fault-blind** — the productive-hop scan does not
-/// consult the plan (documented limitation; the oblivious churn engines
+/// consult the plan (documented limitation; the oblivious churn runs
 /// are the fault-aware ones).
-// analyze: hot(adaptive cycle loop must stay allocation-free; see alloc_free.rs)
-pub(crate) fn run_adaptive_impl(
+pub(crate) fn run_adaptive_on(
     topo: &dyn NetTopology,
     injections: &[Injection],
     cfg: &SimConfig,
-    admission: Option<&crate::routes::ChurnRoutes>,
+    admission: Option<RouteSrc<'_>>,
 ) -> SimStats {
-    assert!(
-        injections.windows(2).all(|w| w[0].at <= w[1].at),
-        "injections must be sorted by cycle"
-    );
-    let layout = ChanLayout::new(topo, cfg.implicit);
-    let num_channels = layout.num_channels();
-    // Channel id -> head node (the node a popped packet arrives at).
-    let chan_to = layout.heads();
-    let sparse = cfg.implicit || topo.explicit_graph().is_none();
-    let mut queues: ChanQueues<AdaptivePacket> = ChanQueues::new(num_channels, sparse, false);
-    let mut active: Vec<usize> = Vec::new();
-
-    // Least-loaded productive channel out of `from` toward `dst`. The
-    // productive set is written into the caller's stack buffer — no heap
-    // allocation per hop. Ties keep the first (lowest-channel) minimum,
-    // matching the historical Vec-based iteration order exactly.
-    let choose = |queues: &ChanQueues<AdaptivePacket>,
-                  buf: &mut [NodeId; MAX_PRODUCTIVE],
-                  from: NodeId,
-                  dst: NodeId|
-     -> (usize, usize) {
-        let k = topo.productive_hops_into(from, dst, buf);
-        let ch = buf[..k]
-            .iter()
-            .map(|&w| layout.channel_of(from, w))
-            .min_by_key(|&ch| queues.len(ch))
-            .expect("invariant: a productive hop exists for any undelivered packet");
-        (ch, k)
+    let ctx = RunCtx::new(topo, injections, cfg);
+    let route = Adaptive {
+        topo,
+        layout: &ctx.layout,
+        heads: ctx.layout.heads(),
+        admission,
     };
-
-    let tel = cfg.telemetry.as_ref();
-    let mut board = tel.map(|_| Scoreboard::new(layout.endpoints()));
-    let mut ts = tel
-        .and_then(|t| t.timeseries_config())
-        .map(|c| (GlobalTs::new(c, false), LinkTs::new(c, 0, num_channels)));
-    let profiling = cfg.profile && tel.is_some();
-    let mut prof = ProfCounters::default();
-
-    let mut stats = SimStats {
-        offered: injections.len() as u64,
-        ..Default::default()
-    };
-    let mut total_latency = 0u64;
-    let mut total_hops = 0u64;
-    let mut latency_samples = 0u64;
-    let mut next_inject = 0usize;
-    let mut in_flight = 0u64;
-    let mut unroutable = 0u64;
-    let mut cycle = 0u64;
-    // Steady-state scratch, reused every cycle: once these reach their
-    // high-water capacity the simulation loop performs no heap
-    // allocation at all (see the counting-allocator test).
-    let mut hop_buf = [0 as NodeId; MAX_PRODUCTIVE];
-    let mut moved: Vec<(NodeId, AdaptivePacket)> = Vec::new(); // (arrival node, packet)
-    let mut still_active: Vec<usize> = Vec::new();
-
-    while cycle < cfg.max_cycles {
-        let injected_before = next_inject;
-        let delivered_before = stats.delivered;
-        while next_inject < injections.len() && injections[next_inject].at == cycle {
-            let idx = next_inject;
-            let inj = injections[idx];
-            let id = idx as u64;
-            next_inject += 1;
-            if let Some(t) = tel {
-                t.event(|| Event::PacketInjected {
-                    id,
-                    src: inj.src as u32,
-                    dst: inj.dst as u32,
-                    cycle,
-                });
-            }
-            if let Some(churn) = admission {
-                if churn.path(churn.slot_of(idx)).is_empty() {
-                    // Unroutable under the plan in force at this cycle
-                    // (e.g. a faulty endpoint): refused at admission.
-                    unroutable += 1;
-                    if let Some(t) = tel {
-                        t.event(|| Event::PacketDropped {
-                            id,
-                            // analyze: allow(narrowing-cast, node ids < 2^32 by route-table construction)
-                            at: inj.src as u32,
-                            cycle,
-                        });
-                    }
-                    continue;
-                }
-            }
-            if inj.src == inj.dst {
-                stats.delivered += 1;
-                if let Some(t) = tel {
-                    t.event(|| Event::PacketDelivered {
-                        id,
-                        dst: inj.dst as u32,
-                        latency: 0,
-                        cycle,
-                    });
-                }
-                continue;
-            }
-            let (ch, scanned) = choose(&queues, &mut hop_buf, inj.src, inj.dst);
-            if profiling {
-                prof.scan_inv += 1;
-                prof.scan_work += scanned as u64;
-            }
-            queues.push_back(
-                ch,
-                AdaptivePacket {
-                    id,
-                    dst: inj.dst,
-                    hops: 0,
-                    injected_at: cycle,
-                },
-            );
-            if queues.activate(ch) {
-                active.push(ch);
-            }
-            in_flight += 1;
-        }
-
-        let mut cycle_peak = 0usize;
-        if let Some(b) = board.as_mut() {
-            for &ch in &active {
-                let len = queues.len(ch);
-                b.peak[ch] = b.peak[ch].max(len);
-                cycle_peak = cycle_peak.max(len);
-                if let Some((_, lt)) = ts.as_mut() {
-                    lt.observe(ch, cycle, len as u64);
-                }
-            }
-        } else {
-            cycle_peak = active.iter().map(|&ch| queues.len(ch)).max().unwrap_or(0);
-        }
-        stats.peak_queue = stats.peak_queue.max(cycle_peak);
-        let cycle_active = active.len();
-
-        still_active.clear();
-        for &ch in &active {
-            if profiling {
-                prof.service_inv += 1;
-                prof.service_work += queues.len(ch) as u64;
-            }
-            if let Some(mut p) = queues.pop_front(ch) {
-                p.hops += 1;
-                let here = chan_to.head_of(ch);
-                if let Some(b) = board.as_mut() {
-                    b.busy[ch] += 1;
-                    b.fwd[ch] += 1;
-                    let (from, to) = b.ends[ch];
-                    tel.expect("invariant: a scoreboard is only handed out with telemetry on")
-                        .event(|| Event::PacketHop {
-                            id: p.id,
-                            from,
-                            to,
-                            cycle: cycle + 1,
-                        });
-                }
-                if here == p.dst {
-                    let latency = cycle + 1 - p.injected_at;
-                    total_latency += latency;
-                    total_hops += p.hops as u64;
-                    latency_samples += 1;
-                    stats.max_latency = stats.max_latency.max(latency);
-                    stats.delivered += 1;
-                    in_flight -= 1;
-                    if let Some(b) = board.as_mut() {
-                        b.deliver(latency, p.hops as u64);
-                        tel.expect("invariant: a scoreboard is only handed out with telemetry on")
-                            .event(|| Event::PacketDelivered {
-                                id: p.id,
-                                dst: here as u32,
-                                latency,
-                                cycle: cycle + 1,
-                            });
-                    }
-                } else {
-                    moved.push((here, p));
-                }
-            }
-            if queues.len(ch) == 0 {
-                queues.deactivate(ch);
-            } else {
-                still_active.push(ch);
-            }
-        }
-        std::mem::swap(&mut active, &mut still_active);
-        for (here, p) in moved.drain(..) {
-            let (ch, scanned) = choose(&queues, &mut hop_buf, here, p.dst);
-            if profiling {
-                prof.scan_inv += 1;
-                prof.scan_work += scanned as u64;
-            }
-            queues.push_back(ch, p);
-            if queues.activate(ch) {
-                active.push(ch);
-            }
-        }
-        if let Some((gt, _)) = ts.as_mut() {
-            gt.record(
-                cycle,
-                in_flight,
-                (next_inject - injected_before) as u64,
-                stats.delivered - delivered_before,
-                cycle_peak as u64,
-                cycle_active as u64,
-            );
-        }
-        cycle += 1;
-        if cfg.stop_when_drained && in_flight == 0 && next_inject == injections.len() {
-            break;
-        }
-    }
-
-    stats.cycles = cycle;
-    // Stranded = refused at admission plus still queued plus never
-    // injected (cycle limit reached before their injection time):
-    // delivered + stranded == offered.
-    stats.stranded = unroutable + in_flight + (injections.len() - next_inject) as u64;
-    if latency_samples > 0 {
-        // analyze: allow(float-determinism, one division over exact integer totals at run end)
-        stats.avg_latency = total_latency as f64 / latency_samples as f64;
-        // analyze: allow(float-determinism, one division over exact integer totals at run end)
-        stats.avg_hops = total_hops as f64 / latency_samples as f64;
-    }
-    debug_assert_eq!(
-        stats.delivered + stats.stranded,
-        stats.offered,
-        "packet conservation"
-    );
-    if let (Some(t), Some(b)) = (tel, board) {
-        if profiling {
-            prof.finish(t, None);
-        }
-        if admission.is_some() {
-            t.counter("sim.unroutable").add(unroutable);
-        }
-        if let Some((gt, lt)) = ts.take() {
-            lt.merge_into(t, &b.ends);
-            gt.merge_into(t);
-        }
-        b.finish(t, &stats);
-        t.detect_congestion(stats.cycles);
-    }
-    stats
+    run_serial(&ctx, route, Unbounded, None, None)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::topology::{HbRouteOrder, HyperButterflyNet, HypercubeNet};
+    use hb_telemetry::Event;
 
     #[test]
     fn single_packet_latency_is_distance() {

@@ -1,6 +1,6 @@
 //! Local time-series recorders for the simulation runners.
 //!
-//! Mirrors the [`crate::sim::Scoreboard`] pattern: hot loops record into
+//! Mirrors the `crate::kernel::Scoreboard` pattern: hot loops record into
 //! plain local structs (no locks, no name lookups per sample) and the
 //! accumulated series merge into the shared [`Telemetry`] handle once at
 //! the end of the run. Both recorders key every sample by **logical
@@ -22,6 +22,7 @@
 //! | `sim.reroutes`        | detoured injections this cycle (faulted)    |
 //! | `sim.unroutable`      | refused injections this cycle (faulted)     |
 
+use crate::kernel::CycleSample;
 use hb_telemetry::{Series, Telemetry, TsConfig};
 
 /// Whole-network per-cycle series, recorded once per simulated cycle.
@@ -47,31 +48,18 @@ impl GlobalTs {
         }
     }
 
-    /// Records one cycle's global samples.
+    /// Records one cycle's global samples (the fault series only for
+    /// fault-aware runs).
     #[inline]
-    pub(crate) fn record(
-        &mut self,
-        cycle: u64,
-        in_flight: u64,
-        injected: u64,
-        delivered: u64,
-        queue_max: u64,
-        active_channels: u64,
-    ) {
-        self.in_flight.record(cycle, in_flight);
-        self.injected.record(cycle, injected);
-        self.delivered.record(cycle, delivered);
-        self.queue_max.record(cycle, queue_max);
-        self.active_channels.record(cycle, active_channels);
-    }
-
-    /// Records one cycle's fault-routing samples. No-op for unfaulted
-    /// runs.
-    #[inline]
-    pub(crate) fn record_faults(&mut self, cycle: u64, reroutes: u64, unroutable: u64) {
+    pub(crate) fn record(&mut self, cycle: u64, s: &CycleSample) {
+        self.in_flight.record(cycle, s.in_flight);
+        self.injected.record(cycle, s.injected);
+        self.delivered.record(cycle, s.delivered);
+        self.queue_max.record(cycle, s.peak);
+        self.active_channels.record(cycle, s.active);
         if let Some((r, u)) = self.faulted.as_mut() {
-            r.record(cycle, reroutes);
-            u.record(cycle, unroutable);
+            r.record(cycle, s.reroutes);
+            u.record(cycle, s.unroutable);
         }
     }
 
