@@ -64,6 +64,7 @@ pub(crate) enum Admit {
 }
 
 /// Which run-end counters and profile phases a route policy implies.
+#[derive(Clone, Copy)]
 pub(crate) struct Accounting {
     /// Count detoured admissions and emit `sim.reroutes` plus the two
     /// fault series (flight runs).
@@ -82,23 +83,31 @@ pub(crate) trait RoutePolicy {
     /// instead of activation order.
     const ASCENDING: bool;
 
+    /// Where a packet is bound between crossing one channel and joining
+    /// the next: the next channel itself for a source route (resolved
+    /// while the path is hot in cache), the node reached for an adaptive
+    /// packet (whose channel is chosen only as it joins).
+    type Via: Copy;
+
     /// Admission of injection `idx`.
     fn admit(&self, idx: usize, inj: Injection, prof: &mut ProfCounters) -> Admit;
 
-    /// The channel a packet standing at `at` takes next. Called when the
-    /// packet joins a queue, so an adaptive choice sees the depths of
-    /// every queue it could join at that moment.
-    fn next_channel(
+    /// Where an admitted packet starts from its source.
+    fn enter(&self, src: NodeId, p: &Packet) -> Self::Via;
+
+    /// Where a packet that just crossed `ch` (its hop count already
+    /// advanced) goes next; `None` when it has arrived.
+    fn advance(&self, p: &Packet, ch: usize) -> Option<Self::Via>;
+
+    /// The channel a packet bound `via` joins. Called as it joins, so an
+    /// adaptive choice sees the depths of every queue it could join.
+    fn channel(
         &self,
-        at: NodeId,
+        via: Self::Via,
         p: &Packet,
         queues: &ChanQueues<u32>,
         prof: &mut ProfCounters,
     ) -> usize;
-
-    /// Where a packet that just crossed `ch` stands (its hop count
-    /// already advanced), and whether that is its destination.
-    fn position(&self, p: &Packet, ch: usize) -> (NodeId, bool);
 
     /// Whether an admitted route detours around a fault (counted only
     /// under fault accounting).
@@ -120,6 +129,7 @@ pub(crate) struct SourceRouted<'a> {
 
 impl RoutePolicy for SourceRouted<'_> {
     const ASCENDING: bool = true;
+    type Via = usize;
 
     #[inline]
     fn admit(&self, idx: usize, inj: Injection, prof: &mut ProfCounters) -> Admit {
@@ -138,24 +148,30 @@ impl RoutePolicy for SourceRouted<'_> {
     }
 
     #[inline]
-    fn next_channel(
-        &self,
-        at: NodeId,
-        p: &Packet,
-        _queues: &ChanQueues<u32>,
-        _prof: &mut ProfCounters,
-    ) -> usize {
-        let next = self.routes.path(p.target)[p.hop as usize + 1];
-        self.layout.channel_of(at, next as NodeId)
+    fn enter(&self, src: NodeId, p: &Packet) -> usize {
+        let next = self.routes.path(p.target)[1];
+        self.layout.channel_of(src, next as NodeId)
     }
 
     #[inline]
-    fn position(&self, p: &Packet, _ch: usize) -> (NodeId, bool) {
+    fn advance(&self, p: &Packet, _ch: usize) -> Option<usize> {
         let path = self.routes.path(p.target);
-        (
-            path[p.hop as usize] as NodeId,
-            p.hop as usize + 1 == path.len(),
-        )
+        let hop = p.hop as usize;
+        (hop + 1 < path.len()).then(|| {
+            self.layout
+                .channel_of(path[hop] as NodeId, path[hop + 1] as NodeId)
+        })
+    }
+
+    #[inline]
+    fn channel(
+        &self,
+        via: usize,
+        _p: &Packet,
+        _queues: &ChanQueues<u32>,
+        _prof: &mut ProfCounters,
+    ) -> usize {
+        via
     }
 
     #[inline]
@@ -188,6 +204,7 @@ pub(crate) struct Adaptive<'a> {
 
 impl RoutePolicy for Adaptive<'_> {
     const ASCENDING: bool = false;
+    type Via = NodeId;
 
     #[inline]
     fn admit(&self, idx: usize, inj: Injection, _prof: &mut ProfCounters) -> Admit {
@@ -205,7 +222,18 @@ impl RoutePolicy for Adaptive<'_> {
     }
 
     #[inline]
-    fn next_channel(
+    fn enter(&self, src: NodeId, _p: &Packet) -> NodeId {
+        src
+    }
+
+    #[inline]
+    fn advance(&self, p: &Packet, ch: usize) -> Option<NodeId> {
+        let here = self.heads.head_of(ch);
+        (here != p.target as NodeId).then_some(here)
+    }
+
+    #[inline]
+    fn channel(
         &self,
         at: NodeId,
         p: &Packet,
@@ -223,12 +251,6 @@ impl RoutePolicy for Adaptive<'_> {
             .map(|&w| self.layout.channel_of(at, w))
             .min_by_key(|&ch| queues.len(ch))
             .expect("invariant: a productive hop exists for any undelivered packet")
-    }
-
-    #[inline]
-    fn position(&self, p: &Packet, ch: usize) -> (NodeId, bool) {
-        let here = self.heads.head_of(ch);
-        (here, here == p.target as NodeId)
     }
 
     #[inline]
@@ -497,6 +519,23 @@ impl CycleSample {
     }
 }
 
+/// What one kernel hands back for the run-end merge. A shard builds it
+/// on its own thread, so its queues and pool are freed where they were
+/// allocated.
+pub(crate) struct Part {
+    pub(crate) tally: Tally,
+    prof: ProfCounters,
+    pub(crate) board: Option<Scoreboard>,
+    links: Option<LinkTs>,
+    events: Vec<BufferedEvent>,
+    /// Routed packets still queued when the run stopped.
+    in_flight: u64,
+    /// How far the schedule was walked (identical in every shard).
+    consumed: usize,
+    acct: Accounting,
+    bounded: bool,
+}
+
 /// What every kernel of one run shares.
 pub(crate) struct RunCtx<'a> {
     pub(crate) topo: &'a dyn NetTopology,
@@ -549,22 +588,21 @@ impl<'a> RunCtx<'a> {
 
     /// Merges the run's kernels (one, or one per shard in shard order)
     /// into its stats and telemetry. `cycles` is the cycle count run.
-    pub(crate) fn finish<R: RoutePolicy, D: Discipline>(
+    pub(crate) fn finish(
         &self,
-        mut kernels: Vec<Kernel<'_, R, D>>,
+        mut parts: Vec<Part>,
         globals: Option<GlobalTs>,
         cycles: u64,
     ) -> SimStats {
         let mut t = Tally::default();
         let mut prof = ProfCounters::default();
         let mut in_flight = 0u64;
-        for k in &kernels {
-            t.absorb(&k.tally);
-            prof.absorb(&k.prof);
-            in_flight += k.pool.live() as u64;
+        for p in &parts {
+            t.absorb(&p.tally);
+            prof.absorb(&p.prof);
+            in_flight += p.in_flight;
         }
-        // Every kernel walks the whole schedule, so any cursor will do.
-        let never_injected = (self.injections.len() - kernels[0].next) as u64;
+        let never_injected = (self.injections.len() - parts[0].consumed) as u64;
         let offered = self.injections.len() as u64;
         let mut stats = SimStats {
             offered,
@@ -593,15 +631,13 @@ impl<'a> RunCtx<'a> {
         let Some(tel) = self.tel() else {
             return stats;
         };
-        let acct = kernels[0].route.accounting();
+        let acct = parts[0].acct;
         if self.cfg.profile {
             prof.finish(tel, acct.route_build);
         }
         let mut events: Vec<BufferedEvent> = Vec::new();
-        for k in &mut kernels {
-            if let Trace::Buffered(v) = &mut k.trace {
-                events.append(v);
-            }
+        for p in &mut parts {
+            events.append(&mut p.events);
         }
         // Stable sort on (cycle, phase, key): the key is unique across
         // shards, and equal keys only occur within one shard
@@ -618,11 +654,11 @@ impl<'a> RunCtx<'a> {
         if acct.unroutable {
             tel.counter("sim.unroutable").add(t.unroutable);
         }
-        if kernels[0].disc.capacity().is_some() {
+        if parts[0].bounded {
             tel.counter("sim.dropped").add(t.dropped);
         }
-        for k in &mut kernels {
-            if let Some(lt) = k.links.take() {
+        for p in &mut parts {
+            if let Some(lt) = p.links.take() {
                 lt.merge_into(tel, &self.ends);
             }
         }
@@ -634,7 +670,7 @@ impl<'a> RunCtx<'a> {
         tel.counter("sim.stranded").add(stats.stranded);
         tel.counter(CYCLES_COUNTER).add(stats.cycles);
         let mut ls = LinkStats::new();
-        for b in kernels.iter().filter_map(|k| k.board.as_ref()) {
+        for b in parts.iter().filter_map(|p| p.board.as_ref()) {
             b.merge_into(tel, &mut ls, &self.ends);
         }
         tel.merge_links(&ls);
@@ -644,7 +680,7 @@ impl<'a> RunCtx<'a> {
 }
 
 /// The per-cycle engine over one contiguous channel range.
-pub(crate) struct Kernel<'a, R, D> {
+pub(crate) struct Kernel<'a, R: RoutePolicy, D> {
     ctx: &'a RunCtx<'a>,
     route: R,
     disc: D,
@@ -657,15 +693,15 @@ pub(crate) struct Kernel<'a, R, D> {
     /// Channels with a queued packet: the service set.
     active: Vec<usize>,
     still_active: Vec<usize>,
-    /// Packets that crossed a channel this cycle: (node reached, key).
-    moved: Vec<(NodeId, u32)>,
+    /// Packets that crossed a channel this cycle: (where bound, key).
+    moved: Vec<(R::Via, u32)>,
     /// Channels holding same-cycle credits (bounded discipline).
     touched: Vec<usize>,
     /// Schedule cursor: entries before it are consumed.
     next: usize,
-    pub(crate) tally: Tally,
+    tally: Tally,
     pub(crate) prof: ProfCounters,
-    pub(crate) board: Option<Scoreboard>,
+    board: Option<Scoreboard>,
     links: Option<LinkTs>,
     trace: Trace<'a>,
     spans: Option<Spans<'a>>,
@@ -773,9 +809,8 @@ impl<'a, R: RoutePolicy, D: Discipline> Kernel<'a, R, D> {
                 target,
                 hop: 0,
             };
-            let ch = self
-                .route
-                .next_channel(inj.src, &p, &self.queues, &mut self.prof);
+            let via = self.route.enter(inj.src, &p);
+            let ch = self.route.channel(via, &p, &self.queues, &mut self.prof);
             if self
                 .disc
                 .capacity()
@@ -841,8 +876,8 @@ impl<'a, R: RoutePolicy, D: Discipline> Kernel<'a, R, D> {
             .expect("invariant: active channels hold a packet");
             let mut p = *self.pool.get(key);
             p.hop += 1;
-            let (here, arrived) = self.route.position(&p, ch);
-            let moves = arrived || self.has_room(here, &p);
+            let next = self.route.advance(&p, ch);
+            let moves = next.is_none_or(|via| self.has_room(via, &p));
             if moves {
                 if bounded {
                     self.queues.pop_front(ch);
@@ -862,10 +897,9 @@ impl<'a, R: RoutePolicy, D: Discipline> Kernel<'a, R, D> {
                 if let Some(sp) = self.spans.as_mut() {
                     sp.close_hop(key, cycle);
                 }
-                if arrived {
-                    self.deliver(key, &p, ch, cycle);
-                } else {
-                    self.moved.push((here, key));
+                match next {
+                    Some(via) => self.moved.push((via, key)),
+                    None => self.deliver(key, &p, ch, cycle),
                 }
             }
             let left = self.queues.len(ch);
@@ -882,10 +916,10 @@ impl<'a, R: RoutePolicy, D: Discipline> Kernel<'a, R, D> {
         // 4. Land each mover on its next channel, in service order.
         let mut sent = 0u64;
         for i in 0..self.moved.len() {
-            let (here, key) = self.moved[i];
-            let ch =
-                self.route
-                    .next_channel(here, self.pool.get(key), &self.queues, &mut self.prof);
+            let (via, key) = self.moved[i];
+            let ch = self
+                .route
+                .channel(via, self.pool.get(key), &self.queues, &mut self.prof);
             match self.shard.as_mut() {
                 Some(port) => sent += u64::from(port.hand_off(ch, key, &mut self.pool)),
                 None => self.enqueue(ch, key, cycle + 1),
@@ -911,13 +945,11 @@ impl<'a, R: RoutePolicy, D: Discipline> Kernel<'a, R, D> {
     /// move this cycle, taking a credit on that channel if so (always
     /// true when unbounded).
     #[inline]
-    fn has_room(&mut self, here: NodeId, p: &Packet) -> bool {
+    fn has_room(&mut self, via: R::Via, p: &Packet) -> bool {
         let Some(cap) = self.disc.capacity() else {
             return true;
         };
-        let next = self
-            .route
-            .next_channel(here, p, &self.queues, &mut self.prof);
+        let next = self.route.channel(via, p, &self.queues, &mut self.prof);
         if self.queues.len_plus_incoming(next) >= cap {
             return false; // head-of-line blocked; wait
         }
@@ -955,6 +987,24 @@ impl<'a, R: RoutePolicy, D: Discipline> Kernel<'a, R, D> {
     pub(crate) fn receive(&mut self, ch: usize, p: Packet, cycle: u64) {
         let key = self.pool.alloc(p);
         self.enqueue(ch, key, cycle + 1);
+    }
+
+    /// Ends the run for this kernel, keeping only what the merge needs.
+    pub(crate) fn into_part(self) -> Part {
+        Part {
+            tally: self.tally,
+            prof: self.prof,
+            board: self.board,
+            links: self.links,
+            events: match self.trace {
+                Trace::Buffered(v) => v,
+                _ => Vec::new(),
+            },
+            in_flight: self.pool.live() as u64,
+            consumed: self.next,
+            acct: self.route.accounting(),
+            bounded: self.disc.capacity().is_some(),
+        }
     }
 
     /// Traces a refused or dropped injection.
@@ -1027,5 +1077,5 @@ pub(crate) fn run_serial<R: RoutePolicy, D: Discipline>(
         m.num_channels = ctx.layout.num_channels();
         m.channel_store_bytes = k.queues.heap_bytes();
     }
-    ctx.finish(vec![k], globals, cycle)
+    ctx.finish(vec![k.into_part()], globals, cycle)
 }

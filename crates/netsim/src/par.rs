@@ -46,7 +46,7 @@
 //! channel-or-id)` — a key that is unique across shards —
 //! reconstructing the serial emission order.
 
-use crate::kernel::{CycleSample, Kernel, Packet, RunCtx, SourceRouted, Unbounded};
+use crate::kernel::{CycleSample, Kernel, Packet, Part, RunCtx, SourceRouted, Unbounded};
 use crate::pool::PacketPool;
 use crate::sim::{ChanLayout, SimStats};
 use crate::tsrec::GlobalTs;
@@ -127,8 +127,8 @@ fn shard_boundaries(layout: &ChanLayout<'_>, n: usize, s: usize) -> Vec<usize> {
 }
 
 /// What one worker hands back for the in-order merge.
-struct ShardOut<'a> {
-    kernel: Kernel<'a, SourceRouted<'a>, Unbounded>,
+struct ShardOut {
+    part: Part,
     cycles: u64,
     /// Whole-network series; recorded by shard 0 only.
     globals: Option<GlobalTs>,
@@ -179,7 +179,7 @@ pub(crate) fn run_sharded(ctx: &RunCtx<'_>, route: SourceRouted<'_>) -> SimStats
         samples: (0..s).map(|_| Mutex::default()).collect(),
         shard_telemetry: ctx.cfg.shard_telemetry && tel.is_some(),
     };
-    let mut results: Vec<ShardOut<'_>> = std::thread::scope(|scope| {
+    let mut results: Vec<ShardOut> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..s)
             .map(|k| {
                 let ex = &ex;
@@ -200,8 +200,8 @@ pub(crate) fn run_sharded(ctx: &RunCtx<'_>, route: SourceRouted<'_>) -> SimStats
     if let Some(t) = tel {
         for (k, r) in results.iter_mut().enumerate() {
             if ex.shard_telemetry {
-                let delivered = r.kernel.tally.delivered;
-                let forwarded = r.kernel.board.as_ref().map_or(0, |b| b.forwarded());
+                let delivered = r.part.tally.delivered;
+                let forwarded = r.part.board.as_ref().map_or(0, |b| b.forwarded());
                 t.counter(&format!("sim.shard.{k}.delivered"))
                     .add(delivered);
                 t.counter(&format!("sim.shard.{k}.forwarded"))
@@ -222,11 +222,11 @@ pub(crate) fn run_sharded(ctx: &RunCtx<'_>, route: SourceRouted<'_>) -> SimStats
         }
     }
     let globals = results[0].globals.take();
-    let kernels = results.into_iter().map(|r| r.kernel).collect();
-    ctx.finish(kernels, globals, cycles)
+    let parts = results.into_iter().map(|r| r.part).collect();
+    ctx.finish(parts, globals, cycles)
 }
 
-fn run_shard<'a>(ex: &'a Exchange<'a>, k: usize) -> ShardOut<'a> {
+fn run_shard(ex: &Exchange<'_>, k: usize) -> ShardOut {
     let s = ex.chan_lo.len() - 1;
     let cfg = ex.ctx.cfg;
     let port = ShardPort {
@@ -304,7 +304,7 @@ fn run_shard<'a>(ex: &'a Exchange<'a>, k: usize) -> ShardOut<'a> {
         }
     }
     ShardOut {
-        kernel,
+        part: kernel.into_part(),
         cycles: cycle,
         globals,
         mailbox,
