@@ -250,8 +250,13 @@ impl FaultPlan {
         for &v in &self.nodes {
             if v < n {
                 hot.insert(v);
-                let k = topo.neighbors_into(v, &mut buf);
-                hot.extend(buf[..k].iter().copied());
+                match topo.explicit_graph() {
+                    Some(g) => hot.extend(g.neighbors(v).iter().map(|&w| w as NodeId)),
+                    None => {
+                        let k = topo.neighbors_into(v, &mut buf);
+                        hot.extend(buf[..k].iter().copied());
+                    }
+                }
             }
         }
         for &(u, v) in &self.links {

@@ -55,40 +55,20 @@ pub enum TraceSampling {
     /// traffic, deterministic). `EveryNth(0)` records nothing.
     EveryNth(u64),
     /// Record every packet whose route traverses a **faulty-adjacent**
-    /// link (either endpoint hot per [`FaultPlan::hot_nodes`]) — the
+    /// link (either endpoint hot per [`FaultPlan::hot_node_set`]) — the
     /// packets that detour around faults or queue next to them.
     FaultAdjacent,
 }
 
 impl TraceSampling {
-    fn samples(self, id: u64, route: &[u32], hot: &HotSet) -> bool {
+    fn samples(self, id: u64, route: &[u32], hot: &BTreeSet<NodeId>) -> bool {
         match self {
             TraceSampling::Off => false,
             TraceSampling::All => true,
             TraceSampling::EveryNth(n) => n > 0 && id.is_multiple_of(n),
             TraceSampling::FaultAdjacent => route
                 .windows(2)
-                .any(|w| hot.is_hot(w[0] as NodeId) || hot.is_hot(w[1] as NodeId)),
-        }
-    }
-}
-
-/// Fault-adjacency mask for [`TraceSampling::FaultAdjacent`]: dense over
-/// explicit graphs, a sparse id set over implicit topologies so memory
-/// stays O(faults × degree) at million-node scale.
-enum HotSet {
-    Empty,
-    Dense(Vec<bool>),
-    Sparse(BTreeSet<NodeId>),
-}
-
-impl HotSet {
-    #[inline]
-    fn is_hot(&self, v: NodeId) -> bool {
-        match self {
-            HotSet::Empty => false,
-            HotSet::Dense(mask) => mask[v],
-            HotSet::Sparse(set) => set.contains(&v),
+                .any(|w| hot.contains(&(w[0] as NodeId)) || hot.contains(&(w[1] as NodeId))),
         }
     }
 }
@@ -110,7 +90,9 @@ pub(crate) struct Spans<'a> {
     tel: &'a Telemetry,
     routes: RouteSrc<'a>,
     sampling: TraceSampling,
-    hot: HotSet,
+    /// Fault-adjacent nodes ([`TraceSampling::FaultAdjacent`] only): a
+    /// sparse set, O(faults × degree) even at million-node scale.
+    hot: BTreeSet<NodeId>,
     /// Indexed by packet-pool key.
     recs: Vec<SpanRec>,
 }
@@ -128,11 +110,8 @@ impl<'a> Spans<'a> {
         let tel = ctx.tel().filter(|t| t.trace_enabled())?;
         let hot = match sampling {
             TraceSampling::Off => return None,
-            TraceSampling::FaultAdjacent => match ctx.topo.explicit_graph() {
-                Some(g) if !ctx.sparse => HotSet::Dense(hot_plan.hot_nodes(g)),
-                _ => HotSet::Sparse(hot_plan.hot_node_set(ctx.topo)),
-            },
-            _ => HotSet::Empty,
+            TraceSampling::FaultAdjacent => hot_plan.hot_node_set(ctx.topo),
+            _ => BTreeSet::new(),
         };
         Some(Spans {
             tel,

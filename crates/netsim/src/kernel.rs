@@ -32,7 +32,7 @@ use crate::flight::Spans;
 use crate::par::ShardPort;
 use crate::pool::PacketPool;
 use crate::routes::RouteSrc;
-use crate::sim::{ChanHeads, ChanLayout, ChanQueues, Injection, MemStats, SimConfig, SimStats};
+use crate::sim::{ChanLayout, ChanQueues, Injection, MemStats, SimConfig, SimStats};
 use crate::topology::{NetTopology, MAX_PRODUCTIVE};
 use crate::tsrec::{GlobalTs, LinkTs};
 use hb_graphs::NodeId;
@@ -198,7 +198,6 @@ impl RoutePolicy for SourceRouted<'_> {
 pub(crate) struct Adaptive<'a> {
     pub(crate) topo: &'a dyn NetTopology,
     pub(crate) layout: &'a ChanLayout<'a>,
-    pub(crate) heads: ChanHeads<'a>,
     pub(crate) admission: Option<RouteSrc<'a>>,
 }
 
@@ -228,7 +227,7 @@ impl RoutePolicy for Adaptive<'_> {
 
     #[inline]
     fn advance(&self, p: &Packet, ch: usize) -> Option<NodeId> {
-        let here = self.heads.head_of(ch);
+        let here = self.layout.head_of(ch);
         (here != p.target as NodeId).then_some(here)
     }
 

@@ -163,6 +163,9 @@ pub fn plan_route(
         return None;
     }
     let mut route = topo.route(src, dst);
+    if plan.is_empty() {
+        return Some((route, None));
+    }
     for i in 0..route.len().saturating_sub(1) {
         let Some(reason) = plan.link_fault_id(route[i], route[i + 1]) else {
             continue;
@@ -320,7 +323,6 @@ impl RouteTable {
         // for a dense per-node index).
         let mut rows: BTreeMap<u32, Vec<(u32, u32)>> = BTreeMap::new();
         let mut unroutable_pairs = 0u64;
-        let faultless = plan.is_empty();
         for (src, dst) in pairs {
             let key = (
                 u32::try_from(src).expect("invariant: node ids fit u32"),
@@ -331,11 +333,7 @@ impl RouteTable {
                 Ok(_) => continue, // duplicate pair, first slot wins
                 Err(at) => at,
             };
-            let planned = if faultless {
-                Some((topo.route(src, dst), None))
-            } else {
-                plan_route(topo, src, dst, plan)
-            };
+            let planned = plan_route(topo, src, dst, plan);
             if planned.is_none() {
                 unroutable_pairs += 1;
             }
@@ -659,12 +657,7 @@ impl RouteCache {
             Ok(i) => return self.rows[src][i].1,
             Err(at) => at,
         };
-        let planned = if self.plan.is_empty() {
-            Some((topo.route(src, dst), None))
-        } else {
-            plan_route(topo, src, dst, &self.plan)
-        };
-        let slot = self.arena.push(planned);
+        let slot = self.arena.push(plan_route(topo, src, dst, &self.plan));
         self.live.push(true);
         self.live_pairs += 1;
         self.rows[src].insert(at, (dst_key, slot));

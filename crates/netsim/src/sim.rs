@@ -195,19 +195,8 @@ impl SimConfig {
     }
 }
 
-/// Channel id -> (tail, head) endpoints in CSR channel order.
-pub(crate) fn channel_endpoints(g: &hb_graphs::Graph, offsets: &[usize]) -> Vec<(u32, u32)> {
-    let mut ends = vec![(0u32, 0u32); offsets[g.num_nodes()]];
-    for v in 0..g.num_nodes() {
-        for (port, &w) in g.neighbors(v).iter().enumerate() {
-            ends[offsets[v] + port] = (v as u32, w);
-        }
-    }
-    ends
-}
-
-/// CSR channel layout for `g`: channel of `(u, port)` is
-/// `offsets[u] + port`. Shared by every runner and the parallel engine.
+/// CSR channel offsets for `g`: channel of `(u, port)` is
+/// `offsets[u] + port`.
 pub(crate) fn channel_offsets(g: &hb_graphs::Graph) -> Vec<usize> {
     let n = g.num_nodes();
     let mut offsets = Vec::with_capacity(n + 1);
@@ -225,10 +214,12 @@ pub(crate) fn channel_offsets(g: &hb_graphs::Graph) -> Vec<usize> {
 /// switching layouts never renumbers a channel, which is what keeps
 /// implicit-mode runs byte-identical to explicit ones.
 pub(crate) enum ChanLayout<'a> {
-    /// CSR over the materialised graph's sorted adjacency.
+    /// CSR over the materialised graph's sorted adjacency: node `u`'s
+    /// channels are `offsets[u]..offsets[u + 1]`, and `heads[ch]` is the
+    /// node channel `ch` leads to.
     Csr {
-        g: &'a hb_graphs::Graph,
         offsets: Vec<usize>,
+        heads: Vec<u32>,
     },
     /// Arithmetic layout for uniform-degree topologies: channel of
     /// `(v, port)` is `v * degree + port`, neighbors enumerated
@@ -256,14 +247,16 @@ impl<'a> ChanLayout<'a> {
             }
         }
         let g = topo.graph();
-        let offsets = channel_offsets(g);
-        ChanLayout::Csr { g, offsets }
+        ChanLayout::Csr {
+            offsets: channel_offsets(g),
+            heads: g.nodes().flat_map(|v| g.neighbors(v)).copied().collect(),
+        }
     }
 
     /// Total directed channels.
     pub(crate) fn num_channels(&self) -> usize {
         match self {
-            ChanLayout::Csr { g, offsets } => offsets[g.num_nodes()],
+            ChanLayout::Csr { heads, .. } => heads.len(),
             ChanLayout::Uniform {
                 num_nodes, degree, ..
             } => num_nodes * degree,
@@ -287,9 +280,8 @@ impl<'a> ChanLayout<'a> {
     #[inline]
     pub(crate) fn channel_of(&self, u: NodeId, v: NodeId) -> usize {
         match self {
-            ChanLayout::Csr { g, offsets } => {
-                let port = g
-                    .neighbors(u)
+            ChanLayout::Csr { offsets, heads } => {
+                let port = heads[offsets[u]..offsets[u + 1]]
                     .binary_search(&(v as u32))
                     .unwrap_or_else(|_| panic!("route step ({u}, {v}) is not an edge")); // analyze: allow(panic-policy, internal invariant needs the offending ids; expect cannot format them)
                 offsets[u] + port
@@ -311,63 +303,36 @@ impl<'a> ChanLayout<'a> {
     /// this).
     pub(crate) fn endpoints(&self) -> Vec<(u32, u32)> {
         match self {
-            ChanLayout::Csr { g, offsets } => channel_endpoints(g, offsets),
+            ChanLayout::Csr { offsets, heads } => offsets
+                .windows(2)
+                .enumerate()
+                .flat_map(|(v, w)| heads[w[0]..w[1]].iter().map(move |&h| (v as u32, h)))
+                .collect(),
             ChanLayout::Uniform {
                 topo,
                 num_nodes,
                 degree,
             } => {
-                let mut ends = vec![(0u32, 0u32); num_nodes * degree];
+                let mut ends = Vec::with_capacity(num_nodes * degree);
                 let mut buf = [0 as NodeId; MAX_PRODUCTIVE];
                 for v in 0..*num_nodes {
                     let k = topo.neighbors_into(v, &mut buf);
                     debug_assert_eq!(k, *degree, "uniform_degree contract");
-                    for (port, &w) in buf[..k].iter().enumerate() {
-                        ends[v * degree + port] = (v as u32, w as u32);
-                    }
+                    ends.extend(buf[..k].iter().map(|&w| (v as u32, w as u32)));
                 }
                 ends
             }
         }
     }
 
-    /// Head-node lookup for the adaptive runner: a dense table under CSR
-    /// (O(channels), as before), algebraic under the uniform layout
-    /// (O(1) memory, one neighbor enumeration per lookup).
-    pub(crate) fn heads(&self) -> ChanHeads<'a> {
-        match self {
-            ChanLayout::Csr { g, offsets } => {
-                let mut chan_to = vec![0u32; offsets[g.num_nodes()]];
-                for v in 0..g.num_nodes() {
-                    for (port, &w) in g.neighbors(v).iter().enumerate() {
-                        chan_to[offsets[v] + port] = w;
-                    }
-                }
-                ChanHeads::Table(chan_to)
-            }
-            ChanLayout::Uniform { topo, degree, .. } => ChanHeads::Algebraic {
-                topo: *topo,
-                degree: *degree,
-            },
-        }
-    }
-}
-
-/// Channel id -> head node (the node a popped packet arrives at).
-pub(crate) enum ChanHeads<'a> {
-    Table(Vec<u32>),
-    Algebraic {
-        topo: &'a dyn NetTopology,
-        degree: usize,
-    },
-}
-
-impl ChanHeads<'_> {
+    /// Head node of channel `ch` (the node a packet crossing it
+    /// reaches): a table read under CSR, one neighbor enumeration under
+    /// the uniform layout.
     #[inline]
     pub(crate) fn head_of(&self, ch: usize) -> NodeId {
         match self {
-            ChanHeads::Table(t) => t[ch] as NodeId,
-            ChanHeads::Algebraic { topo, degree } => {
+            ChanLayout::Csr { heads, .. } => heads[ch] as NodeId,
+            ChanLayout::Uniform { topo, degree, .. } => {
                 let mut buf = [0 as NodeId; MAX_PRODUCTIVE];
                 let k = topo.neighbors_into(ch / degree, &mut buf);
                 debug_assert!(ch % degree < k, "uniform_degree contract");
@@ -766,7 +731,6 @@ pub(crate) fn run_adaptive_on(
     let route = Adaptive {
         topo,
         layout: &ctx.layout,
-        heads: ctx.layout.heads(),
         admission,
     };
     run_serial(&ctx, route, Unbounded, None, None)
