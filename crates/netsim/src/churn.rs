@@ -14,8 +14,8 @@
 //!    `O(memoized pairs × BFS)` of a rebuild. Each injection's route is
 //!    then resolved under the plan in force at its cycle and frozen
 //!    into per-injection [`ChurnRoutes`].
-//! 2. **Run** — the frozen routes drive the ordinary engines through
-//!    churn-snapshot. The compile is engine-independent and fully
+//! 2. **Run** — the frozen routes drive the cycle kernel through a
+//!    churn-snapshot `RouteSrc`. The compile is engine-independent and fully
 //!    deterministic, so serial, bounded, adaptive, flight, and sharded
 //!    runs all see byte-identical routes — the sharded engine at any
 //!    thread count included (`par_equiv`).
@@ -43,19 +43,19 @@ use crate::topology::NetTopology;
 use hb_telemetry::{Profile, Telemetry};
 
 /// Everything [`compile`] produces for one timeline run.
-pub(crate) struct Compiled {
-    /// Frozen per-injection routes (what the engines read).
-    pub(crate) routes: ChurnRoutes,
+struct Compiled {
+    /// Frozen per-injection routes (what the kernels read).
+    routes: ChurnRoutes,
     /// Base plan ∪ every timeline fault target — the
     /// [`TraceSampling::FaultAdjacent`] mask, so packets near any fault
     /// epoch are eligible for sampling.
-    pub(crate) hot_plan: FaultPlan,
+    hot_plan: FaultPlan,
     /// Summed incremental-repair cost over all deltas.
-    pub(crate) repair: RepairStats,
+    repair: RepairStats,
     /// Timeline events actually applied (cycle ≤ last injection).
-    pub(crate) events_applied: u64,
+    events_applied: u64,
     /// Effective deltas (event-cycle groups that changed the plan).
-    pub(crate) deltas: u64,
+    deltas: u64,
 }
 
 /// Applies `ev` (the event at timeline index `idx`) to `plan`. Faults
@@ -81,10 +81,12 @@ fn apply_event(plan: &mut FaultPlan, idx: usize, ev: &FaultEvent) {
 
 /// Compiles `timeline` against the injection schedule: one pass over
 /// `injections` (sorted by `at`), repairing the route cache per
-/// event-cycle delta and freezing each injection's admission route.
-pub(crate) fn compile(
+/// event-cycle delta and freezing each injection's admission route. The
+/// repair cost lands in `cfg`'s telemetry ([`record_repair`]).
+fn compile(
     topo: &dyn NetTopology,
     injections: &[Injection],
+    cfg: &SimConfig,
     base: &FaultPlan,
     timeline: &FaultTimeline,
 ) -> Compiled {
@@ -134,13 +136,15 @@ pub(crate) fn compile(
         routes.assign(&cache, slot);
     }
 
-    Compiled {
+    let compiled = Compiled {
         routes,
         hot_plan,
         repair,
         events_applied,
         deltas,
-    }
+    };
+    record_repair(cfg.telemetry.as_ref(), cfg.profile, timeline, &compiled);
+    compiled
 }
 
 /// Emits the `sim.repair.*` counters and (under `profile`) the
@@ -185,8 +189,7 @@ pub fn run_with_timeline(
     timeline: &FaultTimeline,
     sampling: TraceSampling,
 ) -> SimStats {
-    let compiled = compile(topo, injections, base, timeline);
-    record_repair(cfg.telemetry.as_ref(), cfg.profile, timeline, &compiled);
+    let compiled = compile(topo, injections, &cfg, base, timeline);
     crate::flight::run_flight(
         topo,
         injections,
@@ -211,8 +214,7 @@ pub fn run_bounded_with_timeline(
     base: &FaultPlan,
     timeline: &FaultTimeline,
 ) -> SimStats {
-    let compiled = compile(topo, injections, base, timeline);
-    record_repair(cfg.telemetry.as_ref(), cfg.profile, timeline, &compiled);
+    let compiled = compile(topo, injections, &cfg, base, timeline);
     let queues = crate::kernel::Bounded {
         capacity,
         sweep: false,
@@ -241,8 +243,7 @@ pub fn run_adaptive_with_timeline(
     base: &FaultPlan,
     timeline: &FaultTimeline,
 ) -> SimStats {
-    let compiled = compile(topo, injections, base, timeline);
-    record_repair(cfg.telemetry.as_ref(), cfg.profile, timeline, &compiled);
+    let compiled = compile(topo, injections, &cfg, base, timeline);
     let admission = Some(RouteSrc::churn(&compiled.routes));
     crate::sim::run_adaptive_on(topo, injections, &cfg, admission)
 }
@@ -251,6 +252,7 @@ pub fn run_adaptive_with_timeline(
 mod tests {
     use super::*;
     use crate::flight::run_with_faults;
+    use crate::sim::inj;
     use crate::sim::{run_adaptive, run_bounded};
     use crate::topology::{HbRouteOrder, HyperButterflyNet, HypercubeNet};
     use crate::workload;
@@ -358,18 +360,7 @@ mod tests {
         // packet flies its admitted route; a second packet admitted at
         // cycle 5 must detour.
         let t = HypercubeNet::new(4).unwrap();
-        let inj = [
-            Injection {
-                src: 0,
-                dst: 15,
-                at: 0,
-            },
-            Injection {
-                src: 0,
-                dst: 15,
-                at: 5,
-            },
-        ];
+        let inj = [inj(0, 15, 0), inj(0, 15, 5)];
         let tel = Telemetry::summary();
         let s = run_with_timeline(
             &t,
@@ -466,18 +457,7 @@ mod tests {
         // Isolate node 7 of Q3 mid-run: admissions to it after the
         // events are refused.
         let t = HypercubeNet::new(3).unwrap();
-        let inj = [
-            Injection {
-                src: 0,
-                dst: 7,
-                at: 0,
-            },
-            Injection {
-                src: 0,
-                dst: 7,
-                at: 10,
-            },
-        ];
+        let inj = [inj(0, 7, 0), inj(0, 7, 10)];
         let mut tl = FaultTimeline::new();
         for (u, v) in [(7, 3), (7, 5), (7, 6)] {
             tl.push(4, FaultEventKind::Fault, FaultTarget::Link(u, v));
@@ -503,18 +483,7 @@ mod tests {
     #[test]
     fn bounded_and_adaptive_timeline_runs_refuse_unroutable_admissions() {
         let t = HypercubeNet::new(3).unwrap();
-        let inj = [
-            Injection {
-                src: 0,
-                dst: 7,
-                at: 0,
-            },
-            Injection {
-                src: 0,
-                dst: 7,
-                at: 10,
-            },
-        ];
+        let inj = [inj(0, 7, 0), inj(0, 7, 10)];
         let mut tl = FaultTimeline::new();
         for (u, v) in [(7, 3), (7, 5), (7, 6)] {
             tl.push(4, FaultEventKind::Fault, FaultTarget::Link(u, v));

@@ -260,6 +260,7 @@ pub(crate) fn run_flight(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sim::inj;
     use crate::sim::run;
     use crate::topology::{HbRouteOrder, HyperButterflyNet, HypercubeNet};
     use crate::workload;
@@ -359,11 +360,7 @@ mod tests {
         assert_eq!(base_route, vec![0, 1, 3, 7, 15]);
         let mut plan = FaultPlan::new();
         plan.add_link(0, 1);
-        let inj = [Injection {
-            src: 0,
-            dst: 15,
-            at: 0,
-        }];
+        let inj = [inj(0, 15, 0)];
         let tel = Telemetry::with_trace(256);
         let s = run_with_faults(
             &t,
@@ -395,11 +392,7 @@ mod tests {
         let t = HypercubeNet::new(4).unwrap();
         let mut plan = FaultPlan::new();
         plan.add_link(3, 7); // third hop of 0,1,3,7,15
-        let inj = [Injection {
-            src: 0,
-            dst: 15,
-            at: 0,
-        }];
+        let inj = [inj(0, 15, 0)];
         let tel = Telemetry::with_trace(256);
         let s = run_with_faults(
             &t,
@@ -430,18 +423,7 @@ mod tests {
         let mut plan = FaultPlan::new();
         // Isolate node 7 (neighbors 3, 5, 6): nothing can reach it.
         plan.add_link(7, 3).add_link(7, 5).add_link(7, 6);
-        let inj = [
-            Injection {
-                src: 0,
-                dst: 7,
-                at: 0,
-            },
-            Injection {
-                src: 0,
-                dst: 2,
-                at: 0,
-            },
-        ];
+        let inj = [inj(0, 7, 0), inj(0, 2, 0)];
         let tel = Telemetry::summary();
         let s = run_with_faults(
             &t,
@@ -467,13 +449,7 @@ mod tests {
     fn every_nth_sampling_selects_exactly_one_in_n() {
         let t = hb_net();
         let n = t.num_nodes();
-        let inj: Vec<Injection> = (0..20)
-            .map(|i| Injection {
-                src: i % n,
-                dst: (i * 7 + 3) % n,
-                at: 0,
-            })
-            .collect();
+        let inj: Vec<Injection> = (0..20).map(|i| inj(i % n, (i * 7 + 3) % n, 0)).collect();
         let tel = Telemetry::with_trace(4096);
         run_with_faults(
             &t,
@@ -507,18 +483,7 @@ mod tests {
         let mut plan = FaultPlan::new();
         plan.add_link(0, 1);
         // One packet detours around the cut; one flies far from it.
-        let inj = [
-            Injection {
-                src: 0,
-                dst: 15,
-                at: 0,
-            },
-            Injection {
-                src: 12,
-                dst: 14,
-                at: 0,
-            },
-        ];
+        let inj = [inj(0, 15, 0), inj(12, 14, 0)];
         let tel = Telemetry::with_trace(256);
         let s = run_with_faults(
             &t,
@@ -543,18 +508,7 @@ mod tests {
         // Two packets on the same first channel: the second sees queue
         // depth 1 on arrival and waits one cycle.
         let t = HypercubeNet::new(3).unwrap();
-        let inj = [
-            Injection {
-                src: 0,
-                dst: 1,
-                at: 0,
-            },
-            Injection {
-                src: 0,
-                dst: 1,
-                at: 0,
-            },
-        ];
+        let inj = [inj(0, 1, 0), inj(0, 1, 0)];
         let tel = Telemetry::with_trace(64);
         run_with_faults(
             &t,

@@ -848,6 +848,7 @@ impl<'a> RouteSrc<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sim::inj;
     use crate::topology::{HbRouteOrder, HyperButterflyNet, HypercubeNet};
 
     fn hb() -> HyperButterflyNet {
@@ -876,13 +877,7 @@ mod tests {
     #[test]
     fn duplicate_pairs_share_one_slot() {
         let t = HypercubeNet::new(4).unwrap();
-        let inj: Vec<Injection> = (0..32)
-            .map(|i| Injection {
-                src: 0,
-                dst: 15,
-                at: i,
-            })
-            .collect();
+        let inj: Vec<Injection> = (0..32).map(|i| inj(0, 15, i)).collect();
         let table = RouteTable::for_injections(&t, &inj, &FaultPlan::new());
         assert_eq!(table.num_pairs(), 1);
         assert_eq!(table.path(0), &[0, 1, 3, 7, 15]);

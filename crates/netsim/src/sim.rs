@@ -53,6 +53,12 @@ pub struct Injection {
     pub at: u64,
 }
 
+/// Test shorthand for an [`Injection`].
+#[cfg(test)]
+pub(crate) fn inj(src: NodeId, dst: NodeId, at: u64) -> Injection {
+    Injection { src, dst, at }
+}
+
 /// Aggregate results of one simulation run.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct SimStats {
@@ -745,11 +751,7 @@ mod tests {
     #[test]
     fn single_packet_latency_is_distance() {
         let t = HypercubeNet::new(4).unwrap();
-        let inj = [Injection {
-            src: 0,
-            dst: 0b1111,
-            at: 0,
-        }];
+        let inj = [inj(0, 0b1111, 0)];
         let s = run(&t, &inj, SimConfig::default());
         assert_eq!(s.delivered, 1);
         assert_eq!(s.stranded, 0);
@@ -761,18 +763,7 @@ mod tests {
     fn contention_serialises_on_shared_channel() {
         // Two packets injected the same cycle over the same first channel.
         let t = HypercubeNet::new(3).unwrap();
-        let inj = [
-            Injection {
-                src: 0,
-                dst: 1,
-                at: 0,
-            },
-            Injection {
-                src: 0,
-                dst: 1,
-                at: 0,
-            },
-        ];
+        let inj = [inj(0, 1, 0), inj(0, 1, 0)];
         let s = run(&t, &inj, SimConfig::default());
         assert_eq!(s.delivered, 2);
         // One arrives at cycle 1, the other queues one cycle: latencies 1, 2.
@@ -784,11 +775,7 @@ mod tests {
     #[test]
     fn self_addressed_packets_deliver_instantly() {
         let t = HypercubeNet::new(3).unwrap();
-        let inj = [Injection {
-            src: 5,
-            dst: 5,
-            at: 0,
-        }];
+        let inj = [inj(5, 5, 0)];
         let s = run(&t, &inj, SimConfig::default());
         assert_eq!(s.delivered, 1);
         assert_eq!(s.avg_latency, 0.0);
@@ -797,11 +784,7 @@ mod tests {
     #[test]
     fn cycle_limit_strands_packets() {
         let t = HypercubeNet::new(4).unwrap();
-        let inj = [Injection {
-            src: 0,
-            dst: 0b1111,
-            at: 0,
-        }];
+        let inj = [inj(0, 0b1111, 0)];
         let s = run(&t, &inj, SimConfig::bounded(2));
         assert_eq!(s.delivered, 0);
         assert_eq!(s.stranded, 1);
@@ -815,11 +798,7 @@ mod tests {
         // packets queued, some in flight, some never injected).
         let t = HypercubeNet::new(4).unwrap();
         let inj: Vec<Injection> = (0..24)
-            .map(|i| Injection {
-                src: i % 16,
-                dst: (i * 5 + 3) % 16,
-                at: (i / 8) as u64,
-            })
+            .map(|i| inj(i % 16, (i * 5 + 3) % 16, (i / 8) as u64))
             .collect();
         for limit in [0, 1, 2, 3, 5, 8] {
             let s = run(&t, &inj, SimConfig::bounded(limit));
@@ -843,13 +822,7 @@ mod tests {
     fn hb_topology_simulates_end_to_end() {
         let t = HyperButterflyNet::new(2, 3, HbRouteOrder::CubeFirst).unwrap();
         let n = t.num_nodes();
-        let inj: Vec<Injection> = (0..n)
-            .map(|v| Injection {
-                src: v,
-                dst: (v * 7 + 3) % n,
-                at: 0,
-            })
-            .collect();
+        let inj: Vec<Injection> = (0..n).map(|v| inj(v, (v * 7 + 3) % n, 0)).collect();
         let s = run(&t, &inj, SimConfig::default());
         assert_eq!(s.delivered, n as u64);
         assert_eq!(s.stranded, 0);
@@ -860,13 +833,7 @@ mod tests {
     fn telemetry_off_and_on_produce_identical_stats() {
         let t = HyperButterflyNet::new(2, 3, HbRouteOrder::CubeFirst).unwrap();
         let n = t.num_nodes();
-        let inj: Vec<Injection> = (0..n)
-            .map(|v| Injection {
-                src: v,
-                dst: (v * 7 + 3) % n,
-                at: 0,
-            })
-            .collect();
+        let inj: Vec<Injection> = (0..n).map(|v| inj(v, (v * 7 + 3) % n, 0)).collect();
         let off = run(&t, &inj, SimConfig::default());
         let tel = hb_telemetry::Telemetry::with_trace(64);
         let on = run(&t, &inj, SimConfig::default().with_telemetry(tel.clone()));
@@ -891,13 +858,7 @@ mod tests {
     #[test]
     fn telemetry_peak_queue_matches_stats() {
         let t = HypercubeNet::new(3).unwrap();
-        let inj: Vec<Injection> = (0..6)
-            .map(|_| Injection {
-                src: 0,
-                dst: 1,
-                at: 0,
-            })
-            .collect();
+        let inj: Vec<Injection> = (0..6).map(|_| inj(0, 1, 0)).collect();
         let tel = hb_telemetry::Telemetry::summary();
         let s = run(&t, &inj, SimConfig::default().with_telemetry(tel.clone()));
         let links = tel.links();
@@ -911,13 +872,7 @@ mod tests {
     fn bounded_queues_preserve_conservation_and_can_drop() {
         let t = HypercubeNet::new(3).unwrap();
         // Ten packets into one channel of capacity 2, same cycle.
-        let inj: Vec<Injection> = (0..10)
-            .map(|_| Injection {
-                src: 0,
-                dst: 1,
-                at: 0,
-            })
-            .collect();
+        let inj: Vec<Injection> = (0..10).map(|_| inj(0, 1, 0)).collect();
         let s = run_bounded(&t, &inj, SimConfig::default(), 2);
         assert_eq!(s.delivered + s.stranded, s.offered);
         assert_eq!(s.delivered, 2); // only the buffered two survive
@@ -927,13 +882,7 @@ mod tests {
     #[test]
     fn bounded_run_counts_and_traces_drops() {
         let t = HypercubeNet::new(3).unwrap();
-        let inj: Vec<Injection> = (0..10)
-            .map(|_| Injection {
-                src: 0,
-                dst: 1,
-                at: 0,
-            })
-            .collect();
+        let inj: Vec<Injection> = (0..10).map(|_| inj(0, 1, 0)).collect();
         let tel = hb_telemetry::Telemetry::with_trace(64);
         let s = run_bounded(
             &t,
@@ -954,11 +903,7 @@ mod tests {
     #[test]
     fn bounded_queues_match_unbounded_at_low_load() {
         let t = HypercubeNet::new(4).unwrap();
-        let inj = [Injection {
-            src: 0,
-            dst: 0b1111,
-            at: 0,
-        }];
+        let inj = [inj(0, 0b1111, 0)];
         let b = run_bounded(&t, &inj, SimConfig::default(), 4);
         assert_eq!(b.delivered, 1);
         assert_eq!(b.avg_latency, 4.0);
@@ -969,18 +914,7 @@ mod tests {
         let t = HypercubeNet::new(3).unwrap();
         // Two packets share the full route 0 -> 1 -> 3; capacity 1 forces
         // the second to wait at each stage but both must arrive.
-        let inj = [
-            Injection {
-                src: 0,
-                dst: 3,
-                at: 0,
-            },
-            Injection {
-                src: 0,
-                dst: 3,
-                at: 1,
-            },
-        ];
+        let inj = [inj(0, 3, 0), inj(0, 3, 1)];
         let s = run_bounded(&t, &inj, SimConfig::default(), 1);
         assert_eq!(s.delivered, 2);
         assert_eq!(s.stranded, 0);
@@ -989,11 +923,7 @@ mod tests {
     #[test]
     fn adaptive_matches_oblivious_hops_at_zero_load() {
         let t = HypercubeNet::new(4).unwrap();
-        let inj = [Injection {
-            src: 0,
-            dst: 0b1111,
-            at: 0,
-        }];
+        let inj = [inj(0, 0b1111, 0)];
         let s = run_adaptive(&t, &inj, SimConfig::default());
         assert_eq!(s.delivered, 1);
         assert_eq!(s.avg_hops, 4.0); // adaptive stays minimal
@@ -1006,13 +936,7 @@ mod tests {
         // on one fixed route; adaptive fans out over disjoint shortest
         // paths and must not be slower.
         let t = HypercubeNet::new(4).unwrap();
-        let inj: Vec<Injection> = (0..8)
-            .map(|_| Injection {
-                src: 0,
-                dst: 0b1111,
-                at: 0,
-            })
-            .collect();
+        let inj: Vec<Injection> = (0..8).map(|_| inj(0, 0b1111, 0)).collect();
         let obl = run(&t, &inj, SimConfig::default());
         let ada = run_adaptive(&t, &inj, SimConfig::default());
         assert_eq!(ada.delivered, 8);
@@ -1028,13 +952,7 @@ mod tests {
     #[test]
     fn adaptive_populates_link_stats() {
         let t = HypercubeNet::new(4).unwrap();
-        let inj: Vec<Injection> = (0..8)
-            .map(|_| Injection {
-                src: 0,
-                dst: 0b1111,
-                at: 0,
-            })
-            .collect();
+        let inj: Vec<Injection> = (0..8).map(|_| inj(0, 0b1111, 0)).collect();
         let tel = hb_telemetry::Telemetry::summary();
         let s = run_adaptive(&t, &inj, SimConfig::default().with_telemetry(tel.clone()));
         assert_eq!(s.delivered, 8);
@@ -1046,13 +964,7 @@ mod tests {
     fn adaptive_works_on_hyper_butterfly() {
         let t = HyperButterflyNet::new(2, 3, HbRouteOrder::CubeFirst).unwrap();
         let n = t.num_nodes();
-        let inj: Vec<Injection> = (0..n)
-            .map(|v| Injection {
-                src: v,
-                dst: (v * 31 + 5) % n,
-                at: 0,
-            })
-            .collect();
+        let inj: Vec<Injection> = (0..n).map(|v| inj(v, (v * 31 + 5) % n, 0)).collect();
         let s = run_adaptive(&t, &inj, SimConfig::default());
         assert_eq!(s.delivered, n as u64);
         assert_eq!(s.stranded, 0);
@@ -1063,13 +975,7 @@ mod tests {
         let t = HypercubeNet::new(3).unwrap();
         // Six packets through one channel: occupied for six straight
         // cycles, queue draining 6, 5, ..., 1.
-        let inj: Vec<Injection> = (0..6)
-            .map(|_| Injection {
-                src: 0,
-                dst: 1,
-                at: 0,
-            })
-            .collect();
+        let inj: Vec<Injection> = (0..6).map(|_| inj(0, 1, 0)).collect();
         let tel = hb_telemetry::Telemetry::summary();
         tel.enable_timeseries(hb_telemetry::TsConfig::new(2));
         let s = run(&t, &inj, SimConfig::default().with_telemetry(tel.clone()));
@@ -1092,11 +998,7 @@ mod tests {
     #[test]
     fn timeseries_stays_empty_when_not_enabled() {
         let t = HypercubeNet::new(3).unwrap();
-        let inj = [Injection {
-            src: 0,
-            dst: 1,
-            at: 0,
-        }];
+        let inj = [inj(0, 1, 0)];
         let tel = hb_telemetry::Telemetry::summary();
         run(&t, &inj, SimConfig::default().with_telemetry(tel.clone()));
         let snap = tel.snapshot();
@@ -1107,13 +1009,7 @@ mod tests {
     #[test]
     fn timeseries_covers_bounded_and_adaptive_runners() {
         let t = HypercubeNet::new(3).unwrap();
-        let inj: Vec<Injection> = (0..8)
-            .map(|i| Injection {
-                src: 0,
-                dst: 0b111,
-                at: i / 4,
-            })
-            .collect();
+        let inj: Vec<Injection> = (0..8).map(|i| inj(0, 0b111, i / 4)).collect();
         for runner in 0..2u8 {
             let tel = hb_telemetry::Telemetry::summary();
             tel.enable_timeseries(hb_telemetry::TsConfig::new(1));
@@ -1142,13 +1038,7 @@ mod tests {
         let t = HypercubeNet::new(3).unwrap();
         // A long single-channel backlog: channel 0->1 stays occupied for
         // 32 cycles, far past the default sustain threshold.
-        let inj: Vec<Injection> = (0..32)
-            .map(|_| Injection {
-                src: 0,
-                dst: 1,
-                at: 0,
-            })
-            .collect();
+        let inj: Vec<Injection> = (0..32).map(|_| inj(0, 1, 0)).collect();
         let tel = hb_telemetry::Telemetry::with_trace(4096);
         tel.enable_timeseries(hb_telemetry::TsConfig::new(4));
         run(&t, &inj, SimConfig::default().with_telemetry(tel.clone()));
@@ -1172,18 +1062,7 @@ mod tests {
     #[should_panic(expected = "sorted")]
     fn unsorted_injections_panic() {
         let t = HypercubeNet::new(3).unwrap();
-        let inj = [
-            Injection {
-                src: 0,
-                dst: 1,
-                at: 5,
-            },
-            Injection {
-                src: 0,
-                dst: 1,
-                at: 0,
-            },
-        ];
+        let inj = [inj(0, 1, 5), inj(0, 1, 0)];
         run(&t, &inj, SimConfig::default());
     }
 }
