@@ -8,8 +8,8 @@
 //! * [`topology`] — a uniform adapter over `H_m`, `B_n`, `HD(m, n)`, and
 //!   `HB(m, n)` with each topology's own oblivious router (including the
 //!   hyper-butterfly's two routing orders for the ablation);
-//! * [`sim`] — the simulator core (source routing, per-channel FIFOs,
-//!   1 packet/channel/cycle);
+//! * [`sim`] — the run entry points (source or adaptive routing, per-
+//!   channel FIFOs, 1 packet/channel/cycle), all on one cycle kernel;
 //! * [`workload`] — uniform / permutation / hotspot / bit-complement
 //!   traffic, deterministic under seeds;
 //! * [`faults`] — fault-injection campaigns measuring survivor
@@ -29,9 +29,9 @@
 //! * [`pool`] — the slab [`pool::PacketPool`] backing the simulators'
 //!   queues (4-byte keys, zero per-hop allocation in steady state);
 //! * the sharded parallel engine behind [`SimConfig::with_threads`]:
-//!   deterministic per-shard advance with ordered cross-shard
-//!   mailboxes, byte-identical to the serial runners at every thread
-//!   count (DESIGN.md §9);
+//!   the same cycle kernel per shard plus ordered cross-shard mailboxes,
+//!   byte-identical to a serial run at every thread count (DESIGN.md §9
+//!   and §17, "One cycle kernel");
 //! * [`forwarding`] — edge forwarding index (static routing congestion,
 //!   the VLSI-quality metric).
 

@@ -16,7 +16,7 @@ use hb_telemetry::Telemetry;
 use proptest::prelude::*;
 
 fn topo(kind: u8) -> HyperButterflyNet {
-    if kind % 2 == 0 {
+    if kind.is_multiple_of(2) {
         HyperButterflyNet::new(1, 3, HbRouteOrder::CubeFirst).unwrap()
     } else {
         HyperButterflyNet::new(2, 3, HbRouteOrder::CubeFirst).unwrap()
