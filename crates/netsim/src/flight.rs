@@ -32,7 +32,7 @@
 //! deterministic.
 
 use crate::faults::FaultPlan;
-use crate::kernel::{run_serial, Packet, RunCtx, SourceRouted, Unbounded};
+use crate::kernel::{drive_serial, Packet, RunCtx, SourceRouted, Unbounded};
 use crate::routes::{RouteSrc, RouteTable};
 use crate::sim::{Injection, SimConfig, SimStats};
 use crate::topology::NetTopology;
@@ -254,7 +254,7 @@ pub(crate) fn run_flight(
     if cfg.threads > 1 && spans.is_none() {
         return crate::par::run_sharded(&ctx, route);
     }
-    run_serial(&ctx, route, Unbounded, spans, None)
+    drive_serial(&ctx, route, Unbounded, spans, None)
 }
 
 #[cfg(test)]

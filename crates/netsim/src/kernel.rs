@@ -25,7 +25,7 @@
 //!
 //! Observers are runtime options: the [`Scoreboard`], link and global
 //! time series, the [`ProfCounters`], the trace, and the flight
-//! recorder's spans. [`run_serial`] drives one kernel; the sharded
+//! recorder's spans. [`drive_serial`] drives one kernel; the sharded
 //! engine (`crate::par`) drives one per shard (DESIGN.md §9, §17).
 
 use crate::flight::Spans;
@@ -1048,7 +1048,7 @@ impl<'a, R: RoutePolicy, D: Discipline> Kernel<'a, R, D> {
 /// Runs one kernel over the whole network until the cycle limit (or
 /// drain), then finishes the run. `spans` is the flight recorder, if
 /// tracing; `mem` receives the channel-store accounting.
-pub(crate) fn run_serial<R: RoutePolicy, D: Discipline>(
+pub(crate) fn drive_serial<R: RoutePolicy, D: Discipline>(
     ctx: &RunCtx<'_>,
     route: R,
     disc: D,

@@ -183,7 +183,7 @@ pub(crate) fn run_sharded(ctx: &RunCtx<'_>, route: SourceRouted<'_>) -> SimStats
         let handles: Vec<_> = (0..s)
             .map(|k| {
                 let ex = &ex;
-                scope.spawn(move || run_shard(ex, k))
+                scope.spawn(move || drive_shard(ex, k))
             })
             .collect();
         handles
@@ -226,7 +226,7 @@ pub(crate) fn run_sharded(ctx: &RunCtx<'_>, route: SourceRouted<'_>) -> SimStats
     ctx.finish(parts, globals, cycles)
 }
 
-fn run_shard(ex: &Exchange<'_>, k: usize) -> ShardOut {
+fn drive_shard(ex: &Exchange<'_>, k: usize) -> ShardOut {
     let s = ex.chan_lo.len() - 1;
     let cfg = ex.ctx.cfg;
     let port = ShardPort {

@@ -34,7 +34,7 @@
 //! merging into the shared handle once at the end, so the summary-level
 //! overhead is O(channels) memory and one branch per served channel.
 
-use crate::kernel::{run_serial, Adaptive, Bounded, RunCtx, SourceRouted, Unbounded};
+use crate::kernel::{drive_serial, Adaptive, Bounded, RunCtx, SourceRouted, Unbounded};
 use crate::routes::{RouteSrc, RouteTable};
 use crate::topology::{NetTopology, MAX_PRODUCTIVE};
 use hb_graphs::NodeId;
@@ -581,7 +581,7 @@ pub fn run_with_mem(
         layout: &ctx.layout,
         faults: false,
     };
-    let stats = run_serial(&ctx, route, Unbounded, None, Some(&mut mem));
+    let stats = drive_serial(&ctx, route, Unbounded, None, Some(&mut mem));
     (stats, mem)
 }
 
@@ -620,7 +620,7 @@ pub fn run(topo: &dyn NetTopology, injections: &[Injection], cfg: SimConfig) -> 
     if cfg.threads > 1 {
         return crate::par::run_sharded(&ctx, route);
     }
-    run_serial(&ctx, route, Unbounded, None, None)
+    drive_serial(&ctx, route, Unbounded, None, None)
 }
 
 /// Runs the oblivious simulation with **bounded queues and
@@ -702,7 +702,7 @@ pub(crate) fn run_bounded_on(
         layout: &ctx.layout,
         faults: false,
     };
-    run_serial(&ctx, route, queues, None, None)
+    drive_serial(&ctx, route, queues, None, None)
 }
 
 /// Runs a **minimal adaptive** simulation: at every hop the packet picks,
@@ -739,7 +739,7 @@ pub(crate) fn run_adaptive_on(
         layout: &ctx.layout,
         admission,
     };
-    run_serial(&ctx, route, Unbounded, None, None)
+    drive_serial(&ctx, route, Unbounded, None, None)
 }
 
 #[cfg(test)]
