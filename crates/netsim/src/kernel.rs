@@ -102,7 +102,7 @@ pub(crate) trait RoutePolicy {
     /// The channel a packet bound `via` joins. Called as it joins, so an
     /// adaptive choice sees the depths of every queue it could join.
     fn channel(
-        &self,
+        &mut self,
         via: Self::Via,
         p: &Packet,
         queues: &ChanQueues<u32>,
@@ -165,7 +165,7 @@ impl RoutePolicy for SourceRouted<'_> {
 
     #[inline]
     fn channel(
-        &self,
+        &mut self,
         via: usize,
         _p: &Packet,
         _queues: &ChanQueues<u32>,
@@ -199,6 +199,8 @@ pub(crate) struct Adaptive<'a> {
     pub(crate) topo: &'a dyn NetTopology,
     pub(crate) layout: &'a ChanLayout<'a>,
     pub(crate) admission: Option<RouteSrc<'a>>,
+    /// Scratch for the productive-hop set, reused by every choice.
+    pub(crate) hops: [NodeId; MAX_PRODUCTIVE],
 }
 
 impl RoutePolicy for Adaptive<'_> {
@@ -233,19 +235,18 @@ impl RoutePolicy for Adaptive<'_> {
 
     #[inline]
     fn channel(
-        &self,
+        &mut self,
         at: NodeId,
         p: &Packet,
         queues: &ChanQueues<u32>,
         prof: &mut ProfCounters,
     ) -> usize {
-        let mut buf = [0 as NodeId; MAX_PRODUCTIVE];
         let k = self
             .topo
-            .productive_hops_into(at, p.target as NodeId, &mut buf);
+            .productive_hops_into(at, p.target as NodeId, &mut self.hops);
         prof.scan_inv += 1;
         prof.scan_work += k as u64;
-        buf[..k]
+        self.hops[..k]
             .iter()
             .map(|&w| self.layout.channel_of(at, w))
             .min_by_key(|&ch| queues.len(ch))

@@ -738,6 +738,7 @@ pub(crate) fn run_adaptive_on(
         topo,
         layout: &ctx.layout,
         admission,
+        hops: [0; MAX_PRODUCTIVE],
     };
     drive_serial(&ctx, route, Unbounded, None, None)
 }
