@@ -118,16 +118,12 @@ pub fn discrepancies(m: u32, n: u32, rows: &[TopologyMetrics]) -> Vec<String> {
     out
 }
 
-/// Runs Figure 1 at `(m, n)` and renders the table plus any
-/// formula-vs-measurement discrepancies.
-///
-/// # Errors
-/// Propagates construction/measurement failures.
-pub fn report(m: u32, n: u32, level: MeasureLevel) -> Result<String> {
-    let rows = measure(m, n, level)?;
+/// Renders Figure 1 at `(m, n)` from its measured rows: the table plus
+/// any formula-vs-measurement discrepancies.
+pub fn render(m: u32, n: u32, rows: &[TopologyMetrics]) -> String {
     let mut s = format!("Figure 1 at (m, n) = ({m}, {n})\n");
-    s.push_str(&render_table(&rows));
-    let d = discrepancies(m, n, &rows);
+    s.push_str(&render_table(rows));
+    let d = discrepancies(m, n, rows);
     if d.is_empty() {
         s.push_str("All measured values match the paper's formulas.\n");
     } else {
@@ -135,7 +131,7 @@ pub fn report(m: u32, n: u32, level: MeasureLevel) -> Result<String> {
             s.push_str(&format!("MISMATCH: {line}\n"));
         }
     }
-    Ok(s)
+    s
 }
 
 #[cfg(test)]
@@ -164,7 +160,7 @@ mod tests {
 
     #[test]
     fn report_renders() {
-        let s = report(1, 3, MeasureLevel::Structure).unwrap();
+        let s = render(1, 3, &measure(1, 3, MeasureLevel::Structure).unwrap());
         assert!(s.contains("Hyper") || s.contains("HB(1, 3)"));
         assert!(s.contains("Topology"));
     }

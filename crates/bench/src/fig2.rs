@@ -131,15 +131,12 @@ fn evidence(
     }
 }
 
-/// Renders the full Figure-2 report: the measured table, the paper's
-/// quoted values, and the fault-tolerance evidence.
-///
-/// # Errors
-/// Propagates construction/measurement failures.
-pub fn report(scale: Fig2Scale, trials: usize, seed: u64) -> Result<String> {
-    let rows = measure(scale)?;
+/// Renders the full Figure-2 report from the [`measure`] rows and the
+/// [`fault_evidence`]: the measured table, the paper's quoted values, and
+/// the fault-tolerance evidence.
+pub fn render(scale: Fig2Scale, rows: &[TopologyMetrics], evidence: &[FaultEvidence]) -> String {
     let mut s = format!("Figure 2 ({scale:?} scale)\n");
-    s.push_str(&render_table(&rows));
+    s.push_str(&render_table(rows));
     if scale == Fig2Scale::Paper {
         s.push_str(
             "\nPaper's quoted values: diameters 15 / 14 / 14, fault tolerance 7 / 5 / 8,\n\
@@ -147,13 +144,13 @@ pub fn report(scale: Fig2Scale, trials: usize, seed: u64) -> Result<String> {
         );
     }
     s.push_str("\nFault-tolerance evidence (witness of size kappa + trials at kappa-1):\n");
-    for e in fault_evidence(scale, trials, seed)? {
+    for e in evidence {
         s.push_str(&format!(
             "  {:<12} kappa={:<2} witness disconnects: {:<5} trials connected: {}/{}\n",
             e.name, e.kappa, e.witness_disconnects, e.trials_connected, e.trials
         ));
     }
-    Ok(s)
+    s
 }
 
 #[cfg(test)]

@@ -25,8 +25,9 @@
 //!   parallel grid driver (`BENCH_parallel.json` via
 //!   `hbnet bench --perf`).
 //!
-//! Binaries under `src/bin/` print each experiment's table; Criterion
-//! benches under `benches/` time the underlying machinery.
+//! The one binary, `run_all`, runs each experiment once and writes its
+//! table (plus a CSV where the table has one) into `results/`; README.md
+//! maps each table to its file.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

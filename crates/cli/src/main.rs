@@ -281,9 +281,19 @@ fn dispatch(cmd: Command) -> Result<(), Box<dyn std::error::Error>> {
             }
             if shard_stats {
                 if let Some(t) = &tel {
+                    // Only the shards that ran registered counters: the
+                    // engine runs at most one shard per node, and a run
+                    // that stays serial (span tracing live) runs none.
+                    let counters: std::collections::BTreeMap<String, u64> =
+                        t.registry().counters().into_iter().collect();
+                    let count = |k: usize, what: &str| {
+                        counters.get(&format!("sim.shard.{k}.{what}")).copied()
+                    };
                     for k in 0..threads {
-                        let delivered = t.counter(&format!("sim.shard.{k}.delivered")).get();
-                        let forwarded = t.counter(&format!("sim.shard.{k}.forwarded")).get();
+                        let Some(delivered) = count(k, "delivered") else {
+                            break;
+                        };
+                        let forwarded = count(k, "forwarded").unwrap_or(0);
                         println!("  shard {k:<5} delivered {delivered}, forwarded {forwarded}");
                     }
                 }
