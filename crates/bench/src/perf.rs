@@ -26,7 +26,7 @@ use crate::parallel::parallel_map;
 use hb_graphs::Result;
 use hb_netsim::{
     run, run_adaptive, sim::SimConfig, workload, FaultPlan, HbRouteOrder, HyperButterflyNet,
-    ImplicitTopology, Injection, NetTopology, RouteCache, RouteTable,
+    Injection, NetTopology, RouteCache, RouteTable,
 };
 use std::hint::black_box;
 use std::time::Instant;
@@ -364,8 +364,8 @@ fn frontier_workload(nn: usize, cycles: u64, packets: usize) -> Vec<Injection> {
 }
 
 /// Frontier-engine scaling: the same ~2048-packet arithmetic workload
-/// run on the implicit algebraic topology (`SimConfig::implicit`) at
-/// node counts from 10^3 to over 10^6 (`HB(4, 4)` through `HB(7, 10)`).
+/// run on the graph-free [`HyperButterflyNet::implicit`] at node counts
+/// from 10^3 to over 10^6 (`HB(4, 4)` through `HB(7, 10)`).
 /// With the active-frontier worklist and sparse channel state, wall
 /// clock per cycle tracks *active packets*, not node count — the four
 /// rows document that cycles/sec stays in the same decade across three
@@ -378,9 +378,9 @@ pub fn frontier_scaling(cycles: u64, _seed: u64) -> Result<Vec<PerfRow>> {
     const PACKETS: usize = 2048;
     let mut rows = Vec::new();
     for (m, n) in SHAPES {
-        let t = ImplicitTopology::new(m, n, HbRouteOrder::CubeFirst)?;
+        let t = HyperButterflyNet::implicit(m, n, HbRouteOrder::CubeFirst)?;
         let inj = frontier_workload(t.num_nodes(), cycles, PACKETS);
-        let cfg = SimConfig::bounded(cycles * 40 + 10_000).with_implicit_topology(true);
+        let cfg = SimConfig::bounded(cycles * 40 + 10_000);
         let start = Instant::now();
         let stats = run(&t, &inj, cfg);
         let wall = start.elapsed().as_secs_f64();

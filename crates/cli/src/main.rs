@@ -17,7 +17,7 @@ use hb_core::{decompose, embed, fault_routing, metrics, routing, HyperButterfly}
 use hb_distributed::election;
 use hb_graphs::embedding::{validate_cycle, validate_tree_embedding, Embedding};
 use hb_graphs::generators;
-use hb_netsim::topology::{HbRouteOrder, HyperButterflyNet, ImplicitTopology, NetTopology};
+use hb_netsim::topology::{HbRouteOrder, HyperButterflyNet};
 use hb_netsim::{
     run, run_adaptive, run_adaptive_with_timeline, run_with_faults, run_with_mem,
     run_with_timeline, sim::SimConfig, workload, FaultPlan, FaultTarget, FaultTimeline,
@@ -173,15 +173,12 @@ fn dispatch(cmd: Command) -> Result<(), Box<dyn std::error::Error>> {
         } => {
             // `--implicit` computes adjacency and routes algebraically —
             // no graph arrays — so million-node shapes construct in O(1).
-            let explicit_net;
-            let implicit_net;
-            let (t, hb): (&dyn NetTopology, &HyperButterfly) = if implicit {
-                implicit_net = ImplicitTopology::new(m, n, HbRouteOrder::CubeFirst)?;
-                (&implicit_net, implicit_net.topology())
+            let net = if implicit {
+                HyperButterflyNet::implicit(m, n, HbRouteOrder::CubeFirst)?
             } else {
-                explicit_net = HyperButterflyNet::new(m, n, HbRouteOrder::CubeFirst)?;
-                (&explicit_net, explicit_net.topology())
+                HyperButterflyNet::new(m, n, HbRouteOrder::CubeFirst)?
             };
+            let hb = net.topology();
             let nn = hb.num_nodes();
             for &f in &faults {
                 check_index(hb, f)?;
@@ -237,28 +234,27 @@ fn dispatch(cmd: Command) -> Result<(), Box<dyn std::error::Error>> {
             let mut cfg = SimConfig::bounded(cycles * 100 + 50_000)
                 .with_threads(threads)
                 .with_shard_telemetry(shard_stats)
-                .with_profile(profile)
-                .with_implicit_topology(implicit);
+                .with_profile(profile);
             if let Some(t) = &tel {
                 cfg = cfg.with_telemetry(t.clone());
             }
             let mut mem = None;
             let stats = if let Some(tl) = &timeline {
                 if adaptive {
-                    run_adaptive_with_timeline(t, &inj, cfg, &plan, tl)
+                    run_adaptive_with_timeline(&net, &inj, cfg, &plan, tl)
                 } else {
-                    run_with_timeline(t, &inj, cfg, &plan, tl, sampling)
+                    run_with_timeline(&net, &inj, cfg, &plan, tl, sampling)
                 }
             } else if flight {
-                run_with_faults(t, &inj, cfg, &plan, sampling)
+                run_with_faults(&net, &inj, cfg, &plan, sampling)
             } else if adaptive {
-                run_adaptive(t, &inj, cfg)
+                run_adaptive(&net, &inj, cfg)
             } else if implicit && threads <= 1 {
-                let (stats, m) = run_with_mem(t, &inj, cfg);
+                let (stats, m) = run_with_mem(&net, &inj, cfg);
                 mem = Some(m);
                 stats
             } else {
-                run(t, &inj, cfg)
+                run(&net, &inj, cfg)
             };
             println!(
                 "HB({m}, {n}) uniform rate {rate} for {cycles} cycles ({}):",

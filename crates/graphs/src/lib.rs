@@ -7,7 +7,7 @@
 //! * [`graph::Graph`] — CSR simple undirected graphs with validated
 //!   construction from edge lists or neighbor functions;
 //! * [`traverse`] — BFS / DFS / components / fault-avoiding search;
-//! * [`shortest`] — parallel APSP, eccentricities, diameter, distance
+//! * [`shortest`] — APSP, eccentricities, diameter, distance
 //!   distribution statistics;
 //! * [`flow`] — Dinic max-flow;
 //! * [`connectivity`] — exact vertex/edge connectivity and maximum families

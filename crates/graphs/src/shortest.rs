@@ -1,13 +1,11 @@
 //! All-pairs shortest-path utilities: eccentricities, diameter, average
 //! distance, and distance histograms.
 //!
-//! Everything here is BFS-based (all topologies are unweighted) and
-//! parallelised with Rayon over sources, because regenerating the paper's
+//! Everything here is BFS-based (all topologies are unweighted) and runs
+//! one BFS per source on the calling thread. Regenerating the paper's
 //! comparison tables means computing diameters of graphs with up to
 //! `16384` nodes, and verifying routing optimality means sweeping many
 //! sources.
-
-use rayon::prelude::*;
 
 use crate::error::{GraphError, Result};
 use crate::graph::{Graph, NodeId};
@@ -29,18 +27,16 @@ pub fn eccentricity(g: &Graph, v: NodeId) -> Result<u32> {
     Ok(ecc)
 }
 
-/// Exact diameter by parallel BFS from every node.
+/// Exact diameter by BFS from every node.
 ///
 /// # Errors
 /// [`GraphError::Disconnected`] for disconnected input.
 pub fn diameter(g: &Graph) -> Result<u32> {
-    if g.num_nodes() == 0 {
-        return Ok(0);
+    let mut diam = 0;
+    for v in g.nodes() {
+        diam = diam.max(eccentricity(g, v)?);
     }
-    (0..g.num_nodes())
-        .into_par_iter()
-        .map(|v| eccentricity(g, v))
-        .try_reduce(|| 0, |a, b| Ok(a.max(b)))
+    Ok(diam)
 }
 
 /// Diameter of a vertex-transitive graph: every node has the same
@@ -67,7 +63,7 @@ pub struct DistanceStats {
     pub histogram: Vec<u64>,
 }
 
-/// Computes the full distance distribution by parallel BFS from all sources.
+/// Computes the full distance distribution by BFS from all sources.
 ///
 /// # Errors
 /// [`GraphError::Disconnected`] for disconnected input.
@@ -76,60 +72,30 @@ pub fn distance_stats(g: &Graph) -> Result<DistanceStats> {
     if n == 0 {
         return Err(GraphError::InvalidParameter("empty graph".into()));
     }
-    struct Acc {
-        ecc_max: u32,
-        ecc_min: u32,
-        hist: Vec<u64>,
-    }
-    let acc = (0..n)
-        .into_par_iter()
-        .map(|v| -> Result<Acc> {
-            let tree = bfs(g, v);
-            let mut ecc = 0u32;
-            let mut hist = Vec::new();
-            for &d in &tree.dist {
-                if d == UNREACHABLE {
-                    return Err(GraphError::Disconnected);
-                }
-                ecc = ecc.max(d);
-                if hist.len() <= d as usize {
-                    hist.resize(d as usize + 1, 0u64);
-                }
-                hist[d as usize] += 1;
+    let (mut ecc_max, mut ecc_min) = (0u32, u32::MAX);
+    let mut hist: Vec<u64> = Vec::new();
+    for v in 0..n {
+        let tree = bfs(g, v);
+        let mut ecc = 0u32;
+        for &d in &tree.dist {
+            if d == UNREACHABLE {
+                return Err(GraphError::Disconnected);
             }
-            Ok(Acc {
-                ecc_max: ecc,
-                ecc_min: ecc,
-                hist,
-            })
-        })
-        .try_reduce(
-            || Acc {
-                ecc_max: 0,
-                ecc_min: u32::MAX,
-                hist: Vec::new(),
-            },
-            |mut a, b| {
-                a.ecc_max = a.ecc_max.max(b.ecc_max);
-                a.ecc_min = a.ecc_min.min(b.ecc_min);
-                if a.hist.len() < b.hist.len() {
-                    a.hist.resize(b.hist.len(), 0);
-                }
-                for (slot, x) in a.hist.iter_mut().zip(b.hist.iter()) {
-                    *slot += x;
-                }
-                Ok(a)
-            },
-        )?;
-    let mut hist = acc.hist;
-    if !hist.is_empty() {
-        hist[0] = 0; // drop the n self-pairs
+            ecc = ecc.max(d);
+            if hist.len() <= d as usize {
+                hist.resize(d as usize + 1, 0);
+            }
+            hist[d as usize] += 1;
+        }
+        ecc_max = ecc_max.max(ecc);
+        ecc_min = ecc_min.min(ecc);
     }
+    hist[0] = 0; // drop the n self-pairs
     let pairs: u64 = hist.iter().sum();
     let weighted: u64 = hist.iter().enumerate().map(|(d, &c)| d as u64 * c).sum();
     Ok(DistanceStats {
-        diameter: acc.ecc_max,
-        radius: acc.ecc_min,
+        diameter: ecc_max,
+        radius: ecc_min,
         mean: if pairs == 0 {
             0.0
         } else {
@@ -146,28 +112,21 @@ pub fn distance_stats(g: &Graph) -> Result<DistanceStats> {
 /// This measures the paper's Theorem-5 promise in its sharpest form: the
 /// fault diameter of a maximally fault tolerant network degrades
 /// gracefully (for `HB(m, n)` the Theorem-5 path lengths bound it by
-/// `max(m,2) + diam(B_n) + 2`). `O(V^2 (V + E))`, parallel over faults —
-/// use on small/medium instances.
+/// `max(m,2) + diam(B_n) + 2`). `O(V^2 (V + E))` — use on small/medium
+/// instances.
 pub fn single_fault_diameter(g: &Graph) -> Option<u32> {
     let n = g.num_nodes();
     if n <= 2 {
         return None;
     }
-    (0..n)
-        .into_par_iter()
-        .map(|f| {
-            let mut keep = vec![true; n];
-            keep[f] = false;
-            let (sub, _) = g.induced_subgraph(&keep);
-            diameter(&sub).ok()
-        })
-        .reduce(
-            || Some(0),
-            |a, b| match (a, b) {
-                (Some(x), Some(y)) => Some(x.max(y)),
-                _ => None,
-            },
-        )
+    let mut worst = 0;
+    for f in 0..n {
+        let mut keep = vec![true; n];
+        keep[f] = false;
+        let (sub, _) = g.induced_subgraph(&keep);
+        worst = worst.max(diameter(&sub).ok()?);
+    }
+    Some(worst)
 }
 
 #[cfg(test)]

@@ -13,14 +13,13 @@
 use hb_graphs::{traverse, Graph, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Why a link is unusable — the interned, `Copy` form of detour
 /// attribution. Route tables and snapshots store this 2-word value
-/// instead of an owned `String`; rendering via `Display` reproduces the
-/// exact strings [`FaultPlan::link_fault_reason`] has always emitted, so
-/// trace attributes stay byte-identical.
+/// instead of an owned `String`; rendering via `Display` produces the
+/// trace attribute strings (`node 3 faulty`,
+/// `link 2-7 faulty (event 1)`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum FaultReason {
     /// The named node is down (taking every incident link with it).
@@ -204,44 +203,14 @@ impl FaultPlan {
         }
     }
 
-    /// Why the link `{u, v}` is unusable, rendered as an owned string
-    /// (`None` when it is healthy). Compatibility wrapper over
-    /// [`Self::link_fault_id`].
-    pub fn link_fault_reason(&self, u: NodeId, v: NodeId) -> Option<String> {
-        self.link_fault_id(u, v).map(|r| r.to_string())
-    }
-
-    /// Per-node *fault-adjacency* mask over `g`: a node is hot when it
-    /// is faulty, neighbors a faulty node, or is an endpoint of a cut
-    /// link. A link is **faulty-adjacent** iff either endpoint is hot —
-    /// the sampling predicate of the flight recorder ("record every
-    /// packet that flies near a fault").
-    pub fn hot_nodes(&self, g: &Graph) -> Vec<bool> {
-        let mut hot = vec![false; g.num_nodes()];
-        for &v in &self.nodes {
-            if v < hot.len() {
-                hot[v] = true;
-                for &w in g.neighbors(v) {
-                    hot[w as usize] = true;
-                }
-            }
-        }
-        for &(u, v) in &self.links {
-            if u < hot.len() {
-                hot[u] = true;
-            }
-            if v < hot.len() {
-                hot[v] = true;
-            }
-        }
-        hot
-    }
-
-    /// Graph-free counterpart of [`FaultPlan::hot_nodes`]: the same
-    /// fault-adjacency predicate as a sparse set holding **only** the
-    /// hot node ids — O(faults × degree) memory, independent of
-    /// topology size. Neighbor enumeration goes through
-    /// [`crate::topology::NetTopology::neighbors_into`], so implicit
+    /// The *fault-adjacent* nodes of `topo`: a node is hot when it is
+    /// faulty, neighbors a faulty node, or is an endpoint of a cut link.
+    /// A link is **faulty-adjacent** iff either endpoint is hot — the
+    /// sampling predicate of the flight recorder ("record every packet
+    /// that flies near a fault"). The set holds **only** the hot node
+    /// ids — O(faults × degree) memory, independent of topology size.
+    /// Without a materialised graph, neighbor enumeration goes through
+    /// [`crate::topology::NetTopology::neighbors_into`], so graph-free
     /// million-node topologies never materialise an adjacency array.
     pub fn hot_node_set(&self, topo: &dyn crate::topology::NetTopology) -> BTreeSet<NodeId> {
         let n = topo.num_nodes();
@@ -455,7 +424,8 @@ pub struct FaultTrialStats {
 
 /// Samples `trials` random fault sets of the given size and measures
 /// survivor connectivity plus reachability of `pair_samples` random
-/// survivor pairs per trial. Trials run in parallel.
+/// survivor pairs per trial. Each trial seeds its own generator from
+/// `seed` and its index, so trials are independent of one another.
 pub fn random_fault_trials(
     g: &Graph,
     faults: usize,
@@ -466,7 +436,6 @@ pub fn random_fault_trials(
     let n = g.num_nodes();
     assert!(faults < n, "cannot fault every node");
     let results: Vec<(bool, f64)> = (0..trials)
-        .into_par_iter()
         .map(|t| {
             let mut rng = StdRng::seed_from_u64(seed ^ (t as u64).wrapping_mul(0x9E37_79B9));
             let mut keep = vec![true; n];
@@ -534,7 +503,6 @@ pub fn adversarial_fault_trials(
         .expect("invariant: topologies have at least one node");
     let victims: Vec<NodeId> = (0..n).filter(|&v| g.degree(v) == min_deg).collect();
     let results: Vec<bool> = (0..trials)
-        .into_par_iter()
         .map(|t| {
             let mut rng = StdRng::seed_from_u64(seed ^ (t as u64).wrapping_mul(0x51ED_270B));
             let victim = victims[rng.random_range(0..victims.len())];
@@ -575,7 +543,6 @@ pub fn adversarial_link_trials(
         .expect("invariant: topologies have at least one node");
     let victims: Vec<NodeId> = (0..n).filter(|&v| g.degree(v) == min_deg).collect();
     let results: Vec<bool> = (0..trials)
-        .into_par_iter()
         .map(|t| {
             let mut rng = StdRng::seed_from_u64(seed ^ (t as u64).wrapping_mul(0x6A09_E667));
             let victim = victims[rng.random_range(0..victims.len())];
@@ -614,7 +581,6 @@ pub fn survivor_fragility(g: &Graph, faults: usize, trials: usize, seed: u64) ->
     let n = g.num_nodes();
     assert!(faults < n);
     let total: usize = (0..trials)
-        .into_par_iter()
         .map(|t| {
             let mut rng = StdRng::seed_from_u64(seed ^ (t as u64).wrapping_mul(0xA24B_AED4));
             let mut keep = vec![true; n];
@@ -641,14 +607,11 @@ pub fn exhaustive_fault_check(g: &Graph, faults: usize) -> Option<u64> {
     let n = g.num_nodes();
     match faults {
         1 => {
-            let ok = (0..n)
-                .into_par_iter()
-                .all(|f| traverse::is_connected_avoiding(g, &[f]));
+            let ok = (0..n).all(|f| traverse::is_connected_avoiding(g, &[f]));
             ok.then_some(n as u64)
         }
         2 => {
             let ok = (0..n)
-                .into_par_iter()
                 .all(|f1| (f1 + 1..n).all(|f2| traverse::is_connected_avoiding(g, &[f1, f2])));
             ok.then_some((n * (n - 1) / 2) as u64)
         }
@@ -767,9 +730,12 @@ mod tests {
         // … or by a down endpoint.
         assert!(p.is_link_faulty(3, 9));
         assert!(!p.is_link_faulty(4, 5));
-        assert_eq!(p.link_fault_reason(4, 5), None);
-        assert_eq!(p.link_fault_reason(2, 7).unwrap(), "link 2-7 faulty");
-        assert_eq!(p.link_fault_reason(9, 3).unwrap(), "node 3 faulty");
+        assert_eq!(p.link_fault_id(4, 5), None);
+        assert_eq!(
+            p.link_fault_id(2, 7).unwrap().to_string(),
+            "link 2-7 faulty"
+        );
+        assert_eq!(p.link_fault_id(9, 3).unwrap().to_string(), "node 3 faulty");
     }
 
     #[test]
@@ -784,13 +750,6 @@ mod tests {
         assert_eq!(p.link_fault_id(3, 9), Some(FaultReason::Node(9)));
         assert_eq!(p.link_fault_id(9, 3), Some(FaultReason::Node(3)));
         assert_eq!(p.link_fault_id(4, 5), None);
-        // Display matches the string API byte for byte.
-        for (u, v) in [(7, 2), (3, 9), (9, 3)] {
-            assert_eq!(
-                p.link_fault_id(u, v).map(|r| r.to_string()),
-                p.link_fault_reason(u, v)
-            );
-        }
         assert_eq!(FaultReason::Node(3).to_string(), "node 3 faulty");
         assert_eq!(FaultReason::Link(2, 7).to_string(), "link 2-7 faulty");
     }
@@ -822,7 +781,7 @@ mod tests {
         assert_eq!(p.link_fault_id(2, 7), Some(FaultReason::LinkAt(2, 7, 2)));
         assert_eq!(p.link_fault_id(9, 3), Some(FaultReason::NodeAt(3, 1)));
         assert_eq!(
-            p.link_fault_reason(9, 3).unwrap(),
+            p.link_fault_id(9, 3).unwrap().to_string(),
             "node 3 faulty (event 1)"
         );
         // Attribution participates in plan equality: an event-injected
@@ -897,17 +856,20 @@ mod tests {
 
     #[test]
     fn hot_nodes_cover_fault_neighborhoods() {
-        let hb = HyperButterfly::new(1, 3).unwrap();
-        let g = hb.build_graph().unwrap();
+        use crate::topology::{HbRouteOrder, HyperButterflyNet, NetTopology};
+        let t = HyperButterflyNet::new(1, 3, HbRouteOrder::CubeFirst).unwrap();
+        let g = t.graph();
         let p = FaultPlan::from_sets([0], [(5, 6)]);
-        let hot = p.hot_nodes(&g);
-        assert!(hot[0]);
+        let hot = p.hot_node_set(&t);
+        assert!(hot.contains(&0));
         for &w in g.neighbors(0) {
-            assert!(hot[w as usize]);
+            assert!(hot.contains(&(w as usize)));
         }
-        assert!(hot[5] && hot[6]);
-        let n_hot = hot.iter().filter(|&&h| h).count();
-        assert!(n_hot < g.num_nodes(), "faults must stay local");
+        assert!(hot.contains(&5) && hot.contains(&6));
+        assert!(hot.len() < g.num_nodes(), "faults must stay local");
+        // The graph-free adapter enumerates the same neighborhoods.
+        let imp = HyperButterflyNet::implicit(1, 3, HbRouteOrder::CubeFirst).unwrap();
+        assert_eq!(p.hot_node_set(&imp), hot);
     }
 
     #[test]

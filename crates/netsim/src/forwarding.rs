@@ -8,9 +8,8 @@
 //! graph with a symmetric router should be nearly uniform, while the
 //! hyper-deBruijn's irregular nodes concentrate routes.
 
+use crate::sim::channel_offsets;
 use crate::topology::NetTopology;
-use hb_telemetry::{Profile, Telemetry};
-use rayon::prelude::*;
 
 /// Forwarding-index statistics for one topology + router.
 #[derive(Clone, Debug, PartialEq)]
@@ -30,64 +29,32 @@ pub struct ForwardingReport {
 }
 
 /// Computes the forwarding index under the topology's own router, over
-/// all ordered pairs of distinct nodes. Parallelised over sources.
+/// all ordered pairs of distinct nodes, one source at a time on the
+/// calling thread.
 pub fn edge_forwarding_index(topo: &dyn NetTopology) -> ForwardingReport {
-    edge_forwarding_index_with(topo, None)
-}
-
-/// [`edge_forwarding_index`] with optional work attribution: when a
-/// telemetry handle is given, records the `forwarding/route_scan` phase
-/// (one invocation per ordered pair, one work unit per channel crossing)
-/// into its profile. The totals are a pure function of the topology, so
-/// the profile is identical at every rayon thread count.
-pub fn edge_forwarding_index_with(
-    topo: &dyn NetTopology,
-    tel: Option<&Telemetry>,
-) -> ForwardingReport {
     let g = topo.graph();
     let n = g.num_nodes();
-    let mut offsets = Vec::with_capacity(n + 1);
-    offsets.push(0usize);
-    for v in 0..n {
-        offsets.push(offsets[v] + g.degree(v));
-    }
+    let offsets = channel_offsets(g);
     let channels = offsets[n];
 
-    let counts: Vec<u64> = (0..n)
-        .into_par_iter()
-        .map(|src| {
-            let mut local = vec![0u64; channels];
-            for dst in 0..n {
-                if dst == src {
-                    continue;
-                }
-                let route = topo.route(src, dst);
-                for w in route.windows(2) {
-                    let port = g
-                        .neighbors(w[0])
-                        .binary_search(&(w[1] as u32))
-                        .expect("invariant: route steps are edges of the topology");
-                    local[offsets[w[0]] + port] += 1;
-                }
+    let mut counts = vec![0u64; channels];
+    for src in 0..n {
+        for dst in 0..n {
+            if dst == src {
+                continue;
             }
-            local
-        })
-        .reduce(
-            || vec![0u64; channels],
-            |mut a, b| {
-                for (x, y) in a.iter_mut().zip(b) {
-                    *x += y;
-                }
-                a
-            },
-        );
+            let route = topo.route(src, dst);
+            for w in route.windows(2) {
+                let port = g
+                    .neighbors(w[0])
+                    .binary_search(&(w[1] as u32))
+                    .expect("invariant: route steps are edges of the topology");
+                counts[offsets[w[0]] + port] += 1;
+            }
+        }
+    }
 
     let total: u64 = counts.iter().sum();
-    if let Some(t) = tel {
-        let mut p = Profile::new();
-        p.record("forwarding/route_scan", (n as u64) * (n as u64 - 1), total);
-        t.merge_profile(&p);
-    }
     let mean = total as f64 / channels as f64;
     let var = counts
         .iter()
@@ -144,19 +111,5 @@ mod tests {
         // sum of Hamming distances = m * 2^(m-1) * 2^m ordered = 3*4*8=96.
         let total = (r.mean * r.channels as f64).round() as u64;
         assert_eq!(total, 96);
-    }
-
-    #[test]
-    fn profiled_forwarding_records_route_scan_phase() {
-        let t = HypercubeNet::new(3).unwrap();
-        let tel = Telemetry::summary();
-        let r = edge_forwarding_index_with(&t, Some(&tel));
-        let prof = tel.profile();
-        let scan = prof
-            .get("forwarding/route_scan")
-            .expect("phase was recorded");
-        assert_eq!(scan.invocations, r.pairs);
-        // Work units = total channel crossings (see the test above).
-        assert_eq!(scan.work, 96);
     }
 }

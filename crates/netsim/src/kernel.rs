@@ -542,7 +542,8 @@ pub(crate) struct RunCtx<'a> {
     pub(crate) injections: &'a [Injection],
     pub(crate) cfg: &'a SimConfig,
     pub(crate) layout: ChanLayout<'a>,
-    /// Sparse (lazily materialised) channel store.
+    /// Sparse (lazily materialised) channel store, exactly when the
+    /// topology has no materialised graph.
     pub(crate) sparse: bool,
     /// Channel id -> (tail, head); materialised only with telemetry on
     /// (the million-node perf path runs telemetry-off and never pays
@@ -562,7 +563,7 @@ impl<'a> RunCtx<'a> {
             injections.windows(2).all(|w| w[0].at <= w[1].at),
             "injections must be sorted by cycle"
         );
-        let layout = ChanLayout::new(topo, cfg.implicit);
+        let layout = ChanLayout::new(topo);
         let ends = if cfg.telemetry.is_some() {
             layout.endpoints()
         } else {
@@ -572,7 +573,7 @@ impl<'a> RunCtx<'a> {
             topo,
             injections,
             cfg,
-            sparse: cfg.implicit || topo.explicit_graph().is_none(),
+            sparse: topo.explicit_graph().is_none(),
             layout,
             ends,
         }
@@ -1068,7 +1069,7 @@ pub(crate) fn drive_serial<R: RoutePolicy, D: Discipline>(
             g.record(cycle, &sample);
         }
         cycle += 1;
-        if ctx.cfg.stop_when_drained && sample.in_flight == 0 && k.next == ctx.injections.len() {
+        if sample.in_flight == 0 && k.next == ctx.injections.len() {
             break;
         }
     }

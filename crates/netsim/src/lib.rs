@@ -7,7 +7,10 @@
 //!
 //! * [`topology`] — a uniform adapter over `H_m`, `B_n`, `HD(m, n)`, and
 //!   `HB(m, n)` with each topology's own oblivious router (including the
-//!   hyper-butterfly's two routing orders for the ablation);
+//!   hyper-butterfly's two routing orders for the ablation). `HB(m, n)`
+//!   comes materialised ([`HyperButterflyNet::new`]) or graph-free
+//!   ([`HyperButterflyNet::implicit`], million-node shapes); whether a
+//!   topology owns a graph is what picks dense or sparse channel state;
 //! * [`sim`] — the run entry points (source or adaptive routing, per-
 //!   channel FIFOs, 1 packet/channel/cycle), all on one cycle kernel;
 //! * [`workload`] — uniform / permutation / hotspot / bit-complement
@@ -59,6 +62,6 @@ pub use sim::{
     run, run_adaptive, run_bounded, run_with_mem, Injection, MemStats, SimConfig, SimStats,
 };
 pub use topology::{
-    ButterflyNet, HbRouteOrder, HyperButterflyNet, HyperDeBruijnNet, HypercubeNet,
-    ImplicitTopology, NetTopology, MAX_PRODUCTIVE,
+    ButterflyNet, HbRouteOrder, HyperButterflyNet, HyperDeBruijnNet, HypercubeNet, NetTopology,
+    MAX_PRODUCTIVE,
 };

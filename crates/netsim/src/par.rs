@@ -105,7 +105,7 @@ fn shard_of(chan_lo: &[usize], ch: usize) -> usize {
 /// `s` workers: `node_lo[k]` is the first node whose first channel
 /// reaches `k/s` of the channel total. Both layouts number channels
 /// identically, so they cut at identical points — a prerequisite for
-/// implicit-mode parallel runs matching explicit ones byte for byte.
+/// graph-free parallel runs matching materialised ones byte for byte.
 fn shard_boundaries(layout: &ChanLayout<'_>, n: usize, s: usize) -> Vec<usize> {
     let num_channels = layout.num_channels();
     let mut node_lo = vec![0usize; s + 1];
@@ -228,7 +228,6 @@ pub(crate) fn run_sharded(ctx: &RunCtx<'_>, route: SourceRouted<'_>) -> SimStats
 
 fn drive_shard(ex: &Exchange<'_>, k: usize) -> ShardOut {
     let s = ex.chan_lo.len() - 1;
-    let cfg = ex.ctx.cfg;
     let port = ShardPort {
         k,
         chan_lo: ex.chan_lo,
@@ -249,7 +248,7 @@ fn drive_shard(ex: &Exchange<'_>, k: usize) -> ShardOut {
         .map(|c| GlobalTs::new(c, ex.route.faults));
     let mut mailbox = ts.filter(|_| ex.shard_telemetry).map(Series::new);
     let mut cycle = 0u64;
-    while cycle < cfg.max_cycles {
+    while cycle < ex.ctx.cfg.max_cycles {
         // ---- phase A: one kernel step, then post movers and samples ----
         let sample = kernel.step(cycle);
         kernel
@@ -270,9 +269,7 @@ fn drive_shard(ex: &Exchange<'_>, k: usize) -> ShardOut {
         for shard in &ex.samples {
             total.absorb(&lock(shard));
         }
-        let drained = cfg.stop_when_drained
-            && kernel.consumed() == ex.ctx.injections.len()
-            && total.in_flight == 0;
+        let drained = kernel.consumed() == ex.ctx.injections.len() && total.in_flight == 0;
         if let Some(gt) = globals.as_mut() {
             gt.record(cycle, &total);
         }
@@ -339,11 +336,12 @@ mod tests {
     #[test]
     fn shard_boundaries_are_node_aligned_and_cover_all_channels() {
         let t = HyperButterflyNet::new(2, 3, HbRouteOrder::CubeFirst).unwrap();
+        let imp = HyperButterflyNet::implicit(2, 3, HbRouteOrder::CubeFirst).unwrap();
         let g = t.graph();
         let offsets = channel_offsets(g);
         let n = g.num_nodes();
-        let csr = ChanLayout::new(&t, false);
-        let uniform = ChanLayout::new(&t, true);
+        let csr = ChanLayout::new(&t);
+        let uniform = ChanLayout::new(&imp);
         for s in [1, 2, 3, 4, 7, 16] {
             let node_lo = shard_boundaries(&csr, n, s);
             assert_eq!(

@@ -300,8 +300,6 @@ pub struct RouteTable {
     cols: Vec<u32>,
     /// Slot of the route for the matching `cols` entry.
     slots: Vec<u32>,
-    /// Pairs with no survivor route under the plan.
-    unroutable_pairs: u64,
 }
 
 impl RouteTable {
@@ -322,7 +320,6 @@ impl RouteTable {
         // topology's node count (implicit million-node shapes never pay
         // for a dense per-node index).
         let mut rows: BTreeMap<u32, Vec<(u32, u32)>> = BTreeMap::new();
-        let mut unroutable_pairs = 0u64;
         for (src, dst) in pairs {
             let key = (
                 u32::try_from(src).expect("invariant: node ids fit u32"),
@@ -333,11 +330,7 @@ impl RouteTable {
                 Ok(_) => continue, // duplicate pair, first slot wins
                 Err(at) => at,
             };
-            let planned = plan_route(topo, src, dst, plan);
-            if planned.is_none() {
-                unroutable_pairs += 1;
-            }
-            let slot = arena.push(planned);
+            let slot = arena.push(plan_route(topo, src, dst, plan));
             row.insert(at, (key.1, slot));
         }
         let mut srcs = Vec::with_capacity(rows.len());
@@ -359,7 +352,6 @@ impl RouteTable {
             row_offsets,
             cols,
             slots,
-            unroutable_pairs,
         }
     }
 
@@ -419,12 +411,6 @@ impl RouteTable {
     #[must_use]
     pub fn total_route_nodes(&self) -> usize {
         self.arena.nodes.len()
-    }
-
-    /// Pairs with no survivor route under the plan.
-    #[must_use]
-    pub fn unroutable_pairs(&self) -> u64 {
-        self.unroutable_pairs
     }
 
     /// Approximate heap footprint in bytes (same convention as
@@ -862,7 +848,6 @@ mod tests {
         let pairs: Vec<_> = (0..n).map(|v| (v, (v * 7 + 3) % n)).collect();
         let table = RouteTable::build(&t, pairs.iter().copied(), &FaultPlan::new());
         assert_eq!(table.num_pairs(), pairs.len());
-        assert_eq!(table.unroutable_pairs(), 0);
         for &(src, dst) in &pairs {
             let slot = table.slot(src, dst).unwrap();
             let expect: Vec<u32> = t.route(src, dst).iter().map(|&v| v as u32).collect();
@@ -937,12 +922,11 @@ mod tests {
     }
 
     #[test]
-    fn unroutable_pairs_have_empty_paths() {
+    fn unroutable_pair_has_an_empty_path() {
         let t = HypercubeNet::new(3).unwrap();
         let mut plan = FaultPlan::new();
         plan.add_link(7, 3).add_link(7, 5).add_link(7, 6); // isolate 7
         let table = RouteTable::build(&t, [(0, 7), (0, 2)], &plan);
-        assert_eq!(table.unroutable_pairs(), 1);
         assert!(table.path(table.slot(0, 7).unwrap()).is_empty());
         assert!(!table.path(table.slot(0, 2).unwrap()).is_empty());
     }

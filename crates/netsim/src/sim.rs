@@ -89,10 +89,9 @@ pub struct SimStats {
 /// Simulator configuration.
 #[derive(Clone, Debug)]
 pub struct SimConfig {
-    /// Hard stop, even if packets remain in flight.
+    /// Hard stop, even if packets remain in flight. Every run also stops
+    /// early once all offered packets are delivered.
     pub max_cycles: u64,
-    /// Stop early once all offered packets are delivered.
-    pub stop_when_drained: bool,
     /// Optional observability sink. `None` (the default) records nothing
     /// and costs nothing: the returned [`SimStats`] are identical with
     /// and without a handle attached. Histograms cover routed packets
@@ -125,35 +124,22 @@ pub struct SimConfig {
     /// counts**. No-op without a telemetry handle. Hot loops count into
     /// plain locals, so the steady state stays allocation-free.
     pub profile: bool,
-    /// Force the **implicit/frontier** storage mode: per-channel queues
-    /// are materialised lazily in a sparse [`crate::pool::ChannelMap`]
-    /// keyed by touched channel, and (for uniform-degree topologies) the
-    /// channel layout is computed arithmetically instead of from CSR
-    /// adjacency. Results are byte-identical to the dense mode — the
-    /// engines drain the same sorted active worklist either way — but
-    /// memory is proportional to concurrently busy channels, not to the
-    /// topology's channel count. Topologies without a materialised graph
-    /// ([`crate::topology::ImplicitTopology`]) use this mode regardless
-    /// of the flag.
-    pub implicit: bool,
 }
 
 impl Default for SimConfig {
     fn default() -> Self {
         Self {
             max_cycles: 100_000,
-            stop_when_drained: true,
             telemetry: None,
             threads: 1,
             shard_telemetry: false,
             profile: false,
-            implicit: false,
         }
     }
 }
 
 impl SimConfig {
-    /// A drain-stopping config with the given cycle cap and no telemetry.
+    /// A config with the given cycle cap and no telemetry.
     pub fn bounded(max_cycles: u64) -> Self {
         Self {
             max_cycles,
@@ -190,15 +176,6 @@ impl SimConfig {
         self.profile = on;
         self
     }
-
-    /// Forces the implicit/frontier storage mode (sparse lazily
-    /// materialised channel records, arithmetic channel layout). See
-    /// [`SimConfig::implicit`]; results are byte-identical either way.
-    #[must_use]
-    pub fn with_implicit_topology(mut self, on: bool) -> Self {
-        self.implicit = on;
-        self
-    }
 }
 
 /// CSR channel offsets for `g`: channel of `(u, port)` is
@@ -218,7 +195,7 @@ pub(crate) fn channel_offsets(g: &hb_graphs::Graph) -> Vec<usize> {
 /// adjacency degenerate to `offsets[v] = v * degree` on a uniform-degree
 /// graph, with ports in ascending neighbor order either way — so
 /// switching layouts never renumbers a channel, which is what keeps
-/// implicit-mode runs byte-identical to explicit ones.
+/// graph-free runs byte-identical to materialised ones.
 pub(crate) enum ChanLayout<'a> {
     /// CSR over the materialised graph's sorted adjacency: node `u`'s
     /// channels are `offsets[u]..offsets[u + 1]`, and `heads[ch]` is the
@@ -239,23 +216,21 @@ pub(crate) enum ChanLayout<'a> {
 }
 
 impl<'a> ChanLayout<'a> {
-    /// Picks the layout for `topo`: arithmetic when the runner is in
-    /// implicit mode (or the topology has no materialised graph) and the
-    /// degree is uniform; CSR otherwise.
-    pub(crate) fn new(topo: &'a dyn NetTopology, implicit: bool) -> Self {
-        if implicit || topo.explicit_graph().is_none() {
-            if let Some(degree) = topo.uniform_degree() {
-                return ChanLayout::Uniform {
-                    topo,
-                    num_nodes: topo.num_nodes(),
-                    degree,
-                };
-            }
-        }
-        let g = topo.graph();
-        ChanLayout::Csr {
-            offsets: channel_offsets(g),
-            heads: g.nodes().flat_map(|v| g.neighbors(v)).copied().collect(),
+    /// Picks the layout for `topo`: CSR over its materialised graph,
+    /// arithmetic when it has none.
+    pub(crate) fn new(topo: &'a dyn NetTopology) -> Self {
+        match topo.explicit_graph() {
+            Some(g) => ChanLayout::Csr {
+                offsets: channel_offsets(g),
+                heads: g.nodes().flat_map(|v| g.neighbors(v)).copied().collect(),
+            },
+            None => ChanLayout::Uniform {
+                topo,
+                num_nodes: topo.num_nodes(),
+                degree: topo
+                    .uniform_degree()
+                    .expect("invariant: graph-free topologies have a uniform degree"),
+            },
         }
     }
 

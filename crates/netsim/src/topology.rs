@@ -1,8 +1,9 @@
 //! Topology adapters: a uniform interface over the four networks so the
 //! simulator, workloads, and fault experiments are topology-agnostic.
 //!
-//! Every adapter owns its materialised CSR graph plus whatever routing
-//! state its algorithmic router needs; `route` returns the full node path
+//! Every adapter owns whatever routing state its algorithmic router
+//! needs, and all but the graph-free [`HyperButterflyNet::implicit`] own
+//! their materialised CSR graph; `route` returns the full node path
 //! (source routing — the packet carries its path), which is how the
 //! paper's oblivious routers operate.
 //!
@@ -33,14 +34,15 @@ pub trait NetTopology: Send + Sync {
     /// Number of nodes.
     fn num_nodes(&self) -> usize {
         self.explicit_graph()
-            .expect("invariant: implicit topologies override num_nodes")
+            .expect("invariant: graph-free topologies override num_nodes")
             .num_nodes()
     }
 
-    /// The materialised graph, if this adapter owns one. Implicit
+    /// The materialised graph, if this adapter owns one. Graph-free
     /// (algebraic) topologies return `None`; the simulators then derive
     /// the channel layout from [`Self::uniform_degree`] and
-    /// [`Self::neighbors_into`] instead of adjacency arrays.
+    /// [`Self::neighbors_into`] instead of adjacency arrays, and keep
+    /// channel state sparse. This answer alone decides the storage mode.
     fn explicit_graph(&self) -> Option<&Graph>;
 
     /// The materialised graph (used for channel layout and fault
@@ -52,11 +54,11 @@ pub trait NetTopology: Send + Sync {
     }
 
     /// Uniform degree, if every node has exactly this many neighbors.
-    /// A `Some` answer licenses the arithmetic channel layout
-    /// `channel(u, port) = u * degree + port` (ports in ascending
-    /// neighbor order), which matches the CSR layout of the materialised
-    /// graph exactly. `None` (the default) means the layout must come
-    /// from [`Self::explicit_graph`].
+    /// Graph-free topologies must answer `Some`: it licenses the
+    /// arithmetic channel layout `channel(u, port) = u * degree + port`
+    /// (ports in ascending neighbor order), which matches the CSR layout
+    /// of the materialised graph exactly. The default is `None`; the
+    /// engines consult this only when [`Self::explicit_graph`] is `None`.
     fn uniform_degree(&self) -> Option<usize> {
         None
     }
@@ -65,11 +67,11 @@ pub trait NetTopology: Send + Sync {
     /// order** (the same order as the materialised graph's sorted
     /// adjacency), returning how many were written. `buf` must hold at
     /// least [`MAX_PRODUCTIVE`] entries. The default reads the explicit
-    /// graph; implicit topologies override it with the Cayley generators.
+    /// graph; Cayley topologies override it with their generators.
     fn neighbors_into(&self, v: NodeId, buf: &mut [NodeId]) -> usize {
         let g = self
             .explicit_graph()
-            .expect("invariant: implicit topologies override neighbors_into");
+            .expect("invariant: graph-free topologies override neighbors_into");
         let adj = g.neighbors(v);
         for (k, &w) in adj.iter().enumerate() {
             buf[k] = w as NodeId;
@@ -114,24 +116,10 @@ pub trait NetTopology: Send + Sync {
     }
 }
 
-/// `Some(d)` when every node of `g` has exactly `d` neighbors — the
-/// check backing every adapter's [`NetTopology::uniform_degree`] claim
-/// (an unverified claim would silently desynchronise the arithmetic
-/// channel layout from the CSR one).
-fn uniform_degree_of(g: &Graph) -> Option<usize> {
-    let n = g.num_nodes();
-    if n == 0 {
-        return None;
-    }
-    let d = g.degree(0);
-    (1..n).all(|v| g.degree(v) == d).then_some(d)
-}
-
 /// Hypercube `H_m` with dimension-ordered (bit-fixing) routing.
 pub struct HypercubeNet {
     h: Hypercube,
     graph: Graph,
-    udeg: Option<usize>,
     name: String,
 }
 
@@ -142,10 +130,8 @@ impl HypercubeNet {
     /// Propagates construction failures.
     pub fn new(m: u32) -> Result<Self> {
         let h = Hypercube::new(m)?;
-        let graph = h.build_graph()?;
         Ok(Self {
-            udeg: uniform_degree_of(&graph),
-            graph,
+            graph: h.build_graph()?,
             name: format!("H({})", h.m()),
             h,
         })
@@ -158,9 +144,6 @@ impl NetTopology for HypercubeNet {
     }
     fn explicit_graph(&self) -> Option<&Graph> {
         Some(&self.graph)
-    }
-    fn uniform_degree(&self) -> Option<usize> {
-        self.udeg
     }
     fn route(&self, src: NodeId, dst: NodeId) -> Vec<NodeId> {
         hrouting::route(&self.h, src as u32, dst as u32)
@@ -192,7 +175,6 @@ impl NetTopology for HypercubeNet {
 pub struct ButterflyNet {
     b: Butterfly,
     graph: Graph,
-    udeg: Option<usize>,
     name: String,
 }
 
@@ -203,10 +185,8 @@ impl ButterflyNet {
     /// Propagates construction failures.
     pub fn new(n: u32) -> Result<Self> {
         let b = Butterfly::new(n)?;
-        let graph = b.build_graph()?;
         Ok(Self {
-            udeg: uniform_degree_of(&graph),
-            graph,
+            graph: b.build_graph()?,
             name: format!("B({})", b.n()),
             b,
         })
@@ -219,9 +199,6 @@ impl NetTopology for ButterflyNet {
     }
     fn explicit_graph(&self) -> Option<&Graph> {
         Some(&self.graph)
-    }
-    fn uniform_degree(&self) -> Option<usize> {
-        self.udeg
     }
     fn route(&self, src: NodeId, dst: NodeId) -> Vec<NodeId> {
         brouting::route(&self.b, self.b.node(src), self.b.node(dst))
@@ -260,29 +237,74 @@ pub enum HbRouteOrder {
 }
 
 /// Hyper-butterfly `HB(m, n)` with the paper's optimal two-leg router.
+///
+/// `HB(m, n)` is a Cayley graph (Theorem 1), so everything the simulator
+/// asks of a node follows from its label: the neighbors are the images of
+/// the `m + 4` generators (the `m` cube flips plus the four butterfly
+/// generators), and routes and productive hops come from the closed-form
+/// per-leg distance kernels (Remarks 6 and 8). The two constructors differ
+/// only in whether the CSR graph is also materialised:
+///
+/// * [`Self::new`] builds it, for the structural analyses and the dense
+///   engines (CSR channel layout, one queue per channel);
+/// * [`Self::implicit`] does not. Construction is O(1) in the
+///   `2^m · n · 2^n` nodes, and the engines then run on the arithmetic
+///   channel layout `u * (m + 4) + port` with sparse channel state, so
+///   million-node shapes cost memory proportional to the traffic actually
+///   touched.
+///
+/// The neighbor enumeration is sorted ascending, so ports — and therefore
+/// channel ids — agree exactly between the two layouts.
 pub struct HyperButterflyNet {
     hb: HyperButterfly,
-    graph: Graph,
-    udeg: Option<usize>,
     order: HbRouteOrder,
+    /// `None` for the graph-free adapter built by [`Self::implicit`].
+    graph: Option<Graph>,
     name: String,
 }
 
 impl HyperButterflyNet {
-    /// Builds the adapter.
+    /// Builds the adapter with its materialised graph.
     ///
     /// # Errors
     /// Propagates construction failures.
     pub fn new(m: u32, n: u32, order: HbRouteOrder) -> Result<Self> {
-        let hb = HyperButterfly::new(m, n)?;
-        let graph = hb.build_graph()?;
+        let t = Self::implicit(m, n, order)?;
         Ok(Self {
-            udeg: uniform_degree_of(&graph),
-            graph,
+            graph: Some(t.hb.build_graph()?),
+            ..t
+        })
+    }
+
+    /// Builds the graph-free adapter: no adjacency arrays, so
+    /// [`NetTopology::explicit_graph`] is `None` and the engines use the
+    /// arithmetic channel layout over sparse channel state.
+    ///
+    /// # Errors
+    /// Propagates core construction failures, and rejects shapes whose
+    /// generators coincide at a node (degree below `m + 4` would break
+    /// the arithmetic channel layout; all paper-relevant shapes with
+    /// `n >= 3` have distinct generators).
+    pub fn implicit(m: u32, n: u32, order: HbRouteOrder) -> Result<Self> {
+        let hb = HyperButterfly::new(m, n)?;
+        let t = Self {
             name: format!("HB({}, {})", hb.m(), hb.n()),
             hb,
             order,
-        })
+            graph: None,
+        };
+        // Cayley graphs are vertex-transitive, so checking one node
+        // suffices: if the m + 4 generator images are distinct at the
+        // identity they are distinct everywhere.
+        let degree = t.hb.degree() as usize;
+        let mut buf = [0 as NodeId; MAX_PRODUCTIVE];
+        let k = t.neighbors_into(0, &mut buf);
+        if k != degree || buf[..k].windows(2).any(|w| w[0] == w[1]) {
+            return Err(hb_graphs::GraphError::InvalidParameter(format!(
+                "HB({m}, {n}) needs {degree} distinct generator images, got {k}"
+            )));
+        }
+        Ok(t)
     }
 
     /// The wrapped topology.
@@ -295,121 +317,14 @@ impl NetTopology for HyperButterflyNet {
     fn name(&self) -> &str {
         &self.name
     }
-    fn explicit_graph(&self) -> Option<&Graph> {
-        Some(&self.graph)
-    }
-    fn uniform_degree(&self) -> Option<usize> {
-        self.udeg
-    }
-    fn route(&self, src: NodeId, dst: NodeId) -> Vec<NodeId> {
-        let u = self.hb.node(src);
-        let v = self.hb.node(dst);
-        let path: Vec<HbNode> = match self.order {
-            HbRouteOrder::CubeFirst => hbrouting::route(&self.hb, u, v),
-            HbRouteOrder::ButterflyFirst => hbrouting::route_butterfly_first(&self.hb, u, v),
-        };
-        path.into_iter().map(|x| self.hb.index(x)).collect()
-    }
-    fn productive_hops_into(&self, cur: NodeId, dst: NodeId, buf: &mut [NodeId]) -> usize {
-        // Remark 8 splits the distance per factor, so productivity is
-        // decided per leg: a cube neighbor is productive iff it fixes a
-        // differing dimension, a butterfly neighbor iff it lowers the
-        // butterfly closed-form distance. Enumeration order matches the
-        // graph layout: dimensions ascending, then generator order.
-        let u = self.hb.node(cur);
-        let v = self.hb.node(dst);
-        let mut k = 0;
-        let diff = u.h ^ v.h;
-        for dim in 0..self.hb.m() {
-            if diff >> dim & 1 == 1 {
-                buf[k] = self.hb.index(HbNode::new(u.h ^ (1 << dim), u.b));
-                k += 1;
-            }
-        }
-        let db = brouting::dist(u.b, v.b);
-        if db > 0 {
-            for wb in u.b.neighbors() {
-                if brouting::dist(wb, v.b) < db {
-                    buf[k] = self.hb.index(HbNode::new(u.h, wb));
-                    k += 1;
-                }
-            }
-        }
-        k
-    }
-}
-
-/// Hyper-butterfly `HB(m, n)` computed **implicitly** from the Cayley
-/// structure: no adjacency arrays, no materialised [`Graph`] — neighbors
-/// come from the generators, `next_hop`/`productive_hops_into` from the
-/// closed-form per-leg distance kernels (Remarks 6/8), and the channel
-/// layout from the uniform degree `m + 4`. Memory is O(1) regardless of
-/// `2^m · n · 2^n` nodes, which is what lets the frontier simulation
-/// engine run million-node shapes with state proportional to the traffic
-/// actually touched.
-///
-/// The neighbor enumeration is sorted ascending, so ports — and
-/// therefore channel ids — agree exactly with the CSR layout the
-/// explicit [`HyperButterflyNet`] adapter would produce.
-pub struct ImplicitTopology {
-    hb: HyperButterfly,
-    order: HbRouteOrder,
-    degree: usize,
-    num_nodes: usize,
-    name: String,
-}
-
-impl ImplicitTopology {
-    /// Builds the implicit adapter. Unlike [`HyperButterflyNet::new`]
-    /// this never materialises the graph — construction is O(1) in the
-    /// node count.
-    ///
-    /// # Errors
-    /// Propagates core construction failures, and rejects shapes whose
-    /// generators coincide at a node (degree below `m + 4` would break
-    /// the arithmetic channel layout; all paper-relevant shapes with
-    /// `n >= 3` have distinct generators).
-    pub fn new(m: u32, n: u32, order: HbRouteOrder) -> Result<Self> {
-        let hb = HyperButterfly::new(m, n)?;
-        let degree = hb.degree() as usize;
-        let t = Self {
-            num_nodes: hb.num_nodes(),
-            name: format!("HB({}, {})", hb.m(), hb.n()),
-            hb,
-            order,
-            degree,
-        };
-        // Cayley graphs are vertex-transitive, so checking one node
-        // suffices: if the m + 4 generator images are distinct at the
-        // identity they are distinct everywhere.
-        let mut buf = [0 as NodeId; MAX_PRODUCTIVE];
-        let k = t.neighbors_into(0, &mut buf);
-        if k != degree || buf[..k].windows(2).any(|w| w[0] == w[1]) {
-            return Err(hb_graphs::GraphError::InvalidParameter(format!(
-                "implicit HB({m}, {n}) needs {degree} distinct generator images, got {k}"
-            )));
-        }
-        Ok(t)
-    }
-
-    /// The wrapped topology.
-    pub fn topology(&self) -> &HyperButterfly {
-        &self.hb
-    }
-}
-
-impl NetTopology for ImplicitTopology {
-    fn name(&self) -> &str {
-        &self.name
-    }
     fn num_nodes(&self) -> usize {
-        self.num_nodes
+        self.hb.num_nodes()
     }
     fn explicit_graph(&self) -> Option<&Graph> {
-        None
+        self.graph.as_ref()
     }
     fn uniform_degree(&self) -> Option<usize> {
-        Some(self.degree)
+        Some(self.hb.degree() as usize)
     }
     fn neighbors_into(&self, v: NodeId, buf: &mut [NodeId]) -> usize {
         let u = self.hb.node(v);
@@ -435,9 +350,11 @@ impl NetTopology for ImplicitTopology {
         path.into_iter().map(|x| self.hb.index(x)).collect()
     }
     fn productive_hops_into(&self, cur: NodeId, dst: NodeId, buf: &mut [NodeId]) -> usize {
-        // Identical per-leg productivity test as the explicit adapter
-        // (Remark 8): cube neighbors fixing a differing dimension,
-        // butterfly neighbors lowering the closed-form distance.
+        // Remark 8 splits the distance per factor, so productivity is
+        // decided per leg: a cube neighbor is productive iff it fixes a
+        // differing dimension, a butterfly neighbor iff it lowers the
+        // butterfly closed-form distance. Enumeration order matches the
+        // graph layout: dimensions ascending, then generator order.
         let u = self.hb.node(cur);
         let v = self.hb.node(dst);
         let mut k = 0;
@@ -621,6 +538,12 @@ mod tests {
         assert_eq!(HypercubeNet::new(3).unwrap().name(), "H(3)");
         assert_eq!(
             HyperButterflyNet::new(2, 4, HbRouteOrder::CubeFirst)
+                .unwrap()
+                .name(),
+            "HB(2, 4)"
+        );
+        assert_eq!(
+            HyperButterflyNet::implicit(2, 4, HbRouteOrder::CubeFirst)
                 .unwrap()
                 .name(),
             "HB(2, 4)"

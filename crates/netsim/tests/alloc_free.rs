@@ -13,9 +13,7 @@
 //! This is the only test in this file: the global counting allocator
 //! must not race with unrelated tests.
 
-use hb_netsim::topology::{
-    HbRouteOrder, HyperButterflyNet, HypercubeNet, ImplicitTopology, NetTopology,
-};
+use hb_netsim::topology::{HbRouteOrder, HyperButterflyNet, HypercubeNet, NetTopology};
 use hb_netsim::{run, run_adaptive, Injection, SimConfig, SimStats};
 use hb_telemetry::Telemetry;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -94,7 +92,7 @@ fn run_waves(
     }
     match engine {
         Engine::Adaptive => count_allocs(|| run_adaptive(topo, &inj, cfg)),
-        Engine::Frontier => count_allocs(|| run(topo, &inj, cfg.with_implicit_topology(true))),
+        Engine::Frontier => count_allocs(|| run(topo, &inj, cfg)),
     }
 }
 
@@ -146,7 +144,7 @@ fn hot_loops_steady_state_are_allocation_free() {
     // Frontier engine over the implicit topology: the sparse channel
     // store's record recycling (materialise on touch, retire on drain)
     // must also settle to zero allocations per wave.
-    let imp = ImplicitTopology::new(2, 3, HbRouteOrder::CubeFirst).unwrap();
+    let imp = HyperButterflyNet::implicit(2, 3, HbRouteOrder::CubeFirst).unwrap();
     assert_steady_state_alloc_free(&imp, Engine::Frontier, false);
     assert_steady_state_alloc_free(&imp, Engine::Frontier, true);
 }

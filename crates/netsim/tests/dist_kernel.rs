@@ -4,15 +4,16 @@
 //! node pair of the small instances, and for property-sampled sources on
 //! the larger ones.
 //!
-//! The second half cross-checks [`ImplicitTopology`] — the graph-free
-//! algebraic adapter — against the materialised [`HyperButterflyNet`]:
+//! The second half cross-checks [`HyperButterflyNet::implicit`] — the
+//! graph-free algebraic adapter — against the materialised
+//! [`HyperButterflyNet::new`]:
 //! neighbor lists, routes, next hops, and productive-hop sets must match
 //! exactly, all-pairs on the small shapes and property-sampled up to
 //! `HB(2, 4)`, including end-to-end routing under fault plans.
 
 use hb_core::{routing as hbrouting, HyperButterfly};
 use hb_graphs::traverse;
-use hb_netsim::topology::{HbRouteOrder, HyperButterflyNet, ImplicitTopology, NetTopology};
+use hb_netsim::topology::{HbRouteOrder, HyperButterflyNet, NetTopology};
 use hb_netsim::{run_with_faults, workload, FaultPlan, SimConfig, TraceSampling, MAX_PRODUCTIVE};
 use proptest::prelude::*;
 
@@ -50,7 +51,7 @@ fn algebraic_dist_equals_bfs_on_hb_2_3_exhaustive() {
 /// productive-hop sets the adaptive router consumes.
 fn check_implicit_matches_explicit(m: u32, n: u32) {
     let exp = HyperButterflyNet::new(m, n, HbRouteOrder::CubeFirst).unwrap();
-    let imp = ImplicitTopology::new(m, n, HbRouteOrder::CubeFirst).unwrap();
+    let imp = HyperButterflyNet::implicit(m, n, HbRouteOrder::CubeFirst).unwrap();
     let nn = exp.num_nodes();
     assert_eq!(imp.num_nodes(), nn);
     assert_eq!(imp.uniform_degree(), exp.uniform_degree());
@@ -135,7 +136,7 @@ proptest! {
         const SHAPES: [(u32, u32); 5] = [(1, 3), (2, 3), (3, 3), (1, 4), (2, 4)];
         let (m, n) = SHAPES[shape_pick];
         let exp = HyperButterflyNet::new(m, n, HbRouteOrder::CubeFirst).unwrap();
-        let imp = ImplicitTopology::new(m, n, HbRouteOrder::CubeFirst).unwrap();
+        let imp = HyperButterflyNet::implicit(m, n, HbRouteOrder::CubeFirst).unwrap();
         let nn = exp.num_nodes();
         let src = src_pick % nn;
         let g = exp.explicit_graph().unwrap();
@@ -166,7 +167,7 @@ proptest! {
         rate in 5u32..40, cycles in 1u64..16, seed in 0u64..200,
     ) {
         let exp = HyperButterflyNet::new(2, 3, HbRouteOrder::CubeFirst).unwrap();
-        let imp = ImplicitTopology::new(2, 3, HbRouteOrder::CubeFirst).unwrap();
+        let imp = HyperButterflyNet::implicit(2, 3, HbRouteOrder::CubeFirst).unwrap();
         let nn = exp.num_nodes();
         let mut plan = FaultPlan::new();
         plan.add_node((seed as usize * 7 + 3) % nn);
@@ -176,13 +177,7 @@ proptest! {
         }
         let inj = workload::uniform(nn, cycles, f64::from(rate) / 100.0, seed);
         let a = run_with_faults(&exp, &inj, SimConfig::default(), &plan, TraceSampling::Off);
-        let b = run_with_faults(
-            &imp,
-            &inj,
-            SimConfig::default().with_implicit_topology(true),
-            &plan,
-            TraceSampling::Off,
-        );
+        let b = run_with_faults(&imp, &inj, SimConfig::default(), &plan, TraceSampling::Off);
         prop_assert_eq!(&a, &b);
     }
 }

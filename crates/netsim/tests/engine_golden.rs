@@ -14,7 +14,7 @@
 //! written under `target/engine_golden/` for diffing.
 
 use hb_netsim::sim::run_bounded_sweep;
-use hb_netsim::topology::{HbRouteOrder, HyperButterflyNet, ImplicitTopology};
+use hb_netsim::topology::{HbRouteOrder, HyperButterflyNet};
 use hb_netsim::{
     run, run_adaptive, run_adaptive_with_timeline, run_bounded, run_bounded_with_timeline,
     run_with_faults, run_with_mem, run_with_timeline, workload, FaultEventKind, FaultPlan,
@@ -114,7 +114,7 @@ fn all_runs() -> Vec<Pinned> {
     let (cfg, tel) = config();
     out.push(pin("run_adaptive", &run_adaptive(&t, &inj, cfg), &tel, ""));
 
-    let implicit = ImplicitTopology::new(2, 3, HbRouteOrder::CubeFirst).unwrap();
+    let implicit = HyperButterflyNet::implicit(2, 3, HbRouteOrder::CubeFirst).unwrap();
     let (cfg, tel) = config();
     let stats = run_adaptive(&implicit, &inj, cfg);
     out.push(pin("run_adaptive_implicit", &stats, &tel, ""));

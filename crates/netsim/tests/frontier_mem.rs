@@ -5,7 +5,7 @@
 //! on the order of a thousand channels, while dense storage would
 //! allocate all fourteen million up front.
 
-use hb_netsim::topology::{HbRouteOrder, ImplicitTopology, NetTopology};
+use hb_netsim::topology::{HbRouteOrder, HyperButterflyNet, NetTopology};
 use hb_netsim::{run_with_mem, Injection, SimConfig};
 
 /// A fixed-count deterministic workload (no RNG): `packets` arithmetic
@@ -33,13 +33,13 @@ fn arithmetic_workload(nn: usize, cycles: u64, packets: usize) -> Vec<Injection>
 #[test]
 fn million_node_memory_is_bounded_by_active_traffic() {
     const PACKETS: usize = 1000;
-    let t = ImplicitTopology::new(7, 10, HbRouteOrder::CubeFirst).unwrap();
+    let t = HyperButterflyNet::implicit(7, 10, HbRouteOrder::CubeFirst).unwrap();
     assert!(
         t.num_nodes() >= 1_000_000,
         "HB(7, 10) is the million-node shape"
     );
     let inj = arithmetic_workload(t.num_nodes(), 20, PACKETS);
-    let cfg = SimConfig::bounded(10_000).with_implicit_topology(true);
+    let cfg = SimConfig::bounded(10_000);
     let (stats, mem) = run_with_mem(&t, &inj, cfg);
     assert_eq!(stats.delivered, stats.offered, "all packets deliver");
     assert!(stats.offered >= 990, "workload is ~{PACKETS} packets");
@@ -72,7 +72,7 @@ fn sparse_records_recycle_across_waves() {
     // Two well-separated waves re-use the same records: the peak is set
     // by one wave's concurrency, not by the union of channels touched.
     const PACKETS: usize = 200;
-    let t = ImplicitTopology::new(5, 6, HbRouteOrder::CubeFirst).unwrap();
+    let t = HyperButterflyNet::implicit(5, 6, HbRouteOrder::CubeFirst).unwrap();
     let nn = t.num_nodes();
     let mut inj = arithmetic_workload(nn, 1, PACKETS);
     let mut second: Vec<Injection> = arithmetic_workload(nn, 1, PACKETS)
@@ -85,11 +85,7 @@ fn sparse_records_recycle_across_waves() {
         .filter(|p| p.src != p.dst)
         .collect();
     inj.append(&mut second);
-    let (stats, mem) = run_with_mem(
-        &t,
-        &inj,
-        SimConfig::bounded(10_000).with_implicit_topology(true),
-    );
+    let (stats, mem) = run_with_mem(&t, &inj, SimConfig::bounded(10_000));
     assert_eq!(stats.delivered, stats.offered);
     assert!(
         mem.peak_channel_records <= 2 * PACKETS,

@@ -7,7 +7,7 @@
 //! count is a pure performance knob.
 
 use hb_netsim::topology::{
-    ButterflyNet, HbRouteOrder, HyperButterflyNet, HypercubeNet, ImplicitTopology, NetTopology,
+    ButterflyNet, HbRouteOrder, HyperButterflyNet, HypercubeNet, NetTopology,
 };
 use hb_netsim::{
     run, run_bounded, run_with_faults, run_with_timeline,
@@ -267,15 +267,15 @@ proptest! {
     }
 
     /// Implicit vs explicit byte identity: the same workload run on the
-    /// graph-free [`ImplicitTopology`] (sparse per-channel state, active
-    /// frontier) produces the identical stats, work profile, and full
-    /// telemetry snapshot as the materialised adapter's dense engine —
-    /// serial and sharded.
+    /// graph-free [`HyperButterflyNet::implicit`] (sparse per-channel
+    /// state, active frontier) produces the identical stats, work profile,
+    /// and full telemetry snapshot as the materialised adapter's dense
+    /// engine — serial and sharded.
     #[test]
     fn implicit_run_matches_explicit(rate in 5u32..50, cycles in 1u64..30,
                                      seed in 0u64..300) {
         let exp = HyperButterflyNet::new(2, 3, HbRouteOrder::CubeFirst).unwrap();
-        let imp = ImplicitTopology::new(2, 3, HbRouteOrder::CubeFirst).unwrap();
+        let imp = HyperButterflyNet::implicit(2, 3, HbRouteOrder::CubeFirst).unwrap();
         let inj = workload::uniform(exp.num_nodes(), cycles, f64::from(rate) / 100.0, seed);
         for threads in [1usize, 2] {
             let tel_e = tel_with_ts(seed);
@@ -294,8 +294,7 @@ proptest! {
                 SimConfig::default()
                     .with_telemetry(tel_i.clone())
                     .with_profile(true)
-                    .with_threads(threads)
-                    .with_implicit_topology(true),
+                    .with_threads(threads),
             );
             prop_assert_eq!(&a, &b, "stats drift at {} threads", threads);
             prop_assert_eq!(
@@ -316,46 +315,47 @@ proptest! {
     /// Frontier vs sweep byte identity: the bounded engine's active
     /// worklist (sorted, drained ascending) must reproduce the full
     /// channel sweep exactly — stats, counters, quantiles, link stats,
-    /// and profile — on every topology family, dense and sparse.
+    /// and profile — on every topology family with dense channel state,
+    /// and on the graph-free `HB(1, 3)` with sparse channel state.
     #[test]
     fn bounded_frontier_matches_sweep(kind in 0u8..3, rate in 5u32..50,
                                       cycles in 1u64..24, seed in 0u64..300,
                                       capacity in 1usize..4) {
-        let t = make_topology(kind);
-        let inj = workload::uniform(t.num_nodes(), cycles, f64::from(rate) / 100.0, seed);
-        for implicit in [false, true] {
+        let dense = make_topology(kind);
+        let graph_free = HyperButterflyNet::implicit(1, 3, HbRouteOrder::CubeFirst).unwrap();
+        for t in [&*dense, &graph_free as &dyn NetTopology] {
+            let inj = workload::uniform(t.num_nodes(), cycles, f64::from(rate) / 100.0, seed);
             let tel_f = tel_with_ts(seed);
             let frontier = run_bounded(
-                &*t,
+                t,
                 &inj,
                 SimConfig::default()
                     .with_telemetry(tel_f.clone())
-                    .with_profile(true)
-                    .with_implicit_topology(implicit),
+                    .with_profile(true),
                 capacity,
             );
             let tel_s = tel_with_ts(seed);
             let sweep = run_bounded_sweep(
-                &*t,
+                t,
                 &inj,
                 SimConfig::default()
                     .with_telemetry(tel_s.clone())
-                    .with_profile(true)
-                    .with_implicit_topology(implicit),
+                    .with_profile(true),
                 capacity,
             );
-            prop_assert_eq!(&frontier, &sweep, "stats drift (implicit {})", implicit);
+            let sparse = t.explicit_graph().is_none();
+            prop_assert_eq!(&frontier, &sweep, "stats drift (sparse {})", sparse);
             prop_assert_eq!(
                 tel_f.profile(),
                 tel_s.profile(),
-                "profile drift (implicit {})",
-                implicit
+                "profile drift (sparse {})",
+                sparse
             );
             prop_assert_eq!(
                 tel_f.snapshot(),
                 tel_s.snapshot(),
-                "snapshot drift (implicit {})",
-                implicit
+                "snapshot drift (sparse {})",
+                sparse
             );
         }
     }
