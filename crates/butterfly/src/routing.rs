@@ -18,16 +18,17 @@
 //! * the walk traverses *all* `n` gaps, whose optimum is
 //!   `n + cyclic_distance(l_s, l_t)` (a full loop plus the direct hop).
 //!
-//! Minimising over these candidates gives the exact distance in `O(n^2)`
-//! and an explicit optimal route; both are verified exhaustively against
-//! BFS in the tests, and the induced diameter `n + floor(n/2)` matches the
-//! paper's Remark 1.
+//! Minimising over these candidates gives the exact distance in `O(n)`
+//! (each cut candidate's frame is `O(1)` bit arithmetic) and an explicit
+//! optimal route; both are verified exhaustively against BFS in the
+//! tests, and the induced diameter `n + floor(n/2)` matches the paper's
+//! Remark 1.
 
 use crate::cayley::Butterfly;
 use hb_group::signed::{ButterflyGen, SignedCycle};
 
 /// A candidate walk plan on the level cycle.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Plan {
     /// Stay on the path obtained by cutting gap `e`; sweep to the near
     /// extreme first (`left_first`), then to the far one, then to target.
@@ -49,9 +50,9 @@ pub fn distance(b: &Butterfly, u: SignedCycle, v: SignedCycle) -> u32 {
 /// Exact hop distance computed purely from the node coordinates — no
 /// `Butterfly` handle, no heap allocation, no plan materialisation.
 ///
-/// This is the closed-form kernel of [`distance`]: `O(n^2)` arithmetic on
-/// the `(word, level)` coordinates, suitable for per-hop use in simulator
-/// hot paths.
+/// This is the closed-form kernel of [`distance`]: `O(n)` bit arithmetic
+/// on the `(word, level)` coordinates, suitable for per-hop use in
+/// simulator hot paths.
 ///
 /// # Panics
 /// Panics (debug) if the nodes come from different dimensions.
@@ -63,20 +64,19 @@ pub fn dist(u: SignedCycle, v: SignedCycle) -> u32 {
     dist_word_level(u.n(), wu, lu, wv, lv)
 }
 
-/// Closed-form butterfly distance in raw `(word, level)` coordinates.
+/// Closed-form butterfly distance in raw `(word, level)` coordinates
+/// (`n <= SignedCycle::MAX_N`, levels below `n`, word bits at or above
+/// `n` ignored).
 ///
 /// Minimises over the same candidate set as [`best_plan`]: the two
 /// full-loop walks (`n + cyclic_distance`) and, for every unmarked gap
 /// `e`, the optimal sweep on the cut-open path `Z_n - e`.
 pub fn dist_word_level(n: u32, wu: u32, lu: u32, wv: u32, lv: u32) -> u32 {
-    let marks = wu ^ wv;
-    let cw = (lv + n - lu) % n;
-    let ccw = (lu + n - lv) % n;
+    let marks = (wu ^ wv) & low_bits(n);
+    let cw = wrap(lv + n - lu, n);
+    let ccw = wrap(lu + n - lv, n);
     let mut best = n + cw.min(ccw);
-    for e in 0..n {
-        if marks >> e & 1 == 1 {
-            continue;
-        }
+    for e in cut_gaps(n, marks) {
         let (s, t, lo, hi) = cut_frame(n, lu, lv, marks, e);
         let cost = (hi - lo) + ((s - lo) + (hi - t)).min((hi - s) + (t - lo));
         best = best.min(cost);
@@ -87,24 +87,25 @@ pub fn dist_word_level(n: u32, wu: u32, lu: u32, wv: u32, lv: u32) -> u32 {
 /// An optimal (shortest) route from `u` to `v`, as the full node sequence
 /// including both endpoints.
 pub fn route(b: &Butterfly, u: SignedCycle, v: SignedCycle) -> Vec<SignedCycle> {
-    let (cost, plan) = best_plan(b, u, v);
+    debug_assert_eq!(u.n(), b.n());
+    let (cost, plan) = best_plan(u, v);
     let path = execute_plan(b, u, v, plan);
     debug_assert_eq!(path.len() as u32, cost + 1);
     path
 }
 
-/// Finds the cheapest plan; returns `(cost, plan)`.
-fn best_plan(b: &Butterfly, u: SignedCycle, v: SignedCycle) -> (u32, Plan) {
-    let n = b.n();
-    debug_assert_eq!(u.n(), n);
-    debug_assert_eq!(v.n(), n);
+/// Finds the cheapest plan; returns `(cost, plan)`. Ties keep the first
+/// candidate: the full loop, then cuts by ascending gap.
+fn best_plan(u: SignedCycle, v: SignedCycle) -> (u32, Plan) {
+    debug_assert_eq!(u.n(), v.n());
+    let n = u.n();
     let (wu, lu) = u.to_word_level();
     let (wv, lv) = v.to_word_level();
     let marks = wu ^ wv;
 
     // Full-loop candidates.
-    let cw = (lv + n - lu) % n;
-    let ccw = (lu + n - lv) % n;
+    let cw = wrap(lv + n - lu, n);
+    let ccw = wrap(lu + n - lv, n);
     let mut best = if cw <= ccw {
         (n + cw, Plan::FullLoop { clockwise: true })
     } else {
@@ -112,10 +113,7 @@ fn best_plan(b: &Butterfly, u: SignedCycle, v: SignedCycle) -> (u32, Plan) {
     };
 
     // Cut candidates: omit each unmarked gap.
-    for e in 0..n {
-        if marks >> e & 1 == 1 {
-            continue;
-        }
+    for e in cut_gaps(n, marks) {
         let (s, t, lo, hi) = cut_frame(n, lu, lv, marks, e);
         let left_first = (s - lo) + (hi - t) <= (hi - s) + (t - lo);
         let cost = (hi - lo)
@@ -131,27 +129,54 @@ fn best_plan(b: &Butterfly, u: SignedCycle, v: SignedCycle) -> (u32, Plan) {
     best
 }
 
-/// Computes the path frame after cutting gap `e`: positions of source and
-/// target (`s`, `t`) and the required sweep interval `[lo, hi]` covering
-/// both endpoints and every marked gap.
+/// The low `n` bits set.
+#[inline]
+fn low_bits(n: u32) -> u32 {
+    (1 << n) - 1
+}
+
+/// `x mod n` for `x < 2n`.
+#[inline]
+fn wrap(x: u32, n: u32) -> u32 {
+    if x >= n {
+        x - n
+    } else {
+        x
+    }
+}
+
+/// The unmarked gaps of `Z_n` (the cut candidates), lowest first.
+#[inline]
+fn cut_gaps(n: u32, marks: u32) -> impl Iterator<Item = u32> {
+    let mut free = !marks & low_bits(n);
+    std::iter::from_fn(move || {
+        (free != 0).then(|| {
+            let e = free.trailing_zeros();
+            free &= free - 1;
+            e
+        })
+    })
+}
+
+/// Computes the path frame after cutting the unmarked gap `e`: positions
+/// of source and target (`s`, `t`) and the required sweep interval
+/// `[lo, hi]` covering both endpoints and every marked gap.
 ///
 /// Position of level `x` on the cut-open path is `(x - (e + 1)) mod n`;
 /// the gap between levels `i` and `i + 1` sits between positions `p` and
-/// `p + 1` where `p = pos(i)`.
+/// `p + 1` where `p = pos(i)`. Rotating `marks` right by `e + 1` puts
+/// gap `i` at bit `pos(i)` and the cut gap at bit `n - 1`, so the lowest
+/// marked gap starts at the trailing-zero count and the highest ends at
+/// the bit length.
+#[inline]
 fn cut_frame(n: u32, lu: u32, lv: u32, marks: u32, e: u32) -> (u32, u32, u32, u32) {
-    let pos = |x: u32| (x + n - (e + 1) % n) % n;
-    let s = pos(lu);
-    let t = pos(lv);
-    let mut lo = s.min(t);
-    let mut hi = s.max(t);
-    for i in 0..n {
-        if marks >> i & 1 == 1 {
-            let p = pos(i);
-            debug_assert!(p + 1 < n, "marked gap {i} must not be the cut gap");
-            lo = lo.min(p);
-            hi = hi.max(p + 1);
-        }
-    }
+    let r = wrap(e + 1, n);
+    let s = wrap(lu + n - r, n);
+    let t = wrap(lv + n - r, n);
+    let rotated = ((marks >> r) | (marks << (n - r))) & low_bits(n);
+    debug_assert!(rotated >> (n - 1) == 0, "gap {e} must be unmarked to cut");
+    let lo = s.min(t).min(rotated.trailing_zeros());
+    let hi = s.max(t).max(u32::BITS - rotated.leading_zeros());
     (s, t, lo, hi)
 }
 
@@ -301,11 +326,108 @@ mod tests {
             let b = Butterfly::new(n).unwrap();
             for u in b.nodes() {
                 for v in b.nodes() {
-                    let (cost, _) = best_plan(&b, u, v);
+                    let (cost, _) = best_plan(u, v);
                     assert_eq!(dist(u, v), cost, "n={n} {u} -> {v}");
                     let (wu, lu) = u.to_word_level();
                     let (wv, lv) = v.to_word_level();
                     assert_eq!(dist_word_level(n, wu, lu, wv, lv), cost);
+                }
+            }
+        }
+    }
+
+    /// The `O(n^2)` frame the rotation replaced: the oracle for
+    /// [`cut_frame`], [`dist_word_level`] and [`best_plan`].
+    fn cut_frame_scan(n: u32, lu: u32, lv: u32, marks: u32, e: u32) -> (u32, u32, u32, u32) {
+        let pos = |x: u32| (x + n - (e + 1) % n) % n;
+        let s = pos(lu);
+        let t = pos(lv);
+        let mut lo = s.min(t);
+        let mut hi = s.max(t);
+        for i in 0..n {
+            if marks >> i & 1 == 1 {
+                let p = pos(i);
+                assert!(p + 1 < n, "marked gap {i} must not be the cut gap");
+                lo = lo.min(p);
+                hi = hi.max(p + 1);
+            }
+        }
+        (s, t, lo, hi)
+    }
+
+    /// The plan search over every gap in ascending order, on the scan
+    /// frame.
+    fn best_plan_scan(n: u32, marks: u32, lu: u32, lv: u32) -> (u32, Plan) {
+        let cw = (lv + n - lu) % n;
+        let ccw = (lu + n - lv) % n;
+        let mut best = if cw <= ccw {
+            (n + cw, Plan::FullLoop { clockwise: true })
+        } else {
+            (n + ccw, Plan::FullLoop { clockwise: false })
+        };
+        for e in (0..n).filter(|e| marks >> e & 1 == 0) {
+            let (s, t, lo, hi) = cut_frame_scan(n, lu, lv, marks, e);
+            let left_first = (s - lo) + (hi - t) <= (hi - s) + (t - lo);
+            let cost = (hi - lo) + ((s - lo) + (hi - t)).min((hi - s) + (t - lo));
+            if cost < best.0 {
+                best = (cost, Plan::Cut { e, left_first });
+            }
+        }
+        best
+    }
+
+    /// Checks every cut frame, the distance, and the chosen plan of one
+    /// `(marks, lu, lv)` against the scan.
+    fn check_against_scan(n: u32, marks: u32, lu: u32, lv: u32) {
+        for e in cut_gaps(n, marks) {
+            assert_eq!(
+                cut_frame(n, lu, lv, marks, e),
+                cut_frame_scan(n, lu, lv, marks, e),
+                "n={n} marks={marks:#b} lu={lu} lv={lv} e={e}"
+            );
+        }
+        let want = best_plan_scan(n, marks, lu, lv);
+        let u = SignedCycle::from_word_level(n, marks, lu);
+        let v = SignedCycle::from_word_level(n, 0, lv);
+        assert_eq!(
+            best_plan(u, v),
+            want,
+            "n={n} marks={marks:#b} lu={lu} lv={lv}"
+        );
+        assert_eq!(dist_word_level(n, marks, lu, 0, lv), want.0);
+        assert_eq!(dist_word_level(n, 0, lu, marks, lv), want.0);
+    }
+
+    #[test]
+    fn rotated_frame_matches_the_scan_exhaustively() {
+        for n in 3..=10 {
+            for marks in 0..1u32 << n {
+                for lu in 0..n {
+                    for lv in 0..n {
+                        check_against_scan(n, marks, lu, lv);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn rotated_frame_matches_the_scan_at_max_n() {
+        // n = 26 rotates by up to 25 and shifts left by up to 26 bits.
+        let n = SignedCycle::MAX_N;
+        let full = (1u32 << n) - 1;
+        let mut masks = vec![0, full, 0x2aa_aaaa, 0x155_5555];
+        masks.extend((0..n).map(|i| 1 << i));
+        masks.extend((0..n).map(|i| full & !(1 << i)));
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..16 {
+            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            masks.push(u32::try_from(x >> 38).unwrap() & full);
+        }
+        for &marks in &masks {
+            for lu in 0..n {
+                for lv in 0..n {
+                    check_against_scan(n, marks, lu, lv);
                 }
             }
         }

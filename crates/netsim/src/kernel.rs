@@ -675,7 +675,7 @@ impl<'a> RunCtx<'a> {
             b.merge_into(tel, &mut ls, &self.ends);
         }
         tel.merge_links(&ls);
-        tel.detect_congestion(stats.cycles);
+        tel.detect_congestion();
         stats
     }
 }

@@ -207,7 +207,7 @@ impl NetTopology for ButterflyNet {
             .collect()
     }
     fn productive_hops_into(&self, cur: NodeId, dst: NodeId, buf: &mut [NodeId]) -> usize {
-        // The closed-form distance is O(n^2) arithmetic: test all 4
+        // The closed-form distance is O(n) arithmetic: test all 4
         // neighbors, in generator order (matching the graph layout).
         let u = self.b.node(cur);
         let v = self.b.node(dst);

@@ -23,7 +23,7 @@
 //! | `sim.unroutable`      | refused injections this cycle (faulted)     |
 
 use crate::kernel::CycleSample;
-use hb_telemetry::{Series, Telemetry, TsConfig};
+use hb_telemetry::{Series, SeriesSet, Telemetry, TsConfig};
 
 /// Whole-network per-cycle series, recorded once per simulated cycle.
 pub(crate) struct GlobalTs {
@@ -80,40 +80,34 @@ impl GlobalTs {
 /// Per-channel queue-depth series over the channel range
 /// `[lo, lo + len)` — the whole network for serial runs, one shard's
 /// slice for parallel runs (channels are disjoint across shards, so
-/// shard-local recording merges without conflicts). Series are lazily
-/// boxed: idle channels cost one `None`.
+/// shard-local recording merges without conflicts). A dense
+/// [`SeriesSet`] over the range holds the windows; this adds the
+/// channel offset and the `link.U->V.queue` names.
 pub(crate) struct LinkTs {
-    cfg: TsConfig,
     lo: usize,
-    series: Vec<Option<Box<Series>>>,
+    set: SeriesSet,
 }
 
 impl LinkTs {
     pub(crate) fn new(cfg: TsConfig, lo: usize, len: usize) -> Self {
         LinkTs {
-            cfg,
             lo,
-            series: (0..len).map(|_| None).collect(),
+            set: SeriesSet::new(cfg, len),
         }
     }
 
     /// Records channel `ch`'s queue depth on a cycle it held a packet.
     #[inline]
     pub(crate) fn observe(&mut self, ch: usize, cycle: u64, depth: u64) {
-        let cfg = self.cfg;
-        self.series[ch - self.lo]
-            .get_or_insert_with(|| Box::new(Series::new(cfg)))
-            .record(cycle, depth);
+        self.set.record(ch - self.lo, cycle, depth);
     }
 
     /// Moves the accumulated series into the shared handle, named by the
     /// channel endpoints (`ends` is indexed by global channel id).
     pub(crate) fn merge_into(self, tel: &Telemetry, ends: &[(u32, u32)]) {
-        for (i, slot) in self.series.into_iter().enumerate() {
-            if let Some(s) = slot {
-                let (from, to) = ends[self.lo + i];
-                tel.merge_series(&format!("link.{from}->{to}.queue"), *s);
-            }
+        for (i, s) in self.set.into_series() {
+            let (from, to) = ends[self.lo + i];
+            tel.merge_series(&format!("link.{from}->{to}.queue"), s);
         }
     }
 }

@@ -280,13 +280,13 @@ impl Telemetry {
     /// events for [`Self::snapshot`] and appending them (severity-tagged)
     /// to the event trace. Call once, after all series are merged; the
     /// name-ordered walk makes the emitted order deterministic.
-    pub fn detect_congestion(&self, total_cycles: u64) {
+    pub fn detect_congestion(&self) {
         let events = {
             let st = self.ts_state();
             if st.config.is_none() {
                 return;
             }
-            detect_congestion(&st.series, &st.detector, total_cycles)
+            detect_congestion(&st.series, &st.detector)
         };
         for e in &events {
             self.event(|| Event::Congestion {

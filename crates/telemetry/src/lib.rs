@@ -68,6 +68,7 @@ pub use sink::{
 pub use slo::{SloCheck, SloSpec};
 pub use span::{SpanId, SpanRecord, SpanStore};
 pub use timeseries::{
-    CongestionEvent, CongestionKind, DetectorConfig, Series, Severity, TsConfig, WindowAgg,
+    CongestionEvent, CongestionKind, DetectorConfig, Series, SeriesSet, Severity, TsConfig,
+    WindowAgg,
 };
 pub use trace::{Event, EventTrace};

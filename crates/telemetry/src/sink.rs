@@ -798,12 +798,13 @@ impl Sink for ReportSink {
 
         // Top-k congested links, ranked by total queued-packet-cycles
         // (sum over retained windows), name as the tiebreak.
-        let mut links: Vec<(&String, &Series)> = s
+        let mut links: Vec<(u64, &String, &Series)> = s
             .timeseries
             .iter()
             .filter(|(n, _)| n.starts_with("link."))
+            .map(|(n, series)| (series.total(), n, series))
             .collect();
-        links.sort_by(|a, b| b.1.total().cmp(&a.1.total()).then(a.0.cmp(b.0)));
+        links.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(b.1)));
         if !links.is_empty() {
             let shown = if self.top_links == 0 {
                 links.len()
@@ -816,7 +817,7 @@ impl Sink for ReportSink {
                 shown,
                 links.len()
             );
-            for (n, series) in links.iter().take(shown) {
+            for (total, n, series) in links.iter().take(shown) {
                 let maxes: Vec<u64> = series.windows().map(|w| w.max).collect();
                 let hwm = series
                     .high_watermark()
@@ -826,7 +827,7 @@ impl Sink for ReportSink {
                     "  {:<28} {}  total {:>6}{hwm}",
                     n,
                     sparkline(&maxes),
-                    series.total()
+                    total
                 );
             }
         }
@@ -1365,7 +1366,7 @@ mod tests {
         t.merge_series("link.0->1.queue", link);
         t.merge_series("sim.in_flight", fly);
         t.merge_series("sim.injected", inj);
-        t.detect_congestion(12);
+        t.detect_congestion();
         t.snapshot()
     }
 

@@ -12,7 +12,9 @@
 //! serial run and a sharded parallel run of the same simulation produce
 //! byte-identical series (the `hb-netsim` `par_equiv` suite asserts
 //! this). Hot loops record into thread-local series and merge once at
-//! the end, like histograms and link stats.
+//! the end, like histograms and link stats. A [`SeriesSet`] records one
+//! series per id of a dense range (one per channel) under the same
+//! rules, without a ring per id.
 //!
 //! [`detect_congestion`] walks a finished store and flags sustained
 //! hotspot links, head-of-line-style queue growth, and slow post-
@@ -184,6 +186,194 @@ impl Series {
     }
 }
 
+/// Closed windows per chunk of a [`SeriesSet`] log (56 KiB). Chunks of
+/// one fixed size are reused from the allocator's free lists run after
+/// run; one growing log would be reallocated into ever larger blocks
+/// and, once freed, leave the next run a fragmented heap.
+const LOG_CHUNK: usize = 1024;
+
+/// One id's open window, high-watermark and closed-window count in a
+/// [`SeriesSet`].
+#[derive(Clone, Copy)]
+struct OpenWindow {
+    /// The newest window; `count == 0` marks an id never recorded.
+    window: WindowAgg,
+    /// `(value, cycle)` of the first largest sample.
+    high_watermark: (u64, u64),
+    /// Windows closed so far, logged or compacted away.
+    closed: u64,
+}
+
+/// Windowed series for every id of the dense range `0..len`, recorded
+/// sample by sample under the window, high-watermark and drop-oldest
+/// rules of [`Series::record`], and returned as one [`Series`] per
+/// recorded id by [`Self::into_series`].
+///
+/// Each id costs one 72-byte open window in a dense array, recorded or
+/// not. A window that closes moves to a log shared by all ids, kept in
+/// fixed-size chunks; the retained windows of each id are picked out of
+/// the log only when the series are built. Once the log holds more than
+/// twice the windows the series can retain (plus a chunk), it is
+/// compacted down to those, so memory stays bounded by the retention
+/// however long the run.
+pub struct SeriesSet {
+    cfg: TsConfig,
+    open: Vec<OpenWindow>,
+    /// Closed `(id, window)` pairs in recording order.
+    log: Vec<Vec<(usize, WindowAgg)>>,
+    /// Entries in `log`.
+    logged: usize,
+    /// Closed windows one series retains: `capacity - 1`, as the open
+    /// window takes the last slot.
+    keep: u64,
+    /// Closed windows all series together retain.
+    retained: usize,
+    /// The last recorded cycle and its window index.
+    cycle: u64,
+    index: u64,
+}
+
+impl SeriesSet {
+    /// No recorded samples over the ids `0..len`, sampled per `cfg`.
+    pub fn new(cfg: TsConfig, len: usize) -> Self {
+        let unrecorded = OpenWindow {
+            window: WindowAgg {
+                count: 0,
+                ..WindowAgg::new(0, 0)
+            },
+            high_watermark: (0, 0),
+            closed: 0,
+        };
+        SeriesSet {
+            cfg,
+            open: vec![unrecorded; len],
+            log: Vec::new(),
+            logged: 0,
+            keep: cfg.capacity.saturating_sub(1) as u64,
+            retained: 0,
+            cycle: 0,
+            index: 0,
+        }
+    }
+
+    /// Records `value` for `id` at logical `cycle`, exactly as
+    /// [`Series::record`] does on that id's own series.
+    ///
+    /// # Panics
+    /// Panics if `id` is outside `0..len`.
+    #[inline]
+    pub fn record(&mut self, id: usize, cycle: u64, value: u64) {
+        if cycle != self.cycle {
+            self.cycle = cycle;
+            self.index = cycle / self.cfg.cadence;
+        }
+        let index = self.index;
+        let open = &mut self.open[id];
+        if open.window.count == 0 {
+            open.window = WindowAgg::new(index, value);
+            open.high_watermark = (value, cycle);
+            return;
+        }
+        if value > open.high_watermark.0 {
+            open.high_watermark = (value, cycle);
+        }
+        if open.window.index == index {
+            open.window.record(value);
+        } else if open.window.index < index {
+            let closed = std::mem::replace(&mut open.window, WindowAgg::new(index, value));
+            if open.closed < self.keep {
+                self.retained += 1;
+            }
+            open.closed += 1;
+            self.log_push(id, closed);
+            if self.logged > 2 * self.retained + LOG_CHUNK {
+                self.compact();
+            }
+        }
+    }
+
+    fn log_push(&mut self, id: usize, window: WindowAgg) {
+        match self.log.last_mut() {
+            Some(chunk) if chunk.len() < LOG_CHUNK => chunk.push((id, window)),
+            _ => {
+                let mut chunk = Vec::with_capacity(LOG_CHUNK);
+                chunk.push((id, window));
+                self.log.push(chunk);
+            }
+        }
+        self.logged += 1;
+    }
+
+    /// Drops, in place, every logged window no series retains: each id
+    /// keeps its newest `keep`. Survivors move towards the front; every
+    /// chunk but the last stays full.
+    fn compact(&mut self) {
+        let mut skip = vec![0u64; self.open.len()];
+        for &(id, _) in self.log.iter().flatten() {
+            skip[id] += 1;
+        }
+        for s in &mut skip {
+            *s = s.saturating_sub(self.keep);
+        }
+        let mut at = 0;
+        for r in 0..self.logged {
+            let entry = self.log[r / LOG_CHUNK][r % LOG_CHUNK];
+            if skip[entry.0] > 0 {
+                skip[entry.0] -= 1;
+            } else {
+                self.log[at / LOG_CHUNK][at % LOG_CHUNK] = entry;
+                at += 1;
+            }
+        }
+        let (full, rest) = (at / LOG_CHUNK, at % LOG_CHUNK);
+        self.log.truncate(full + usize::from(rest > 0));
+        if rest > 0 {
+            self.log[full].truncate(rest);
+        }
+        self.logged = at;
+    }
+
+    /// The series of every recorded id, ascending by id. Each equals
+    /// the [`Series`] that recording the id's samples one by one builds.
+    pub fn into_series(mut self) -> impl Iterator<Item = (usize, Series)> {
+        if self.logged > self.retained {
+            self.compact();
+        }
+        let SeriesSet {
+            cfg,
+            open,
+            log,
+            keep,
+            ..
+        } = self;
+        let mut series: Vec<Series> = open
+            .iter()
+            .map(|o| {
+                let mut s = Series::new(cfg);
+                if o.window.count > 0 {
+                    let kept = o.closed.min(keep);
+                    s.windows = VecDeque::with_capacity(kept as usize + 1);
+                    s.dropped_windows = o.closed - kept;
+                    s.high_watermark = Some(o.high_watermark);
+                }
+                s
+            })
+            .collect();
+        for (id, w) in log.into_iter().flatten() {
+            series[id].windows.push_back(w);
+        }
+        series
+            .into_iter()
+            .zip(open)
+            .enumerate()
+            .filter(|(_, (_, o))| o.window.count > 0)
+            .map(|(id, (mut s, o))| {
+                s.windows.push_back(o.window);
+                (id, s)
+            })
+    }
+}
+
 /// What a [`CongestionEvent`] detected.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum CongestionKind {
@@ -291,15 +481,15 @@ fn flag_runs(
     qualifies: impl Fn(&WindowAgg, Option<&WindowAgg>) -> bool,
     out: &mut Vec<CongestionEvent>,
 ) {
-    let windows: Vec<&WindowAgg> = series.windows().collect();
+    let windows = &series.windows;
     let mut run_start: Option<usize> = None;
     for i in 0..=windows.len() {
         let ok = i < windows.len() && {
-            let prev = if i == 0 { None } else { Some(windows[i - 1]) };
+            let prev = if i == 0 { None } else { Some(&windows[i - 1]) };
             // Runs must be over consecutive window indices: a gap (idle
             // stretch with no samples) breaks the run.
             let contiguous = prev.is_none_or(|p| p.index + 1 == windows[i].index);
-            qualifies(windows[i], prev) && (contiguous || run_start.is_none())
+            qualifies(&windows[i], prev) && (contiguous || run_start.is_none())
         };
         match (run_start, ok) {
             (None, true) => run_start = Some(i),
@@ -312,14 +502,14 @@ fn flag_runs(
                         subject: subject.to_string(),
                         window_start: windows[s].index,
                         window_end: windows[i - 1].index,
-                        peak: windows[s..i].iter().map(|w| w.max).max().unwrap_or(0),
+                        peak: windows.range(s..i).map(|w| w.max).max().unwrap_or(0),
                     });
                 }
                 run_start = None;
                 // The window that broke the run may start a new one.
                 if i < windows.len() {
-                    let prev = if i == 0 { None } else { Some(windows[i - 1]) };
-                    if qualifies(windows[i], prev) {
+                    let prev = if i == 0 { None } else { Some(&windows[i - 1]) };
+                    if qualifies(&windows[i], prev) {
                         run_start = Some(i);
                     }
                 }
@@ -339,7 +529,6 @@ fn flag_runs(
 pub fn detect_congestion(
     store: &BTreeMap<String, Series>,
     det: &DetectorConfig,
-    total_cycles: u64,
 ) -> Vec<CongestionEvent> {
     let mut out = Vec::new();
     let sustain = det.sustain_windows.max(1);
@@ -398,7 +587,6 @@ pub fn detect_congestion(
             }
         }
     }
-    let _ = total_cycles;
     out
 }
 
@@ -443,6 +631,26 @@ mod tests {
     }
 
     #[test]
+    fn series_set_log_stays_within_twice_the_retention() {
+        // Cadence 1 closes a window on every sample; capacity 4 retains
+        // three closed windows per id, so the log compacts many times.
+        let cfg = cfg(1, 4);
+        let mut set = SeriesSet::new(cfg, 3);
+        let (mut a, mut b) = (Series::new(cfg), Series::new(cfg));
+        for cycle in 0..10_000 {
+            set.record(0, cycle, cycle % 7);
+            a.record(cycle, cycle % 7);
+            set.record(2, cycle, cycle % 5);
+            b.record(cycle, cycle % 5);
+            assert!(set.logged <= 2 * set.retained + LOG_CHUNK);
+            assert_eq!(set.logged, set.log.iter().map(Vec::len).sum::<usize>());
+        }
+        assert_eq!(set.retained, 6);
+        let got: Vec<(usize, Series)> = set.into_series().collect();
+        assert_eq!(got, vec![(0, a), (2, b)]);
+    }
+
+    #[test]
     fn hotspot_detection_requires_sustained_full_windows() {
         let det = DetectorConfig {
             hot_occupancy_pct: 100,
@@ -459,7 +667,7 @@ mod tests {
             s.record(cycle, 9);
         }
         store.insert("link.0->1.queue".to_string(), s);
-        let events = detect_congestion(&store, &det, 28);
+        let events = detect_congestion(&store, &det);
         let hot: Vec<&CongestionEvent> = events
             .iter()
             .filter(|e| e.kind == CongestionKind::HotspotLink)
@@ -484,7 +692,7 @@ mod tests {
             s.record(cycle, v);
         }
         store.insert("link.2->3.queue".to_string(), s);
-        let events = detect_congestion(&store, &det, 5);
+        let events = detect_congestion(&store, &det);
         let grow: Vec<&CongestionEvent> = events
             .iter()
             .filter(|e| e.kind == CongestionKind::QueueGrowth)
@@ -514,7 +722,7 @@ mod tests {
         }
         store.insert("sim.injected".to_string(), inj);
         store.insert("sim.in_flight".to_string(), fly);
-        let events = detect_congestion(&store, &det, 14);
+        let events = detect_congestion(&store, &det);
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].kind, CongestionKind::SlowDrain);
         assert_eq!((events[0].window_start, events[0].window_end), (2, 6));
@@ -533,8 +741,8 @@ mod tests {
             s.record(0, 4);
             store.insert(name.to_string(), s);
         }
-        let a = detect_congestion(&store, &det, 1);
-        let b = detect_congestion(&store, &det, 1);
+        let a = detect_congestion(&store, &det);
+        let b = detect_congestion(&store, &det);
         assert_eq!(a, b);
         assert_eq!(a[0].subject, "link.1->2.queue");
     }

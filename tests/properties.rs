@@ -181,3 +181,55 @@ proptest! {
         prop_assert_eq!(h.max().unwrap(), *samples.last().unwrap());
     }
 }
+
+proptest! {
+    /// A `SeriesSet` returns, for every recorded id, exactly the `Series`
+    /// that recording the id's samples one by one builds: same windows,
+    /// evictions and high-watermark (ties keep the first cycle). The ids
+    /// are a shard's channels offset by `lo`, and long streams fill
+    /// several log chunks.
+    #[test]
+    fn series_set_matches_per_sample_series(
+        cadence in 1u64..=8,
+        capacity in 0usize..5,
+        lo in 0usize..1000,
+        len in 1usize..40,
+        cycles in 1u64..600,
+        density in 1u64..=8,
+        depth in 1u64..6,
+        seed in 0u64..u64::MAX,
+    ) {
+        use hb_telemetry::{Series, SeriesSet, TsConfig};
+        // Capacity 0 stands for the default 64, which rarely evicts.
+        let cfg = TsConfig::new(cadence).with_capacity(if capacity == 0 { 64 } else { capacity });
+        let mut set = SeriesSet::new(cfg, len);
+        let mut oracle: Vec<Option<Series>> = vec![None; len];
+        let mut x = seed;
+        let mut draw = |span: u64| {
+            x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = x;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % span
+        };
+        for cycle in 0..cycles {
+            // Each cycle visits a random subset of the channels in
+            // ascending order, as the kernel's sample step does.
+            for ch in lo..lo + len {
+                if draw(8) < density {
+                    // Few distinct depths, so high-watermark ties repeat.
+                    let value = draw(depth);
+                    set.record(ch - lo, cycle, value);
+                    oracle[ch - lo].get_or_insert_with(|| Series::new(cfg)).record(cycle, value);
+                }
+            }
+        }
+        let got: Vec<(usize, Series)> = set.into_series().collect();
+        let want: Vec<(usize, Series)> = oracle
+            .into_iter()
+            .enumerate()
+            .filter_map(|(i, s)| s.map(|s| (i, s)))
+            .collect();
+        prop_assert_eq!(got, want);
+    }
+}
