@@ -11,7 +11,7 @@ const SKIP_DIRS: &[&str] = &["target", ".git", ".claude", "node_modules"];
 /// Collects every `.rs` file under `root` as `(relative-path, absolute-path)`
 /// pairs, `/`-separated and sorted for deterministic reports.
 ///
-/// Skipped: build output ([`SKIP_DIRS`]) and any path under a
+/// Skipped: build output (`SKIP_DIRS`) and any path under a
 /// `tests/fixtures` directory — fixtures are deliberate rule violations
 /// used by the linter's own tests, not code.
 pub fn collect_rs_files(root: &Path) -> io::Result<Vec<(String, PathBuf)>> {

@@ -10,7 +10,7 @@
 //!   (the equivalence property enforced by `tests/par_equiv.rs`); only
 //!   the wall clock moves.
 //! * [`grid_scaling`] — the uniform-rate experiment grid driven through
-//!   [`parallel_map`](crate::parallel::parallel_map), i.e. independent
+//!   [`parallel_map`], i.e. independent
 //!   experiments running concurrently rather than one sharded run.
 //!
 //! Wall-clock numbers are machine-dependent by nature; the baseline
@@ -227,7 +227,7 @@ pub fn route_lookup(cycles: u64, seed: u64) -> Result<Vec<PerfRow>> {
 /// memoized pair per source node (256 pairs). Each row applies a fault
 /// delta of 1, 4, or 16 cut links — every link the first hop of some
 /// memoized route, so each delta really does invalidate routes — then
-/// reverts back to the empty plan, repeated [`REPAIR_REPS`] times.
+/// reverts back to the empty plan, repeated `REPAIR_REPS` (25) times.
 ///
 /// Field mapping (documented because these rows reuse the [`PerfRow`]
 /// shape): `wall_ms` is the incremental pass, `pkts_per_sec` is

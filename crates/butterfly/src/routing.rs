@@ -68,9 +68,9 @@ pub fn dist(u: SignedCycle, v: SignedCycle) -> u32 {
 /// (`n <= SignedCycle::MAX_N`, levels below `n`, word bits at or above
 /// `n` ignored).
 ///
-/// Minimises over the same candidate set as [`best_plan`]: the two
-/// full-loop walks (`n + cyclic_distance`) and, for every unmarked gap
-/// `e`, the optimal sweep on the cut-open path `Z_n - e`.
+/// Minimises over the same candidate set as the planner [`walk`] runs:
+/// the two full-loop walks (`n + cyclic_distance`) and, for every
+/// unmarked gap `e`, the optimal sweep on the cut-open path `Z_n - e`.
 pub fn dist_word_level(n: u32, wu: u32, lu: u32, wv: u32, lv: u32) -> u32 {
     let marks = (wu ^ wv) & low_bits(n);
     let cw = wrap(lv + n - lu, n);
@@ -85,13 +85,27 @@ pub fn dist_word_level(n: u32, wu: u32, lu: u32, wv: u32, lv: u32) -> u32 {
 }
 
 /// An optimal (shortest) route from `u` to `v`, as the full node sequence
-/// including both endpoints.
+/// including both endpoints. Collects [`walk`].
 pub fn route(b: &Butterfly, u: SignedCycle, v: SignedCycle) -> Vec<SignedCycle> {
     debug_assert_eq!(u.n(), b.n());
-    let (cost, plan) = best_plan(u, v);
-    let path = execute_plan(b, u, v, plan);
-    debug_assert_eq!(path.len() as u32, cost + 1);
+    let d = dist(u, v) as usize;
+    let mut path = Vec::with_capacity(d + 1);
+    path.push(u);
+    walk(u, v, |x| path.push(x));
+    debug_assert_eq!(path.len(), d + 1);
     path
+}
+
+/// Visits the nodes after `u` on the optimal route to `v`, in route
+/// order: the cheapest plan's walk on the level cycle, one generator per
+/// step. No `Butterfly` handle, no allocation.
+///
+/// # Panics
+/// Panics (debug) if the nodes come from different dimensions.
+#[inline]
+pub fn walk(u: SignedCycle, v: SignedCycle, visit: impl FnMut(SignedCycle)) {
+    let (_, plan) = best_plan(u, v);
+    execute_plan(u, v, plan, visit);
 }
 
 /// Finds the cheapest plan; returns `(cost, plan)`. Ties keep the first
@@ -180,72 +194,61 @@ fn cut_frame(n: u32, lu: u32, lv: u32, marks: u32, e: u32) -> (u32, u32, u32, u3
     (s, t, lo, hi)
 }
 
-/// Materialises a plan into the actual node path, flipping each marked gap
-/// exactly once (on its first crossing).
-fn execute_plan(b: &Butterfly, u: SignedCycle, v: SignedCycle, plan: Plan) -> Vec<SignedCycle> {
-    let n = b.n();
+/// Walks a plan from `u` to `v`, visiting each node after `u`, flipping
+/// each marked gap exactly once (on its first crossing).
+fn execute_plan(u: SignedCycle, v: SignedCycle, plan: Plan, mut visit: impl FnMut(SignedCycle)) {
+    let n = u.n();
     let (wu, lu) = u.to_word_level();
     let (wv, lv) = v.to_word_level();
     let mut pending = wu ^ wv; // gaps still to flip
-    let mut path = vec![u];
     let mut cur = u;
 
     // One step up (+1 level) or down (-1 level), flipping the crossed gap
     // if it is still pending.
-    let step = |cur: &mut SignedCycle, pending: &mut u32, up: bool| {
+    let mut step = |up: bool| {
         let level = cur.to_word_level().1;
-        let gap = if up { level } else { (level + n - 1) % n };
-        let flip = *pending >> gap & 1 == 1;
+        let gap = if up { level } else { wrap(level + n - 1, n) };
+        let flip = pending >> gap & 1 == 1;
         if flip {
-            *pending &= !(1 << gap);
+            pending &= !(1 << gap);
         }
-        *cur = cur.apply(match (up, flip) {
+        cur = cur.apply(match (up, flip) {
             (true, false) => ButterflyGen::G,
             (true, true) => ButterflyGen::F,
             (false, false) => ButterflyGen::GInv,
             (false, true) => ButterflyGen::FInv,
         });
+        visit(cur);
     };
 
     match plan {
         Plan::FullLoop { clockwise } => {
             let d = if clockwise {
-                (lv + n - lu) % n
+                wrap(lv + n - lu, n)
             } else {
-                (lu + n - lv) % n
+                wrap(lu + n - lv, n)
             };
             for _ in 0..n + d {
-                step(&mut cur, &mut pending, clockwise);
-                path.push(cur);
+                step(clockwise);
             }
         }
         Plan::Cut { e, left_first } => {
-            let marks = wu ^ wv;
-            let (s, t, lo, hi) = cut_frame(n, lu, lv, marks, e);
+            let (s, t, lo, hi) = cut_frame(n, lu, lv, wu ^ wv, e);
+            let sweep = if left_first { [lo, hi, t] } else { [hi, lo, t] };
             // Walk in position space; "up" in level space is "+1" in
             // position space (both are the same cyclic direction).
             let mut p = s;
-            let mut go = |target: u32, p: &mut u32, path: &mut Vec<SignedCycle>| {
-                while *p != target {
-                    let up = target > *p;
-                    step(&mut cur, &mut pending, up);
-                    *p = if up { *p + 1 } else { *p - 1 };
-                    path.push(cur);
+            for target in sweep {
+                while p != target {
+                    let up = target > p;
+                    step(up);
+                    p = if up { p + 1 } else { p - 1 };
                 }
-            };
-            if left_first {
-                go(lo, &mut p, &mut path);
-                go(hi, &mut p, &mut path);
-            } else {
-                go(hi, &mut p, &mut path);
-                go(lo, &mut p, &mut path);
             }
-            go(t, &mut p, &mut path);
         }
     }
-    debug_assert_eq!(*path.last().expect("path starts non-empty"), v);
+    debug_assert_eq!(cur, v);
     debug_assert_eq!(pending, 0);
-    path
 }
 
 #[cfg(test)]

@@ -37,7 +37,7 @@ pub fn dist(u: HbNode, v: HbNode) -> u32 {
 
 /// Optimal route, hypercube leg first (the paper's order). Returns the
 /// node sequence including both endpoints; its length is
-/// `distance(u, v) + 1`.
+/// `distance(u, v) + 1`. Collects [`walk`].
 ///
 /// # Examples
 /// ```
@@ -48,33 +48,37 @@ pub fn dist(u: HbNode, v: HbNode) -> u32 {
 /// assert_eq!(path.len() as u32, hb.diameter() + 1); // witness pair is extremal
 /// ```
 pub fn route(hb: &HyperButterfly, u: HbNode, v: HbNode) -> Vec<HbNode> {
-    let mut path: Vec<HbNode> = hrouting::route(hb.cube(), u.h, v.h)
-        .into_iter()
-        .map(|h| HbNode::new(h, u.b))
-        .collect();
-    path.extend(
-        brouting::route(hb.butterfly(), u.b, v.b)
-            .into_iter()
-            .skip(1)
-            .map(|b| HbNode::new(v.h, b)),
-    );
+    let mut path = Vec::with_capacity(distance(hb, u, v) as usize + 1);
+    path.push(u);
+    walk(u, v, |x| path.push(x));
     path
 }
 
 /// Optimal route, butterfly leg first. Same length as [`route`]; the two
 /// orders spread traffic differently, which the netsim ablation measures.
+/// Collects [`walk_butterfly_first`].
 pub fn route_butterfly_first(hb: &HyperButterfly, u: HbNode, v: HbNode) -> Vec<HbNode> {
-    let mut path: Vec<HbNode> = brouting::route(hb.butterfly(), u.b, v.b)
-        .into_iter()
-        .map(|b| HbNode::new(u.h, b))
-        .collect();
-    path.extend(
-        hrouting::route(hb.cube(), u.h, v.h)
-            .into_iter()
-            .skip(1)
-            .map(|h| HbNode::new(h, v.b)),
-    );
+    let mut path = Vec::with_capacity(distance(hb, u, v) as usize + 1);
+    path.push(u);
+    walk_butterfly_first(u, v, |x| path.push(x));
     path
+}
+
+/// Visits the nodes after `u` on the cube-first optimal route to `v`, in
+/// route order: the hypercube leg inside the slice `(H_m, b)`, then the
+/// butterfly leg inside `(h', B_n)`. No allocation.
+#[inline]
+pub fn walk(u: HbNode, v: HbNode, mut visit: impl FnMut(HbNode)) {
+    hrouting::walk(u.h, v.h, |h| visit(HbNode::new(h, u.b)));
+    brouting::walk(u.b, v.b, |b| visit(HbNode::new(v.h, b)));
+}
+
+/// Visits the nodes after `u` on the butterfly-first optimal route to
+/// `v`, in route order. No allocation.
+#[inline]
+pub fn walk_butterfly_first(u: HbNode, v: HbNode, mut visit: impl FnMut(HbNode)) {
+    brouting::walk(u.b, v.b, |b| visit(HbNode::new(u.h, b)));
+    hrouting::walk(u.h, v.h, |h| visit(HbNode::new(h, v.b)));
 }
 
 /// A pair of nodes at distance exactly `diameter()` — the witness from the

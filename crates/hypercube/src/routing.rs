@@ -9,9 +9,27 @@ use hb_graphs::{traverse, Graph, GraphError, Result};
 
 /// Shortest route from `src` to `dst` by ascending-dimension bit fixing;
 /// returns the node sequence including both endpoints (length
-/// `distance + 1`).
+/// `distance + 1`). Collects [`walk`].
 pub fn route(h: &Hypercube, src: u32, dst: u32) -> Vec<u32> {
-    route_with_order(h, src, dst, &ascending_order(h, src, dst))
+    debug_assert_eq!((src | dst) >> h.m(), 0, "labels must be nodes of H_m");
+    let mut path = Vec::with_capacity(dist(src, dst) as usize + 1);
+    path.push(src);
+    walk(src, dst, |x| path.push(x));
+    path
+}
+
+/// Visits the nodes after `src` on the ascending bit-fixing route to
+/// `dst`, in route order: each step corrects the lowest dimension still
+/// differing. No `Hypercube` handle, no allocation.
+#[inline]
+pub fn walk(src: u32, dst: u32, mut visit: impl FnMut(u32)) {
+    let mut cur = src;
+    let mut diff = src ^ dst;
+    while diff != 0 {
+        cur ^= diff & diff.wrapping_neg();
+        diff &= diff - 1;
+        visit(cur);
+    }
 }
 
 /// Exact hop distance from the labels alone: the Hamming distance
@@ -98,6 +116,10 @@ mod tests {
                 assert_eq!(*p.last().unwrap(), dst);
                 let pu: Vec<usize> = p.iter().map(|&v| v as usize).collect();
                 validate_path(&g, &pu).unwrap();
+                // `walk` fixes bits in the order Theorem 5's path
+                // families start from.
+                let order = ascending_order(&h, src, dst);
+                assert_eq!(p, route_with_order(&h, src, dst, &order));
             }
         }
     }

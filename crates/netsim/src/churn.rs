@@ -3,7 +3,7 @@
 //!
 //! A timeline run is compiled in two steps:
 //!
-//! 1. **Compile** ([`compile`]) — walk the injection schedule once,
+//! 1. **Compile** (`compile`) — walk the injection schedule once,
 //!    applying every timeline event whose cycle has arrived *between*
 //!    injections (events at cycle `c` are visible to injections at
 //!    `c`). Events sharing a cycle form one **delta**; each delta is
@@ -13,7 +13,7 @@
 //!    respliced — `O(affected pairs)` per delta instead of the
 //!    `O(memoized pairs × BFS)` of a rebuild. Each injection's route is
 //!    then resolved under the plan in force at its cycle and frozen
-//!    into per-injection [`ChurnRoutes`].
+//!    into per-injection `ChurnRoutes`.
 //! 2. **Run** — the frozen routes drive the cycle kernel through a
 //!    churn-snapshot `RouteSrc`. The compile is engine-independent and fully
 //!    deterministic, so serial, bounded, adaptive, flight, and sharded

@@ -8,7 +8,7 @@
 //! graph with a symmetric router should be nearly uniform, while the
 //! hyper-deBruijn's irregular nodes concentrate routes.
 
-use crate::sim::channel_offsets;
+use crate::sim::ChanLayout;
 use crate::topology::NetTopology;
 
 /// Forwarding-index statistics for one topology + router.
@@ -30,26 +30,28 @@ pub struct ForwardingReport {
 
 /// Computes the forwarding index under the topology's own router, over
 /// all ordered pairs of distinct nodes, one source at a time on the
-/// calling thread.
+/// calling thread. Channels are numbered as the simulator numbers them,
+/// so graph-free topologies work too, and every route is written into
+/// one reused buffer.
+///
+/// # Panics
+/// Panics if a route step is not an edge of the topology.
 pub fn edge_forwarding_index(topo: &dyn NetTopology) -> ForwardingReport {
-    let g = topo.graph();
-    let n = g.num_nodes();
-    let offsets = channel_offsets(g);
-    let channels = offsets[n];
+    let n = topo.num_nodes();
+    let layout = ChanLayout::new(topo);
+    let channels = layout.num_channels();
 
     let mut counts = vec![0u64; channels];
+    let mut route = Vec::new();
     for src in 0..n {
         for dst in 0..n {
             if dst == src {
                 continue;
             }
-            let route = topo.route(src, dst);
+            route.clear();
+            topo.route_into(src, dst, &mut route);
             for w in route.windows(2) {
-                let port = g
-                    .neighbors(w[0])
-                    .binary_search(&(w[1] as u32))
-                    .expect("invariant: route steps are edges of the topology");
-                counts[offsets[w[0]] + port] += 1;
+                counts[layout.channel_of(w[0], w[1])] += 1;
             }
         }
     }
@@ -82,14 +84,51 @@ mod tests {
     #[test]
     fn hypercube_forwarding_is_perfectly_uniform() {
         // Bit-fix routing on H_m is edge-symmetric: every channel carries
-        // the same number of routes.
+        // the same number of routes. The ordered pairs' distances sum to
+        // 2^m * m * 2^(m-1) = 16 * 4 * 8 = 512 crossings over the
+        // 2^m * m = 64 channels, so each carries exactly 8.
         let t = HypercubeNet::new(4).unwrap();
         let r = edge_forwarding_index(&t);
-        assert!(r.cv < 1e-9, "cv = {}", r.cv);
-        // Total channel crossings = sum of all distances = mean * channels.
-        // Mean distance on H_4 is 2 over ordered pairs... verify via sum:
-        // sum_{pairs} d = n * m * 2^(m-1) ... spot-check the mean instead.
-        assert!(r.mean > 0.0);
+        assert_eq!(r.channels, 64);
+        assert_eq!(r.pairs, 16 * 15);
+        assert_eq!(r.max, 8);
+        assert_eq!(r.mean, 8.0);
+        assert_eq!(r.cv, 0.0);
+    }
+
+    #[test]
+    fn butterfly_first_carries_the_same_total_load() {
+        // Remark 8: both leg orders route every pair along a shortest
+        // path, so the total hops agree; only their spread differs.
+        let cube_net = HyperButterflyNet::new(2, 4, HbRouteOrder::CubeFirst).unwrap();
+        let bfly_net = HyperButterflyNet::new(2, 4, HbRouteOrder::ButterflyFirst).unwrap();
+        // The routes do differ: from the identity to the last node, the
+        // cube-first route leaves the source's butterfly slice at once,
+        // the butterfly-first one stays in it.
+        let hb = cube_net.topology();
+        let (s, d) = (0, hb.num_nodes() - 1);
+        assert_ne!(hb.node(cube_net.route(s, d)[1]).h, 0);
+        assert_eq!(hb.node(bfly_net.route(s, d)[1]).h, 0);
+        let cube = edge_forwarding_index(&cube_net);
+        let bfly = edge_forwarding_index(&bfly_net);
+        let total = |r: &ForwardingReport| (r.mean * r.channels as f64).round() as u64;
+        assert_eq!(total(&bfly), total(&cube));
+        assert_eq!((bfly.channels, bfly.pairs), (cube.channels, cube.pairs));
+        assert_eq!(total(&bfly), 286_720);
+        assert_eq!(bfly.max, 336);
+    }
+
+    #[test]
+    fn graph_free_adapter_matches_the_materialised_one() {
+        for (m, n) in [(1, 3), (2, 3)] {
+            let exp = HyperButterflyNet::new(m, n, HbRouteOrder::CubeFirst).unwrap();
+            let imp = HyperButterflyNet::implicit(m, n, HbRouteOrder::CubeFirst).unwrap();
+            assert_eq!(
+                edge_forwarding_index(&imp),
+                edge_forwarding_index(&exp),
+                "HB({m}, {n})"
+            );
+        }
     }
 
     #[test]

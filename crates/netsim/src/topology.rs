@@ -3,15 +3,25 @@
 //!
 //! Every adapter owns whatever routing state its algorithmic router
 //! needs, and all but the graph-free [`HyperButterflyNet::implicit`] own
-//! their materialised CSR graph; `route` returns the full node path
-//! (source routing — the packet carries its path), which is how the
-//! paper's oblivious routers operate.
+//! their materialised CSR graph.
 //!
-//! The adaptive hot path never allocates: [`NetTopology::productive_hops_into`]
-//! writes the productive neighbor set into a caller-provided buffer (a
-//! stack array of [`MAX_PRODUCTIVE`] suffices — degree is at most
-//! `m + 4` and `m <= 26`), and each adapter answers it with the
-//! closed-form distance kernels (`dist`) instead of materialising routes.
+//! Both routing questions are answered into caller buffers, so the hot
+//! paths never allocate:
+//!
+//! * [`NetTopology::route_into`] appends the full node path (source
+//!   routing — the packet carries its path), which is how the paper's
+//!   oblivious routers operate. The hypercube, butterfly and
+//!   hyper-butterfly adapters push node ids straight from their family's
+//!   allocation-free walk (`hb_hypercube::routing::walk`,
+//!   `hb_butterfly::routing::walk`, `hb_core::routing::walk` and
+//!   `walk_butterfly_first`), so all-pairs callers such as the
+//!   forwarding index reuse one cleared `Vec` for every pair.
+//!   [`NetTopology::route`] is the one-`Vec` convenience wrapper.
+//! * [`NetTopology::productive_hops_into`] writes the productive
+//!   neighbor set for adaptive routing (a stack array of
+//!   [`MAX_PRODUCTIVE`] suffices — degree is at most `m + 4` and
+//!   `m <= 26`), and each adapter answers it with the closed-form
+//!   distance kernels (`dist`) instead of materialising routes.
 
 use hb_butterfly::{routing as brouting, Butterfly};
 use hb_core::{routing as hbrouting, HbNode, HyperButterfly};
@@ -79,10 +89,21 @@ pub trait NetTopology: Send + Sync {
         adj.len()
     }
 
-    /// The topology's own shortest (or near-shortest oblivious) route,
-    /// node sequence inclusive of both endpoints. `src == dst` returns
-    /// `[src]`.
-    fn route(&self, src: NodeId, dst: NodeId) -> Vec<NodeId>;
+    /// Appends the topology's own shortest (or near-shortest oblivious)
+    /// route to `buf`: the node sequence inclusive of both endpoints,
+    /// `[src]` when `src == dst`. Prior contents are kept, so a caller
+    /// that clears and reuses one buffer routes without allocating once
+    /// the buffer has grown to the longest route.
+    fn route_into(&self, src: NodeId, dst: NodeId, buf: &mut Vec<NodeId>);
+
+    /// Allocating convenience wrapper over [`Self::route_into`], same
+    /// route. Every adapter but [`GraphNet`] reserves room for the whole
+    /// route up front, so the `Vec` is allocated once, never grown.
+    fn route(&self, src: NodeId, dst: NodeId) -> Vec<NodeId> {
+        let mut path = Vec::new();
+        self.route_into(src, dst, &mut path);
+        path
+    }
 
     /// The single oblivious next hop from `cur` toward `dst`
     /// (`route(cur, dst)[1]`). Requires `cur != dst`. Adapters override
@@ -145,11 +166,11 @@ impl NetTopology for HypercubeNet {
     fn explicit_graph(&self) -> Option<&Graph> {
         Some(&self.graph)
     }
-    fn route(&self, src: NodeId, dst: NodeId) -> Vec<NodeId> {
-        hrouting::route(&self.h, src as u32, dst as u32)
-            .into_iter()
-            .map(|x| x as usize)
-            .collect()
+    fn route_into(&self, src: NodeId, dst: NodeId, buf: &mut Vec<NodeId>) {
+        let (s, d) = (src as u32, dst as u32);
+        buf.reserve(hrouting::dist(s, d) as usize + 1);
+        buf.push(src);
+        hrouting::walk(s, d, |x| buf.push(x as NodeId));
     }
     fn next_hop(&self, cur: NodeId, dst: NodeId) -> NodeId {
         debug_assert_ne!(cur, dst, "next_hop requires cur != dst");
@@ -200,11 +221,11 @@ impl NetTopology for ButterflyNet {
     fn explicit_graph(&self) -> Option<&Graph> {
         Some(&self.graph)
     }
-    fn route(&self, src: NodeId, dst: NodeId) -> Vec<NodeId> {
-        brouting::route(&self.b, self.b.node(src), self.b.node(dst))
-            .into_iter()
-            .map(|x| x.index())
-            .collect()
+    fn route_into(&self, src: NodeId, dst: NodeId, buf: &mut Vec<NodeId>) {
+        // A shortest route never exceeds the diameter.
+        buf.reserve(self.b.diameter() as usize + 1);
+        buf.push(src);
+        brouting::walk(self.b.node(src), self.b.node(dst), |x| buf.push(x.index()));
     }
     fn productive_hops_into(&self, cur: NodeId, dst: NodeId, buf: &mut [NodeId]) -> usize {
         // The closed-form distance is O(n) arithmetic: test all 4
@@ -340,14 +361,17 @@ impl NetTopology for HyperButterflyNet {
         buf[..k].sort_unstable();
         k
     }
-    fn route(&self, src: NodeId, dst: NodeId) -> Vec<NodeId> {
+    fn route_into(&self, src: NodeId, dst: NodeId, buf: &mut Vec<NodeId>) {
+        // Both orders are shortest, so a route never exceeds the diameter.
+        buf.reserve(self.hb.diameter() as usize + 1);
+        buf.push(src);
         let u = self.hb.node(src);
         let v = self.hb.node(dst);
-        let path: Vec<HbNode> = match self.order {
-            HbRouteOrder::CubeFirst => hbrouting::route(&self.hb, u, v),
-            HbRouteOrder::ButterflyFirst => hbrouting::route_butterfly_first(&self.hb, u, v),
-        };
-        path.into_iter().map(|x| self.hb.index(x)).collect()
+        let push = |x: HbNode| buf.push(self.hb.index(x));
+        match self.order {
+            HbRouteOrder::CubeFirst => hbrouting::walk(u, v, push),
+            HbRouteOrder::ButterflyFirst => hbrouting::walk_butterfly_first(u, v, push),
+        }
     }
     fn productive_hops_into(&self, cur: NodeId, dst: NodeId, buf: &mut [NodeId]) -> usize {
         // Remark 8 splits the distance per factor, so productivity is
@@ -412,15 +436,12 @@ impl NetTopology for HyperDeBruijnNet {
     fn explicit_graph(&self) -> Option<&Graph> {
         Some(&self.graph)
     }
-    fn route(&self, src: NodeId, dst: NodeId) -> Vec<NodeId> {
+    fn route_into(&self, src: NodeId, dst: NodeId, buf: &mut Vec<NodeId>) {
         // The oblivious HD route may briefly revisit a node when the
         // de Bruijn shift leg re-crosses the hypercube leg's endpoint;
         // routes are walks, which the simulator permits.
-        self.hd
-            .route(self.hd.node(src), self.hd.node(dst))
-            .into_iter()
-            .map(|x| self.hd.index(x))
-            .collect()
+        let path = self.hd.route(self.hd.node(src), self.hd.node(dst));
+        buf.extend(path.into_iter().map(|x| self.hd.index(x)));
     }
 }
 
@@ -458,22 +479,21 @@ impl NetTopology for GraphNet {
     fn explicit_graph(&self) -> Option<&Graph> {
         Some(&self.graph)
     }
-    fn route(&self, src: NodeId, dst: NodeId) -> Vec<NodeId> {
+    fn route_into(&self, src: NodeId, dst: NodeId, buf: &mut Vec<NodeId>) {
+        buf.push(src);
         if src == dst {
-            return vec![src];
+            return;
         }
         // Shortest path via the dst-rooted BFS tree (so the path walks
         // parent pointers from src toward dst in forward order).
         let parents = self.parents_from(dst);
-        let mut path = vec![src];
         let mut cur = src;
         while cur != dst {
             let p = parents[cur] as usize;
             assert_ne!(parents[cur], u32::MAX, "graph must be connected");
-            path.push(p);
+            buf.push(p);
             cur = p;
         }
-        path
     }
     fn next_hop(&self, cur: NodeId, dst: NodeId) -> NodeId {
         debug_assert_ne!(cur, dst, "next_hop requires cur != dst");
