@@ -119,6 +119,15 @@ fn all_runs() -> Vec<Pinned> {
     let stats = run_adaptive(&implicit, &inj, cfg);
     out.push(pin("run_adaptive_implicit", &stats, &tel, ""));
 
+    // The adaptive router at the benchmark's butterfly size (`n = 6`)
+    // and on a butterfly word wider than one byte (`n = 9`).
+    for (name, m, n) in [("run_adaptive_hb26", 2, 6), ("run_adaptive_hb19", 1, 9)] {
+        let wide = HyperButterflyNet::new(m, n, HbRouteOrder::CubeFirst).unwrap();
+        let inj = workload::hotspot(wide.num_nodes(), 40, 0.1, 0, 0.3, 2024);
+        let (cfg, tel) = config();
+        out.push(pin(name, &run_adaptive(&wide, &inj, cfg), &tel, ""));
+    }
+
     let (cfg, tel) = config();
     let stats = run_with_faults(&t, &inj, cfg, &plan(), TraceSampling::All);
     out.push(pin("run_with_faults", &stats, &tel, ""));
