@@ -18,9 +18,13 @@
 //! * the walk traverses *all* `n` gaps, whose optimum is
 //!   `n + cyclic_distance(l_s, l_t)` (a full loop plus the direct hop).
 //!
-//! Minimising over these candidates gives the exact distance in `O(n)`
-//! (each cut candidate's frame is `O(1)` bit arithmetic) and an explicit
-//! optimal route; both are verified exhaustively against BFS in the
+//! An optimal walk leaves out one maximal run of unmarked gaps, on one
+//! of the two arcs between the endpoints, so the distance needs only the
+//! longest unmarked run of each arc: [`dist`] is `O(1)` (a byte-table
+//! lookup per word byte), and [`productive_mask`] scores all four
+//! neighbors from the source's frame in one pass. The planner behind
+//! [`walk`] still minimises over every cut gap, since routes depend on
+//! its tie-breaking. Both are verified exhaustively against BFS in the
 //! tests, and the induced diameter `n + floor(n/2)` matches the paper's
 //! Remark 1.
 
@@ -50,7 +54,7 @@ pub fn distance(b: &Butterfly, u: SignedCycle, v: SignedCycle) -> u32 {
 /// Exact hop distance computed purely from the node coordinates — no
 /// `Butterfly` handle, no heap allocation, no plan materialisation.
 ///
-/// This is the closed-form kernel of [`distance`]: `O(n)` bit arithmetic
+/// This is the closed-form kernel of [`distance`]: `O(1)` bit arithmetic
 /// on the `(word, level)` coordinates, suitable for per-hop use in
 /// simulator hot paths.
 ///
@@ -68,20 +72,108 @@ pub fn dist(u: SignedCycle, v: SignedCycle) -> u32 {
 /// (`n <= SignedCycle::MAX_N`, levels below `n`, word bits at or above
 /// `n` ignored).
 ///
-/// Minimises over the same candidate set as the planner [`walk`] runs:
-/// the two full-loop walks (`n + cyclic_distance`) and, for every
-/// unmarked gap `e`, the optimal sweep on the cut-open path `Z_n - e`.
+/// In `u`'s frame the marks are `r = rotr(w_u ^ w_v, l_u)` (bit `i` is
+/// the gap between relative levels `i` and `i + 1`) and the target sits
+/// at relative level `t = (l_v - l_u) mod n`. With `LA` the longest
+/// unmarked run in gaps `[0, t)` and `LB` the longest in `[t, n)`, the
+/// distance is `min(n + t - 2·LA, 2n - t - 2·LB)`: the walk leaves out
+/// that run and covers the rest of the cycle. `LA = LB = 0` is the full
+/// loop, the same candidate set the planner behind [`walk`] scans.
+#[inline]
 pub fn dist_word_level(n: u32, wu: u32, lu: u32, wv: u32, lv: u32) -> u32 {
-    let marks = (wu ^ wv) & low_bits(n);
-    let cw = wrap(lv + n - lu, n);
-    let ccw = wrap(lu + n - lv, n);
-    let mut best = n + cw.min(ccw);
-    for e in cut_gaps(n, marks) {
-        let (s, t, lo, hi) = cut_frame(n, lu, lv, marks, e);
-        let cost = (hi - lo) + ((s - lo) + (hi - t)).min((hi - s) + (t - lo));
-        best = best.min(cost);
+    frame_dist(n, rotr(n, wu ^ wv, lu), wrap(lv + n - lu, n))
+}
+
+/// The productive generators from `u` toward `v`: bit `i` is set iff
+/// `u.apply(ButterflyGen::ALL[i])` is strictly closer to `v` than `u`
+/// is. Zero when `u == v`.
+///
+/// Decodes and rotates once, then evaluates the closed form of
+/// [`dist_word_level`] in the frames of `u` and its four neighbors,
+/// which are one-bit rotations of `u`'s: `g` and `f` step to relative
+/// level 1 (`f` also flips relative gap 0), `g⁻¹` and `f⁻¹` to relative
+/// level `n - 1` (`f⁻¹` also flips gap `n - 1`).
+///
+/// # Panics
+/// Panics (debug) if the nodes come from different dimensions.
+#[inline]
+pub fn productive_mask(u: SignedCycle, v: SignedCycle) -> u32 {
+    debug_assert_eq!(u.n(), v.n());
+    let n = u.n();
+    let (wu, lu) = u.to_word_level();
+    let (wv, lv) = v.to_word_level();
+    let r = rotr(n, wu ^ wv, lu);
+    let t = wrap(lv + n - lu, n);
+    let d = frame_dist(n, r, t);
+    let (up, down) = (wrap(t + n - 1, n), wrap(t + 1, n));
+    let top = 1 << (n - 1);
+    let closer = [
+        frame_dist(n, rotr(n, r, 1), up),
+        frame_dist(n, rotr(n, r ^ 1, 1), up),
+        frame_dist(n, rotr(n, r, n - 1), down),
+        frame_dist(n, rotr(n, r ^ top, n - 1), down),
+    ];
+    closer
+        .iter()
+        .enumerate()
+        .fold(0, |mask, (i, &dw)| mask | u32::from(dw < d) << i)
+}
+
+/// The closed form in `u`'s frame: `r` holds the marks relative to `u`'s
+/// level (`n` bits) and `t` the target's relative level.
+#[inline]
+fn frame_dist(n: u32, r: u32, t: u32) -> u32 {
+    let free = !r & low_bits(n);
+    let la = longest_run(free & low_bits(t));
+    let lb = longest_run(free >> t);
+    (n + t - 2 * la).min(2 * n - t - 2 * lb)
+}
+
+/// Longest run of set bits within each byte value.
+const BYTE_RUN: [u8; 256] = byte_runs();
+
+const fn byte_runs() -> [u8; 256] {
+    let mut table = [0u8; 256];
+    let mut b = 0;
+    while b < 256 {
+        // Each `x &= x >> 1` shortens every run by one.
+        let (mut x, mut run) = (b, 0);
+        while x != 0 {
+            x &= x >> 1;
+            run += 1;
+        }
+        table[b] = run;
+        b += 1;
     }
-    best
+    table
+}
+
+/// Longest run of set bits in `x`, a byte at a time: a run crossing a
+/// byte boundary joins the lower bytes' top run (`carry`) to this
+/// byte's bottom one.
+#[inline]
+fn longest_run(mut x: u32) -> u32 {
+    let (mut best, mut carry) = (0, 0);
+    loop {
+        let byte = x & 0xff;
+        best = best
+            .max(carry + byte.trailing_ones())
+            .max(u32::from(BYTE_RUN[byte as usize]));
+        x >>= 8;
+        if x == 0 {
+            return best;
+        }
+        let through = if byte == 0xff { carry } else { 0 };
+        carry = (byte << 24).leading_ones() + through;
+    }
+}
+
+/// `x` rotated right by `k < n` within its low `n` bits (higher bits
+/// dropped).
+#[inline]
+fn rotr(n: u32, x: u32, k: u32) -> u32 {
+    let x = x & low_bits(n);
+    ((x >> k) | (x << (n - k))) & low_bits(n)
 }
 
 /// An optimal (shortest) route from `u` to `v`, as the full node sequence
@@ -291,14 +383,22 @@ mod tests {
 
     #[test]
     fn routing_is_optimal_b5_sampled_sources() {
-        let b = Butterfly::new(5).unwrap();
-        let g = b.build_graph().unwrap();
-        for src in [0usize, 17, 63, 100, 159] {
-            let tree = traverse::bfs(&g, src);
-            let u = b.node(src);
-            for dst in 0..b.num_nodes() {
-                let v = b.node(dst);
-                assert_eq!(distance(&b, u, v), tree.dist[dst], "{u} -> {v}");
+        // B_9's words span two bytes, so its distances join unmarked
+        // runs across the byte boundary.
+        let sampled = [
+            (5, vec![0usize, 17, 63, 100, 159]),
+            (9, vec![0, 255, 256, 1000, 2303, 3071, 4607]),
+        ];
+        for (n, sources) in sampled {
+            let b = Butterfly::new(n).unwrap();
+            let g = b.build_graph().unwrap();
+            for src in sources {
+                let tree = traverse::bfs(&g, src);
+                let u = b.node(src);
+                for dst in 0..b.num_nodes() {
+                    let v = b.node(dst);
+                    assert_eq!(distance(&b, u, v), tree.dist[dst], "n={n} {u} -> {v}");
+                }
             }
         }
     }
@@ -399,6 +499,16 @@ mod tests {
         );
         assert_eq!(dist_word_level(n, marks, lu, 0, lv), want.0);
         assert_eq!(dist_word_level(n, 0, lu, marks, lv), want.0);
+        let by_dist = ButterflyGen::ALL
+            .iter()
+            .enumerate()
+            .filter(|&(_, &gen)| dist(u.apply(gen), v) < want.0)
+            .fold(0, |mask, (i, _)| mask | 1 << i);
+        assert_eq!(
+            productive_mask(u, v),
+            by_dist,
+            "n={n} marks={marks:#b} lu={lu} lv={lv}"
+        );
     }
 
     #[test]
@@ -433,6 +543,27 @@ mod tests {
                     check_against_scan(n, marks, lu, lv);
                 }
             }
+        }
+    }
+
+    #[test]
+    fn longest_run_matches_a_bit_scan() {
+        let scan = |x: u32| {
+            let (mut best, mut run) = (0, 0);
+            for i in 0..u32::BITS {
+                run = if x >> i & 1 == 1 { run + 1 } else { 0 };
+                best = best.max(run);
+            }
+            best
+        };
+        for x in 0..1 << 17 {
+            assert_eq!(longest_run(x), scan(x), "{x:#b}");
+        }
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        for _ in 0..1 << 14 {
+            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            let word = u32::try_from(x >> 38).unwrap();
+            assert_eq!(longest_run(word), scan(word), "{word:#b}");
         }
     }
 

@@ -20,8 +20,11 @@
 //! * [`NetTopology::productive_hops_into`] writes the productive
 //!   neighbor set for adaptive routing (a stack array of
 //!   [`MAX_PRODUCTIVE`] suffices — degree is at most `m + 4` and
-//!   `m <= 26`), and each adapter answers it with the closed-form
-//!   distance kernels (`dist`) instead of materialising routes.
+//!   `m <= 26`). The algebraic adapters answer it with one bit mask per
+//!   factor instead of materialising routes: the differing cube bits,
+//!   and `hb_butterfly::routing::productive_mask`, which scores all four
+//!   butterfly generators with the `O(1)` closed-form distance. Every
+//!   candidate is written and kept by its mask bit, without a branch.
 
 use hb_butterfly::{routing as brouting, Butterfly};
 use hb_core::{routing as hbrouting, HbNode, HyperButterfly};
@@ -34,6 +37,25 @@ use hb_hypercube::{routing as hrouting, Hypercube};
 /// rounded up. A `[NodeId; MAX_PRODUCTIVE]` stack buffer is always big
 /// enough for [`NetTopology::productive_hops_into`].
 pub const MAX_PRODUCTIVE: usize = 32;
+
+/// Writes the `i`-th candidate to `buf[k]` and keeps it (advances `k`)
+/// iff bit `i` of `mask` is set, so the productive scan never branches
+/// on productivity. Returns the new count. A dropped candidate is
+/// overwritten by the next one or left past the count; `buf` has room
+/// for every candidate since there are at most [`MAX_PRODUCTIVE`].
+#[inline]
+fn keep_masked(
+    buf: &mut [NodeId],
+    mut k: usize,
+    mask: usize,
+    candidates: impl IntoIterator<Item = NodeId>,
+) -> usize {
+    for (i, w) in candidates.into_iter().enumerate() {
+        buf[k] = w;
+        k += mask >> i & 1;
+    }
+    k
+}
 
 /// A network topology as seen by the simulator.
 pub trait NetTopology: Send + Sync {
@@ -180,15 +202,8 @@ impl NetTopology for HypercubeNet {
     }
     fn productive_hops_into(&self, cur: NodeId, dst: NodeId, buf: &mut [NodeId]) -> usize {
         // Any differing dimension may be corrected next.
-        let diff = cur ^ dst;
-        let mut k = 0;
-        for d in 0..self.h.m() {
-            if diff >> d & 1 == 1 {
-                buf[k] = cur ^ (1usize << d);
-                k += 1;
-            }
-        }
-        k
+        let flips = (0..self.h.m()).map(|d| cur ^ (1usize << d));
+        keep_masked(buf, 0, cur ^ dst, flips)
     }
 }
 
@@ -228,22 +243,11 @@ impl NetTopology for ButterflyNet {
         brouting::walk(self.b.node(src), self.b.node(dst), |x| buf.push(x.index()));
     }
     fn productive_hops_into(&self, cur: NodeId, dst: NodeId, buf: &mut [NodeId]) -> usize {
-        // The closed-form distance is O(n) arithmetic: test all 4
-        // neighbors, in generator order (matching the graph layout).
+        // One closed-form pass scores all 4 neighbors, in generator
+        // order (matching the graph layout).
         let u = self.b.node(cur);
-        let v = self.b.node(dst);
-        let d = brouting::dist(u, v);
-        if d == 0 {
-            return 0;
-        }
-        let mut k = 0;
-        for w in u.neighbors() {
-            if brouting::dist(w, v) < d {
-                buf[k] = w.index();
-                k += 1;
-            }
-        }
-        k
+        let mask = brouting::productive_mask(u, self.b.node(dst));
+        keep_masked(buf, 0, mask as usize, u.neighbors().map(|w| w.index()))
     }
 }
 
@@ -377,28 +381,18 @@ impl NetTopology for HyperButterflyNet {
         // Remark 8 splits the distance per factor, so productivity is
         // decided per leg: a cube neighbor is productive iff it fixes a
         // differing dimension, a butterfly neighbor iff it lowers the
-        // butterfly closed-form distance. Enumeration order matches the
-        // graph layout: dimensions ascending, then generator order.
+        // butterfly closed-form distance (one pass scores all four).
+        // Enumeration order matches the graph layout: dimensions
+        // ascending, then generator order.
         let u = self.hb.node(cur);
         let v = self.hb.node(dst);
-        let mut k = 0;
-        let diff = u.h ^ v.h;
-        for dim in 0..self.hb.m() {
-            if diff >> dim & 1 == 1 {
-                buf[k] = self.hb.index(HbNode::new(u.h ^ (1 << dim), u.b));
-                k += 1;
-            }
-        }
-        let db = brouting::dist(u.b, v.b);
-        if db > 0 {
-            for wb in u.b.neighbors() {
-                if brouting::dist(wb, v.b) < db {
-                    buf[k] = self.hb.index(HbNode::new(u.h, wb));
-                    k += 1;
-                }
-            }
-        }
-        k
+        let flips = (0..self.hb.m()).map(|dim| self.hb.index(HbNode::new(u.h ^ (1 << dim), u.b)));
+        let k = keep_masked(buf, 0, (u.h ^ v.h) as usize, flips);
+        let mask = brouting::productive_mask(u.b, v.b);
+        let gens =
+            u.b.neighbors()
+                .map(|wb| self.hb.index(HbNode::new(u.h, wb)));
+        keep_masked(buf, k, mask as usize, gens)
     }
 }
 
@@ -634,6 +628,9 @@ mod tests {
             Box::new(HypercubeNet::new(4).unwrap()),
             Box::new(ButterflyNet::new(3).unwrap()),
             Box::new(HyperButterflyNet::new(2, 3, HbRouteOrder::CubeFirst).unwrap()),
+            // Butterfly words wider than one byte.
+            Box::new(ButterflyNet::new(9).unwrap()),
+            Box::new(HyperButterflyNet::new(1, 9, HbRouteOrder::CubeFirst).unwrap()),
         ];
         for t in &nets {
             let g = t.graph();
