@@ -321,6 +321,16 @@ fn need<T: std::str::FromStr>(args: &[String], i: usize, what: &str) -> Result<T
         .map_err(|_| ParseError(format!("invalid <{what}>: {}", args[i])))
 }
 
+/// Parses a `--rate` value: a per-node injection probability, so it
+/// must lie in `0..=1` (NaN and the infinities fail the range test).
+fn need_rate(args: &[String], i: usize) -> Result<f64, ParseError> {
+    let rate: f64 = need(args, i, "rate")?;
+    if !(0.0..=1.0).contains(&rate) {
+        return Err(ParseError(format!("--rate must be in 0..=1, got {rate}")));
+    }
+    Ok(rate)
+}
+
 fn parse_index_list(raw: &str, what: &str) -> Result<Vec<usize>, ParseError> {
     raw.split(',')
         .filter(|s| !s.is_empty())
@@ -464,7 +474,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
             while i < args.len() {
                 match args[i].as_str() {
                     "--rate" => {
-                        rate = need(args, i + 1, "rate")?;
+                        rate = need_rate(args, i + 1)?;
                         i += 2;
                     }
                     "--cycles" => {
@@ -610,7 +620,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                         i += 2;
                     }
                     "--rate" => {
-                        rate = need(args, i + 1, "rate")?;
+                        rate = need_rate(args, i + 1)?;
                         i += 2;
                     }
                     "--cycles" => {
@@ -770,7 +780,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
             while i < args.len() {
                 match args[i].as_str() {
                     "--rate" => {
-                        rate = need(args, i + 1, "rate")?;
+                        rate = need_rate(args, i + 1)?;
                         i += 2;
                     }
                     "--cycles" => {
@@ -1389,6 +1399,20 @@ mod tests {
         assert!(parse(&argv("report 2 3 --threads 0")).is_err());
         assert!(parse(&argv("report 2 3 --hot-fraction 1.5")).is_err());
         assert!(parse(&argv("report 2 3 --format yaml")).is_err());
+    }
+
+    #[test]
+    fn rate_must_be_a_probability() {
+        for cmd in ["simulate 2 3", "report 2 3", "telemetry 2 3"] {
+            for bad in ["2", "1.5", "-1", "-0.1", "nan", "inf", "-inf"] {
+                let line = format!("{cmd} --rate {bad}");
+                assert!(parse(&argv(&line)).is_err(), "{line} must be rejected");
+            }
+            for good in ["0", "0.05", "1"] {
+                let line = format!("{cmd} --rate {good}");
+                assert!(parse(&argv(&line)).is_ok(), "{line} must parse");
+            }
+        }
     }
 
     #[test]

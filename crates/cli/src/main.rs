@@ -184,8 +184,7 @@ fn dispatch(cmd: Command) -> Result<(), Box<dyn std::error::Error>> {
                 check_index(hb, f)?;
             }
             for &(a, b) in &fault_links {
-                check_index(hb, a)?;
-                check_index(hb, b)?;
+                check_link(hb, a, b)?;
             }
             let plan = FaultPlan::from_sets(faults.iter().copied(), fault_links.iter().copied());
             let timeline = match &fault_timeline {
@@ -195,10 +194,7 @@ fn dispatch(cmd: Command) -> Result<(), Box<dyn std::error::Error>> {
                     for ev in tl.events() {
                         match ev.target {
                             FaultTarget::Node(v) => check_index(hb, v)?,
-                            FaultTarget::Link(u, v) => {
-                                check_index(hb, u)?;
-                                check_index(hb, v)?;
-                            }
+                            FaultTarget::Link(u, v) => check_link(hb, u, v)?,
                         }
                     }
                     Some(tl)
@@ -414,8 +410,7 @@ fn dispatch(cmd: Command) -> Result<(), Box<dyn std::error::Error>> {
                 check_index(t.topology(), f)?;
             }
             for &(a, b) in &fault_links {
-                check_index(t.topology(), a)?;
-                check_index(t.topology(), b)?;
+                check_link(t.topology(), a, b)?;
             }
             let plan = FaultPlan::from_sets(faults.iter().copied(), fault_links.iter().copied());
             let (inj, workload_desc) = match workload {
@@ -734,6 +729,21 @@ fn check_index(hb: &HyperButterfly, idx: usize) -> Result<(), hb_graphs::GraphEr
             node: idx,
             len: hb.num_nodes(),
         });
+    }
+    Ok(())
+}
+
+/// Accepts `a-b` only if it is an edge of `HB(m, n)`. The test is
+/// algebraic (`edge_kind`), so it needs no materialised graph.
+fn check_link(hb: &HyperButterfly, a: usize, b: usize) -> Result<(), hb_graphs::GraphError> {
+    check_index(hb, a)?;
+    check_index(hb, b)?;
+    if a == b || hb.edge_kind(hb.node(a), hb.node(b)).is_none() {
+        return Err(hb_graphs::GraphError::InvalidParameter(format!(
+            "link {a}-{b} is not an edge of HB({}, {})",
+            hb.m(),
+            hb.n()
+        )));
     }
     Ok(())
 }
