@@ -547,27 +547,6 @@ mod tests {
     }
 
     #[test]
-    fn longest_run_matches_a_bit_scan() {
-        let scan = |x: u32| {
-            let (mut best, mut run) = (0, 0);
-            for i in 0..u32::BITS {
-                run = if x >> i & 1 == 1 { run + 1 } else { 0 };
-                best = best.max(run);
-            }
-            best
-        };
-        for x in 0..1 << 17 {
-            assert_eq!(longest_run(x), scan(x), "{x:#b}");
-        }
-        let mut x = 0x2545_f491_4f6c_dd1du64;
-        for _ in 0..1 << 14 {
-            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
-            let word = u32::try_from(x >> 38).unwrap();
-            assert_eq!(longest_run(word), scan(word), "{word:#b}");
-        }
-    }
-
-    #[test]
     fn straight_loop_distance() {
         // Same word, opposite level: pure level walk, no marks.
         let b = Butterfly::new(6).unwrap();
