@@ -81,7 +81,8 @@ pub fn dist(u: SignedCycle, v: SignedCycle) -> u32 {
 /// loop, the same candidate set the planner behind [`walk`] scans.
 #[inline]
 pub fn dist_word_level(n: u32, wu: u32, lu: u32, wv: u32, lv: u32) -> u32 {
-    frame_dist(n, rotr(n, wu ^ wv, lu), wrap(lv + n - lu, n))
+    let marks = (wu ^ wv) & low_bits(n);
+    frame_dist(n, rotr(n, marks, lu), wrap(lv + n - lu, n))
 }
 
 /// The productive generators from `u` toward `v`: bit `i` is set iff
@@ -168,11 +169,10 @@ fn longest_run(mut x: u32) -> u32 {
     }
 }
 
-/// `x` rotated right by `k < n` within its low `n` bits (higher bits
-/// dropped).
+/// `x < 2^n` rotated right by `k < n` within its low `n` bits.
 #[inline]
 fn rotr(n: u32, x: u32, k: u32) -> u32 {
-    let x = x & low_bits(n);
+    debug_assert!(x >> n == 0 && k < n);
     ((x >> k) | (x << (n - k))) & low_bits(n)
 }
 
