@@ -24,9 +24,9 @@
 //! lookup per word byte), and [`productive_mask`] scores all four
 //! neighbors from the source's frame in one pass. The planner behind
 //! [`walk`] still minimises over every cut gap, since routes depend on
-//! its tie-breaking. Both are verified exhaustively against BFS in the
-//! tests, and the induced diameter `n + floor(n/2)` matches the paper's
-//! Remark 1.
+//! its tie-breaking. Distances and routes are verified exhaustively
+//! against BFS in the tests, and the induced diameter `n + floor(n/2)`
+//! matches the paper's Remark 1.
 
 use crate::cayley::Butterfly;
 use hb_group::signed::{ButterflyGen, SignedCycle};
@@ -77,8 +77,9 @@ pub fn dist(u: SignedCycle, v: SignedCycle) -> u32 {
 /// at relative level `t = (l_v - l_u) mod n`. With `LA` the longest
 /// unmarked run in gaps `[0, t)` and `LB` the longest in `[t, n)`, the
 /// distance is `min(n + t - 2·LA, 2n - t - 2·LB)`: the walk leaves out
-/// that run and covers the rest of the cycle. `LA = LB = 0` is the full
-/// loop, the same candidate set the planner behind [`walk`] scans.
+/// that run and covers the rest of the cycle, and a run of length 0 is
+/// the full loop. The planner behind [`walk`] scans the same candidates
+/// one cut gap at a time.
 #[inline]
 pub fn dist_word_level(n: u32, wu: u32, lu: u32, wv: u32, lv: u32) -> u32 {
     let marks = (wu ^ wv) & low_bits(n);
