@@ -173,7 +173,8 @@ proptest! {
         plan.add_node((seed as usize * 7 + 3) % nn);
         if seed.is_multiple_of(2) {
             let u = (seed as usize * 5) % nn;
-            plan.add_link(u, (u + 1) % nn);
+            let nbrs = exp.graph().neighbors(u);
+            plan.add_link(u, nbrs[seed as usize % nbrs.len()] as usize);
         }
         let inj = workload::uniform(nn, cycles, f64::from(rate) / 100.0, seed);
         let a = run_with_faults(&exp, &inj, SimConfig::default(), &plan, TraceSampling::Off);

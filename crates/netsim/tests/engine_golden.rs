@@ -54,16 +54,16 @@ fn config() -> (SimConfig, Telemetry) {
 
 fn plan() -> FaultPlan {
     let mut plan = FaultPlan::new();
-    plan.add_node(17).add_link(0, 1);
+    plan.add_node(17).add_link(0, 48);
     plan
 }
 
 /// Faults land mid-run and are repaired before the injections stop.
 fn timeline() -> FaultTimeline {
     let mut tl = FaultTimeline::new();
-    tl.push(5, FaultEventKind::Fault, FaultTarget::Link(0, 1))
+    tl.push(5, FaultEventKind::Fault, FaultTarget::Link(0, 48))
         .push(8, FaultEventKind::Fault, FaultTarget::Node(17))
-        .push(20, FaultEventKind::Repair, FaultTarget::Link(0, 1))
+        .push(20, FaultEventKind::Repair, FaultTarget::Link(0, 48))
         .push(30, FaultEventKind::Repair, FaultTarget::Node(17));
     tl
 }
