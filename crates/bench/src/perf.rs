@@ -160,16 +160,17 @@ pub fn grid_scaling(rates: &[f64], cycles: u64, seed: u64) -> Result<Vec<PerfRow
     Ok(rows)
 }
 
-/// Route-oracle lookup microbench: the CSR pair index of
-/// [`RouteTable::slot`] raced against the pre-CSR `BTreeMap<(u32, u32),
-/// u32>` pair index it replaced, over the same workload's lookups.
+/// Route-oracle lookup microbench: the per-injection slot read of
+/// [`RouteTable::slot`] (what admission does) raced against a
+/// `BTreeMap<(u32, u32), u32>` pair index, over the same workload's
+/// lookups.
 ///
 /// Field mapping (documented because this row reuses the [`PerfRow`]
-/// shape): `wall_ms` is the CSR pass, `pkts_per_sec` is CSR lookups/s,
-/// `cycles_per_sec` is BTreeMap lookups/s, and `speedup` is the CSR
-/// throughput advantage (`btree_secs / csr_secs`). The exact-gated
-/// counters stay deterministic: `delivered` = total lookups performed,
-/// `sim_cycles` = distinct pairs in the table.
+/// shape): `wall_ms` is the slot-read pass, `pkts_per_sec` is slot
+/// reads/s, `cycles_per_sec` is BTreeMap lookups/s, and `speedup` is
+/// the slot read's throughput advantage (`btree_secs / slot_secs`). The
+/// exact-gated counters stay deterministic: `delivered` = total lookups
+/// performed, `sim_cycles` = distinct pairs in the table.
 ///
 /// # Errors
 /// Propagates topology construction failures.
@@ -179,23 +180,22 @@ pub fn route_lookup(cycles: u64, seed: u64) -> Result<Vec<PerfRow>> {
     let t = HyperButterflyNet::new(2, 4, HbRouteOrder::CubeFirst)?;
     let inj = workload::uniform(t.num_nodes(), cycles, 0.15, seed);
     let table = RouteTable::for_injections(&t, &inj, &FaultPlan::new());
-    // The displaced implementation, rebuilt from the same table.
+    // A pair index over the same slots.
     let mut btree: BTreeMap<(u32, u32), u32> = BTreeMap::new();
-    for i in &inj {
-        let slot = table.slot(i.src, i.dst).expect("pair was built");
-        btree.entry((i.src as u32, i.dst as u32)).or_insert(slot);
+    for (k, i) in inj.iter().enumerate() {
+        btree
+            .entry((i.src as u32, i.dst as u32))
+            .or_insert(table.slot(k));
     }
     let start = Instant::now();
     let mut acc = 0u64;
     for _ in 0..PASSES {
-        for i in &inj {
-            if let Some(slot) = table.slot(i.src, i.dst) {
-                acc += u64::from(slot);
-            }
+        for k in 0..inj.len() {
+            acc += u64::from(table.slot(k));
         }
     }
-    let csr_secs = start.elapsed().as_secs_f64().max(1e-9);
-    let csr_acc = black_box(acc);
+    let slot_secs = start.elapsed().as_secs_f64().max(1e-9);
+    let slot_acc = black_box(acc);
     let start = Instant::now();
     let mut acc = 0u64;
     for _ in 0..PASSES {
@@ -206,18 +206,18 @@ pub fn route_lookup(cycles: u64, seed: u64) -> Result<Vec<PerfRow>> {
         }
     }
     let btree_secs = start.elapsed().as_secs_f64().max(1e-9);
-    assert_eq!(csr_acc, black_box(acc), "indexes must agree");
+    assert_eq!(slot_acc, black_box(acc), "indexes must agree");
     let lookups = (PASSES * inj.len()) as u64;
     #[allow(clippy::cast_precision_loss)]
     Ok(vec![PerfRow {
         name: "route_lookup".to_string(),
         threads: 1,
-        wall_ms: csr_secs * 1e3,
+        wall_ms: slot_secs * 1e3,
         delivered: lookups,
         sim_cycles: table.num_pairs() as u64,
-        pkts_per_sec: lookups as f64 / csr_secs,
+        pkts_per_sec: lookups as f64 / slot_secs,
         cycles_per_sec: lookups as f64 / btree_secs,
-        speedup: btree_secs / csr_secs,
+        speedup: btree_secs / slot_secs,
     }])
 }
 
@@ -244,6 +244,11 @@ pub fn repair_perf(_cycles: u64, seed: u64) -> Result<Vec<PerfRow>> {
     let t = HyperButterflyNet::new(2, 4, HbRouteOrder::CubeFirst)?;
     let n = t.num_nodes();
     let pairs: Vec<(usize, usize)> = (0..n).map(|v| (v, (v * 7 + 3) % n)).collect();
+    // The same pairs as cycle-0 injections, for the rebuild side.
+    let at_zero: Vec<Injection> = pairs
+        .iter()
+        .map(|&(src, dst)| Injection { src, dst, at: 0 })
+        .collect();
     let empty = FaultPlan::new();
     let mut rows = Vec::new();
     for delta in [1usize, 4, 16] {
@@ -289,7 +294,7 @@ pub fn repair_perf(_cycles: u64, seed: u64) -> Result<Vec<PerfRow>> {
         let start = Instant::now();
         for _ in 0..REPAIR_REPS {
             for p in [&plan, &empty] {
-                rebuilt += black_box(RouteTable::build(&t, pairs.iter().copied(), p)).num_pairs();
+                rebuilt += black_box(RouteTable::for_injections(&t, &at_zero, p)).num_pairs();
             }
         }
         let rebuild_secs = start.elapsed().as_secs_f64().max(1e-9);

@@ -3,22 +3,26 @@
 //!
 //! A timeline run is compiled in two steps:
 //!
-//! 1. **Compile** (`compile`) — walk the injection schedule once,
-//!    applying every timeline event whose cycle has arrived *between*
-//!    injections (events at cycle `c` are visible to injections at
-//!    `c`). Events sharing a cycle form one **delta**; each delta is
-//!    applied to the working [`FaultPlan`] and the [`RouteCache`] is
-//!    repaired **incrementally** ([`RouteCache::repair`]): routes the
-//!    delta cannot touch keep their slots, only affected pairs are
-//!    respliced — `O(affected pairs)` per delta instead of the
-//!    `O(memoized pairs × BFS)` of a rebuild. Each injection's route is
-//!    then resolved under the plan in force at its cycle and frozen
-//!    into per-injection `ChurnRoutes`.
-//! 2. **Run** — the frozen routes drive the cycle kernel through a
-//!    churn-snapshot `RouteSrc`. The compile is engine-independent and fully
-//!    deterministic, so serial, bounded, adaptive, flight, and sharded
-//!    runs all see byte-identical routes — the sharded engine at any
-//!    thread count included (`par_equiv`).
+//! 1. **Compile** — the one route compile every source-routed run goes
+//!    through (`RouteTable::compile`, see [`crate::routes`]) walks the
+//!    injection schedule once, applying every timeline event whose
+//!    cycle has arrived *between* injections (events at cycle `c` are
+//!    visible to injections at `c`). Events sharing a cycle form one
+//!    **delta**; each delta is applied to the working [`FaultPlan`] and
+//!    the [`crate::RouteCache`] is repaired **incrementally**
+//!    ([`crate::RouteCache::repair`]): routes the delta cannot touch
+//!    keep their slots, only affected pairs are respliced —
+//!    `O(affected pairs)` per delta instead of the
+//!    `O(memoized pairs × BFS)` of a rebuild. Each injection's slot is
+//!    recorded under the plan in force at its cycle, and the cache's
+//!    arena is frozen into the run's [`crate::RouteTable`].
+//! 2. **Run** — the table drives the cycle kernel. The compile is
+//!    engine-independent and fully deterministic, so serial, bounded,
+//!    adaptive, flight, and sharded runs all see byte-identical routes
+//!    — the sharded engine at any thread count included (`par_equiv`).
+//!
+//! A static plan is the empty timeline: [`crate::run_with_faults`] and
+//! [`crate::run_bounded`] are the runners here with no events.
 //!
 //! Model semantics: packets are source-routed at **admission** — a
 //! fault that lands mid-flight does not touch packets already in the
@@ -33,141 +37,46 @@
 //! scanned/kept/respliced) and — under `cfg.profile` — a
 //! `sim/route_repair` profiler phase (invocations = deltas, work =
 //! nodes on respliced routes). An **empty** timeline emits none of
-//! these and matches the static-plan runners byte for byte.
+//! these, and `sim.unroutable` is emitted only for flight runs and
+//! runs under a non-empty plan or timeline, so an empty timeline
+//! matches the static-plan runners byte for byte.
 
-use crate::faults::{FaultEvent, FaultEventKind, FaultPlan, FaultTarget, FaultTimeline};
+use crate::faults::{FaultEventKind, FaultPlan, FaultTimeline};
 use crate::flight::TraceSampling;
-use crate::routes::{ChurnRoutes, RepairStats, RouteCache, RouteSrc};
+use crate::routes::RouteTable;
 use crate::sim::{Injection, SimConfig, SimStats};
 use crate::topology::NetTopology;
-use hb_telemetry::{Profile, Telemetry};
+use hb_telemetry::Profile;
 
-/// Everything [`compile`] produces for one timeline run.
-struct Compiled {
-    /// Frozen per-injection routes (what the kernels read).
-    routes: ChurnRoutes,
-    /// Base plan ∪ every timeline fault target — the
-    /// [`TraceSampling::FaultAdjacent`] mask, so packets near any fault
-    /// epoch are eligible for sampling.
-    hot_plan: FaultPlan,
-    /// Summed incremental-repair cost over all deltas.
-    repair: RepairStats,
-    /// Timeline events actually applied (cycle ≤ last injection).
-    events_applied: u64,
-    /// Effective deltas (event-cycle groups that changed the plan).
-    deltas: u64,
-}
-
-/// Applies `ev` (the event at timeline index `idx`) to `plan`. Faults
-/// carry their event index so detour spans can name the event that
-/// caused them ([`crate::faults::FaultReason::event`]).
-fn apply_event(plan: &mut FaultPlan, idx: usize, ev: &FaultEvent) {
-    let tag = u16::try_from(idx).expect("invariant: timelines hold fewer than u16::MAX events");
-    match (ev.kind, ev.target) {
-        (FaultEventKind::Fault, FaultTarget::Node(v)) => {
-            plan.add_node_at(v, tag);
-        }
-        (FaultEventKind::Fault, FaultTarget::Link(u, v)) => {
-            plan.add_link_at(u, v, tag);
-        }
-        (FaultEventKind::Repair, FaultTarget::Node(v)) => {
-            plan.remove_node(v);
-        }
-        (FaultEventKind::Repair, FaultTarget::Link(u, v)) => {
-            plan.remove_link(u, v);
-        }
-    }
-}
-
-/// Compiles `timeline` against the injection schedule: one pass over
-/// `injections` (sorted by `at`), repairing the route cache per
-/// event-cycle delta and freezing each injection's admission route. The
-/// repair cost lands in `cfg`'s telemetry ([`record_repair`]).
+/// Compiles the run's routes (`RouteTable::compile`) and records what
+/// the repairs cost in `cfg`'s telemetry: the `sim.repair.*` counters
+/// and, under `cfg.profile`, the `sim/route_repair` phase. Both are
+/// skipped for an empty timeline, so a churn run without events stays
+/// byte-identical to its static-plan counterpart.
 fn compile(
     topo: &dyn NetTopology,
     injections: &[Injection],
     cfg: &SimConfig,
     base: &FaultPlan,
     timeline: &FaultTimeline,
-) -> Compiled {
-    assert!(
-        injections.windows(2).all(|w| w[0].at <= w[1].at),
-        "injections must be sorted by cycle"
-    );
-    let events = timeline.events();
-    let mut plan = base.clone();
-    let mut hot_plan = base.clone();
-    for ev in events {
-        if ev.kind == FaultEventKind::Fault {
-            match ev.target {
-                FaultTarget::Node(v) => {
-                    hot_plan.add_node(v);
-                }
-                FaultTarget::Link(u, v) => {
-                    hot_plan.add_link(u, v);
-                }
-            }
-        }
-    }
-
-    let mut cache = RouteCache::new();
-    cache.set_plan(&plan);
-    let mut routes = ChurnRoutes::with_capacity(injections.len());
-    let mut repair = RepairStats::default();
-    let mut events_applied = 0u64;
-    let mut deltas = 0u64;
-    let mut next_ev = 0usize;
-    for inj in injections {
-        while next_ev < events.len() && events[next_ev].cycle <= inj.at {
-            // One delta per event cycle: all its events land together.
-            let at = events[next_ev].cycle;
-            while next_ev < events.len() && events[next_ev].cycle == at {
-                apply_event(&mut plan, next_ev, &events[next_ev]);
-                next_ev += 1;
-                events_applied += 1;
-            }
-            if cache.plan() != &plan {
-                deltas += 1;
-                repair.absorb(cache.repair(topo, &plan));
-                routes.forget_dead(&cache);
-            }
-        }
-        let slot = cache.resolve(topo, inj.src, inj.dst);
-        routes.assign(&cache, slot);
-    }
-
-    let compiled = Compiled {
-        routes,
-        hot_plan,
-        repair,
-        events_applied,
-        deltas,
+) -> RouteTable {
+    let (table, cost) = RouteTable::compile(topo, injections, base, timeline);
+    let Some(t) = cfg.telemetry.as_ref().filter(|_| !timeline.is_empty()) else {
+        return table;
     };
-    record_repair(cfg.telemetry.as_ref(), cfg.profile, timeline, &compiled);
-    compiled
-}
-
-/// Emits the `sim.repair.*` counters and (under `profile`) the
-/// `sim/route_repair` profiler phase. Skipped entirely for empty
-/// timelines so a churn run without events stays byte-identical to its
-/// static-plan counterpart.
-fn record_repair(tel: Option<&Telemetry>, profile: bool, timeline: &FaultTimeline, c: &Compiled) {
-    if timeline.is_empty() {
-        return;
-    }
-    let Some(t) = tel else { return };
-    t.counter("sim.repair.events").add(c.events_applied);
-    t.counter("sim.repair.deltas").add(c.deltas);
-    t.counter("sim.repair.scanned").add(c.repair.scanned);
-    t.counter("sim.repair.kept").add(c.repair.kept);
-    t.counter("sim.repair.respliced").add(c.repair.respliced);
-    if profile {
+    t.counter("sim.repair.events").add(cost.events);
+    t.counter("sim.repair.deltas").add(cost.deltas);
+    t.counter("sim.repair.scanned").add(cost.repair.scanned);
+    t.counter("sim.repair.kept").add(cost.repair.kept);
+    t.counter("sim.repair.respliced").add(cost.repair.respliced);
+    if cfg.profile {
         let mut p = Profile::new();
-        p.record("sim/route_repair", c.deltas, c.repair.work);
+        p.record("sim/route_repair", cost.deltas, cost.repair.work);
         if !p.is_empty() {
             t.merge_profile(&p);
         }
     }
+    table
 }
 
 /// Runs the oblivious fault-aware simulation under a base [`FaultPlan`]
@@ -189,20 +98,21 @@ pub fn run_with_timeline(
     timeline: &FaultTimeline,
     sampling: TraceSampling,
 ) -> SimStats {
-    let compiled = compile(topo, injections, &cfg, base, timeline);
-    crate::flight::run_flight(
-        topo,
-        injections,
-        &cfg,
-        RouteSrc::churn(&compiled.routes),
-        &compiled.hot_plan,
-        sampling,
-    )
+    let routes = compile(topo, injections, &cfg, base, timeline);
+    // Base plan ∪ every timeline fault target: the fault-adjacent
+    // sampling mask, so packets near any fault epoch are eligible.
+    let mut hot_plan = base.clone();
+    for (idx, ev) in timeline.events().iter().enumerate() {
+        if ev.kind == FaultEventKind::Fault {
+            hot_plan.apply(idx, ev);
+        }
+    }
+    crate::flight::run_flight(topo, injections, &cfg, &routes, &hot_plan, sampling)
 }
 
-/// [`crate::run_bounded`] under a fault timeline: bounded queues with
-/// backpressure, plus churn admission — injections whose compiled route
-/// is empty are refused as unroutable.
+/// [`crate::run_bounded`] under a base plan and a fault timeline:
+/// bounded queues with backpressure, plus churn admission — injections
+/// whose compiled route is empty are refused as unroutable.
 ///
 /// # Panics
 /// As [`crate::run_bounded`].
@@ -214,18 +124,12 @@ pub fn run_bounded_with_timeline(
     base: &FaultPlan,
     timeline: &FaultTimeline,
 ) -> SimStats {
-    let compiled = compile(topo, injections, &cfg, base, timeline);
+    let routes = compile(topo, injections, &cfg, base, timeline);
     let queues = crate::kernel::Bounded {
         capacity,
         sweep: false,
     };
-    crate::sim::run_bounded_on(
-        topo,
-        injections,
-        &cfg,
-        queues,
-        RouteSrc::churn(&compiled.routes),
-    )
+    crate::sim::run_bounded_on(topo, injections, &cfg, queues, &routes)
 }
 
 /// [`crate::run_adaptive`] under a fault timeline. Churn gates
@@ -243,19 +147,20 @@ pub fn run_adaptive_with_timeline(
     base: &FaultPlan,
     timeline: &FaultTimeline,
 ) -> SimStats {
-    let compiled = compile(topo, injections, &cfg, base, timeline);
-    let admission = Some(RouteSrc::churn(&compiled.routes));
-    crate::sim::run_adaptive_on(topo, injections, &cfg, admission)
+    let admission = compile(topo, injections, &cfg, base, timeline);
+    crate::sim::run_adaptive_on(topo, injections, &cfg, Some(&admission))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::FaultTarget;
     use crate::flight::run_with_faults;
     use crate::sim::inj;
     use crate::sim::{run_adaptive, run_bounded};
     use crate::topology::{HbRouteOrder, HyperButterflyNet, HypercubeNet};
     use crate::workload;
+    use hb_telemetry::Telemetry;
 
     fn hb() -> HyperButterflyNet {
         HyperButterflyNet::new(2, 3, HbRouteOrder::CubeFirst).unwrap()
@@ -310,20 +215,20 @@ mod tests {
         );
         assert_eq!(tel_a.snapshot(), tel_b.snapshot());
 
-        let b = run_bounded(&t, &traffic, SimConfig::default(), 4);
-        let bt = run_bounded_with_timeline(
-            &t,
-            &traffic,
-            SimConfig::default(),
-            4,
-            &FaultPlan::new(),
-            &tl,
-        );
+        // Bounded and adaptive runs under an empty plan: same stats and
+        // the same snapshot (no `sim.unroutable` where the static runner
+        // has none).
+        let cfg = |tel: &Telemetry| SimConfig::default().with_telemetry(tel.clone());
+        let (tel_a, tel_b) = (Telemetry::summary(), Telemetry::summary());
+        let b = run_bounded(&t, &traffic, cfg(&tel_a), 4);
+        let bt = run_bounded_with_timeline(&t, &traffic, cfg(&tel_b), 4, &FaultPlan::new(), &tl);
         assert_eq!(b, bt);
-        let a = run_adaptive(&t, &traffic, SimConfig::default());
-        let at =
-            run_adaptive_with_timeline(&t, &traffic, SimConfig::default(), &FaultPlan::new(), &tl);
+        assert_eq!(tel_a.snapshot(), tel_b.snapshot());
+        let (tel_a, tel_b) = (Telemetry::summary(), Telemetry::summary());
+        let a = run_adaptive(&t, &traffic, cfg(&tel_a));
+        let at = run_adaptive_with_timeline(&t, &traffic, cfg(&tel_b), &FaultPlan::new(), &tl);
         assert_eq!(a, at);
+        assert_eq!(tel_a.snapshot(), tel_b.snapshot());
     }
 
     #[test]

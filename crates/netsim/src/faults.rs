@@ -133,6 +133,19 @@ impl FaultPlan {
         self
     }
 
+    /// Applies `ev`, the event at index `idx` of its [`FaultTimeline`].
+    /// Faults carry the index so detour spans can name the event that
+    /// caused them ([`FaultReason::event`]).
+    pub(crate) fn apply(&mut self, idx: usize, ev: &FaultEvent) -> &mut Self {
+        let tag = u16::try_from(idx).expect("invariant: timelines hold fewer than u16::MAX events");
+        match (ev.kind, ev.target) {
+            (FaultEventKind::Fault, FaultTarget::Node(v)) => self.add_node_at(v, tag),
+            (FaultEventKind::Fault, FaultTarget::Link(u, v)) => self.add_link_at(u, v, tag),
+            (FaultEventKind::Repair, FaultTarget::Node(v)) => self.remove_node(v),
+            (FaultEventKind::Repair, FaultTarget::Link(u, v)) => self.remove_link(u, v),
+        }
+    }
+
     /// A plan from node and link lists.
     pub fn from_sets(
         nodes: impl IntoIterator<Item = NodeId>,

@@ -8,12 +8,14 @@
 //!   route would cross a faulty link, the remainder is recomputed by
 //!   deterministic BFS over the survivor graph and spliced in (one
 //!   splice suffices: the detour itself avoids every fault). All of
-//!   that happens **once per distinct endpoint pair** in a
-//!   [`RouteTable`] built up front — packets carry a `u32` slot, and
+//!   that happens **once per distinct endpoint pair** in the
+//!   [`RouteTable`] compiled up front — packets carry a `u32` slot, and
 //!   reroute attribution is read from the table, never recomputed.
 //!   Packets whose endpoints are down, or with no survivor path, are
 //!   refused at injection and counted as stranded (packet conservation
-//!   holds).
+//!   holds). A static plan is a fault timeline with no events, so
+//!   [`run_with_faults`] is [`crate::run_with_timeline`] with an empty
+//!   one.
 //! * **causal tracing** — under a [`TraceSampling`] policy, selected
 //!   packets get a root span plus one child span per hop recording the
 //!   node, link, queue depth on arrival, wait cycles, and the forward
@@ -31,9 +33,9 @@
 //! program order, so traced runs stay serial to keep recordings
 //! deterministic.
 
-use crate::faults::FaultPlan;
+use crate::faults::{FaultPlan, FaultTimeline};
 use crate::kernel::{drive_serial, Packet, RunCtx, SourceRouted, Unbounded};
-use crate::routes::{RouteSrc, RouteTable};
+use crate::routes::RouteTable;
 use crate::sim::{Injection, SimConfig, SimStats};
 use crate::topology::NetTopology;
 use hb_graphs::NodeId;
@@ -88,7 +90,7 @@ struct SpanRec {
 /// a root span per sampled packet and one child span per hop.
 pub(crate) struct Spans<'a> {
     tel: &'a Telemetry,
-    routes: RouteSrc<'a>,
+    routes: &'a RouteTable,
     sampling: TraceSampling,
     /// Fault-adjacent nodes ([`TraceSampling::FaultAdjacent`] only): a
     /// sparse set, O(faults × degree) even at million-node scale.
@@ -103,7 +105,7 @@ impl<'a> Spans<'a> {
     /// [`TraceSampling::FaultAdjacent`] mask.
     fn new(
         ctx: &RunCtx<'a>,
-        routes: RouteSrc<'a>,
+        routes: &'a RouteTable,
         hot_plan: &FaultPlan,
         sampling: TraceSampling,
     ) -> Option<Self> {
@@ -220,27 +222,19 @@ pub fn run_with_faults(
     plan: &FaultPlan,
     sampling: TraceSampling,
 ) -> SimStats {
-    let table = RouteTable::for_injections(topo, injections, plan);
-    run_flight(
-        topo,
-        injections,
-        &cfg,
-        RouteSrc::table(&table),
-        plan,
-        sampling,
-    )
+    let quiet = FaultTimeline::new();
+    crate::run_with_timeline(topo, injections, cfg, plan, &quiet, sampling)
 }
 
-/// The flight run over prebuilt routes: a single shared table (static
-/// plan) or a per-injection churn snapshot. `hot_plan` seeds the
-/// [`TraceSampling::FaultAdjacent`] mask — for churn runs the union of
-/// the base plan and every timeline fault target, so a packet near
-/// *any* fault epoch is eligible for sampling.
+/// The flight run over compiled routes. `hot_plan` seeds the
+/// [`TraceSampling::FaultAdjacent`] mask: the union of the base plan
+/// and every timeline fault target, so a packet near *any* fault epoch
+/// is eligible for sampling.
 pub(crate) fn run_flight(
     topo: &dyn NetTopology,
     injections: &[Injection],
     cfg: &SimConfig,
-    routes: RouteSrc<'_>,
+    routes: &RouteTable,
     hot_plan: &FaultPlan,
     sampling: TraceSampling,
 ) -> SimStats {
@@ -539,7 +533,7 @@ mod tests {
         let mut plan = FaultPlan::new();
         plan.add_node(1).add_link(0, 2);
         for dst in [3usize, 17, 40] {
-            let r = survivor_route(g, 0, dst, &plan).expect("still connected");
+            let r = survivor_route(&t, 0, dst, &plan).expect("still connected");
             assert_eq!(r[0], 0);
             assert_eq!(*r.last().unwrap(), dst);
             for w in r.windows(2) {

@@ -15,9 +15,9 @@
 //! Two policies specialise it at compile time, so the per-hop path has
 //! no dynamic dispatch beyond the topology's own neighbor enumeration:
 //!
-//! * a [`RoutePolicy`] — [`SourceRouted`] (routes from a `RouteSrc`
-//!   table or churn snapshot, served in ascending channel order) or
-//!   [`Adaptive`] (least-queue productive hop, served in activation
+//! * a [`RoutePolicy`] — [`SourceRouted`] (each injection's route
+//!   from a compiled [`RouteTable`], served in ascending channel order)
+//!   or [`Adaptive`] (least-queue productive hop, served in activation
 //!   order, with optional churn admission);
 //! * a [`Discipline`] — [`Unbounded`] FIFOs, or [`Bounded`] queues with
 //!   same-cycle credits and, for the `run_bounded_sweep` oracle, a
@@ -31,7 +31,7 @@
 use crate::flight::Spans;
 use crate::par::ShardPort;
 use crate::pool::PacketPool;
-use crate::routes::RouteSrc;
+use crate::routes::RouteTable;
 use crate::sim::{ChanLayout, ChanQueues, Injection, MemStats, SimConfig, SimStats};
 use crate::topology::{NetTopology, MAX_PRODUCTIVE};
 use crate::tsrec::{GlobalTs, LinkTs};
@@ -69,8 +69,8 @@ pub(crate) struct Accounting {
     /// Count detoured admissions and emit `sim.reroutes` plus the two
     /// fault series (flight runs).
     pub(crate) faults: bool,
-    /// Emit `sim.unroutable`: flight runs, and runs whose admissions a
-    /// fault timeline gates.
+    /// Emit `sim.unroutable`: flight runs, and runs whose routes were
+    /// compiled under a non-empty plan or timeline.
     pub(crate) unroutable: bool,
     /// The `sim/route_build` phase, `(pairs, route nodes)`; source
     /// routes only.
@@ -116,11 +116,11 @@ pub(crate) trait RoutePolicy {
     fn accounting(&self) -> Accounting;
 }
 
-/// Source routing from a route table or churn snapshot: the path is
-/// fixed at admission and the packet carries its slot.
+/// Source routing from a compiled route table: the path is fixed at
+/// admission and the packet carries its slot.
 #[derive(Clone, Copy)]
 pub(crate) struct SourceRouted<'a> {
-    pub(crate) routes: RouteSrc<'a>,
+    pub(crate) routes: &'a RouteTable,
     pub(crate) layout: &'a ChanLayout<'a>,
     /// Flight semantics: count detours, emit the fault counters and
     /// series.
@@ -132,11 +132,8 @@ impl RoutePolicy for SourceRouted<'_> {
     type Via = usize;
 
     #[inline]
-    fn admit(&self, idx: usize, inj: Injection, prof: &mut ProfCounters) -> Admit {
-        let slot = self
-            .routes
-            .slot_for(idx, inj.src, inj.dst)
-            .expect("invariant: route table was built from this exact workload");
+    fn admit(&self, idx: usize, _inj: Injection, prof: &mut ProfCounters) -> Admit {
+        let slot = self.routes.slot(idx);
         let len = self.routes.path(slot).len();
         prof.lookup_inv += 1;
         prof.lookup_work += len as u64;
@@ -182,7 +179,7 @@ impl RoutePolicy for SourceRouted<'_> {
     fn accounting(&self) -> Accounting {
         Accounting {
             faults: self.faults,
-            unroutable: self.faults || self.routes.is_churn(),
+            unroutable: self.faults || self.routes.may_refuse(),
             route_build: Some((
                 self.routes.num_pairs() as u64,
                 self.routes.total_route_nodes() as u64,
@@ -198,7 +195,7 @@ impl RoutePolicy for SourceRouted<'_> {
 pub(crate) struct Adaptive<'a> {
     pub(crate) topo: &'a dyn NetTopology,
     pub(crate) layout: &'a ChanLayout<'a>,
-    pub(crate) admission: Option<RouteSrc<'a>>,
+    pub(crate) admission: Option<&'a RouteTable>,
     /// Scratch for the productive-hop set, reused by every choice.
     pub(crate) hops: [NodeId; MAX_PRODUCTIVE],
 }
@@ -209,11 +206,10 @@ impl RoutePolicy for Adaptive<'_> {
 
     #[inline]
     fn admit(&self, idx: usize, inj: Injection, _prof: &mut ProfCounters) -> Admit {
-        if self.admission.is_some_and(|r| {
-            let slot = r.slot_for(idx, inj.src, inj.dst);
-            r.path(slot.expect("invariant: churn routes cover every injection"))
-                .is_empty()
-        }) {
+        if self
+            .admission
+            .is_some_and(|r| r.path(r.slot(idx)).is_empty())
+        {
             Admit::Refused
         } else if inj.src == inj.dst {
             Admit::Arrived
@@ -261,7 +257,7 @@ impl RoutePolicy for Adaptive<'_> {
     fn accounting(&self) -> Accounting {
         Accounting {
             faults: false,
-            unroutable: self.admission.is_some(),
+            unroutable: self.admission.is_some_and(RouteTable::may_refuse),
             route_build: None,
         }
     }

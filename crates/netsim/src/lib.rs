@@ -21,14 +21,15 @@
 //! * [`flight`] — the fault-aware simulator with a per-packet **flight
 //!   recorder**: sampled packets leave causal span trees (one span per
 //!   hop: queue depth, wait, forward decision, reroute attribution);
-//! * [`routes`] — precomputed route tables ([`RouteTable`], built once
-//!   per `(topology, FaultPlan)`) and the epoch-keyed [`RouteCache`]
-//!   with **incremental repair** under plan deltas, so the hot loops
-//!   never recompute a route per packet;
+//! * [`routes`] — the one route compile every source-routed run goes
+//!   through: the epoch-keyed [`RouteCache`] with **incremental
+//!   repair** under plan deltas, frozen into a per-injection
+//!   [`RouteTable`] before the cycle loop, so the hot loops never
+//!   recompute a route per packet;
 //! * [`churn`] — fault-timeline runs ([`FaultTimeline`]): scheduled
-//!   mid-run fault/repair events compiled into per-injection routes by
-//!   delta-splicing the cache, deterministic across engines and thread
-//!   counts;
+//!   mid-run fault/repair events applied by that compile, deterministic
+//!   across engines and thread counts; a static plan is the empty
+//!   timeline;
 //! * [`pool`] — the slab [`pool::PacketPool`] backing the simulators'
 //!   queues (4-byte keys, zero per-hop allocation in steady state);
 //! * the sharded parallel engine behind [`SimConfig::with_threads`]:

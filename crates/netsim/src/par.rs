@@ -154,9 +154,9 @@ struct Exchange<'a> {
 }
 
 /// The sharded parallel engine behind [`crate::SimConfig::with_threads`]:
-/// one kernel per shard plus the mailbox exchange. `route` reads a
-/// single shared table (static plan) or a per-injection churn snapshot
-/// compiled ahead of the run — both read-only here, which keeps the
+/// one kernel per shard plus the mailbox exchange. `route` reads the
+/// route table compiled ahead of the run (per injection, under the
+/// plan in force at its cycle) — read-only here, which keeps the
 /// determinism argument untouched by fault churn.
 pub(crate) fn run_sharded(ctx: &RunCtx<'_>, route: SourceRouted<'_>) -> SimStats {
     let n = ctx.topo.num_nodes();

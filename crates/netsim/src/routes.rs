@@ -1,27 +1,29 @@
-//! Precomputed route tables: compute every distinct `(src, dst)` route
-//! **once** per `(topology, [`FaultPlan`])` instead of once per packet.
+//! Route tables: every distinct route of a run is computed **once**,
+//! before its cycle loop, instead of once per packet.
 //!
-//! The simulators in [`crate::sim`] and [`crate::flight`] are oblivious:
-//! a packet's path depends only on its endpoints and the static fault
-//! plan, never on network state. Re-deriving the route at every
-//! injection therefore repeats identical work — `topo.route` allocates a
-//! fresh `Vec` per packet, and the fault-aware runner may re-run a BFS
-//! over the survivor graph. [`RouteTable`] hoists all of that out of the
-//! hot loop: routes for the distinct endpoint pairs of a workload are
-//! computed once into a flat CSR arena (`offsets` + `nodes`), packets
-//! carry a `u32` slot instead of a `Vec<NodeId>`, and detour attribution
-//! (where a reroute begins and which fault caused it) is interned per
-//! route rather than cloned per packet.
+//! The simulators are oblivious: a packet's path depends only on its
+//! endpoints and the fault plan in force when it is admitted, never on
+//! network state. So every source-routed run compiles its routes up
+//! front, through one function (`RouteTable::compile`): it walks the
+//! injections in cycle order, repairs a [`RouteCache`] at each
+//! event-cycle delta of the run's fault timeline (a static plan is an
+//! empty timeline, so it has none), and records the slot each injection
+//! is admitted with. The frozen [`RouteTable`] is the cache's flat CSR
+//! arena (`offsets` + `nodes`), taken without a copy, plus one `u32`
+//! slot per injection: admission is one array read, packets carry the
+//! slot instead of a `Vec<NodeId>`, and detour attribution (where a
+//! reroute begins and which fault caused it) is interned per route
+//! rather than cloned per packet.
 //!
-//! [`RouteCache`] is the long-lived variant for fault campaigns: it
-//! memoizes routes lazily and is keyed by a **fault epoch** — swapping
-//! in a different [`FaultPlan`] bumps the epoch, but the memo is
-//! repaired *incrementally*: every memoized route the plan delta cannot
-//! touch survives verbatim (same slot, same bytes), and only the
-//! affected routes are invalidated ([`RouteCache::set_plan`], lazily) or
-//! respliced in place ([`RouteCache::repair`], eagerly — the churn
-//! engines' per-delta hot path). The invalidation rule, proven
-//! equivalent to a rebuild-from-scratch by the `repair_equiv` proptest:
+//! [`RouteCache`] memoizes routes lazily per endpoint pair and is keyed
+//! by a **fault epoch** — swapping in a different [`FaultPlan`] bumps
+//! the epoch, but the memo is repaired *incrementally*: every memoized
+//! route the plan delta cannot touch survives verbatim (same slot, same
+//! bytes), and only the affected routes are invalidated
+//! ([`RouteCache::set_plan`], lazily) or respliced in place
+//! ([`RouteCache::repair`], eagerly — the compile's per-delta hot
+//! path). The invalidation rule, proven equivalent to a
+//! rebuild-from-scratch by the `repair_equiv` proptest:
 //!
 //! * a **clean oblivious** route (no detour) is kept unless an added
 //!   fault lands on one of its nodes or links — no other plan change
@@ -32,76 +34,57 @@
 //! * an **unroutable** pair stays unroutable under pure-fault deltas
 //!   and is only recomputed when the delta repairs something.
 //!
-//! Memory: the CSR arena costs `4 * (nodes_in_routes + pairs + 1)` bytes
-//! plus the pair index — see [`RouteTable::heap_bytes`] (the same
-//! accounting convention as `hb_graphs::Graph::heap_bytes`, quoted in
-//! DESIGN.md §9 and §11).
-//!
-//! The pair index itself is flat too: a CSR keyed by dense source id
-//! (`row_offsets[src] .. row_offsets[src + 1]` brackets a sorted run of
-//! destinations), so [`RouteTable::slot`] is two array reads plus a
-//! binary search over one source's destinations — no tree walk, no
-//! per-lookup hashing. Detour attribution is a `Copy`
-//! [`FaultReason`] id rather than an interned `String`, shrinking
-//! [`Detour`] to two words and making snapshots allocation-free.
+//! Memory: the CSR arena costs `4 * (nodes_in_routes + routes + 1)`
+//! bytes plus one slot per injection — see [`RouteTable::heap_bytes`]
+//! (the same accounting convention as `hb_graphs::Graph::heap_bytes`,
+//! quoted in DESIGN.md §9 and §11). The cache's pair index is keyed by
+//! the sources seen (a sorted `(dst, slot)` row each), so it costs
+//! O(pairs) even on million-node implicit shapes. Detour attribution is
+//! a `Copy` [`FaultReason`] id rather than an interned `String`,
+//! shrinking [`Detour`] to two words and making snapshots
+//! allocation-free.
 
-use crate::faults::{FaultPlan, FaultReason};
+use crate::faults::{FaultPlan, FaultReason, FaultTimeline};
 use crate::sim::Injection;
 use crate::topology::{NetTopology, MAX_PRODUCTIVE};
-use hb_graphs::{Graph, NodeId};
+use hb_graphs::NodeId;
 use std::collections::{BTreeMap, VecDeque};
 
-/// Deterministic BFS route from `src` to `dst` over the survivor graph
-/// (skipping faulty nodes and links). `None` when unreachable. Neighbor
-/// order is the graph's sorted adjacency, so the result is a canonical
-/// shortest survivor path.
-pub fn survivor_route(
-    g: &Graph,
-    src: NodeId,
-    dst: NodeId,
-    plan: &FaultPlan,
-) -> Option<Vec<NodeId>> {
-    if plan.is_node_faulty(src) || plan.is_node_faulty(dst) {
-        return None;
-    }
-    if src == dst {
-        return Some(vec![src]);
-    }
-    let n = g.num_nodes();
-    let mut parent = vec![usize::MAX; n];
-    parent[src] = src;
-    let mut q = VecDeque::from([src]);
-    while let Some(u) = q.pop_front() {
-        for &w in g.neighbors(u) {
-            let w = w as usize;
-            if parent[w] != usize::MAX || plan.is_link_faulty(u, w) {
-                continue;
-            }
-            parent[w] = u;
-            if w == dst {
-                let mut path = vec![dst];
-                let mut cur = dst;
-                while cur != src {
-                    cur = parent[cur];
-                    path.push(cur);
-                }
-                path.reverse();
-                return Some(path);
-            }
-            q.push_back(w);
-        }
-    }
-    None
+/// Parent links of the survivor BFS: dense over a materialised graph,
+/// a sparse map sized by the nodes reached otherwise (the channel
+/// layout makes the same choice).
+enum Parents {
+    Dense(Vec<NodeId>),
+    Sparse(BTreeMap<NodeId, NodeId>),
 }
 
-/// [`survivor_route`] for **implicit** topologies: the same
-/// deterministic BFS over the survivor graph, but neighbors come from
-/// [`NetTopology::neighbors_into`] (ascending node-id order — identical
-/// to the sorted adjacency the explicit BFS walks, so the two functions
-/// return identical canonical paths) and the visited/parent state lives
-/// in a sparse map sized by nodes actually reached, never by the
-/// topology's node count.
-pub fn survivor_route_implicit(
+impl Parents {
+    fn get(&self, v: NodeId) -> Option<NodeId> {
+        match self {
+            Parents::Dense(p) => Some(p[v]).filter(|&u| u != NodeId::MAX),
+            Parents::Sparse(p) => p.get(&v).copied(),
+        }
+    }
+
+    fn insert(&mut self, v: NodeId, parent: NodeId) {
+        match self {
+            Parents::Dense(p) => p[v] = parent,
+            Parents::Sparse(p) => {
+                p.insert(v, parent);
+            }
+        }
+    }
+}
+
+/// Deterministic BFS route from `src` to `dst` over the survivor graph
+/// (skipping faulty nodes and links). `None` when unreachable. With a
+/// materialised graph the BFS reads its CSR adjacency and keeps dense
+/// parents; a graph-free topology enumerates neighbors through
+/// [`NetTopology::neighbors_into`] and keeps parents in a sparse map,
+/// never sized by the topology's node count. Both neighbor orders are
+/// ascending node id, so the result is the same canonical shortest
+/// survivor path either way.
+pub fn survivor_route(
     topo: &dyn NetTopology,
     src: NodeId,
     dst: NodeId,
@@ -113,14 +96,26 @@ pub fn survivor_route_implicit(
     if src == dst {
         return Some(vec![src]);
     }
-    let mut parent: BTreeMap<NodeId, NodeId> = BTreeMap::new();
+    let graph = topo.explicit_graph();
+    let mut parent = match graph {
+        Some(g) => Parents::Dense(vec![NodeId::MAX; g.num_nodes()]),
+        None => Parents::Sparse(BTreeMap::new()),
+    };
     parent.insert(src, src);
     let mut q = VecDeque::from([src]);
     let mut buf = [0 as NodeId; MAX_PRODUCTIVE];
     while let Some(u) = q.pop_front() {
-        let k = topo.neighbors_into(u, &mut buf);
-        for &w in &buf[..k] {
-            if parent.contains_key(&w) || plan.is_link_faulty(u, w) {
+        // Exactly one of the two neighbor sources is non-empty.
+        let (csr, k) = match graph {
+            Some(g) => (g.neighbors(u), 0),
+            None => (&[][..], topo.neighbors_into(u, &mut buf)),
+        };
+        let nbrs = csr
+            .iter()
+            .map(|&w| w as NodeId)
+            .chain(buf[..k].iter().copied());
+        for w in nbrs {
+            if parent.get(w).is_some() || plan.is_link_faulty(u, w) {
                 continue;
             }
             parent.insert(w, u);
@@ -128,7 +123,9 @@ pub fn survivor_route_implicit(
                 let mut path = vec![dst];
                 let mut cur = dst;
                 while cur != src {
-                    cur = parent[&cur];
+                    cur = parent
+                        .get(cur)
+                        .expect("invariant: every reached node has a parent");
                     path.push(cur);
                 }
                 path.reverse();
@@ -170,13 +167,7 @@ pub fn plan_route(
         let Some(reason) = plan.link_fault_id(route[i], route[i + 1]) else {
             continue;
         };
-        // The two BFS variants walk neighbors in the same ascending
-        // order, so the detour is the same canonical path either way;
-        // the implicit one just never materialises per-node state.
-        let tail = match topo.explicit_graph() {
-            Some(g) => survivor_route(g, route[i], dst, plan)?,
-            None => survivor_route_implicit(topo, route[i], dst, plan)?,
-        };
+        let tail = survivor_route(topo, route[i], dst, plan)?;
         route.truncate(i + 1);
         route.extend_from_slice(&tail[1..]);
         return Some((route, Some((i as u32, reason))));
@@ -187,9 +178,9 @@ pub fn plan_route(
 /// Detour sentinel in the packed per-slot arrays: no detour on this route.
 const NO_DETOUR: u32 = u32::MAX;
 
-/// Flat CSR arena of routes shared by [`RouteTable`] and [`RouteCache`].
-/// Slots are dense append-order ids; the pair -> slot index lives in the
-/// owning table/cache, not here.
+/// Flat CSR arena of routes: filled by a [`RouteCache`], frozen into a
+/// [`RouteTable`]. Slots are dense append-order ids; the pair -> slot
+/// index lives in the cache, not here.
 #[derive(Clone, Debug, Default)]
 struct RouteArena {
     /// Slot `s` occupies `nodes[offsets[s] as usize .. offsets[s+1] as usize]`.
@@ -240,21 +231,6 @@ impl RouteArena {
         slot
     }
 
-    /// Appends a verbatim copy of an already-interned route (path in
-    /// arena form plus detour), returning the new slot. Used by
-    /// [`ChurnRoutes`] to freeze cache routes per epoch.
-    fn push_copy(&mut self, path: &[u32], detour: Detour) -> u32 {
-        let slot = u32::try_from(self.len()).expect("invariant: fewer than 2^32 route slots");
-        self.nodes.extend_from_slice(path);
-        self.offsets.push(
-            u32::try_from(self.nodes.len()).expect("invariant: route arena stays under 2^32 nodes"),
-        );
-        let (hop, reason) = detour.unwrap_or((NO_DETOUR, FaultReason::Node(0)));
-        self.detour_hop.push(hop);
-        self.detour_reason.push(reason);
-        slot
-    }
-
     fn path(&self, slot: u32) -> &[u32] {
         let s = slot as usize;
         &self.nodes[self.offsets[s] as usize..self.offsets[s + 1] as usize]
@@ -274,119 +250,137 @@ impl RouteArena {
     }
 }
 
-/// Immutable precomputed route table for one `(topology, FaultPlan)`
-/// pair, covering a fixed set of endpoint pairs (typically the distinct
-/// pairs of a workload — **not** all `n^2` pairs, so hotspot and
-/// permutation traffic pay for their few distinct routes only).
-///
-/// Slots are dense `u32`s in first-seen pair order; packets store the
-/// slot instead of an owned route.
-///
-/// The pair index is a CSR over the **distinct sources of the build
-/// set** (not over all node ids, so the index costs O(pairs) even on
-/// million-node implicit shapes): `srcs` is the sorted source list,
-/// `row_offsets[i] .. row_offsets[i + 1]` brackets source `srcs[i]`'s
-/// run of `(dst, slot)` entries in `cols`/`slots`, with `cols` sorted
-/// per row. [`Self::slot`] is therefore two binary searches (source row,
-/// then destination within the row).
+/// The routes of one source-routed run, frozen before its cycle loop:
+/// the arena its compile filled, and per injection the slot of the
+/// route it was admitted with. Routes cover the run's injections only
+/// — **not** all `n^2` pairs, so hotspot and permutation traffic pay
+/// for their few distinct routes only — and a pair injected under one
+/// plan shares one slot. Kernels only read the table, so the sharded
+/// engine shares it across threads and no plan delta can invalidate a
+/// slot a packet carries.
 #[derive(Clone, Debug)]
 pub struct RouteTable {
     arena: RouteArena,
-    /// Sorted distinct sources of the build set.
-    srcs: Vec<u32>,
-    /// CSR row starts into `cols`/`slots`; length `srcs.len() + 1`.
-    row_offsets: Vec<u32>,
-    /// Destination ids, ascending within each source row.
-    cols: Vec<u32>,
-    /// Slot of the route for the matching `cols` entry.
+    /// Per injection (by index into the compiled injection slice): the
+    /// arena slot of the route it was admitted with.
     slots: Vec<u32>,
+    /// Distinct slots the injections use. Arena routes no injection
+    /// was admitted with (respliced after the pair's last admission,
+    /// or invalidated before any) do not count.
+    pairs: usize,
+    /// Route nodes over those distinct slots.
+    route_nodes: usize,
+    /// Compiled under a non-empty plan or timeline: admissions may be
+    /// refused, so runs account `sim.unroutable`.
+    may_refuse: bool,
+}
+
+/// What compiling a run's routes cost: the `sim.repair.*` counters.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct CompileStats {
+    /// Summed incremental-repair cost over all deltas.
+    pub(crate) repair: RepairStats,
+    /// Timeline events applied (cycle ≤ last injection).
+    pub(crate) events: u64,
+    /// Effective deltas (event-cycle groups that changed the plan).
+    pub(crate) deltas: u64,
 }
 
 impl RouteTable {
-    /// Builds the table for the given endpoint pairs (duplicates are
-    /// deduplicated; slot order is first-seen order). With an empty
-    /// `plan` this is exactly `topo.route` per distinct pair; otherwise
-    /// each route gets at most one survivor-BFS detour spliced in by
-    /// [`plan_route`].
-    #[must_use]
-    pub fn build(
+    /// Compiles the routes of `injections` (sorted by `at`) under `base`
+    /// plus `timeline`, in one pass: every event whose cycle has arrived
+    /// is applied *between* injections (events at cycle `c` are visible
+    /// to injections at `c`); events sharing a cycle form one **delta**,
+    /// and each effective delta repairs the cache incrementally
+    /// ([`RouteCache::repair`]). Each injection then resolves its route
+    /// under the plan in force at its cycle. Events after the last
+    /// injection never apply: no admission can observe them. With an
+    /// empty timeline this is one route per distinct pair under `base`.
+    ///
+    /// # Panics
+    /// Panics if `injections` are not sorted by injection cycle.
+    pub(crate) fn compile(
         topo: &dyn NetTopology,
-        pairs: impl IntoIterator<Item = (NodeId, NodeId)>,
-        plan: &FaultPlan,
-    ) -> Self {
-        let mut arena = RouteArena::new();
-        // Per-source sorted (dst, slot) rows, keyed by the sources that
-        // actually appear — O(distinct pairs) state, independent of the
-        // topology's node count (implicit million-node shapes never pay
-        // for a dense per-node index).
-        let mut rows: BTreeMap<u32, Vec<(u32, u32)>> = BTreeMap::new();
-        for (src, dst) in pairs {
-            let key = (
-                u32::try_from(src).expect("invariant: node ids fit u32"),
-                u32::try_from(dst).expect("invariant: node ids fit u32"),
-            );
-            let row = rows.entry(key.0).or_default();
-            let at = match row.binary_search_by_key(&key.1, |&(d, _)| d) {
-                Ok(_) => continue, // duplicate pair, first slot wins
-                Err(at) => at,
-            };
-            let slot = arena.push(plan_route(topo, src, dst, plan));
-            row.insert(at, (key.1, slot));
-        }
-        let mut srcs = Vec::with_capacity(rows.len());
-        let mut row_offsets = Vec::with_capacity(rows.len() + 1);
-        let mut cols = Vec::with_capacity(arena.len());
-        let mut slots = Vec::with_capacity(arena.len());
-        row_offsets.push(0);
-        for (src, row) in &rows {
-            srcs.push(*src);
-            for &(d, s) in row {
-                cols.push(d);
-                slots.push(s);
+        injections: &[Injection],
+        base: &FaultPlan,
+        timeline: &FaultTimeline,
+    ) -> (Self, CompileStats) {
+        assert!(
+            injections.windows(2).all(|w| w[0].at <= w[1].at),
+            "injections must be sorted by cycle"
+        );
+        let events = timeline.events();
+        let mut plan = base.clone();
+        let mut cache = RouteCache::new();
+        cache.set_plan(&plan);
+        let mut cost = CompileStats::default();
+        let mut slots = Vec::with_capacity(injections.len());
+        let mut next = 0;
+        for inj in injections {
+            while next < events.len() && events[next].cycle <= inj.at {
+                // One delta per event cycle: all its events land together.
+                let at = events[next].cycle;
+                while next < events.len() && events[next].cycle == at {
+                    plan.apply(next, &events[next]);
+                    next += 1;
+                    cost.events += 1;
+                }
+                if cache.plan() != &plan {
+                    cost.deltas += 1;
+                    cost.repair.absorb(cache.repair(topo, &plan));
+                }
             }
-            row_offsets.push(u32::try_from(cols.len()).expect("invariant: pair index fits u32"));
+            slots.push(cache.resolve(topo, inj.src, inj.dst));
         }
-        Self {
+        let arena = cache.arena;
+        let mut seen = vec![false; arena.len()];
+        let (mut pairs, mut route_nodes) = (0, 0);
+        for &s in &slots {
+            if !std::mem::replace(&mut seen[s as usize], true) {
+                pairs += 1;
+                route_nodes += arena.path(s).len();
+            }
+        }
+        let table = Self {
             arena,
-            srcs,
-            row_offsets,
-            cols,
             slots,
-        }
+            pairs,
+            route_nodes,
+            may_refuse: !base.is_empty() || !timeline.is_empty(),
+        };
+        (table, cost)
     }
 
-    /// Builds the table for the distinct endpoint pairs of a workload.
+    /// Compiles the routes of `injections` (sorted by `at`) under the
+    /// static `plan`: one route per distinct endpoint pair, in
+    /// first-seen order. With an empty `plan` that is exactly
+    /// `topo.route`; otherwise each route gets at most one survivor-BFS
+    /// detour spliced in by [`plan_route`].
+    ///
+    /// # Panics
+    /// Panics if `injections` are not sorted by injection cycle.
     #[must_use]
     pub fn for_injections(
         topo: &dyn NetTopology,
         injections: &[Injection],
         plan: &FaultPlan,
     ) -> Self {
-        Self::build(topo, injections.iter().map(|i| (i.src, i.dst)), plan)
+        Self::compile(topo, injections, plan, &FaultTimeline::new()).0
     }
 
-    /// Slot of `(src, dst)`, if the pair was in the build set: a binary
-    /// search over the distinct sources brackets the source's row, then
-    /// a binary search over that row's sorted destinations.
-    // analyze: hot(CSR route lookup runs once per injected packet)
+    /// Slot of the route that injection number `injection` (its index
+    /// in the compiled injection slice) was admitted with.
+    // analyze: hot(route lookup runs once per injected packet)
+    #[inline]
     #[must_use]
-    pub fn slot(&self, src: NodeId, dst: NodeId) -> Option<u32> {
-        let Ok(src) = u32::try_from(src) else {
-            return None;
-        };
-        let i = self.srcs.binary_search(&src).ok()?;
-        let lo = self.row_offsets[i] as usize;
-        let hi = self.row_offsets[i + 1] as usize;
-        let row = &self.cols[lo..hi];
-        // analyze: allow(narrowing-cast, node ids < 2^32 by the src try_from guard above; branch-free hot path)
-        row.binary_search(&(dst as u32))
-            .ok()
-            .map(|i| self.slots[lo + i])
+    pub fn slot(&self, injection: usize) -> u32 {
+        self.slots[injection]
     }
 
     /// The route stored in `slot` (node ids). **Empty** means the pair
     /// is unroutable under the plan; a single node means self-delivery.
     // analyze: hot(per-hop path fetch on the forwarding cycle path)
+    #[inline]
     #[must_use]
     pub fn path(&self, slot: u32) -> &[u32] {
         self.arena.path(slot)
@@ -394,35 +388,38 @@ impl RouteTable {
 
     /// Hop index where the route's detour begins plus the attributed
     /// fault, `None` for purely oblivious routes.
+    #[inline]
     #[must_use]
     pub fn detour(&self, slot: u32) -> Detour {
         self.arena.detour(slot)
     }
 
-    /// Number of distinct pairs in the table.
+    /// Number of distinct routes the injections were admitted with —
+    /// with a static plan, the number of distinct pairs.
     #[must_use]
     pub fn num_pairs(&self) -> usize {
-        self.arena.len()
+        self.pairs
     }
 
-    /// Total nodes stored across every route — the deterministic work
-    /// unit of the `sim/route_build` profiler phase (one unit per node
-    /// written into the CSR arena).
+    /// Total nodes across those routes — the deterministic work unit of
+    /// the `sim/route_build` profiler phase (one unit per node written
+    /// into the CSR arena).
     #[must_use]
     pub fn total_route_nodes(&self) -> usize {
-        self.arena.nodes.len()
+        self.route_nodes
+    }
+
+    /// Whether the table was compiled under a non-empty plan or
+    /// timeline, so admissions may be refused.
+    pub(crate) fn may_refuse(&self) -> bool {
+        self.may_refuse
     }
 
     /// Approximate heap footprint in bytes (same convention as
     /// `hb_graphs::Graph::heap_bytes`).
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.arena.heap_bytes()
-            + self.srcs.capacity() * size_of::<u32>()
-            + self.row_offsets.capacity() * size_of::<u32>()
-            + self.cols.capacity() * size_of::<u32>()
-            + self.slots.capacity() * size_of::<u32>()
+        self.arena.heap_bytes() + self.slots.capacity() * std::mem::size_of::<u32>()
     }
 }
 
@@ -523,8 +520,9 @@ fn slot_survives(arena: &RouteArena, slot: u32, delta: &PlanDelta) -> bool {
 /// routes are invalidated (their old slots are dead, rejected by a
 /// `debug_assert` in [`RouteCache::path`]/[`RouteCache::detour`]).
 ///
-/// Useful for fault campaigns that sweep many plans over one topology:
-/// within an epoch repeated lookups of the same pair hit the table, not
+/// Every [`RouteTable`] is compiled through one, and it is useful on
+/// its own for fault campaigns that sweep many plans over one topology:
+/// within an epoch repeated lookups of the same pair hit the memo, not
 /// a fresh BFS — and across epochs only the routes a delta actually
 /// touched are ever recomputed.
 #[derive(Clone, Debug, Default)]
@@ -532,9 +530,9 @@ pub struct RouteCache {
     plan: FaultPlan,
     epoch: u64,
     arena: RouteArena,
-    /// Per-source sorted `(dst, slot)` rows, grown on demand — the lazy
-    /// counterpart of [`RouteTable`]'s frozen CSR.
-    rows: Vec<Vec<(u32, u32)>>,
+    /// Sorted `(dst, slot)` rows keyed by the sources seen, so the index
+    /// costs O(memoized pairs) however many nodes the topology has.
+    rows: BTreeMap<u32, Vec<(u32, u32)>>,
     /// Per arena slot: still referenced by `rows`? Invalidated slots
     /// stay in the arena (append-only) but are dead to callers.
     live: Vec<bool>,
@@ -580,7 +578,7 @@ impl RouteCache {
         let arena = &self.arena;
         let live = &mut self.live;
         let mut live_pairs = self.live_pairs;
-        for row in &mut self.rows {
+        for row in self.rows.values_mut() {
             row.retain(|&(_, slot)| {
                 let keep = slot_survives(arena, slot, &delta);
                 if !keep {
@@ -594,8 +592,8 @@ impl RouteCache {
     }
 
     /// Eagerly repairs the memo for a new fault plan: the in-place
-    /// counterpart of [`Self::set_plan`] used by the churn engines once
-    /// per timeline delta. Every memoized pair is classified in
+    /// counterpart of [`Self::set_plan`] that the route compile runs
+    /// once per timeline delta. Every memoized pair is classified in
     /// ascending `(src, dst)` order; survivors keep their slots,
     /// affected pairs are respliced immediately under the new plan (so
     /// the memo stays complete — no lazy holes). Returns what the delta
@@ -610,22 +608,21 @@ impl RouteCache {
         let delta = PlanDelta::between(&self.plan, plan);
         self.plan = plan.clone();
         self.epoch += 1;
-        for src in 0..self.rows.len() {
-            for i in 0..self.rows[src].len() {
-                let (dst_key, slot) = self.rows[src][i];
+        for (&src, row) in &mut self.rows {
+            for entry in row.iter_mut() {
+                let (dst, slot) = *entry;
                 stats.scanned += 1;
                 if slot_survives(&self.arena, slot, &delta) {
                     stats.kept += 1;
                     continue;
                 }
                 self.live[slot as usize] = false;
-                let planned = plan_route(topo, src, dst_key as usize, &self.plan);
+                let planned = plan_route(topo, src as NodeId, dst as NodeId, &self.plan);
                 if let Some((route, _)) = &planned {
                     stats.work += route.len() as u64;
                 }
-                let fresh = self.arena.push(planned);
+                entry.1 = self.arena.push(planned);
                 self.live.push(true);
-                self.rows[src][i].1 = fresh;
                 stats.respliced += 1;
             }
         }
@@ -635,18 +632,17 @@ impl RouteCache {
     /// Slot of the route for `(src, dst)` under the current plan,
     /// computing and memoizing it on first use.
     pub fn resolve(&mut self, topo: &dyn NetTopology, src: NodeId, dst: NodeId) -> u32 {
+        let src_key = u32::try_from(src).expect("invariant: node ids fit u32");
         let dst_key = u32::try_from(dst).expect("invariant: node ids fit u32");
-        if src >= self.rows.len() {
-            self.rows.resize_with(src + 1, Vec::new);
-        }
-        let at = match self.rows[src].binary_search_by_key(&dst_key, |&(d, _)| d) {
-            Ok(i) => return self.rows[src][i].1,
+        let row = self.rows.entry(src_key).or_default();
+        let at = match row.binary_search_by_key(&dst_key, |&(d, _)| d) {
+            Ok(i) => return row[i].1,
             Err(at) => at,
         };
         let slot = self.arena.push(plan_route(topo, src, dst, &self.plan));
         self.live.push(true);
         self.live_pairs += 1;
-        self.rows[src].insert(at, (dst_key, slot));
+        row.insert(at, (dst_key, slot));
         slot
     }
 
@@ -694,146 +690,22 @@ impl RouteCache {
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
         self.arena.heap_bytes()
-            + self.rows.capacity() * size_of::<Vec<(u32, u32)>>()
             + self
                 .rows
-                .iter()
-                .map(|r| r.capacity() * size_of::<(u32, u32)>())
+                .values()
+                .map(|r| {
+                    size_of::<(u32, Vec<(u32, u32)>)>() + r.capacity() * size_of::<(u32, u32)>()
+                })
                 .sum::<usize>()
             + self.live.capacity()
             + self.plan.nodes().count() * size_of::<NodeId>()
     }
 }
 
-/// Frozen per-**injection** routes for one fault-timeline run, compiled
-/// before the engines start (`crate::churn::compile`): each injection's
-/// route is resolved under the plan in force at its injection cycle and
-/// copied out of the [`RouteCache`] into an immutable arena, so engines
-/// never read a slot the next delta could invalidate, and the sharded
-/// engine shares the compile result read-only across threads.
-#[derive(Clone, Debug)]
-pub(crate) struct ChurnRoutes {
-    arena: RouteArena,
-    /// Per injection (by index into the run's injection slice): the
-    /// arena slot of the route it was admitted with.
-    slots: Vec<u32>,
-    /// Cache slot -> arena slot, the dedup memo: cache slots are stable
-    /// exactly as long as their route is live, so a kept route is
-    /// interned once across every epoch that keeps it.
-    interned: BTreeMap<u32, u32>,
-}
-
-impl ChurnRoutes {
-    pub(crate) fn with_capacity(injections: usize) -> Self {
-        Self {
-            arena: RouteArena::new(),
-            slots: Vec::with_capacity(injections),
-            interned: BTreeMap::new(),
-        }
-    }
-
-    /// Records the route for the next injection: the cache route in
-    /// `cache_slot`, copied into the frozen arena on first sight.
-    pub(crate) fn assign(&mut self, cache: &RouteCache, cache_slot: u32) {
-        let slot = match self.interned.get(&cache_slot) {
-            Some(&s) => s,
-            None => {
-                let s = self
-                    .arena
-                    .push_copy(cache.path(cache_slot), cache.detour(cache_slot));
-                self.interned.insert(cache_slot, s);
-                s
-            }
-        };
-        self.slots.push(slot);
-    }
-
-    /// Drops dedup entries for cache slots a delta invalidated (their
-    /// ids must not alias future cache slots' routes — cache arenas are
-    /// append-only so ids are never reused, but the memo would otherwise
-    /// grow without bound on long timelines).
-    pub(crate) fn forget_dead(&mut self, cache: &RouteCache) {
-        self.interned.retain(|&slot, _| cache.is_live(slot));
-    }
-}
-
-/// Where a kernel reads routes from: a per-pair [`RouteTable`] (static
-/// plan — one route per endpoint pair for the whole run) or per-
-/// injection [`ChurnRoutes`] (fault timeline — the route each packet
-/// was admitted with). Both keep their routes in a [`RouteArena`], which
-/// kernels address by slot; only admission differs, via
-/// [`RouteSrc::slot_for`].
-#[derive(Clone, Copy)]
-pub(crate) struct RouteSrc<'a> {
-    arena: &'a RouteArena,
-    slots: SlotIndex<'a>,
-}
-
-/// How an injection finds its route slot.
-#[derive(Clone, Copy)]
-enum SlotIndex<'a> {
-    /// By endpoint pair in a static table.
-    Pair(&'a RouteTable),
-    /// By injection index in a churn snapshot.
-    Injection(&'a [u32]),
-}
-
-impl<'a> RouteSrc<'a> {
-    pub(crate) fn table(table: &'a RouteTable) -> Self {
-        Self {
-            arena: &table.arena,
-            slots: SlotIndex::Pair(table),
-        }
-    }
-
-    pub(crate) fn churn(churn: &'a ChurnRoutes) -> Self {
-        Self {
-            arena: &churn.arena,
-            slots: SlotIndex::Injection(&churn.slots),
-        }
-    }
-
-    /// Route slot for injection `inj` (its index in the run's sorted
-    /// injection slice) from `src` to `dst`. `None` only for a table
-    /// miss, which kernels treat as a build-set invariant violation.
-    #[inline]
-    pub(crate) fn slot_for(&self, inj: usize, src: NodeId, dst: NodeId) -> Option<u32> {
-        match self.slots {
-            SlotIndex::Pair(t) => t.slot(src, dst),
-            SlotIndex::Injection(slots) => Some(slots[inj]),
-        }
-    }
-
-    #[inline]
-    pub(crate) fn path(&self, slot: u32) -> &'a [u32] {
-        self.arena.path(slot)
-    }
-
-    #[inline]
-    pub(crate) fn detour(&self, slot: u32) -> Detour {
-        self.arena.detour(slot)
-    }
-
-    /// Distinct routes held — the `sim/route_build` profiler pair count.
-    pub(crate) fn num_pairs(&self) -> usize {
-        self.arena.len()
-    }
-
-    /// Total route nodes held — the `sim/route_build` work unit.
-    pub(crate) fn total_route_nodes(&self) -> usize {
-        self.arena.nodes.len()
-    }
-
-    /// Whether routes came from a fault timeline (its admissions may be
-    /// refused, so runs account `sim.unroutable`).
-    pub(crate) fn is_churn(&self) -> bool {
-        matches!(self.slots, SlotIndex::Injection(_))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::{FaultEventKind, FaultTarget};
     use crate::sim::inj;
     use crate::topology::{HbRouteOrder, HyperButterflyNet, HypercubeNet};
 
@@ -841,15 +713,20 @@ mod tests {
         HyperButterflyNet::new(2, 3, HbRouteOrder::CubeFirst).unwrap()
     }
 
+    /// One injection per pair, all at cycle 0: injection `k` is pair `k`.
+    fn at_cycle_zero(pairs: &[(NodeId, NodeId)]) -> Vec<Injection> {
+        pairs.iter().map(|&(s, d)| inj(s, d, 0)).collect()
+    }
+
     #[test]
     fn faultless_table_matches_topology_routes() {
         let t = hb();
         let n = t.num_nodes();
         let pairs: Vec<_> = (0..n).map(|v| (v, (v * 7 + 3) % n)).collect();
-        let table = RouteTable::build(&t, pairs.iter().copied(), &FaultPlan::new());
+        let table = RouteTable::for_injections(&t, &at_cycle_zero(&pairs), &FaultPlan::new());
         assert_eq!(table.num_pairs(), pairs.len());
-        for &(src, dst) in &pairs {
-            let slot = table.slot(src, dst).unwrap();
+        for (k, &(src, dst)) in pairs.iter().enumerate() {
+            let slot = table.slot(k);
             let expect: Vec<u32> = t.route(src, dst).iter().map(|&v| v as u32).collect();
             assert_eq!(table.path(slot), expect.as_slice());
             assert_eq!(table.detour(slot), None);
@@ -876,11 +753,10 @@ mod tests {
             let t = HyperButterflyNet::new(m, n, HbRouteOrder::CubeFirst).unwrap();
             let nn = t.num_nodes();
             let pairs: Vec<_> = (0..nn.min(40)).map(|v| (v, (v * 13 + 5) % nn)).collect();
-            let table = RouteTable::build(&t, pairs.iter().copied(), &FaultPlan::new());
+            let table = RouteTable::for_injections(&t, &at_cycle_zero(&pairs), &FaultPlan::new());
             let hb = hb_core::HyperButterfly::new(m, n).unwrap();
-            for &(src, dst) in &pairs {
-                let slot = table.slot(src, dst).unwrap();
-                let hops = table.path(slot).len() - 1;
+            for (k, &(src, dst)) in pairs.iter().enumerate() {
+                let hops = table.path(table.slot(k)).len() - 1;
                 let d = hb_core::routing::distance(&hb, hb.node(src), hb.node(dst));
                 assert_eq!(hops as u32, d, "HB({m},{n}) {src}->{dst}");
             }
@@ -895,9 +771,9 @@ mod tests {
         plan.add_node(5).add_link(0, 2).add_link(1, 3);
         let n = t.num_nodes();
         let pairs: Vec<_> = (0..n).map(|v| (v, (v * 11 + 1) % n)).collect();
-        let table = RouteTable::build(&t, pairs.iter().copied(), &plan);
-        for &(src, dst) in &pairs {
-            let slot = table.slot(src, dst).unwrap();
+        let table = RouteTable::for_injections(&t, &at_cycle_zero(&pairs), &plan);
+        for (k, &(src, dst)) in pairs.iter().enumerate() {
+            let slot = table.slot(k);
             match plan_route(&t, src, dst, &plan) {
                 None => assert!(table.path(slot).is_empty(), "{src}->{dst}"),
                 Some((route, detour)) => {
@@ -926,9 +802,9 @@ mod tests {
         let t = HypercubeNet::new(3).unwrap();
         let mut plan = FaultPlan::new();
         plan.add_link(7, 3).add_link(7, 5).add_link(7, 6); // isolate 7
-        let table = RouteTable::build(&t, [(0, 7), (0, 2)], &plan);
-        assert!(table.path(table.slot(0, 7).unwrap()).is_empty());
-        assert!(!table.path(table.slot(0, 2).unwrap()).is_empty());
+        let table = RouteTable::for_injections(&t, &at_cycle_zero(&[(0, 7), (0, 2)]), &plan);
+        assert!(table.path(table.slot(0)).is_empty());
+        assert!(!table.path(table.slot(1)).is_empty());
     }
 
     #[test]
@@ -1076,40 +952,44 @@ mod tests {
     }
 
     #[test]
-    fn churn_routes_freeze_and_dedup_cache_slots() {
+    fn compiled_slots_follow_each_injection_across_a_delta() {
+        // Q4: 0->15 flies 0,1,3,7,15 and 2->9 flies 2,3,1,9. Cutting
+        // links 0-1 and 1-3 at cycle 5 resplices both pairs, but only
+        // 0->15 is admitted again afterwards.
         let t = HypercubeNet::new(4).unwrap();
-        let mut cache = RouteCache::new();
-        let a = cache.resolve(&t, 0, 15);
-        let b = cache.resolve(&t, 2, 9);
-        let mut churn = ChurnRoutes::with_capacity(4);
-        churn.assign(&cache, a);
-        churn.assign(&cache, b);
-        churn.assign(&cache, a); // same cache slot: interned once
-        let src = RouteSrc::churn(&churn);
-        let slot = |inj| src.slot_for(inj, 0, 0).unwrap();
-        assert_eq!(src.num_pairs(), 2);
-        assert_eq!(slot(0), slot(2));
-        assert_eq!(src.path(slot(0)), cache.path(a));
-        assert_eq!(src.detour(slot(1)), cache.detour(b));
-        assert_eq!(
-            src.total_route_nodes(),
-            cache.path(a).len() + cache.path(b).len()
-        );
+        let inj = [inj(0, 15, 0), inj(2, 9, 1), inj(0, 15, 2), inj(0, 15, 6)];
+        let mut tl = FaultTimeline::new();
+        tl.push(5, FaultEventKind::Fault, FaultTarget::Link(0, 1))
+            .push(5, FaultEventKind::Fault, FaultTarget::Link(1, 3));
+        let (table, cost) = RouteTable::compile(&t, &inj, &FaultPlan::new(), &tl);
+        assert_eq!((cost.events, cost.deltas), (2, 1));
+        assert_eq!((cost.repair.kept, cost.repair.respliced), (0, 2));
 
-        // After a delta kills `a`, the resolved replacement is a fresh
-        // cache slot and interns as a fresh frozen route.
-        let mut plan = FaultPlan::new();
-        plan.add_link(0, 1);
-        cache.set_plan(&plan);
-        churn.forget_dead(&cache);
-        let a2 = cache.resolve(&t, 0, 15);
-        assert_ne!(a2, a);
-        churn.assign(&cache, a2);
-        // RouteSrc answers per-injection lookups from the frozen arena.
-        let src = RouteSrc::churn(&churn);
-        assert_eq!(src.num_pairs(), 3);
-        assert_eq!(src.path(src.slot_for(3, 0, 15).unwrap()), cache.path(a2));
-        assert!(src.is_churn());
+        // Same pair under one plan: one slot. After the delta: a fresh
+        // detoured slot, while earlier admissions keep the route they
+        // were admitted with.
+        let slots: Vec<u32> = (0..inj.len()).map(|k| table.slot(k)).collect();
+        assert_eq!(slots[0], slots[2]);
+        assert_ne!(slots[3], slots[0]);
+        assert_eq!(table.path(slots[0]), &[0, 1, 3, 7, 15]);
+        assert_eq!(table.detour(slots[0]), None);
+        assert_eq!(table.path(slots[1]), &[2, 3, 1, 9]);
+        let (route, detour) = plan_route(&t, 0, 15, &{
+            let mut plan = FaultPlan::new();
+            plan.add_link_at(0, 1, 0).add_link_at(1, 3, 1);
+            plan
+        })
+        .unwrap();
+        let route: Vec<u32> = route.iter().map(|&v| v as u32).collect();
+        assert_eq!(table.path(slots[3]), route.as_slice());
+        assert_eq!(table.detour(slots[3]), detour);
+        assert_eq!(detour, Some((0, FaultReason::LinkAt(0, 1, 0))));
+
+        // 2->9's resplice sits in the arena but no injection took it,
+        // so the counts cover the three admitted routes only.
+        assert_eq!(table.num_pairs(), 3);
+        assert_eq!(table.total_route_nodes(), 5 + 4 + route.len());
+        assert!(table.may_refuse());
     }
 
     #[test]
@@ -1129,22 +1009,5 @@ mod tests {
         assert_eq!(cache.detour(a).unwrap().1.to_string(), "link 0-1 faulty");
         // A Detour is two words, not a heap handle.
         assert!(std::mem::size_of::<Detour>() <= 2 * std::mem::size_of::<usize>());
-    }
-
-    #[test]
-    fn csr_slot_lookup_handles_misses_and_out_of_range() {
-        let t = HypercubeNet::new(3).unwrap();
-        let table = RouteTable::build(&t, [(1, 6), (1, 2), (0, 7)], &FaultPlan::new());
-        assert_eq!(table.num_pairs(), 3);
-        // First-seen slot order is preserved even though rows are sorted.
-        assert_eq!(table.slot(1, 6), Some(0));
-        assert_eq!(table.slot(1, 2), Some(1));
-        assert_eq!(table.slot(0, 7), Some(2));
-        // Misses: absent pair in a populated row, empty row, and a
-        // source outside the topology.
-        assert_eq!(table.slot(1, 3), None);
-        assert_eq!(table.slot(5, 0), None);
-        assert_eq!(table.slot(8, 0), None);
-        assert_eq!(table.slot(10_000, 0), None);
     }
 }

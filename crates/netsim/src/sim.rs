@@ -34,8 +34,9 @@
 //! merging into the shared handle once at the end, so the summary-level
 //! overhead is O(channels) memory and one branch per served channel.
 
+use crate::faults::{FaultPlan, FaultTimeline};
 use crate::kernel::{drive_serial, Adaptive, Bounded, RunCtx, SourceRouted, Unbounded};
-use crate::routes::{RouteSrc, RouteTable};
+use crate::routes::RouteTable;
 use crate::topology::{NetTopology, MAX_PRODUCTIVE};
 use hb_graphs::NodeId;
 use hb_telemetry::Telemetry;
@@ -546,13 +547,13 @@ pub fn run_with_mem(
 ) -> (SimStats, MemStats) {
     assert!(cfg.threads <= 1, "memory accounting is serial-only");
     let ctx = RunCtx::new(topo, injections, &cfg);
-    let table = RouteTable::for_injections(topo, injections, &crate::faults::FaultPlan::new());
+    let table = RouteTable::for_injections(topo, injections, &FaultPlan::new());
     let mut mem = MemStats {
         route_table_bytes: table.heap_bytes(),
         ..MemStats::default()
     };
     let route = SourceRouted {
-        routes: RouteSrc::table(&table),
+        routes: &table,
         layout: &ctx.layout,
         faults: false,
     };
@@ -563,7 +564,7 @@ pub fn run_with_mem(
 /// Runs the simulation of `injections` (must be sorted by `at`) on
 /// `topo`.
 ///
-/// Routes are precomputed once per distinct `(src, dst)` pair into a
+/// Routes are compiled once per distinct `(src, dst)` pair into a
 /// [`RouteTable`] and packets live in a slab [`crate::pool::PacketPool`],
 /// so the cycle kernel allocates nothing in steady state. Channels are
 /// served in ascending channel-id order — the canonical order the
@@ -586,9 +587,9 @@ pub fn run_with_mem(
 /// ```
 pub fn run(topo: &dyn NetTopology, injections: &[Injection], cfg: SimConfig) -> SimStats {
     let ctx = RunCtx::new(topo, injections, &cfg);
-    let table = RouteTable::for_injections(topo, injections, &crate::faults::FaultPlan::new());
+    let table = RouteTable::for_injections(topo, injections, &FaultPlan::new());
     let route = SourceRouted {
-        routes: RouteSrc::table(&table),
+        routes: &table,
         layout: &ctx.layout,
         faults: false,
     };
@@ -624,12 +625,8 @@ pub fn run_bounded(
     cfg: SimConfig,
     capacity: usize,
 ) -> SimStats {
-    let table = RouteTable::for_injections(topo, injections, &crate::faults::FaultPlan::new());
-    let queues = Bounded {
-        capacity,
-        sweep: false,
-    };
-    run_bounded_on(topo, injections, &cfg, queues, RouteSrc::table(&table))
+    let (none, quiet) = (FaultPlan::new(), FaultTimeline::new());
+    crate::run_bounded_with_timeline(topo, injections, cfg, capacity, &none, &quiet)
 }
 
 /// Reference **full-sweep** implementation of [`run_bounded`]: the same
@@ -648,19 +645,18 @@ pub fn run_bounded_sweep(
     cfg: SimConfig,
     capacity: usize,
 ) -> SimStats {
-    let table = RouteTable::for_injections(topo, injections, &crate::faults::FaultPlan::new());
+    let table = RouteTable::for_injections(topo, injections, &FaultPlan::new());
     let queues = Bounded {
         capacity,
         sweep: true,
     };
-    run_bounded_on(topo, injections, &cfg, queues, RouteSrc::table(&table))
+    run_bounded_on(topo, injections, &cfg, queues, &table)
 }
 
-/// The bounded-queue run over prebuilt routes. With
-/// churn-snapshot routes (a fault-timeline run,
-/// [`crate::run_bounded_with_timeline`]) an injection whose compiled
-/// route is empty is **unroutable** under the plan in force at its
-/// cycle: refused at admission, counted in `sim.unroutable` and
+/// The bounded-queue run over compiled routes. Under a fault plan or
+/// timeline ([`crate::run_bounded_with_timeline`]) an injection whose
+/// compiled route is empty is **unroutable** under the plan in force
+/// at its cycle: refused at admission, counted in `sim.unroutable` and
 /// `stranded`. Detour *attribution* stays the flight runs' job — the
 /// bounded model only accounts deliverability.
 pub(crate) fn run_bounded_on(
@@ -668,7 +664,7 @@ pub(crate) fn run_bounded_on(
     injections: &[Injection],
     cfg: &SimConfig,
     queues: Bounded,
-    routes: RouteSrc<'_>,
+    routes: &RouteTable,
 ) -> SimStats {
     assert!(queues.capacity >= 1, "queues need capacity >= 1");
     let ctx = RunCtx::new(topo, injections, cfg);
@@ -706,7 +702,7 @@ pub(crate) fn run_adaptive_on(
     topo: &dyn NetTopology,
     injections: &[Injection],
     cfg: &SimConfig,
-    admission: Option<RouteSrc<'_>>,
+    admission: Option<&RouteTable>,
 ) -> SimStats {
     let ctx = RunCtx::new(topo, injections, cfg);
     let route = Adaptive {

@@ -10,7 +10,7 @@
 use hb_netsim::topology::{HbRouteOrder, HyperButterflyNet, NetTopology};
 use hb_netsim::{
     run_with_faults, run_with_timeline, sim::SimConfig, workload, FaultEventKind, FaultPlan,
-    FaultTarget, FaultTimeline, RouteCache, RouteTable, TraceSampling,
+    FaultTarget, FaultTimeline, Injection, RouteCache, RouteTable, TraceSampling,
 };
 use hb_telemetry::Telemetry;
 use proptest::prelude::*;
@@ -88,6 +88,8 @@ proptest! {
         let t = topo(kind);
         let n = t.graph().num_nodes();
         let pairs = pairs_of(n);
+        let at_zero: Vec<Injection> =
+            pairs.iter().map(|&(src, dst)| Injection { src, dst, at: 0 }).collect();
 
         let mut plan = FaultPlan::new();
         let mut hist: Vec<FaultTarget> = Vec::new();
@@ -111,9 +113,9 @@ proptest! {
             let stats = eager.repair(&t, step);
             prop_assert_eq!(stats.kept + stats.respliced, stats.scanned);
             lazy.set_plan(step);
-            let fresh = RouteTable::build(&t, pairs.iter().copied(), step);
-            for &(src, dst) in &pairs {
-                let f = fresh.slot(src, dst).unwrap();
+            let fresh = RouteTable::for_injections(&t, &at_zero, step);
+            for (k, &(src, dst)) in pairs.iter().enumerate() {
+                let f = fresh.slot(k);
                 let e = eager.resolve(&t, src, dst);
                 let l = lazy.resolve(&t, src, dst);
                 prop_assert_eq!(fresh.path(f), eager.path(e), "eager path {}->{}", src, dst);
