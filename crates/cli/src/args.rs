@@ -556,11 +556,6 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                     "--adaptive is a serial-only router (no --threads)".into(),
                 ));
             }
-            if fault_timeline.is_some() && implicit {
-                return Err(ParseError(
-                    "--fault-timeline needs a materialized route cache (no --implicit)".into(),
-                ));
-            }
             // The series, the work profile, and the SLO snapshot all
             // land in telemetry, so they need a handle: quietly raise
             // `off` to `summary`.
@@ -1214,8 +1209,19 @@ mod tests {
             )
         );
         assert!(parse(&argv("simulate 2 3 --fault-timeline")).is_err());
-        // The implicit engine has no materialized route cache to splice.
-        assert!(parse(&argv("simulate 2 3 --fault-timeline f.txt --implicit")).is_err());
+        // Timelines run on graph-free topologies too.
+        assert_eq!(
+            parse(&argv("simulate 2 3 --fault-timeline f.txt --implicit")).unwrap(),
+            simulate(
+                2,
+                3,
+                Sim {
+                    fault_timeline: Some("f.txt".into()),
+                    implicit: true,
+                    ..Sim::default()
+                }
+            )
+        );
     }
 
     #[test]
