@@ -6,7 +6,7 @@
 //! allocate all fourteen million up front.
 
 use hb_netsim::topology::{HbRouteOrder, HyperButterflyNet, NetTopology};
-use hb_netsim::{run_with_mem, Injection, SimConfig};
+use hb_netsim::{run_with_mem, Injection, RouteCache, SimConfig};
 
 /// A fixed-count deterministic workload (no RNG): `packets` arithmetic
 /// src/dst pairs spread over `cycles` injection cycles.
@@ -92,5 +92,24 @@ fn sparse_records_recycle_across_waves() {
         "peak {} exceeds one wave's bound {} — records are not recycled",
         mem.peak_channel_records,
         2 * PACKETS
+    );
+}
+
+#[test]
+fn route_cache_memory_is_bounded_by_pairs_not_nodes() {
+    // The cache indexes rows by the sources it has seen, so a thousand
+    // routes on the million-node shape cost kilobytes; a row per node
+    // id up to the largest source would cost tens of megabytes.
+    let t = HyperButterflyNet::implicit(7, 10, HbRouteOrder::CubeFirst).unwrap();
+    let inj = arithmetic_workload(t.num_nodes(), 20, 1000);
+    let mut cache = RouteCache::new();
+    for i in &inj {
+        cache.resolve(&t, i.src, i.dst);
+    }
+    assert!(cache.num_pairs() >= 990, "{} pairs", cache.num_pairs());
+    assert!(
+        cache.heap_bytes() < 1 << 20,
+        "route cache holds {} bytes",
+        cache.heap_bytes()
     );
 }
