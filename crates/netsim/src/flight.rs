@@ -222,8 +222,8 @@ pub fn run_with_faults(
     plan: &FaultPlan,
     sampling: TraceSampling,
 ) -> SimStats {
-    let quiet = FaultTimeline::new();
-    crate::run_with_timeline(topo, injections, cfg, plan, &quiet, sampling)
+    let no_events = FaultTimeline::new();
+    crate::run_with_timeline(topo, injections, cfg, plan, &no_events, sampling)
 }
 
 /// The flight run over compiled routes. `hot_plan` seeds the

@@ -104,17 +104,22 @@ pub fn survivor_route(
     parent.insert(src, src);
     let mut q = VecDeque::from([src]);
     let mut buf = [0 as NodeId; MAX_PRODUCTIVE];
+    let mut ids = [0u32; MAX_PRODUCTIVE];
     while let Some(u) = q.pop_front() {
-        // Exactly one of the two neighbor sources is non-empty.
-        let (csr, k) = match graph {
-            Some(g) => (g.neighbors(u), 0),
-            None => (&[][..], topo.neighbors_into(u, &mut buf)),
+        // One `&[u32]` slice either way, so the scan stays a plain slice
+        // loop: chaining the two sources cost route repair about a fifth.
+        let nbrs: &[u32] = match graph {
+            Some(g) => g.neighbors(u),
+            None => {
+                let k = topo.neighbors_into(u, &mut buf);
+                for (id, &w) in ids.iter_mut().zip(&buf[..k]) {
+                    *id = u32::try_from(w).expect("invariant: node ids fit u32");
+                }
+                &ids[..k]
+            }
         };
-        let nbrs = csr
-            .iter()
-            .map(|&w| w as NodeId)
-            .chain(buf[..k].iter().copied());
-        for w in nbrs {
+        for &w in nbrs {
+            let w = w as NodeId;
             if parent.get(w).is_some() || plan.is_link_faulty(u, w) {
                 continue;
             }

@@ -625,8 +625,8 @@ pub fn run_bounded(
     cfg: SimConfig,
     capacity: usize,
 ) -> SimStats {
-    let (none, quiet) = (FaultPlan::new(), FaultTimeline::new());
-    crate::run_bounded_with_timeline(topo, injections, cfg, capacity, &none, &quiet)
+    let (no_faults, no_events) = (FaultPlan::new(), FaultTimeline::new());
+    crate::run_bounded_with_timeline(topo, injections, cfg, capacity, &no_faults, &no_events)
 }
 
 /// Reference **full-sweep** implementation of [`run_bounded`]: the same
