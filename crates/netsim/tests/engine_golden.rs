@@ -3,11 +3,17 @@
 //! Each run below drives one seeded `HB(2, 3)` hotspot workload through
 //! one entry point with trace telemetry, a windowed time series, and the
 //! work profile on. Its line in `engine_golden.txt` carries an FNV-1a
-//! digest of the returned `SimStats` and one of the `JsonLinesSink`
-//! render of the telemetry snapshot (counters, histograms, profile,
-//! links, series, congestion, events, spans). `run_with_mem` also pins
-//! the record counts of its `MemStats` (the byte fields depend on
-//! allocator capacity, so they stay out).
+//! digest of the returned `SimStats` and one of each sink's render of
+//! the telemetry snapshot: `JsonLinesSink` (counters, histograms,
+//! profile, links, series, congestion, events, spans), `ReportSink`
+//! (top congested links, anomalies), `TextSink` and `CsvSink`.
+//! `run_with_mem` also pins the record counts of its `MemStats` (the
+//! byte fields depend on allocator capacity, so they stay out).
+//!
+//! Three more lines pin what the `HB(2, 3)` runs do not reach: the run
+//! behind `hbnet report 3 4 --workload hotspot --cycles 100` (three-digit
+//! node ids, evicted windows, a tie in the report's top links), serial
+//! and sharded, and two runs sharing one handle.
 //!
 //! Rerun with `REGEN_GOLDEN=1` to rewrite the file after an intended
 //! model change. On a mismatch the current renders and golden text are
@@ -20,7 +26,7 @@ use hb_netsim::{
     run_with_faults, run_with_mem, run_with_timeline, workload, FaultEventKind, FaultPlan,
     FaultTarget, FaultTimeline, Injection, NetTopology, SimConfig, SimStats, TraceSampling,
 };
-use hb_telemetry::{JsonLinesSink, Sink, Telemetry, TsConfig};
+use hb_telemetry::{CsvSink, JsonLinesSink, ReportSink, Sink, Telemetry, TextSink, TsConfig};
 use std::path::PathBuf;
 
 const GOLDEN: &str = include_str!("engine_golden.txt");
@@ -76,14 +82,20 @@ struct Pinned {
 }
 
 fn pin(name: &'static str, stats: &SimStats, tel: &Telemetry, extra: &str) -> Pinned {
-    let render = JsonLinesSink.render(&tel.snapshot());
+    let snapshot = tel.snapshot();
+    let render = JsonLinesSink.render(&snapshot);
+    let digest = |s: String| fnv1a(s.as_bytes());
     let line = format!(
-        "{name} delivered={} stranded={} cycles={} stats={:016x} render={:016x}{extra}",
+        "{name} delivered={} stranded={} cycles={} stats={:016x} render={:016x} \
+         report={:016x} text={:016x} csv={:016x}{extra}",
         stats.delivered,
         stats.stranded,
         stats.cycles,
         fnv1a(format!("{stats:?}").as_bytes()),
         fnv1a(render.as_bytes()),
+        digest(ReportSink::default().render(&snapshot)),
+        digest(TextSink::default().render(&snapshot)),
+        digest(CsvSink.render(&snapshot)),
     );
     Pinned { name, line, render }
 }
@@ -172,7 +184,38 @@ fn all_runs() -> Vec<Pinned> {
     );
     out.push(pin("run_with_timeline_sharded", &stats, &tel, ""));
 
+    // `hbnet report 3 4 --workload hotspot --cycles 100`, serial and at
+    // two threads.
+    let hb34 = HyperButterflyNet::new(3, 4, HbRouteOrder::CubeFirst).unwrap();
+    let inj34 = workload::hotspot(hb34.num_nodes(), 100, 0.1, 0, 0.5, 42);
+    for (name, threads) in [("report_hb34", 1), ("report_hb34_sharded", 2)] {
+        let tel = Telemetry::with_trace(65_536);
+        tel.enable_timeseries(TsConfig::new(5));
+        let cfg = SimConfig::bounded(100 * 100 + 50_000)
+            .with_threads(threads)
+            .with_telemetry(tel.clone());
+        out.push(pin(name, &run(&hb34, &inj34, cfg), &tel, ""));
+    }
+
+    // Two runs sharing one handle: link stats sum per link, a link
+    // series the second run records replaces the first run's, and a link
+    // only the first run touched keeps its series.
+    let (cfg, tel) = config();
+    run(&t, &inj, cfg.clone());
+    out.push(pin(
+        "shared_handle",
+        &run_adaptive(&t, &second(), cfg),
+        &tel,
+        "",
+    ));
+
     out
+}
+
+/// A light second workload, touching only some of the channels the
+/// hotspot traffic does.
+fn second() -> Vec<Injection> {
+    workload::uniform(net().num_nodes(), 20, 0.05, 7)
 }
 
 #[test]
@@ -222,4 +265,25 @@ fn the_pinned_runs_exercise_every_model_path() {
     let (cfg, tel) = config();
     run_adaptive(&t, &inj, cfg);
     assert!(!tel.congestion().is_empty());
+    // On a shared handle the second run's link series replace the
+    // first's, and links only the first run touched keep theirs.
+    let (cfg, first) = config();
+    run(&t, &inj, cfg);
+    let (cfg, later) = config();
+    run_adaptive(&t, &second(), cfg);
+    let (cfg, shared) = config();
+    run(&t, &inj, cfg.clone());
+    run_adaptive(&t, &second(), cfg);
+    let (first, later, shared) = (first.series(), later.series(), shared.series());
+    let (mut replaced, mut kept) = (0, 0);
+    for (name, s) in shared.iter().filter(|(n, _)| n.starts_with("link.")) {
+        if let Some(l) = later.get(name) {
+            assert_eq!(s, l, "{name}");
+            replaced += usize::from(first.get(name).is_some_and(|f| f != l));
+        } else {
+            assert_eq!(Some(s), first.get(name), "{name}");
+            kept += 1;
+        }
+    }
+    assert!(replaced > 0 && kept > 0, "replaced {replaced}, kept {kept}");
 }
