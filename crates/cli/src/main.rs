@@ -334,7 +334,7 @@ fn dispatch(cmd: Command) -> Result<(), Box<dyn std::error::Error>> {
                     println!(
                         "  timeseries  {} series, {} congestion event(s) \
                          (`hbnet report` renders the full run report)",
-                        t.series().len(),
+                        t.timeseries().len(),
                         t.congestion().len()
                     );
                 }

@@ -36,7 +36,10 @@ use crate::sim::{ChanLayout, ChanQueues, Injection, MemStats, SimConfig, SimStat
 use crate::topology::{NetTopology, MAX_PRODUCTIVE};
 use crate::tsrec::{GlobalTs, LinkTs};
 use hb_graphs::NodeId;
-use hb_telemetry::{Event, Histogram, LinkStats, Profile, Telemetry, TsConfig, CYCLES_COUNTER};
+use hb_telemetry::{
+    Event, Histogram, LinkKey, LinkRecord, LinkSeries, LinkStats, Profile, Telemetry, TsConfig,
+    CYCLES_COUNTER,
+};
 use std::ops::Range;
 
 /// One packet in flight. Queues hold its 4-byte [`PacketPool`] key.
@@ -336,22 +339,23 @@ impl Scoreboard {
         self.fwd.iter().sum()
     }
 
-    /// Merges the histograms into `tel` and the per-link rows into `ls`.
-    fn merge_into(&self, tel: &Telemetry, ls: &mut LinkStats, ends: &[(u32, u32)]) {
+    /// Merges the histograms into `tel` and appends a row to `ls` for
+    /// every channel of the range with activity. Channels ascend by
+    /// `(from, to)`, so every row lands after the previous one.
+    fn merge_into(&self, tel: &Telemetry, ls: &mut LinkStats, ends: &[LinkKey]) {
         tel.merge_histogram("sim.latency", &self.latency);
         tel.merge_histogram("sim.hops", &self.hops);
-        for (i, &(from, to)) in ends[self.base..self.base + self.fwd.len()]
+        for (i, key) in ends[self.base..self.base + self.fwd.len()]
             .iter()
             .enumerate()
         {
-            if self.fwd[i] > 0 {
-                ls.record_forward(from, to, self.fwd[i]);
-            }
-            if self.busy[i] > 0 {
-                ls.record_busy(from, to, self.busy[i]);
-            }
-            if self.peak[i] > 0 {
-                ls.observe_queue(from, to, self.peak[i]);
+            let record = LinkRecord {
+                forwarded: self.fwd[i],
+                busy_cycles: self.busy[i],
+                peak_queue: self.peak[i],
+            };
+            if record != LinkRecord::default() {
+                ls.add(key.from, key.to, record);
             }
         }
     }
@@ -541,10 +545,10 @@ pub(crate) struct RunCtx<'a> {
     /// Sparse (lazily materialised) channel store, exactly when the
     /// topology has no materialised graph.
     pub(crate) sparse: bool,
-    /// Channel id -> (tail, head); materialised only with telemetry on
-    /// (the million-node perf path runs telemetry-off and never pays
-    /// for it).
-    ends: Vec<(u32, u32)>,
+    /// Channel id -> (tail, head), ascending; materialised only with
+    /// telemetry on (the million-node perf path runs telemetry-off and
+    /// never pays for it).
+    ends: Vec<LinkKey>,
 }
 
 impl<'a> RunCtx<'a> {
@@ -654,10 +658,13 @@ impl<'a> RunCtx<'a> {
         if parts[0].bounded {
             tel.counter("sim.dropped").add(t.dropped);
         }
-        for p in &mut parts {
-            if let Some(lt) = p.links.take() {
-                lt.merge_into(tel, &self.ends);
-            }
+        let link_sets: Vec<_> = parts
+            .iter_mut()
+            .filter_map(|p| p.links.take())
+            .map(|lt| lt.into_part(&self.ends))
+            .collect();
+        if !link_sets.is_empty() {
+            tel.merge_link_series(LinkSeries::freeze(link_sets));
         }
         if let Some(gt) = globals {
             gt.merge_into(tel);
@@ -670,7 +677,7 @@ impl<'a> RunCtx<'a> {
         for b in parts.iter().filter_map(|p| p.board.as_ref()) {
             b.merge_into(tel, &mut ls, &self.ends);
         }
-        tel.merge_links(&ls);
+        tel.merge_links(ls);
         tel.detect_congestion();
         stats
     }
@@ -887,8 +894,8 @@ impl<'a, R: RoutePolicy, D: Discipline> Kernel<'a, R, D> {
                 self.trace
                     .emit(cycle, 1, 2 * ch as u64, || Event::PacketHop {
                         id: p.id,
-                        from: ends[ch].0,
-                        to: ends[ch].1,
+                        from: ends[ch].from,
+                        to: ends[ch].to,
                         cycle: cycle + 1,
                     });
                 if let Some(sp) = self.spans.as_mut() {
@@ -1032,7 +1039,7 @@ impl<'a, R: RoutePolicy, D: Discipline> Kernel<'a, R, D> {
         self.trace
             .emit(cycle, 1, 2 * ch as u64 + 1, || Event::PacketDelivered {
                 id: p.id,
-                dst: ends[ch].1,
+                dst: ends[ch].to,
                 latency,
                 cycle: cycle + 1,
             });

@@ -39,7 +39,7 @@ use crate::kernel::{drive_serial, Adaptive, Bounded, RunCtx, SourceRouted, Unbou
 use crate::routes::RouteTable;
 use crate::topology::{NetTopology, MAX_PRODUCTIVE};
 use hb_graphs::NodeId;
-use hb_telemetry::Telemetry;
+use hb_telemetry::{LinkKey, Telemetry};
 use std::collections::VecDeque;
 use std::ops::Range;
 
@@ -279,16 +279,21 @@ impl<'a> ChanLayout<'a> {
         }
     }
 
-    /// Channel id -> (tail, head) endpoints, dense over all channels.
-    /// O(channels) — only materialised when a telemetry scoreboard needs
-    /// it (the million-node perf path runs telemetry-off and never calls
-    /// this).
-    pub(crate) fn endpoints(&self) -> Vec<(u32, u32)> {
+    /// Channel id -> (tail, head) endpoints, dense over all channels and
+    /// ascending: both layouts number a node's channels by ascending
+    /// head. O(channels) — only materialised when a telemetry scoreboard
+    /// needs it (the million-node perf path runs telemetry-off and never
+    /// calls this).
+    pub(crate) fn endpoints(&self) -> Vec<LinkKey> {
         match self {
             ChanLayout::Csr { offsets, heads } => offsets
                 .windows(2)
                 .enumerate()
-                .flat_map(|(v, w)| heads[w[0]..w[1]].iter().map(move |&h| (v as u32, h)))
+                .flat_map(|(v, w)| {
+                    heads[w[0]..w[1]]
+                        .iter()
+                        .map(move |&to| LinkKey { from: v as u32, to })
+                })
                 .collect(),
             ChanLayout::Uniform {
                 topo,
@@ -300,7 +305,10 @@ impl<'a> ChanLayout<'a> {
                 for v in 0..*num_nodes {
                     let k = topo.neighbors_into(v, &mut buf);
                     debug_assert_eq!(k, *degree, "uniform_degree contract");
-                    ends.extend(buf[..k].iter().map(|&w| (v as u32, w as u32)));
+                    ends.extend(buf[..k].iter().map(|&w| LinkKey {
+                        from: v as u32,
+                        to: w as u32,
+                    }));
                 }
                 ends
             }

@@ -3,10 +3,14 @@
 //! Mirrors the `crate::kernel::Scoreboard` pattern: hot loops record into
 //! plain local structs (no locks, no name lookups per sample) and the
 //! accumulated series merge into the shared [`Telemetry`] handle once at
-//! the end of the run. Both recorders key every sample by **logical
-//! cycle**, so a serial run and a sharded parallel run produce
-//! byte-identical series (the `par_equiv` suite asserts snapshot
-//! equality, which covers the series store and the congestion events).
+//! the end of the run: the global series one by one under their names,
+//! the link series as one frozen [`hb_telemetry::LinkSeries`] store
+//! (`crate::kernel::RunCtx::finish` freezes every shard's recorder
+//! together), which names a link only when a sink prints it. Both
+//! recorders key every sample by **logical cycle**, so a serial run and
+//! a sharded parallel run produce byte-identical series (the `par_equiv`
+//! suite asserts snapshot equality, which covers the series store and
+//! the congestion events).
 //!
 //! Canonical series names (DESIGN.md §12):
 //!
@@ -23,7 +27,7 @@
 //! | `sim.unroutable`      | refused injections this cycle (faulted)     |
 
 use crate::kernel::CycleSample;
-use hb_telemetry::{Series, SeriesSet, Telemetry, TsConfig};
+use hb_telemetry::{LinkKey, Series, SeriesSet, Telemetry, TsConfig};
 
 /// Whole-network per-cycle series, recorded once per simulated cycle.
 pub(crate) struct GlobalTs {
@@ -82,9 +86,10 @@ impl GlobalTs {
 /// slice for parallel runs (channels are disjoint across shards, so
 /// shard-local recording merges without conflicts). A dense
 /// [`SeriesSet`] over the range holds the windows; this adds the
-/// channel offset and the `link.U->V.queue` names.
+/// channel offset.
 pub(crate) struct LinkTs {
     lo: usize,
+    len: usize,
     set: SeriesSet,
 }
 
@@ -92,6 +97,7 @@ impl LinkTs {
     pub(crate) fn new(cfg: TsConfig, lo: usize, len: usize) -> Self {
         LinkTs {
             lo,
+            len,
             set: SeriesSet::new(cfg, len),
         }
     }
@@ -102,12 +108,10 @@ impl LinkTs {
         self.set.record(ch - self.lo, cycle, depth);
     }
 
-    /// Moves the accumulated series into the shared handle, named by the
-    /// channel endpoints (`ends` is indexed by global channel id).
-    pub(crate) fn merge_into(self, tel: &Telemetry, ends: &[(u32, u32)]) {
-        for (i, s) in self.set.into_series() {
-            let (from, to) = ends[self.lo + i];
-            tel.merge_series(&format!("link.{from}->{to}.queue"), s);
-        }
+    /// The recorded set and the links of its channels, ready for
+    /// [`hb_telemetry::LinkSeries::freeze`] (`ends` is indexed by global
+    /// channel id).
+    pub(crate) fn into_part(self, ends: &[LinkKey]) -> (SeriesSet, &[LinkKey]) {
+        (self.set, &ends[self.lo..self.lo + self.len])
     }
 }

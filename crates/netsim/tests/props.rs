@@ -94,7 +94,7 @@ proptest! {
         prop_assert_eq!(&forward, &rotated);
         // …hence identical max utilization at any cycle horizon.
         let max_util = |ls: &hb_telemetry::LinkStats| {
-            ls.utilization_rows(1_000)
+            ls.utilization_rows(1_000, 1)
                 .first()
                 .map(|r| r.utilization)
                 .unwrap_or(0.0)

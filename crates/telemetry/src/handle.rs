@@ -7,7 +7,9 @@ use crate::profile::Profile;
 use crate::registry::{Counter, Gauge, Registry};
 use crate::sink::{HistogramSummary, Snapshot};
 use crate::span::{SpanId, SpanRecord, SpanStore};
-use crate::timeseries::{detect_congestion, CongestionEvent, DetectorConfig, Series, TsConfig};
+use crate::timeseries::{
+    detect_congestion, CongestionEvent, DetectorConfig, LinkSeries, Series, SeriesStore, TsConfig,
+};
 use crate::trace::{Event, EventTrace};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -30,7 +32,7 @@ struct Inner {
     level: TelemetryLevel,
     registry: Registry,
     histograms: Mutex<BTreeMap<String, Histogram>>,
-    links: Mutex<LinkStats>,
+    links: Mutex<Arc<LinkStats>>,
     trace: Mutex<EventTrace>,
     spans: Mutex<SpanStore>,
     timeseries: Mutex<TsState>,
@@ -44,7 +46,7 @@ struct Inner {
 struct TsState {
     config: Option<TsConfig>,
     detector: DetectorConfig,
-    series: BTreeMap<String, Series>,
+    series: SeriesStore,
     congestion: Vec<CongestionEvent>,
 }
 
@@ -83,7 +85,7 @@ impl Telemetry {
                 level,
                 registry: Registry::new(),
                 histograms: Mutex::new(BTreeMap::new()),
-                links: Mutex::new(LinkStats::new()),
+                links: Mutex::new(Arc::new(LinkStats::new())),
                 trace: Mutex::new(EventTrace::new(trace_capacity)),
                 // Spans share the trace budget: the same capacity bounds
                 // both, so a `with_trace(N)` handle holds O(N) memory.
@@ -152,22 +154,30 @@ impl Telemetry {
             .cloned()
     }
 
-    /// Merges locally accumulated link stats into the shared map.
-    pub fn merge_links(&self, ls: &LinkStats) {
-        self.inner
+    /// Merges a run's link stats into the shared table: the first run's
+    /// table is taken as it is, a later one summed in per link.
+    pub fn merge_links(&self, ls: LinkStats) {
+        let mut links = self
+            .inner
             .links
             .lock()
-            .expect("invariant: links mutex unpoisoned (holders never panic)")
-            .merge(ls);
+            .expect("invariant: links mutex unpoisoned (holders never panic)");
+        if links.is_empty() {
+            *links = Arc::new(ls);
+        } else {
+            Arc::make_mut(&mut links).merge(&ls);
+        }
     }
 
-    /// A clone of the accumulated link stats.
-    pub fn links(&self) -> LinkStats {
-        self.inner
-            .links
-            .lock()
-            .expect("invariant: links mutex unpoisoned (holders never panic)")
-            .clone()
+    /// The accumulated link stats, shared rather than copied.
+    pub fn links(&self) -> Arc<LinkStats> {
+        Arc::clone(
+            &self
+                .inner
+                .links
+                .lock()
+                .expect("invariant: links mutex unpoisoned (holders never panic)"),
+        )
     }
 
     /// Pushes an event if tracing is on; `make` is not even called
@@ -271,9 +281,17 @@ impl Telemetry {
 
     /// Merges a locally recorded series under `name`. Series names are
     /// unique per run (one producer each), so this inserts; merging the
-    /// same name twice keeps the later series.
+    /// same name twice keeps the later series. Link series arrive as one
+    /// store through [`Self::merge_link_series`] instead.
     pub fn merge_series(&self, name: &str, series: Series) {
-        self.ts_state().series.insert(name.to_string(), series);
+        self.ts_state().series.insert(name, series);
+    }
+
+    /// Merges a run's frozen link series: a link recorded again takes
+    /// the later series, and a link only an earlier run touched keeps
+    /// its own. The first run's store is taken without a copy.
+    pub fn merge_link_series(&self, links: LinkSeries) {
+        self.ts_state().series.merge_links(links);
     }
 
     /// Runs congestion detection over every merged series, storing the
@@ -301,8 +319,19 @@ impl Telemetry {
         self.ts_state().congestion = events;
     }
 
-    /// Clones of every merged series, name-ordered.
+    /// Owned copies of every merged series, name-ordered, link series
+    /// named `link.U->V.queue`. This formats and copies every link
+    /// series; [`Self::timeseries`] shares them instead.
     pub fn series(&self) -> BTreeMap<String, Series> {
+        self.ts_state()
+            .series
+            .iter()
+            .map(|(name, s)| (name.to_string(), s.to_series()))
+            .collect()
+    }
+
+    /// Every merged series, the link store shared rather than copied.
+    pub fn timeseries(&self) -> SeriesStore {
         self.ts_state().series.clone()
     }
 
@@ -372,14 +401,6 @@ impl Telemetry {
                 })
                 .collect()
         };
-        let links = {
-            let ls = self
-                .inner
-                .links
-                .lock()
-                .expect("invariant: links mutex unpoisoned (holders never panic)");
-            ls.utilization_rows(cycles.unwrap_or(0))
-        };
         let trace = self
             .inner
             .trace
@@ -395,7 +416,7 @@ impl Telemetry {
             counters,
             gauges: self.inner.registry.gauges(),
             histograms,
-            links,
+            links: self.links(),
             cycles,
             events: trace.to_vec(),
             events_dropped: trace.dropped(),
@@ -477,8 +498,15 @@ mod tests {
         t.gauge("in_flight").set(3);
         t.record("sim.latency", 12);
         let mut ls = LinkStats::new();
-        ls.record_forward(0, 1, 50);
-        t.merge_links(&ls);
+        ls.add(
+            0,
+            1,
+            crate::LinkRecord {
+                forwarded: 50,
+                ..Default::default()
+            },
+        );
+        t.merge_links(ls);
         t.event(|| Event::PacketHop {
             id: 0,
             from: 0,
@@ -493,7 +521,7 @@ mod tests {
         assert_eq!(s.gauges, vec![("in_flight".to_string(), 3)]);
         assert_eq!(s.histograms.len(), 1);
         assert_eq!(s.links.len(), 1);
-        assert!((s.links[0].utilization - 0.5).abs() < 1e-12);
+        assert!((s.links.utilization_rows(100, 0)[0].utilization - 0.5).abs() < 1e-12);
         assert_eq!(s.events.len(), 1);
         assert_eq!(s.spans.len(), 1);
         assert_eq!(s.spans_dropped, 0);

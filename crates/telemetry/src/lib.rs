@@ -12,17 +12,21 @@
 //! * [`histogram`] — a log-bucketed latency [`Histogram`] whose quantile
 //!   queries return values provably bracketed by the true order
 //!   statistics of the recorded samples;
-//! * [`links`] — [`LinkStats`], a map keyed by directed channel
-//!   recording packets forwarded, busy cycles, and peak queue depth —
-//!   the dynamic counterpart of the static edge forwarding index;
+//! * [`links`] — [`LinkStats`], a table of directed channels in key
+//!   order recording packets forwarded, busy cycles, and peak queue
+//!   depth — the dynamic counterpart of the static edge forwarding
+//!   index; a run fills it in one pass, and sinks rank only the rows
+//!   they print;
 //! * [`trace`] — a bounded ring-buffer [`EventTrace`] of packet and
 //!   protocol-round events with cheap `enabled` gating;
 //! * [`span`] — causal [`SpanRecord`] trees in logical sim time
 //!   (packet flights, protocol rounds) behind a bounded [`SpanStore`];
 //! * [`timeseries`] — windowed per-cycle [`Series`] (bounded drop-oldest
-//!   rings of min/max/mean/last aggregates keyed by logical cycle) plus
-//!   a congestion detector flagging hotspot links, head-of-line queue
-//!   growth, and slow drains as severity-tagged [`CongestionEvent`]s;
+//!   rings of min/max/mean/last aggregates keyed by logical cycle), the
+//!   frozen per-link store [`LinkSeries`] that a handle and its
+//!   snapshots share, plus a congestion detector flagging hotspot
+//!   links, head-of-line queue growth, and slow drains as
+//!   severity-tagged [`CongestionEvent`]s;
 //! * [`profile`] — deterministic work-attribution [`Profile`]s counting
 //!   invocations and work units per hierarchical phase (wall-clock
 //!   profiling is banned in library code, so profiles are
@@ -68,7 +72,7 @@ pub use sink::{
 pub use slo::{SloCheck, SloSpec};
 pub use span::{SpanId, SpanRecord, SpanStore};
 pub use timeseries::{
-    CongestionEvent, CongestionKind, DetectorConfig, Series, SeriesSet, Severity, TsConfig,
-    WindowAgg,
+    CongestionEvent, CongestionKind, DetectorConfig, LinkSeries, Series, SeriesName, SeriesSet,
+    SeriesStore, SeriesView, Severity, TsConfig, WindowAgg,
 };
 pub use trace::{Event, EventTrace};

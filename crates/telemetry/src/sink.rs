@@ -20,13 +20,13 @@
 //!   bars, detected anomalies, and optional SLO gate verdicts (the
 //!   `hbnet report` renderer).
 
-use crate::links::LinkUtilization;
+use crate::links::{keep_top, LinkStats};
 use crate::profile::Profile;
 use crate::slo::SloSpec;
 use crate::span::{SpanId, SpanRecord};
-use crate::timeseries::{CongestionEvent, Series};
+use crate::timeseries::{CongestionEvent, SeriesStore};
 use crate::trace::Event;
-use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Summary statistics of one named histogram.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -57,8 +57,9 @@ pub struct Snapshot {
     pub gauges: Vec<(String, i64)>,
     /// Histogram summaries, sorted by name.
     pub histograms: Vec<(String, HistogramSummary)>,
-    /// Per-link utilization rows, busiest first.
-    pub links: Vec<LinkUtilization>,
+    /// Per-link statistics in key order, shared with the handle; sinks
+    /// rank the rows they print ([`LinkStats::utilization_rows`]).
+    pub links: Arc<LinkStats>,
     /// The run's cycle count (from the `sim.cycles` counter), if known.
     pub cycles: Option<u64>,
     /// Retained trace events, oldest first.
@@ -69,8 +70,9 @@ pub struct Snapshot {
     pub spans: Vec<SpanRecord>,
     /// Spans refused because the bounded store was full.
     pub spans_dropped: u64,
-    /// Windowed time-series, name-ordered (empty unless sampling was on).
-    pub timeseries: BTreeMap<String, Series>,
+    /// Windowed time-series, walked in name order (empty unless sampling
+    /// was on); the link series are shared with the handle.
+    pub timeseries: SeriesStore,
     /// Congestion events found by the detector, in detection order.
     pub congestion: Vec<CongestionEvent>,
     /// Deterministic work-attribution profile (empty unless profiling
@@ -167,12 +169,10 @@ impl Sink for TextSink {
                 "{:>8} {:>8} {:>10} {:>10} {:>10} {:>8}",
                 "From", "To", "Forwarded", "BusyCyc", "PeakQueue", "Util"
             );
-            let shown = if self.top_links == 0 {
-                s.links.len()
-            } else {
-                self.top_links
-            };
-            for r in s.links.iter().take(shown) {
+            let rows = s
+                .links
+                .utilization_rows(s.cycles.unwrap_or(0), self.top_links);
+            for r in &rows {
                 let _ = writeln!(
                     out,
                     "{:>8} {:>8} {:>10} {:>10} {:>10} {:>8.4}",
@@ -184,8 +184,8 @@ impl Sink for TextSink {
                     r.utilization
                 );
             }
-            if s.links.len() > shown {
-                let _ = writeln!(out, "({} more links not shown)", s.links.len() - shown);
+            if s.links.len() > rows.len() {
+                let _ = writeln!(out, "({} more links not shown)", s.links.len() - rows.len());
             }
         }
         if !s.timeseries.is_empty() {
@@ -466,7 +466,7 @@ impl Sink for JsonLinesSink {
                 st.work
             ));
         }
-        for l in &s.links {
+        for l in s.links.utilization_rows(s.cycles.unwrap_or(0), 0) {
             out.push_str(&format!(
                 "{{\"type\":\"link\",\"from\":{},\"to\":{},\"forwarded\":{},\
                  \"busy_cycles\":{},\"peak_queue\":{},\"utilization\":{:.6}}}\n",
@@ -478,7 +478,7 @@ impl Sink for JsonLinesSink {
                 l.utilization
             ));
         }
-        for (n, series) in &s.timeseries {
+        for (n, series) in s.timeseries.iter() {
             let windows = series
                 .windows()
                 .map(|w| {
@@ -498,7 +498,7 @@ impl Sink for JsonLinesSink {
                 "{{\"type\":\"series\",\"name\":\"{}\",\"cadence\":{},\
                  \"dropped_windows\":{},\"hwm_value\":{hwm_v},\"hwm_cycle\":{hwm_c},\
                  \"windows\":[{windows}]}}\n",
-                json_escape(n),
+                json_escape(&n.to_string()),
                 series.cadence(),
                 series.dropped_windows(),
             ));
@@ -768,10 +768,10 @@ impl Sink for ReportSink {
         // so they share window indices; drive rows off sim.in_flight.
         let at = |name: &str, index: u64| -> Option<&crate::timeseries::WindowAgg> {
             s.timeseries
-                .get(name)
+                .named(name)
                 .and_then(|sr| sr.windows().find(|w| w.index == index))
         };
-        if let Some(fly) = s.timeseries.get("sim.in_flight") {
+        if let Some(fly) = s.timeseries.named("sim.in_flight") {
             let _ = writeln!(
                 out,
                 "phase timeline ({} windows x {} cycles, {} dropped):",
@@ -797,27 +797,27 @@ impl Sink for ReportSink {
         }
 
         // Top-k congested links, ranked by total queued-packet-cycles
-        // (sum over retained windows), name as the tiebreak.
-        let mut links: Vec<(u64, &String, &Series)> = s
+        // (sum over retained windows), name as the tiebreak: the walk is
+        // in name order, so its position stands in for the name.
+        let mut links: Vec<_> = s
             .timeseries
             .iter()
-            .filter(|(n, _)| n.starts_with("link."))
-            .map(|(n, series)| (series.total(), n, series))
+            .filter(|(n, _)| n.is_link())
+            .enumerate()
+            .map(|(at, (n, series))| (series.total(), at, n, series))
             .collect();
-        links.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(b.1)));
+        let total_links = links.len();
+        keep_top(&mut links, self.top_links, |a, b| {
+            b.0.cmp(&a.0).then(a.1.cmp(&b.1))
+        });
         if !links.is_empty() {
-            let shown = if self.top_links == 0 {
-                links.len()
-            } else {
-                self.top_links.min(links.len())
-            };
             let _ = writeln!(
                 out,
                 "top congested links ({} of {}, by queued packet-cycles):",
-                shown,
-                links.len()
+                links.len(),
+                total_links
             );
-            for (total, n, series) in links.iter().take(shown) {
+            for (total, _, n, series) in &links {
                 let maxes: Vec<u64> = series.windows().map(|w| w.max).collect();
                 let hwm = series
                     .high_watermark()
@@ -937,7 +937,7 @@ impl Sink for CsvSink {
         }
         if !s.links.is_empty() {
             out.push_str("\nfrom,to,forwarded,busy_cycles,peak_queue,utilization\n");
-            for l in &s.links {
+            for l in s.links.utilization_rows(s.cycles.unwrap_or(0), 0) {
                 out.push_str(&csv_record([
                     l.key.from.to_string(),
                     l.key.to.to_string(),
@@ -1111,7 +1111,8 @@ impl Sink for CsvSink {
         }
         if !s.timeseries.is_empty() {
             out.push_str("\nseries,window,min,max,sum,count,last\n");
-            for (n, series) in &s.timeseries {
+            for (n, series) in s.timeseries.iter() {
+                let n = n.to_string();
                 for w in series.windows() {
                     out.push_str(&csv_record([
                         n.clone(),
@@ -1147,7 +1148,6 @@ impl Sink for CsvSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::links::LinkStats;
     use crate::Telemetry;
 
     /// A small deterministic snapshot exercising every instrument.
@@ -1159,10 +1159,16 @@ mod tests {
         t.record("sim.latency", 4);
         t.record("sim.latency", 6);
         let mut ls = LinkStats::new();
-        ls.record_forward(0, 1, 10);
-        ls.record_busy(0, 1, 10);
-        ls.observe_queue(0, 1, 2);
-        t.merge_links(&ls);
+        ls.add(
+            0,
+            1,
+            crate::LinkRecord {
+                forwarded: 10,
+                busy_cycles: 10,
+                peak_queue: 2,
+            },
+        );
+        t.merge_links(ls);
         t.event(|| Event::PacketInjected {
             id: 0,
             src: 0,
@@ -1347,7 +1353,7 @@ mod tests {
 
     /// A snapshot with time-series and a detected congestion event.
     fn ts_snapshot() -> Snapshot {
-        use crate::timeseries::{DetectorConfig, TsConfig};
+        use crate::timeseries::{DetectorConfig, Series, TsConfig};
         let t = Telemetry::with_trace(8);
         t.enable_timeseries(TsConfig::new(4).with_capacity(8));
         t.set_detector(DetectorConfig {

@@ -143,7 +143,7 @@ impl SloSpec {
             let peak = s
                 .links
                 .iter()
-                .map(|l| l.record.peak_queue as u64)
+                .map(|(_, r)| r.peak_queue as u64)
                 .max()
                 .unwrap_or(0);
             checks.push(SloCheck {
@@ -187,7 +187,7 @@ pub fn emit(tel: &Telemetry, checks: &[SloCheck]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::links::LinkStats;
+    use crate::links::{LinkRecord, LinkStats};
 
     fn snapshot_with_run() -> Snapshot {
         let t = Telemetry::summary();
@@ -198,9 +198,14 @@ mod tests {
             t.record("sim.latency", v);
         }
         let mut ls = LinkStats::new();
-        ls.observe_queue(0, 1, 7);
-        ls.observe_queue(1, 2, 3);
-        t.merge_links(&ls);
+        for (from, to, peak_queue) in [(0, 1, 7), (1, 2, 3)] {
+            let record = LinkRecord {
+                peak_queue,
+                ..LinkRecord::default()
+            };
+            ls.add(from, to, record);
+        }
+        t.merge_links(ls);
         t.snapshot()
     }
 

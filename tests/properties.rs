@@ -183,26 +183,31 @@ proptest! {
 }
 
 proptest! {
-    /// A `SeriesSet` returns, for every recorded id, exactly the `Series`
-    /// that recording the id's samples one by one builds: same windows,
-    /// evictions and high-watermark (ties keep the first cycle). The ids
-    /// are a shard's channels offset by `lo`, and long streams fill
-    /// several log chunks.
+    /// A `SeriesSet` frozen into a `LinkSeries` store holds, for every
+    /// recorded id, exactly the `Series` that recording the id's samples
+    /// one by one builds: same windows, evictions and high-watermark
+    /// (ties keep the first cycle). The ids are a shard's channels offset
+    /// by `lo`, and long streams fill several log chunks. Two sets over
+    /// adjacent channel ranges, frozen together as shards are, equal one
+    /// set over the union.
     #[test]
     fn series_set_matches_per_sample_series(
         cadence in 1u64..=8,
         capacity in 0usize..5,
         lo in 0usize..1000,
         len in 1usize..40,
+        cut in 0usize..40,
         cycles in 1u64..600,
         density in 1u64..=8,
         depth in 1u64..6,
         seed in 0u64..u64::MAX,
     ) {
-        use hb_telemetry::{Series, SeriesSet, TsConfig};
+        use hb_telemetry::{LinkKey, LinkSeries, Series, SeriesSet, TsConfig};
         // Capacity 0 stands for the default 64, which rarely evicts.
         let cfg = TsConfig::new(cadence).with_capacity(if capacity == 0 { 64 } else { capacity });
+        let cut = cut.min(len);
         let mut set = SeriesSet::new(cfg, len);
+        let mut shards = [SeriesSet::new(cfg, cut), SeriesSet::new(cfg, len - cut)];
         let mut oracle: Vec<Option<Series>> = vec![None; len];
         let mut x = seed;
         let mut draw = |span: u64| {
@@ -219,17 +224,32 @@ proptest! {
                 if draw(8) < density {
                     // Few distinct depths, so high-watermark ties repeat.
                     let value = draw(depth);
-                    set.record(ch - lo, cycle, value);
-                    oracle[ch - lo].get_or_insert_with(|| Series::new(cfg)).record(cycle, value);
+                    let id = ch - lo;
+                    set.record(id, cycle, value);
+                    if id < cut {
+                        shards[0].record(id, cycle, value);
+                    } else {
+                        shards[1].record(id - cut, cycle, value);
+                    }
+                    oracle[id].get_or_insert_with(|| Series::new(cfg)).record(cycle, value);
                 }
             }
         }
-        let got: Vec<(usize, Series)> = set.into_series().collect();
-        let want: Vec<(usize, Series)> = oracle
+        // Channel `ch` runs from node `ch / 4`, so keys ascend with ids.
+        let keys: Vec<LinkKey> = (lo..lo + len)
+            .map(|ch| LinkKey { from: (ch / 4) as u32, to: ch as u32 })
+            .collect();
+        let store = LinkSeries::freeze([(set, &keys[..])]);
+        let got: Vec<(LinkKey, Series)> =
+            store.iter().map(|(k, v)| (k, v.to_series())).collect();
+        let want: Vec<(LinkKey, Series)> = oracle
             .into_iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.map(|s| (i, s)))
+            .zip(&keys)
+            .filter_map(|(s, &k)| s.map(|s| (k, s)))
             .collect();
         prop_assert_eq!(got, want);
+        let [a, b] = shards;
+        let sharded = LinkSeries::freeze([(a, &keys[..cut]), (b, &keys[cut..])]);
+        prop_assert_eq!(sharded, store);
     }
 }
