@@ -287,3 +287,67 @@ fn the_pinned_runs_exercise_every_model_path() {
     }
     assert!(replaced > 0 && kept > 0, "replaced {replaced}, kept {kept}");
 }
+
+/// A run with no traffic still renders through every sink: the global
+/// series hold one empty window, and no link has a row or a series.
+#[test]
+fn a_run_without_traffic_renders_through_every_sink() {
+    let (cfg, tel) = config();
+    let stats = run(&net(), &[], cfg);
+    assert_eq!((stats.offered, stats.delivered), (0, 0));
+    let s = tel.snapshot();
+    assert_eq!(ReportSink::default().render(&s), EMPTY_REPORT);
+    assert_eq!(TextSink::default().render(&s), EMPTY_TEXT);
+    assert_eq!(JsonLinesSink.render(&s), EMPTY_JSON);
+    assert_eq!(CsvSink.render(&s), EMPTY_CSV);
+}
+
+const EMPTY_REPORT: &str = r#"run report: 
+  sim.cycles     1
+  sim.delivered  0
+  sim.offered    0
+  sim.stranded   0
+phase timeline (1 windows x 5 cycles, 0 dropped):
+  window  injected delivered in-flight queue-max
+       0         0         0         0         0
+anomalies (0):
+  (none)
+"#;
+
+const EMPTY_TEXT: &str = r#"counters:
+  sim.cycles                                  1
+  sim.delivered                               0
+  sim.offered                                 0
+  sim.stranded                                0
+time-series (5 series):
+  sim.active_channels                 1 windows x5 cadence (0 dropped), hwm 0 @ cycle 0
+  sim.delivered                       1 windows x5 cadence (0 dropped), hwm 0 @ cycle 0
+  sim.in_flight                       1 windows x5 cadence (0 dropped), hwm 0 @ cycle 0
+  sim.injected                        1 windows x5 cadence (0 dropped), hwm 0 @ cycle 0
+  sim.queue.max                       1 windows x5 cadence (0 dropped), hwm 0 @ cycle 0
+"#;
+
+const EMPTY_JSON: &str = r#"{"type":"counter","name":"sim.cycles","value":1}
+{"type":"counter","name":"sim.delivered","value":0}
+{"type":"counter","name":"sim.offered","value":0}
+{"type":"counter","name":"sim.stranded","value":0}
+{"type":"series","name":"sim.active_channels","cadence":5,"dropped_windows":0,"hwm_value":0,"hwm_cycle":0,"windows":[{"index":0,"min":0,"max":0,"sum":0,"count":1,"last":0}]}
+{"type":"series","name":"sim.delivered","cadence":5,"dropped_windows":0,"hwm_value":0,"hwm_cycle":0,"windows":[{"index":0,"min":0,"max":0,"sum":0,"count":1,"last":0}]}
+{"type":"series","name":"sim.in_flight","cadence":5,"dropped_windows":0,"hwm_value":0,"hwm_cycle":0,"windows":[{"index":0,"min":0,"max":0,"sum":0,"count":1,"last":0}]}
+{"type":"series","name":"sim.injected","cadence":5,"dropped_windows":0,"hwm_value":0,"hwm_cycle":0,"windows":[{"index":0,"min":0,"max":0,"sum":0,"count":1,"last":0}]}
+{"type":"series","name":"sim.queue.max","cadence":5,"dropped_windows":0,"hwm_value":0,"hwm_cycle":0,"windows":[{"index":0,"min":0,"max":0,"sum":0,"count":1,"last":0}]}
+"#;
+
+const EMPTY_CSV: &str = r#"kind,name,value
+counter,sim.cycles,1
+counter,sim.delivered,0
+counter,sim.offered,0
+counter,sim.stranded,0
+
+series,window,min,max,sum,count,last
+sim.active_channels,0,0,0,0,1,0
+sim.delivered,0,0,0,0,1,0
+sim.in_flight,0,0,0,0,1,0
+sim.injected,0,0,0,0,1,0
+sim.queue.max,0,0,0,0,1,0
+"#;
