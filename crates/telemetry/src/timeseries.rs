@@ -539,7 +539,7 @@ impl LinkSeries {
     }
 
     /// Every link and its series, in series-name order.
-    pub fn by_name(&self) -> impl Iterator<Item = (LinkKey, SeriesView<'_>)> {
+    pub(crate) fn by_name(&self) -> impl Iterator<Item = (LinkKey, SeriesView<'_>)> {
         self.by_name.iter().map(|&i| {
             let i = i as usize;
             let h = &self.links[i];
@@ -560,7 +560,7 @@ impl LinkSeries {
 
     /// Merges a later store into this one: a link both hold takes the
     /// later series, and every other link keeps its own.
-    pub fn merge(&mut self, later: LinkSeries) {
+    fn merge(&mut self, later: LinkSeries) {
         if self.is_empty() {
             *self = later;
             return;
@@ -712,11 +712,6 @@ impl SeriesStore {
     /// The series stored under `name`, if any (link series excluded).
     pub fn named(&self, name: &str) -> Option<&Series> {
         self.named.get(name)
-    }
-
-    /// The link series.
-    pub fn links(&self) -> &LinkSeries {
-        &self.links
     }
 
     /// Number of series, named and link.
@@ -1119,18 +1114,20 @@ mod tests {
             }
             LinkSeries::freeze([(set, &keys[..])])
         };
+        let hwm = |store: &SeriesStore| -> Vec<(String, u64)> {
+            store
+                .iter()
+                .map(|(n, v)| (n.to_string(), v.high_watermark().unwrap().0))
+                .collect()
+        };
         let mut store = SeriesStore::default();
         store.merge_links(run(&[0, 1], 5));
         let shared = store.clone();
         store.merge_links(run(&[1, 2], 9));
-        let hwm: Vec<(u32, u64)> = store
-            .links()
-            .iter()
-            .map(|(k, v)| (k.to, v.high_watermark().unwrap().0))
-            .collect();
-        assert_eq!(hwm, [(0, 5), (1, 9), (2, 9)]);
+        let name = |to: u32| SeriesName::Link(keys[to as usize]).to_string();
+        assert_eq!(hwm(&store), [(name(0), 5), (name(1), 9), (name(2), 9)]);
         // A clone taken before the merge still holds the earlier series.
-        assert_eq!(shared.links().len(), 2);
+        assert_eq!(hwm(&shared), [(name(0), 5), (name(1), 5)]);
     }
 
     #[test]
