@@ -702,11 +702,7 @@ impl SeriesStore {
     /// Merges a run's link series: a link both hold takes the later
     /// series, and every other link keeps its own.
     pub fn merge_links(&mut self, later: LinkSeries) {
-        if self.links.is_empty() {
-            self.links = Arc::new(later);
-        } else {
-            Arc::make_mut(&mut self.links).merge(later);
-        }
+        Arc::make_mut(&mut self.links).merge(later);
     }
 
     /// The series stored under `name`, if any (link series excluded).
