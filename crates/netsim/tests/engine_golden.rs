@@ -131,9 +131,15 @@ fn all_runs() -> Vec<Pinned> {
     let stats = run_adaptive(&implicit, &inj, cfg);
     out.push(pin("run_adaptive_implicit", &stats, &tel, ""));
 
-    // The adaptive router at the benchmark's butterfly size (`n = 6`)
-    // and on a butterfly word wider than one byte (`n = 9`).
-    for (name, m, n) in [("run_adaptive_hb26", 2, 6), ("run_adaptive_hb19", 1, 9)] {
+    // The adaptive router at the benchmark's butterfly size (`n = 6`),
+    // on a butterfly word wider than one byte (`n = 9`), and with three
+    // cube bits, so productive flips of several set and clear bits
+    // compete with the butterfly hops (`m = 3`).
+    for (name, m, n) in [
+        ("run_adaptive_hb26", 2, 6),
+        ("run_adaptive_hb19", 1, 9),
+        ("run_adaptive_hb34", 3, 4),
+    ] {
         let wide = HyperButterflyNet::new(m, n, HbRouteOrder::CubeFirst).unwrap();
         let inj = workload::hotspot(wide.num_nodes(), 40, 0.1, 0, 0.3, 2024);
         let (cfg, tel) = config();
