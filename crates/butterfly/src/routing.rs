@@ -22,9 +22,10 @@
 //! of the two arcs between the endpoints, so the distance needs only the
 //! longest unmarked run of each arc: [`dist`] is `O(1)` (a byte-table
 //! lookup per word byte), and [`productive_mask`] scores all four
-//! neighbors from the source's frame in one pass. The planner behind
-//! [`walk`] still minimises over every cut gap, since routes depend on
-//! its tie-breaking. Distances and routes are verified exhaustively
+//! neighbors from the source's frame in one pass; [`ProductiveTable`]
+//! holds its answer for every frame of the smaller butterflies. The
+//! planner behind [`walk`] still minimises over every cut gap, since
+//! routes depend on its tie-breaking. Distances and routes are verified exhaustively
 //! against BFS in the tests, and the induced diameter `n + floor(n/2)`
 //! matches the paper's Remark 1.
 
@@ -101,11 +102,75 @@ pub fn dist_word_level(n: u32, wu: u32, lu: u32, wv: u32, lv: u32) -> u32 {
 #[inline]
 pub fn productive_mask(u: SignedCycle, v: SignedCycle) -> u32 {
     debug_assert_eq!(u.n(), v.n());
+    let (r, t) = frame(u, v);
+    frame_mask(u.n(), r, t)
+}
+
+/// [`productive_mask`] read from a table of every relative frame, for
+/// `n <= ProductiveTable::MAX_N`; above that bound [`Self::mask`]
+/// evaluates the closed form.
+///
+/// `B_n` is a Cayley graph, so whether a generator moves `u` closer to
+/// `v` depends only on `u⁻¹v`: the marks rotated into `u`'s frame, `r`,
+/// and the target's relative level, `t` (see [`dist_word_level`]). The
+/// table holds one byte per frame, at `(t << n) | r` — the dense index of
+/// `u⁻¹v` — so `n · 2^n` bytes, 48 KiB at the bound.
+#[derive(Clone, Debug)]
+pub struct ProductiveTable {
+    n: u32,
+    /// Empty above [`Self::MAX_N`].
+    masks: Box<[u8]>,
+}
+
+impl ProductiveTable {
+    /// Largest `n` that gets a table.
+    pub const MAX_N: u32 = 12;
+
+    /// Tabulates every frame of `B_n` with [`productive_mask`]'s closed
+    /// form, or builds an empty table above [`Self::MAX_N`].
+    pub fn new(n: u32) -> Self {
+        let levels = if n <= Self::MAX_N { n } else { 0 };
+        let masks = (0..levels)
+            .flat_map(|t| (0..1 << n).map(move |r| frame_mask(n, r, t)))
+            .map(|mask| u8::try_from(mask).expect("invariant: four generator bits"))
+            .collect();
+        Self { n, masks }
+    }
+
+    /// Whether masks come from the table (else from the closed form).
+    pub fn is_tabulated(&self) -> bool {
+        !self.masks.is_empty()
+    }
+
+    /// Equals [`productive_mask`]`(u, v)`.
+    ///
+    /// # Panics
+    /// Panics (debug) if a node is not of the table's dimension.
+    #[inline]
+    pub fn mask(&self, u: SignedCycle, v: SignedCycle) -> u32 {
+        debug_assert!(u.n() == self.n && v.n() == self.n);
+        let (r, t) = frame(u, v);
+        if self.masks.is_empty() {
+            frame_mask(self.n, r, t)
+        } else {
+            u32::from(self.masks[(t as usize) << self.n | r as usize])
+        }
+    }
+}
+
+/// The relative frame of `v` seen from `u`, `(r, t)`: the differing word
+/// bits rotated into `u`'s frame and the target's relative level.
+#[inline]
+fn frame(u: SignedCycle, v: SignedCycle) -> (u32, u32) {
     let n = u.n();
     let (wu, lu) = u.to_word_level();
     let (wv, lv) = v.to_word_level();
-    let r = rotr(n, wu ^ wv, lu);
-    let t = wrap(lv + n - lu, n);
+    (rotr(n, wu ^ wv, lu), wrap(lv + n - lu, n))
+}
+
+/// [`productive_mask`] in the frame `(r, t)`.
+#[inline]
+fn frame_mask(n: u32, r: u32, t: u32) -> u32 {
     let d = frame_dist(n, r, t);
     let (up, down) = (wrap(t + n - 1, n), wrap(t + 1, n));
     let top = 1 << (n - 1);
@@ -543,6 +608,45 @@ mod tests {
                 for lv in 0..n {
                     check_against_scan(n, marks, lu, lv);
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn productive_table_equals_the_closed_form_on_every_frame() {
+        for n in 3..=ProductiveTable::MAX_N {
+            let table = ProductiveTable::new(n);
+            assert!(table.is_tabulated(), "n={n}");
+            assert_eq!(table.masks.len(), SignedCycle::population(n));
+            // Seen from the identity, node `v`'s frame is its own index,
+            // so this reads every entry once.
+            let id = SignedCycle::identity(n);
+            for v in (0..SignedCycle::population(n)).map(|i| SignedCycle::from_index(n, i)) {
+                assert_eq!(table.mask(id, v), productive_mask(id, v), "n={n} {v}");
+            }
+        }
+        // From every source, the frame rotates the marks into place.
+        for n in 3..=5 {
+            let (b, table) = (Butterfly::new(n).unwrap(), ProductiveTable::new(n));
+            for u in b.nodes() {
+                for v in b.nodes() {
+                    assert_eq!(table.mask(u, v), productive_mask(u, v), "n={n} {u} -> {v}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn productive_table_above_the_bound_is_the_closed_form() {
+        let n = ProductiveTable::MAX_N + 1;
+        let table = ProductiveTable::new(n);
+        assert!(!table.is_tabulated());
+        let pop = SignedCycle::population(n);
+        for i in (0..pop).step_by(997) {
+            let u = SignedCycle::from_index(n, i);
+            for j in (0..pop).step_by(1009) {
+                let v = SignedCycle::from_index(n, (i * 7 + j) % pop);
+                assert_eq!(table.mask(u, v), productive_mask(u, v), "n={n} {u} -> {v}");
             }
         }
     }
