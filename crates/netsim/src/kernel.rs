@@ -192,15 +192,19 @@ impl RoutePolicy for SourceRouted<'_> {
 }
 
 /// Minimal adaptive routing: each hop takes the least-loaded productive
-/// channel (ties keep the lowest channel in enumeration order).
-/// `admission`, from a fault timeline, refuses injections whose
-/// compiled route is empty; in transit the choice stays fault-blind.
+/// channel, scanned in port space ([`NetTopology::productive_ports_into`]:
+/// channel = the node's first channel + port). Ties keep the first
+/// candidate in generator order — cube dimensions ascending, then the
+/// butterfly's `g, f, g⁻¹, f⁻¹` on `HB` — which is not always the lowest
+/// channel id. `admission`, from a fault timeline, refuses injections
+/// whose compiled route is empty; in transit the choice stays
+/// fault-blind.
 pub(crate) struct Adaptive<'a> {
     pub(crate) topo: &'a dyn NetTopology,
     pub(crate) layout: &'a ChanLayout<'a>,
     pub(crate) admission: Option<&'a RouteTable>,
-    /// Scratch for the productive-hop set, reused by every choice.
-    pub(crate) hops: [NodeId; MAX_PRODUCTIVE],
+    /// Scratch for the productive ports, reused by every choice.
+    pub(crate) ports: [usize; MAX_PRODUCTIVE],
 }
 
 impl RoutePolicy for Adaptive<'_> {
@@ -242,12 +246,13 @@ impl RoutePolicy for Adaptive<'_> {
     ) -> usize {
         let k = self
             .topo
-            .productive_hops_into(at, p.target as NodeId, &mut self.hops);
+            .productive_ports_into(at, p.target as NodeId, &mut self.ports);
         prof.scan_inv += 1;
         prof.scan_work += k as u64;
-        self.hops[..k]
+        let first = self.layout.node_first_channel(at);
+        self.ports[..k]
             .iter()
-            .map(|&w| self.layout.channel_of(at, w))
+            .map(|&port| first + port)
             .min_by_key(|&ch| queues.len(ch))
             .expect("invariant: a productive hop exists for any undelivered packet")
     }

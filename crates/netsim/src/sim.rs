@@ -247,7 +247,9 @@ impl<'a> ChanLayout<'a> {
 
     /// First channel id owned by node `v` (== CSR `offsets[v]`). Shard
     /// boundaries in the parallel engine are computed from this, so both
-    /// layouts cut the channel space at identical node-aligned points.
+    /// layouts cut the channel space at identical node-aligned points;
+    /// the adaptive router adds a productive port to it.
+    #[inline]
     pub(crate) fn node_first_channel(&self, v: NodeId) -> usize {
         match self {
             ChanLayout::Csr { offsets, .. } => offsets[v],
@@ -717,7 +719,7 @@ pub(crate) fn run_adaptive_on(
         topo,
         layout: &ctx.layout,
         admission,
-        hops: [0; MAX_PRODUCTIVE],
+        ports: [0; MAX_PRODUCTIVE],
     };
     drive_serial(&ctx, route, Unbounded, None, None)
 }
@@ -938,6 +940,32 @@ mod tests {
         assert_eq!(s.delivered, 8);
         // Minimal adaptivity: every packet takes exactly 4 hops.
         assert_eq!(tel.links().total_forwarded(), 8 * 4);
+    }
+
+    /// HB(2, 3) node 29 lists its neighbors as `[5, 36, 37, 41, 45, 77]`.
+    /// A packet for node 85 has two productive generators: the
+    /// dimension-1 flip (to 77, port 5) and `g` (to 37, port 2). On empty
+    /// queues the adaptive router takes the first in generator order, 77,
+    /// not the lower channel toward 37.
+    #[test]
+    fn adaptive_ties_keep_generator_order_not_channel_order() {
+        let t = HyperButterflyNet::new(2, 3, HbRouteOrder::CubeFirst).unwrap();
+        assert_eq!(t.graph().neighbors(29), &[5, 36, 37, 41, 45, 77]);
+        assert_eq!(t.productive_hops(29, 85), vec![77, 37]);
+        let mut ports = [0; MAX_PRODUCTIVE];
+        let k = t.productive_ports_into(29, 85, &mut ports);
+        assert_eq!(&ports[..k], &[5, 2]);
+        let tel = hb_telemetry::Telemetry::summary();
+        let cfg = SimConfig::default().with_telemetry(tel.clone());
+        let s = run_adaptive(&t, &[inj(29, 85, 0)], cfg);
+        assert_eq!((s.delivered, s.avg_hops), (1, 2.0));
+        let used: Vec<(u32, u32)> = tel
+            .links()
+            .iter()
+            .filter(|(_, r)| r.forwarded > 0)
+            .map(|(key, _)| (key.from, key.to))
+            .collect();
+        assert_eq!(used, vec![(29, 77), (77, 85)]);
     }
 
     #[test]

@@ -25,12 +25,23 @@
 //!   and `hb_butterfly::routing::productive_mask`, which scores all four
 //!   butterfly generators with the `O(1)` closed-form distance. Every
 //!   candidate is written and kept by its mask bit, without a branch.
+//! * [`NetTopology::productive_ports_into`] is the same set, in the same
+//!   generator order, written as *ports*: indices into the ascending
+//!   neighbor list, so the adaptive router adds each to the node's first
+//!   channel instead of searching for it. The hypercube, butterfly and
+//!   hyper-butterfly adapters rank a generator's image among the
+//!   neighbors from the node's label alone (`flip_ports`,
+//!   `butterfly_ports`), and read the butterfly mask from one
+//!   `hb_butterfly::routing::ProductiveTable` per adapter, built by the
+//!   first query.
 
-use hb_butterfly::{routing as brouting, Butterfly};
+use hb_butterfly::routing::{self as brouting, ProductiveTable};
+use hb_butterfly::Butterfly;
 use hb_core::{routing as hbrouting, HbNode, HyperButterfly};
 use hb_debruijn::HyperDeBruijn;
 use hb_graphs::{Graph, NodeId, Result};
 use hb_hypercube::{routing as hrouting, Hypercube};
+use std::sync::OnceLock;
 
 /// Upper bound on the number of productive hops any adapter reports:
 /// the maximum degree across the families (`m + 4` for `HB`, `m <= 26`),
@@ -55,6 +66,51 @@ fn keep_masked(
         k += mask >> i & 1;
     }
     k
+}
+
+/// Ports of the `m` cube flips at a node whose cube label is `h`, by
+/// ascending dimension, where `mid` neighbors share the node's own cube
+/// label (4 in `HB`, none in `H_m`). Clearing a set bit lowers the id
+/// below all of those, the more so the higher the bit; setting a clear
+/// bit raises it above them, the more so the higher the bit. So the
+/// ascending neighbor list holds the set bits by descending dimension,
+/// then the `mid` others, then the clear bits by ascending dimension:
+/// with `s` set bits in all and `b` below `d`, a set bit `d` sits at
+/// `s - 1 - b` and a clear one at `s + mid + d - b`. One popcount per
+/// node and no branch per dimension.
+#[inline]
+fn flip_ports(h: u32, m: u32, mid: usize) -> impl Iterator<Item = usize> {
+    let set = h.count_ones() as usize;
+    (0..m).scan(0, move |below, d| {
+        let bit = (h >> d & 1) as usize;
+        let port = set + (1 - bit) * (mid + d as usize + 1) - 1 - *below;
+        *below += bit;
+        Some(port)
+    })
+}
+
+/// Ports of the four butterfly generators' images of the `B_n` node at
+/// `(word, level)`, in `ButterflyGen::ALL` order, when `base` neighbors
+/// sort below all four: each image's rank by butterfly index (level,
+/// then word), plus `base`. `g` and `f` step to level `l + 1`, `g⁻¹` and
+/// `f⁻¹` to `l - 1`; that pair sorts first except where `l + 1` wraps to
+/// 0 or `l - 1` to `n - 1`. Within a pair, the image that keeps the word
+/// sorts first unless the bit the other flips is set.
+#[inline]
+fn butterfly_ports(base: usize, n: u32, (word, level): (u32, u32)) -> [usize; 4] {
+    let down = if level == 0 { n - 1 } else { level - 1 };
+    let (up, dn) = if level == 0 || level == n - 1 {
+        (base, base + 2)
+    } else {
+        (base + 2, base)
+    };
+    let (f_first, fi_first) = ((word >> level & 1) as usize, (word >> down & 1) as usize);
+    [
+        up + f_first,
+        up + 1 - f_first,
+        dn + fi_first,
+        dn + 1 - fi_first,
+    ]
 }
 
 /// A network topology as seen by the simulator.
@@ -157,6 +213,24 @@ pub trait NetTopology: Send + Sync {
         let k = self.productive_hops_into(cur, dst, &mut buf);
         buf[..k].to_vec()
     }
+
+    /// The productive hops of [`Self::productive_hops_into`], in its
+    /// order, each written as its **port**: its index in `cur`'s
+    /// ascending neighbor list, so its channel is `cur`'s first channel
+    /// plus the port under either channel layout. Same buffer contract.
+    /// The default searches the neighbor list once per hop; the algebraic
+    /// adapters rank each generator's image from the labels instead.
+    fn productive_ports_into(&self, cur: NodeId, dst: NodeId, buf: &mut [NodeId]) -> usize {
+        let k = self.productive_hops_into(cur, dst, buf);
+        let mut nbrs = [0 as NodeId; MAX_PRODUCTIVE];
+        let deg = self.neighbors_into(cur, &mut nbrs);
+        for hop in &mut buf[..k] {
+            *hop = nbrs[..deg]
+                .binary_search(hop)
+                .expect("invariant: a productive hop is a neighbor");
+        }
+        k
+    }
 }
 
 /// Hypercube `H_m` with dimension-ordered (bit-fixing) routing.
@@ -205,6 +279,10 @@ impl NetTopology for HypercubeNet {
         let flips = (0..self.h.m()).map(|d| cur ^ (1usize << d));
         keep_masked(buf, 0, cur ^ dst, flips)
     }
+    fn productive_ports_into(&self, cur: NodeId, dst: NodeId, buf: &mut [NodeId]) -> usize {
+        let h = u32::try_from(cur).expect("invariant: hypercube labels fit in u32");
+        keep_masked(buf, 0, cur ^ dst, flip_ports(h, self.h.m(), 0))
+    }
 }
 
 /// Wrapped butterfly `B_n` with the optimal gap-covering-walk router.
@@ -212,6 +290,8 @@ pub struct ButterflyNet {
     b: Butterfly,
     graph: Graph,
     name: String,
+    /// Built by the first productive-port query.
+    masks: OnceLock<ProductiveTable>,
 }
 
 impl ButterflyNet {
@@ -225,6 +305,7 @@ impl ButterflyNet {
             graph: b.build_graph()?,
             name: format!("B({})", b.n()),
             b,
+            masks: OnceLock::new(),
         })
     }
 }
@@ -244,10 +325,21 @@ impl NetTopology for ButterflyNet {
     }
     fn productive_hops_into(&self, cur: NodeId, dst: NodeId, buf: &mut [NodeId]) -> usize {
         // One closed-form pass scores all 4 neighbors, in generator
-        // order (matching the graph layout).
+        // order (not the ascending order of the graph layout).
         let u = self.b.node(cur);
         let mask = brouting::productive_mask(u, self.b.node(dst));
         keep_masked(buf, 0, mask as usize, u.neighbors().map(|w| w.index()))
+    }
+    fn productive_ports_into(&self, cur: NodeId, dst: NodeId, buf: &mut [NodeId]) -> usize {
+        let u = self.b.node(cur);
+        let table = self.masks.get_or_init(|| ProductiveTable::new(self.b.n()));
+        let mask = table.mask(u, self.b.node(dst));
+        keep_masked(
+            buf,
+            0,
+            mask as usize,
+            butterfly_ports(0, u.n(), u.to_word_level()),
+        )
     }
 }
 
@@ -278,14 +370,16 @@ pub enum HbRouteOrder {
 ///   million-node shapes cost memory proportional to the traffic actually
 ///   touched.
 ///
-/// The neighbor enumeration is sorted ascending, so ports — and therefore
-/// channel ids — agree exactly between the two layouts.
+/// The neighbor enumeration is ascending by construction, so ports — and
+/// therefore channel ids — agree exactly between the two layouts.
 pub struct HyperButterflyNet {
     hb: HyperButterfly,
     order: HbRouteOrder,
     /// `None` for the graph-free adapter built by [`Self::implicit`].
     graph: Option<Graph>,
     name: String,
+    /// Built by the first productive-port query.
+    masks: OnceLock<ProductiveTable>,
 }
 
 impl HyperButterflyNet {
@@ -317,6 +411,7 @@ impl HyperButterflyNet {
             hb,
             order,
             graph: None,
+            masks: OnceLock::new(),
         };
         // Cayley graphs are vertex-transitive, so checking one node
         // suffices: if the m + 4 generator images are distinct at the
@@ -352,18 +447,17 @@ impl NetTopology for HyperButterflyNet {
         Some(self.hb.degree() as usize)
     }
     fn neighbors_into(&self, v: NodeId, buf: &mut [NodeId]) -> usize {
+        // Each generator's image lands at its port, so the list comes
+        // out ascending without a sort.
         let u = self.hb.node(v);
-        let mut k = 0;
-        for dim in 0..self.hb.m() {
-            buf[k] = self.hb.index(HbNode::new(u.h ^ (1 << dim), u.b));
-            k += 1;
+        for (dim, port) in (0..self.hb.m()).zip(flip_ports(u.h, self.hb.m(), 4)) {
+            buf[port] = self.hb.index(HbNode::new(u.h ^ (1 << dim), u.b));
         }
-        for wb in u.b.neighbors() {
-            buf[k] = self.hb.index(HbNode::new(u.h, wb));
-            k += 1;
+        let ports = butterfly_ports(u.h.count_ones() as usize, u.b.n(), u.b.to_word_level());
+        for (wb, port) in u.b.neighbors().into_iter().zip(ports) {
+            buf[port] = self.hb.index(HbNode::new(u.h, wb));
         }
-        buf[..k].sort_unstable();
-        k
+        self.hb.degree() as usize
     }
     fn route_into(&self, src: NodeId, dst: NodeId, buf: &mut Vec<NodeId>) {
         // Both orders are shortest, so a route never exceeds the diameter.
@@ -382,8 +476,8 @@ impl NetTopology for HyperButterflyNet {
         // decided per leg: a cube neighbor is productive iff it fixes a
         // differing dimension, a butterfly neighbor iff it lowers the
         // butterfly closed-form distance (one pass scores all four).
-        // Enumeration order matches the graph layout: dimensions
-        // ascending, then generator order.
+        // Generator order — dimensions ascending, then g, f, g⁻¹, f⁻¹ —
+        // is not the ascending order of the graph layout.
         let u = self.hb.node(cur);
         let v = self.hb.node(dst);
         let flips = (0..self.hb.m()).map(|dim| self.hb.index(HbNode::new(u.h ^ (1 << dim), u.b)));
@@ -393,6 +487,18 @@ impl NetTopology for HyperButterflyNet {
             u.b.neighbors()
                 .map(|wb| self.hb.index(HbNode::new(u.h, wb)));
         keep_masked(buf, k, mask as usize, gens)
+    }
+    fn productive_ports_into(&self, cur: NodeId, dst: NodeId, buf: &mut [NodeId]) -> usize {
+        // The same generators in the same order, each as its rank among
+        // the neighbors, with the butterfly mask read from the table.
+        let u = self.hb.node(cur);
+        let v = self.hb.node(dst);
+        let flips = flip_ports(u.h, self.hb.m(), 4);
+        let k = keep_masked(buf, 0, (u.h ^ v.h) as usize, flips);
+        let table = self.masks.get_or_init(|| ProductiveTable::new(self.hb.n()));
+        let mask = table.mask(u.b, v.b);
+        let ports = butterfly_ports(u.h.count_ones() as usize, u.b.n(), u.b.to_word_level());
+        keep_masked(buf, k, mask as usize, ports)
     }
 }
 
@@ -645,6 +751,89 @@ mod tests {
                         .filter(|&w| tree.dist[w] < tree.dist[cur])
                         .collect();
                     let mut got = t.productive_hops(cur, dst);
+                    expect.sort_unstable();
+                    got.sort_unstable();
+                    assert_eq!(got, expect, "{}: {cur}->{dst}", t.name());
+                }
+            }
+        }
+    }
+
+    /// For every pair, on a poisoned buffer, the ports `t` reports index
+    /// `rows` — the sorted adjacency the CSR channel layout is built on —
+    /// at exactly the hops `productive_hops_into` returns, in its order;
+    /// and `t`'s own neighbor list is that row.
+    fn check_ports_name_the_hops(t: &dyn NetTopology, rows: &Graph) {
+        let (mut ports, mut hops, mut nbrs) = ([0; MAX_PRODUCTIVE], [0; MAX_PRODUCTIVE], [0; 32]);
+        for cur in 0..t.num_nodes() {
+            let row = rows.neighbors(cur);
+            let deg = t.neighbors_into(cur, &mut nbrs);
+            assert!(
+                nbrs[..deg]
+                    .iter()
+                    .map(|&w| w as u32)
+                    .eq(row.iter().copied()),
+                "{}: neighbors of {cur}",
+                t.name()
+            );
+            for dst in 0..t.num_nodes() {
+                ports.fill(usize::MAX);
+                let k = t.productive_ports_into(cur, dst, &mut ports);
+                let kh = t.productive_hops_into(cur, dst, &mut hops);
+                assert_eq!(k, kh, "{}: {cur}->{dst}", t.name());
+                for (&port, &hop) in ports[..k].iter().zip(&hops) {
+                    assert_eq!(row[port] as NodeId, hop, "{}: {cur}->{dst}", t.name());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn productive_ports_name_the_productive_hops_on_hb_exhaustively() {
+        for (m, n) in [(1, 3), (2, 3), (3, 4)] {
+            let explicit = HyperButterflyNet::new(m, n, HbRouteOrder::CubeFirst).unwrap();
+            let implicit = HyperButterflyNet::implicit(m, n, HbRouteOrder::CubeFirst).unwrap();
+            check_ports_name_the_hops(&explicit, explicit.graph());
+            check_ports_name_the_hops(&implicit, explicit.graph());
+        }
+    }
+
+    #[test]
+    fn productive_ports_name_the_productive_hops_on_b_and_h_exhaustively() {
+        // B(9)'s words span two bytes.
+        for n in [3, 9] {
+            let b = ButterflyNet::new(n).unwrap();
+            check_ports_name_the_hops(&b, b.graph());
+        }
+        let h = HypercubeNet::new(4).unwrap();
+        check_ports_name_the_hops(&h, h.graph());
+    }
+
+    /// Above the table's bound the butterfly mask is the closed form: the
+    /// ports still name exactly the BFS-decreasing neighbors.
+    #[test]
+    fn productive_ports_above_the_table_bound_equal_bfs_decreasing_neighbors() {
+        let n = ProductiveTable::MAX_N + 1;
+        assert!(!ProductiveTable::new(n).is_tabulated());
+        let nets: Vec<Box<dyn NetTopology>> = vec![
+            Box::new(ButterflyNet::new(n).unwrap()),
+            Box::new(HyperButterflyNet::new(1, n, HbRouteOrder::CubeFirst).unwrap()),
+        ];
+        let mut ports = [0; MAX_PRODUCTIVE];
+        for t in &nets {
+            let g = t.graph();
+            let nodes = t.num_nodes();
+            for dst in [0, nodes / 3, nodes - 1] {
+                let tree = hb_graphs::traverse::bfs(g, dst);
+                for cur in (0..nodes).step_by(97) {
+                    let row = g.neighbors(cur);
+                    let mut expect: Vec<u32> = row
+                        .iter()
+                        .copied()
+                        .filter(|&w| tree.dist[w as usize] < tree.dist[cur])
+                        .collect();
+                    let k = t.productive_ports_into(cur, dst, &mut ports);
+                    let mut got: Vec<u32> = ports[..k].iter().map(|&p| row[p]).collect();
                     expect.sort_unstable();
                     got.sort_unstable();
                     assert_eq!(got, expect, "{}: {cur}->{dst}", t.name());
