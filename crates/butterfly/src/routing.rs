@@ -115,7 +115,7 @@ pub fn productive_mask(u: SignedCycle, v: SignedCycle) -> u32 {
 /// and the target's relative level, `t` (see [`dist_word_level`]). The
 /// table holds one byte per frame, at `(t << n) | r` — the dense index of
 /// `u⁻¹v` — so `n · 2^n` bytes, 48 KiB at the bound.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct ProductiveTable {
     n: u32,
     /// Empty above [`Self::MAX_N`].
@@ -135,11 +135,6 @@ impl ProductiveTable {
             .map(|mask| u8::try_from(mask).expect("invariant: four generator bits"))
             .collect();
         Self { n, masks }
-    }
-
-    /// Whether masks come from the table (else from the closed form).
-    pub fn is_tabulated(&self) -> bool {
-        !self.masks.is_empty()
     }
 
     /// Equals [`productive_mask`]`(u, v)`.
@@ -616,7 +611,6 @@ mod tests {
     fn productive_table_equals_the_closed_form_on_every_frame() {
         for n in 3..=ProductiveTable::MAX_N {
             let table = ProductiveTable::new(n);
-            assert!(table.is_tabulated(), "n={n}");
             assert_eq!(table.masks.len(), SignedCycle::population(n));
             // Seen from the identity, node `v`'s frame is its own index,
             // so this reads every entry once.
@@ -640,7 +634,7 @@ mod tests {
     fn productive_table_above_the_bound_is_the_closed_form() {
         let n = ProductiveTable::MAX_N + 1;
         let table = ProductiveTable::new(n);
-        assert!(!table.is_tabulated());
+        assert!(table.masks.is_empty());
         let pop = SignedCycle::population(n);
         for i in (0..pop).step_by(997) {
             let u = SignedCycle::from_index(n, i);
