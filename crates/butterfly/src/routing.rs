@@ -25,9 +25,9 @@
 //! neighbors from the source's frame in one pass; [`ProductiveTable`]
 //! holds its answer for every frame of the smaller butterflies. The
 //! planner behind [`walk`] still minimises over every cut gap, since
-//! routes depend on its tie-breaking. Distances and routes are verified exhaustively
-//! against BFS in the tests, and the induced diameter `n + floor(n/2)`
-//! matches the paper's Remark 1.
+//! routes depend on its tie-breaking. Distances and routes are verified
+//! exhaustively against BFS in the tests, and the induced diameter
+//! `n + floor(n/2)` matches the paper's Remark 1.
 
 use crate::cayley::Butterfly;
 use hb_group::signed::{ButterflyGen, SignedCycle};
