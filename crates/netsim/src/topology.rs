@@ -28,12 +28,11 @@
 //! * [`NetTopology::productive_ports_into`] is the same set, in the same
 //!   generator order, written as *ports*: indices into the ascending
 //!   neighbor list, so the adaptive router adds each to the node's first
-//!   channel instead of searching for it. The hypercube, butterfly and
-//!   hyper-butterfly adapters rank a generator's image among the
-//!   neighbors from the node's label alone (`flip_ports`,
-//!   `butterfly_ports`), and read the butterfly mask from one
-//!   `hb_butterfly::routing::ProductiveTable` per adapter, built by the
-//!   first query.
+//!   channel instead of searching for it. The hyper-butterfly adapter
+//!   ranks a generator's image among the neighbors from the node's label
+//!   alone (`flip_ports`, `butterfly_ports`) and reads the butterfly
+//!   mask from one `hb_butterfly::routing::ProductiveTable`, built by
+//!   the first query; the other adapters search their neighbor list.
 
 use hb_butterfly::routing::{self as brouting, ProductiveTable};
 use hb_butterfly::Butterfly;
@@ -68,22 +67,21 @@ fn keep_masked(
     k
 }
 
-/// Ports of the `m` cube flips at a node whose cube label is `h`, by
-/// ascending dimension, where `mid` neighbors share the node's own cube
-/// label (4 in `HB`, none in `H_m`). Clearing a set bit lowers the id
-/// below all of those, the more so the higher the bit; setting a clear
-/// bit raises it above them, the more so the higher the bit. So the
-/// ascending neighbor list holds the set bits by descending dimension,
-/// then the `mid` others, then the clear bits by ascending dimension:
-/// with `s` set bits in all and `b` below `d`, a set bit `d` sits at
-/// `s - 1 - b` and a clear one at `s + mid + d - b`. One popcount per
-/// node and no branch per dimension.
+/// Ports of the `m` cube flips at an `HB` node whose cube label is `h`,
+/// by ascending dimension. The four butterfly neighbors share the node's
+/// cube label. Clearing a set bit lowers the id below all four, the more
+/// so the higher the bit; setting a clear bit raises it above them, the
+/// more so the higher the bit. So the ascending neighbor list holds the
+/// set bits by descending dimension, then the four others, then the
+/// clear bits by ascending dimension: with `s` set bits in all and `b`
+/// below `d`, a set bit `d` sits at `s - 1 - b` and a clear one at
+/// `s + 4 + d - b`. One popcount per node and no branch per dimension.
 #[inline]
-fn flip_ports(h: u32, m: u32, mid: usize) -> impl Iterator<Item = usize> {
+fn flip_ports(h: u32, m: u32) -> impl Iterator<Item = usize> {
     let set = h.count_ones() as usize;
     (0..m).scan(0, move |below, d| {
         let bit = (h >> d & 1) as usize;
-        let port = set + (1 - bit) * (mid + d as usize + 1) - 1 - *below;
+        let port = set + (1 - bit) * (d as usize + 5) - 1 - *below;
         *below += bit;
         Some(port)
     })
@@ -218,20 +216,30 @@ pub trait NetTopology: Send + Sync {
     /// order, each written as its **port**: its index in `cur`'s
     /// ascending neighbor list, so its channel is `cur`'s first channel
     /// plus the port under either channel layout. Same buffer contract.
-    /// The default binary-searches the explicit graph's sorted row once
-    /// per hop, as the CSR layout's `channel_of` does; the algebraic
-    /// adapters rank each generator's image from the labels instead.
+    /// The default binary-searches `cur`'s sorted neighbors once per hop,
+    /// as `channel_of` does: the explicit graph's row, or
+    /// [`Self::neighbors_into`]'s list on a graph-free adapter.
+    /// `HyperButterflyNet` ranks each generator's image from the labels
+    /// instead.
     fn productive_ports_into(&self, cur: NodeId, dst: NodeId, buf: &mut [NodeId]) -> usize {
-        let row = self
-            .explicit_graph()
-            .expect("invariant: graph-free topologies override productive_ports_into")
-            .neighbors(cur);
         let k = self.productive_hops_into(cur, dst, buf);
-        for hop in &mut buf[..k] {
-            let w = u32::try_from(*hop).expect("invariant: node ids fit in u32");
-            *hop = row
-                .binary_search(&w)
-                .expect("invariant: a productive hop is a neighbor");
+        let hops = &mut buf[..k];
+        if let Some(g) = self.explicit_graph() {
+            let row = g.neighbors(cur);
+            for hop in hops {
+                let w = u32::try_from(*hop).expect("invariant: node ids fit in u32");
+                *hop = row
+                    .binary_search(&w)
+                    .expect("invariant: a productive hop is a neighbor");
+            }
+        } else {
+            let mut nbrs = [0 as NodeId; MAX_PRODUCTIVE];
+            let deg = self.neighbors_into(cur, &mut nbrs);
+            for hop in hops {
+                *hop = nbrs[..deg]
+                    .binary_search(hop)
+                    .expect("invariant: a productive hop is a neighbor");
+            }
         }
         k
     }
@@ -283,10 +291,6 @@ impl NetTopology for HypercubeNet {
         let flips = (0..self.h.m()).map(|d| cur ^ (1usize << d));
         keep_masked(buf, 0, cur ^ dst, flips)
     }
-    fn productive_ports_into(&self, cur: NodeId, dst: NodeId, buf: &mut [NodeId]) -> usize {
-        let h = u32::try_from(cur).expect("invariant: hypercube labels fit in u32");
-        keep_masked(buf, 0, cur ^ dst, flip_ports(h, self.h.m(), 0))
-    }
 }
 
 /// Wrapped butterfly `B_n` with the optimal gap-covering-walk router.
@@ -294,8 +298,6 @@ pub struct ButterflyNet {
     b: Butterfly,
     graph: Graph,
     name: String,
-    /// Built by the first productive-port query.
-    masks: OnceLock<ProductiveTable>,
 }
 
 impl ButterflyNet {
@@ -309,7 +311,6 @@ impl ButterflyNet {
             graph: b.build_graph()?,
             name: format!("B({})", b.n()),
             b,
-            masks: OnceLock::new(),
         })
     }
 }
@@ -333,17 +334,6 @@ impl NetTopology for ButterflyNet {
         let u = self.b.node(cur);
         let mask = brouting::productive_mask(u, self.b.node(dst));
         keep_masked(buf, 0, mask as usize, u.neighbors().map(|w| w.index()))
-    }
-    fn productive_ports_into(&self, cur: NodeId, dst: NodeId, buf: &mut [NodeId]) -> usize {
-        let u = self.b.node(cur);
-        let table = self.masks.get_or_init(|| ProductiveTable::new(self.b.n()));
-        let mask = table.mask(u, self.b.node(dst));
-        keep_masked(
-            buf,
-            0,
-            mask as usize,
-            butterfly_ports(0, u.n(), u.to_word_level()),
-        )
     }
 }
 
@@ -454,7 +444,7 @@ impl NetTopology for HyperButterflyNet {
         // Each generator's image lands at its port, so the list comes
         // out ascending without a sort.
         let u = self.hb.node(v);
-        for (dim, port) in (0..self.hb.m()).zip(flip_ports(u.h, self.hb.m(), 4)) {
+        for (dim, port) in (0..self.hb.m()).zip(flip_ports(u.h, self.hb.m())) {
             buf[port] = self.hb.index(HbNode::new(u.h ^ (1 << dim), u.b));
         }
         let ports = butterfly_ports(u.h.count_ones() as usize, u.b.n(), u.b.to_word_level());
@@ -497,7 +487,7 @@ impl NetTopology for HyperButterflyNet {
         // the neighbors, with the butterfly mask read from the table.
         let u = self.hb.node(cur);
         let v = self.hb.node(dst);
-        let flips = flip_ports(u.h, self.hb.m(), 4);
+        let flips = flip_ports(u.h, self.hb.m());
         let k = keep_masked(buf, 0, (u.h ^ v.h) as usize, flips);
         let table = self.masks.get_or_init(|| ProductiveTable::new(self.hb.n()));
         let mask = table.mask(u.b, v.b);
@@ -802,6 +792,7 @@ mod tests {
         }
     }
 
+    /// The trait default, which searches the graph's row.
     #[test]
     fn productive_ports_name_the_productive_hops_on_b_and_h_exhaustively() {
         // B(9)'s words span two bytes.
@@ -811,7 +802,6 @@ mod tests {
         }
         let h = HypercubeNet::new(4).unwrap();
         check_ports_name_the_hops(&h, h.graph());
-        // The trait default, which searches the neighbor list.
         let hd = HyperDeBruijnNet::new(2, 3).unwrap();
         check_ports_name_the_hops(&hd, hd.graph());
         let g = hb_graphs::generators::random_regular(64, 5, 3).unwrap();
@@ -819,8 +809,45 @@ mod tests {
         check_ports_name_the_hops(&net, net.graph());
     }
 
-    /// Above the table's bound the butterfly mask is the closed form: the
-    /// ports still name exactly the BFS-decreasing neighbors.
+    /// A graph-free adapter that keeps the trait default for ports: the
+    /// implicit `HB` with only its neighbor list and productive hops.
+    struct DefaultPorts(HyperButterflyNet);
+
+    impl NetTopology for DefaultPorts {
+        fn name(&self) -> &str {
+            self.0.name()
+        }
+        fn num_nodes(&self) -> usize {
+            self.0.num_nodes()
+        }
+        fn explicit_graph(&self) -> Option<&Graph> {
+            None
+        }
+        fn uniform_degree(&self) -> Option<usize> {
+            self.0.uniform_degree()
+        }
+        fn neighbors_into(&self, v: NodeId, buf: &mut [NodeId]) -> usize {
+            self.0.neighbors_into(v, buf)
+        }
+        fn route_into(&self, src: NodeId, dst: NodeId, buf: &mut Vec<NodeId>) {
+            self.0.route_into(src, dst, buf);
+        }
+        fn productive_hops_into(&self, cur: NodeId, dst: NodeId, buf: &mut [NodeId]) -> usize {
+            self.0.productive_hops_into(cur, dst, buf)
+        }
+    }
+
+    /// Without a graph the trait default searches `neighbors_into`'s list.
+    #[test]
+    fn default_productive_ports_serve_graph_free_adapters() {
+        let explicit = HyperButterflyNet::new(2, 3, HbRouteOrder::CubeFirst).unwrap();
+        let t = DefaultPorts(HyperButterflyNet::implicit(2, 3, HbRouteOrder::CubeFirst).unwrap());
+        check_ports_name_the_hops(&t, explicit.graph());
+    }
+
+    /// Above the table's bound `HB`'s butterfly mask is the closed form:
+    /// the ports still name exactly the BFS-decreasing neighbors, as the
+    /// trait default's do on `B`.
     #[test]
     fn productive_ports_above_the_table_bound_equal_bfs_decreasing_neighbors() {
         let n = ProductiveTable::MAX_N + 1;
