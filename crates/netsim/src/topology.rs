@@ -217,7 +217,8 @@ pub trait NetTopology: Send + Sync {
     /// ascending neighbor list, so its channel is `cur`'s first channel
     /// plus the port under either channel layout. Same buffer contract.
     /// The default binary-searches `cur`'s sorted neighbors once per hop,
-    /// as `channel_of` does: the explicit graph's row, or
+    /// as `channel_of` does: the explicit graph's row, which may hold
+    /// more than [`MAX_PRODUCTIVE`] neighbors, or
     /// [`Self::neighbors_into`]'s list on a graph-free adapter.
     /// `HyperButterflyNet` ranks each generator's image from the labels
     /// instead.
