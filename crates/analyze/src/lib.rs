@@ -23,8 +23,9 @@
 //!   integer types in library code;
 //! * **D1 `hash-order`** — no `HashMap`/`HashSet` in deterministic
 //!   crates (netsim, distributed, telemetry, core, analyze);
-//! * **D2 `wall-clock`** — no `Instant::now`/`SystemTime` outside the
-//!   perf suite and tests;
+//! * **D2 `wall-clock`** — no `Instant::now`/`SystemTime` in any
+//!   library code (wall-clock measurement lives in `perfbench/` and
+//!   tests);
 //! * **D3 `rng`** — no ambient randomness in library code;
 //! * **D4 `float-determinism`** — no `f32`/`f64` in netsim/distributed/
 //!   telemetry library code (order-dependent float sums break byte

@@ -7,7 +7,7 @@
 //! | A1 | `alloc-in-hot`   | loop bodies of `// analyze: hot(…)` fns      | allocation-capable calls (`collect`, `clone`, `to_vec`, `format!`, `vec!`, `Box::new`, `Vec::new`, `VecDeque::new`) |
 //! | C1 | `narrowing-cast` | all library code                             | `as` casts to `u8`/`u16`/`u32`/`i8`/`i16`/`i32` (can truncate) |
 //! | D1 | `hash-order`     | library code of the deterministic crates     | `HashMap`/`HashSet` (random iteration order) |
-//! | D2 | `wall-clock`     | all library code except `bench/src/perf.rs`  | `Instant::now` / `SystemTime` |
+//! | D2 | `wall-clock`     | all library code                             | `Instant::now` / `SystemTime` |
 //! | D3 | `rng`            | all library code                             | ambient randomness (`thread_rng`, …) |
 //! | D4 | `float-determinism` | library code of netsim/distributed/telemetry | `f32`/`f64` types and float literals (order-dependent rounding) |
 //! | D5 | `unstable-order` | library code of the deterministic crates     | keyed sorts with potentially-duplicate keys; hash-module paths that dodge D1 |
@@ -45,10 +45,6 @@ pub const PANIC_POLICY_CRATES: &[&str] = &["netsim", "telemetry", "distributed",
 /// tolerate. Telemetry's quantile/mean math is in scope and carries
 /// explicit allow-comments.
 pub const FLOAT_FREE_CRATES: &[&str] = &["netsim", "distributed", "telemetry"];
-
-/// The one file allowed to read the wall clock: the perf suite measures
-/// real elapsed time by design.
-pub const WALL_CLOCK_EXEMPT: &[&str] = &["crates/bench/src/perf.rs"];
 
 /// Cast targets that can truncate (C1). `u64`/`i64`/`usize`/`isize`
 /// are exempt: in this workspace they only ever widen from the dense
@@ -279,7 +275,6 @@ pub fn analyze_file(rel: &str, src: &str) -> Vec<Finding> {
             .crate_name
             .as_deref()
             .is_some_and(|c| FLOAT_FREE_CRATES.contains(&c));
-        let clock_exempt = WALL_CLOCK_EXEMPT.contains(&rel);
         // D4 fires at most once per source line: one `x as f64 / y as
         // f64` expression is one hazard, not four.
         let mut d4_last_line = 0u32;
@@ -302,23 +297,20 @@ pub fn analyze_file(rel: &str, src: &str) -> Vec<Finding> {
             }
 
             // D2 wall-clock.
-            if !clock_exempt {
-                let instant_now = t.is_ident("Instant")
-                    && code.get(i + 1).is_some_and(|t| t.is_punct(':'))
-                    && code.get(i + 2).is_some_and(|t| t.is_punct(':'))
-                    && code.get(i + 3).is_some_and(|t| t.is_ident("now"));
-                if instant_now || t.is_ident("SystemTime") {
-                    push(
-                        "D2",
-                        "wall-clock",
-                        Severity::Error,
-                        t.line,
-                        "wall-clock read in library code: simulation time is logical; \
-                         only the perf suite (`crates/bench/src/perf.rs`) and tests may \
-                         measure real time"
-                            .to_string(),
-                    );
-                }
+            let instant_now = t.is_ident("Instant")
+                && code.get(i + 1).is_some_and(|t| t.is_punct(':'))
+                && code.get(i + 2).is_some_and(|t| t.is_punct(':'))
+                && code.get(i + 3).is_some_and(|t| t.is_ident("now"));
+            if instant_now || t.is_ident("SystemTime") {
+                push(
+                    "D2",
+                    "wall-clock",
+                    Severity::Error,
+                    t.line,
+                    "wall-clock read in library code: simulation time is logical; \
+                     wall-clock measurement lives in `perfbench/` and tests"
+                        .to_string(),
+                );
             }
 
             // D3 rng.
@@ -614,10 +606,11 @@ mod tests {
     }
 
     #[test]
-    fn d2_flags_instant_now_but_not_perf_or_duration() {
+    fn d2_flags_instant_now_everywhere_but_not_duration() {
         let src = "fn f() { let t = std::time::Instant::now(); }\n";
         assert_eq!(rules_hit("crates/graphs/src/x.rs", src), ["D2"]);
-        assert!(rules_hit("crates/bench/src/perf.rs", src).is_empty());
+        // No library file is exempt, the bench crate's included.
+        assert_eq!(rules_hit("crates/bench/src/perf.rs", src), ["D2"]);
         // An `Instant` that is merely named (no ::now) is a value being
         // passed around, not a clock read.
         let named = "fn f(t: Instant) -> Duration { t.elapsed() }\n";

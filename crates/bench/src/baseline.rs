@@ -2,16 +2,16 @@
 //! comparator with per-metric relative tolerances.
 //!
 //! [`Baseline::collect`] runs a fixed, seeded subset of the experiment
-//! harness — the uniform-rate sweep and hotspot run from [`netsim_exp`]
-//! and the protocol table from [`distributed_exp`] — and records one
-//! `f64` per metric per experiment. [`Baseline::to_json`] renders it as
-//! deterministic, diff-friendly JSON (`BENCH_baseline.json` at the repo
-//! root is produced this way); [`Baseline::parse`] reads that subset of
-//! JSON back without any external parser dependency. A fresh run is
-//! gated against the stored file with [`Baseline::compare`]: every
-//! metric whose relative drift exceeds [`default_tolerance`] becomes a
-//! [`Drift`] row, and `hb-cli bench --check` exits non-zero when any
-//! exist.
+//! harness — the uniform-rate sweep and hotspot run from [`netsim_exp`],
+//! the protocol table from [`distributed_exp`], and the engine counters
+//! from [`perf`] — and records one `f64` per metric per experiment.
+//! [`Baseline::to_json`] renders it as deterministic, diff-friendly JSON
+//! (`BENCH_baseline.json` at the repo root is produced this way);
+//! [`Baseline::parse`] reads that subset of JSON back without any
+//! external parser dependency. A fresh run is gated against the stored
+//! file with [`Baseline::compare`]: every metric whose relative drift
+//! exceeds [`default_tolerance`] becomes a [`Drift`] row, and
+//! `hbnet bench --check` exits non-zero when any exist.
 //!
 //! Everything here is deterministic — same `cycles` and `seed` produce
 //! byte-identical JSON — so a freshly written baseline always passes its
@@ -20,9 +20,11 @@
 //!
 //! [`netsim_exp`]: crate::netsim_exp
 //! [`distributed_exp`]: crate::distributed_exp
+//! [`perf`]: crate::perf
 
-use crate::{distributed_exp, netsim_exp};
+use crate::{distributed_exp, netsim_exp, perf};
 use hb_graphs::Result;
+use hb_telemetry::sink::json_escape;
 use std::collections::BTreeMap;
 
 /// Schema version stamped into the JSON; bump when keys change meaning.
@@ -64,18 +66,13 @@ pub struct Drift {
 
 /// Relative tolerance for a metric. Continuous load-dependent metrics
 /// get slack (they wiggle under harmless scheduling changes); pure
-/// counters from deterministic runs must match exactly. Wall-clock
-/// metrics from the perf suite are machine-dependent, so they are
-/// stored for documentation but never gated (infinite tolerance) —
-/// their companion `delivered`/`sim_cycles` counters are what the gate
-/// holds exact.
+/// counters from deterministic runs must match exactly.
 #[must_use]
 pub fn default_tolerance(metric: &str) -> f64 {
     match metric {
         "throughput" => 0.10,
         "avg_latency" | "avg_hops" | "p50" | "p95" | "p99" => 0.15,
         "peak_queue" => 0.50,
-        "wall_ms" | "pkts_per_sec" | "cycles_per_sec" | "speedup" => f64::INFINITY,
         // delivered, sim_cycles, rounds, messages, peak-rounds: exact.
         _ => 0.0,
     }
@@ -101,12 +98,8 @@ fn sim_metrics(r: &netsim_exp::SimRow) -> Metrics {
 }
 
 #[allow(clippy::cast_precision_loss)]
-fn perf_metrics(r: &crate::perf::PerfRow) -> Metrics {
+fn perf_metrics(r: &perf::PerfRow) -> Metrics {
     let mut m = Metrics::new();
-    m.insert("wall_ms".into(), r.wall_ms);
-    m.insert("pkts_per_sec".into(), r.pkts_per_sec);
-    m.insert("cycles_per_sec".into(), r.cycles_per_sec);
-    m.insert("speedup".into(), r.speedup);
     m.insert("delivered".into(), r.delivered as f64);
     m.insert("sim_cycles".into(), r.sim_cycles as f64);
     m
@@ -135,12 +128,13 @@ impl Baseline {
         Self::collect_with_threads(cycles, seed, 1)
     }
 
-    /// Like [`Baseline::collect`] but runs the netsim experiments
+    /// Like [`Baseline::collect`] but runs the `sim/` experiments
     /// through the sharded engine at `threads` workers. Because the
     /// parallel engine is byte-identical to the serial one (DESIGN.md
     /// §9), the resulting baseline is **equal** to the serial collection
     /// — `hbnet bench --check --threads N` against the committed
     /// `BENCH_baseline.json` is itself an end-to-end determinism gate.
+    /// The `perf/` rows run at their own fixed thread counts.
     ///
     /// # Errors
     /// Propagates topology construction or protocol validation failures.
@@ -161,25 +155,7 @@ impl Baseline {
         for r in distributed_exp::matched_rows()? {
             experiments.insert(format!("dist/{}", r.name), dist_metrics(&r));
         }
-        Ok(Self {
-            version: BASELINE_VERSION,
-            cycles,
-            seed,
-            experiments,
-        })
-    }
-
-    /// Collects the wall-clock perf suite ([`crate::perf`]) into a
-    /// baseline keyed `perf/<name>/t<threads>`. Wall metrics carry
-    /// infinite tolerance (machine-dependent); the `delivered` and
-    /// `sim_cycles` counters are exact, so a `--check` against the
-    /// committed `BENCH_parallel.json` still gates engine behaviour.
-    ///
-    /// # Errors
-    /// Propagates topology construction failures.
-    pub fn collect_perf(cycles: u64, seed: u64) -> Result<Self> {
-        let mut experiments = BTreeMap::new();
-        for r in crate::perf::perf_rows(cycles, seed)? {
+        for r in perf::perf_rows(cycles, seed)? {
             experiments.insert(format!("perf/{}/t{}", r.name, r.threads), perf_metrics(&r));
         }
         Ok(Self {
@@ -202,12 +178,12 @@ impl Baseline {
         let _ = writeln!(s, "  \"experiments\": {{");
         let n_exp = self.experiments.len();
         for (i, (key, metrics)) in self.experiments.iter().enumerate() {
-            let _ = writeln!(s, "    \"{}\": {{", escape(key));
+            let _ = writeln!(s, "    \"{}\": {{", json_escape(key));
             let n_met = metrics.len();
             for (j, (name, value)) in metrics.iter().enumerate() {
                 let comma = if j + 1 < n_met { "," } else { "" };
                 // `{value:?}` is Rust's shortest round-trip float form.
-                let _ = writeln!(s, "      \"{}\": {value:?}{comma}", escape(name));
+                let _ = writeln!(s, "      \"{}\": {value:?}{comma}", json_escape(name));
             }
             let comma = if i + 1 < n_exp { "," } else { "" };
             let _ = writeln!(s, "    }}{comma}");
@@ -357,21 +333,6 @@ pub fn render_drifts(drifts: &[Drift]) -> String {
     s
 }
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// The JSON subset [`Baseline::to_json`] emits: objects, strings, and
 /// numbers. Arrays/booleans/null are rejected — the baseline never
 /// contains them, and a smaller grammar means a smaller parser.
@@ -390,6 +351,11 @@ impl JsonValue {
     }
 }
 
+/// Deepest object nesting the format has: document → experiments →
+/// metrics. Deeper input is an error, which also bounds the parser's
+/// recursion on hostile files.
+const MAX_DEPTH: usize = 3;
+
 struct JsonParser<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -404,7 +370,7 @@ impl<'a> JsonParser<'a> {
     }
 
     fn parse_document(&mut self) -> std::result::Result<JsonValue, String> {
-        let v = self.parse_value()?;
+        let v = self.parse_value(0)?;
         self.skip_ws();
         if self.pos != self.bytes.len() {
             return Err(format!("trailing garbage at byte {}", self.pos));
@@ -436,16 +402,21 @@ impl<'a> JsonParser<'a> {
         }
     }
 
-    fn parse_value(&mut self) -> std::result::Result<JsonValue, String> {
+    /// Parses the value at the cursor, inside `depth` enclosing objects.
+    fn parse_value(&mut self, depth: usize) -> std::result::Result<JsonValue, String> {
         self.skip_ws();
         match self.bytes.get(self.pos) {
-            Some(b'{') => self.parse_object(),
+            Some(b'{') if depth == MAX_DEPTH => Err(format!(
+                "objects nested deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            )),
+            Some(b'{') => self.parse_object(depth + 1),
             Some(b'-' | b'0'..=b'9') => self.parse_number(),
             _ => Err(format!("expected object or number at byte {}", self.pos)),
         }
     }
 
-    fn parse_object(&mut self) -> std::result::Result<JsonValue, String> {
+    fn parse_object(&mut self, depth: usize) -> std::result::Result<JsonValue, String> {
         self.expect(b'{')?;
         let mut fields = Vec::new();
         self.skip_ws();
@@ -456,7 +427,7 @@ impl<'a> JsonParser<'a> {
         loop {
             let key = self.parse_string()?;
             self.expect(b':')?;
-            let value = self.parse_value()?;
+            let value = self.parse_value(depth)?;
             fields.push((key, value));
             self.skip_ws();
             match self.bytes.get(self.pos) {
@@ -480,15 +451,20 @@ impl<'a> JsonParser<'a> {
                     return Ok(out);
                 }
                 Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        _ => return Err(format!("bad escape at byte {}", self.pos)),
-                    }
-                    self.pos += 1;
+                    let at = self.pos + 1;
+                    self.pos += 2;
+                    out.push(match self.bytes.get(at) {
+                        Some(b'"') => '"',
+                        Some(b'\\') => '\\',
+                        Some(b'/') => '/',
+                        Some(b'b') => '\u{8}',
+                        Some(b'f') => '\u{c}',
+                        Some(b'n') => '\n',
+                        Some(b'r') => '\r',
+                        Some(b't') => '\t',
+                        Some(b'u') => self.parse_unicode_escape()?,
+                        _ => return Err(format!("bad escape at byte {at}")),
+                    });
                 }
                 Some(&b) => {
                     // Multi-byte UTF-8 passes through byte by byte; the
@@ -510,6 +486,43 @@ impl<'a> JsonParser<'a> {
                 None => return Err("unterminated string".into()),
             }
         }
+    }
+
+    /// Decodes the `XXXX` of a `\uXXXX` escape at the cursor, joining a
+    /// UTF-16 surrogate pair; a lone surrogate is an error.
+    fn parse_unicode_escape(&mut self) -> std::result::Result<char, String> {
+        let start = self.pos;
+        let lone = || format!("lone surrogate in \\u escape at byte {start}");
+        let code = match self.hex4()? {
+            hi @ 0xD800..=0xDBFF => {
+                if self.bytes.get(self.pos..self.pos + 2) != Some(b"\\u".as_slice()) {
+                    return Err(lone());
+                }
+                self.pos += 2;
+                match self.hex4()? {
+                    lo @ 0xDC00..=0xDFFF => 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00),
+                    _ => return Err(lone()),
+                }
+            }
+            0xDC00..=0xDFFF => return Err(lone()),
+            code => code,
+        };
+        char::from_u32(code).ok_or_else(lone)
+    }
+
+    /// Reads four hex digits at the cursor.
+    fn hex4(&mut self) -> std::result::Result<u32, String> {
+        let mut code = 0;
+        for _ in 0..4 {
+            let digit = self
+                .bytes
+                .get(self.pos)
+                .and_then(|&b| char::from(b).to_digit(16))
+                .ok_or_else(|| format!("bad \\u escape at byte {}", self.pos))?;
+            code = code * 16 + digit;
+            self.pos += 1;
+        }
+        Ok(code)
     }
 
     fn parse_number(&mut self) -> std::result::Result<JsonValue, String> {
@@ -534,19 +547,23 @@ impl<'a> JsonParser<'a> {
 mod tests {
     use super::*;
 
+    /// One shared collection: most tests only read or perturb it.
     fn small() -> Baseline {
-        Baseline::collect(20, 17).unwrap()
+        static SMALL: std::sync::OnceLock<Baseline> = std::sync::OnceLock::new();
+        SMALL
+            .get_or_init(|| Baseline::collect(20, 17).unwrap())
+            .clone()
     }
 
     #[test]
     fn collect_is_deterministic() {
         let a = small();
-        let b = small();
+        let b = Baseline::collect(20, 17).unwrap();
         assert_eq!(a, b);
         assert_eq!(a.to_json(), b.to_json());
-        // Covers both sweeps (2 rates x 3 topologies + 3 hotspot) and
-        // the distributed table.
-        assert_eq!(a.experiments.len(), 6 + 3 + 3);
+        // Covers both sweeps (2 rates x 3 topologies + 3 hotspot), the
+        // distributed table, and the 18 perf counter rows.
+        assert_eq!(a.experiments.len(), 6 + 3 + 3 + 18);
     }
 
     #[test]
@@ -560,41 +577,54 @@ mod tests {
     }
 
     #[test]
-    fn perf_collection_gates_counters_but_not_wall_clock() {
-        let a = Baseline::collect_perf(10, 17).unwrap();
-        let b = Baseline::collect_perf(10, 17).unwrap();
-        // Wall metrics differ between runs but carry infinite tolerance;
-        // delivered/sim_cycles are deterministic and exact — so two
-        // fresh collections always compare clean.
-        let drifts = a.compare(&b);
-        assert!(drifts.is_empty(), "{}", render_drifts(&drifts));
-        // Keys cover both scaling axes at every thread count, the two
-        // single-thread hot-path microbenches, the three route-repair
-        // delta sizes, and the four implicit frontier shapes.
+    fn collect_gates_the_perf_counters_exactly() {
+        let a = small();
+        let perf: Vec<&String> = a
+            .experiments
+            .keys()
+            .filter(|k| k.starts_with("perf/"))
+            .collect();
+        // Three matched topologies at every engine thread count, the
+        // uniform grid, three repair deltas, the adaptive run, and the
+        // four implicit frontier shapes.
         assert_eq!(
-            a.experiments.len(),
-            (3 + 1) * crate::perf::THREADS.len() + 2 + 3 + 4,
-            "{:?}",
-            a.experiments.keys().collect::<Vec<_>>()
+            perf.len(),
+            3 * perf::THREADS.len() + 1 + 3 + 1 + 4,
+            "{perf:?}"
         );
-        assert!(a.experiments.contains_key("perf/route_lookup/t1"));
-        assert!(a.experiments.contains_key("perf/repair/delta1/t1"));
-        assert!(a.experiments.contains_key("perf/adaptive/t1"));
-        assert!(a.experiments.contains_key("perf/frontier/HB(7, 10)/t1"));
-        // And a perturbed counter still trips the gate.
-        let mut c = a.clone();
-        let key = c.experiments.keys().next().unwrap().clone();
-        *c.experiments
-            .get_mut(&key)
-            .unwrap()
-            .get_mut("delivered")
-            .unwrap() += 1.0;
-        assert_eq!(a.compare(&c).len(), 1);
+        for key in [
+            "perf/engine/HB(2, 4)/t4",
+            "perf/grid/uniform/t1",
+            "perf/repair/delta16/t1",
+            "perf/adaptive/t1",
+            "perf/frontier/HB(7, 10)/t1",
+        ] {
+            assert!(a.experiments.contains_key(key), "{key}");
+        }
+        // Both counters of every row are exact: a one-unit change trips
+        // the gate.
+        for key in perf {
+            let metrics: Vec<&String> = a.experiments[key].keys().collect();
+            assert_eq!(metrics, ["delivered", "sim_cycles"], "{key}");
+            for metric in metrics {
+                let mut b = a.clone();
+                *b.experiments.get_mut(key).unwrap().get_mut(metric).unwrap() += 1.0;
+                let drifts = a.compare(&b);
+                assert_eq!(drifts.len(), 1, "{key}/{metric}");
+                assert_eq!(drifts[0].tolerance, 0.0);
+            }
+        }
     }
 
     #[test]
     fn json_round_trips_exactly() {
-        let a = small();
+        let mut a = small();
+        // Every character the writer escapes, plus non-ASCII text.
+        let hostile = "q\"b\\n\nr\rt\tc\u{1}é→😀";
+        a.experiments.insert(
+            format!("e{hostile}"),
+            Metrics::from([(format!("m{hostile}"), 2.5)]),
+        );
         let parsed = Baseline::parse(&a.to_json()).unwrap();
         assert_eq!(a, parsed);
         assert_eq!(a.to_json(), parsed.to_json());
@@ -692,8 +722,35 @@ mod tests {
             "{\"version\": 1} trailing",
             "{\"version\": 99, \"cycles\": 1, \"seed\": 1, \"experiments\": {}}",
             "{\"cycles\": 1, \"seed\": 1, \"experiments\": {}}",
+            "{\"a\\",
+            "{\"a\\q\": 1}",
+            "{\"a\\u12\": 1}",
+            "{\"a\\u+123\": 1}",
+            "{\"a\\ud800\": 1}",
+            "{\"a\\ud800\\u0041\": 1}",
+            "{\"a\\udc00\": 1}",
         ] {
             assert!(Baseline::parse(bad).is_err(), "{bad:?} should not parse");
         }
+    }
+
+    #[test]
+    fn parse_rejects_nesting_deeper_than_the_format() {
+        // A hostile depth returns an error at the fourth object instead
+        // of exhausting the stack.
+        let deep = format!("{}1{}", "{\"a\":".repeat(200_000), "}".repeat(200_000));
+        assert_eq!(
+            Baseline::parse(&deep).unwrap_err(),
+            "objects nested deeper than 3 levels at byte 15"
+        );
+    }
+
+    #[test]
+    fn parse_decodes_every_json_escape() {
+        let json = "{\"version\": 1, \"cycles\": 1, \"seed\": 1, \"experiments\": \
+                    {\"a\\u0041\\/\\b\\f\\r\\ud83d\\ude00\": {}}}";
+        let parsed = Baseline::parse(json).unwrap();
+        let key = parsed.experiments.keys().next().unwrap();
+        assert_eq!(key, "aA/\u{8}\u{c}\r\u{1F600}");
     }
 }

@@ -1,6 +1,7 @@
 //! CSV export for every experiment report, so results can be plotted or
-//! diffed outside the terminal. Hand-rolled (RFC-4180 quoting) — no
-//! serialization dependency needed for flat numeric tables.
+//! diffed outside the terminal. Records are quoted per RFC 4180 by
+//! telemetry's [`csv_record`] — no serialization dependency needed for
+//! flat numeric tables.
 
 use crate::broadcast_exp::BroadcastRow;
 use crate::distributed_exp::DistributedRow;
@@ -9,24 +10,7 @@ use crate::netsim_exp::SimRow;
 use crate::routing_exp::RoutingReport;
 use hb_core::metrics::TopologyMetrics;
 use hb_netsim::forwarding::ForwardingReport;
-
-/// Quotes one CSV field per RFC 4180.
-fn field(s: &str) -> String {
-    if s.contains([',', '"', '\n']) {
-        format!("\"{}\"", s.replace('"', "\"\""))
-    } else {
-        s.to_string()
-    }
-}
-
-/// Joins fields into one CSV record.
-pub fn record<I: IntoIterator<Item = String>>(fields: I) -> String {
-    fields
-        .into_iter()
-        .map(|f| field(&f))
-        .collect::<Vec<_>>()
-        .join(",")
-}
+use hb_telemetry::sink::csv_record;
 
 /// Figure-style metrics rows.
 pub fn metrics_csv(rows: &[TopologyMetrics]) -> String {
@@ -35,7 +19,7 @@ pub fn metrics_csv(rows: &[TopologyMetrics]) -> String {
          diameter_measured,fault_tolerance_analytic,fault_tolerance_measured,bipartite\n",
     );
     for r in rows {
-        out.push_str(&record([
+        out.push_str(&csv_record([
             r.name.clone(),
             r.nodes.to_string(),
             r.edges.to_string(),
@@ -58,7 +42,11 @@ pub fn metrics_csv(rows: &[TopologyMetrics]) -> String {
 pub fn routing_csv(r: &RoutingReport) -> String {
     let mut out = String::from("topology,distance,count\n");
     for (d, &count) in r.histogram.iter().enumerate() {
-        out.push_str(&record([r.name.clone(), d.to_string(), count.to_string()]));
+        out.push_str(&csv_record([
+            r.name.clone(),
+            d.to_string(),
+            count.to_string(),
+        ]));
         out.push('\n');
     }
     out
@@ -69,7 +57,7 @@ pub fn fault_csv(sweeps: &[FaultSweep]) -> String {
     let mut out = String::from("topology,kappa,faults,trials,connected,pair_reachability\n");
     for sw in sweeps {
         for lvl in &sw.per_level {
-            out.push_str(&record([
+            out.push_str(&csv_record([
                 sw.name.clone(),
                 sw.kappa.to_string(),
                 lvl.faults.to_string(),
@@ -95,7 +83,7 @@ pub fn sim_csv(rows: &[SimRow]) -> String {
                 .as_ref()
                 .map_or(String::new(), |q| f(q).to_string())
         };
-        out.push_str(&record([
+        out.push_str(&csv_record([
             r.name.clone(),
             r.pattern.clone(),
             format!("{:.4}", r.rate),
@@ -119,7 +107,7 @@ pub fn sim_csv(rows: &[SimRow]) -> String {
 pub fn broadcast_csv(rows: &[BroadcastRow]) -> String {
     let mut out = String::from("topology,nodes,rounds,lower_bound,messages\n");
     for r in rows {
-        out.push_str(&record([
+        out.push_str(&csv_record([
             r.name.clone(),
             r.nodes.to_string(),
             r.rounds.to_string(),
@@ -135,7 +123,7 @@ pub fn broadcast_csv(rows: &[BroadcastRow]) -> String {
 pub fn forwarding_csv(rows: &[ForwardingReport]) -> String {
     let mut out = String::from("topology,channels,max_load,mean_load,cv,pairs\n");
     for r in rows {
-        out.push_str(&record([
+        out.push_str(&csv_record([
             r.name.clone(),
             r.channels.to_string(),
             r.max.to_string(),
@@ -155,7 +143,7 @@ pub fn distributed_csv(rows: &[DistributedRow]) -> String {
          tree_rounds,tree_msgs,gossip_rounds,gossip_msgs,gossip_peak_round\n",
     );
     for r in rows {
-        out.push_str(&record([
+        out.push_str(&csv_record([
             r.name.clone(),
             r.nodes.to_string(),
             r.diameter.to_string(),
@@ -177,17 +165,6 @@ pub fn distributed_csv(rows: &[DistributedRow]) -> String {
 mod tests {
     use super::*;
     use hb_core::metrics::{hyper_butterfly_metrics, MeasureLevel};
-
-    #[test]
-    fn quoting_follows_rfc_4180() {
-        assert_eq!(record(["plain".into()]), "plain");
-        assert_eq!(record(["a,b".into()]), "\"a,b\"");
-        assert_eq!(record(["say \"hi\"".into()]), "\"say \"\"hi\"\"\"");
-        assert_eq!(
-            record(["a".into(), "b,c".into(), "d".into()]),
-            "a,\"b,c\",d"
-        );
-    }
 
     #[test]
     fn metrics_csv_round_trips_basic_fields() {

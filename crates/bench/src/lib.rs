@@ -18,12 +18,12 @@
 //!   tree, gossip (the authors' follow-up work);
 //! * [`baseline`] — the bench regression gate: a committed seeded
 //!   baseline (`BENCH_baseline.json`) plus a tolerance-based comparator
-//!   behind `hb-cli bench --check`;
-//! * [`parallel`] — deterministic work-stealing driver for experiment
-//!   grids (order-stable `parallel_map`);
-//! * [`perf`] — wall-clock throughput of the sharded engine and the
-//!   parallel grid driver (`BENCH_parallel.json` via
-//!   `hbnet bench --perf`).
+//!   behind `hbnet bench --check`;
+//! * [`perf`] — the gate's exact engine counters: the sharded engine at
+//!   a fixed thread ladder, route repair, the adaptive router and the
+//!   million-node frontier.
+//!
+//! No module reads the wall clock; timing lives in `perfbench/`.
 //!
 //! The one binary, `run_all`, runs each experiment once and writes its
 //! table (plus a CSV where the table has one) into `results/`; README.md
@@ -43,6 +43,5 @@ pub mod fault_exp;
 pub mod fig1;
 pub mod fig2;
 pub mod netsim_exp;
-pub mod parallel;
 pub mod perf;
 pub mod routing_exp;

@@ -103,7 +103,7 @@ pub enum Command {
         format: DumpFormat,
     },
     /// `bench (--write | --check) <path> [--cycles C] [--seed S]
-    /// [--threads K] [--perf]`
+    /// [--threads K]`
     Bench {
         /// `true` for `--check` (gate against a stored baseline),
         /// `false` for `--write` (collect and store a fresh one).
@@ -114,9 +114,6 @@ pub enum Command {
         /// Worker threads for the sharded engine (results are
         /// byte-identical at every value — a determinism gate).
         threads: usize,
-        /// `true` to collect/check the wall-clock perf suite
-        /// (`BENCH_parallel.json`) instead of the metric baseline.
-        perf: bool,
     },
     /// `diff <a.json> <b.json>` — compare two stored benchmark/metric
     /// snapshots with per-metric tolerances (exit 1 on drift).
@@ -282,16 +279,14 @@ USAGE:
                                        pass/fail gate section and exits 1
                                        when any gate fails
   hbnet bench --write <FILE> [--cycles C] [--seed S] [--threads K]
-                                       collect the seeded benchmark baseline
+                                       collect the seeded benchmark baseline:
+                                       experiment metrics plus exact engine
+                                       counters
   hbnet bench --check <FILE> [--threads K]
                                        re-run and gate against a stored
                                        baseline (exit 1 on metric drift);
                                        --threads K reruns through the sharded
                                        engine — an end-to-end determinism gate
-  hbnet bench --perf --write <FILE> [--cycles C] [--seed S]
-  hbnet bench --perf --check <FILE>    wall-clock scaling suite
-                                       (BENCH_parallel.json): wall metrics are
-                                       informational, counters are gated
   hbnet telemetry <m> <n> [--rate R] [--cycles C] [--adaptive]
                   [--format text|json|csv]
                                        run a traced simulation and dump the
@@ -705,7 +700,6 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
             let mut cycles = 40;
             let mut seed = 42;
             let mut threads = 1usize;
-            let mut perf = false;
             let mut explicit_run = false;
             let mut i = 1;
             while i < args.len() {
@@ -737,10 +731,6 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                         }
                         i += 2;
                     }
-                    "--perf" => {
-                        perf = true;
-                        i += 1;
-                    }
                     other => return Err(ParseError(format!("unknown flag {other}"))),
                 }
             }
@@ -750,18 +740,12 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                     "--cycles/--seed come from the baseline file with --check".into(),
                 ));
             }
-            if perf && threads > 1 {
-                return Err(ParseError(
-                    "--perf measures its own fixed thread ladder (no --threads)".into(),
-                ));
-            }
             Ok(Command::Bench {
                 check,
                 path: path.expect("path set whenever mode is set"),
                 cycles,
                 seed,
                 threads,
-                perf,
             })
         }
         "telemetry" => {
@@ -1139,7 +1123,6 @@ mod tests {
                 cycles: 30,
                 seed: 7,
                 threads: 1,
-                perf: false,
             }
         );
         assert_eq!(
@@ -1150,7 +1133,6 @@ mod tests {
                 cycles: 40,
                 seed: 42,
                 threads: 1,
-                perf: false,
             }
         );
         assert!(parse(&argv("bench")).is_err());
@@ -1160,7 +1142,7 @@ mod tests {
     }
 
     #[test]
-    fn parses_bench_threads_and_perf() {
+    fn parses_bench_threads_and_rejects_perf() {
         assert_eq!(
             parse(&argv("bench --check b.json --threads 4")).unwrap(),
             Command::Bench {
@@ -1169,26 +1151,11 @@ mod tests {
                 cycles: 40,
                 seed: 42,
                 threads: 4,
-                perf: false,
-            }
-        );
-        assert_eq!(
-            parse(&argv(
-                "bench --perf --write BENCH_parallel.json --cycles 25"
-            ))
-            .unwrap(),
-            Command::Bench {
-                check: false,
-                path: "BENCH_parallel.json".into(),
-                cycles: 25,
-                seed: 42,
-                threads: 1,
-                perf: true,
             }
         );
         assert!(parse(&argv("bench --check b.json --threads 0")).is_err());
-        // The perf suite sweeps its own thread ladder.
-        assert!(parse(&argv("bench --perf --check b.json --threads 2")).is_err());
+        // The perf counters live in the one baseline; the flag is gone.
+        assert!(parse(&argv("bench --perf --check b.json")).is_err());
     }
 
     #[test]

@@ -504,37 +504,15 @@ fn dispatch(cmd: Command) -> Result<(), Box<dyn std::error::Error>> {
             cycles,
             seed,
             threads,
-            perf,
         } => {
-            let collect = |cycles: u64, seed: u64| {
-                if perf {
-                    Baseline::collect_perf(cycles, seed)
-                } else {
-                    Baseline::collect_with_threads(cycles, seed, threads)
-                }
-            };
-            let suite = if perf { "perf suite" } else { "experiments" };
-            if perf {
-                // Wall-clock speedups need real cores; make the
-                // single-core case visible so a <=1x engine speedup is
-                // read as "criterion skipped", never as a regression.
-                let cores = hb_bench::perf::detected_cores();
-                println!("detected cores: {cores}");
-                if cores == 1 {
-                    println!(
-                        "note: single-core runner — the >=2x engine speedup \
-                         criterion is skipped (not failed)"
-                    );
-                }
-            }
             if check {
                 let stored = Baseline::parse(&std::fs::read_to_string(&path)?)
                     .map_err(|e| format!("{path}: {e}"))?;
-                let fresh = collect(stored.cycles, stored.seed)?;
+                let fresh = Baseline::collect_with_threads(stored.cycles, stored.seed, threads)?;
                 let drifts = stored.compare(&fresh);
                 if drifts.is_empty() {
                     println!(
-                        "bench check OK: {} {suite} match {path} (cycles {}, seed {}, threads {threads})",
+                        "bench check OK: {} experiments match {path} (cycles {}, seed {}, threads {threads})",
                         stored.experiments.len(),
                         stored.cycles,
                         stored.seed
@@ -548,10 +526,10 @@ fn dispatch(cmd: Command) -> Result<(), Box<dyn std::error::Error>> {
                     std::process::exit(1);
                 }
             } else {
-                let baseline = collect(cycles, seed)?;
+                let baseline = Baseline::collect_with_threads(cycles, seed, threads)?;
                 std::fs::write(&path, baseline.to_json())?;
                 println!(
-                    "wrote {} {suite} (cycles {cycles}, seed {seed}) to {path}",
+                    "wrote {} experiments (cycles {cycles}, seed {seed}) to {path}",
                     baseline.experiments.len()
                 );
             }

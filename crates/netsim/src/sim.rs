@@ -108,9 +108,8 @@ pub struct SimConfig {
     /// [`crate::churn::run_with_timeline`] (the last two stay serial
     /// while span tracing is live); the bounded and adaptive runners
     /// have inherently sequential per-cycle dependences (head-of-line
-    /// credit admission, least-queue choice) and always run serially —
-    /// parallelise those at the experiment-grid level instead
-    /// (`hb-bench`).
+    /// credit admission, least-queue choice), always run serially, and
+    /// ignore this field.
     pub threads: usize,
     /// Emit per-shard `sim.shard.<i>.*` counters and one root span per
     /// shard (trace level) after a parallel run. Off by default so

@@ -331,7 +331,8 @@ fn event_text(e: &Event) -> String {
 }
 
 /// Escapes a string for a JSON string literal (no surrounding quotes).
-fn json_escape(s: &str) -> String {
+#[must_use]
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -881,7 +882,9 @@ fn csv_field(s: &str) -> String {
     }
 }
 
-fn csv_record<I: IntoIterator<Item = String>>(fields: I) -> String {
+/// Joins fields into one CSV record, quoting each per RFC 4180.
+#[must_use]
+pub fn csv_record<I: IntoIterator<Item = String>>(fields: I) -> String {
     fields
         .into_iter()
         .map(|f| csv_field(&f))
@@ -1324,9 +1327,14 @@ mod tests {
 
     #[test]
     fn csv_quoting_follows_rfc_4180() {
+        assert_eq!(csv_record(["plain".into()]), "plain");
         assert_eq!(
             csv_record(["a,b".into(), "say \"hi\"".into()]),
             "\"a,b\",\"say \"\"hi\"\"\""
+        );
+        assert_eq!(
+            csv_record(["a".into(), "b,c".into(), "d".into()]),
+            "a,\"b,c\",d"
         );
     }
 

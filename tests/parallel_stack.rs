@@ -1,9 +1,8 @@
 //! Tier-1 coverage for the parallel simulation stack from the workspace
 //! root, so a plain `cargo test` (which only builds the root package —
 //! the footgun documented in CHANGES.md) still exercises the sharded
-//! engine, the route-table layer, and the parallel experiment driver
-//! end-to-end. `cargo test --workspace` remains the canonical full run
-//! (see README).
+//! engine and the route-table layer end-to-end. `cargo test --workspace`
+//! remains the canonical full run (see README).
 
 use hyper_butterfly::hb_netsim::{
     run, run_with_faults, sim::SimConfig, workload, FaultPlan, HbRouteOrder, HyperButterflyNet,
@@ -73,19 +72,5 @@ fn route_table_paths_are_shortest() {
             let path = table.path(table.slot(k));
             assert_eq!(path.len() as u64, u64::from(tree.dist[i.dst]) + 1);
         }
-    }
-}
-
-/// The grid-level parallel driver in hb-bench produces thread-count
-/// invariant results (order-stable work stealing).
-#[test]
-fn bench_parallel_map_is_order_stable() {
-    let items: Vec<u64> = (0..31).collect();
-    let serial = hb_bench::parallel::parallel_map(&items, 1, |&x| x * 3 + 1);
-    for threads in [2, 4] {
-        assert_eq!(
-            hb_bench::parallel::parallel_map(&items, threads, |&x| x * 3 + 1),
-            serial
-        );
     }
 }

@@ -253,3 +253,30 @@ proptest! {
         prop_assert_eq!(sharded, store);
     }
 }
+
+/// The bytes the baseline reader's grammar is made of (plus a split
+/// UTF-8 sequence), so generated text reaches escapes, surrogates,
+/// numbers and nesting instead of failing at its first byte.
+const BASELINE_JSON_BYTES: &[u8] = b"{}\":,\\/ubfnrt0123456789abcdefABCDEF.-+eE \n\xc3\xa9\xed";
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// `Baseline::parse` — the reader behind `hbnet diff` and
+    /// `bench --check` — answers `Ok` or `Err` on any input and never
+    /// panics: arbitrary bytes, text over its own alphabet, and that
+    /// text under up to 50,000 nested objects.
+    #[test]
+    fn baseline_parse_never_panics(
+        raw in proptest::collection::vec(0u8..=255, 0..64),
+        picks in proptest::collection::vec(0usize..BASELINE_JSON_BYTES.len(), 0..96),
+        depth in 0usize..50_000,
+    ) {
+        use hb_bench::baseline::Baseline;
+        let _ = Baseline::parse(&String::from_utf8_lossy(&raw));
+        let soup: Vec<u8> = picks.iter().map(|&i| BASELINE_JSON_BYTES[i]).collect();
+        let soup = String::from_utf8_lossy(&soup);
+        let _ = Baseline::parse(&soup);
+        let _ = Baseline::parse(&format!("{}{soup}", "{\"k\":".repeat(depth)));
+    }
+}
