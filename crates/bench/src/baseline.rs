@@ -489,25 +489,21 @@ impl<'a> JsonParser<'a> {
     }
 
     /// Decodes the `XXXX` of a `\uXXXX` escape at the cursor, joining a
-    /// UTF-16 surrogate pair; a lone surrogate is an error.
+    /// UTF-16 surrogate pair.
     fn parse_unicode_escape(&mut self) -> std::result::Result<char, String> {
         let start = self.pos;
-        let lone = || format!("lone surrogate in \\u escape at byte {start}");
-        let code = match self.hex4()? {
-            hi @ 0xD800..=0xDBFF => {
-                if self.bytes.get(self.pos..self.pos + 2) != Some(b"\\u".as_slice()) {
-                    return Err(lone());
-                }
-                self.pos += 2;
-                match self.hex4()? {
-                    lo @ 0xDC00..=0xDFFF => 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00),
-                    _ => return Err(lone()),
-                }
+        let mut code = self.hex4()?;
+        if (0xD800..=0xDBFF).contains(&code)
+            && self.bytes.get(self.pos..self.pos + 2) == Some(b"\\u".as_slice())
+        {
+            self.pos += 2;
+            let low = self.hex4()?;
+            if (0xDC00..=0xDFFF).contains(&low) {
+                code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
             }
-            0xDC00..=0xDFFF => return Err(lone()),
-            code => code,
-        };
-        char::from_u32(code).ok_or_else(lone)
+        }
+        // A surrogate left unpaired is not a `char`.
+        char::from_u32(code).ok_or_else(|| format!("lone surrogate in \\u escape at byte {start}"))
     }
 
     /// Reads four hex digits at the cursor.
@@ -712,6 +708,14 @@ mod tests {
         assert_eq!(a.compare(&b).len(), 1);
     }
 
+    /// A valid one-experiment document whose key is the raw JSON text
+    /// `key`, so a bad escape is the only thing wrong with it.
+    fn doc_with_key(key: &str) -> String {
+        format!(
+            "{{\"version\": 1, \"cycles\": 1, \"seed\": 1, \"experiments\": {{\"{key}\": {{}}}}}}"
+        )
+    }
+
     #[test]
     fn parse_rejects_malformed_documents() {
         for bad in [
@@ -723,14 +727,20 @@ mod tests {
             "{\"version\": 99, \"cycles\": 1, \"seed\": 1, \"experiments\": {}}",
             "{\"cycles\": 1, \"seed\": 1, \"experiments\": {}}",
             "{\"a\\",
-            "{\"a\\q\": 1}",
-            "{\"a\\u12\": 1}",
-            "{\"a\\u+123\": 1}",
-            "{\"a\\ud800\": 1}",
-            "{\"a\\ud800\\u0041\": 1}",
-            "{\"a\\udc00\": 1}",
         ] {
             assert!(Baseline::parse(bad).is_err(), "{bad:?} should not parse");
+        }
+        for bad in [
+            "a\\q",
+            "a\\u12",
+            "a\\u+123",
+            "a\\ud800",
+            "a\\ud800\\u0041",
+            "a\\ud800ZZdc00",
+            "a\\udc00",
+        ] {
+            let doc = doc_with_key(bad);
+            assert!(Baseline::parse(&doc).is_err(), "{doc:?} should not parse");
         }
     }
 
@@ -747,10 +757,9 @@ mod tests {
 
     #[test]
     fn parse_decodes_every_json_escape() {
-        let json = "{\"version\": 1, \"cycles\": 1, \"seed\": 1, \"experiments\": \
-                    {\"a\\u0041\\/\\b\\f\\r\\ud83d\\ude00\": {}}}";
-        let parsed = Baseline::parse(json).unwrap();
+        let doc = doc_with_key("a\\u0041\\/\\b\\f\\r\\ud83d\\ude00\\udbff\\udfff");
+        let parsed = Baseline::parse(&doc).unwrap();
         let key = parsed.experiments.keys().next().unwrap();
-        assert_eq!(key, "aA/\u{8}\u{c}\r\u{1F600}");
+        assert_eq!(key, "aA/\u{8}\u{c}\r\u{1F600}\u{10FFFF}");
     }
 }
