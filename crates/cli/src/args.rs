@@ -237,12 +237,13 @@ USAGE:
                                        with faults the flight recorder samples
                                        packet span trees and --trace-out writes
                                        them as Chrome trace-event JSON;
-                                       --threads K runs the deterministic
-                                       sharded engine (same results, faster)
-                                       and --shard-stats adds per-shard
-                                       counters; --timeseries C records
-                                       windowed per-cycle series keyed by sim
-                                       cycle (cadence C, implies at least
+                                       --threads K (at most 256) runs the
+                                       deterministic sharded engine (same
+                                       results, faster) and --shard-stats
+                                       adds per-shard counters;
+                                       --timeseries C records windowed
+                                       per-cycle series keyed by sim cycle
+                                       (cadence C, implies at least
                                        --telemetry summary) and runs the
                                        congestion detector; --profile prints
                                        the deterministic work-attribution
@@ -324,6 +325,22 @@ fn need_rate(args: &[String], i: usize) -> Result<f64, ParseError> {
         return Err(ParseError(format!("--rate must be in 0..=1, got {rate}")));
     }
     Ok(rate)
+}
+
+/// The most worker threads `--threads` accepts. Results are identical
+/// at every thread count, so the cap only bounds the scoped OS threads a
+/// sharded run spawns (one per shard, up to one per node).
+const MAX_THREADS: usize = 256;
+
+/// Parses a `--threads` value: in `1..=MAX_THREADS`.
+fn need_threads(args: &[String], i: usize) -> Result<usize, ParseError> {
+    let threads: usize = need(args, i, "threads")?;
+    if !(1..=MAX_THREADS).contains(&threads) {
+        return Err(ParseError(format!(
+            "--threads must be in 1..={MAX_THREADS}, got {threads}"
+        )));
+    }
+    Ok(threads)
 }
 
 fn parse_index_list(raw: &str, what: &str) -> Result<Vec<usize>, ParseError> {
@@ -521,10 +538,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                         i += 2;
                     }
                     "--threads" => {
-                        threads = need(args, i + 1, "threads")?;
-                        if threads == 0 {
-                            return Err(ParseError("--threads must be at least 1".into()));
-                        }
+                        threads = need_threads(args, i + 1)?;
                         i += 2;
                     }
                     "--shard-stats" => {
@@ -647,10 +661,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                         i += 2;
                     }
                     "--threads" => {
-                        threads = need(args, i + 1, "threads")?;
-                        if threads == 0 {
-                            return Err(ParseError("--threads must be at least 1".into()));
-                        }
+                        threads = need_threads(args, i + 1)?;
                         i += 2;
                     }
                     "--format" => {
@@ -725,10 +736,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                         i += 2;
                     }
                     "--threads" => {
-                        threads = need(args, i + 1, "threads")?;
-                        if threads == 0 {
-                            return Err(ParseError("--threads must be at least 1".into()));
-                        }
+                        threads = need_threads(args, i + 1)?;
                         i += 2;
                     }
                     other => return Err(ParseError(format!("unknown flag {other}"))),
@@ -1154,6 +1162,17 @@ mod tests {
             }
         );
         assert!(parse(&argv("bench --check b.json --threads 0")).is_err());
+        assert!(parse(&argv("bench --check b.json --threads 257")).is_err());
+        assert_eq!(
+            parse(&argv("bench --check b.json --threads 256")).unwrap(),
+            Command::Bench {
+                check: true,
+                path: "b.json".into(),
+                cycles: 40,
+                seed: 42,
+                threads: 256,
+            }
+        );
         // The perf counters live in the one baseline; the flag is gone.
         assert!(parse(&argv("bench --perf --check b.json")).is_err());
     }
@@ -1206,6 +1225,18 @@ mod tests {
             )
         );
         assert!(parse(&argv("simulate 2 4 --threads 0")).is_err());
+        assert!(parse(&argv("simulate 2 4 --threads 257")).is_err());
+        assert_eq!(
+            parse(&argv("simulate 2 4 --threads 256")).unwrap(),
+            simulate(
+                2,
+                4,
+                Sim {
+                    threads: 256,
+                    ..Sim::default()
+                }
+            )
+        );
         // The adaptive router is serial-only.
         assert!(parse(&argv("simulate 2 4 --adaptive --threads 2")).is_err());
     }
@@ -1370,6 +1401,18 @@ mod tests {
         assert!(parse(&argv("report 2 3 --workload bursty")).is_err());
         assert!(parse(&argv("report 2 3 --cadence 0")).is_err());
         assert!(parse(&argv("report 2 3 --threads 0")).is_err());
+        assert!(parse(&argv("report 2 3 --threads 257")).is_err());
+        assert_eq!(
+            parse(&argv("report 2 3 --threads 256")).unwrap(),
+            report(
+                2,
+                3,
+                Rep {
+                    threads: 256,
+                    ..Rep::default()
+                }
+            )
+        );
         assert!(parse(&argv("report 2 3 --hot-fraction 1.5")).is_err());
         assert!(parse(&argv("report 2 3 --format yaml")).is_err());
     }

@@ -277,7 +277,7 @@ fn dispatch(cmd: Command) -> Result<(), Box<dyn std::error::Error>> {
                     // engine runs at most one shard per node, and a run
                     // that stays serial (span tracing live) runs none.
                     let counters: std::collections::BTreeMap<String, u64> =
-                        t.registry().counters().into_iter().collect();
+                        t.counters().into_iter().collect();
                     let count = |k: usize, what: &str| {
                         counters.get(&format!("sim.shard.{k}.{what}")).copied()
                     };

@@ -20,7 +20,6 @@
 //! | Theorem 4 applied (mesh-of-trees matvec) | [`emulate`] |
 //! | Conclusion (optimal broadcasting) | [`broadcast`] |
 //! | Figures 1–2 (comparison tables) | [`metrics`] |
-//! | (engineering) table-driven routing | [`tables`] |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,7 +34,6 @@ pub mod graph;
 pub mod metrics;
 pub mod node;
 pub mod routing;
-pub mod tables;
 
 pub use graph::{EdgeKind, HyperButterfly};
 pub use node::HbNode;

@@ -12,7 +12,6 @@ use hb_butterfly::Butterfly;
 use hb_debruijn::HyperDeBruijn;
 use hb_graphs::{connectivity, props, shortest, Graph, Result};
 use hb_hypercube::Hypercube;
-use hb_telemetry::Quantiles;
 
 /// One table row: everything Figures 1–2 report about a topology.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -39,20 +38,6 @@ pub struct TopologyMetrics {
     pub fault_tolerance_measured: Option<u32>,
     /// Whether the graph is bipartite (only even cycles embeddable).
     pub bipartite: bool,
-    /// Measured packet-latency quantiles (cycles), when a simulation
-    /// with telemetry supplied them — see [`TopologyMetrics::with_latency`].
-    pub latency: Option<Quantiles>,
-}
-
-impl TopologyMetrics {
-    /// Attaches measured latency quantiles (e.g. from an `hb-netsim`
-    /// run with telemetry); [`render_table`] then grows P50/P95/P99
-    /// columns.
-    #[must_use]
-    pub fn with_latency(mut self, latency: Quantiles) -> Self {
-        self.latency = Some(latency);
-        self
-    }
 }
 
 /// How much measurement to perform.
@@ -99,7 +84,6 @@ fn common(
         fault_tolerance_analytic,
         fault_tolerance_measured,
         bipartite: props::is_bipartite(g),
-        latency: None,
     })
 }
 
@@ -172,22 +156,15 @@ pub fn hyper_butterfly_metrics(m: u32, n: u32, level: MeasureLevel) -> Result<To
 }
 
 /// Renders rows as a fixed-width text table (one row per metrics entry),
-/// in the spirit of the paper's Figures 1–2. Rows that carry measured
-/// latency quantiles (see [`TopologyMetrics::with_latency`]) grow
-/// P50/P95/P99 columns; rows without show `-`.
+/// in the spirit of the paper's Figures 1–2.
 pub fn render_table(rows: &[TopologyMetrics]) -> String {
     use std::fmt::Write;
-    let with_latency = rows.iter().any(|r| r.latency.is_some());
     let mut out = String::new();
-    let _ = write!(
+    let _ = writeln!(
         out,
         "{:<12} {:>9} {:>10} {:>8} {:>9} {:>10} {:>12} {:>10}",
         "Topology", "Nodes", "Edges", "Regular", "Degree", "Diameter", "FaultTol", "Bipartite"
     );
-    if with_latency {
-        let _ = write!(out, " {:>7} {:>7} {:>7}", "P50", "P95", "P99");
-    }
-    out.push('\n');
     for r in rows {
         let degree = if r.degree_min == r.degree_max {
             format!("{}", r.degree_min)
@@ -204,7 +181,7 @@ pub fn render_table(rows: &[TopologyMetrics]) -> String {
             Some(f) => format!("{f}(!{})", r.fault_tolerance_analytic),
             None => format!("{}*", r.fault_tolerance_analytic),
         };
-        let _ = write!(
+        let _ = writeln!(
             out,
             "{:<12} {:>9} {:>10} {:>8} {:>9} {:>10} {:>12} {:>10}",
             r.name,
@@ -216,17 +193,6 @@ pub fn render_table(rows: &[TopologyMetrics]) -> String {
             ft,
             if r.bipartite { "yes" } else { "no" },
         );
-        if with_latency {
-            match r.latency {
-                Some(q) => {
-                    let _ = write!(out, " {:>7} {:>7} {:>7}", q.p50, q.p95, q.p99);
-                }
-                None => {
-                    let _ = write!(out, " {:>7} {:>7} {:>7}", "-", "-", "-");
-                }
-            }
-        }
-        out.push('\n');
     }
     out.push_str("(* = analytic value, not measured at this level)\n");
     out
@@ -285,28 +251,5 @@ mod tests {
         let s = render_table(&rows);
         assert!(s.contains("H(3)"));
         assert!(s.contains("B(3)"));
-        // No latency attached anywhere: no quantile columns.
-        assert!(!s.contains("P50"));
-    }
-
-    #[test]
-    fn latency_columns_appear_only_when_attached() {
-        let plain = hypercube_metrics(3, MeasureLevel::Structure).unwrap();
-        let with = butterfly_metrics(3, MeasureLevel::Structure)
-            .unwrap()
-            .with_latency(Quantiles {
-                p50: 4,
-                p95: 9,
-                p99: 11,
-                max: 12,
-            });
-        let s = render_table(&[plain, with]);
-        assert!(s.contains("P50") && s.contains("P95") && s.contains("P99"));
-        let lines: Vec<&str> = s.lines().collect();
-        // The hypercube row (no latency) renders dashes; the butterfly
-        // row renders the attached quantiles.
-        assert!(lines[1].ends_with("-"));
-        let bfly = lines[2];
-        assert!(bfly.contains(" 4") && bfly.contains(" 9") && bfly.contains(" 11"));
     }
 }

@@ -8,9 +8,8 @@
 //! back down. Round complexity `O(diameter)`, message complexity
 //! `O(E + N)`.
 
-use crate::runtime::{execute_with, Envelope, Protocol, RunOutcome};
+use crate::runtime::{execute, Envelope, Protocol, RunOutcome};
 use hb_graphs::{Graph, NodeId};
-use hb_telemetry::Telemetry;
 
 /// Per-node all-reduce state.
 #[derive(Clone, Debug)]
@@ -47,10 +46,6 @@ struct AllReduce<'a> {
 impl Protocol for AllReduce<'_> {
     type State = AllReduceState;
     type Msg = Msg;
-
-    fn name(&self) -> &'static str {
-        "allreduce.tree-sum"
-    }
 
     fn init(&self, v: NodeId, neighbors: &[NodeId]) -> (AllReduceState, Vec<Envelope<Msg>>) {
         let is_root = v == self.root;
@@ -174,27 +169,12 @@ impl Protocol for AllReduce<'_> {
 /// # Panics
 /// Panics if `values.len() != g.num_nodes()`.
 pub fn allreduce_sum(g: &Graph, root: NodeId, values: &[i64]) -> RunOutcome<AllReduceState> {
-    allreduce_sum_with(g, root, values, None)
-}
-
-/// Like [`allreduce_sum`], reporting rounds/messages (and, at trace
-/// level, the per-round span tree) into `telemetry` when one is given.
-///
-/// # Panics
-/// Panics if `values.len() != g.num_nodes()`.
-pub fn allreduce_sum_with(
-    g: &Graph,
-    root: NodeId,
-    values: &[i64],
-    telemetry: Option<&Telemetry>,
-) -> RunOutcome<AllReduceState> {
     assert_eq!(values.len(), g.num_nodes(), "one value per node");
-    execute_with(
+    execute(
         g,
         &AllReduce { root, values },
         6 * u32::try_from(g.num_nodes()).expect("invariant: round budgets assume < 2^32 nodes")
             + 16,
-        telemetry,
     )
 }
 

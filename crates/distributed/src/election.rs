@@ -13,9 +13,8 @@
 //! messages worst case, `O(E)`-ish in practice — the benches report the
 //! measured counts next to the graph parameters.
 
-use crate::runtime::{execute_with, Envelope, Protocol, RunOutcome};
+use crate::runtime::{execute, Envelope, Protocol, RunOutcome};
 use hb_graphs::{Graph, NodeId};
-use hb_telemetry::Telemetry;
 
 /// Per-node election state.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -35,10 +34,6 @@ struct MinIdFlood {
 impl Protocol for MinIdFlood {
     type State = ElectionState;
     type Msg = NodeId; // candidate leader id
-
-    fn name(&self) -> &'static str {
-        "election.min-id-flood"
-    }
 
     fn init(&self, v: NodeId, neighbors: &[NodeId]) -> (ElectionState, Vec<Envelope<NodeId>>) {
         (
@@ -105,20 +100,9 @@ impl Protocol for MinIdFlood {
 /// assert_eq!(election::validate(&outcome).unwrap(), 0);
 /// ```
 pub fn elect(g: &Graph, diameter: u32) -> RunOutcome<ElectionState> {
-    elect_with(g, diameter, None)
-}
-
-/// Like [`elect`], but reports per-round message counts and round
-/// events into `telemetry` when one is given — the convergence trace
-/// shows flooding traffic decaying to zero during the stability window.
-pub fn elect_with(
-    g: &Graph,
-    diameter: u32,
-    telemetry: Option<&Telemetry>,
-) -> RunOutcome<ElectionState> {
     // Worst case: the min value propagates one hop per round (diameter
     // rounds), then stability counting takes diameter more.
-    execute_with(g, &MinIdFlood { diameter }, 4 * diameter + 8, telemetry)
+    execute(g, &MinIdFlood { diameter }, 4 * diameter + 8)
 }
 
 /// Validates an election outcome: terminated, unanimous, and the leader
@@ -186,8 +170,7 @@ mod tests {
     fn election_exposes_per_round_message_counts() {
         let hb = HyperButterfly::new(1, 3).unwrap();
         let g = hb.build_graph().unwrap();
-        let t = hb_telemetry::Telemetry::summary();
-        let out = elect_with(&g, hb.diameter(), Some(&t));
+        let out = elect(&g, hb.diameter());
         validate(&out).unwrap();
         assert_eq!(out.round_messages.len(), out.rounds as usize);
         assert_eq!(
@@ -198,12 +181,6 @@ mod tests {
         assert_eq!(out.init_messages, 2 * g.num_edges() as u64);
         // The stability window at the end is silent.
         assert_eq!(*out.round_messages.last().unwrap(), 0);
-        // Telemetry mirrors the outcome.
-        assert_eq!(t.counter("dist.messages").get(), out.messages);
-        assert_eq!(
-            t.histogram("dist.round_messages").unwrap().count(),
-            u64::from(out.rounds)
-        );
     }
 
     #[test]

@@ -8,9 +8,8 @@
 //! counterpart of the paper's one-to-all broadcast and the usual follower
 //! of leader election (disseminating the leader's configuration).
 
-use crate::runtime::{execute_with, Envelope, Protocol, RunOutcome};
+use crate::runtime::{execute, Envelope, Protocol, RunOutcome};
 use hb_graphs::{Graph, NodeId};
-use hb_telemetry::Telemetry;
 
 /// Per-node gossip state.
 #[derive(Clone, Debug)]
@@ -28,10 +27,6 @@ struct Flooding {
 impl Protocol for Flooding {
     type State = GossipState;
     type Msg = Vec<NodeId>; // batch of newly learned tokens
-
-    fn name(&self) -> &'static str {
-        "gossip.flooding"
-    }
 
     fn init(&self, v: NodeId, neighbors: &[NodeId]) -> (GossipState, Vec<Envelope<Vec<NodeId>>>) {
         let mut known = vec![false; self.population];
@@ -84,19 +79,12 @@ impl Protocol for Flooding {
 
 /// Runs gossip on `g`; terminates once every node knows every token.
 pub fn gossip(g: &Graph) -> RunOutcome<GossipState> {
-    gossip_with(g, None)
-}
-
-/// Like [`gossip`], but reports per-round message counts and round
-/// events into `telemetry` when one is given.
-pub fn gossip_with(g: &Graph, telemetry: Option<&Telemetry>) -> RunOutcome<GossipState> {
-    execute_with(
+    execute(
         g,
         &Flooding {
             population: g.num_nodes(),
         },
         4 * u32::try_from(g.num_nodes()).expect("invariant: round budgets assume < 2^32 nodes") + 8,
-        telemetry,
     )
 }
 
@@ -142,8 +130,7 @@ mod tests {
     fn gossip_exposes_per_round_message_counts() {
         let hb = HyperButterfly::new(1, 3).unwrap();
         let g = hb.build_graph().unwrap();
-        let t = hb_telemetry::Telemetry::with_trace(256);
-        let out = gossip_with(&g, Some(&t));
+        let out = gossip(&g);
         validate(&g, &out).unwrap();
         assert_eq!(out.round_messages.len(), out.rounds as usize);
         assert_eq!(
@@ -153,11 +140,6 @@ mod tests {
         // Token batches shrink as knowledge saturates; the final round
         // is silent (everyone already knows everything).
         assert_eq!(*out.round_messages.last().unwrap(), 0);
-        // The convergence trace labels rounds with the protocol name.
-        assert!(t.events().iter().any(|e| matches!(
-            e,
-            hb_telemetry::Event::RoundEnded { protocol, .. } if protocol == "gossip.flooding"
-        )));
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! builds on:
 //!
 //! * [`runtime`] — the round-based execution engine (per-node state
-//!   machines, neighbor-only messaging, round/message accounting);
+//!   machines, neighbor-only messaging, round/message accounting with
+//!   the per-round breakdown in every [`RunOutcome`], the protocols'
+//!   only report);
 //! * [`election`] — min-id flooding leader election with diameter-based
 //!   termination detection (`O(diameter)` rounds on `HB(m, n)`, whose
 //!   diameter `m + n + floor(n/2)` every node can know a priori);
@@ -28,4 +30,4 @@ pub mod gossip;
 pub mod runtime;
 pub mod spanning_tree;
 
-pub use runtime::{execute, execute_with, Envelope, Protocol, RunOutcome};
+pub use runtime::{execute, Envelope, Protocol, RunOutcome};

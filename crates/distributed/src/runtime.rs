@@ -7,30 +7,11 @@
 //! complexity measures the leader-election literature (including Shi &
 //! Srimani's follow-up paper on hyper-butterfly election) reports.
 //!
-//! # Observability
-//!
-//! [`execute_with`] accepts an optional [`hb_telemetry::Telemetry`]
-//! handle. When present, the runtime records each round's message count
-//! into the `dist.round_messages` histogram, bumps the `dist.messages` /
-//! `dist.rounds` counters, and (at trace level) emits
-//! [`RoundStarted`](hb_telemetry::Event::RoundStarted) /
-//! [`RoundEnded`](hb_telemetry::Event::RoundEnded) events — a
-//! convergence trace showing how traffic decays as a protocol
-//! stabilises. At trace level the run additionally becomes a causal
-//! **span tree**: one root span per protocol run (attributes: rounds,
-//! messages, terminated) with one child span per round carrying that
-//! round's message count, sender count, and busiest-node statistics —
-//! logical round numbers serve as the span clock, so traces are
-//! deterministic and render in `SpanTreeSink` / `ChromeTraceSink`
-//! alongside packet flights. [`execute`] passes `None` and pays nothing.
-//!
-//! Independent of telemetry, every [`RunOutcome`] carries the full
-//! per-round breakdown ([`RunOutcome::init_messages`] +
-//! [`RunOutcome::round_messages`]), which always sums to
-//! [`RunOutcome::messages`].
+//! Every [`RunOutcome`] carries the full per-round breakdown
+//! ([`RunOutcome::init_messages`] + [`RunOutcome::round_messages`]),
+//! which always sums to [`RunOutcome::messages`].
 
 use hb_graphs::{Graph, NodeId};
-use hb_telemetry::{Event, Telemetry};
 
 /// A message in transit: sender, receiver, payload.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -49,11 +30,6 @@ pub trait Protocol {
     type State;
     /// Message payload type.
     type Msg: Clone;
-
-    /// Short protocol name used to label telemetry events.
-    fn name(&self) -> &'static str {
-        "protocol"
-    }
 
     /// Initial state and initial outgoing messages of node `v`.
     /// `neighbors` are `v`'s ports (the node may use ids — the model is
@@ -99,25 +75,6 @@ pub struct RunOutcome<S> {
 /// Panics if a protocol emits a message to a non-neighbor (model
 /// violation).
 pub fn execute<P: Protocol>(g: &Graph, proto: &P, max_rounds: u32) -> RunOutcome<P::State> {
-    execute_with(g, proto, max_rounds, None)
-}
-
-/// Like [`execute`], but reports into `telemetry` when one is given:
-/// per-round message counts land in the `dist.round_messages` histogram,
-/// totals in the `dist.messages` / `dist.rounds` counters, and — at
-/// trace level — each round is bracketed by
-/// [`Event::RoundStarted`] / [`Event::RoundEnded`] events labelled with
-/// [`Protocol::name`].
-///
-/// # Panics
-/// Panics if a protocol emits a message to a non-neighbor (model
-/// violation).
-pub fn execute_with<P: Protocol>(
-    g: &Graph,
-    proto: &P,
-    max_rounds: u32,
-    telemetry: Option<&Telemetry>,
-) -> RunOutcome<P::State> {
     let n = g.num_nodes();
     let neighbor_lists: Vec<Vec<NodeId>> = (0..n)
         .map(|v| g.neighbors(v).iter().map(|&w| w as usize).collect())
@@ -152,13 +109,6 @@ pub fn execute_with<P: Protocol>(
     }
     let init_messages = messages;
 
-    // Root span for the whole run; `None` unless trace-level telemetry
-    // is attached (every span call below is then a no-op).
-    let root = telemetry.and_then(|t| t.span_start(proto.name(), None, 0));
-    if let Some(t) = telemetry {
-        t.span_attr(root, "init_messages", init_messages.to_string());
-    }
-
     let mut rounds = 0u32;
     let mut round_messages: Vec<u64> = Vec::new();
     let mut terminated = false;
@@ -169,71 +119,21 @@ pub fn execute_with<P: Protocol>(
             break;
         }
         rounds += 1;
-        if let Some(t) = telemetry {
-            t.event(|| Event::RoundStarted {
-                protocol: proto.name().to_string(),
-                round: rounds,
-            });
-        }
-        let round_span = telemetry
-            .and_then(|t| t.span_start(&format!("round {rounds}"), root, u64::from(rounds - 1)));
         let sent_before = messages;
         let current: Vec<Vec<Envelope<P::Msg>>> =
             std::mem::replace(&mut inboxes, vec![Vec::new(); n]);
-        // Per-node message statistics, tallied only when the round has a
-        // span to attach them to.
-        let mut senders = 0u64;
-        let mut busiest = (0u64, 0usize); // (count, node)
         for v in 0..n {
             let (out, fin) = proto.step(v, &mut states[v], &current[v], &neighbor_lists[v]);
             if fin {
                 done[v] = true;
             }
-            if round_span.is_some() {
-                let c = out.len() as u64;
-                if c > 0 {
-                    senders += 1;
-                    if c > busiest.0 {
-                        busiest = (c, v);
-                    }
-                }
-            }
             deliver(&mut inboxes, out, v, &mut messages);
         }
-        let sent = messages - sent_before;
-        round_messages.push(sent);
-        if let Some(t) = telemetry {
-            t.record("dist.round_messages", sent);
-            t.event(|| Event::RoundEnded {
-                protocol: proto.name().to_string(),
-                round: rounds,
-                messages: sent,
-            });
-            if round_span.is_some() {
-                t.span_attr(round_span, "messages", sent.to_string());
-                t.span_attr(round_span, "senders", senders.to_string());
-                t.span_attr(round_span, "max_node_messages", busiest.0.to_string());
-                if busiest.0 > 0 {
-                    t.span_attr(round_span, "busiest_node", busiest.1.to_string());
-                }
-                t.span_end(round_span, u64::from(rounds));
-            }
-        }
+        round_messages.push(messages - sent_before);
     }
     if !terminated {
         let in_flight: usize = inboxes.iter().map(Vec::len).sum();
         terminated = in_flight == 0 && done.iter().all(|&d| d);
-    }
-    if let Some(t) = telemetry {
-        t.counter("dist.messages").add(messages);
-        t.counter("dist.rounds").add(rounds as u64);
-        if terminated {
-            t.counter("dist.terminated").inc();
-        }
-        t.span_attr(root, "rounds", rounds.to_string());
-        t.span_attr(root, "messages", messages.to_string());
-        t.span_attr(root, "terminated", terminated.to_string());
-        t.span_end(root, u64::from(rounds));
     }
     debug_assert_eq!(
         init_messages + round_messages.iter().sum::<u64>(),
@@ -303,77 +203,12 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_records_rounds_and_convergence_trace() {
-        use hb_telemetry::Telemetry;
-
-        let g = generators::cycle(6).unwrap();
-        let t = Telemetry::with_trace(64);
-        let out = execute_with(&g, &PingAll, 10, Some(&t));
-        assert!(out.terminated);
-        assert_eq!(t.counter("dist.messages").get(), out.messages);
-        assert_eq!(t.counter("dist.rounds").get(), u64::from(out.rounds));
-        assert_eq!(t.counter("dist.terminated").get(), 1);
-        let h = t.histogram("dist.round_messages").unwrap();
-        assert_eq!(h.count(), u64::from(out.rounds));
-        assert_eq!(h.sum(), out.messages - out.init_messages);
-        // One started + one ended event per round, carrying the
-        // protocol's (default) name and that round's message count.
-        let events = t.events();
-        assert_eq!(events.len(), 2 * out.rounds as usize);
-        assert!(matches!(
-            &events[0],
-            Event::RoundStarted { protocol, round: 1 } if protocol == "protocol"
-        ));
-        assert!(matches!(
-            &events[1],
-            Event::RoundEnded { protocol, round: 1, messages: 0 } if protocol == "protocol"
-        ));
-    }
-
-    #[test]
-    fn trace_level_builds_a_round_span_tree() {
-        use hb_telemetry::Telemetry;
-
-        let g = generators::cycle(6).unwrap();
-        let t = Telemetry::with_trace(64);
-        let out = execute_with(&g, &PingAll, 10, Some(&t));
-        let spans = t.spans();
-        // One root (the protocol) + one child per round.
-        assert_eq!(spans.len(), 1 + out.rounds as usize);
-        let root = &spans[0];
-        assert_eq!(root.name, "protocol");
-        assert_eq!(root.parent, None);
-        assert_eq!(root.start, 0);
-        assert_eq!(root.end, Some(u64::from(out.rounds)));
-        assert_eq!(root.attr("rounds"), Some("1"));
-        assert_eq!(root.attr("messages"), Some("12"));
-        assert_eq!(root.attr("init_messages"), Some("12"));
-        assert_eq!(root.attr("terminated"), Some("true"));
-        let round = &spans[1];
-        assert_eq!(round.name, "round 1");
-        assert_eq!(round.parent, Some(root.id));
-        assert_eq!((round.start, round.end), (0, Some(1)));
-        // Nothing is sent after init in PingAll.
-        assert_eq!(round.attr("messages"), Some("0"));
-        assert_eq!(round.attr("senders"), Some("0"));
-        assert_eq!(round.attr("max_node_messages"), Some("0"));
-
-        // Summary level records counters but no spans.
-        let s = Telemetry::summary();
-        execute_with(&g, &PingAll, 10, Some(&s));
-        assert!(s.spans().is_empty());
-    }
-
-    #[test]
     fn per_round_counts_sum_to_total() {
         /// Fans a wave out and back: round counts vary, then hit zero.
         struct Wave;
         impl Protocol for Wave {
             type State = bool; // already echoed?
             type Msg = u8;
-            fn name(&self) -> &'static str {
-                "wave"
-            }
             fn init(&self, v: NodeId, nb: &[NodeId]) -> (bool, Vec<Envelope<u8>>) {
                 if v == 0 {
                     (

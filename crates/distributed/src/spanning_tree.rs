@@ -7,9 +7,8 @@
 //! aggregate (here: subtree size) up to the root. The root learning
 //! `size == N` doubles as termination detection.
 
-use crate::runtime::{execute_with, Envelope, Protocol, RunOutcome};
+use crate::runtime::{execute, Envelope, Protocol, RunOutcome};
 use hb_graphs::{Graph, NodeId};
-use hb_telemetry::Telemetry;
 
 /// Per-node spanning-tree state.
 #[derive(Clone, Debug)]
@@ -52,10 +51,6 @@ struct BfsTreeProtocol {
 impl Protocol for BfsTreeProtocol {
     type State = TreeState;
     type Msg = TreeMsg;
-
-    fn name(&self) -> &'static str {
-        "spanning-tree.bfs"
-    }
 
     fn init(&self, v: NodeId, neighbors: &[NodeId]) -> (TreeState, Vec<Envelope<TreeMsg>>) {
         let is_root = v == self.root;
@@ -160,22 +155,11 @@ impl Protocol for BfsTreeProtocol {
 
 /// Runs distributed BFS-tree construction + convergecast from `root`.
 pub fn build_tree(g: &Graph, root: NodeId) -> RunOutcome<TreeState> {
-    build_tree_with(g, root, None)
-}
-
-/// Like [`build_tree`], reporting rounds/messages (and, at trace level,
-/// the per-round span tree) into `telemetry` when one is given.
-pub fn build_tree_with(
-    g: &Graph,
-    root: NodeId,
-    telemetry: Option<&Telemetry>,
-) -> RunOutcome<TreeState> {
-    execute_with(
+    execute(
         g,
         &BfsTreeProtocol { root },
         4 * u32::try_from(g.num_nodes()).expect("invariant: round budgets assume < 2^32 nodes")
             + 16,
-        telemetry,
     )
 }
 

@@ -1,10 +1,9 @@
 //! The [`Telemetry`] handle: one cheaply clonable object tying the
-//! registry, histograms, link stats, and event trace together.
+//! named counters, histograms, link stats, and event trace together.
 
 use crate::histogram::Histogram;
 use crate::links::LinkStats;
 use crate::profile::Profile;
-use crate::registry::{Counter, Gauge, Registry};
 use crate::sink::{HistogramSummary, Snapshot};
 use crate::span::{SpanId, SpanRecord, SpanStore};
 use crate::timeseries::{
@@ -13,24 +12,46 @@ use crate::timeseries::{
 use crate::trace::{Event, EventTrace};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Counter name the simulator stores its cycle count under; sinks use
 /// it to derive per-link utilization.
 pub const CYCLES_COUNTER: &str = "sim.cycles";
 
-/// How much the handle records.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub enum TelemetryLevel {
-    /// Counters, histograms, and link stats — no per-event trace.
-    Summary,
-    /// Everything, including the bounded event trace.
-    Trace,
+/// A monotonic counter (wrapping on `u64` overflow, which at one
+/// increment per simulated cycle takes longer than the hardware lives).
+///
+/// A reference-counted atomic: cloning is cheap and increments are
+/// lock-free. Lookup by name ([`Telemetry::counter`]) takes a lock, so
+/// hot paths resolve their counter once, outside the loop.
+#[derive(Clone, Debug, Default)]
+pub struct Counter(Arc<AtomicU64>);
+
+impl Counter {
+    /// Adds 1.
+    #[inline]
+    pub fn inc(&self) {
+        self.add(1);
+    }
+
+    /// Adds `n`.
+    #[inline]
+    pub fn add(&self, n: u64) {
+        self.0.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Current value.
+    #[inline]
+    pub fn get(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
+    }
 }
 
 struct Inner {
-    level: TelemetryLevel,
-    registry: Registry,
+    /// Whether the bounded event trace and span store record.
+    tracing: bool,
+    counters: Mutex<BTreeMap<String, Counter>>,
     histograms: Mutex<BTreeMap<String, Histogram>>,
     links: Mutex<Arc<LinkStats>>,
     trace: Mutex<EventTrace>,
@@ -63,7 +84,7 @@ pub struct Telemetry {
 impl fmt::Debug for Telemetry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Telemetry")
-            .field("level", &self.inner.level)
+            .field("tracing", &self.inner.tracing)
             .finish_non_exhaustive()
     }
 }
@@ -71,19 +92,19 @@ impl fmt::Debug for Telemetry {
 impl Telemetry {
     /// A summary-level handle: counters, histograms, link stats.
     pub fn summary() -> Self {
-        Self::with_level(TelemetryLevel::Summary, 0)
+        Self::new(false, 0)
     }
 
     /// A trace-level handle retaining at most `trace_capacity` events.
     pub fn with_trace(trace_capacity: usize) -> Self {
-        Self::with_level(TelemetryLevel::Trace, trace_capacity)
+        Self::new(true, trace_capacity)
     }
 
-    fn with_level(level: TelemetryLevel, trace_capacity: usize) -> Self {
+    fn new(tracing: bool, trace_capacity: usize) -> Self {
         Self {
             inner: Arc::new(Inner {
-                level,
-                registry: Registry::new(),
+                tracing,
+                counters: Mutex::new(BTreeMap::new()),
                 histograms: Mutex::new(BTreeMap::new()),
                 links: Mutex::new(Arc::new(LinkStats::new())),
                 trace: Mutex::new(EventTrace::new(trace_capacity)),
@@ -96,41 +117,36 @@ impl Telemetry {
         }
     }
 
-    /// The recording level.
-    pub fn level(&self) -> TelemetryLevel {
-        self.inner.level
-    }
-
     /// Whether per-event tracing is on. Producers should gate event
     /// construction on this — it is a single branch when off.
     #[inline]
     pub fn trace_enabled(&self) -> bool {
-        self.inner.level == TelemetryLevel::Trace
+        self.inner.tracing
     }
 
-    /// The counter/gauge registry.
-    pub fn registry(&self) -> &Registry {
-        &self.inner.registry
-    }
-
-    /// The counter named `name` (created at zero if absent).
+    /// The counter named `name` (created at zero if absent). Asking for
+    /// the same name twice returns the same underlying cell, so
+    /// independent producers can accumulate into one counter.
     pub fn counter(&self, name: &str) -> Counter {
-        self.inner.registry.counter(name)
+        self.counter_map()
+            .entry(name.to_string())
+            .or_default()
+            .clone()
     }
 
-    /// The gauge named `name` (created at zero if absent).
-    pub fn gauge(&self, name: &str) -> Gauge {
-        self.inner.registry.gauge(name)
+    /// Every counter's current value, sorted by name.
+    pub fn counters(&self) -> Vec<(String, u64)> {
+        self.counter_map()
+            .iter()
+            .map(|(n, c)| (n.clone(), c.get()))
+            .collect()
     }
 
-    /// Records `v` into the histogram named `name`.
-    pub fn record(&self, name: &str, v: u64) {
-        let mut hs = self
-            .inner
-            .histograms
+    fn counter_map(&self) -> std::sync::MutexGuard<'_, BTreeMap<String, Counter>> {
+        self.inner
+            .counters
             .lock()
-            .expect("invariant: histogram mutex unpoisoned (holders never panic)");
-        hs.entry(name.to_string()).or_default().record(v);
+            .expect("invariant: counter mutex unpoisoned (holders never panic)")
     }
 
     /// Merges a locally accumulated histogram into the one named `name`
@@ -371,7 +387,7 @@ impl Telemetry {
     /// A point-in-time snapshot of every instrument, ready for a
     /// [`crate::Sink`].
     pub fn snapshot(&self) -> Snapshot {
-        let counters = self.inner.registry.counters();
+        let counters = self.counters();
         let cycles = counters
             .iter()
             .find(|(n, _)| n == CYCLES_COUNTER)
@@ -414,7 +430,6 @@ impl Telemetry {
         let ts = self.ts_state();
         Snapshot {
             counters,
-            gauges: self.inner.registry.gauges(),
             histograms,
             links: self.links(),
             cycles,
@@ -440,9 +455,31 @@ mod tests {
         t.counter("x").inc();
         t2.counter("x").add(2);
         assert_eq!(t.counter("x").get(), 3);
-        t.record("lat", 5);
-        t2.record("lat", 9);
+        let mut h = Histogram::new();
+        h.record(5);
+        t.merge_histogram("lat", &h);
+        t2.merge_histogram("lat", &h);
         assert_eq!(t.histogram("lat").unwrap().count(), 2);
+    }
+
+    #[test]
+    fn counter_accumulates_and_is_shared_by_name() {
+        let t = Telemetry::summary();
+        let a = t.counter("packets");
+        let b = t.counter("packets");
+        a.inc();
+        b.add(4);
+        assert_eq!(a.get(), 5);
+        assert_eq!(t.counters(), vec![("packets".to_string(), 5)]);
+    }
+
+    #[test]
+    fn counters_are_sorted_by_name() {
+        let t = Telemetry::summary();
+        t.counter("zeta").inc();
+        t.counter("alpha").inc();
+        let names: Vec<String> = t.counters().into_iter().map(|(n, _)| n).collect();
+        assert_eq!(names, vec!["alpha", "zeta"]);
     }
 
     #[test]
@@ -451,18 +488,20 @@ mod tests {
         let mut called = false;
         s.event(|| {
             called = true;
-            Event::RoundStarted {
-                protocol: "x".into(),
-                round: 1,
+            Event::PacketDropped {
+                id: 0,
+                at: 1,
+                cycle: 2,
             }
         });
         assert!(!called, "summary level must not build events");
         assert!(s.events().is_empty());
 
         let t = Telemetry::with_trace(8);
-        t.event(|| Event::RoundStarted {
-            protocol: "x".into(),
-            round: 1,
+        t.event(|| Event::PacketDropped {
+            id: 0,
+            at: 1,
+            cycle: 2,
         });
         assert_eq!(t.events().len(), 1);
     }
@@ -495,8 +534,9 @@ mod tests {
         let t = Telemetry::with_trace(4);
         t.counter(CYCLES_COUNTER).add(100);
         t.counter("sim.delivered").add(7);
-        t.gauge("in_flight").set(3);
-        t.record("sim.latency", 12);
+        let mut latency = Histogram::new();
+        latency.record(12);
+        t.merge_histogram("sim.latency", &latency);
         let mut ls = LinkStats::new();
         ls.add(
             0,
@@ -518,7 +558,6 @@ mod tests {
         let s = t.snapshot();
         assert_eq!(s.cycles, Some(100));
         assert_eq!(s.counters.len(), 2);
-        assert_eq!(s.gauges, vec![("in_flight".to_string(), 3)]);
         assert_eq!(s.histograms.len(), 1);
         assert_eq!(s.links.len(), 1);
         assert!((s.links.utilization_rows(100, 0)[0].utilization - 0.5).abs() < 1e-12);

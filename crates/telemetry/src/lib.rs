@@ -1,14 +1,13 @@
 //! # hb-telemetry — observability substrate for the hyper-butterfly stack
 //!
 //! The paper's claims (Theorem 3 diameter, Corollary 1 fault tolerance,
-//! §3 routing optimality) are *exercised* by `hb-netsim` and
-//! `hb-distributed`, but aggregate numbers alone cannot show **where**
-//! congestion forms, **which** links saturate, or **how** latency is
-//! distributed. This crate is the measurement layer every simulator and
-//! protocol run reports through:
+//! §3 routing optimality) are *exercised* by the `hb-netsim` simulator,
+//! but aggregate numbers alone cannot show **where** congestion forms,
+//! **which** links saturate, or **how** latency is distributed. This
+//! crate is the measurement layer the simulator and its harnesses report
+//! through (the protocol runs of `hb-distributed` report per-round
+//! message counts in their own `RunOutcome` instead):
 //!
-//! * [`registry`] — monotonic [`Counter`]s and [`Gauge`]s behind a cheap
-//!   name-keyed [`Registry`];
 //! * [`histogram`] — a log-bucketed latency [`Histogram`] whose quantile
 //!   queries return values provably bracketed by the true order
 //!   statistics of the recorded samples;
@@ -17,10 +16,10 @@
 //!   depth — the dynamic counterpart of the static edge forwarding
 //!   index; a run fills it in one pass, and sinks rank only the rows
 //!   they print;
-//! * [`trace`] — a bounded ring-buffer [`EventTrace`] of packet and
-//!   protocol-round events with cheap `enabled` gating;
+//! * [`trace`] — a bounded ring-buffer [`EventTrace`] of packet,
+//!   congestion and SLO events with cheap `enabled` gating;
 //! * [`span`] — causal [`SpanRecord`] trees in logical sim time
-//!   (packet flights, protocol rounds) behind a bounded [`SpanStore`];
+//!   (packet flights) behind a bounded [`SpanStore`];
 //! * [`timeseries`] — windowed per-cycle [`Series`] (bounded drop-oldest
 //!   rings of min/max/mean/last aggregates keyed by logical cycle), the
 //!   frozen per-link store [`LinkSeries`] that a handle and its
@@ -37,7 +36,8 @@
 //! * [`sink`] — pluggable renderers to fixed-width text tables, JSON
 //!   lines, CSV, Chrome trace-event JSON, and span trees.
 //!
-//! The [`Telemetry`] handle ties these together. It is a cheap
+//! The [`Telemetry`] handle ties these together and keeps the
+//! name-keyed monotonic [`Counter`]s itself. It is a cheap
 //! reference-counted clone; every instrumented subsystem takes an
 //! `Option<Telemetry>` and pays **zero** cost when it is `None` (the
 //! simulator's `SimStats` are byte-identical with telemetry off — see
@@ -51,7 +51,6 @@
 pub mod histogram;
 pub mod links;
 pub mod profile;
-pub mod registry;
 pub mod sink;
 pub mod slo;
 pub mod span;
@@ -60,11 +59,10 @@ pub mod trace;
 
 mod handle;
 
-pub use handle::{Telemetry, TelemetryLevel, CYCLES_COUNTER};
+pub use handle::{Counter, Telemetry, CYCLES_COUNTER};
 pub use histogram::{Histogram, Quantiles};
 pub use links::{LinkKey, LinkRecord, LinkStats};
 pub use profile::{PhaseStats, Profile};
-pub use registry::{Counter, Gauge, Registry};
 pub use sink::{
     ChromeTraceSink, CsvSink, JsonLinesSink, ProfileSink, ReportSink, Sink, Snapshot, SpanTreeSink,
     TextSink,

@@ -53,8 +53,6 @@ pub struct HistogramSummary {
 pub struct Snapshot {
     /// Counters, sorted by name.
     pub counters: Vec<(String, u64)>,
-    /// Gauges, sorted by name.
-    pub gauges: Vec<(String, i64)>,
     /// Histogram summaries, sorted by name.
     pub histograms: Vec<(String, HistogramSummary)>,
     /// Per-link statistics in key order, shared with the handle; sinks
@@ -111,13 +109,10 @@ impl Sink for TextSink {
     fn render(&self, s: &Snapshot) -> String {
         use std::fmt::Write;
         let mut out = String::new();
-        if !s.counters.is_empty() || !s.gauges.is_empty() {
+        if !s.counters.is_empty() {
             let _ = writeln!(out, "counters:");
             for (n, v) in &s.counters {
                 let _ = writeln!(out, "  {n:<32} {v:>12}");
-            }
-            for (n, v) in &s.gauges {
-                let _ = writeln!(out, "  {n:<32} {v:>12} (gauge)");
             }
         }
         if !s.histograms.is_empty() {
@@ -292,16 +287,6 @@ fn event_text(e: &Event) -> String {
         Event::PacketDropped { id, at, cycle } => {
             format!("[{cycle:>6}] drop    #{id} at {at}")
         }
-        Event::RoundStarted { protocol, round } => {
-            format!("[round {round:>4}] {protocol} start")
-        }
-        Event::RoundEnded {
-            protocol,
-            round,
-            messages,
-        } => {
-            format!("[round {round:>4}] {protocol} end ({messages} messages)")
-        }
         Event::Congestion {
             kind,
             severity,
@@ -381,20 +366,6 @@ fn event_json(e: &Event) -> String {
             "{{\"type\":\"event\",\"kind\":\"packet_dropped\",\"id\":{id},\"at\":{at},\
              \"cycle\":{cycle}}}"
         ),
-        Event::RoundStarted { protocol, round } => format!(
-            "{{\"type\":\"event\",\"kind\":\"round_started\",\"protocol\":\"{}\",\
-             \"round\":{round}}}",
-            json_escape(protocol)
-        ),
-        Event::RoundEnded {
-            protocol,
-            round,
-            messages,
-        } => format!(
-            "{{\"type\":\"event\",\"kind\":\"round_ended\",\"protocol\":\"{}\",\
-             \"round\":{round},\"messages\":{messages}}}",
-            json_escape(protocol)
-        ),
         Event::Congestion {
             kind,
             severity,
@@ -425,7 +396,7 @@ fn event_json(e: &Event) -> String {
     }
 }
 
-/// One JSON object per line: counters, gauges, histograms, links, then
+/// One JSON object per line: counters, histograms, links, then
 /// events. Floats are printed with up to 6 decimal places.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct JsonLinesSink;
@@ -436,12 +407,6 @@ impl Sink for JsonLinesSink {
         for (n, v) in &s.counters {
             out.push_str(&format!(
                 "{{\"type\":\"counter\",\"name\":\"{}\",\"value\":{v}}}\n",
-                json_escape(n)
-            ));
-        }
-        for (n, v) in &s.gauges {
-            out.push_str(&format!(
-                "{{\"type\":\"gauge\",\"name\":\"{}\",\"value\":{v}}}\n",
                 json_escape(n)
             ));
         }
@@ -549,9 +514,9 @@ impl Sink for JsonLinesSink {
 /// Each span becomes one complete (`"ph":"X"`) event. Logical sim ticks
 /// are written as microsecond timestamps (`ts`/`dur`), so the rendering
 /// is deterministic: same seed, same bytes. All events share `pid` 0;
-/// `tid` is the id of the span's root ancestor, so each packet or
-/// protocol tree groups onto its own timeline row. Span attributes,
-/// parent links, and an `open` marker for unclosed spans land in `args`.
+/// `tid` is the id of the span's root ancestor, so each packet's tree
+/// groups onto its own timeline row. Span attributes, parent links, and
+/// an `open` marker for unclosed spans land in `args`.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ChromeTraceSink;
 
@@ -900,14 +865,10 @@ pub struct CsvSink;
 impl Sink for CsvSink {
     fn render(&self, s: &Snapshot) -> String {
         let mut out = String::new();
-        if !s.counters.is_empty() || !s.gauges.is_empty() {
+        if !s.counters.is_empty() {
             out.push_str("kind,name,value\n");
             for (n, v) in &s.counters {
                 out.push_str(&csv_record(["counter".into(), n.clone(), v.to_string()]));
-                out.push('\n');
-            }
-            for (n, v) in &s.gauges {
-                out.push_str(&csv_record(["gauge".into(), n.clone(), v.to_string()]));
                 out.push('\n');
             }
         }
@@ -953,6 +914,8 @@ impl Sink for CsvSink {
             }
         }
         if !s.events.is_empty() {
+            // Congestion and SLO rows fill the protocol/round/messages
+            // columns (see their arms below), so the header keeps them.
             out.push_str("\nevent,id,src,dst,from,to,at,latency,protocol,round,messages,cycle\n");
             for e in &s.events {
                 let empty = String::new;
@@ -1027,38 +990,6 @@ impl Sink for CsvSink {
                         empty(),
                         empty(),
                         cycle.to_string(),
-                    ],
-                    Event::RoundStarted { protocol, round } => [
-                        "round_started".to_string(),
-                        empty(),
-                        empty(),
-                        empty(),
-                        empty(),
-                        empty(),
-                        empty(),
-                        empty(),
-                        protocol.clone(),
-                        round.to_string(),
-                        empty(),
-                        empty(),
-                    ],
-                    Event::RoundEnded {
-                        protocol,
-                        round,
-                        messages,
-                    } => [
-                        "round_ended".to_string(),
-                        empty(),
-                        empty(),
-                        empty(),
-                        empty(),
-                        empty(),
-                        empty(),
-                        empty(),
-                        protocol.clone(),
-                        round.to_string(),
-                        messages.to_string(),
-                        empty(),
                     ],
                     // Congestion events reuse the shared columns:
                     // subject -> protocol, window span -> round/messages,
@@ -1158,9 +1089,10 @@ mod tests {
         let t = Telemetry::with_trace(8);
         t.counter("sim.cycles").add(100);
         t.counter("sim.delivered").add(2);
-        t.gauge("in_flight").set(1);
-        t.record("sim.latency", 4);
-        t.record("sim.latency", 6);
+        let mut latency = crate::Histogram::new();
+        latency.record(4);
+        latency.record(6);
+        t.merge_histogram("sim.latency", &latency);
         let mut ls = LinkStats::new();
         ls.add(
             0,
@@ -1190,10 +1122,10 @@ mod tests {
             latency: 4,
             cycle: 4,
         });
-        t.event(|| Event::RoundEnded {
-            protocol: "election".into(),
-            round: 3,
-            messages: 12,
+        t.event(|| Event::PacketDropped {
+            id: 1,
+            at: 3,
+            cycle: 5,
         });
         t.snapshot()
     }
@@ -1204,13 +1136,12 @@ mod tests {
         let want = "\
 {\"type\":\"counter\",\"name\":\"sim.cycles\",\"value\":100}
 {\"type\":\"counter\",\"name\":\"sim.delivered\",\"value\":2}
-{\"type\":\"gauge\",\"name\":\"in_flight\",\"value\":1}
 {\"type\":\"histogram\",\"name\":\"sim.latency\",\"count\":2,\"mean\":5.000000,\"min\":4,\"p50\":4,\"p95\":6,\"p99\":6,\"max\":6}
 {\"type\":\"link\",\"from\":0,\"to\":1,\"forwarded\":10,\"busy_cycles\":10,\"peak_queue\":2,\"utilization\":0.100000}
 {\"type\":\"event\",\"kind\":\"packet_injected\",\"id\":0,\"src\":0,\"dst\":5,\"cycle\":0}
 {\"type\":\"event\",\"kind\":\"packet_hop\",\"id\":0,\"from\":0,\"to\":1,\"cycle\":1}
 {\"type\":\"event\",\"kind\":\"packet_delivered\",\"id\":0,\"dst\":5,\"latency\":4,\"cycle\":4}
-{\"type\":\"event\",\"kind\":\"round_ended\",\"protocol\":\"election\",\"round\":3,\"messages\":12}
+{\"type\":\"event\",\"kind\":\"packet_dropped\",\"id\":1,\"at\":3,\"cycle\":5}
 ";
         assert_eq!(got, want);
     }

@@ -194,9 +194,11 @@ mod tests {
         t.counter("sim.offered").add(100);
         t.counter("sim.delivered").add(97);
         t.counter("sim.unroutable").add(3);
+        let mut latency = crate::Histogram::new();
         for v in [4u64, 6, 9, 30] {
-            t.record("sim.latency", v);
+            latency.record(v);
         }
+        t.merge_histogram("sim.latency", &latency);
         let mut ls = LinkStats::new();
         for (from, to, peak_queue) in [(0, 1, 7), (1, 2, 3)] {
             let record = LinkRecord {

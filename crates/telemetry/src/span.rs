@@ -2,10 +2,9 @@
 //!
 //! Aggregate instruments ([`crate::Histogram`], [`crate::LinkStats`])
 //! answer *how much*; spans answer *why this one*. A [`SpanRecord`] is a
-//! named interval of logical time (simulation cycles or protocol rounds
-//! — never wall clock, so traces are fully deterministic) with an
-//! optional parent, forming trees: a packet's lifetime is a root span and
-//! each hop a child; a protocol run is a root span and each round a
+//! named interval of logical time (simulation cycles — never wall
+//! clock, so traces are fully deterministic) with an optional parent,
+//! forming trees: a packet's lifetime is a root span and each hop a
 //! child.
 //!
 //! The [`SpanStore`] is bounded: once `capacity` spans exist, further
@@ -42,9 +41,9 @@ pub struct SpanRecord {
     pub id: SpanId,
     /// Parent span, if any (`None` = root).
     pub parent: Option<SpanId>,
-    /// Human-readable name, e.g. `packet #7 3->41` or `round 2`.
+    /// Human-readable name, e.g. `packet #7 3->41` or `hop 3->9`.
     pub name: String,
-    /// Logical start time (simulation cycle / protocol round).
+    /// Logical start time (simulation cycle).
     pub start: u64,
     /// Logical end time; `None` while the span is open.
     pub end: Option<u64>,
@@ -155,26 +154,6 @@ impl SpanStore {
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
-
-    /// Ids of the direct children of `parent`, in id order.
-    pub fn children_of(&self, parent: SpanId) -> Vec<SpanId> {
-        self.spans
-            .iter()
-            .filter(|s| s.parent == Some(parent))
-            .map(|s| s.id)
-            .collect()
-    }
-
-    /// The root ancestor of `id` (itself if it has no parent).
-    pub fn root_of(&self, id: SpanId) -> SpanId {
-        let mut cur = id;
-        while let Some(p) = self.get(cur).and_then(|s| s.parent) {
-            // Parents always have smaller ids, so this terminates.
-            debug_assert!(p < cur);
-            cur = p;
-        }
-        cur
-    }
 }
 
 #[cfg(test)]
@@ -197,8 +176,6 @@ mod tests {
         assert_eq!(h.attr("wait"), Some("2"));
         assert_eq!(h.duration(), 3);
         assert_eq!(st.get(root).unwrap().end, Some(7));
-        assert_eq!(st.children_of(root), vec![hop]);
-        assert_eq!(st.root_of(hop), root);
     }
 
     #[test]

@@ -800,13 +800,6 @@ pub struct CongestionEvent {
     pub peak: u64,
 }
 
-impl CongestionEvent {
-    /// Number of windows the condition spanned.
-    pub fn span_windows(&self) -> u64 {
-        self.window_end - self.window_start + 1
-    }
-}
-
 /// Thresholds for [`detect_congestion`]. Integer-only so detection is
 /// exactly reproducible.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -1,4 +1,5 @@
-//! Bounded event tracing: packet lifecycle and protocol rounds.
+//! Bounded event tracing: packet lifecycle, congestion flags and SLO
+//! verdicts.
 //!
 //! The trace is a fixed-capacity ring buffer — when full, the oldest
 //! events are dropped (and counted), so tracing a long run costs bounded
@@ -53,22 +54,6 @@ pub enum Event {
         at: u32,
         /// Simulation cycle.
         cycle: u64,
-    },
-    /// A protocol round began.
-    RoundStarted {
-        /// Protocol name.
-        protocol: String,
-        /// Round number (1-based).
-        round: u32,
-    },
-    /// A protocol round finished.
-    RoundEnded {
-        /// Protocol name.
-        protocol: String,
-        /// Round number (1-based).
-        round: u32,
-        /// Messages sent during the round.
-        messages: u64,
     },
     /// One service-level objective was checked against a finished run
     /// (appended after the run by [`crate::slo::emit`]). Threshold and
