@@ -893,4 +893,89 @@ mod tests {
         let b = random_fault_trials(&g, 6, 10, 5, 7);
         assert_eq!(a, b);
     }
+
+    /// [`random_fault_trials`] answered one BFS at a time, on the same
+    /// random draws in the same order: a trial is connected iff a BFS
+    /// from its first survivor reaches every survivor, and a sampled
+    /// pair is reachable iff a BFS from one end reaches the other.
+    fn bfs_fault_trials(
+        g: &Graph,
+        faults: usize,
+        trials: usize,
+        pair_samples: usize,
+        seed: u64,
+    ) -> FaultTrialStats {
+        let n = g.num_nodes();
+        let mut connected = 0;
+        let mut ratios = 0.0;
+        for t in 0..trials {
+            let mut rng = StdRng::seed_from_u64(seed ^ (t as u64).wrapping_mul(0x9E37_79B9));
+            let mut keep = vec![true; n];
+            let mut placed = 0;
+            while placed < faults {
+                let f = rng.random_range(0..n);
+                if keep[f] {
+                    keep[f] = false;
+                    placed += 1;
+                }
+            }
+            let blocked: Vec<NodeId> = (0..n).filter(|&v| !keep[v]).collect();
+            let survivors: Vec<NodeId> = (0..n).filter(|&v| keep[v]).collect();
+            let tree = traverse::bfs_avoiding(g, survivors[0], &blocked);
+            if survivors
+                .iter()
+                .all(|&v| tree.dist[v] != traverse::UNREACHABLE)
+            {
+                connected += 1;
+            }
+            let (mut reachable, mut sampled) = (0usize, 0usize);
+            for _ in 0..pair_samples {
+                let a = survivors[rng.random_range(0..survivors.len())];
+                let b = survivors[rng.random_range(0..survivors.len())];
+                if a == b {
+                    continue;
+                }
+                sampled += 1;
+                let tree = traverse::bfs_avoiding(g, a, &blocked);
+                if tree.dist[b] != traverse::UNREACHABLE {
+                    reachable += 1;
+                }
+            }
+            ratios += if sampled == 0 {
+                1.0
+            } else {
+                reachable as f64 / sampled as f64
+            };
+        }
+        FaultTrialStats {
+            faults,
+            trials,
+            connected,
+            pair_reachability: ratios / trials.max(1) as f64,
+        }
+    }
+
+    /// Fault counts far above κ, where survivor graphs split and sampled
+    /// pairs become unreachable: every statistic, the `f64` included,
+    /// equals the BFS oracle's, and each shape reaches that regime.
+    #[test]
+    fn trials_past_kappa_match_a_bfs_oracle() {
+        let hb = HyperButterfly::new(1, 3).unwrap().build_graph().unwrap();
+        let torus = hb_graphs::generators::torus(4, 4).unwrap();
+        for (name, g, faults) in [
+            ("HB(1, 3)", &hb, 20),
+            ("HB(1, 3)", &hb, 30),
+            ("torus(4, 4)", &torus, 6),
+            ("torus(4, 4)", &torus, 8),
+        ] {
+            let mut split = false;
+            for seed in [1, 7, 99, 2024] {
+                let got = random_fault_trials(g, faults, 40, 16, seed);
+                let want = bfs_fault_trials(g, faults, 40, 16, seed);
+                assert_eq!(got, want, "{name}, {faults} faults, seed {seed}");
+                split |= got.connected < got.trials && got.pair_reachability < 1.0;
+            }
+            assert!(split, "{name} with {faults} faults never split");
+        }
+    }
 }
