@@ -132,25 +132,43 @@ pub fn distance(g: &Graph, s: NodeId, t: NodeId) -> Option<u32> {
 
 /// Connected components; returns `(component_id_per_node, component_count)`.
 pub fn components(g: &Graph) -> (Vec<usize>, usize) {
+    components_avoiding(g, &[])
+}
+
+/// Connected components of `G - blocked`; returns
+/// `(component_id_per_node, component_count)`. Survivors are labelled
+/// `0..count` in order of their smallest node; every blocked node keeps
+/// the sentinel `usize::MAX`. One labelling answers every reachability
+/// question about the survivors: two of them are connected iff their
+/// labels are equal.
+pub fn components_avoiding(g: &Graph, blocked: &[NodeId]) -> (Vec<usize>, usize) {
+    const UNSEEN: usize = usize::MAX;
+    const BLOCKED: usize = usize::MAX - 1;
     let n = g.num_nodes();
-    let mut comp = vec![usize::MAX; n];
+    let mut comp = vec![UNSEEN; n];
+    for &b in blocked {
+        comp[b] = BLOCKED; // never a start, never entered
+    }
     let mut count = 0;
     let mut stack = Vec::new();
     for start in 0..n {
-        if comp[start] != usize::MAX {
+        if comp[start] != UNSEEN {
             continue;
         }
         comp[start] = count;
         stack.push(start);
         while let Some(u) = stack.pop() {
             for &w in g.neighbors(u) {
-                if comp[w as usize] == usize::MAX {
+                if comp[w as usize] == UNSEEN {
                     comp[w as usize] = count;
                     stack.push(w as usize);
                 }
             }
         }
         count += 1;
+    }
+    for &b in blocked {
+        comp[b] = UNSEEN;
     }
     (comp, count)
 }
@@ -160,21 +178,12 @@ pub fn is_connected(g: &Graph) -> bool {
     g.num_nodes() == 0 || components(g).1 == 1
 }
 
-/// Whether `G - blocked` leaves all non-blocked nodes in one component.
+/// Whether `G - blocked` leaves all non-blocked nodes in one component
+/// (vacuously true for at most one survivor). Fewer than two survivors
+/// make at most one component, so the survivors are connected iff their
+/// labelling has at most one.
 pub fn is_connected_avoiding(g: &Graph, blocked: &[NodeId]) -> bool {
-    let mut keep = vec![true; g.num_nodes()];
-    for &b in blocked {
-        keep[b] = false;
-    }
-    let survivors = keep.iter().filter(|&&k| k).count();
-    if survivors <= 1 {
-        return true;
-    }
-    let start = keep.iter().position(|&k| k).expect("survivors >= 1");
-    let tree = bfs_avoiding(g, start, blocked);
-    (0..g.num_nodes())
-        .filter(|&v| keep[v])
-        .all(|v| tree.dist[v] != UNREACHABLE)
+    components_avoiding(g, blocked).1 <= 1
 }
 
 /// Iterative DFS preorder starting from `source` (restricted to its
@@ -269,6 +278,41 @@ mod tests {
         assert!(is_connected_avoiding(&g, &[0]));
         // Removing all but one node is vacuously connected.
         assert!(is_connected_avoiding(&g, &[0, 1]));
+    }
+
+    #[test]
+    fn components_avoiding_labels_survivors_as_the_induced_subgraph() {
+        let graphs = [
+            generators::cycle(8).unwrap(),
+            generators::torus(4, 4).unwrap(),
+            generators::random_regular(24, 3, 5).unwrap(),
+            Graph::from_edges(6, [(0, 1), (1, 2), (3, 4)]).unwrap(),
+        ];
+        let every_third: Vec<NodeId> = (0..24).step_by(3).collect();
+        let blocked_sets: [&[NodeId]; 5] = [
+            &[],
+            &[2, 5],
+            &[1, 4, 5, 6, 9],
+            &[0, 1, 2, 3, 4, 5],
+            &every_third,
+        ];
+        for g in &graphs {
+            let n = g.num_nodes();
+            for blocked in blocked_sets.map(|b| &b[..b.partition_point(|&v| v < n)]) {
+                let (comp, count) = components_avoiding(g, blocked);
+                let keep: Vec<bool> = (0..n).map(|v| !blocked.contains(&v)).collect();
+                let (sub, old_of_new) = g.induced_subgraph(&keep);
+                let (want, want_count) = components(&sub);
+                assert_eq!(count, want_count, "{blocked:?}");
+                for &b in blocked {
+                    assert_eq!(comp[b], usize::MAX, "blocked {b}");
+                }
+                for (new, &old) in old_of_new.iter().enumerate() {
+                    assert_eq!(comp[old], want[new], "survivor {old} of {blocked:?}");
+                }
+                assert_eq!(is_connected_avoiding(g, blocked), want_count <= 1);
+            }
+        }
     }
 
     #[test]

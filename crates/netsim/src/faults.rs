@@ -438,7 +438,9 @@ pub struct FaultTrialStats {
 /// Samples `trials` random fault sets of the given size and measures
 /// survivor connectivity plus reachability of `pair_samples` random
 /// survivor pairs per trial. Each trial seeds its own generator from
-/// `seed` and its index, so trials are independent of one another.
+/// `seed` and its index, so trials are independent of one another, and
+/// labels the survivor components once: a pair is reachable iff both
+/// ends carry the same label.
 pub fn random_fault_trials(
     g: &Graph,
     faults: usize,
@@ -461,9 +463,11 @@ pub fn random_fault_trials(
                 }
             }
             let blocked: Vec<NodeId> = (0..n).filter(|&v| !keep[v]).collect();
-            let connected = traverse::is_connected_avoiding(g, &blocked);
-            // Pair reachability (meaningful even when disconnected).
+            // One labelling answers the connectivity question and every
+            // sampled pair (meaningful even when disconnected).
+            let (label, components) = traverse::components_avoiding(g, &blocked);
             let survivors: Vec<NodeId> = (0..n).filter(|&v| keep[v]).collect();
+            let connected = survivors.len() <= 1 || components == 1;
             let mut reachable = 0usize;
             let mut sampled = 0usize;
             for _ in 0..pair_samples {
@@ -473,8 +477,7 @@ pub fn random_fault_trials(
                     continue;
                 }
                 sampled += 1;
-                let tree = traverse::bfs_avoiding(g, a, &blocked);
-                if tree.dist[b] != traverse::UNREACHABLE {
+                if label[a] == label[b] {
                     reachable += 1;
                 }
             }
