@@ -4,12 +4,16 @@
 //! quality measure for such fabrics is the **edge forwarding index**: the
 //! maximum, over directed channels, of the number of all-pairs routes
 //! crossing that channel. Together with the mean it captures how evenly
-//! the topology's oblivious router spreads traffic — a regular Cayley
-//! graph with a symmetric router should be nearly uniform, while the
-//! hyper-deBruijn's irregular nodes concentrate routes.
+//! the topology's oblivious router spreads traffic. On `HB(m, n)` a
+//! channel's load is constant on its translation orbit
+//! ([`NetTopology::translate_home`]): on `HB(3, 4)` cube-first that is 28
+//! classes, one per generator and tail rotation, where every cube channel
+//! carries 256 routes and the butterfly loads run from 232 to 672 by
+//! rotation. The hyper-deBruijn's irregular nodes concentrate routes.
 
 use crate::sim::ChanLayout;
-use crate::topology::NetTopology;
+use crate::topology::{NetTopology, MAX_PRODUCTIVE};
+use hb_graphs::NodeId;
 
 /// Forwarding-index statistics for one topology + router.
 #[derive(Clone, Debug, PartialEq)]
@@ -29,10 +33,15 @@ pub struct ForwardingReport {
 }
 
 /// Computes the forwarding index under the topology's own router, over
-/// all ordered pairs of distinct nodes, one source at a time on the
-/// calling thread. Channels are numbered as the simulator numbers them,
-/// so graph-free topologies work too, and every route is written into
-/// one reused buffer.
+/// all ordered pairs of distinct nodes, on the calling thread. Channels
+/// are numbered as the simulator numbers them, so graph-free topologies
+/// work too, and every route is written into one reused buffer.
+///
+/// A topology that declares translations
+/// ([`NetTopology::translate_home`]) is routed from its orbit
+/// representatives alone, with every channel given its orbit's total;
+/// any other routes every ordered pair. Both fill the same per-channel
+/// loads, so the report is the same to the bit.
 ///
 /// # Panics
 /// Panics if a route step is not an edge of the topology.
@@ -40,21 +49,11 @@ pub fn edge_forwarding_index(topo: &dyn NetTopology) -> ForwardingReport {
     let n = topo.num_nodes();
     let layout = ChanLayout::new(topo);
     let channels = layout.num_channels();
-
-    let mut counts = vec![0u64; channels];
-    let mut route = Vec::new();
-    for src in 0..n {
-        for dst in 0..n {
-            if dst == src {
-                continue;
-            }
-            route.clear();
-            topo.route_into(src, dst, &mut route);
-            for w in route.windows(2) {
-                counts[layout.channel_of(w[0], w[1])] += 1;
-            }
-        }
-    }
+    let counts = if topo.translate_home(0, 0).is_some() {
+        orbit_counts(topo, &layout)
+    } else {
+        all_pairs_counts(topo, &layout)
+    };
 
     let total: u64 = counts.iter().sum();
     let mean = total as f64 / channels as f64;
@@ -76,10 +75,73 @@ pub fn edge_forwarding_index(topo: &dyn NetTopology) -> ForwardingReport {
     }
 }
 
+/// Routes `src` to every other node into `route`, calling `hop` with
+/// each step's tail and head.
+fn for_each_hop_from(
+    topo: &dyn NetTopology,
+    src: NodeId,
+    route: &mut Vec<NodeId>,
+    mut hop: impl FnMut(NodeId, NodeId),
+) {
+    for dst in (0..topo.num_nodes()).filter(|&dst| dst != src) {
+        route.clear();
+        topo.route_into(src, dst, route);
+        for w in route.windows(2) {
+            hop(w[0], w[1]);
+        }
+    }
+}
+
+/// Per-channel loads from one route per ordered pair.
+fn all_pairs_counts(topo: &dyn NetTopology, layout: &ChanLayout<'_>) -> Vec<u64> {
+    let mut counts = vec![0u64; layout.num_channels()];
+    let mut route = Vec::new();
+    for src in 0..topo.num_nodes() {
+        for_each_hop_from(topo, src, &mut route, |u, v| {
+            counts[layout.channel_of(u, v)] += 1;
+        });
+    }
+    counts
+}
+
+/// Per-channel loads from the orbit representatives' routes alone. A
+/// pair's route is the translate of its representative's, so each hop
+/// stands for its whole channel orbit: it is added to the orbit's
+/// channel whose tail is a representative, and every channel then reads
+/// its orbit's total from there.
+fn orbit_counts(topo: &dyn NetTopology, layout: &ChanLayout<'_>) -> Vec<u64> {
+    let home = |u, v| {
+        topo.translate_home(u, v)
+            .expect("invariant: a topology with translations answers every pair")
+    };
+    let n = topo.num_nodes();
+    let mut counts = vec![0u64; layout.num_channels()];
+    let mut route = Vec::new();
+    for src in (0..n).filter(|&src| home(src, src).0 == src) {
+        for_each_hop_from(topo, src, &mut route, |u, v| {
+            let (u, v) = home(u, v);
+            counts[layout.channel_of(u, v)] += 1;
+        });
+    }
+    // A representative's channels map to themselves, so the orbit totals
+    // are still in place when any other channel copies one.
+    let mut nbrs = [0 as NodeId; MAX_PRODUCTIVE];
+    for u in 0..n {
+        let first = layout.node_first_channel(u);
+        let degree = topo.neighbors_into(u, &mut nbrs);
+        for (port, &v) in nbrs[..degree].iter().enumerate() {
+            let (hu, hv) = home(u, v);
+            counts[first + port] = counts[layout.channel_of(hu, hv)];
+        }
+    }
+    counts
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::topology::{HbRouteOrder, HyperButterflyNet, HyperDeBruijnNet, HypercubeNet};
+    use std::collections::BTreeMap;
 
     #[test]
     fn hypercube_forwarding_is_perfectly_uniform() {
@@ -140,6 +202,35 @@ mod tests {
         // The regular Cayley graph spreads routes more evenly than the
         // irregular baseline (its router also funnels through 0..0/1..1).
         assert!(rb.cv < rd.cv, "HB cv {} vs HD cv {}", rb.cv, rd.cv);
+    }
+
+    /// What the orbit path rests on, read off the all-pairs loop: every
+    /// `HB(3, 4)` channel carries the load of its orbit's channel from a
+    /// representative. Those are 4 × 7 channels, one per tail rotation
+    /// and generator; cube channels carry 256 routes each, butterfly
+    /// channels 232 to 672 by rotation.
+    #[test]
+    fn hb_loads_are_constant_on_translation_orbits() {
+        let t = HyperButterflyNet::new(3, 4, HbRouteOrder::CubeFirst).unwrap();
+        let layout = ChanLayout::new(&t);
+        let counts = all_pairs_counts(&t, &layout);
+        let hb = t.topology();
+        let mut classes = BTreeMap::new();
+        let mut nbrs = [0; MAX_PRODUCTIVE];
+        for u in 0..t.num_nodes() {
+            let k = t.neighbors_into(u, &mut nbrs);
+            for &v in &nbrs[..k] {
+                let (hu, hv) = t.translate_home(u, v).unwrap();
+                let load = counts[layout.channel_of(hu, hv)];
+                assert_eq!(counts[layout.channel_of(u, v)], load, "{u} -> {v}");
+                classes.insert((hu, hv), (hb.node(u).h != hb.node(v).h, load));
+            }
+        }
+        assert_eq!(classes.len(), 28);
+        let loads = |cube| classes.values().filter(move |c| c.0 == cube).map(|c| c.1);
+        assert!(loads(true).all(|load| load == 256));
+        assert_eq!(loads(false).min(), Some(232));
+        assert_eq!(loads(false).max(), Some(672));
     }
 
     #[test]

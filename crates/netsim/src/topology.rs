@@ -212,6 +212,28 @@ pub trait NetTopology: Send + Sync {
         buf[..k].to_vec()
     }
 
+    /// The pair `(τu, τv)`, where `τ` is the translation that takes `u`
+    /// to the representative of its orbit; `None`, the default, for a
+    /// topology that declares no translations. A topology answers for
+    /// every pair or for none, and an answer promises:
+    ///
+    /// * the translations form a group that acts freely on the nodes
+    ///   (only the identity fixes a node), so each orbit holds one
+    ///   representative and `τ` is unique, the identity at a
+    ///   representative;
+    /// * they preserve adjacency;
+    /// * they commute with [`Self::route_into`]:
+    ///   `route(τu, τv) = τ(route(u, v))`.
+    ///
+    /// So a channel's load under all-pairs routing is constant on its
+    /// orbit, and the routes from the representatives alone fix every
+    /// load (`crate::forwarding::edge_forwarding_index`). Only
+    /// `HyperButterflyNet` answers.
+    fn translate_home(&self, u: NodeId, v: NodeId) -> Option<(NodeId, NodeId)> {
+        let _ = (u, v);
+        None
+    }
+
     /// The productive hops of [`Self::productive_hops_into`], in its
     /// order, each written as its **port**: its index in `cur`'s
     /// ascending neighbor list, so its channel is `cur`'s first channel
@@ -482,6 +504,19 @@ impl NetTopology for HyperButterflyNet {
             u.b.neighbors()
                 .map(|wb| self.hb.index(HbNode::new(u.h, wb)));
         keep_masked(buf, k, mask as usize, gens)
+    }
+    fn translate_home(&self, u: NodeId, v: NodeId) -> Option<(NodeId, NodeId)> {
+        // Theorem 1's translations `(h, rot, mask) ↦ (h ⊕ c, rot, mask ⊕ a)`
+        // on `index = h·n·2^n + rot·2^n + mask`. A cube generator flips
+        // one bit of `h`; `g`, `f` and their inverses change `rot` and
+        // toggle the mask bit at `rot`: each commutes with the XOR, so
+        // adjacency and both leg orders' routes are preserved. The
+        // representatives are the `n` nodes `(0, rot, 0)`, and XORing
+        // `u`'s own `h` and mask takes it there.
+        let slice = self.hb.butterfly().num_nodes();
+        let (h, mask) = (u / slice, u & ((1 << self.hb.n()) - 1));
+        let home = |x: NodeId| ((x / slice) ^ h) * slice + ((x % slice) ^ mask);
+        Some((home(u), home(v)))
     }
     fn productive_ports_into(&self, cur: NodeId, dst: NodeId, buf: &mut [NodeId]) -> usize {
         // The same generators in the same order, each as its rank among
