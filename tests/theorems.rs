@@ -122,6 +122,89 @@ fn theorem_5_and_corollary_1() {
     }
 }
 
+/// Corollary 1 over whole runs: with at most `m + 3` nodes down at any
+/// cycle, every pair of healthy nodes stays routable. Waves of `m + 3`
+/// random node faults, each repaired 10 cycles after it lands, drive
+/// `run_with_timeline`. The only admissions it refuses are those whose
+/// source or destination is down when the packet is admitted, replayed
+/// from the timeline (events at cycle `c` are visible to injections at
+/// `c`), and every packet it admits is delivered.
+#[test]
+fn corollary_1_holds_over_whole_runs() {
+    use hb_netsim::{
+        run_with_timeline, workload, FaultEventKind, FaultPlan, FaultTarget, FaultTimeline,
+        HbRouteOrder, HyperButterflyNet, NetTopology, SimConfig, TraceSampling,
+    };
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+
+    const CYCLES: u64 = 120;
+    for (m, n) in [(1, 3), (2, 3), (2, 4)] {
+        let net = HyperButterflyNet::new(m, n, HbRouteOrder::CubeFirst).unwrap();
+        let nodes = net.num_nodes();
+        let faults = m as usize + 3;
+        for seed in [3, 17, 2024] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut timeline = FaultTimeline::new();
+            for at in (5..CYCLES).step_by(20) {
+                let mut wave = Vec::with_capacity(faults);
+                while wave.len() < faults {
+                    let v = rng.random_range(0..nodes);
+                    if !wave.contains(&v) {
+                        wave.push(v);
+                    }
+                }
+                for &v in &wave {
+                    timeline.push(at, FaultEventKind::Fault, FaultTarget::Node(v));
+                }
+                for &v in &wave {
+                    timeline.push(at + 10, FaultEventKind::Repair, FaultTarget::Node(v));
+                }
+            }
+            let injections = workload::uniform(nodes, CYCLES, 0.1, seed);
+
+            let mut down = vec![false; nodes];
+            let (mut down_now, mut most, mut refused, mut next) = (0usize, 0usize, 0u64, 0usize);
+            let events = timeline.events();
+            for inj in &injections {
+                while next < events.len() && events[next].cycle <= inj.at {
+                    let FaultTarget::Node(v) = events[next].target else {
+                        unreachable!("the waves fault nodes only");
+                    };
+                    let fault = events[next].kind == FaultEventKind::Fault;
+                    if down[v] != fault {
+                        down[v] = fault;
+                        down_now = if fault { down_now + 1 } else { down_now - 1 };
+                    }
+                    most = most.max(down_now);
+                    next += 1;
+                }
+                refused += u64::from(down[inj.src] || down[inj.dst]);
+            }
+            let name = format!("HB({m},{n}) seed {seed}");
+            assert_eq!(most, faults, "{name}: the most nodes down at once");
+            assert!(refused > 0, "{name}: no admission met a faulty endpoint");
+
+            let tel = hb_telemetry::Telemetry::summary();
+            let cfg = SimConfig::bounded(100_000).with_telemetry(tel.clone());
+            let s = run_with_timeline(
+                &net,
+                &injections,
+                cfg,
+                &FaultPlan::new(),
+                &timeline,
+                TraceSampling::Off,
+            );
+            assert_eq!(tel.counter("sim.unroutable").get(), refused, "{name}");
+            assert_eq!(s.offered, injections.len() as u64, "{name}");
+            assert_eq!(s.delivered + s.stranded, s.offered, "{name}");
+            assert_eq!(
+                s.stranded, refused,
+                "{name}: an admitted packet was not delivered"
+            );
+        }
+    }
+}
+
 /// Edge-connectivity counterpart of Corollary 1: `lambda(HB) = m + 4`
 /// (flow-certified) versus `lambda(HD) = m + 2`.
 #[test]
