@@ -29,12 +29,6 @@ pub const CYCLES_COUNTER: &str = "sim.cycles";
 pub struct Counter(Arc<AtomicU64>);
 
 impl Counter {
-    /// Adds 1.
-    #[inline]
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
     /// Adds `n`.
     #[inline]
     pub fn add(&self, n: u64) {
@@ -452,7 +446,7 @@ mod tests {
     fn clones_share_instruments() {
         let t = Telemetry::summary();
         let t2 = t.clone();
-        t.counter("x").inc();
+        t.counter("x").add(1);
         t2.counter("x").add(2);
         assert_eq!(t.counter("x").get(), 3);
         let mut h = Histogram::new();
@@ -467,7 +461,7 @@ mod tests {
         let t = Telemetry::summary();
         let a = t.counter("packets");
         let b = t.counter("packets");
-        a.inc();
+        a.add(1);
         b.add(4);
         assert_eq!(a.get(), 5);
         assert_eq!(t.counters(), vec![("packets".to_string(), 5)]);
@@ -476,8 +470,8 @@ mod tests {
     #[test]
     fn counters_are_sorted_by_name() {
         let t = Telemetry::summary();
-        t.counter("zeta").inc();
-        t.counter("alpha").inc();
+        t.counter("zeta").add(1);
+        t.counter("alpha").add(1);
         let names: Vec<String> = t.counters().into_iter().map(|(n, _)| n).collect();
         assert_eq!(names, vec!["alpha", "zeta"]);
     }

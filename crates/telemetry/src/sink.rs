@@ -1278,7 +1278,7 @@ mod tests {
     #[test]
     fn csv_escapes_hostile_names() {
         let t = Telemetry::summary();
-        t.counter("evil,name").inc();
+        t.counter("evil,name").add(1);
         t.counter("say \"hi\"").add(2);
         let out = CsvSink.render(&t.snapshot());
         assert!(out.contains("counter,\"evil,name\",1"));

@@ -125,29 +125,9 @@ impl SpanStore {
         self.spans.get_mut(idx)
     }
 
-    /// The span with this id, if recorded.
-    pub fn get(&self, id: SpanId) -> Option<&SpanRecord> {
-        self.spans.get((id.0 as usize).wrapping_sub(1))
-    }
-
     /// All recorded spans in id (= start) order.
     pub fn spans(&self) -> &[SpanRecord] {
         &self.spans
-    }
-
-    /// Number of recorded spans.
-    pub fn len(&self) -> usize {
-        self.spans.len()
-    }
-
-    /// Whether nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.spans.is_empty()
-    }
-
-    /// Capacity the store was created with.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Spans refused because the store was full.
@@ -169,13 +149,15 @@ mod tests {
         st.attr(hop, "wait", "2");
         st.end(hop, 3);
         st.end(root, 7);
-        assert_eq!(st.len(), 2);
-        let h = st.get(hop).unwrap();
+        let [r, h] = st.spans() else {
+            panic!("want two spans, got {:?}", st.spans());
+        };
+        assert_eq!((r.id, h.id), (root, hop));
         assert_eq!(h.parent, Some(root));
         assert_eq!(h.attr("queue"), Some("3"));
         assert_eq!(h.attr("wait"), Some("2"));
         assert_eq!(h.duration(), 3);
-        assert_eq!(st.get(root).unwrap().end, Some(7));
+        assert_eq!(r.end, Some(7));
     }
 
     #[test]
@@ -187,11 +169,12 @@ mod tests {
         for i in 0..5 {
             assert!(st.start("late", a, i).is_none());
         }
-        assert_eq!(st.len(), 2);
+        assert_eq!(st.spans().len(), 2);
         assert_eq!(st.dropped(), 5);
         // Existing spans stay addressable after drops.
         st.end(b.unwrap(), 9);
-        assert_eq!(st.get(b.unwrap()).unwrap().end, Some(9));
+        assert_eq!(st.spans()[1].id, b.unwrap());
+        assert_eq!(st.spans()[1].end, Some(9));
     }
 
     #[test]
@@ -199,7 +182,7 @@ mod tests {
         let mut st = SpanStore::new(0);
         assert!(st.start("x", None, 0).is_none());
         assert_eq!(st.dropped(), 1);
-        assert!(st.is_empty());
+        assert!(st.spans().is_empty());
     }
 
     #[test]
@@ -208,6 +191,6 @@ mod tests {
         let s = st.start("s", None, 1).unwrap();
         st.end(s, 5);
         st.end(s, 9);
-        assert_eq!(st.get(s).unwrap().end, Some(5));
+        assert_eq!(st.spans()[0].end, Some(5));
     }
 }

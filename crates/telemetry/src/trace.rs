@@ -119,29 +119,9 @@ impl EventTrace {
         self.buf.push_back(e);
     }
 
-    /// Retained events, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = &Event> {
-        self.buf.iter()
-    }
-
     /// Retained events as a vector, oldest first.
     pub fn to_vec(&self) -> Vec<Event> {
         self.buf.iter().cloned().collect()
-    }
-
-    /// Number of retained events.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether nothing is retained.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Capacity the trace was created with.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Events evicted (or refused) because of the capacity bound.
@@ -163,22 +143,25 @@ mod tests {
         }
     }
 
+    /// The retained hops' ids, oldest first.
+    fn ids(t: &EventTrace) -> Vec<u64> {
+        t.to_vec()
+            .iter()
+            .map(|e| match e {
+                Event::PacketHop { id, .. } => *id,
+                _ => unreachable!(),
+            })
+            .collect()
+    }
+
     #[test]
     fn ring_keeps_the_tail() {
         let mut t = EventTrace::new(3);
         for i in 0..5 {
             t.push(hop(i));
         }
-        assert_eq!(t.len(), 3);
         assert_eq!(t.dropped(), 2);
-        let ids: Vec<u64> = t
-            .iter()
-            .map(|e| match e {
-                Event::PacketHop { id, .. } => *id,
-                _ => unreachable!(),
-            })
-            .collect();
-        assert_eq!(ids, vec![2, 3, 4]);
+        assert_eq!(ids(&t), vec![2, 3, 4]);
     }
 
     #[test]
@@ -192,21 +175,13 @@ mod tests {
             for pushed in 1..=(3 * cap as u64 + 2) {
                 t.push(hop(pushed - 1));
                 let retained = (pushed as usize).min(cap);
-                assert_eq!(t.len(), retained, "cap={cap} pushed={pushed}");
                 assert_eq!(
                     t.dropped(),
                     pushed - retained as u64,
                     "cap={cap} pushed={pushed}"
                 );
-                let ids: Vec<u64> = t
-                    .iter()
-                    .map(|e| match e {
-                        Event::PacketHop { id, .. } => *id,
-                        _ => unreachable!(),
-                    })
-                    .collect();
                 let want: Vec<u64> = (pushed - retained as u64..pushed).collect();
-                assert_eq!(ids, want, "cap={cap} pushed={pushed}");
+                assert_eq!(ids(&t), want, "cap={cap} pushed={pushed}");
             }
         }
     }
@@ -215,7 +190,7 @@ mod tests {
     fn zero_capacity_counts_drops() {
         let mut t = EventTrace::new(0);
         t.push(hop(0));
-        assert!(t.is_empty());
+        assert!(t.to_vec().is_empty());
         assert_eq!(t.dropped(), 1);
     }
 }
