@@ -212,9 +212,9 @@ pub trait NetTopology: Send + Sync {
         buf[..k].to_vec()
     }
 
-    /// The pair `(τu, τv)`, where `τ` is the translation that takes `u`
-    /// to the representative of its orbit; `None`, the default, for a
-    /// topology that declares no translations. A topology answers for
+    /// For the pair `(u, v)`, the pair `(τu, τv)`, where `τ` is the
+    /// translation that takes `u` to the representative of its orbit;
+    /// `None`, the default, for a topology that declares no translations. A topology answers for
     /// every pair or for none, and an answer promises:
     ///
     /// * the translations form a group that acts freely on the nodes
@@ -227,10 +227,9 @@ pub trait NetTopology: Send + Sync {
     ///
     /// So a channel's load under all-pairs routing is constant on its
     /// orbit, and the routes from the representatives alone fix every
-    /// load (`crate::forwarding::edge_forwarding_index`). Only
-    /// `HyperButterflyNet` answers.
-    fn translate_home(&self, u: NodeId, v: NodeId) -> Option<(NodeId, NodeId)> {
-        let _ = (u, v);
+    /// load ([`crate::forwarding::edge_forwarding_index`]). Only
+    /// [`HyperButterflyNet`] answers.
+    fn translate_home(&self, _u: NodeId, _v: NodeId) -> Option<(NodeId, NodeId)> {
         None
     }
 
@@ -508,9 +507,9 @@ impl NetTopology for HyperButterflyNet {
     fn translate_home(&self, u: NodeId, v: NodeId) -> Option<(NodeId, NodeId)> {
         // Theorem 1's translations `(h, rot, mask) ↦ (h ⊕ c, rot, mask ⊕ a)`
         // on `index = h·n·2^n + rot·2^n + mask`. A cube generator flips
-        // one bit of `h`; `g`, `f` and their inverses change `rot` and
-        // toggle the mask bit at `rot`: each commutes with the XOR, so
-        // adjacency and both leg orders' routes are preserved. The
+        // one bit of `h`; `g` and `g⁻¹` change `rot`, and `f` and `f⁻¹`
+        // also toggle one mask bit chosen by `rot`: each commutes with
+        // the XOR, so adjacency and both leg orders' routes are kept. The
         // representatives are the `n` nodes `(0, rot, 0)`, and XORing
         // `u`'s own `h` and mask takes it there.
         let slice = self.hb.butterfly().num_nodes();
