@@ -146,9 +146,9 @@ mod tests {
     /// The retained hops' ids, oldest first.
     fn ids(t: &EventTrace) -> Vec<u64> {
         t.to_vec()
-            .iter()
+            .into_iter()
             .map(|e| match e {
-                Event::PacketHop { id, .. } => *id,
+                Event::PacketHop { id, .. } => id,
                 _ => unreachable!(),
             })
             .collect()
