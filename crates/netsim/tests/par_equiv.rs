@@ -10,7 +10,7 @@ use hb_netsim::topology::{
     ButterflyNet, HbRouteOrder, HyperButterflyNet, HypercubeNet, NetTopology,
 };
 use hb_netsim::{
-    run, run_bounded, run_with_faults, run_with_timeline,
+    run, run_adaptive, run_bounded, run_with_faults, run_with_timeline,
     sim::{run_bounded_sweep, SimConfig},
     workload, FaultEventKind, FaultPlan, FaultTarget, FaultTimeline, TraceSampling,
 };
@@ -270,45 +270,34 @@ proptest! {
     /// graph-free [`HyperButterflyNet::implicit`] (sparse per-channel
     /// state, active frontier) produces the identical stats, work profile,
     /// and full telemetry snapshot as the materialised adapter's dense
-    /// engine — serial and sharded.
+    /// engine — serial and sharded, with bounded queues (same-cycle
+    /// credits on both stores) and with adaptive routing (least-queue
+    /// reads on both stores).
     #[test]
     fn implicit_run_matches_explicit(rate in 5u32..50, cycles in 1u64..30,
-                                     seed in 0u64..300) {
+                                     seed in 0u64..300, capacity in 1usize..4) {
         let exp = HyperButterflyNet::new(2, 3, HbRouteOrder::CubeFirst).unwrap();
         let imp = HyperButterflyNet::implicit(2, 3, HbRouteOrder::CubeFirst).unwrap();
         let inj = workload::uniform(exp.num_nodes(), cycles, f64::from(rate) / 100.0, seed);
-        for threads in [1usize, 2] {
-            let tel_e = tel_with_ts(seed);
-            let a = run(
-                &exp,
-                &inj,
-                SimConfig::default()
-                    .with_telemetry(tel_e.clone())
-                    .with_profile(true)
-                    .with_threads(threads),
-            );
-            let tel_i = tel_with_ts(seed);
-            let b = run(
-                &imp,
-                &inj,
-                SimConfig::default()
-                    .with_telemetry(tel_i.clone())
-                    .with_profile(true)
-                    .with_threads(threads),
-            );
-            prop_assert_eq!(&a, &b, "stats drift at {} threads", threads);
-            prop_assert_eq!(
-                tel_e.profile(),
-                tel_i.profile(),
-                "profile drift at {} threads",
-                threads
-            );
-            prop_assert_eq!(
-                tel_e.snapshot(),
-                tel_i.snapshot(),
-                "snapshot drift at {} threads",
-                threads
-            );
+        let engine = |t: &dyn NetTopology, which: &str| {
+            let tel = tel_with_ts(seed);
+            let cfg = SimConfig::default()
+                .with_telemetry(tel.clone())
+                .with_profile(true);
+            let stats = match which {
+                "serial" => run(t, &inj, cfg),
+                "2 threads" => run(t, &inj, cfg.with_threads(2)),
+                "bounded" => run_bounded(t, &inj, cfg, capacity),
+                _ => run_adaptive(t, &inj, cfg),
+            };
+            (stats, tel.profile(), tel.snapshot())
+        };
+        for which in ["serial", "2 threads", "bounded", "adaptive"] {
+            let (a, prof_a, snap_a) = engine(&exp, which);
+            let (b, prof_b, snap_b) = engine(&imp, which);
+            prop_assert_eq!(a, b, "stats drift ({})", which);
+            prop_assert_eq!(prof_a, prof_b, "profile drift ({})", which);
+            prop_assert_eq!(snap_a, snap_b, "snapshot drift ({})", which);
         }
     }
 

@@ -259,6 +259,57 @@ proptest! {
 /// numbers and nesting instead of failing at its first byte.
 const BASELINE_JSON_BYTES: &[u8] = b"{}\":,\\/ubfnrt0123456789abcdefABCDEF.-+eE \n\xc3\xa9\xed";
 
+/// The words and separators of the fault-timeline grammar
+/// (`@<cycle> fault|repair node V|link U-V`, `#` comments), with numbers
+/// at and past `u64::MAX`.
+const TIMELINE_TOKENS: &[&str] = &[
+    "@",
+    "fault",
+    "repair",
+    "node",
+    "link",
+    "-",
+    "#",
+    " ",
+    "\t",
+    "\n",
+    "\r\n",
+    "0",
+    "7",
+    "42",
+    "18446744073709551615",
+    "18446744073709551616",
+    "x",
+];
+
+/// The keys, values and separators of the `--slo` grammar
+/// (`key=value` pairs joined by commas).
+const SLO_TOKENS: &[&str] = &[
+    "p99",
+    "delivered",
+    "queue",
+    "unroutable",
+    "=",
+    ",",
+    "0",
+    "1",
+    "0.5",
+    "1.5",
+    "-",
+    "e",
+    ".",
+    "nan",
+    "inf",
+    "+",
+    " ",
+    "18446744073709551616",
+];
+
+/// Concatenates the picked tokens.
+fn token_soup(tokens: &[&str], picks: &[usize]) -> String {
+    picks.iter().map(|&i| tokens[i]).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
@@ -278,5 +329,94 @@ proptest! {
         let soup = String::from_utf8_lossy(&soup);
         let _ = Baseline::parse(&soup);
         let _ = Baseline::parse(&format!("{}{soup}", "{\"k\":".repeat(depth)));
+    }
+
+    /// `FaultTimeline::parse` (the `--fault-timeline` file reader) and
+    /// `SloSpec::parse` (the `--slo` reader) answer `Ok` or `Err` on
+    /// arbitrary bytes and on text over their own grammars, and never
+    /// panic.
+    #[test]
+    fn timeline_and_slo_parse_never_panic(
+        raw in proptest::collection::vec(0u8..=255, 0..64),
+        timeline_picks in proptest::collection::vec(0usize..TIMELINE_TOKENS.len(), 0..48),
+        slo_picks in proptest::collection::vec(0usize..SLO_TOKENS.len(), 0..24),
+    ) {
+        use hb_netsim::FaultTimeline;
+        use hb_telemetry::SloSpec;
+        let raw = String::from_utf8_lossy(&raw);
+        let _ = FaultTimeline::parse(&raw);
+        let _ = SloSpec::parse(&raw);
+        let _ = FaultTimeline::parse(&token_soup(TIMELINE_TOKENS, &timeline_picks));
+        let _ = SloSpec::parse(&token_soup(SLO_TOKENS, &slo_picks));
+    }
+
+    /// A nondecreasing event list rendered in the documented grammar,
+    /// with comments, blank lines and runs of spaces and tabs, parses
+    /// back to the same events, links normalized to `(min, max)`.
+    #[test]
+    fn timeline_parse_round_trips(
+        events in proptest::collection::vec(
+            (0u64..4, 0u8..4, (0usize..5000, 0usize..5000), 0usize..16),
+            0..24,
+        ),
+    ) {
+        use hb_netsim::{FaultEventKind, FaultTarget, FaultTimeline};
+        const GAPS: [&str; 4] = [" ", "  ", "\t", " \t "];
+        let mut text = String::from("# generated timeline\n");
+        let mut want = FaultTimeline::new();
+        let mut cycle = 0u64;
+        for &(step, what, (u, v), style) in &events {
+            cycle += step;
+            let (word, kind) = if what & 1 == 0 {
+                ("fault", FaultEventKind::Fault)
+            } else {
+                ("repair", FaultEventKind::Repair)
+            };
+            let gap = GAPS[style % 4];
+            let (target, noun) = if what & 2 == 0 {
+                (FaultTarget::Node(u), format!("node{gap}{u}"))
+            } else {
+                (FaultTarget::Link(u, v), format!("link{gap}{u}-{v}"))
+            };
+            want.push(cycle, kind, target);
+            if style & 4 != 0 {
+                text.push_str("\n   \n# @0 fault node 1, a commented-out event\n");
+            }
+            text.push_str(&format!("{gap}@{cycle}{gap}{word}{gap}{noun}{gap}"));
+            if style & 8 != 0 {
+                text.push_str("# trailing comment");
+            }
+            text.push('\n');
+        }
+        prop_assert_eq!(FaultTimeline::parse(&text), Ok(want));
+    }
+
+    /// A random SLO spec rendered as `key=value` pairs in any order
+    /// parses back equal.
+    #[test]
+    fn slo_parse_round_trips(
+        p99 in (0u8..2, 0u64..=u64::MAX),
+        delivered in (0u8..2, 0.0f64..1.0),
+        queue in (0u8..2, 0u64..=u64::MAX),
+        unroutable in (0u8..2, 0u64..=u64::MAX),
+        order in proptest::collection::vec(0u64..1000, 4..5),
+    ) {
+        use hb_telemetry::SloSpec;
+        let keep = |(on, value)| (on == 1).then_some(value);
+        let want = SloSpec {
+            max_p99_latency: keep(p99),
+            min_delivered_fraction: (delivered.0 == 1).then_some(delivered.1),
+            max_queue_depth: keep(queue),
+            max_unroutable: keep(unroutable),
+        };
+        let mut pairs = vec![
+            (order[0], want.max_p99_latency.map(|v| format!("p99={v}"))),
+            (order[1], want.min_delivered_fraction.map(|v| format!("delivered={v}"))),
+            (order[2], want.max_queue_depth.map(|v| format!("queue={v}"))),
+            (order[3], want.max_unroutable.map(|v| format!("unroutable={v}"))),
+        ];
+        pairs.sort_by_key(|&(rank, _)| rank);
+        let text: Vec<String> = pairs.into_iter().filter_map(|(_, pair)| pair).collect();
+        prop_assert_eq!(SloSpec::parse(&text.join(",")), Ok(want));
     }
 }

@@ -128,9 +128,13 @@ fn theorem_5_and_corollary_1() {
 /// `run_with_timeline`. The only admissions it refuses are those whose
 /// source or destination is down when the packet is admitted, replayed
 /// from the timeline (events at cycle `c` are visible to injections at
-/// `c`), and every packet it admits is delivered.
+/// `c`), and every packet it admits is delivered. Remark 10's router is
+/// the second referee: for every admission made while a wave is down
+/// whose endpoints are healthy and distinct, `route_avoiding` over the
+/// nodes down at that cycle returns a path that avoids them all.
 #[test]
 fn corollary_1_holds_over_whole_runs() {
+    use hb_core::fault_routing::route_avoiding;
     use hb_netsim::{
         run_with_timeline, workload, FaultEventKind, FaultPlan, FaultTarget, FaultTimeline,
         HbRouteOrder, HyperButterflyNet, NetTopology, SimConfig, TraceSampling,
@@ -140,9 +144,12 @@ fn corollary_1_holds_over_whole_runs() {
     const CYCLES: u64 = 120;
     for (m, n) in [(1, 3), (2, 3), (2, 4)] {
         let net = HyperButterflyNet::new(m, n, HbRouteOrder::CubeFirst).unwrap();
+        let hb = *net.topology();
+        let engine = DisjointEngine::new(hb).unwrap();
         let nodes = net.num_nodes();
         let faults = m as usize + 3;
         for seed in [3, 17, 2024] {
+            let name = format!("HB({m},{n}) seed {seed}");
             let mut rng = StdRng::seed_from_u64(seed);
             let mut timeline = FaultTimeline::new();
             for at in (5..CYCLES).step_by(20) {
@@ -164,6 +171,7 @@ fn corollary_1_holds_over_whole_runs() {
 
             let mut down = vec![false; nodes];
             let (mut down_now, mut most, mut refused, mut next) = (0usize, 0usize, 0u64, 0usize);
+            let mut routed = 0usize;
             let events = timeline.events();
             for inj in &injections {
                 while next < events.len() && events[next].cycle <= inj.at {
@@ -178,11 +186,32 @@ fn corollary_1_holds_over_whole_runs() {
                     most = most.max(down_now);
                     next += 1;
                 }
-                refused += u64::from(down[inj.src] || down[inj.dst]);
+                if down[inj.src] || down[inj.dst] {
+                    refused += 1;
+                } else if down_now > 0 && inj.src != inj.dst {
+                    let faulty: Vec<_> = (0..nodes)
+                        .filter(|&v| down[v])
+                        .map(|v| hb.node(v))
+                        .collect();
+                    let (u, v) = (hb.node(inj.src), hb.node(inj.dst));
+                    let path = route_avoiding(&engine, u, v, &faulty)
+                        .unwrap()
+                        .unwrap_or_else(|| {
+                            panic!(
+                                "{name}: Remark 10 found no route {u} -> {v} at cycle {}",
+                                inj.at
+                            )
+                        });
+                    assert!(
+                        path.iter().all(|x| !faulty.contains(x)),
+                        "{name}: Remark 10's route {u} -> {v} crosses a faulty node"
+                    );
+                    routed += 1;
+                }
             }
-            let name = format!("HB({m},{n}) seed {seed}");
             assert_eq!(most, faults, "{name}: the most nodes down at once");
             assert!(refused > 0, "{name}: no admission met a faulty endpoint");
+            assert!(routed > 0, "{name}: no admission ran while a wave was down");
 
             let tel = hb_telemetry::Telemetry::summary();
             let cfg = SimConfig::bounded(100_000).with_telemetry(tel.clone());
