@@ -30,9 +30,9 @@
 
 use crate::flight::Spans;
 use crate::par::ShardPort;
-use crate::pool::PacketPool;
+use crate::pool::{ChanQueues, PacketPool};
 use crate::routes::RouteTable;
-use crate::sim::{ChanLayout, ChanQueues, Injection, MemStats, SimConfig, SimStats};
+use crate::sim::{ChanLayout, Injection, MemStats, SimConfig, SimStats};
 use crate::topology::{NetTopology, MAX_PRODUCTIVE};
 use crate::tsrec::{GlobalTs, LinkTs};
 use hb_graphs::NodeId;
@@ -108,7 +108,7 @@ pub(crate) trait RoutePolicy {
         &mut self,
         via: Self::Via,
         p: &Packet,
-        queues: &ChanQueues<u32>,
+        queues: &ChanQueues,
         prof: &mut ProfCounters,
     ) -> usize;
 
@@ -168,7 +168,7 @@ impl RoutePolicy for SourceRouted<'_> {
         &mut self,
         via: usize,
         _p: &Packet,
-        _queues: &ChanQueues<u32>,
+        _queues: &ChanQueues,
         _prof: &mut ProfCounters,
     ) -> usize {
         via
@@ -241,7 +241,7 @@ impl RoutePolicy for Adaptive<'_> {
         &mut self,
         at: NodeId,
         p: &Packet,
-        queues: &ChanQueues<u32>,
+        queues: &ChanQueues,
         prof: &mut ProfCounters,
     ) -> usize {
         let k = self
@@ -547,9 +547,6 @@ pub(crate) struct RunCtx<'a> {
     pub(crate) injections: &'a [Injection],
     pub(crate) cfg: &'a SimConfig,
     pub(crate) layout: ChanLayout<'a>,
-    /// Sparse (lazily materialised) channel store, exactly when the
-    /// topology has no materialised graph.
-    pub(crate) sparse: bool,
     /// Channel id -> (tail, head), ascending; materialised only with
     /// telemetry on (the million-node perf path runs telemetry-off and
     /// never pays for it).
@@ -578,7 +575,6 @@ impl<'a> RunCtx<'a> {
             topo,
             injections,
             cfg,
-            sparse: topo.explicit_graph().is_none(),
             layout,
             ends,
         }
@@ -697,7 +693,7 @@ pub(crate) struct Kernel<'a, R: RoutePolicy, D> {
     owns: Range<NodeId>,
     /// Channels this kernel serves.
     channels: Range<usize>,
-    queues: ChanQueues<u32>,
+    queues: ChanQueues,
     pool: PacketPool<Packet>,
     /// Channels with a queued packet: the service set.
     active: Vec<usize>,
@@ -745,7 +741,12 @@ impl<'a, R: RoutePolicy, D: Discipline> Kernel<'a, R, D> {
         Kernel {
             ctx,
             route,
-            queues: ChanQueues::new(channels.clone(), ctx.sparse, disc.capacity().is_some()),
+            // One record per channel under CSR; busy channels only
+            // without a materialised graph.
+            queues: ChanQueues::new(
+                channels.clone(),
+                matches!(ctx.layout, ChanLayout::Csr { .. }),
+            ),
             disc,
             owns,
             pool: PacketPool::new(),
@@ -869,7 +870,6 @@ impl<'a, R: RoutePolicy, D: Discipline> Kernel<'a, R, D> {
 
         // 3. Serve one head per active channel. Moves are collected and
         // land afterwards, so a packet crosses at most one hop a cycle.
-        let bounded = self.disc.capacity().is_some();
         self.still_active.clear();
         self.moved.clear();
         for i in 0..self.active.len() {
@@ -877,20 +877,16 @@ impl<'a, R: RoutePolicy, D: Discipline> Kernel<'a, R, D> {
             if let Some(b) = self.board.as_mut() {
                 b.busy[ch - b.base] += 1;
             }
-            let key = if bounded {
-                self.queues.front(ch).copied()
-            } else {
-                self.queues.pop_front(ch)
-            }
-            .expect("invariant: active channels hold a packet");
+            let key = self
+                .queues
+                .front(ch)
+                .expect("invariant: active channels hold a packet");
             let mut p = *self.pool.get(key);
             p.hop += 1;
             let next = self.route.advance(&p, ch);
             let moves = next.is_none_or(|via| self.has_room(via, &p));
             if moves {
-                if bounded {
-                    self.queues.pop_front(ch);
-                }
+                self.queues.pop_front(ch);
                 *self.pool.get_mut(key) = p;
                 if let Some(b) = self.board.as_mut() {
                     b.fwd[ch - b.base] += 1;
@@ -914,9 +910,7 @@ impl<'a, R: RoutePolicy, D: Discipline> Kernel<'a, R, D> {
             let left = self.queues.len(ch);
             self.prof.service_inv += 1;
             self.prof.service_work += left as u64 + u64::from(moves);
-            if left == 0 {
-                self.queues.deactivate(ch);
-            } else {
+            if left > 0 {
                 self.still_active.push(ch);
             }
         }
@@ -974,8 +968,7 @@ impl<'a, R: RoutePolicy, D: Discipline> Kernel<'a, R, D> {
         if let Some(sp) = self.spans.as_mut() {
             sp.open_hop(key, self.pool.get(key), at, self.queues.len(ch));
         }
-        self.queues.push_back(ch, key);
-        if self.queues.activate(ch) {
+        if self.queues.push_back(ch, key) {
             self.active.push(ch);
         }
     }

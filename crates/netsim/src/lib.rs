@@ -30,8 +30,9 @@
 //!   mid-run fault/repair events applied by that compile, deterministic
 //!   across engines and thread counts; a static plan is the empty
 //!   timeline;
-//! * [`pool`] — the slab [`pool::PacketPool`] backing the simulators'
-//!   queues (4-byte keys, zero per-hop allocation in steady state);
+//! * [`pool`] — the slab [`pool::PacketPool`] and the channel queues
+//!   threaded through its 4-byte keys (one 16-byte record per channel,
+//!   zero per-hop allocation in steady state);
 //! * the sharded parallel engine behind [`SimConfig::with_threads`]:
 //!   the same cycle kernel per shard plus ordered cross-shard mailboxes,
 //!   byte-identical to a serial run at every thread count (DESIGN.md §9

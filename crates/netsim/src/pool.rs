@@ -1,12 +1,24 @@
-//! Slab packet pool: stable `u32` keys into a reusable arena, so the
-//! hot per-channel `VecDeque`s move 4-byte keys instead of packet
-//! structs and the steady state performs **zero** per-hop allocations —
-//! freed slots are recycled in LIFO order, and all storage is reused
-//! across cycles.
+//! The packet pool and the channel queues threaded through its keys.
 //!
-//! The simulators allocate one slot per injected packet and free it at
-//! delivery; the live high-water mark bounds the arena, so a drained run
-//! ends with `live() == 0` and every slot on the free list.
+//! Packets live in a slab [`PacketPool`]: stable `u32` keys into a
+//! reusable arena, freed slots recycled in LIFO order. The simulators
+//! allocate one slot per injected packet and free it at delivery; the
+//! live high-water mark bounds the arena, so a drained run ends with
+//! `live() == 0` and every slot on the free list.
+//!
+//! Every channel's FIFO is a list of those keys, linked through one
+//! `next` entry per pool slot: a queue is one 16-byte record (head,
+//! tail, length, same-cycle credits), a push writes one link and a pop
+//! reads one, so the steady state performs **zero** per-hop
+//! allocations. A cycle kernel's queue store keeps one record per
+//! channel when its layout is CSR over a materialised graph, and records
+//! of busy channels only on a graph-free layout, so a million-node run
+//! holds records in proportion to its traffic. Each queue operation is
+//! written once over the record; only the record lookup tells the two
+//! stores apart.
+
+use std::mem::size_of;
+use std::ops::Range;
 
 /// A slab allocator with stable `u32` keys and a LIFO free list.
 #[derive(Clone, Debug, Default)]
@@ -22,16 +34,6 @@ impl<T> PacketPool<T> {
     pub fn new() -> Self {
         Self {
             slots: Vec::new(),
-            free: Vec::new(),
-            live: 0,
-        }
-    }
-
-    /// An empty pool with room for `cap` packets before reallocating.
-    #[must_use]
-    pub fn with_capacity(cap: usize) -> Self {
-        Self {
-            slots: Vec::with_capacity(cap),
             free: Vec::new(),
             live: 0,
         }
@@ -96,149 +98,248 @@ impl<T> PacketPool<T> {
     /// Approximate heap footprint in bytes.
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
-        self.slots.capacity() * std::mem::size_of::<T>()
-            + self.free.capacity() * std::mem::size_of::<u32>()
+        self.slots.capacity() * size_of::<T>() + self.free.capacity() * size_of::<u32>()
     }
 }
 
-/// One lazily materialised per-channel record: the FIFO queue plus the
-/// bookkeeping the frontier engines need (worklist membership and the
-/// bounded runner's same-cycle credit count).
-#[derive(Clone, Debug, Default)]
-pub struct ChannelRec<T> {
-    /// The channel's FIFO queue.
-    pub queue: std::collections::VecDeque<T>,
-    /// Whether the channel currently sits on the active worklist.
-    pub active: bool,
-    /// Packets admitted toward this channel in the current cycle
-    /// (bounded runner's conservative credit count).
-    pub incoming: usize,
+/// One channel's queue: a FIFO of pool keys linked through
+/// [`ChanQueues`]' `next`, plus the bounded discipline's same-cycle
+/// credit count.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct Chan {
+    /// Key at the front; stale while `len == 0`.
+    head: u32,
+    /// Key at the back; stale while `len == 0`.
+    tail: u32,
+    /// Queued packets.
+    len: u32,
+    /// Packets admitted toward this channel in the current cycle.
+    incoming: u32,
 }
 
-/// Sparse channel-keyed store for the frontier engines: records are
-/// materialised on first touch and recycled (LIFO, capacity retained)
-/// once a channel is idle again, so a simulation over `C` channels with
-/// `k` concurrently busy ones holds `O(k)` records — never `O(C)`. The
-/// index is a sorted `(channel, slot)` vector (binary-search lookup,
-/// memmove insert), which stays allocation-free at steady state once the
-/// live high-water mark is reached.
-#[derive(Clone, Debug, Default)]
-pub struct ChannelMap<T> {
-    /// Sorted by channel id; values are slots into `slabs`.
-    index: Vec<(usize, u32)>,
-    slabs: Vec<ChannelRec<T>>,
-    free: Vec<u32>,
+impl Chan {
+    /// No queued packet and no pending credit: a sparse record may go.
+    fn is_idle(self) -> bool {
+        self.len == 0 && self.incoming == 0
+    }
+}
+
+/// The records of busy channels only, sorted by channel id
+/// (binary-search lookup, memmove insert and remove). A record appears
+/// when a packet or a credit first targets its channel and goes once the
+/// channel is idle, so a run over `C` channels with `k` busy ones holds
+/// `O(k)` records, never `O(C)`; the vector stops growing once the live
+/// high-water mark is reached.
+#[derive(Default)]
+pub(crate) struct ChannelMap {
+    recs: Vec<(usize, Chan)>,
+    /// High-water mark of `recs.len()`.
     peak_live: usize,
 }
 
-impl<T> ChannelMap<T> {
-    /// An empty map.
-    #[must_use]
-    pub fn new() -> Self {
-        Self {
-            index: Vec::new(),
-            slabs: Vec::new(),
-            free: Vec::new(),
-            peak_live: 0,
-        }
+impl ChannelMap {
+    fn find(&self, ch: usize) -> Result<usize, usize> {
+        self.recs.binary_search_by_key(&ch, |&(c, _)| c)
     }
 
-    /// The record for `ch`, if materialised.
+    /// `ch`'s record, or an empty one when it has none.
     // analyze: hot(per-packet channel lookup on the frontier engine's cycle path)
     #[inline]
-    #[must_use]
-    pub fn get(&self, ch: usize) -> Option<&ChannelRec<T>> {
-        self.index
-            .binary_search_by_key(&ch, |&(c, _)| c)
-            .ok()
-            .map(|i| &self.slabs[self.index[i].1 as usize])
+    fn get(&self, ch: usize) -> Chan {
+        self.find(ch).map_or(Chan::default(), |i| self.recs[i].1)
     }
 
-    /// Mutable access to the record for `ch`, if materialised.
-    // analyze: hot(per-packet channel lookup on the frontier engine's cycle path)
+    /// `ch`'s record, inserting an empty one on first touch.
+    // analyze: hot(per-packet materialise; the index grows only past its high-water mark)
     #[inline]
-    pub fn get_mut(&mut self, ch: usize) -> Option<&mut ChannelRec<T>> {
-        match self.index.binary_search_by_key(&ch, |&(c, _)| c) {
-            Ok(i) => Some(&mut self.slabs[self.index[i].1 as usize]),
-            Err(_) => None,
-        }
+    fn ensure(&mut self, ch: usize) -> &mut Chan {
+        let i = match self.find(ch) {
+            Ok(i) => i,
+            Err(at) => {
+                self.recs.insert(at, (ch, Chan::default()));
+                self.peak_live = self.peak_live.max(self.recs.len());
+                at
+            }
+        };
+        &mut self.recs[i].1
     }
 
-    /// The record for `ch`, materialising an empty one on first touch
-    /// (recycling a retired record — and its queue capacity — when one
-    /// is free).
-    // analyze: hot(steady state recycles retired records; slab growth is first-touch only)
-    pub fn ensure(&mut self, ch: usize) -> &mut ChannelRec<T> {
-        let at = match self.index.binary_search_by_key(&ch, |&(c, _)| c) {
-            Ok(i) => return &mut self.slabs[self.index[i].1 as usize],
-            Err(at) => at,
-        };
-        let slot = if let Some(s) = self.free.pop() {
-            s
-        } else {
-            let s = u32::try_from(self.slabs.len())
-                .expect("invariant: fewer than 2^32 live channel records");
-            self.slabs.push(ChannelRec {
-                queue: std::collections::VecDeque::new(),
-                active: false,
-                incoming: 0,
-            });
-            s
-        };
-        self.index.insert(at, (ch, slot));
-        self.peak_live = self.peak_live.max(self.index.len());
-        &mut self.slabs[slot as usize]
-    }
-
-    /// Retires `ch`'s record when it is fully idle (empty queue, off the
-    /// worklist, no pending credit count); its storage goes back on the
-    /// free list with queue capacity intact. No-op otherwise.
+    /// Drops `ch`'s record if it is idle.
     // analyze: hot(runs once per drained channel per cycle; must not allocate)
-    pub fn release_if_idle(&mut self, ch: usize) {
-        let Ok(i) = self.index.binary_search_by_key(&ch, |&(c, _)| c) else {
-            return;
-        };
-        let slot = self.index[i].1;
-        let rec = &self.slabs[slot as usize];
-        if rec.queue.is_empty() && !rec.active && rec.incoming == 0 {
-            self.index.remove(i);
-            self.free.push(slot);
+    #[inline]
+    fn release_if_idle(&mut self, ch: usize) {
+        if let Ok(i) = self.find(ch) {
+            if self.recs[i].1.is_idle() {
+                self.recs.remove(i);
+            }
+        }
+    }
+}
+
+/// Where a kernel's channel records live.
+enum Records {
+    /// One record per channel of the range, indexed `ch - base`.
+    Dense { base: usize, chans: Vec<Chan> },
+    /// Records of busy channels only.
+    Sparse(ChannelMap),
+}
+
+impl Records {
+    #[inline]
+    fn get(&self, ch: usize) -> Chan {
+        match self {
+            Records::Dense { base, chans } => chans[ch - base],
+            Records::Sparse(map) => map.get(ch),
         }
     }
 
-    /// Live (materialised) channel records.
-    #[must_use]
-    pub fn live(&self) -> usize {
-        self.index.len()
+    /// `ch`'s record, materialised under sparse storage.
+    #[inline]
+    fn get_mut(&mut self, ch: usize) -> &mut Chan {
+        match self {
+            Records::Dense { base, chans } => &mut chans[ch - *base],
+            Records::Sparse(map) => map.ensure(ch),
+        }
     }
 
-    /// High-water mark of concurrently live records — the memory bound
-    /// the frontier engine promises: proportional to busy channels, not
-    /// to the topology's channel count.
-    #[must_use]
-    pub fn peak_live(&self) -> usize {
-        self.peak_live
+    /// Drops an idle sparse record; dense records always stay.
+    #[inline]
+    fn release_if_idle(&mut self, ch: usize) {
+        if let Records::Sparse(map) = self {
+            map.release_if_idle(ch);
+        }
+    }
+}
+
+/// The channel queues of one cycle kernel's channel range. Both stores
+/// take global channel ids and keep each channel's FIFO order, so runs
+/// are byte-identical across them. A channel belongs on the kernel's
+/// worklist exactly while its queue is non-empty: [`Self::push_back`]
+/// reports the empty-to-busy step, and a sparse record goes when
+/// [`Self::pop_front`] or [`Self::clear_incoming`] leaves it with no
+/// queued packet and no pending credit.
+pub(crate) struct ChanQueues {
+    recs: Records,
+    /// `next[key]`: the key queued behind `key` on its channel; stale
+    /// for a key at a tail or not queued.
+    next: Vec<u32>,
+}
+
+impl ChanQueues {
+    /// Queues for `channels`: one record per channel when `dense`,
+    /// records of busy channels only otherwise.
+    pub(crate) fn new(channels: Range<usize>, dense: bool) -> Self {
+        let recs = if dense {
+            Records::Dense {
+                base: channels.start,
+                chans: vec![Chan::default(); channels.len()],
+            }
+        } else {
+            Records::Sparse(ChannelMap::default())
+        };
+        Self {
+            recs,
+            next: Vec::new(),
+        }
     }
 
-    /// Approximate heap footprint in bytes (index + slab spines + queue
-    /// buffers).
-    #[must_use]
-    pub fn heap_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.index.capacity() * size_of::<(usize, u32)>()
-            + self.free.capacity() * size_of::<u32>()
-            + self.slabs.capacity() * size_of::<ChannelRec<T>>()
-            + self
-                .slabs
-                .iter()
-                .map(|r| r.queue.capacity() * size_of::<T>())
-                .sum::<usize>()
+    #[inline]
+    pub(crate) fn len(&self, ch: usize) -> usize {
+        self.recs.get(ch).len as usize
+    }
+
+    #[inline]
+    pub(crate) fn front(&self, ch: usize) -> Option<u32> {
+        let c = self.recs.get(ch);
+        (c.len > 0).then_some(c.head)
+    }
+
+    /// Appends `key` to `ch`'s queue; returns `true` when the queue was
+    /// empty (the caller then puts `ch` on its worklist).
+    #[inline]
+    pub(crate) fn push_back(&mut self, ch: usize, key: u32) -> bool {
+        if key as usize >= self.next.len() {
+            self.next.resize(key as usize + 1, 0);
+        }
+        let c = self.recs.get_mut(ch);
+        if c.len == 0 {
+            c.head = key;
+        } else {
+            self.next[c.tail as usize] = key;
+        }
+        c.tail = key;
+        c.len += 1;
+        c.len == 1
+    }
+
+    /// Removes and returns `ch`'s front key; under sparse storage a
+    /// record left with no packet and no pending credit goes.
+    #[inline]
+    pub(crate) fn pop_front(&mut self, ch: usize) -> Option<u32> {
+        let key = self.front(ch)?;
+        let c = self.recs.get_mut(ch);
+        c.head = self.next[key as usize];
+        c.len -= 1;
+        if c.is_idle() {
+            self.recs.release_if_idle(ch);
+        }
+        Some(key)
+    }
+
+    /// Queue depth plus same-cycle admitted credits (bounded runner's
+    /// conservative flow-control test).
+    #[inline]
+    pub(crate) fn len_plus_incoming(&self, ch: usize) -> usize {
+        let c = self.recs.get(ch);
+        c.len as usize + c.incoming as usize
+    }
+
+    /// Counts one admitted packet toward `ch` this cycle; returns `true`
+    /// on the first credit (the caller then remembers `ch` for the
+    /// end-of-cycle reset).
+    #[inline]
+    pub(crate) fn add_incoming(&mut self, ch: usize) -> bool {
+        let c = self.recs.get_mut(ch);
+        c.incoming += 1;
+        c.incoming == 1
+    }
+
+    /// Resets the credit count of a channel [`Self::add_incoming`]
+    /// touched this cycle; under sparse storage an empty record goes.
+    #[inline]
+    pub(crate) fn clear_incoming(&mut self, ch: usize) {
+        let c = self.recs.get_mut(ch);
+        c.incoming = 0;
+        if c.len == 0 {
+            self.recs.release_if_idle(ch);
+        }
+    }
+
+    /// Peak concurrently materialised channel records: the range's
+    /// channel count under dense storage, the high-water mark of live
+    /// records under sparse.
+    pub(crate) fn peak_records(&self) -> usize {
+        match &self.recs {
+            Records::Dense { chans, .. } => chans.len(),
+            Records::Sparse(map) => map.peak_live,
+        }
+    }
+
+    /// Approximate heap footprint of the store in bytes, `next` included.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        let recs = match &self.recs {
+            Records::Dense { chans, .. } => chans.capacity() * size_of::<Chan>(),
+            Records::Sparse(map) => map.recs.capacity() * size_of::<(usize, Chan)>(),
+        };
+        recs + self.next.capacity() * size_of::<u32>()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::VecDeque;
 
     #[test]
     fn alloc_free_recycles_slots() {
@@ -258,7 +359,7 @@ mod tests {
 
     #[test]
     fn capacity_tracks_high_water_mark_not_live() {
-        let mut p = PacketPool::with_capacity(4);
+        let mut p = PacketPool::new();
         let keys: Vec<u32> = (0..10).map(|i| p.alloc(i)).collect();
         assert_eq!(p.capacity(), 10);
         for &k in &keys {
@@ -271,7 +372,7 @@ mod tests {
             p.alloc(i);
         }
         assert_eq!(p.capacity(), 10);
-        assert!(p.heap_bytes() >= 10 * std::mem::size_of::<i32>());
+        assert!(p.heap_bytes() >= 10 * size_of::<i32>());
     }
 
     #[test]
@@ -293,47 +394,119 @@ mod tests {
     }
 
     #[test]
-    fn channel_map_materialises_and_recycles_records() {
-        let mut m: ChannelMap<u32> = ChannelMap::new();
-        assert!(m.get(7).is_none());
-        m.ensure(7).queue.push_back(1);
-        m.ensure(3).queue.push_back(2);
-        assert_eq!(m.live(), 2);
-        assert_eq!(m.get(7).unwrap().queue.front(), Some(&1));
-        // Busy or flagged records survive release attempts.
+    fn channel_map_materialises_and_releases_records() {
+        let mut m = ChannelMap::default();
+        assert_eq!(m.get(7), Chan::default());
+        m.ensure(7).len = 1;
+        m.ensure(3).incoming = 1;
+        assert_eq!(m.recs.len(), 2);
+        assert_eq!(m.get(7).len, 1);
+        // A queued packet or a pending credit keeps a record.
         m.release_if_idle(7);
-        assert_eq!(m.live(), 2);
-        m.get_mut(7).unwrap().queue.pop_front();
-        m.get_mut(7).unwrap().active = true;
+        m.release_if_idle(3);
+        assert_eq!(m.recs.len(), 2);
+        m.ensure(7).len = 0;
         m.release_if_idle(7);
-        assert_eq!(m.live(), 2);
-        m.get_mut(7).unwrap().active = false;
-        m.release_if_idle(7);
-        assert_eq!(m.live(), 1);
-        // The retired record is recycled for the next fresh channel and
-        // the high-water mark tracks concurrency, not distinct channels.
+        assert_eq!(m.recs.len(), 1);
+        // The high-water mark tracks concurrency, not distinct channels.
         m.ensure(9);
-        assert_eq!(m.live(), 2);
-        assert_eq!(m.peak_live(), 2);
-        assert!(m.heap_bytes() > 0);
+        assert_eq!(m.recs.len(), 2);
+        assert_eq!(m.peak_live, 2);
     }
 
     #[test]
     fn channel_map_index_stays_sorted_under_churn() {
-        let mut m: ChannelMap<u32> = ChannelMap::new();
+        let mut m = ChannelMap::default();
         for ch in [90usize, 4, 57, 23, 88, 1] {
-            m.ensure(ch).queue.push_back(ch as u32);
+            m.ensure(ch).head = ch as u32;
         }
         for ch in [4usize, 88] {
-            m.get_mut(ch).unwrap().queue.pop_front();
             m.release_if_idle(ch);
         }
         for ch in [1usize, 23, 57, 90] {
-            assert_eq!(m.get(ch).unwrap().queue.front(), Some(&(ch as u32)));
+            assert_eq!(m.get(ch).head, ch as u32);
         }
-        assert!(m.get(4).is_none());
-        assert!(m.get(88).is_none());
-        assert_eq!(m.live(), 4);
-        assert_eq!(m.peak_live(), 6);
+        assert_eq!(m.get(4), Chan::default());
+        assert_eq!(m.get(88), Chan::default());
+        let live: Vec<usize> = m.recs.iter().map(|&(c, _)| c).collect();
+        assert_eq!(live, [1, 23, 57, 90]);
+        assert_eq!(m.peak_live, 6);
+    }
+
+    /// Channels of a range that does not start at 0, as in a shard.
+    const BASE: usize = 10;
+    const CHANNELS: usize = 5;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Both stores against the representation they replace, one
+        /// `VecDeque` per channel plus a credit count: random pushes,
+        /// pops, credits and end-of-cycle resets over a few channels.
+        /// Keys come from a `PacketPool`, so a popped key is freed and
+        /// comes back (LIFO) while other queues still thread through
+        /// `next`. Under sparse storage the live records are exactly the
+        /// channels with a queued packet or a pending credit.
+        #[test]
+        fn chan_queues_match_vecdeque_model(
+            dense in 0u8..2,
+            ops in proptest::collection::vec((0u8..16, 0usize..CHANNELS), 0..160),
+        ) {
+            let mut q = ChanQueues::new(BASE..BASE + CHANNELS, dense == 1);
+            let mut pool = PacketPool::new();
+            let mut model = vec![VecDeque::new(); CHANNELS];
+            let mut credits = [0usize; CHANNELS];
+            let mut touched = Vec::new();
+            let mut peak = 0;
+            for (op, i) in ops {
+                let ch = BASE + i;
+                match op {
+                    0..=5 => {
+                        let key = pool.alloc(());
+                        prop_assert_eq!(q.push_back(ch, key), model[i].is_empty());
+                        model[i].push_back(key);
+                    }
+                    6..=10 => {
+                        let key = q.pop_front(ch);
+                        prop_assert_eq!(key, model[i].pop_front());
+                        if let Some(key) = key {
+                            pool.free(key);
+                        }
+                    }
+                    11..=13 => {
+                        credits[i] += 1;
+                        let first = q.add_incoming(ch);
+                        prop_assert_eq!(first, credits[i] == 1);
+                        if first {
+                            touched.push(ch);
+                        }
+                    }
+                    _ => {
+                        for ch in touched.drain(..) {
+                            q.clear_incoming(ch);
+                            credits[ch - BASE] = 0;
+                        }
+                    }
+                }
+                for (i, want) in model.iter().enumerate() {
+                    let ch = BASE + i;
+                    prop_assert_eq!(q.len(ch), want.len());
+                    prop_assert_eq!(q.front(ch), want.front().copied());
+                    prop_assert_eq!(q.len_plus_incoming(ch), want.len() + credits[i]);
+                }
+                if let Records::Sparse(map) = &q.recs {
+                    let live: Vec<usize> = map.recs.iter().map(|&(c, _)| c).collect();
+                    let busy: Vec<usize> = (0..CHANNELS)
+                        .filter(|&i| !model[i].is_empty() || credits[i] > 0)
+                        .map(|i| BASE + i)
+                        .collect();
+                    prop_assert_eq!(&live, &busy);
+                    peak = peak.max(busy.len());
+                } else {
+                    peak = CHANNELS;
+                }
+                prop_assert_eq!(q.peak_records(), peak);
+            }
+        }
     }
 }

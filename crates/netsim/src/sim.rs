@@ -18,7 +18,8 @@
 //! Every entry point here, in [`crate::flight`], and in [`crate::churn`]
 //! instantiates the one cycle kernel (`crate::kernel`, DESIGN.md §17)
 //! with a route policy and a queue discipline; this module holds the
-//! shared run types, the channel layout, and the channel queue store.
+//! shared run types and the channel layout. The channel queues live in
+//! [`crate::pool`], beside the packet pool whose keys they thread.
 //!
 //! # Observability
 //!
@@ -40,8 +41,6 @@ use crate::routes::RouteTable;
 use crate::topology::{NetTopology, MAX_PRODUCTIVE};
 use hb_graphs::NodeId;
 use hb_telemetry::{LinkKey, Telemetry};
-use std::collections::VecDeque;
-use std::ops::Range;
 
 /// A packet to inject: source, destination, injection cycle.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -333,195 +332,6 @@ impl<'a> ChanLayout<'a> {
     }
 }
 
-/// Per-channel queue storage for one cycle kernel's channel range.
-/// `Dense` is the historical layout: one `VecDeque` per channel,
-/// O(channels) memory, O(1) access. `Sparse` materialises a
-/// [`crate::pool::ChannelMap`] record on first touch and retires it once
-/// the channel is idle, so memory tracks **concurrently busy channels**
-/// instead of topology size. Both present identical FIFO semantics and
-/// take global channel ids; the kernel drains the same active worklist
-/// either way, so results are byte-identical across storage modes.
-pub(crate) enum ChanQueues<T> {
-    Dense {
-        /// First channel of the range; vectors are indexed `ch - base`.
-        base: usize,
-        queues: Vec<VecDeque<T>>,
-        is_active: Vec<bool>,
-        /// Same-cycle credit counts (bounded discipline only; empty
-        /// otherwise).
-        incoming: Vec<usize>,
-    },
-    Sparse(crate::pool::ChannelMap<T>),
-}
-
-impl<T> ChanQueues<T> {
-    pub(crate) fn new(channels: Range<usize>, sparse: bool, credits: bool) -> Self {
-        if sparse {
-            ChanQueues::Sparse(crate::pool::ChannelMap::new())
-        } else {
-            let n = channels.len();
-            ChanQueues::Dense {
-                base: channels.start,
-                queues: (0..n).map(|_| VecDeque::new()).collect(),
-                is_active: vec![false; n],
-                incoming: if credits { vec![0; n] } else { Vec::new() },
-            }
-        }
-    }
-
-    #[inline]
-    pub(crate) fn len(&self, ch: usize) -> usize {
-        match self {
-            ChanQueues::Dense { base, queues, .. } => queues[ch - base].len(),
-            ChanQueues::Sparse(map) => map.get(ch).map_or(0, |r| r.queue.len()),
-        }
-    }
-
-    #[inline]
-    pub(crate) fn front(&self, ch: usize) -> Option<&T> {
-        match self {
-            ChanQueues::Dense { base, queues, .. } => queues[ch - base].front(),
-            ChanQueues::Sparse(map) => map.get(ch).and_then(|r| r.queue.front()),
-        }
-    }
-
-    #[inline]
-    pub(crate) fn push_back(&mut self, ch: usize, value: T) {
-        match self {
-            ChanQueues::Dense { base, queues, .. } => queues[ch - *base].push_back(value),
-            ChanQueues::Sparse(map) => map.ensure(ch).queue.push_back(value),
-        }
-    }
-
-    #[inline]
-    pub(crate) fn pop_front(&mut self, ch: usize) -> Option<T> {
-        match self {
-            ChanQueues::Dense { base, queues, .. } => queues[ch - *base].pop_front(),
-            ChanQueues::Sparse(map) => map.get_mut(ch).and_then(|r| r.queue.pop_front()),
-        }
-    }
-
-    /// Marks `ch` on the active worklist; returns `true` when it was not
-    /// already there (the caller then pushes it onto the worklist vec).
-    #[inline]
-    pub(crate) fn activate(&mut self, ch: usize) -> bool {
-        match self {
-            ChanQueues::Dense {
-                base, is_active, ..
-            } => !std::mem::replace(&mut is_active[ch - *base], true),
-            ChanQueues::Sparse(map) => {
-                let rec = map.ensure(ch);
-                if rec.active {
-                    false
-                } else {
-                    rec.active = true;
-                    true
-                }
-            }
-        }
-    }
-
-    /// Takes `ch` off the worklist; under sparse storage an idle record
-    /// is retired (capacity recycled) so live records track busy
-    /// channels.
-    #[inline]
-    pub(crate) fn deactivate(&mut self, ch: usize) {
-        match self {
-            ChanQueues::Dense {
-                base, is_active, ..
-            } => is_active[ch - *base] = false,
-            ChanQueues::Sparse(map) => {
-                if let Some(rec) = map.get_mut(ch) {
-                    rec.active = false;
-                }
-                map.release_if_idle(ch);
-            }
-        }
-    }
-
-    /// Queue depth plus same-cycle admitted credits (bounded runner's
-    /// conservative flow-control test).
-    #[inline]
-    pub(crate) fn len_plus_incoming(&self, ch: usize) -> usize {
-        match self {
-            ChanQueues::Dense {
-                base,
-                queues,
-                incoming,
-                ..
-            } => queues[ch - base].len() + incoming[ch - base],
-            ChanQueues::Sparse(map) => map.get(ch).map_or(0, |r| r.queue.len() + r.incoming),
-        }
-    }
-
-    /// Counts one admitted packet toward `ch` this cycle; returns `true`
-    /// on the first credit (the caller then remembers `ch` for the
-    /// end-of-cycle reset).
-    #[inline]
-    pub(crate) fn add_incoming(&mut self, ch: usize) -> bool {
-        match self {
-            ChanQueues::Dense { base, incoming, .. } => {
-                incoming[ch - *base] += 1;
-                incoming[ch - *base] == 1
-            }
-            ChanQueues::Sparse(map) => {
-                let rec = map.ensure(ch);
-                rec.incoming += 1;
-                rec.incoming == 1
-            }
-        }
-    }
-
-    /// Resets `ch`'s credit count at end of cycle (sparse storage also
-    /// retires the record if the channel went fully idle).
-    #[inline]
-    pub(crate) fn clear_incoming(&mut self, ch: usize) {
-        match self {
-            ChanQueues::Dense { base, incoming, .. } => incoming[ch - *base] = 0,
-            ChanQueues::Sparse(map) => {
-                if let Some(rec) = map.get_mut(ch) {
-                    rec.incoming = 0;
-                }
-                map.release_if_idle(ch);
-            }
-        }
-    }
-
-    /// Peak concurrently materialised channel records: the topology's
-    /// channel count under dense storage, the [`ChannelMap`] high-water
-    /// mark under sparse.
-    ///
-    /// [`ChannelMap`]: crate::pool::ChannelMap
-    pub(crate) fn peak_records(&self) -> usize {
-        match self {
-            ChanQueues::Dense { queues, .. } => queues.len(),
-            ChanQueues::Sparse(map) => map.peak_live(),
-        }
-    }
-
-    /// Approximate heap footprint of the store in bytes.
-    pub(crate) fn heap_bytes(&self) -> usize {
-        use std::mem::size_of;
-        match self {
-            ChanQueues::Dense {
-                queues,
-                is_active,
-                incoming,
-                ..
-            } => {
-                queues.capacity() * size_of::<VecDeque<T>>()
-                    + queues
-                        .iter()
-                        .map(|q| q.capacity() * size_of::<T>())
-                        .sum::<usize>()
-                    + is_active.capacity()
-                    + incoming.capacity() * size_of::<usize>()
-            }
-            ChanQueues::Sparse(map) => map.heap_bytes(),
-        }
-    }
-}
-
 /// Memory accounting for one serial oblivious run — the diagnostic
 /// companion [`run_with_mem`] returns alongside the stats. Deliberately
 /// **not** part of [`SimStats`] or the telemetry snapshot: storage mode
@@ -537,7 +347,8 @@ pub struct MemStats {
     /// Total directed channels of the topology (what dense storage
     /// allocates up front).
     pub num_channels: usize,
-    /// Heap bytes held by the channel store at run end.
+    /// Heap bytes held by the channel store at run end: its records and
+    /// the per-key queue links.
     pub channel_store_bytes: usize,
     /// Heap bytes held by the workload-keyed route table.
     pub route_table_bytes: usize,

@@ -8,7 +8,8 @@
 //!
 //! Covered engines: `run_adaptive` (dense) and the frontier engine
 //! (`run` over the implicit topology's sparse channel store, where
-//! records churn through the recycling free list every wave).
+//! channel records are inserted into and removed from the sorted record
+//! vector every wave).
 //!
 //! This is the only test in this file: the global counting allocator
 //! must not race with unrelated tests.
@@ -71,7 +72,7 @@ enum Engine {
     /// The adaptive router's dense allocation-free path.
     Adaptive,
     /// The oblivious frontier engine on sparse (implicit) channel
-    /// state: channel records materialise and recycle every wave.
+    /// state: channel records appear and go every wave.
     Frontier,
 }
 
@@ -142,7 +143,7 @@ fn hot_loops_steady_state_are_allocation_free() {
     assert_steady_state_alloc_free(&hc, Engine::Adaptive, true);
     assert_steady_state_alloc_free(&hb, Engine::Adaptive, true);
     // Frontier engine over the implicit topology: the sparse channel
-    // store's record recycling (materialise on touch, retire on drain)
+    // store's record churn (insert on first touch, remove once idle)
     // must also settle to zero allocations per wave.
     let imp = HyperButterflyNet::implicit(2, 3, HbRouteOrder::CubeFirst).unwrap();
     assert_steady_state_alloc_free(&imp, Engine::Frontier, false);
