@@ -288,7 +288,8 @@ proptest! {
                 "serial" => run(t, &inj, cfg),
                 "2 threads" => run(t, &inj, cfg.with_threads(2)),
                 "bounded" => run_bounded(t, &inj, cfg, capacity),
-                _ => run_adaptive(t, &inj, cfg),
+                "adaptive" => run_adaptive(t, &inj, cfg),
+                other => unreachable!("no engine named {other}"),
             };
             (stats, tel.profile(), tel.snapshot())
         };
