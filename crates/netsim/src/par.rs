@@ -533,6 +533,47 @@ mod tests {
         assert_eq!(serial, par);
     }
 
+    /// `Q4` whose route from node 15 starts over the non-edge 15 -> 0,
+    /// so the shard owning node 15 panics at the packet's admission.
+    struct NonEdgeFrom15(HypercubeNet);
+
+    impl NetTopology for NonEdgeFrom15 {
+        fn name(&self) -> &str {
+            "Q4 with a non-edge route"
+        }
+
+        fn explicit_graph(&self) -> Option<&hb_graphs::Graph> {
+            self.0.explicit_graph()
+        }
+
+        fn route_into(&self, src: usize, dst: usize, buf: &mut Vec<usize>) {
+            if src == 15 && dst != 15 {
+                buf.push(15);
+                self.0.route_into(0, dst, buf);
+            } else {
+                self.0.route_into(src, dst, buf);
+            }
+        }
+    }
+
+    #[test]
+    fn a_panicking_shard_fails_the_run_instead_of_hanging() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let t = NonEdgeFrom15(HypercubeNet::new(4).unwrap());
+            let traffic = [crate::sim::inj(15, 3, 0), crate::sim::inj(0, 3, 0)];
+            let cfg = SimConfig::default().with_threads(2);
+            let out =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(&t, &traffic, cfg)));
+            // The receiver may have given up already.
+            let _ = tx.send(out.is_err());
+        });
+        let failed = rx
+            .recv_timeout(std::time::Duration::from_secs(20))
+            .expect("the sharded run neither returned nor panicked within 20 s");
+        assert!(failed, "the shard's panic reaches the caller");
+    }
+
     #[test]
     fn cycle_limit_strands_identically_in_parallel() {
         let t = HypercubeNet::new(4).unwrap();
