@@ -38,7 +38,9 @@
 //! worker lands its own movers and drains its incoming mailboxes in
 //! sender order; *barrier*; everyone advances the cycle and stops
 //! together. Samples only change in phase A, so the decision read
-//! between the barriers is consistent across workers.
+//! between the barriers is consistent across workers. A worker that
+//! panics breaks the barrier as it unwinds: the others stop at their
+//! next wait, and [`run_sharded`] re-raises the panic.
 //!
 //! Kernel results (tallies, scoreboards, buffered trace events) merge
 //! in fixed shard-index order after the join: integer sums/maxes are
@@ -51,7 +53,7 @@ use crate::pool::PacketPool;
 use crate::sim::{ChanLayout, SimStats};
 use crate::tsrec::GlobalTs;
 use hb_telemetry::Series;
-use std::sync::{Barrier, Mutex};
+use std::sync::{Condvar, Mutex, PoisonError};
 
 /// One (sender, receiver) mailbox cell: packets that crossed a shard
 /// boundary this cycle, with their destination channel. Exactly one
@@ -126,6 +128,66 @@ fn shard_boundaries(layout: &ChanLayout<'_>, n: usize, s: usize) -> Vec<usize> {
     node_lo
 }
 
+/// The per-cycle barrier, broken for good when a worker unwinds. A
+/// `std::sync::Barrier` would keep the other workers waiting for the
+/// dead one forever.
+struct Gate {
+    state: Mutex<GateState>,
+    turned: Condvar,
+    workers: usize,
+}
+
+#[derive(Default)]
+struct GateState {
+    arrived: usize,
+    generation: u64,
+    broken: bool,
+}
+
+impl Gate {
+    fn new(workers: usize) -> Self {
+        Gate {
+            state: Mutex::default(),
+            turned: Condvar::new(),
+            workers,
+        }
+    }
+
+    /// Waits until every worker arrives; `false` once one has panicked.
+    fn wait(&self) -> bool {
+        let mut st = self.lock();
+        let generation = st.generation;
+        st.arrived += 1;
+        if st.arrived == self.workers {
+            st.arrived = 0;
+            st.generation += 1;
+            self.turned.notify_all();
+        }
+        let st = self
+            .turned
+            .wait_while(st, |st| st.generation == generation && !st.broken)
+            .unwrap_or_else(PoisonError::into_inner);
+        st.generation != generation
+    }
+
+    /// Poison-tolerant: the drop guard locks while its thread unwinds.
+    fn lock(&self) -> std::sync::MutexGuard<'_, GateState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// Held by each worker: breaks the gate if the worker unwinds.
+struct BreakOnPanic<'a>(&'a Gate);
+
+impl Drop for BreakOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.lock().broken = true;
+            self.0.turned.notify_all();
+        }
+    }
+}
+
 /// What one worker hands back for the in-order merge.
 struct ShardOut {
     part: Part,
@@ -142,7 +204,7 @@ struct Exchange<'a> {
     route: SourceRouted<'a>,
     node_lo: &'a [usize],
     chan_lo: &'a [usize],
-    barrier: Barrier,
+    gate: Gate,
     /// `mailboxes[sender][receiver]`.
     mailboxes: Vec<Vec<Mailbox>>,
     /// Each shard's cycle sample, written in phase A and read by every
@@ -172,29 +234,30 @@ pub(crate) fn run_sharded(ctx: &RunCtx<'_>, route: SourceRouted<'_>) -> SimStats
         route,
         node_lo: &node_lo,
         chan_lo: &chan_lo,
-        barrier: Barrier::new(s),
+        gate: Gate::new(s),
         mailboxes: (0..s)
             .map(|_| (0..s).map(|_| Mutex::new(Vec::new())).collect())
             .collect(),
         samples: (0..s).map(|_| Mutex::default()).collect(),
         shard_telemetry: ctx.cfg.shard_telemetry && tel.is_some(),
     };
-    let mut results: Vec<ShardOut> = std::thread::scope(|scope| {
+    let joined: Vec<_> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..s)
             .map(|k| {
                 let ex = &ex;
                 scope.spawn(move || drive_shard(ex, k))
             })
             .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join().expect(
-                    "invariant: shard workers never panic (any panic here is a bug to surface)",
-                )
-            })
-            .collect()
+        handles.into_iter().map(|h| h.join()).collect()
     });
+    // A worker stops early (`None`) only after another one panicked.
+    let mut results = Vec::with_capacity(s);
+    for out in joined {
+        match out {
+            Ok(r) => results.extend(r),
+            Err(panic) => std::panic::resume_unwind(panic),
+        }
+    }
 
     let cycles = results[0].cycles;
     if let Some(t) = tel {
@@ -226,7 +289,9 @@ pub(crate) fn run_sharded(ctx: &RunCtx<'_>, route: SourceRouted<'_>) -> SimStats
     ctx.finish(parts, globals, cycles)
 }
 
-fn drive_shard(ex: &Exchange<'_>, k: usize) -> ShardOut {
+/// One worker's run; `None` when another worker panicked.
+fn drive_shard(ex: &Exchange<'_>, k: usize) -> Option<ShardOut> {
+    let _release = BreakOnPanic(&ex.gate);
     let s = ex.chan_lo.len() - 1;
     let port = ShardPort {
         k,
@@ -257,7 +322,9 @@ fn drive_shard(ex: &Exchange<'_>, k: usize) -> ShardOut {
             .expect("invariant: shard kernels carry a port")
             .post(&ex.mailboxes[k]);
         *lock(&ex.samples[k]) = sample;
-        wait(ex, &mut kernel);
+        if !wait(ex, &mut kernel) {
+            return None;
+        }
 
         // Samples are stable until the next phase A, so every worker
         // reaches the same decision here, and shard 0 records exactly
@@ -294,18 +361,20 @@ fn drive_shard(ex: &Exchange<'_>, k: usize) -> ShardOut {
         if let Some(mb) = mailbox.as_mut() {
             mb.record(cycle, received);
         }
-        wait(ex, &mut kernel);
+        if !wait(ex, &mut kernel) {
+            return None;
+        }
         cycle += 1;
         if drained {
             break;
         }
     }
-    ShardOut {
+    Some(ShardOut {
         part: kernel.into_part(),
         cycles: cycle,
         globals,
         mailbox,
-    }
+    })
 }
 
 /// Locks an exchange cell (holders never panic, so it is never poisoned).
@@ -314,13 +383,14 @@ fn lock<T>(cell: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
         .expect("invariant: exchange mutex unpoisoned (holders never panic)")
 }
 
-/// One barrier wait, counted in the shard profile phases.
-fn wait(ex: &Exchange<'_>, kernel: &mut Kernel<'_, SourceRouted<'_>, Unbounded>) {
-    ex.barrier.wait();
+/// One barrier wait, counted in the shard profile phases; `false` once
+/// another worker has panicked.
+fn wait(ex: &Exchange<'_>, kernel: &mut Kernel<'_, SourceRouted<'_>, Unbounded>) -> bool {
     if ex.shard_telemetry {
         kernel.prof.barrier_inv += 1;
         kernel.prof.barrier_work += 1;
     }
+    ex.gate.wait()
 }
 
 #[cfg(test)]
