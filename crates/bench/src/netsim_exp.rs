@@ -12,7 +12,7 @@ use hb_graphs::Result;
 use hb_netsim::topology::{
     HbRouteOrder, HyperButterflyNet, HyperDeBruijnNet, HypercubeNet, NetTopology,
 };
-use hb_netsim::{run, run_adaptive, run_bounded, sim::SimConfig, workload, Injection};
+use hb_netsim::{sim::SimConfig, workload, Injection, Model, Sim};
 use hb_telemetry::{Quantiles, Telemetry};
 
 /// One simulated point.
@@ -70,7 +70,7 @@ fn simulate(
     cfg: SimConfig,
 ) -> SimRow {
     let tel = Telemetry::summary();
-    let stats = run(topo, &inj, cfg.with_telemetry(tel.clone()));
+    let stats = Sim::new(topo).run(&inj, cfg.with_telemetry(tel.clone()));
     mk_row(topo.name(), pattern, rate, &stats, &tel)
 }
 
@@ -212,9 +212,11 @@ pub fn adaptivity_ablation(
     let inj = workload::hotspot(t.num_nodes(), cycles, rate, 0, 0.4, seed);
     let cfg = SimConfig::bounded(cycles * 80 + 20_000);
     let tel_o = Telemetry::summary();
-    let obl = run(&t, &inj, cfg.clone().with_telemetry(tel_o.clone()));
+    let obl = Sim::new(&t).run(&inj, cfg.clone().with_telemetry(tel_o.clone()));
     let tel_a = Telemetry::summary();
-    let ada = run_adaptive(&t, &inj, cfg.with_telemetry(tel_a.clone()));
+    let ada = Sim::new(&t)
+        .model(Model::Adaptive)
+        .run(&inj, cfg.with_telemetry(tel_a.clone()));
     Ok(vec![
         mk_row(t.name(), "hotspot/oblivious", rate, &obl, &tel_o),
         mk_row(t.name(), "hotspot/adaptive", rate, &ada, &tel_a),
@@ -243,7 +245,9 @@ pub fn bounded_saturation(
             let inj = workload::uniform(t.num_nodes(), cycles, rate, seed);
             let tel = Telemetry::summary();
             let cfg = SimConfig::bounded(cycles * 80 + 20_000).with_telemetry(tel.clone());
-            let stats = run_bounded(t.as_ref(), &inj, cfg, capacity);
+            let stats = Sim::new(t.as_ref())
+                .model(Model::Bounded(capacity))
+                .run(&inj, cfg);
             rows.push(mk_row(
                 t.name(),
                 &format!("bounded(cap={capacity})"),

@@ -21,8 +21,8 @@
 use crate::netsim_exp::{matched_topologies, uniform_sweep};
 use hb_graphs::Result;
 use hb_netsim::{
-    run, run_adaptive, sim::SimConfig, workload, FaultPlan, HbRouteOrder, HyperButterflyNet,
-    Injection, NetTopology, RouteCache, SimStats,
+    sim::SimConfig, workload, FaultPlan, HbRouteOrder, HyperButterflyNet, Injection, Model,
+    NetTopology, RouteCache, Sim, SimStats,
 };
 
 /// Thread counts the `engine/*` rows run at.
@@ -58,7 +58,7 @@ fn engine_scaling(cycles: u64, rate: f64, seed: u64) -> Result<Vec<PerfRow>> {
         let inj = workload::uniform(t.num_nodes(), cycles, rate, seed);
         for threads in THREADS {
             let cfg = SimConfig::bounded(cycles * 40 + 10_000).with_threads(threads);
-            let stats = run(t.as_ref(), &inj, cfg);
+            let stats = Sim::new(t.as_ref()).run(&inj, cfg);
             rows.push(sim_row(format!("engine/{}", t.name()), threads, &stats));
         }
     }
@@ -131,7 +131,9 @@ fn repair_perf(seed: u64) -> Result<Vec<PerfRow>> {
 fn adaptive_perf(cycles: u64, seed: u64) -> Result<PerfRow> {
     let t = HyperButterflyNet::new(2, 4, HbRouteOrder::CubeFirst)?;
     let inj = workload::hotspot(t.num_nodes(), cycles, 0.15, 0, 0.4, seed);
-    let stats = run_adaptive(&t, &inj, SimConfig::bounded(cycles * 80 + 20_000));
+    let stats = Sim::new(&t)
+        .model(Model::Adaptive)
+        .run(&inj, SimConfig::bounded(cycles * 80 + 20_000));
     Ok(sim_row("adaptive".to_string(), 1, &stats))
 }
 
@@ -169,7 +171,7 @@ fn frontier_scaling(cycles: u64) -> Result<Vec<PerfRow>> {
     for (m, n) in SHAPES {
         let t = HyperButterflyNet::implicit(m, n, HbRouteOrder::CubeFirst)?;
         let inj = frontier_workload(t.num_nodes(), cycles, PACKETS);
-        let stats = run(&t, &inj, SimConfig::bounded(cycles * 40 + 10_000));
+        let stats = Sim::new(&t).run(&inj, SimConfig::bounded(cycles * 40 + 10_000));
         rows.push(sim_row(format!("frontier/{}", t.name()), 1, &stats));
     }
     Ok(rows)

@@ -572,6 +572,25 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
             {
                 telemetry = TelemetryMode::Summary;
             }
+            if adaptive
+                && (!faults.is_empty() || !fault_links.is_empty() || sample != SampleMode::Off)
+            {
+                return Err(ParseError(
+                    "--adaptive cannot be combined with faults or sampling \
+                     (the flight recorder drives the oblivious router)"
+                        .into(),
+                ));
+            }
+            if shard_stats && (telemetry == TelemetryMode::Off || threads <= 1) {
+                return Err(ParseError(
+                    "--shard-stats needs --threads > 1 and --telemetry summary|trace \
+                     (the counters land in telemetry)"
+                        .into(),
+                ));
+            }
+            if trace_out.is_some() && telemetry != TelemetryMode::Trace {
+                return Err(ParseError("--trace-out needs --telemetry trace".into()));
+            }
             Ok(Command::Simulate {
                 m,
                 n,
@@ -1213,12 +1232,16 @@ mod tests {
     #[test]
     fn parses_simulate_threads_flags() {
         assert_eq!(
-            parse(&argv("simulate 2 4 --threads 4 --shard-stats")).unwrap(),
+            parse(&argv(
+                "simulate 2 4 --threads 4 --telemetry summary --shard-stats"
+            ))
+            .unwrap(),
             simulate(
                 2,
                 4,
                 Sim {
                     threads: 4,
+                    telemetry: TelemetryMode::Summary,
                     shard_stats: true,
                     ..Sim::default()
                 }
@@ -1239,6 +1262,44 @@ mod tests {
         );
         // The adaptive router is serial-only.
         assert!(parse(&argv("simulate 2 4 --adaptive --threads 2")).is_err());
+    }
+
+    /// Flag combinations that cannot run are usage errors, raised before
+    /// anything runs.
+    #[test]
+    fn rejects_simulate_flag_combinations() {
+        let err = |line: &str| parse(&argv(line)).unwrap_err().to_string();
+        for flags in [
+            "--faults 3",
+            "--fault-links 0-1",
+            "--sample all",
+            "--sample every=4",
+        ] {
+            assert!(
+                err(&format!("simulate 2 3 --adaptive {flags}")).starts_with("--adaptive cannot"),
+                "{flags}"
+            );
+        }
+        assert!(parse(&argv("simulate 2 3 --adaptive --sample off")).is_ok());
+        for flags in [
+            "--shard-stats",
+            "--threads 4 --shard-stats",
+            "--telemetry summary --shard-stats",
+        ] {
+            assert!(
+                err(&format!("simulate 2 3 {flags}")).starts_with("--shard-stats needs"),
+                "{flags}"
+            );
+        }
+        // `--profile` raises the telemetry the counters land in.
+        assert!(parse(&argv("simulate 2 3 --threads 2 --profile --shard-stats")).is_ok());
+        for flags in ["", "--telemetry summary", "--timeseries 5"] {
+            assert_eq!(
+                err(&format!("simulate 2 3 {flags} --trace-out t.json")),
+                "--trace-out needs --telemetry trace",
+                "{flags}"
+            );
+        }
     }
 
     #[test]

@@ -19,8 +19,7 @@ use hb_graphs::embedding::{validate_cycle, validate_tree_embedding, Embedding};
 use hb_graphs::generators;
 use hb_netsim::topology::{HbRouteOrder, HyperButterflyNet};
 use hb_netsim::{
-    run, run_adaptive, run_adaptive_with_timeline, run_with_faults, run_with_mem,
-    run_with_timeline, sim::SimConfig, workload, FaultPlan, FaultTarget, FaultTimeline,
+    sim::SimConfig, workload, FaultPlan, FaultTarget, FaultTimeline, MemStats, Model, Sim,
     TraceSampling,
 };
 use hb_telemetry::{
@@ -208,11 +207,6 @@ fn dispatch(cmd: Command) -> Result<(), Box<dyn std::error::Error>> {
                 SampleMode::FaultAdjacent => TraceSampling::FaultAdjacent,
             };
             let flight = !plan.is_empty() || sampling != TraceSampling::Off;
-            if adaptive && flight {
-                return Err("--adaptive cannot be combined with faults or sampling \
-                            (the flight recorder drives the oblivious router)"
-                    .into());
-            }
             let inj = workload::uniform(nn, cycles, rate, 42);
             let tel = match telemetry {
                 TelemetryMode::Off => None,
@@ -222,11 +216,6 @@ fn dispatch(cmd: Command) -> Result<(), Box<dyn std::error::Error>> {
             if let (Some(t), Some(cadence)) = (&tel, timeseries) {
                 t.enable_timeseries(TsConfig::new(cadence));
             }
-            if shard_stats && (telemetry == TelemetryMode::Off || threads <= 1) {
-                return Err("--shard-stats needs --threads > 1 and --telemetry \
-                            summary|trace (the counters land in telemetry)"
-                    .into());
-            }
             let mut cfg = SimConfig::bounded(cycles * 100 + 50_000)
                 .with_threads(threads)
                 .with_shard_telemetry(shard_stats)
@@ -234,24 +223,26 @@ fn dispatch(cmd: Command) -> Result<(), Box<dyn std::error::Error>> {
             if let Some(t) = &tel {
                 cfg = cfg.with_telemetry(t.clone());
             }
-            let mut mem = None;
-            let stats = if let Some(tl) = &timeline {
-                if adaptive {
-                    run_adaptive_with_timeline(&net, &inj, cfg, &plan, tl)
-                } else {
-                    run_with_timeline(&net, &inj, cfg, &plan, tl, sampling)
-                }
-            } else if flight {
-                run_with_faults(&net, &inj, cfg, &plan, sampling)
-            } else if adaptive {
-                run_adaptive(&net, &inj, cfg)
-            } else if implicit && threads <= 1 {
-                let (stats, m) = run_with_mem(&net, &inj, cfg);
-                mem = Some(m);
-                stats
+            let model = if adaptive {
+                Model::Adaptive
             } else {
-                run(&net, &inj, cfg)
+                Model::Oblivious(sampling)
             };
+            let mut sim = Sim::new(&net).model(model);
+            if !plan.is_empty() {
+                sim = sim.faults(&plan);
+            }
+            if let Some(tl) = &timeline {
+                sim = sim.timeline(tl);
+            }
+            // A serial fault-free oblivious `--implicit` run reports its
+            // sparse channel store.
+            let mut mem = MemStats::default();
+            let show_mem = implicit && threads <= 1 && !adaptive && !flight && timeline.is_none();
+            if show_mem {
+                sim = sim.mem(&mut mem);
+            }
+            let stats = sim.run(&inj, cfg);
             println!(
                 "HB({m}, {n}) uniform rate {rate} for {cycles} cycles ({}):",
                 if adaptive { "adaptive" } else { "oblivious" }
@@ -262,7 +253,7 @@ fn dispatch(cmd: Command) -> Result<(), Box<dyn std::error::Error>> {
                 stats.avg_latency, stats.avg_hops
             );
             println!("  peak queue  {}", stats.peak_queue);
-            if let Some(mem) = &mem {
+            if show_mem {
                 println!(
                     "  channels    peak {} live records of {} total (sparse, implicit)",
                     mem.peak_channel_records, mem.num_channels
@@ -354,11 +345,7 @@ fn dispatch(cmd: Command) -> Result<(), Box<dyn std::error::Error>> {
                             snapshot.spans.len()
                         );
                     }
-                } else if trace_out.is_some() {
-                    return Err("--trace-out needs --telemetry trace".into());
                 }
-            } else if trace_out.is_some() {
-                return Err("--trace-out needs --telemetry trace".into());
             }
             if profile {
                 if let Some(t) = &tel {
@@ -434,11 +421,11 @@ fn dispatch(cmd: Command) -> Result<(), Box<dyn std::error::Error>> {
             let cfg = SimConfig::bounded(cycles * 100 + 50_000)
                 .with_threads(threads)
                 .with_telemetry(tel.clone());
-            let stats = if plan.is_empty() {
-                run(&t, &inj, cfg)
-            } else {
-                run_with_faults(&t, &inj, cfg, &plan, TraceSampling::Off)
-            };
+            let mut sim = Sim::new(&t);
+            if !plan.is_empty() {
+                sim = sim.faults(&plan);
+            }
+            let stats = sim.run(&inj, cfg);
             // Evaluate SLO gates before the final snapshot so the check
             // events reach the JSON/CSV event streams too.
             let slo_checks = slo_spec.map(|spec| {
@@ -546,11 +533,12 @@ fn dispatch(cmd: Command) -> Result<(), Box<dyn std::error::Error>> {
             let inj = workload::uniform(t.topology().num_nodes(), cycles, rate, 42);
             let tel = Telemetry::with_trace(4096);
             let cfg = SimConfig::bounded(cycles * 100 + 50_000).with_telemetry(tel.clone());
-            if adaptive {
-                run_adaptive(&t, &inj, cfg);
+            let model = if adaptive {
+                Model::Adaptive
             } else {
-                run(&t, &inj, cfg);
-            }
+                Model::Oblivious(TraceSampling::Off)
+            };
+            Sim::new(&t).model(model).run(&inj, cfg);
             let snapshot = tel.snapshot();
             let rendered = match format {
                 DumpFormat::Text => TextSink::default().render(&snapshot),

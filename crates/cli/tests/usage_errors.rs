@@ -1,0 +1,19 @@
+//! `hbnet simulate` rejects flag combinations that cannot run while it
+//! parses them: exit 2 with the usage, and nothing run or printed.
+
+use std::process::Command;
+
+#[test]
+fn trace_out_without_trace_telemetry_is_a_usage_error() {
+    let path = std::env::temp_dir().join(format!("hbnet-usage-{}.json", std::process::id()));
+    let out = Command::new(env!("CARGO_BIN_EXE_hbnet"))
+        .args(["simulate", "2", "3", "--trace-out"])
+        .arg(&path)
+        .output()
+        .expect("hbnet runs");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty(), "the run printed nothing");
+    assert!(String::from_utf8_lossy(&out.stderr)
+        .starts_with("error: --trace-out needs --telemetry trace"));
+    assert!(!path.exists(), "no trace was written");
+}

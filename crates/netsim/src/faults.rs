@@ -58,8 +58,8 @@ impl std::fmt::Display for FaultReason {
 }
 
 /// A static set of failed nodes and links, the per-packet counterpart of
-/// the campaign-level trials below: [`crate::flight::run_with_faults`]
-/// routes individual packets *around* a `FaultPlan` while the flight
+/// the campaign-level trials below: a [`crate::Sim`] run with the plan
+/// attached routes individual packets *around* it while the flight
 /// recorder attributes each detour to the fault that caused it.
 ///
 /// Links are stored undirected (normalized to `(min, max)`); a faulty

@@ -1,43 +1,31 @@
-//! Fault-aware simulation with a per-packet **flight recorder**.
+//! The per-packet **flight recorder** of fault-aware runs.
 //!
-//! [`run_with_faults`] is the oblivious unbounded-queue simulator
-//! ([`crate::run`]) extended along two axes:
+//! An oblivious [`crate::Sim`] run with a fault plan or timeline
+//! attached, or with sampling on, is a flight run. Its routes are
+//! compiled up front under the plan in force at each injection's cycle:
+//! the first time a route would cross a faulty node or link, the
+//! remainder is recomputed by deterministic BFS over the survivor graph
+//! and spliced in ([`plan_route`]; one splice suffices, since the detour
+//! avoids every fault). Packets carry a `u32` route slot, and reroute
+//! attribution is read from the table, never recomputed. Packets whose
+//! endpoints are down, or with no survivor path, are refused at
+//! injection and counted as stranded, so packet conservation holds.
 //!
-//! * **static faults** — a [`FaultPlan`] marks nodes and links down.
-//!   Packets are source-routed obliviously as usual; the first time a
-//!   route would cross a faulty link, the remainder is recomputed by
-//!   deterministic BFS over the survivor graph and spliced in (one
-//!   splice suffices: the detour itself avoids every fault). All of
-//!   that happens **once per distinct endpoint pair** in the
-//!   [`RouteTable`] compiled up front — packets carry a `u32` slot, and
-//!   reroute attribution is read from the table, never recomputed.
-//!   Packets whose endpoints are down, or with no survivor path, are
-//!   refused at injection and counted as stranded (packet conservation
-//!   holds). A static plan is a fault timeline with no events, so
-//!   [`run_with_faults`] is [`crate::run_with_timeline`] with an empty
-//!   one.
-//! * **causal tracing** — under a [`TraceSampling`] policy, selected
-//!   packets get a root span plus one child span per hop recording the
-//!   node, link, queue depth on arrival, wait cycles, and the forward
-//!   decision (`oblivious`, or `reroute` with the fault that caused it).
-//!   Spans live in the attached [`hb_telemetry::Telemetry`] handle and
-//!   render via `SpanTreeSink` or `ChromeTraceSink`.
-//!
-//! With `telemetry: None` (or sampling off) the routing decisions are
-//! unchanged and the returned [`SimStats`] are byte-identical — the
-//! recorder observes, it never steers.
-//!
-//! With `cfg.threads > 1` the run dispatches to the sharded parallel
-//! engine (same stats, byte for byte) **unless** span tracing is live
-//! (trace-level handle and sampling on): span ids are allocated in
-//! program order, so traced runs stay serial to keep recordings
-//! deterministic.
+//! Under a [`TraceSampling`] policy and a trace-level
+//! [`hb_telemetry::Telemetry`] handle, selected packets get a root span
+//! plus one child span per hop recording the node, link, queue depth on
+//! arrival, wait cycles, and the forward decision (`oblivious`, or
+//! `reroute` with the fault that caused it). Spans render via
+//! `SpanTreeSink` or `ChromeTraceSink`. The recorder observes, it never
+//! steers: with `telemetry: None` or sampling off the returned
+//! [`crate::SimStats`] are byte-identical. Span ids are allocated in
+//! program order, so a run that records spans stays serial at any
+//! thread count.
 
-use crate::faults::{FaultPlan, FaultTimeline};
-use crate::kernel::{drive_serial, Packet, RunCtx, SourceRouted, Unbounded};
+use crate::faults::{FaultEventKind, FaultPlan, FaultTimeline};
+use crate::kernel::{Packet, RunCtx};
 use crate::routes::RouteTable;
-use crate::sim::{Injection, SimConfig, SimStats};
-use crate::topology::NetTopology;
+use crate::sim::Injection;
 use hb_graphs::NodeId;
 use hb_telemetry::{SpanId, Telemetry};
 use std::collections::BTreeSet;
@@ -101,18 +89,28 @@ pub(crate) struct Spans<'a> {
 
 impl<'a> Spans<'a> {
     /// The recorder for a run, or `None` unless the handle traces and
-    /// sampling is on. `hot_plan` only seeds the
-    /// [`TraceSampling::FaultAdjacent`] mask.
-    fn new(
+    /// sampling is on. The [`TraceSampling::FaultAdjacent`] mask covers
+    /// `base` and every fault target of `timeline`, so a packet near any
+    /// fault epoch is eligible.
+    pub(crate) fn new(
         ctx: &RunCtx<'a>,
         routes: &'a RouteTable,
-        hot_plan: &FaultPlan,
+        base: &FaultPlan,
+        timeline: &FaultTimeline,
         sampling: TraceSampling,
     ) -> Option<Self> {
         let tel = ctx.tel().filter(|t| t.trace_enabled())?;
         let hot = match sampling {
             TraceSampling::Off => return None,
-            TraceSampling::FaultAdjacent => hot_plan.hot_node_set(ctx.topo),
+            TraceSampling::FaultAdjacent => {
+                let mut hot_plan = base.clone();
+                for (idx, ev) in timeline.events().iter().enumerate() {
+                    if ev.kind == FaultEventKind::Fault {
+                        hot_plan.apply(idx, ev);
+                    }
+                }
+                hot_plan.hot_node_set(ctx.topo)
+            }
             _ => BTreeSet::new(),
         };
         Some(Spans {
@@ -203,60 +201,11 @@ impl<'a> Spans<'a> {
     }
 }
 
-/// Runs the oblivious simulation of `injections` (sorted by `at`) on
-/// `topo` with the given static faults, flight-recording sampled packets
-/// into `cfg.telemetry` (trace level). See the module docs for the
-/// model; with an empty plan the dynamics — and the returned
-/// [`SimStats`] — match [`crate::run`] exactly.
-///
-/// Beyond the base counters, a telemetry handle also receives
-/// `sim.reroutes` (packets that detoured) and `sim.unroutable` (packets
-/// refused at injection: faulty endpoint or no survivor path).
-///
-/// # Panics
-/// As [`crate::run`] (unsorted injections, out-of-range nodes).
-pub fn run_with_faults(
-    topo: &dyn NetTopology,
-    injections: &[Injection],
-    cfg: SimConfig,
-    plan: &FaultPlan,
-    sampling: TraceSampling,
-) -> SimStats {
-    let no_events = FaultTimeline::new();
-    crate::run_with_timeline(topo, injections, cfg, plan, &no_events, sampling)
-}
-
-/// The flight run over compiled routes. `hot_plan` seeds the
-/// [`TraceSampling::FaultAdjacent`] mask: the union of the base plan
-/// and every timeline fault target, so a packet near *any* fault epoch
-/// is eligible for sampling.
-pub(crate) fn run_flight(
-    topo: &dyn NetTopology,
-    injections: &[Injection],
-    cfg: &SimConfig,
-    routes: &RouteTable,
-    hot_plan: &FaultPlan,
-    sampling: TraceSampling,
-) -> SimStats {
-    let ctx = RunCtx::new(topo, injections, cfg);
-    let route = SourceRouted {
-        routes,
-        layout: &ctx.layout,
-        faults: true,
-    };
-    let spans = Spans::new(&ctx, routes, hot_plan, sampling);
-    if cfg.threads > 1 && spans.is_none() {
-        return crate::par::run_sharded(&ctx, route);
-    }
-    drive_serial(&ctx, route, Unbounded, spans, None)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::inj;
-    use crate::sim::run;
-    use crate::topology::{HbRouteOrder, HyperButterflyNet, HypercubeNet};
+    use crate::sim::{inj, Model, Sim, SimConfig};
+    use crate::topology::{HbRouteOrder, HyperButterflyNet, HypercubeNet, NetTopology};
     use crate::workload;
 
     fn hb_net() -> HyperButterflyNet {
@@ -267,14 +216,10 @@ mod tests {
     fn empty_plan_matches_plain_run_exactly() {
         let t = hb_net();
         let traffic = workload::uniform(t.num_nodes(), 60, 0.2, 11);
-        let base = run(&t, &traffic, SimConfig::default());
-        let faulted = run_with_faults(
-            &t,
-            &traffic,
-            SimConfig::default(),
-            &FaultPlan::new(),
-            TraceSampling::Off,
-        );
+        let base = Sim::new(&t).run(&traffic, SimConfig::default());
+        let faulted = Sim::new(&t)
+            .faults(&FaultPlan::new())
+            .run(&traffic, SimConfig::default());
         assert_eq!(base, faulted);
     }
 
@@ -286,13 +231,9 @@ mod tests {
         let traffic = workload::uniform(t.num_nodes(), 40, 0.3, 9);
         let tel = Telemetry::summary();
         tel.enable_timeseries(hb_telemetry::TsConfig::new(5));
-        let s = run_with_faults(
-            &t,
-            &traffic,
-            SimConfig::default().with_telemetry(tel.clone()),
-            &plan,
-            TraceSampling::Off,
-        );
+        let s = Sim::new(&t)
+            .faults(&plan)
+            .run(&traffic, SimConfig::default().with_telemetry(tel.clone()));
         let series = tel.series();
         assert_eq!(series["sim.injected"].total(), s.offered);
         assert_eq!(series["sim.delivered"].total(), s.delivered);
@@ -314,32 +255,22 @@ mod tests {
         let traffic = workload::uniform(t.num_nodes(), 60, 0.2, 11);
         let mut plan = FaultPlan::new();
         plan.add_node(5).add_link(0, 1);
-        let off = run_with_faults(
-            &t,
-            &traffic,
-            SimConfig::default(),
-            &plan,
-            TraceSampling::Off,
-        );
+        let off = Sim::new(&t)
+            .faults(&plan)
+            .run(&traffic, SimConfig::default());
         let tel = Telemetry::with_trace(65_536);
-        let on = run_with_faults(
-            &t,
-            &traffic,
-            SimConfig::default().with_telemetry(tel.clone()),
-            &plan,
-            TraceSampling::All,
-        );
+        let on = Sim::new(&t)
+            .model(Model::Oblivious(TraceSampling::All))
+            .faults(&plan)
+            .run(&traffic, SimConfig::default().with_telemetry(tel.clone()));
         assert_eq!(off, on, "the recorder observes, it never steers");
         assert!(!tel.spans().is_empty());
         // Summary-level telemetry records counters but no spans.
         let sum = Telemetry::summary();
-        let s = run_with_faults(
-            &t,
-            &traffic,
-            SimConfig::default().with_telemetry(sum.clone()),
-            &plan,
-            TraceSampling::All,
-        );
+        let s = Sim::new(&t)
+            .model(Model::Oblivious(TraceSampling::All))
+            .faults(&plan)
+            .run(&traffic, SimConfig::default().with_telemetry(sum.clone()));
         assert_eq!(off, s);
         assert!(sum.spans().is_empty());
         assert_eq!(sum.counter("sim.delivered").get(), s.delivered);
@@ -356,13 +287,10 @@ mod tests {
         plan.add_link(0, 1);
         let inj = [inj(0, 15, 0)];
         let tel = Telemetry::with_trace(256);
-        let s = run_with_faults(
-            &t,
-            &inj,
-            SimConfig::default().with_telemetry(tel.clone()),
-            &plan,
-            TraceSampling::All,
-        );
+        let s = Sim::new(&t)
+            .model(Model::Oblivious(TraceSampling::All))
+            .faults(&plan)
+            .run(&inj, SimConfig::default().with_telemetry(tel.clone()));
         assert_eq!(s.delivered, 1);
         assert_eq!(s.stranded, 0);
         assert_eq!(tel.counter("sim.reroutes").get(), 1);
@@ -388,13 +316,10 @@ mod tests {
         plan.add_link(3, 7); // third hop of 0,1,3,7,15
         let inj = [inj(0, 15, 0)];
         let tel = Telemetry::with_trace(256);
-        let s = run_with_faults(
-            &t,
-            &inj,
-            SimConfig::default().with_telemetry(tel.clone()),
-            &plan,
-            TraceSampling::All,
-        );
+        let s = Sim::new(&t)
+            .model(Model::Oblivious(TraceSampling::All))
+            .faults(&plan)
+            .run(&inj, SimConfig::default().with_telemetry(tel.clone()));
         assert_eq!(s.delivered, 1);
         let spans = tel.spans();
         let root = &spans[0];
@@ -419,13 +344,9 @@ mod tests {
         plan.add_link(7, 3).add_link(7, 5).add_link(7, 6);
         let inj = [inj(0, 7, 0), inj(0, 2, 0)];
         let tel = Telemetry::summary();
-        let s = run_with_faults(
-            &t,
-            &inj,
-            SimConfig::default().with_telemetry(tel.clone()),
-            &plan,
-            TraceSampling::Off,
-        );
+        let s = Sim::new(&t)
+            .faults(&plan)
+            .run(&inj, SimConfig::default().with_telemetry(tel.clone()));
         assert_eq!(s.delivered, 1);
         assert_eq!(s.stranded, 1);
         assert_eq!(s.delivered + s.stranded, s.offered);
@@ -434,7 +355,7 @@ mod tests {
         // Faulty endpoints are refused outright.
         let mut p2 = FaultPlan::new();
         p2.add_node(0);
-        let s2 = run_with_faults(&t, &inj, SimConfig::default(), &p2, TraceSampling::Off);
+        let s2 = Sim::new(&t).faults(&p2).run(&inj, SimConfig::default());
         assert_eq!(s2.delivered, 0);
         assert_eq!(s2.stranded, 2);
     }
@@ -445,13 +366,10 @@ mod tests {
         let n = t.num_nodes();
         let inj: Vec<Injection> = (0..20).map(|i| inj(i % n, (i * 7 + 3) % n, 0)).collect();
         let tel = Telemetry::with_trace(4096);
-        run_with_faults(
-            &t,
-            &inj,
-            SimConfig::default().with_telemetry(tel.clone()),
-            &FaultPlan::new(),
-            TraceSampling::EveryNth(5),
-        );
+        Sim::new(&t)
+            .model(Model::Oblivious(TraceSampling::EveryNth(5)))
+            .faults(&FaultPlan::new())
+            .run(&inj, SimConfig::default().with_telemetry(tel.clone()));
         let roots: Vec<_> = tel
             .spans()
             .into_iter()
@@ -479,13 +397,10 @@ mod tests {
         // One packet detours around the cut; one flies far from it.
         let inj = [inj(0, 15, 0), inj(12, 14, 0)];
         let tel = Telemetry::with_trace(256);
-        let s = run_with_faults(
-            &t,
-            &inj,
-            SimConfig::default().with_telemetry(tel.clone()),
-            &plan,
-            TraceSampling::FaultAdjacent,
-        );
+        let s = Sim::new(&t)
+            .model(Model::Oblivious(TraceSampling::FaultAdjacent))
+            .faults(&plan)
+            .run(&inj, SimConfig::default().with_telemetry(tel.clone()));
         assert_eq!(s.delivered, 2);
         let roots: Vec<_> = tel
             .spans()
@@ -504,13 +419,10 @@ mod tests {
         let t = HypercubeNet::new(3).unwrap();
         let inj = [inj(0, 1, 0), inj(0, 1, 0)];
         let tel = Telemetry::with_trace(64);
-        run_with_faults(
-            &t,
-            &inj,
-            SimConfig::default().with_telemetry(tel.clone()),
-            &FaultPlan::new(),
-            TraceSampling::All,
-        );
+        Sim::new(&t)
+            .model(Model::Oblivious(TraceSampling::All))
+            .faults(&FaultPlan::new())
+            .run(&inj, SimConfig::default().with_telemetry(tel.clone()));
         let spans = tel.spans();
         let second_hop = spans
             .iter()

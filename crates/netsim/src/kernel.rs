@@ -1,4 +1,4 @@
-//! The one cycle kernel every simulator entry point drives.
+//! The one cycle kernel every [`crate::Sim`] run drives.
 //!
 //! A [`Kernel`] owns the queues of a contiguous channel range — the
 //! whole network in a serial run, one shard's slice in the sharded
@@ -20,7 +20,7 @@
 //!   or [`Adaptive`] (least-queue productive hop, served in activation
 //!   order, with optional churn admission);
 //! * a [`Discipline`] — [`Unbounded`] FIFOs, or [`Bounded`] queues with
-//!   same-cycle credits and, for the `run_bounded_sweep` oracle, a
+//!   same-cycle credits and, for the frontier's test oracle, a
 //!   full-channel sweep in place of the active worklist.
 //!
 //! Observers are runtime options: the [`Scoreboard`], link and global

@@ -11,25 +11,24 @@
 //!   comes materialised ([`HyperButterflyNet::new`]) or graph-free
 //!   ([`HyperButterflyNet::implicit`], million-node shapes); whether a
 //!   topology owns a graph is what picks dense or sparse channel state;
-//! * [`sim`] — the run entry points (source or adaptive routing, per-
-//!   channel FIFOs, 1 packet/channel/cycle), all on one cycle kernel;
+//! * [`sim`] — [`Sim`], the one run entry point: a [`Model`] (oblivious,
+//!   bounded-queue, or adaptive routing over per-channel FIFOs, 1
+//!   packet/channel/cycle), optionally a fault plan and a timeline of
+//!   mid-run fault/repair events, all on one cycle kernel;
 //! * [`workload`] — uniform / permutation / hotspot / bit-complement
 //!   traffic, deterministic under seeds;
 //! * [`faults`] — fault-injection campaigns measuring survivor
 //!   connectivity and pair reachability (Corollary 1, measured), plus
 //!   the static [`FaultPlan`] the fault-aware runner routes around;
-//! * [`flight`] — the fault-aware simulator with a per-packet **flight
-//!   recorder**: sampled packets leave causal span trees (one span per
-//!   hop: queue depth, wait, forward decision, reroute attribution);
+//! * [`flight`] — the per-packet **flight recorder** of fault-aware
+//!   runs: sampled packets leave causal span trees (one span per hop:
+//!   queue depth, wait, forward decision, reroute attribution);
 //! * [`routes`] — the one route compile every source-routed run goes
 //!   through: the epoch-keyed [`RouteCache`] with **incremental
-//!   repair** under plan deltas, frozen into a per-injection
-//!   [`RouteTable`] before the cycle loop, so the hot loops never
-//!   recompute a route per packet;
-//! * [`churn`] — fault-timeline runs ([`FaultTimeline`]): scheduled
-//!   mid-run fault/repair events applied by that compile, deterministic
-//!   across engines and thread counts; a static plan is the empty
-//!   timeline;
+//!   repair** under the deltas of a [`FaultTimeline`], frozen into a
+//!   per-injection [`RouteTable`] before the cycle loop, so the hot
+//!   loops never recompute a route per packet; a static plan is the
+//!   empty timeline;
 //! * [`pool`] — the slab [`pool::PacketPool`] and the channel queues
 //!   threaded through its 4-byte keys (one 16-byte record per channel,
 //!   zero per-hop allocation in steady state);
@@ -43,7 +42,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod churn;
 pub mod faults;
 pub mod flight;
 pub mod forwarding;
@@ -56,12 +54,11 @@ pub mod topology;
 mod tsrec;
 pub mod workload;
 
-pub use churn::{run_adaptive_with_timeline, run_bounded_with_timeline, run_with_timeline};
 pub use faults::{FaultEvent, FaultEventKind, FaultPlan, FaultReason, FaultTarget, FaultTimeline};
-pub use flight::{run_with_faults, TraceSampling};
+pub use flight::TraceSampling;
 pub use routes::{RepairStats, RouteCache, RouteTable};
 pub use sim::{
-    run, run_adaptive, run_bounded, run_with_mem, Injection, MemStats, SimConfig, SimStats,
+    run, run_adaptive, run_with_timeline, Injection, MemStats, Model, Sim, SimConfig, SimStats,
 };
 pub use topology::{
     ButterflyNet, HbRouteOrder, HyperButterflyNet, HyperDeBruijnNet, HypercubeNet, NetTopology,

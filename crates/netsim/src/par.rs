@@ -1,7 +1,7 @@
 //! Deterministic sharded parallel simulation engine.
 //!
-//! [`run_sharded`] advances the oblivious store-and-forward model of
-//! [`crate::sim::run`] on `cfg.threads` workers and produces **byte
+//! [`run_sharded`] advances an oblivious [`crate::Sim`] run (unbounded
+//! queues, no spans recorded) on `cfg.threads` workers and produces **byte
 //! identical** results — `SimStats`, counters, histograms, link stats,
 //! and trace events all match the serial runner exactly, at every
 //! thread count. The determinism argument (DESIGN.md §9) rests on three
@@ -397,8 +397,7 @@ fn wait(ex: &Exchange<'_>, kernel: &mut Kernel<'_, SourceRouted<'_>, Unbounded>)
 mod tests {
     use super::*;
     use crate::faults::FaultPlan;
-    use crate::flight::{run_with_faults, TraceSampling};
-    use crate::sim::{channel_offsets, run, SimConfig};
+    use crate::sim::{channel_offsets, Sim, SimConfig};
     use crate::topology::{HbRouteOrder, HyperButterflyNet, HypercubeNet, NetTopology};
     use crate::workload;
     use hb_telemetry::Telemetry;
@@ -436,9 +435,9 @@ mod tests {
     fn sharded_stats_match_serial_on_hb() {
         let t = HyperButterflyNet::new(2, 3, HbRouteOrder::CubeFirst).unwrap();
         let traffic = workload::uniform(t.num_nodes(), 80, 0.3, 13);
-        let serial = run(&t, &traffic, SimConfig::default());
+        let serial = Sim::new(&t).run(&traffic, SimConfig::default());
         for threads in [2, 3, 4, 8] {
-            let par = run(&t, &traffic, SimConfig::default().with_threads(threads));
+            let par = Sim::new(&t).run(&traffic, SimConfig::default().with_threads(threads));
             assert_eq!(serial, par, "threads={threads}");
         }
     }
@@ -449,30 +448,19 @@ mod tests {
         let traffic = workload::uniform(t.num_nodes(), 40, 0.4, 5);
         let mut plan = FaultPlan::new();
         plan.add_link(0, 1).add_node(9);
-        let serial = run_with_faults(
-            &t,
-            &traffic,
-            SimConfig::default(),
-            &plan,
-            TraceSampling::Off,
-        );
+        let serial = Sim::new(&t)
+            .faults(&plan)
+            .run(&traffic, SimConfig::default());
         let tel_s = Telemetry::summary();
-        run_with_faults(
-            &t,
-            &traffic,
-            SimConfig::default().with_telemetry(tel_s.clone()),
-            &plan,
-            TraceSampling::Off,
-        );
+        Sim::new(&t)
+            .faults(&plan)
+            .run(&traffic, SimConfig::default().with_telemetry(tel_s.clone()));
         let tel_p = Telemetry::summary();
-        let par = run_with_faults(
-            &t,
+        let par = Sim::new(&t).faults(&plan).run(
             &traffic,
             SimConfig::default()
                 .with_telemetry(tel_p.clone())
                 .with_threads(4),
-            &plan,
-            TraceSampling::Off,
         );
         assert_eq!(serial, par);
         assert_eq!(
@@ -491,14 +479,9 @@ mod tests {
         let t = HypercubeNet::new(3).unwrap();
         let traffic = workload::uniform(t.num_nodes(), 30, 0.5, 21);
         let tel_s = Telemetry::with_trace(4096);
-        let serial = run(
-            &t,
-            &traffic,
-            SimConfig::default().with_telemetry(tel_s.clone()),
-        );
+        let serial = Sim::new(&t).run(&traffic, SimConfig::default().with_telemetry(tel_s.clone()));
         let tel_p = Telemetry::with_trace(4096);
-        let par = run(
-            &t,
+        let par = Sim::new(&t).run(
             &traffic,
             SimConfig::default()
                 .with_telemetry(tel_p.clone())
@@ -514,8 +497,7 @@ mod tests {
         let t = HypercubeNet::new(4).unwrap();
         let traffic = workload::uniform(t.num_nodes(), 20, 0.3, 3);
         let tel = Telemetry::with_trace(4096);
-        let stats = run(
-            &t,
+        let stats = Sim::new(&t).run(
             &traffic,
             SimConfig::default()
                 .with_telemetry(tel.clone())
@@ -540,8 +522,7 @@ mod tests {
         let t = HypercubeNet::new(4).unwrap();
         let traffic = workload::uniform(t.num_nodes(), 60, 0.4, 11);
         let tel_s = Telemetry::summary();
-        run(
-            &t,
+        Sim::new(&t).run(
             &traffic,
             SimConfig::default()
                 .with_telemetry(tel_s.clone())
@@ -558,8 +539,7 @@ mod tests {
         );
         for threads in [2, 3, 4] {
             let tel_p = Telemetry::summary();
-            run(
-                &t,
+            Sim::new(&t).run(
                 &traffic,
                 SimConfig::default()
                     .with_telemetry(tel_p.clone())
@@ -576,8 +556,7 @@ mod tests {
         let t = HypercubeNet::new(4).unwrap();
         let traffic = workload::uniform(t.num_nodes(), 30, 0.4, 7);
         let tel = Telemetry::summary();
-        run(
-            &t,
+        Sim::new(&t).run(
             &traffic,
             SimConfig::default()
                 .with_telemetry(tel.clone())
@@ -598,8 +577,8 @@ mod tests {
     fn more_threads_than_nodes_degrades_gracefully() {
         let t = HypercubeNet::new(2).unwrap();
         let traffic = workload::uniform(t.num_nodes(), 10, 0.8, 1);
-        let serial = run(&t, &traffic, SimConfig::default());
-        let par = run(&t, &traffic, SimConfig::default().with_threads(64));
+        let serial = Sim::new(&t).run(&traffic, SimConfig::default());
+        let par = Sim::new(&t).run(&traffic, SimConfig::default().with_threads(64));
         assert_eq!(serial, par);
     }
 
@@ -633,8 +612,9 @@ mod tests {
             let t = NonEdgeFrom15(HypercubeNet::new(4).unwrap());
             let traffic = [crate::sim::inj(15, 3, 0), crate::sim::inj(0, 3, 0)];
             let cfg = SimConfig::default().with_threads(2);
-            let out =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(&t, &traffic, cfg)));
+            let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                Sim::new(&t).run(&traffic, cfg)
+            }));
             // The receiver may have given up already.
             let _ = tx.send(out.is_err());
         });
@@ -649,8 +629,8 @@ mod tests {
         let t = HypercubeNet::new(4).unwrap();
         let traffic = workload::uniform(t.num_nodes(), 50, 0.6, 17);
         for limit in [0, 1, 3, 7] {
-            let serial = run(&t, &traffic, SimConfig::bounded(limit));
-            let par = run(&t, &traffic, SimConfig::bounded(limit).with_threads(4));
+            let serial = Sim::new(&t).run(&traffic, SimConfig::bounded(limit));
+            let par = Sim::new(&t).run(&traffic, SimConfig::bounded(limit).with_threads(4));
             assert_eq!(serial, par, "limit {limit}");
         }
     }

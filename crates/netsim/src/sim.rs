@@ -1,25 +1,26 @@
-//! Cycle-accurate store-and-forward packet simulator.
+//! Cycle-accurate store-and-forward packet simulator: the run types,
+//! the channel layout, and [`Sim`], the one run entry point.
 //!
 //! Model (the standard interconnection-network abstraction the paper's
 //! VLSI motivation implies):
 //!
 //! * every undirected edge is two directed **channels**, each moving at
 //!   most one packet per cycle (1 packet = 1 flit);
-//! * each channel has a FIFO queue at its sending node (unbounded —
-//!   latency-versus-load studies measure occupancy instead of dropping;
-//!   [`run_bounded`] adds finite buffers with backpressure);
+//! * each channel has a FIFO queue at its sending node: unbounded
+//!   (latency-versus-load studies measure occupancy instead of dropping)
+//!   or, under [`Model::Bounded`], finite with backpressure;
 //! * packets are **source routed**: the topology's oblivious router fixes
-//!   the path at injection (hop = 1 cycle) — or, in [`run_adaptive`],
-//!   pick the least-loaded shortest-path hop at every step;
+//!   the path at admission (hop = 1 cycle) — or, under
+//!   [`Model::Adaptive`], pick the least-loaded shortest-path hop at
+//!   every step;
 //! * a node's channels are served independently (all-port model), which
 //!   matches the bounded-degree design point the paper argues for: a
 //!   node never serves more than `degree` channels.
 //!
-//! Every entry point here, in [`crate::flight`], and in [`crate::churn`]
-//! instantiates the one cycle kernel (`crate::kernel`, DESIGN.md §17)
-//! with a route policy and a queue discipline; this module holds the
-//! shared run types and the channel layout. The channel queues live in
-//! [`crate::pool`], beside the packet pool whose keys they thread.
+//! [`Sim::run`] picks the route policy, queue discipline and driver of
+//! the one cycle kernel (`crate::kernel`, DESIGN.md §17). The channel
+//! queues live in [`crate::pool`], beside the packet pool whose keys
+//! they thread.
 //!
 //! # Observability
 //!
@@ -36,11 +37,12 @@
 //! overhead is O(channels) memory and one branch per served channel.
 
 use crate::faults::{FaultPlan, FaultTimeline};
+use crate::flight::{Spans, TraceSampling};
 use crate::kernel::{drive_serial, Adaptive, Bounded, RunCtx, SourceRouted, Unbounded};
 use crate::routes::RouteTable;
 use crate::topology::{NetTopology, MAX_PRODUCTIVE};
 use hb_graphs::NodeId;
-use hb_telemetry::{LinkKey, Telemetry};
+use hb_telemetry::{LinkKey, Profile, Telemetry};
 
 /// A packet to inject: source, destination, injection cycle.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -102,13 +104,11 @@ pub struct SimConfig {
     /// kernel). Results are **byte-identical** at every thread count:
     /// shards serve channels in the same canonical ascending channel
     /// order the serial kernel uses and merge cross-shard traffic in
-    /// fixed shard-index order. Applies to [`run`],
-    /// [`crate::flight::run_with_faults`], and
-    /// [`crate::churn::run_with_timeline`] (the last two stay serial
-    /// while span tracing is live); the bounded and adaptive runners
-    /// have inherently sequential per-cycle dependences (head-of-line
-    /// credit admission, least-queue choice), always run serially, and
-    /// ignore this field.
+    /// fixed shard-index order. Only [`Model::Oblivious`] runs shard,
+    /// and they stay serial while recording spans or filling
+    /// [`MemStats`]; bounded and adaptive runs have inherently
+    /// sequential per-cycle dependences (head-of-line credit admission,
+    /// least-queue choice) and ignore this field.
     pub threads: usize,
     /// Emit per-shard `sim.shard.<i>.*` counters and one root span per
     /// shard (trace level) after a parallel run. Off by default so
@@ -332,11 +332,10 @@ impl<'a> ChanLayout<'a> {
     }
 }
 
-/// Memory accounting for one serial oblivious run — the diagnostic
-/// companion [`run_with_mem`] returns alongside the stats. Deliberately
-/// **not** part of [`SimStats`] or the telemetry snapshot: storage mode
-/// must never perturb results, so the accounting rides on a separate
-/// channel that equivalence tests don't compare.
+/// Memory accounting of one serial run, filled by [`Sim::mem`].
+/// Deliberately **not** part of [`SimStats`] or the telemetry snapshot:
+/// storage mode must never perturb results, so the accounting rides on a
+/// separate channel that equivalence tests don't compare.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MemStats {
     /// Peak concurrently materialised channel records. Under implicit
@@ -350,201 +349,248 @@ pub struct MemStats {
     /// Heap bytes held by the channel store at run end: its records and
     /// the per-key queue links.
     pub channel_store_bytes: usize,
-    /// Heap bytes held by the workload-keyed route table.
+    /// Heap bytes held by the workload-keyed route table (0 when the
+    /// run compiles none).
     pub route_table_bytes: usize,
 }
 
-/// Like [`run`], but also reports channel-storage memory accounting.
-/// Serial only (memory attribution is per-store and the sharded engine
-/// owns one store per shard).
-///
-/// # Panics
-/// As [`run`]; additionally panics if `cfg.threads > 1`.
-pub fn run_with_mem(
-    topo: &dyn NetTopology,
-    injections: &[Injection],
-    cfg: SimConfig,
-) -> (SimStats, MemStats) {
-    assert!(cfg.threads <= 1, "memory accounting is serial-only");
-    let ctx = RunCtx::new(topo, injections, &cfg);
-    let table = RouteTable::for_injections(topo, injections, &FaultPlan::new());
-    let mut mem = MemStats {
-        route_table_bytes: table.heap_bytes(),
-        ..MemStats::default()
-    };
-    let route = SourceRouted {
-        routes: &table,
-        layout: &ctx.layout,
-        faults: false,
-    };
-    let stats = drive_serial(&ctx, route, Unbounded, None, Some(&mut mem));
-    (stats, mem)
+/// What a run routes with and how its queues admit packets.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Model {
+    /// Oblivious source routing over unbounded FIFOs; the flight
+    /// recorder samples packets per the [`TraceSampling`].
+    Oblivious(TraceSampling),
+    /// Oblivious source routing over queues of this capacity (at least
+    /// 1): a head moves only if its next queue has room (head-of-line
+    /// blocking, credit flow control), and an injection into a full
+    /// source queue is dropped and counted in `stranded`. Cyclic channel
+    /// dependencies can deadlock such a run; it then hits `max_cycles`
+    /// with `stranded > 0`.
+    Bounded(usize),
+    /// Minimal adaptive routing over unbounded FIFOs: each hop takes the
+    /// least-loaded productive next hop
+    /// ([`NetTopology::productive_hops`]), so hop counts stay minimal.
+    Adaptive,
 }
 
-/// Runs the simulation of `injections` (must be sorted by `at`) on
-/// `topo`.
+/// One simulation run: a topology and a [`Model`] (oblivious, sampling
+/// off, by default), optionally a static [`FaultPlan`], a
+/// [`FaultTimeline`] and a [`MemStats`] to fill.
 ///
-/// Routes are compiled once per distinct `(src, dst)` pair into a
-/// [`RouteTable`] and packets live in a slab [`crate::pool::PacketPool`],
-/// so the cycle kernel allocates nothing in steady state. Channels are
-/// served in ascending channel-id order — the canonical order the
-/// sharded parallel engine ([`SimConfig::with_threads`]) reproduces
-/// exactly, so the returned stats (and telemetry snapshots) are
-/// identical at every thread count.
+/// **Routes.** Source-routed models compile their routes once, before
+/// the cycle loop ([`RouteTable`]): the compile walks the injections,
+/// applies each timeline event whose cycle has arrived (events at cycle
+/// `c` are visible to injections at `c`), repairs the
+/// [`crate::RouteCache`] incrementally once per event cycle, and records
+/// each injection's route under the plan then in force. A static plan is
+/// a timeline without events, and events after the last injection never
+/// apply. Packets keep the route they were admitted with; an injection
+/// whose route is empty (faulty endpoint, no survivor path) is refused
+/// as unroutable and counted in `stranded`. The adaptive model compiles
+/// routes only when a plan or timeline is attached, and only to refuse
+/// admissions: in transit it stays fault-blind. A non-empty timeline
+/// records the `sim.repair.*` counters and, under `cfg.profile`, the
+/// `sim/route_repair` phase.
 ///
-/// # Panics
-/// Panics if injections are not sorted by injection cycle, or reference
-/// out-of-range nodes.
+/// **Flight runs.** An oblivious run attached to a plan or a timeline,
+/// even an empty one, or with sampling on, is a flight run
+/// ([`crate::flight`]): it counts detours in `sim.reroutes`, registers
+/// `sim.unroutable`, records the two fault series and, under a
+/// trace-level handle, the sampled packets' spans. Other runs register
+/// `sim.unroutable` only under a non-empty plan or timeline.
 ///
 /// # Examples
 /// ```
 /// use hb_netsim::topology::{HbRouteOrder, HyperButterflyNet};
-/// use hb_netsim::{run, sim::SimConfig, workload};
+/// use hb_netsim::{workload, FaultPlan, Model, Sim, SimConfig};
 /// let net = HyperButterflyNet::new(1, 3, HbRouteOrder::CubeFirst).unwrap();
 /// let traffic = workload::uniform(48, 10, 0.2, 7);
-/// let stats = run(&net, &traffic, SimConfig::default());
+/// let stats = Sim::new(&net).run(&traffic, SimConfig::default());
 /// assert_eq!(stats.delivered, stats.offered);
+/// let mut plan = FaultPlan::new();
+/// plan.add_node(5);
+/// let stats = Sim::new(&net)
+///     .model(Model::Bounded(4))
+///     .faults(&plan)
+///     .run(&traffic, SimConfig::default());
+/// assert_eq!(stats.delivered + stats.stranded, stats.offered);
 /// ```
-pub fn run(topo: &dyn NetTopology, injections: &[Injection], cfg: SimConfig) -> SimStats {
-    let ctx = RunCtx::new(topo, injections, &cfg);
-    let table = RouteTable::for_injections(topo, injections, &FaultPlan::new());
-    let route = SourceRouted {
-        routes: &table,
-        layout: &ctx.layout,
-        faults: false,
-    };
-    if cfg.threads > 1 {
-        return crate::par::run_sharded(&ctx, route);
+pub struct Sim<'a> {
+    topo: &'a dyn NetTopology,
+    model: Model,
+    plan: Option<&'a FaultPlan>,
+    timeline: Option<&'a FaultTimeline>,
+    mem: Option<&'a mut MemStats>,
+}
+
+impl<'a> Sim<'a> {
+    /// An oblivious run on `topo` with sampling off.
+    #[must_use]
+    pub fn new(topo: &'a dyn NetTopology) -> Self {
+        Sim {
+            topo,
+            model: Model::Oblivious(TraceSampling::Off),
+            plan: None,
+            timeline: None,
+            mem: None,
+        }
     }
-    drive_serial(&ctx, route, Unbounded, None, None)
+
+    /// Sets the run model.
+    #[must_use]
+    pub fn model(mut self, model: Model) -> Self {
+        self.model = model;
+        self
+    }
+
+    /// Attaches a static fault plan.
+    #[must_use]
+    pub fn faults(mut self, plan: &'a FaultPlan) -> Self {
+        self.plan = Some(plan);
+        self
+    }
+
+    /// Attaches a timeline of fault and repair events.
+    #[must_use]
+    pub fn timeline(mut self, timeline: &'a FaultTimeline) -> Self {
+        self.timeline = Some(timeline);
+        self
+    }
+
+    /// Fills `mem` with the run's memory accounting; the run stays
+    /// serial.
+    #[must_use]
+    pub fn mem(mut self, mem: &'a mut MemStats) -> Self {
+        self.mem = Some(mem);
+        self
+    }
+
+    /// Runs `injections` (sorted by `at`) under `cfg`.
+    ///
+    /// # Panics
+    /// Panics if the injections are not sorted by cycle or reference
+    /// out-of-range nodes, or if a bounded model has capacity 0.
+    pub fn run(mut self, injections: &[Injection], cfg: SimConfig) -> SimStats {
+        let (no_plan, no_events) = (FaultPlan::new(), FaultTimeline::new());
+        let base = self.plan.unwrap_or(&no_plan);
+        let timeline = self.timeline.unwrap_or(&no_events);
+        let attached = self.plan.is_some() || self.timeline.is_some();
+        let routes = (attached || self.model != Model::Adaptive)
+            .then(|| compile(self.topo, injections, &cfg, base, timeline));
+        if let Some(mem) = self.mem.as_deref_mut() {
+            mem.route_table_bytes = routes.as_ref().map_or(0, RouteTable::heap_bytes);
+        }
+        let ctx = RunCtx::new(self.topo, injections, &cfg);
+        let source_routed = |faults| SourceRouted {
+            routes: routes
+                .as_ref()
+                .expect("invariant: source-routed models compile their routes"),
+            layout: &ctx.layout,
+            faults,
+        };
+        match self.model {
+            Model::Oblivious(sampling) => {
+                let flight = attached || sampling != TraceSampling::Off;
+                let route = source_routed(flight);
+                let spans = Spans::new(&ctx, route.routes, base, timeline, sampling);
+                if cfg.threads > 1 && spans.is_none() && self.mem.is_none() {
+                    return crate::par::run_sharded(&ctx, route);
+                }
+                drive_serial(&ctx, route, Unbounded, spans, self.mem)
+            }
+            Model::Bounded(capacity) => {
+                assert!(capacity >= 1, "queues need capacity >= 1");
+                let queues = Bounded {
+                    capacity,
+                    sweep: false,
+                };
+                drive_serial(&ctx, source_routed(false), queues, None, self.mem)
+            }
+            Model::Adaptive => {
+                let route = Adaptive {
+                    topo: self.topo,
+                    layout: &ctx.layout,
+                    admission: routes.as_ref(),
+                    ports: [0; MAX_PRODUCTIVE],
+                };
+                drive_serial(&ctx, route, Unbounded, None, self.mem)
+            }
+        }
+    }
 }
 
-/// Runs the oblivious simulation with **bounded queues and
-/// backpressure**: each channel queue holds at most `capacity` packets; a
-/// packet advances only if its next queue has room (head-of-line
-/// blocking, credit-style flow control). Injection fails when the first
-/// queue is full — such packets are dropped and counted in `stranded`
-/// (delivered + stranded == offered still holds).
-///
-/// This is the realistic finite-buffer router model; the unbounded
-/// [`run`] measures latency-versus-load without loss, this one measures
-/// loss and saturation onset.
-///
-/// **Deadlock**: finite buffers plus cyclic channel dependencies can
-/// deadlock (the classic wormhole/store-and-forward hazard — the level
-/// cycle of the butterfly makes such cycles possible). A deadlocked run
-/// simply hits `max_cycles` with `stranded > 0`; detecting/avoiding
-/// deadlock (virtual channels, bubble routing) is out of scope for this
-/// reproduction and flagged as future work in DESIGN.md.
-///
-/// # Panics
-/// As [`run`].
-pub fn run_bounded(
-    topo: &dyn NetTopology,
-    injections: &[Injection],
-    cfg: SimConfig,
-    capacity: usize,
-) -> SimStats {
-    let (no_faults, no_events) = (FaultPlan::new(), FaultTimeline::new());
-    crate::run_bounded_with_timeline(topo, injections, cfg, capacity, &no_faults, &no_events)
-}
-
-/// Reference **full-sweep** implementation of [`run_bounded`]: the same
-/// model, but each cycle scans every channel in ascending id order
-/// instead of draining the active worklist — O(channels) per cycle
-/// regardless of traffic. Retained as the differential-testing oracle
-/// that pins the frontier worklist byte-identical (stats, counters,
-/// histograms, link stats, profiles, traces); not intended for large
-/// topologies.
-///
-/// # Panics
-/// As [`run_bounded`].
-pub fn run_bounded_sweep(
-    topo: &dyn NetTopology,
-    injections: &[Injection],
-    cfg: SimConfig,
-    capacity: usize,
-) -> SimStats {
-    let table = RouteTable::for_injections(topo, injections, &FaultPlan::new());
-    let queues = Bounded {
-        capacity,
-        sweep: true,
-    };
-    run_bounded_on(topo, injections, &cfg, queues, &table)
-}
-
-/// The bounded-queue run over compiled routes. Under a fault plan or
-/// timeline ([`crate::run_bounded_with_timeline`]) an injection whose
-/// compiled route is empty is **unroutable** under the plan in force
-/// at its cycle: refused at admission, counted in `sim.unroutable` and
-/// `stranded`. Detour *attribution* stays the flight runs' job — the
-/// bounded model only accounts deliverability.
-pub(crate) fn run_bounded_on(
+/// Compiles the run's routes and records what the repairs cost in
+/// `cfg`'s telemetry: the `sim.repair.*` counters and, under
+/// `cfg.profile`, the `sim/route_repair` phase. An empty timeline
+/// records neither, so it matches the static-plan run byte for byte.
+fn compile(
     topo: &dyn NetTopology,
     injections: &[Injection],
     cfg: &SimConfig,
-    queues: Bounded,
-    routes: &RouteTable,
-) -> SimStats {
-    assert!(queues.capacity >= 1, "queues need capacity >= 1");
-    let ctx = RunCtx::new(topo, injections, cfg);
-    let route = SourceRouted {
-        routes,
-        layout: &ctx.layout,
-        faults: false,
+    base: &FaultPlan,
+    timeline: &FaultTimeline,
+) -> RouteTable {
+    let (table, cost) = RouteTable::compile(topo, injections, base, timeline);
+    let Some(t) = cfg.telemetry.as_ref().filter(|_| !timeline.is_empty()) else {
+        return table;
     };
-    drive_serial(&ctx, route, queues, None, None)
+    t.counter("sim.repair.events").add(cost.events);
+    t.counter("sim.repair.deltas").add(cost.deltas);
+    t.counter("sim.repair.scanned").add(cost.repair.scanned);
+    t.counter("sim.repair.kept").add(cost.repair.kept);
+    t.counter("sim.repair.respliced").add(cost.repair.respliced);
+    if cfg.profile {
+        let mut p = Profile::new();
+        p.record("sim/route_repair", cost.deltas, cost.repair.work);
+        if !p.is_empty() {
+            t.merge_profile(&p);
+        }
+    }
+    table
 }
 
-/// Runs a **minimal adaptive** simulation: at every hop the packet picks,
-/// among the topology's productive next hops (neighbors on some shortest
-/// path, [`NetTopology::productive_hops`]), the one whose outgoing queue
-/// is currently shortest. Hop counts stay minimal; only the *choice* of
-/// shortest path adapts to congestion — the ablation partner of the
-/// oblivious [`run`].
-///
-/// # Panics
-/// As [`run`]; additionally panics if a topology reports no productive
-/// hop for an undelivered packet (which would contradict shortest-path
-/// reachability).
+/// `Sim::new(topo).run(..)`. Kept, like [`run_adaptive`] and
+/// [`run_with_timeline`], because perfbench calls it; all three go when
+/// perfbench moves to [`Sim`] (ROADMAP item A).
+pub fn run(topo: &dyn NetTopology, injections: &[Injection], cfg: SimConfig) -> SimStats {
+    Sim::new(topo).run(injections, cfg)
+}
+
+/// [`Sim`] with [`Model::Adaptive`]; kept for perfbench, as [`run`].
 pub fn run_adaptive(topo: &dyn NetTopology, injections: &[Injection], cfg: SimConfig) -> SimStats {
-    run_adaptive_on(topo, injections, &cfg, None)
+    Sim::new(topo).model(Model::Adaptive).run(injections, cfg)
 }
 
-/// The adaptive run. `admission`, set by
-/// [`crate::run_adaptive_with_timeline`], gates injections on the
-/// fault-timeline routes compiled for their cycle: a packet whose
-/// compiled route is empty is unroutable and refused. In-transit
-/// adaptivity stays **fault-blind** — the productive-hop scan does not
-/// consult the plan (documented limitation; the oblivious churn runs
-/// are the fault-aware ones).
-pub(crate) fn run_adaptive_on(
+/// [`Sim`] with [`Model::Oblivious`], `base` and `timeline` attached;
+/// kept for perfbench, as [`run`].
+pub fn run_with_timeline(
     topo: &dyn NetTopology,
     injections: &[Injection],
-    cfg: &SimConfig,
-    admission: Option<&RouteTable>,
+    cfg: SimConfig,
+    base: &FaultPlan,
+    timeline: &FaultTimeline,
+    sampling: TraceSampling,
 ) -> SimStats {
-    let ctx = RunCtx::new(topo, injections, cfg);
-    let route = Adaptive {
-        topo,
-        layout: &ctx.layout,
-        admission,
-        ports: [0; MAX_PRODUCTIVE],
-    };
-    drive_serial(&ctx, route, Unbounded, None, None)
+    Sim::new(topo)
+        .model(Model::Oblivious(sampling))
+        .faults(base)
+        .timeline(timeline)
+        .run(injections, cfg)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::{FaultEventKind, FaultTarget};
     use crate::topology::{HbRouteOrder, HyperButterflyNet, HypercubeNet};
+    use crate::workload;
     use hb_telemetry::Event;
 
     #[test]
     fn single_packet_latency_is_distance() {
         let t = HypercubeNet::new(4).unwrap();
         let inj = [inj(0, 0b1111, 0)];
-        let s = run(&t, &inj, SimConfig::default());
+        let s = Sim::new(&t).run(&inj, SimConfig::default());
         assert_eq!(s.delivered, 1);
         assert_eq!(s.stranded, 0);
         assert_eq!(s.avg_latency, 4.0); // 4 hops, no contention
@@ -556,7 +602,7 @@ mod tests {
         // Two packets injected the same cycle over the same first channel.
         let t = HypercubeNet::new(3).unwrap();
         let inj = [inj(0, 1, 0), inj(0, 1, 0)];
-        let s = run(&t, &inj, SimConfig::default());
+        let s = Sim::new(&t).run(&inj, SimConfig::default());
         assert_eq!(s.delivered, 2);
         // One arrives at cycle 1, the other queues one cycle: latencies 1, 2.
         assert_eq!(s.avg_latency, 1.5);
@@ -568,7 +614,7 @@ mod tests {
     fn self_addressed_packets_deliver_instantly() {
         let t = HypercubeNet::new(3).unwrap();
         let inj = [inj(5, 5, 0)];
-        let s = run(&t, &inj, SimConfig::default());
+        let s = Sim::new(&t).run(&inj, SimConfig::default());
         assert_eq!(s.delivered, 1);
         assert_eq!(s.avg_latency, 0.0);
     }
@@ -577,7 +623,7 @@ mod tests {
     fn cycle_limit_strands_packets() {
         let t = HypercubeNet::new(4).unwrap();
         let inj = [inj(0, 0b1111, 0)];
-        let s = run(&t, &inj, SimConfig::bounded(2));
+        let s = Sim::new(&t).run(&inj, SimConfig::bounded(2));
         assert_eq!(s.delivered, 0);
         assert_eq!(s.stranded, 1);
         assert_eq!(s.cycles, 2);
@@ -593,15 +639,19 @@ mod tests {
             .map(|i| inj(i % 16, (i * 5 + 3) % 16, (i / 8) as u64))
             .collect();
         for limit in [0, 1, 2, 3, 5, 8] {
-            let s = run(&t, &inj, SimConfig::bounded(limit));
+            let s = Sim::new(&t).run(&inj, SimConfig::bounded(limit));
             assert_eq!(s.delivered + s.stranded, s.offered, "run, limit {limit}");
-            let sa = run_adaptive(&t, &inj, SimConfig::bounded(limit));
+            let sa = Sim::new(&t)
+                .model(Model::Adaptive)
+                .run(&inj, SimConfig::bounded(limit));
             assert_eq!(
                 sa.delivered + sa.stranded,
                 sa.offered,
                 "adaptive, limit {limit}"
             );
-            let sb = run_bounded(&t, &inj, SimConfig::bounded(limit), 2);
+            let sb = Sim::new(&t)
+                .model(Model::Bounded(2))
+                .run(&inj, SimConfig::bounded(limit));
             assert_eq!(
                 sb.delivered + sb.stranded,
                 sb.offered,
@@ -615,7 +665,7 @@ mod tests {
         let t = HyperButterflyNet::new(2, 3, HbRouteOrder::CubeFirst).unwrap();
         let n = t.num_nodes();
         let inj: Vec<Injection> = (0..n).map(|v| inj(v, (v * 7 + 3) % n, 0)).collect();
-        let s = run(&t, &inj, SimConfig::default());
+        let s = Sim::new(&t).run(&inj, SimConfig::default());
         assert_eq!(s.delivered, n as u64);
         assert_eq!(s.stranded, 0);
         assert!(s.avg_latency >= s.avg_hops);
@@ -626,9 +676,9 @@ mod tests {
         let t = HyperButterflyNet::new(2, 3, HbRouteOrder::CubeFirst).unwrap();
         let n = t.num_nodes();
         let inj: Vec<Injection> = (0..n).map(|v| inj(v, (v * 7 + 3) % n, 0)).collect();
-        let off = run(&t, &inj, SimConfig::default());
+        let off = Sim::new(&t).run(&inj, SimConfig::default());
         let tel = hb_telemetry::Telemetry::with_trace(64);
-        let on = run(&t, &inj, SimConfig::default().with_telemetry(tel.clone()));
+        let on = Sim::new(&t).run(&inj, SimConfig::default().with_telemetry(tel.clone()));
         assert_eq!(off, on, "telemetry must not perturb the simulation");
 
         // And the instruments reflect the run faithfully.
@@ -652,7 +702,7 @@ mod tests {
         let t = HypercubeNet::new(3).unwrap();
         let inj: Vec<Injection> = (0..6).map(|_| inj(0, 1, 0)).collect();
         let tel = hb_telemetry::Telemetry::summary();
-        let s = run(&t, &inj, SimConfig::default().with_telemetry(tel.clone()));
+        let s = Sim::new(&t).run(&inj, SimConfig::default().with_telemetry(tel.clone()));
         let links = tel.links();
         let per_link_peak = links.iter().map(|(_, r)| r.peak_queue).max().unwrap();
         assert_eq!(per_link_peak, s.peak_queue);
@@ -665,7 +715,9 @@ mod tests {
         let t = HypercubeNet::new(3).unwrap();
         // Ten packets into one channel of capacity 2, same cycle.
         let inj: Vec<Injection> = (0..10).map(|_| inj(0, 1, 0)).collect();
-        let s = run_bounded(&t, &inj, SimConfig::default(), 2);
+        let s = Sim::new(&t)
+            .model(Model::Bounded(2))
+            .run(&inj, SimConfig::default());
         assert_eq!(s.delivered + s.stranded, s.offered);
         assert_eq!(s.delivered, 2); // only the buffered two survive
         assert_eq!(s.stranded, 8);
@@ -676,12 +728,9 @@ mod tests {
         let t = HypercubeNet::new(3).unwrap();
         let inj: Vec<Injection> = (0..10).map(|_| inj(0, 1, 0)).collect();
         let tel = hb_telemetry::Telemetry::with_trace(64);
-        let s = run_bounded(
-            &t,
-            &inj,
-            SimConfig::default().with_telemetry(tel.clone()),
-            2,
-        );
+        let s = Sim::new(&t)
+            .model(Model::Bounded(2))
+            .run(&inj, SimConfig::default().with_telemetry(tel.clone()));
         assert_eq!(s.delivered, 2);
         assert_eq!(tel.counter("sim.dropped").get(), 8);
         let drops = tel
@@ -696,7 +745,9 @@ mod tests {
     fn bounded_queues_match_unbounded_at_low_load() {
         let t = HypercubeNet::new(4).unwrap();
         let inj = [inj(0, 0b1111, 0)];
-        let b = run_bounded(&t, &inj, SimConfig::default(), 4);
+        let b = Sim::new(&t)
+            .model(Model::Bounded(4))
+            .run(&inj, SimConfig::default());
         assert_eq!(b.delivered, 1);
         assert_eq!(b.avg_latency, 4.0);
     }
@@ -707,7 +758,9 @@ mod tests {
         // Two packets share the full route 0 -> 1 -> 3; capacity 1 forces
         // the second to wait at each stage but both must arrive.
         let inj = [inj(0, 3, 0), inj(0, 3, 1)];
-        let s = run_bounded(&t, &inj, SimConfig::default(), 1);
+        let s = Sim::new(&t)
+            .model(Model::Bounded(1))
+            .run(&inj, SimConfig::default());
         assert_eq!(s.delivered, 2);
         assert_eq!(s.stranded, 0);
     }
@@ -716,7 +769,9 @@ mod tests {
     fn adaptive_matches_oblivious_hops_at_zero_load() {
         let t = HypercubeNet::new(4).unwrap();
         let inj = [inj(0, 0b1111, 0)];
-        let s = run_adaptive(&t, &inj, SimConfig::default());
+        let s = Sim::new(&t)
+            .model(Model::Adaptive)
+            .run(&inj, SimConfig::default());
         assert_eq!(s.delivered, 1);
         assert_eq!(s.avg_hops, 4.0); // adaptive stays minimal
         assert_eq!(s.avg_latency, 4.0);
@@ -729,8 +784,10 @@ mod tests {
         // paths and must not be slower.
         let t = HypercubeNet::new(4).unwrap();
         let inj: Vec<Injection> = (0..8).map(|_| inj(0, 0b1111, 0)).collect();
-        let obl = run(&t, &inj, SimConfig::default());
-        let ada = run_adaptive(&t, &inj, SimConfig::default());
+        let obl = Sim::new(&t).run(&inj, SimConfig::default());
+        let ada = Sim::new(&t)
+            .model(Model::Adaptive)
+            .run(&inj, SimConfig::default());
         assert_eq!(ada.delivered, 8);
         assert!(
             ada.avg_latency <= obl.avg_latency,
@@ -746,7 +803,9 @@ mod tests {
         let t = HypercubeNet::new(4).unwrap();
         let inj: Vec<Injection> = (0..8).map(|_| inj(0, 0b1111, 0)).collect();
         let tel = hb_telemetry::Telemetry::summary();
-        let s = run_adaptive(&t, &inj, SimConfig::default().with_telemetry(tel.clone()));
+        let s = Sim::new(&t)
+            .model(Model::Adaptive)
+            .run(&inj, SimConfig::default().with_telemetry(tel.clone()));
         assert_eq!(s.delivered, 8);
         // Minimal adaptivity: every packet takes exactly 4 hops.
         assert_eq!(tel.links().total_forwarded(), 8 * 4);
@@ -767,7 +826,9 @@ mod tests {
         assert_eq!(&ports[..k], &[5, 2]);
         let tel = hb_telemetry::Telemetry::summary();
         let cfg = SimConfig::default().with_telemetry(tel.clone());
-        let s = run_adaptive(&t, &[inj(29, 85, 0)], cfg);
+        let s = Sim::new(&t)
+            .model(Model::Adaptive)
+            .run(&[inj(29, 85, 0)], cfg);
         assert_eq!((s.delivered, s.avg_hops), (1, 2.0));
         let used: Vec<(u32, u32)> = tel
             .links()
@@ -783,7 +844,9 @@ mod tests {
         let t = HyperButterflyNet::new(2, 3, HbRouteOrder::CubeFirst).unwrap();
         let n = t.num_nodes();
         let inj: Vec<Injection> = (0..n).map(|v| inj(v, (v * 31 + 5) % n, 0)).collect();
-        let s = run_adaptive(&t, &inj, SimConfig::default());
+        let s = Sim::new(&t)
+            .model(Model::Adaptive)
+            .run(&inj, SimConfig::default());
         assert_eq!(s.delivered, n as u64);
         assert_eq!(s.stranded, 0);
     }
@@ -796,7 +859,7 @@ mod tests {
         let inj: Vec<Injection> = (0..6).map(|_| inj(0, 1, 0)).collect();
         let tel = hb_telemetry::Telemetry::summary();
         tel.enable_timeseries(hb_telemetry::TsConfig::new(2));
-        let s = run(&t, &inj, SimConfig::default().with_telemetry(tel.clone()));
+        let s = Sim::new(&t).run(&inj, SimConfig::default().with_telemetry(tel.clone()));
         let series = tel.series();
         assert_eq!(series["sim.injected"].total(), s.offered);
         assert_eq!(series["sim.delivered"].total(), s.delivered);
@@ -818,7 +881,7 @@ mod tests {
         let t = HypercubeNet::new(3).unwrap();
         let inj = [inj(0, 1, 0)];
         let tel = hb_telemetry::Telemetry::summary();
-        run(&t, &inj, SimConfig::default().with_telemetry(tel.clone()));
+        Sim::new(&t).run(&inj, SimConfig::default().with_telemetry(tel.clone()));
         let snap = tel.snapshot();
         assert!(snap.timeseries.is_empty());
         assert!(snap.congestion.is_empty());
@@ -833,9 +896,9 @@ mod tests {
             tel.enable_timeseries(hb_telemetry::TsConfig::new(1));
             let cfg = SimConfig::default().with_telemetry(tel.clone());
             let s = if runner == 0 {
-                run_bounded(&t, &inj, cfg, 4)
+                Sim::new(&t).model(Model::Bounded(4)).run(&inj, cfg)
             } else {
-                run_adaptive(&t, &inj, cfg)
+                Sim::new(&t).model(Model::Adaptive).run(&inj, cfg)
             };
             let series = tel.series();
             assert_eq!(series["sim.injected"].total(), s.offered, "runner {runner}");
@@ -859,7 +922,7 @@ mod tests {
         let inj: Vec<Injection> = (0..32).map(|_| inj(0, 1, 0)).collect();
         let tel = hb_telemetry::Telemetry::with_trace(4096);
         tel.enable_timeseries(hb_telemetry::TsConfig::new(4));
-        run(&t, &inj, SimConfig::default().with_telemetry(tel.clone()));
+        Sim::new(&t).run(&inj, SimConfig::default().with_telemetry(tel.clone()));
         let events = tel.congestion();
         assert!(
             events
@@ -881,6 +944,357 @@ mod tests {
     fn unsorted_injections_panic() {
         let t = HypercubeNet::new(3).unwrap();
         let inj = [inj(0, 1, 5), inj(0, 1, 0)];
-        run(&t, &inj, SimConfig::default());
+        Sim::new(&t).run(&inj, SimConfig::default());
+    }
+
+    fn hb() -> HyperButterflyNet {
+        HyperButterflyNet::new(2, 3, HbRouteOrder::CubeFirst).unwrap()
+    }
+
+    fn cut_first_link_timeline(at: u64) -> FaultTimeline {
+        let mut tl = FaultTimeline::new();
+        tl.push(at, FaultEventKind::Fault, FaultTarget::Link(0, 1));
+        tl
+    }
+
+    #[test]
+    fn empty_timeline_matches_the_static_runners_exactly() {
+        let t = hb();
+        let traffic = workload::uniform(t.num_nodes(), 60, 0.3, 7);
+        let mut plan = FaultPlan::new();
+        plan.add_node(5).add_link(0, 2);
+        let tl = FaultTimeline::new();
+        let baseline = Sim::new(&t)
+            .faults(&plan)
+            .run(&traffic, SimConfig::default());
+        let churn = Sim::new(&t)
+            .faults(&plan)
+            .timeline(&tl)
+            .run(&traffic, SimConfig::default());
+        assert_eq!(baseline, churn);
+        // Counters match too — and no `sim.repair.*` keys appear.
+        let tel_a = Telemetry::summary();
+        Sim::new(&t)
+            .faults(&plan)
+            .run(&traffic, SimConfig::default().with_telemetry(tel_a.clone()));
+        let tel_b = Telemetry::summary();
+        Sim::new(&t)
+            .faults(&plan)
+            .timeline(&tl)
+            .run(&traffic, SimConfig::default().with_telemetry(tel_b.clone()));
+        assert_eq!(tel_a.snapshot(), tel_b.snapshot());
+
+        // Bounded and adaptive runs under an empty plan: same stats and
+        // the same snapshot (no `sim.unroutable` where the static runner
+        // has none).
+        let cfg = |tel: &Telemetry| SimConfig::default().with_telemetry(tel.clone());
+        let (tel_a, tel_b) = (Telemetry::summary(), Telemetry::summary());
+        let b = Sim::new(&t)
+            .model(Model::Bounded(4))
+            .run(&traffic, cfg(&tel_a));
+        let bt = Sim::new(&t)
+            .model(Model::Bounded(4))
+            .faults(&FaultPlan::new())
+            .timeline(&tl)
+            .run(&traffic, cfg(&tel_b));
+        assert_eq!(b, bt);
+        assert_eq!(tel_a.snapshot(), tel_b.snapshot());
+        let (tel_a, tel_b) = (Telemetry::summary(), Telemetry::summary());
+        let a = Sim::new(&t)
+            .model(Model::Adaptive)
+            .run(&traffic, cfg(&tel_a));
+        let at = Sim::new(&t)
+            .model(Model::Adaptive)
+            .faults(&FaultPlan::new())
+            .timeline(&tl)
+            .run(&traffic, cfg(&tel_b));
+        assert_eq!(a, at);
+        assert_eq!(tel_a.snapshot(), tel_b.snapshot());
+    }
+
+    #[test]
+    fn a_cycle_zero_fault_matches_the_equivalent_static_plan() {
+        // Every admission happens under plan+event, so the run must
+        // equal a static run with the fault baked in (stats; counters
+        // differ only by the extra sim.repair.* keys).
+        let t = HypercubeNet::new(4).unwrap();
+        let traffic = workload::uniform(t.num_nodes(), 50, 0.4, 9);
+        let mut static_plan = FaultPlan::new();
+        static_plan.add_link(0, 1);
+        let expected = Sim::new(&t)
+            .faults(&static_plan)
+            .run(&traffic, SimConfig::default());
+        let got = Sim::new(&t)
+            .timeline(&cut_first_link_timeline(0))
+            .run(&traffic, SimConfig::default());
+        assert_eq!(expected, got);
+    }
+
+    #[test]
+    fn mid_run_faults_spare_packets_already_in_flight() {
+        // One packet admitted at cycle 0 on route 0,1,3,7,15; the link
+        // 0-1 dies at cycle 2, well after the packet crossed it. The
+        // packet flies its admitted route; a second packet admitted at
+        // cycle 5 must detour.
+        let t = HypercubeNet::new(4).unwrap();
+        let inj = [inj(0, 15, 0), inj(0, 15, 5)];
+        let tel = Telemetry::summary();
+        let s = Sim::new(&t)
+            .timeline(&cut_first_link_timeline(2))
+            .run(&inj, SimConfig::default().with_telemetry(tel.clone()));
+        assert_eq!(s.delivered, 2);
+        assert_eq!(s.stranded, 0);
+        // Only the second admission detours.
+        assert_eq!(tel.counter("sim.reroutes").get(), 1);
+        assert_eq!(tel.counter("sim.repair.events").get(), 1);
+        assert_eq!(tel.counter("sim.repair.deltas").get(), 1);
+    }
+
+    #[test]
+    fn repair_events_restore_the_original_routes() {
+        // Fault at cycle 1, repair at cycle 3: admissions at cycles 0
+        // and 4 take the oblivious route, the one at cycle 2 detours.
+        let t = HypercubeNet::new(4).unwrap();
+        let inj: Vec<Injection> = [0u64, 2, 4]
+            .iter()
+            .map(|&at| Injection {
+                src: 0,
+                dst: 15,
+                at,
+            })
+            .collect();
+        let mut tl = cut_first_link_timeline(1);
+        tl.push(3, FaultEventKind::Repair, FaultTarget::Link(0, 1));
+        let tel = Telemetry::summary();
+        let s = Sim::new(&t)
+            .timeline(&tl)
+            .run(&inj, SimConfig::default().with_telemetry(tel.clone()));
+        assert_eq!(s.delivered, 3);
+        assert_eq!(tel.counter("sim.reroutes").get(), 1);
+        assert_eq!(tel.counter("sim.repair.events").get(), 2);
+        assert_eq!(tel.counter("sim.repair.deltas").get(), 2);
+        // The second delta (the repair) rescans the memo and resplices
+        // the detoured pair back to its oblivious route.
+        assert!(tel.counter("sim.repair.respliced").get() >= 1);
+    }
+
+    #[test]
+    fn events_after_the_last_injection_never_apply() {
+        let t = hb();
+        let traffic = workload::uniform(t.num_nodes(), 30, 0.5, 3);
+        let last_at = traffic.last().unwrap().at;
+        let tel = Telemetry::summary();
+        Sim::new(&t)
+            .timeline(&cut_first_link_timeline(last_at + 100))
+            .run(&traffic, SimConfig::default().with_telemetry(tel.clone()));
+        assert_eq!(tel.counter("sim.repair.events").get(), 0);
+        assert_eq!(tel.counter("sim.repair.deltas").get(), 0);
+    }
+
+    #[test]
+    fn profiled_timeline_runs_record_the_repair_phase() {
+        let t = hb();
+        let traffic = workload::uniform(t.num_nodes(), 40, 0.4, 5);
+        let tel = Telemetry::summary();
+        Sim::new(&t).timeline(&cut_first_link_timeline(2)).run(
+            &traffic,
+            SimConfig::default()
+                .with_telemetry(tel.clone())
+                .with_profile(true),
+        );
+        let prof = tel.profile();
+        let phase = prof
+            .get("sim/route_repair")
+            .expect("timeline runs record the repair phase");
+        assert_eq!(phase.invocations, 1, "one delta");
+        assert!(prof.get("sim/route_build").is_some());
+    }
+
+    #[test]
+    fn unroutable_admissions_strand_and_conserve_under_churn() {
+        // Isolate node 7 of Q3 mid-run: admissions to it after the
+        // events are refused.
+        let t = HypercubeNet::new(3).unwrap();
+        let inj = [inj(0, 7, 0), inj(0, 7, 10)];
+        let mut tl = FaultTimeline::new();
+        for (u, v) in [(7, 3), (7, 5), (7, 6)] {
+            tl.push(4, FaultEventKind::Fault, FaultTarget::Link(u, v));
+        }
+        let tel = Telemetry::summary();
+        let s = Sim::new(&t)
+            .timeline(&tl)
+            .run(&inj, SimConfig::default().with_telemetry(tel.clone()));
+        assert_eq!(s.delivered, 1);
+        assert_eq!(s.stranded, 1);
+        assert_eq!(s.delivered + s.stranded, s.offered);
+        assert_eq!(tel.counter("sim.unroutable").get(), 1);
+        // Three events, one cycle group, one delta.
+        assert_eq!(tel.counter("sim.repair.events").get(), 3);
+        assert_eq!(tel.counter("sim.repair.deltas").get(), 1);
+    }
+
+    #[test]
+    fn bounded_and_adaptive_timeline_runs_refuse_unroutable_admissions() {
+        let t = HypercubeNet::new(3).unwrap();
+        let inj = [inj(0, 7, 0), inj(0, 7, 10)];
+        let mut tl = FaultTimeline::new();
+        for (u, v) in [(7, 3), (7, 5), (7, 6)] {
+            tl.push(4, FaultEventKind::Fault, FaultTarget::Link(u, v));
+        }
+        let b = Sim::new(&t)
+            .model(Model::Bounded(4))
+            .timeline(&tl)
+            .run(&inj, SimConfig::default());
+        assert_eq!(b.delivered, 1);
+        assert_eq!(b.stranded, 1);
+        let a = Sim::new(&t)
+            .model(Model::Adaptive)
+            .timeline(&tl)
+            .run(&inj, SimConfig::default());
+        assert_eq!(a.delivered, 1);
+        assert_eq!(a.stranded, 1);
+    }
+
+    /// An oblivious run is a flight run exactly when a plan or a timeline
+    /// is attached, even an empty one: it then registers the fault
+    /// counters and series, and returns the plain run's stats.
+    #[test]
+    fn an_empty_plan_or_timeline_makes_a_flight_run() {
+        let t = hb();
+        let traffic = workload::uniform(t.num_nodes(), 40, 0.3, 5);
+        let (no_plan, no_events) = (FaultPlan::new(), FaultTimeline::new());
+        let observe = |sim: Sim<'_>| {
+            let tel = Telemetry::summary();
+            tel.enable_timeseries(hb_telemetry::TsConfig::new(5));
+            let stats = sim.run(&traffic, SimConfig::default().with_telemetry(tel.clone()));
+            let counters: std::collections::BTreeMap<_, _> = tel.counters().into_iter().collect();
+            let series = tel.series();
+            let fault = ["sim.reroutes", "sim.unroutable"]
+                .map(|k| (counters.get(k).copied(), series.contains_key(k)));
+            (stats, fault)
+        };
+        let (plain, fault) = observe(Sim::new(&t));
+        assert_eq!(fault, [(None, false), (None, false)], "nothing attached");
+        for (what, sim) in [
+            ("empty plan", Sim::new(&t).faults(&no_plan)),
+            ("empty timeline", Sim::new(&t).timeline(&no_events)),
+        ] {
+            let (stats, fault) = observe(sim);
+            assert_eq!(stats, plain, "{what}");
+            assert_eq!(fault, [(Some(0), true), (Some(0), true)], "{what}");
+        }
+    }
+
+    /// The full-sweep oracle of [`Model::Bounded`]: the same model, but
+    /// each cycle rebuilds the service set by scanning every channel in
+    /// ascending id order instead of trusting the active worklist.
+    fn bounded_sweep(
+        topo: &dyn NetTopology,
+        injections: &[Injection],
+        cfg: SimConfig,
+        capacity: usize,
+    ) -> SimStats {
+        let table = RouteTable::for_injections(topo, injections, &FaultPlan::new());
+        let ctx = RunCtx::new(topo, injections, &cfg);
+        let route = SourceRouted {
+            routes: &table,
+            layout: &ctx.layout,
+            faults: false,
+        };
+        let queues = Bounded {
+            capacity,
+            sweep: true,
+        };
+        drive_serial(&ctx, route, queues, None, None)
+    }
+
+    /// The engine golden's bounded run (`HB(2, 3)` hotspot, capacity 2,
+    /// trace telemetry, a 5-cycle series, the profile on): the sweep
+    /// returns the frontier's stats and renders the same bytes through
+    /// every sink.
+    #[test]
+    fn bounded_sweep_matches_the_frontier_on_the_golden_workload() {
+        use hb_telemetry::{CsvSink, JsonLinesSink, ReportSink, Sink, TextSink};
+        let t = hb();
+        let traffic = workload::hotspot(t.num_nodes(), 40, 0.1, 0, 0.3, 2024);
+        let config = || {
+            let tel = Telemetry::with_trace(1 << 16);
+            tel.enable_timeseries(hb_telemetry::TsConfig::new(5));
+            let cfg = SimConfig::bounded(400)
+                .with_telemetry(tel.clone())
+                .with_profile(true);
+            (cfg, tel)
+        };
+        let (cfg, tel_f) = config();
+        let frontier = Sim::new(&t).model(Model::Bounded(2)).run(&traffic, cfg);
+        let (cfg, tel_s) = config();
+        let sweep = bounded_sweep(&t, &traffic, cfg, 2);
+        assert_eq!(frontier, sweep);
+        assert!(frontier.stranded > 0, "the hot node's queues fill and drop");
+        let (f, s) = (tel_f.snapshot(), tel_s.snapshot());
+        let sinks: [&dyn Sink; 4] = [
+            &JsonLinesSink,
+            &ReportSink::default(),
+            &TextSink::default(),
+            &CsvSink,
+        ];
+        for sink in sinks {
+            assert_eq!(sink.render(&f), sink.render(&s));
+        }
+    }
+
+    /// A trace-level handle with windowed time series on, at a cadence
+    /// (and a deliberately small retention, to exercise drop-oldest
+    /// eviction) derived from the seed.
+    fn tel_with_ts(seed: u64) -> Telemetry {
+        let tel = Telemetry::with_trace(2048);
+        let ts = hb_telemetry::TsConfig::new(1 + seed % 7).with_capacity(8 + (seed % 9) as usize);
+        tel.enable_timeseries(ts);
+        tel
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// Frontier vs sweep byte identity: the bounded engine's active
+        /// worklist (sorted, drained ascending) must reproduce the full
+        /// channel sweep exactly — stats, counters, quantiles, link
+        /// stats, and profile — on every topology family with dense
+        /// channel state, and on the graph-free `HB(1, 3)` with sparse
+        /// channel state.
+        #[test]
+        fn bounded_frontier_matches_sweep(kind in 0u8..3, rate in 5u32..50,
+                                          cycles in 1u64..24, seed in 0u64..300,
+                                          capacity in 1usize..4) {
+            let dense: Box<dyn NetTopology> = match kind {
+                0 => Box::new(HyperButterflyNet::new(1, 3, HbRouteOrder::CubeFirst).unwrap()),
+                1 => Box::new(crate::topology::ButterflyNet::new(3).unwrap()),
+                _ => Box::new(HypercubeNet::new(4).unwrap()),
+            };
+            let graph_free = HyperButterflyNet::implicit(1, 3, HbRouteOrder::CubeFirst).unwrap();
+            for t in [&*dense, &graph_free as &dyn NetTopology] {
+                let inj = workload::uniform(t.num_nodes(), cycles, f64::from(rate) / 100.0, seed);
+                let cfg = |tel: &Telemetry| {
+                    SimConfig::default().with_telemetry(tel.clone()).with_profile(true)
+                };
+                let (tel_f, tel_s) = (tel_with_ts(seed), tel_with_ts(seed));
+                let frontier = Sim::new(t).model(Model::Bounded(capacity)).run(&inj, cfg(&tel_f));
+                let sweep = bounded_sweep(t, &inj, cfg(&tel_s), capacity);
+                let sparse = t.explicit_graph().is_none();
+                proptest::prop_assert_eq!(&frontier, &sweep, "stats drift (sparse {})", sparse);
+                proptest::prop_assert_eq!(
+                    tel_f.profile(),
+                    tel_s.profile(),
+                    "profile drift (sparse {})",
+                    sparse
+                );
+                proptest::prop_assert_eq!(
+                    tel_f.snapshot(),
+                    tel_s.snapshot(),
+                    "snapshot drift (sparse {})",
+                    sparse
+                );
+            }
+        }
     }
 }

@@ -15,7 +15,7 @@
 //! must not race with unrelated tests.
 
 use hb_netsim::topology::{HbRouteOrder, HyperButterflyNet, HypercubeNet, NetTopology};
-use hb_netsim::{run, run_adaptive, Injection, SimConfig, SimStats};
+use hb_netsim::{Injection, Model, Sim, SimConfig, SimStats};
 use hb_telemetry::Telemetry;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -92,8 +92,8 @@ fn run_waves(
         cfg = cfg.with_telemetry(Telemetry::summary()).with_profile(true);
     }
     match engine {
-        Engine::Adaptive => count_allocs(|| run_adaptive(topo, &inj, cfg)),
-        Engine::Frontier => count_allocs(|| run(topo, &inj, cfg)),
+        Engine::Adaptive => count_allocs(|| Sim::new(topo).model(Model::Adaptive).run(&inj, cfg)),
+        Engine::Frontier => count_allocs(|| Sim::new(topo).run(&inj, cfg)),
     }
 }
 

@@ -5,8 +5,8 @@
 
 use hb_netsim::topology::{HbRouteOrder, HyperButterflyNet, HypercubeNet};
 use hb_netsim::{
-    run_with_faults, run_with_timeline, workload, FaultEventKind, FaultPlan, FaultTarget,
-    FaultTimeline, Injection, NetTopology, SimConfig, TraceSampling,
+    workload, FaultEventKind, FaultPlan, FaultTarget, FaultTimeline, Injection, Model, NetTopology,
+    Sim, SimConfig, TraceSampling,
 };
 use hb_telemetry::{ChromeTraceSink, Sink, Snapshot, SpanTreeSink, Telemetry};
 
@@ -29,13 +29,10 @@ fn two_packet_snapshot() -> Snapshot {
         },
     ];
     let tel = Telemetry::with_trace(64);
-    let s = run_with_faults(
-        &t,
-        &inj,
-        SimConfig::default().with_telemetry(tel.clone()),
-        &FaultPlan::new(),
-        TraceSampling::All,
-    );
+    let s = Sim::new(&t)
+        .model(Model::Oblivious(TraceSampling::All))
+        .faults(&FaultPlan::new())
+        .run(&inj, SimConfig::default().with_telemetry(tel.clone()));
     assert_eq!(s.delivered, 2);
     tel.snapshot()
 }
@@ -107,13 +104,10 @@ fn faulted_run_exports_reroute_attribution() {
     let r0 = t.route(s0, d0);
     let plan = FaultPlan::from_sets([], [(r0[0], r0[1])]);
     let tel = Telemetry::with_trace(65_536);
-    let stats = run_with_faults(
-        &t,
-        &traffic,
-        SimConfig::default().with_telemetry(tel.clone()),
-        &plan,
-        TraceSampling::FaultAdjacent,
-    );
+    let stats = Sim::new(&t)
+        .model(Model::Oblivious(TraceSampling::FaultAdjacent))
+        .faults(&plan)
+        .run(&traffic, SimConfig::default().with_telemetry(tel.clone()));
     assert!(stats.delivered > 0);
     assert!(tel.counter("sim.reroutes").get() >= 1);
 
@@ -166,14 +160,10 @@ fn golden_timeline_trace_attributes_detours_to_their_event() {
     let mut tl = FaultTimeline::new();
     tl.push(1, FaultEventKind::Fault, FaultTarget::Link(0, 1));
     let tel = Telemetry::with_trace(64);
-    let s = run_with_timeline(
-        &t,
-        &inj,
-        SimConfig::default().with_telemetry(tel.clone()),
-        &FaultPlan::new(),
-        &tl,
-        TraceSampling::All,
-    );
+    let s = Sim::new(&t)
+        .model(Model::Oblivious(TraceSampling::All))
+        .timeline(&tl)
+        .run(&inj, SimConfig::default().with_telemetry(tel.clone()));
     assert_eq!(s.delivered, 2);
     assert_eq!(tel.counter("sim.reroutes").get(), 1);
     let got = ChromeTraceSink.render(&tel.snapshot());
@@ -197,20 +187,13 @@ fn stats_identical_with_tracing_disabled() {
     let t = HyperButterflyNet::new(2, 3, HbRouteOrder::CubeFirst).unwrap();
     let traffic = workload::uniform(t.num_nodes(), 40, 0.3, 42);
     let plan = FaultPlan::from_sets([3], [(0, 1)]);
-    let bare = run_with_faults(
-        &t,
-        &traffic,
-        SimConfig::default(),
-        &plan,
-        TraceSampling::Off,
-    );
+    let bare = Sim::new(&t)
+        .faults(&plan)
+        .run(&traffic, SimConfig::default());
     let tel = Telemetry::with_trace(65_536);
-    let traced = run_with_faults(
-        &t,
-        &traffic,
-        SimConfig::default().with_telemetry(tel),
-        &plan,
-        TraceSampling::All,
-    );
+    let traced = Sim::new(&t)
+        .model(Model::Oblivious(TraceSampling::All))
+        .faults(&plan)
+        .run(&traffic, SimConfig::default().with_telemetry(tel));
     assert_eq!(bare, traced);
 }

@@ -14,7 +14,7 @@
 use hb_core::{routing as hbrouting, HyperButterfly};
 use hb_graphs::traverse;
 use hb_netsim::topology::{HbRouteOrder, HyperButterflyNet, NetTopology};
-use hb_netsim::{run_with_faults, workload, FaultPlan, SimConfig, TraceSampling, MAX_PRODUCTIVE};
+use hb_netsim::{workload, FaultPlan, Sim, SimConfig, MAX_PRODUCTIVE};
 use proptest::prelude::*;
 
 /// Exhaustive all-pairs check: algebraic `dist` == BFS distance.
@@ -177,8 +177,8 @@ proptest! {
             plan.add_link(u, nbrs[seed as usize % nbrs.len()] as usize);
         }
         let inj = workload::uniform(nn, cycles, f64::from(rate) / 100.0, seed);
-        let a = run_with_faults(&exp, &inj, SimConfig::default(), &plan, TraceSampling::Off);
-        let b = run_with_faults(&imp, &inj, SimConfig::default(), &plan, TraceSampling::Off);
+        let a = Sim::new(&exp).faults(&plan).run(&inj, SimConfig::default());
+        let b = Sim::new(&imp).faults(&plan).run(&inj, SimConfig::default());
         prop_assert_eq!(&a, &b);
     }
 }

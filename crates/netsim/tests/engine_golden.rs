@@ -1,14 +1,19 @@
-//! Pins every public simulator entry point's output byte for byte.
+//! Pins the output of every simulator configuration byte for byte.
 //!
 //! Each run below drives one seeded `HB(2, 3)` hotspot workload through
-//! one entry point with trace telemetry, a windowed time series, and the
-//! work profile on. Its line in `engine_golden.txt` carries an FNV-1a
+//! one `Sim` configuration (model, fault plan, timeline, threads) with
+//! trace telemetry, a windowed time series, and the work profile on.
+//! Lines keep the names of the entry points that configuration replaced
+//! (`run_bounded_with_timeline` is `Model::Bounded` with a timeline
+//! attached). Each line in `engine_golden.txt` carries an FNV-1a
 //! digest of the returned `SimStats` and one of each sink's render of
 //! the telemetry snapshot: `JsonLinesSink` (counters, histograms,
 //! profile, links, series, congestion, events, spans), `ReportSink`
 //! (top congested links, anomalies), `TextSink` and `CsvSink`.
 //! `run_with_mem` also pins the record counts of its `MemStats` (the
-//! byte fields depend on allocator capacity, so they stay out).
+//! byte fields depend on allocator capacity, so they stay out). The
+//! bounded sweep oracle is checked against the frontier in the crate's
+//! unit tests (`sim::tests`).
 //!
 //! Three more lines pin what the `HB(2, 3)` runs do not reach: the run
 //! behind `hbnet report 3 4 --workload hotspot --cycles 100` (three-digit
@@ -19,12 +24,10 @@
 //! model change. On a mismatch the current renders and golden text are
 //! written under `target/engine_golden/` for diffing.
 
-use hb_netsim::sim::run_bounded_sweep;
 use hb_netsim::topology::{HbRouteOrder, HyperButterflyNet};
 use hb_netsim::{
-    run, run_adaptive, run_adaptive_with_timeline, run_bounded, run_bounded_with_timeline,
-    run_with_faults, run_with_mem, run_with_timeline, workload, FaultEventKind, FaultPlan,
-    FaultTarget, FaultTimeline, Injection, NetTopology, SimConfig, SimStats, TraceSampling,
+    workload, FaultEventKind, FaultPlan, FaultTarget, FaultTimeline, Injection, MemStats, Model,
+    NetTopology, Sim, SimConfig, SimStats, TraceSampling,
 };
 use hb_telemetry::{CsvSink, JsonLinesSink, ReportSink, Sink, Telemetry, TextSink, TsConfig};
 use std::path::PathBuf;
@@ -106,10 +109,11 @@ fn all_runs() -> Vec<Pinned> {
     let mut out = Vec::new();
 
     let (cfg, tel) = config();
-    out.push(pin("run", &run(&t, &inj, cfg), &tel, ""));
+    out.push(pin("run", &Sim::new(&t).run(&inj, cfg), &tel, ""));
 
     let (cfg, tel) = config();
-    let (stats, mem) = run_with_mem(&t, &inj, cfg);
+    let mut mem = MemStats::default();
+    let stats = Sim::new(&t).mem(&mut mem).run(&inj, cfg);
     let extra = format!(
         " peak_channel_records={} num_channels={}",
         mem.peak_channel_records, mem.num_channels
@@ -117,18 +121,24 @@ fn all_runs() -> Vec<Pinned> {
     out.push(pin("run_with_mem", &stats, &tel, &extra));
 
     let (cfg, tel) = config();
-    out.push(pin("run_bounded", &run_bounded(&t, &inj, cfg, 2), &tel, ""));
+    out.push(pin(
+        "run_bounded",
+        &Sim::new(&t).model(Model::Bounded(2)).run(&inj, cfg),
+        &tel,
+        "",
+    ));
 
     let (cfg, tel) = config();
-    let stats = run_bounded_sweep(&t, &inj, cfg, 2);
-    out.push(pin("run_bounded_sweep", &stats, &tel, ""));
-
-    let (cfg, tel) = config();
-    out.push(pin("run_adaptive", &run_adaptive(&t, &inj, cfg), &tel, ""));
+    out.push(pin(
+        "run_adaptive",
+        &Sim::new(&t).model(Model::Adaptive).run(&inj, cfg),
+        &tel,
+        "",
+    ));
 
     let implicit = HyperButterflyNet::implicit(2, 3, HbRouteOrder::CubeFirst).unwrap();
     let (cfg, tel) = config();
-    let stats = run_adaptive(&implicit, &inj, cfg);
+    let stats = Sim::new(&implicit).model(Model::Adaptive).run(&inj, cfg);
     out.push(pin("run_adaptive_implicit", &stats, &tel, ""));
 
     // The adaptive router at the benchmark's butterfly size (`n = 6`),
@@ -143,51 +153,56 @@ fn all_runs() -> Vec<Pinned> {
         let wide = HyperButterflyNet::new(m, n, HbRouteOrder::CubeFirst).unwrap();
         let inj = workload::hotspot(wide.num_nodes(), 40, 0.1, 0, 0.3, 2024);
         let (cfg, tel) = config();
-        out.push(pin(name, &run_adaptive(&wide, &inj, cfg), &tel, ""));
+        out.push(pin(
+            name,
+            &Sim::new(&wide).model(Model::Adaptive).run(&inj, cfg),
+            &tel,
+            "",
+        ));
     }
 
     let (cfg, tel) = config();
-    let stats = run_with_faults(&t, &inj, cfg, &plan(), TraceSampling::All);
+    let stats = Sim::new(&t)
+        .model(Model::Oblivious(TraceSampling::All))
+        .faults(&plan())
+        .run(&inj, cfg);
     out.push(pin("run_with_faults", &stats, &tel, ""));
 
     let (cfg, tel) = config();
-    let stats = run_with_timeline(
-        &t,
-        &inj,
-        cfg,
-        &FaultPlan::new(),
-        &timeline(),
-        TraceSampling::All,
-    );
+    let stats = Sim::new(&t)
+        .model(Model::Oblivious(TraceSampling::All))
+        .timeline(&timeline())
+        .run(&inj, cfg);
     out.push(pin("run_with_timeline", &stats, &tel, ""));
 
     let (cfg, tel) = config();
-    let stats = run_bounded_with_timeline(&t, &inj, cfg, 2, &FaultPlan::new(), &timeline());
+    let stats = Sim::new(&t)
+        .model(Model::Bounded(2))
+        .timeline(&timeline())
+        .run(&inj, cfg);
     out.push(pin("run_bounded_with_timeline", &stats, &tel, ""));
 
     let (cfg, tel) = config();
-    let stats = run_adaptive_with_timeline(&t, &inj, cfg, &FaultPlan::new(), &timeline());
+    let stats = Sim::new(&t)
+        .model(Model::Adaptive)
+        .timeline(&timeline())
+        .run(&inj, cfg);
     out.push(pin("run_adaptive_with_timeline", &stats, &tel, ""));
 
     // The sharded engine's own outputs: per-shard counters, spans,
     // mailbox series, and the shard profile phases.
     let (cfg, tel) = config();
     let cfg = cfg.with_threads(2).with_shard_telemetry(true);
-    out.push(pin("run_sharded", &run(&t, &inj, cfg), &tel, ""));
+    out.push(pin("run_sharded", &Sim::new(&t).run(&inj, cfg), &tel, ""));
 
     let (cfg, tel) = config();
-    let stats = run_with_faults(&t, &inj, cfg.with_threads(2), &plan(), TraceSampling::Off);
+    let stats = Sim::new(&t).faults(&plan()).run(&inj, cfg.with_threads(2));
     out.push(pin("run_with_faults_sharded", &stats, &tel, ""));
 
     let (cfg, tel) = config();
-    let stats = run_with_timeline(
-        &t,
-        &inj,
-        cfg.with_threads(2),
-        &FaultPlan::new(),
-        &timeline(),
-        TraceSampling::Off,
-    );
+    let stats = Sim::new(&t)
+        .timeline(&timeline())
+        .run(&inj, cfg.with_threads(2));
     out.push(pin("run_with_timeline_sharded", &stats, &tel, ""));
 
     // `hbnet report 3 4 --workload hotspot --cycles 100`, serial and at
@@ -200,17 +215,17 @@ fn all_runs() -> Vec<Pinned> {
         let cfg = SimConfig::bounded(100 * 100 + 50_000)
             .with_threads(threads)
             .with_telemetry(tel.clone());
-        out.push(pin(name, &run(&hb34, &inj34, cfg), &tel, ""));
+        out.push(pin(name, &Sim::new(&hb34).run(&inj34, cfg), &tel, ""));
     }
 
     // Two runs sharing one handle: link stats sum per link, a link
     // series the second run records replaces the first run's, and a link
     // only the first run touched keeps its series.
     let (cfg, tel) = config();
-    run(&t, &inj, cfg.clone());
+    Sim::new(&t).run(&inj, cfg.clone());
     out.push(pin(
         "shared_handle",
-        &run_adaptive(&t, &second(), cfg),
+        &Sim::new(&t).model(Model::Adaptive).run(&second(), cfg),
         &tel,
         "",
     ));
@@ -256,30 +271,33 @@ fn the_pinned_runs_exercise_every_model_path() {
     let inj = traffic();
     // Faults and churn refuse some admissions and detour others...
     let (cfg, tel) = config();
-    run_with_faults(&t, &inj, cfg, &plan(), TraceSampling::All);
+    Sim::new(&t)
+        .model(Model::Oblivious(TraceSampling::All))
+        .faults(&plan())
+        .run(&inj, cfg);
     assert!(tel.counter("sim.unroutable").get() > 0);
     assert!(tel.counter("sim.reroutes").get() > 0);
     assert!(!tel.spans().is_empty());
     // ...and bounded queues both drop at the source and block in transit.
     let (cfg, tel) = config();
-    let b = run_bounded(&t, &inj, cfg, 2);
+    let b = Sim::new(&t).model(Model::Bounded(2)).run(&inj, cfg);
     assert!(tel.counter("sim.dropped").get() > 0);
     let busy: u64 = tel.links().iter().map(|(_, r)| r.busy_cycles).sum();
     assert!(busy > tel.links().total_forwarded(), "some heads blocked");
     assert_eq!(b.delivered + b.stranded, b.offered);
     // The hot node congests enough for the detector to fire.
     let (cfg, tel) = config();
-    run_adaptive(&t, &inj, cfg);
+    Sim::new(&t).model(Model::Adaptive).run(&inj, cfg);
     assert!(!tel.congestion().is_empty());
     // On a shared handle the second run's link series replace the
     // first's, and links only the first run touched keep theirs.
     let (cfg, first) = config();
-    run(&t, &inj, cfg);
+    Sim::new(&t).run(&inj, cfg);
     let (cfg, later) = config();
-    run_adaptive(&t, &second(), cfg);
+    Sim::new(&t).model(Model::Adaptive).run(&second(), cfg);
     let (cfg, shared) = config();
-    run(&t, &inj, cfg.clone());
-    run_adaptive(&t, &second(), cfg);
+    Sim::new(&t).run(&inj, cfg.clone());
+    Sim::new(&t).model(Model::Adaptive).run(&second(), cfg);
     let (first, later, shared) = (first.series(), later.series(), shared.series());
     let (mut replaced, mut kept) = (0, 0);
     for (name, s) in shared.iter().filter(|(n, _)| n.starts_with("link.")) {
@@ -299,7 +317,7 @@ fn the_pinned_runs_exercise_every_model_path() {
 #[test]
 fn a_run_without_traffic_renders_through_every_sink() {
     let (cfg, tel) = config();
-    let stats = run(&net(), &[], cfg);
+    let stats = Sim::new(&net()).run(&[], cfg);
     assert_eq!((stats.offered, stats.delivered), (0, 0));
     let s = tel.snapshot();
     assert_eq!(ReportSink::default().render(&s), EMPTY_REPORT);

@@ -6,7 +6,7 @@
 //! allocate all fourteen million up front.
 
 use hb_netsim::topology::{HbRouteOrder, HyperButterflyNet, NetTopology};
-use hb_netsim::{run_with_mem, Injection, RouteCache, SimConfig};
+use hb_netsim::{Injection, MemStats, RouteCache, Sim, SimConfig};
 
 /// A fixed-count deterministic workload (no RNG): `packets` arithmetic
 /// src/dst pairs spread over `cycles` injection cycles.
@@ -40,7 +40,8 @@ fn million_node_memory_is_bounded_by_active_traffic() {
     );
     let inj = arithmetic_workload(t.num_nodes(), 20, PACKETS);
     let cfg = SimConfig::bounded(10_000);
-    let (stats, mem) = run_with_mem(&t, &inj, cfg);
+    let mut mem = MemStats::default();
+    let stats = Sim::new(&t).mem(&mut mem).run(&inj, cfg);
     assert_eq!(stats.delivered, stats.offered, "all packets deliver");
     assert!(stats.offered >= 990, "workload is ~{PACKETS} packets");
     // The topology has ~14.4M channels; the run may touch only O(active
@@ -85,7 +86,10 @@ fn sparse_records_recycle_across_waves() {
         .filter(|p| p.src != p.dst)
         .collect();
     inj.append(&mut second);
-    let (stats, mem) = run_with_mem(&t, &inj, SimConfig::bounded(10_000));
+    let mut mem = MemStats::default();
+    let stats = Sim::new(&t)
+        .mem(&mut mem)
+        .run(&inj, SimConfig::bounded(10_000));
     assert_eq!(stats.delivered, stats.offered);
     assert!(
         mem.peak_channel_records <= 2 * PACKETS,

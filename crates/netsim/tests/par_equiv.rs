@@ -10,9 +10,7 @@ use hb_netsim::topology::{
     ButterflyNet, HbRouteOrder, HyperButterflyNet, HypercubeNet, NetTopology,
 };
 use hb_netsim::{
-    run, run_adaptive, run_bounded, run_with_faults, run_with_timeline,
-    sim::{run_bounded_sweep, SimConfig},
-    workload, FaultEventKind, FaultPlan, FaultTarget, FaultTimeline, TraceSampling,
+    sim::SimConfig, workload, FaultEventKind, FaultPlan, FaultTarget, FaultTimeline, Model, Sim,
 };
 use hb_telemetry::{Profile, Telemetry, TsConfig};
 use proptest::prelude::*;
@@ -95,25 +93,17 @@ proptest! {
         let t = make_topology(kind);
         let inj = workload::uniform(t.num_nodes(), cycles, rate as f64 / 100.0, seed);
         let tel_serial = tel_with_ts(seed);
-        let serial = run(
-            &*t,
-            &inj,
-            SimConfig::default()
+        let serial = Sim::new(&*t).run(&inj, SimConfig::default()
                 .with_telemetry(tel_serial.clone())
-                .with_profile(true),
-        );
+                .with_profile(true));
         let prof_serial = tel_serial.profile();
         prop_assert!(!prof_serial.is_empty(), "profiling recorded phases");
         for threads in [1usize, 2, 4] {
             let tel_par = tel_with_ts(seed);
-            let par = run(
-                &*t,
-                &inj,
-                SimConfig::default()
+            let par = Sim::new(&*t).run(&inj, SimConfig::default()
                     .with_telemetry(tel_par.clone())
                     .with_profile(true)
-                    .with_threads(threads),
-            );
+                    .with_threads(threads));
             prop_assert_eq!(&serial, &par, "stats drift at {} threads", threads);
             prop_assert_eq!(
                 &prof_serial,
@@ -176,27 +166,15 @@ proptest! {
         let plan = make_plan(seed, n);
         let inj = workload::uniform(n, cycles, rate as f64 / 100.0, seed);
         let tel_serial = tel_with_ts(seed);
-        let serial = run_with_faults(
-            &*t,
-            &inj,
-            SimConfig::default()
+        let serial = Sim::new(&*t).faults(&plan).run(&inj, SimConfig::default()
                 .with_telemetry(tel_serial.clone())
-                .with_profile(true),
-            &plan,
-            TraceSampling::Off,
-        );
+                .with_profile(true));
         for threads in [2usize, 4] {
             let tel_par = tel_with_ts(seed);
-            let par = run_with_faults(
-                &*t,
-                &inj,
-                SimConfig::default()
+            let par = Sim::new(&*t).faults(&plan).run(&inj, SimConfig::default()
                     .with_telemetry(tel_par.clone())
                     .with_profile(true)
-                    .with_threads(threads),
-                &plan,
-                TraceSampling::Off,
-            );
+                    .with_threads(threads));
             prop_assert_eq!(&serial, &par, "stats drift at {} threads", threads);
             prop_assert_eq!(
                 tel_serial.snapshot(),
@@ -220,29 +198,15 @@ proptest! {
         let tl = make_timeline(seed, n, cycles);
         let inj = workload::uniform(n, cycles, rate as f64 / 100.0, seed);
         let tel_serial = tel_with_ts(seed);
-        let serial = run_with_timeline(
-            &*t,
-            &inj,
-            SimConfig::default()
+        let serial = Sim::new(&*t).faults(&plan).timeline(&tl).run(&inj, SimConfig::default()
                 .with_telemetry(tel_serial.clone())
-                .with_profile(true),
-            &plan,
-            &tl,
-            TraceSampling::Off,
-        );
+                .with_profile(true));
         for threads in [2usize, 4] {
             let tel_par = tel_with_ts(seed);
-            let par = run_with_timeline(
-                &*t,
-                &inj,
-                SimConfig::default()
+            let par = Sim::new(&*t).faults(&plan).timeline(&tl).run(&inj, SimConfig::default()
                     .with_telemetry(tel_par.clone())
                     .with_profile(true)
-                    .with_threads(threads),
-                &plan,
-                &tl,
-                TraceSampling::Off,
-            );
+                    .with_threads(threads));
             prop_assert_eq!(&serial, &par, "stats drift at {} threads", threads);
             prop_assert_eq!(
                 tel_serial.snapshot(),
@@ -260,8 +224,8 @@ proptest! {
                                                 seed in 0u64..200) {
         let t = make_topology(kind);
         let inj = workload::uniform(t.num_nodes(), 8, 0.5, seed);
-        let serial = run(&*t, &inj, SimConfig::bounded(limit));
-        let par = run(&*t, &inj, SimConfig::bounded(limit).with_threads(4));
+        let serial = Sim::new(&*t).run(&inj, SimConfig::bounded(limit));
+        let par = Sim::new(&*t).run(&inj, SimConfig::bounded(limit).with_threads(4));
         prop_assert_eq!(par.delivered + par.stranded, par.offered);
         prop_assert_eq!(&serial, &par);
     }
@@ -285,10 +249,10 @@ proptest! {
                 .with_telemetry(tel.clone())
                 .with_profile(true);
             let stats = match which {
-                "serial" => run(t, &inj, cfg),
-                "2 threads" => run(t, &inj, cfg.with_threads(2)),
-                "bounded" => run_bounded(t, &inj, cfg, capacity),
-                "adaptive" => run_adaptive(t, &inj, cfg),
+                "serial" => Sim::new(t).run(&inj, cfg),
+                "2 threads" => Sim::new(t).run(&inj, cfg.with_threads(2)),
+                "bounded" => Sim::new(t).model(Model::Bounded(capacity)).run(&inj, cfg),
+                "adaptive" => Sim::new(t).model(Model::Adaptive).run(&inj, cfg),
                 other => unreachable!("no engine named {other}"),
             };
             (stats, tel.profile(), tel.snapshot())
@@ -299,54 +263,6 @@ proptest! {
             prop_assert_eq!(a, b, "stats drift ({})", which);
             prop_assert_eq!(prof_a, prof_b, "profile drift ({})", which);
             prop_assert_eq!(snap_a, snap_b, "snapshot drift ({})", which);
-        }
-    }
-
-    /// Frontier vs sweep byte identity: the bounded engine's active
-    /// worklist (sorted, drained ascending) must reproduce the full
-    /// channel sweep exactly — stats, counters, quantiles, link stats,
-    /// and profile — on every topology family with dense channel state,
-    /// and on the graph-free `HB(1, 3)` with sparse channel state.
-    #[test]
-    fn bounded_frontier_matches_sweep(kind in 0u8..3, rate in 5u32..50,
-                                      cycles in 1u64..24, seed in 0u64..300,
-                                      capacity in 1usize..4) {
-        let dense = make_topology(kind);
-        let graph_free = HyperButterflyNet::implicit(1, 3, HbRouteOrder::CubeFirst).unwrap();
-        for t in [&*dense, &graph_free as &dyn NetTopology] {
-            let inj = workload::uniform(t.num_nodes(), cycles, f64::from(rate) / 100.0, seed);
-            let tel_f = tel_with_ts(seed);
-            let frontier = run_bounded(
-                t,
-                &inj,
-                SimConfig::default()
-                    .with_telemetry(tel_f.clone())
-                    .with_profile(true),
-                capacity,
-            );
-            let tel_s = tel_with_ts(seed);
-            let sweep = run_bounded_sweep(
-                t,
-                &inj,
-                SimConfig::default()
-                    .with_telemetry(tel_s.clone())
-                    .with_profile(true),
-                capacity,
-            );
-            let sparse = t.explicit_graph().is_none();
-            prop_assert_eq!(&frontier, &sweep, "stats drift (sparse {})", sparse);
-            prop_assert_eq!(
-                tel_f.profile(),
-                tel_s.profile(),
-                "profile drift (sparse {})",
-                sparse
-            );
-            prop_assert_eq!(
-                tel_f.snapshot(),
-                tel_s.snapshot(),
-                "snapshot drift (sparse {})",
-                sparse
-            );
         }
     }
 }

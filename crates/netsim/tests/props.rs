@@ -2,7 +2,7 @@
 //! oblivious-vs-adaptive invariants under randomized workloads.
 
 use hb_netsim::topology::{HbRouteOrder, HyperButterflyNet, HypercubeNet, NetTopology};
-use hb_netsim::{run, run_adaptive, sim::SimConfig, workload};
+use hb_netsim::{sim::SimConfig, workload, Model, Sim};
 use proptest::prelude::*;
 
 proptest! {
@@ -15,9 +15,9 @@ proptest! {
         let t = HypercubeNet::new(4).unwrap();
         let inj = workload::uniform(t.num_nodes(), cycles, rate as f64 / 100.0, seed);
         let cfg = SimConfig::bounded(max_cycles);
-        let s = run(&t, &inj, cfg.clone());
+        let s = Sim::new(&t).run(&inj, cfg.clone());
         prop_assert_eq!(s.delivered + s.stranded, s.offered);
-        let sa = run_adaptive(&t, &inj, cfg.clone());
+        let sa = Sim::new(&t).model(Model::Adaptive).run(&inj, cfg.clone());
         prop_assert_eq!(sa.delivered + sa.stranded, sa.offered);
     }
 
@@ -28,7 +28,7 @@ proptest! {
         let t = HyperButterflyNet::new(1, 3, HbRouteOrder::CubeFirst).unwrap();
         let inj = workload::uniform(t.num_nodes(), cycles, rate as f64 / 100.0, seed);
         let cfg = SimConfig::bounded(1_000_000);
-        let s = run(&t, &inj, cfg);
+        let s = Sim::new(&t).run(&inj, cfg);
         prop_assert_eq!(s.stranded, 0);
         prop_assert_eq!(s.delivered, s.offered);
         if s.delivered > 0 {
@@ -44,8 +44,8 @@ proptest! {
         let t = HypercubeNet::new(4).unwrap();
         let inj = workload::permutation(t.num_nodes(), rounds, 3, seed);
         let cfg = SimConfig::bounded(1_000_000);
-        let obl = run(&t, &inj, cfg.clone());
-        let ada = run_adaptive(&t, &inj, cfg);
+        let obl = Sim::new(&t).run(&inj, cfg.clone());
+        let ada = Sim::new(&t).model(Model::Adaptive).run(&inj, cfg);
         prop_assert_eq!(obl.delivered, ada.delivered);
         prop_assert!((obl.avg_hops - ada.avg_hops).abs() < 1e-9,
                      "{} vs {}", obl.avg_hops, ada.avg_hops);
@@ -81,7 +81,7 @@ proptest! {
         let stats_of = |order: &[usize]| {
             let tel = hb_telemetry::Telemetry::summary();
             for &k in order {
-                run(&t, &parts[k], SimConfig::default().with_telemetry(tel.clone()));
+                Sim::new(&t).run(&parts[k], SimConfig::default().with_telemetry(tel.clone()));
             }
             tel.links()
         };

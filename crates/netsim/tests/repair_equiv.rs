@@ -9,8 +9,8 @@
 
 use hb_netsim::topology::{HbRouteOrder, HyperButterflyNet, NetTopology};
 use hb_netsim::{
-    run_with_faults, run_with_timeline, sim::SimConfig, workload, FaultEventKind, FaultPlan,
-    FaultTarget, FaultTimeline, Injection, RouteCache, RouteTable, TraceSampling,
+    sim::SimConfig, workload, FaultEventKind, FaultPlan, FaultTarget, FaultTimeline, Injection,
+    RouteCache, RouteTable, Sim,
 };
 use hb_telemetry::Telemetry;
 use proptest::prelude::*;
@@ -170,22 +170,9 @@ proptest! {
             tl.push(0, FaultEventKind::Fault, target);
         }
         let tel_s = Telemetry::summary();
-        let want = run_with_faults(
-            &t,
-            &inj,
-            SimConfig::default().with_telemetry(tel_s.clone()),
-            &static_plan,
-            TraceSampling::Off,
-        );
+        let want = Sim::new(&t).faults(&static_plan).run(&inj, SimConfig::default().with_telemetry(tel_s.clone()));
         let tel_c = Telemetry::summary();
-        let got = run_with_timeline(
-            &t,
-            &inj,
-            SimConfig::default().with_telemetry(tel_c.clone()),
-            &FaultPlan::new(),
-            &tl,
-            TraceSampling::Off,
-        );
+        let got = Sim::new(&t).timeline(&tl).run(&inj, SimConfig::default().with_telemetry(tel_c.clone()));
         prop_assert_eq!(&want, &got);
         for key in ["sim.offered", "sim.delivered", "sim.stranded",
                     "sim.reroutes", "sim.unroutable"] {

@@ -8,7 +8,7 @@ use hb_netsim::faults;
 use hb_netsim::topology::{
     HbRouteOrder, HyperButterflyNet, HyperDeBruijnNet, HypercubeNet, NetTopology,
 };
-use hb_netsim::{run, sim::SimConfig, workload};
+use hb_netsim::{sim::SimConfig, workload, Sim};
 
 fn main() {
     let topos: Vec<Box<dyn NetTopology>> = vec![
@@ -20,7 +20,7 @@ fn main() {
     println!("uniform traffic, 256 nodes, rate 0.1 packets/node/cycle, 300 cycles:");
     for t in &topos {
         let inj = workload::uniform(t.num_nodes(), 300, 0.1, 1);
-        let stats = run(t.as_ref(), &inj, SimConfig::default());
+        let stats = Sim::new(t.as_ref()).run(&inj, SimConfig::default());
         println!(
             "  {:<10} delivered {:>5}/{:<5} avg latency {:>6.2} avg hops {:>5.2} peak queue {}",
             t.name(),

@@ -5,8 +5,8 @@
 //! remains the canonical full run (see README).
 
 use hyper_butterfly::hb_netsim::{
-    run, run_with_faults, sim::SimConfig, workload, FaultPlan, HbRouteOrder, HyperButterflyNet,
-    NetTopology, RouteTable, TraceSampling,
+    sim::SimConfig, workload, FaultPlan, HbRouteOrder, HyperButterflyNet, NetTopology, RouteTable,
+    Sim,
 };
 use hyper_butterfly::hb_telemetry::Telemetry;
 
@@ -18,16 +18,14 @@ fn sharded_engine_is_deterministic_through_the_facade() {
     let t = HyperButterflyNet::new(2, 3, HbRouteOrder::CubeFirst).unwrap();
     let inj = workload::uniform(t.num_nodes(), 25, 0.2, 42);
     let tel_serial = Telemetry::with_trace(4096);
-    let serial = run(
-        &t,
+    let serial = Sim::new(&t).run(
         &inj,
         SimConfig::default().with_telemetry(tel_serial.clone()),
     );
     assert_eq!(serial.delivered, serial.offered);
     for threads in [2, 4, 8] {
         let tel_par = Telemetry::with_trace(4096);
-        let par = run(
-            &t,
+        let par = Sim::new(&t).run(
             &inj,
             SimConfig::default()
                 .with_telemetry(tel_par.clone())
@@ -52,8 +50,8 @@ fn faulted_sharded_runs_match_serial() {
     plan.add_link(0, 1);
     let inj = workload::uniform(t.num_nodes(), 20, 0.15, 7);
     let cfg = SimConfig::default;
-    let serial = run_with_faults(&t, &inj, cfg(), &plan, TraceSampling::Off);
-    let par = run_with_faults(&t, &inj, cfg().with_threads(4), &plan, TraceSampling::Off);
+    let serial = Sim::new(&t).faults(&plan).run(&inj, cfg());
+    let par = Sim::new(&t).faults(&plan).run(&inj, cfg().with_threads(4));
     assert_eq!(serial, par);
     assert_eq!(par.delivered + par.stranded, par.offered);
 }

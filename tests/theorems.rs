@@ -136,8 +136,8 @@ fn theorem_5_and_corollary_1() {
 fn corollary_1_holds_over_whole_runs() {
     use hb_core::fault_routing::route_avoiding;
     use hb_netsim::{
-        run_with_timeline, workload, FaultEventKind, FaultPlan, FaultTarget, FaultTimeline,
-        HbRouteOrder, HyperButterflyNet, NetTopology, SimConfig, TraceSampling,
+        workload, FaultEventKind, FaultTarget, FaultTimeline, HbRouteOrder, HyperButterflyNet,
+        NetTopology, Sim, SimConfig,
     };
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -215,14 +215,7 @@ fn corollary_1_holds_over_whole_runs() {
 
             let tel = hb_telemetry::Telemetry::summary();
             let cfg = SimConfig::bounded(100_000).with_telemetry(tel.clone());
-            let s = run_with_timeline(
-                &net,
-                &injections,
-                cfg,
-                &FaultPlan::new(),
-                &timeline,
-                TraceSampling::Off,
-            );
+            let s = Sim::new(&net).timeline(&timeline).run(&injections, cfg);
             assert_eq!(tel.counter("sim.unroutable").get(), refused, "{name}");
             assert_eq!(s.offered, injections.len() as u64, "{name}");
             assert_eq!(s.delivered + s.stranded, s.offered, "{name}");
