@@ -1185,6 +1185,22 @@ mod tests {
         }
     }
 
+    /// A run filling `MemStats` stays serial at any thread count: the
+    /// accounting covers the one channel store.
+    #[test]
+    fn memory_accounting_keeps_a_run_serial() {
+        let t = HyperButterflyNet::implicit(2, 3, HbRouteOrder::CubeFirst).unwrap();
+        let traffic = workload::uniform(t.num_nodes(), 30, 0.3, 9);
+        let serial = Sim::new(&t).run(&traffic, SimConfig::default());
+        let mut mem = MemStats::default();
+        let stats = Sim::new(&t)
+            .mem(&mut mem)
+            .run(&traffic, SimConfig::default().with_threads(2));
+        assert_eq!(stats, serial);
+        assert_eq!(mem.num_channels, t.num_nodes() * 6);
+        assert!(mem.peak_channel_records > 0 && mem.route_table_bytes > 0);
+    }
+
     /// The full-sweep oracle of [`Model::Bounded`]: the same model, but
     /// each cycle rebuilds the service set by scanning every channel in
     /// ascending id order instead of trusting the active worklist.
