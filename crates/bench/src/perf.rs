@@ -9,7 +9,7 @@
 //! * `grid/uniform` — the uniform-rate grid, summed into one row;
 //! * `repair/delta{1,4,16}` — incremental route repair
 //!   ([`RouteCache::repair`], DESIGN.md §15);
-//! * `adaptive` — one `run_adaptive` hotspot run;
+//! * `adaptive` — one `Model::Adaptive` hotspot run;
 //! * `frontier/*` — the graph-free [`HyperButterflyNet::implicit`] from
 //!   `HB(4, 4)` to the million-node `HB(7, 10)`.
 //!
@@ -127,7 +127,7 @@ fn repair_perf(seed: u64) -> Result<Vec<PerfRow>> {
     Ok(rows)
 }
 
-/// One `run_adaptive` hotspot run on the matched `HB(2, 4)`.
+/// One `Model::Adaptive` hotspot run on the matched `HB(2, 4)`.
 fn adaptive_perf(cycles: u64, seed: u64) -> Result<PerfRow> {
     let t = HyperButterflyNet::new(2, 4, HbRouteOrder::CubeFirst)?;
     let inj = workload::hotspot(t.num_nodes(), cycles, 0.15, 0, 0.4, seed);

@@ -286,9 +286,9 @@ pub struct FaultEvent {
 /// A deterministic schedule of mid-run fault and repair events, the
 /// dynamic counterpart of a static [`FaultPlan`]. Events are held in
 /// nondecreasing cycle order; all events sharing a cycle apply
-/// atomically as **one delta**, and [`crate::run_with_timeline`]
-/// repairs the route memo incrementally per delta instead of
-/// rebuilding it (see `RouteCache::repair`).
+/// atomically as **one delta**, and a [`crate::Sim`] run with the
+/// timeline attached repairs the route memo incrementally per delta
+/// instead of rebuilding it (see `RouteCache::repair`).
 ///
 /// The text form accepted by [`FaultTimeline::parse`] is line-oriented:
 ///

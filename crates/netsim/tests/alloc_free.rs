@@ -6,8 +6,8 @@
 //! setup and identical high-water marks, so any per-hop allocation
 //! would scale with the extra hops and break the bound.
 //!
-//! Covered engines: `run_adaptive` (dense) and the frontier engine
-//! (`run` over the implicit topology's sparse channel store, where
+//! Covered engines: `Model::Adaptive` (dense) and the frontier engine
+//! (the oblivious model over the implicit topology's sparse channel store, where
 //! channel records are inserted into and removed from the sorted record
 //! vector every wave).
 //!

@@ -125,7 +125,7 @@ fn theorem_5_and_corollary_1() {
 /// Corollary 1 over whole runs: with at most `m + 3` nodes down at any
 /// cycle, every pair of healthy nodes stays routable. Waves of `m + 3`
 /// random node faults, each repaired 10 cycles after it lands, drive
-/// `run_with_timeline`. The only admissions it refuses are those whose
+/// a `Sim` timeline run. The only admissions it refuses are those whose
 /// source or destination is down when the packet is admitted, replayed
 /// from the timeline (events at cycle `c` are visible to injections at
 /// `c`), and every packet it admits is delivered. Remark 10's router is
