@@ -1623,6 +1623,31 @@ mod tests {
         assert!(parse(&argv("sort")).is_err());
     }
 
+    /// Every command reads its arguments to the end: one it does not
+    /// take is an error, not silently dropped.
+    #[test]
+    fn rejects_leftover_arguments() {
+        for (line, err) in [
+            ("help me", "unexpected argument me"),
+            ("info 2 3 --ful", "unknown flag --ful"),
+            ("info 2 3 --full 4", "unknown flag 4"),
+            ("route 2 3 0 5 7", "unexpected argument 7"),
+            ("disjoint 2 3 0 5 7", "unexpected argument 7"),
+            ("fault-route 2 3 0 5 4,9 1", "unexpected argument 1"),
+            ("embed 2 3 cycle 10 12", "unexpected argument 12"),
+            ("embed 2 3 hamiltonian 4", "unexpected argument 4"),
+            ("embed 2 3 tree --full", "unexpected argument --full"),
+            ("embed 3 4 mot 1 2 3", "unexpected argument 3"),
+            ("diff a.json b.json c.json", "unexpected argument c.json"),
+            ("elect 2 3 4", "unexpected argument 4"),
+            ("broadcast 2 3 4", "unexpected argument 4"),
+            ("partition 2 3 1 0", "unexpected argument 0"),
+            ("sort 5 6", "unexpected argument 6"),
+        ] {
+            assert_eq!(parse(&argv(line)), Err(ParseError(err.into())), "{line}");
+        }
+    }
+
     #[test]
     fn help_and_errors() {
         assert_eq!(parse(&argv("help")).unwrap(), Command::Help);
