@@ -159,29 +159,7 @@ impl Sink for TextSink {
                 s.links.len(),
                 s.cycles.map_or(String::new(), |c| format!(", {c} cycles"))
             );
-            let _ = writeln!(
-                out,
-                "{:>8} {:>8} {:>10} {:>10} {:>10} {:>8}",
-                "From", "To", "Forwarded", "BusyCyc", "PeakQueue", "Util"
-            );
-            let rows = s
-                .links
-                .utilization_rows(s.cycles.unwrap_or(0), self.top_links);
-            for r in &rows {
-                let _ = writeln!(
-                    out,
-                    "{:>8} {:>8} {:>10} {:>10} {:>10} {:>8.4}",
-                    r.key.from,
-                    r.key.to,
-                    r.record.forwarded,
-                    r.record.busy_cycles,
-                    r.record.peak_queue,
-                    r.utilization
-                );
-            }
-            if s.links.len() > rows.len() {
-                let _ = writeln!(out, "({} more links not shown)", s.links.len() - rows.len());
-            }
+            out.push_str(&s.links.render_table(s.cycles.unwrap_or(0), self.top_links));
         }
         if !s.timeseries.is_empty() {
             let _ = writeln!(out, "time-series ({} series):", s.timeseries.len());
