@@ -1,7 +1,9 @@
 //! Minimal dependency-free argument parsing for `hbnet`.
 
+use hb_netsim::TraceSampling;
 use hb_telemetry::SloSpec;
 use std::fmt;
+use std::str::FromStr;
 
 /// A parsed `hbnet` invocation.
 #[derive(Clone, Debug, PartialEq)]
@@ -38,25 +40,18 @@ pub enum Command {
     /// [--threads k] [--shard-stats] [--timeseries C|off] [--profile]
     /// [--slo spec]`
     Simulate {
-        m: u32,
-        n: u32,
-        rate: f64,
-        cycles: u64,
-        adaptive: bool,
+        run: RunArgs,
         /// Run on the implicit algebraic topology (no adjacency arrays,
         /// sparse per-channel state) — scales to million-node shapes.
         implicit: bool,
         telemetry: TelemetryMode,
-        faults: Vec<usize>,
-        fault_links: Vec<(usize, usize)>,
         /// Path to a fault-timeline file (`@<cycle> fault|repair node
         /// <v> | link <u>-<v>` lines): faults and repairs applied at
         /// cycle boundaries mid-run, with incremental route repair.
         /// `--faults`/`--fault-links` form the base plan underneath.
         fault_timeline: Option<String>,
-        sample: SampleMode,
+        sample: TraceSampling,
         trace_out: Option<String>,
-        threads: usize,
         shard_stats: bool,
         /// Windowed time-series cadence in cycles (`None` = off).
         /// Setting it implies at least `--telemetry summary`.
@@ -73,35 +68,21 @@ pub enum Command {
     /// [--faults f1,f2] [--fault-links a-b,c-d] [--threads k]
     /// [--format text|json|csv] [--slo spec]`
     Report {
-        m: u32,
-        n: u32,
+        run: RunArgs,
         workload: ReportWorkload,
-        rate: f64,
-        cycles: u64,
         /// Target node for the hotspot workload.
         hot_node: usize,
         /// Probability a packet targets the hot node.
         hot_fraction: f64,
         /// Time-series window cadence in simulated cycles.
         cadence: u64,
-        threads: usize,
-        seed: u64,
-        faults: Vec<usize>,
-        fault_links: Vec<(usize, usize)>,
         format: DumpFormat,
         /// SLO gate thresholds rendered as a pass/fail section (exit 1
         /// on any failure).
         slo: Option<SloSpec>,
     },
     /// `telemetry <m> <n> [--rate r] [--cycles c] [--adaptive] [--format f]`
-    Telemetry {
-        m: u32,
-        n: u32,
-        rate: f64,
-        cycles: u64,
-        adaptive: bool,
-        format: DumpFormat,
-    },
+    Telemetry { run: RunArgs, format: DumpFormat },
     /// `bench (--write | --check) <path> [--cycles C] [--seed S]
     /// [--threads K]`
     Bench {
@@ -142,6 +123,66 @@ pub enum Command {
     Help,
 }
 
+/// The values `simulate`, `report` and `telemetry` share: the shape, the
+/// uniform workload, the static fault plan and the engine. Each command
+/// accepts the flags of a subset; the others keep their defaults.
+#[derive(Clone, Debug, PartialEq)]
+pub struct RunArgs {
+    pub m: u32,
+    pub n: u32,
+    /// Per-node injection probability per cycle (`--rate`, in `0..=1`).
+    pub rate: f64,
+    /// Cycles of traffic injection (`--cycles`).
+    pub cycles: u64,
+    /// Workload seed (`--seed`, on `report` only).
+    pub seed: u64,
+    /// Adaptive least-queue routing instead of oblivious routes
+    /// (`--adaptive`, not on `report`).
+    pub adaptive: bool,
+    /// Faulty node indices (`--faults`, not on `telemetry`).
+    pub faults: Vec<usize>,
+    /// Cut links as node-index pairs (`--fault-links`, not on
+    /// `telemetry`).
+    pub fault_links: Vec<(usize, usize)>,
+    /// Worker threads for the sharded engine (`--threads`, not on
+    /// `telemetry`).
+    pub threads: usize,
+}
+
+impl RunArgs {
+    /// `HB(m, n)` with every flag at its default.
+    fn new(m: u32, n: u32) -> Self {
+        Self {
+            m,
+            n,
+            rate: 0.1,
+            cycles: 200,
+            seed: 42,
+            adaptive: false,
+            faults: Vec::new(),
+            fault_links: Vec::new(),
+            threads: 1,
+        }
+    }
+
+    /// Reads one of the shared flags and its value.
+    fn read(&mut self, flag: &str, c: &mut Cursor) -> Result<(), ParseError> {
+        match flag {
+            "--rate" => self.rate = c.rate()?,
+            "--cycles" => self.cycles = c.value("cycles")?,
+            "--seed" => self.seed = c.value("seed")?,
+            "--adaptive" => self.adaptive = true,
+            "--faults" => self.faults = parse_faults(&c.value::<String>("faults")?)?,
+            "--fault-links" => {
+                self.fault_links = parse_link_list(&c.value::<String>("fault-links")?)?;
+            }
+            "--threads" => self.threads = c.threads()?,
+            other => return Err(unknown(other)),
+        }
+        Ok(())
+    }
+}
+
 /// Which embedding `hbnet embed` should build.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum EmbedKind {
@@ -175,19 +216,6 @@ pub enum ReportWorkload {
     Hotspot,
 }
 
-/// Which packets the flight recorder samples (`simulate --sample`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SampleMode {
-    /// Record no packets.
-    Off,
-    /// Record every packet.
-    All,
-    /// Record one packet in `N` (`--sample every=N`).
-    EveryNth(u64),
-    /// Record packets whose route crosses a faulty-adjacent link.
-    FaultAdjacent,
-}
-
 /// Output format for the `telemetry` dump subcommand.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DumpFormat {
@@ -198,6 +226,13 @@ pub enum DumpFormat {
     /// RFC-4180 CSV sections.
     Csv,
 }
+
+/// The `--format` names.
+const FORMATS: &[(&str, DumpFormat)] = &[
+    ("text", DumpFormat::Text),
+    ("json", DumpFormat::Json),
+    ("csv", DumpFormat::Csv),
+];
 
 /// A parse failure with a user-facing message.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -310,21 +345,74 @@ USAGE:
   hbnet help                           this text
 ";
 
-fn need<T: std::str::FromStr>(args: &[String], i: usize, what: &str) -> Result<T, ParseError> {
-    args.get(i)
-        .ok_or_else(|| ParseError(format!("missing <{what}>")))?
-        .parse()
-        .map_err(|_| ParseError(format!("invalid <{what}>: {}", args[i])))
+/// Reads an invocation front to back: positionals first, then flags,
+/// each value right after its flag.
+struct Cursor<'a> {
+    args: std::slice::Iter<'a, String>,
 }
 
-/// Parses a `--rate` value: a per-node injection probability, so it
-/// must lie in `0..=1` (NaN and the infinities fail the range test).
-fn need_rate(args: &[String], i: usize) -> Result<f64, ParseError> {
-    let rate: f64 = need(args, i, "rate")?;
-    if !(0.0..=1.0).contains(&rate) {
-        return Err(ParseError(format!("--rate must be in 0..=1, got {rate}")));
+impl<'a> Cursor<'a> {
+    fn next(&mut self) -> Option<&'a str> {
+        self.args.next().map(String::as_str)
     }
-    Ok(rate)
+
+    /// The next argument parsed as a `T`, named `<what>` in errors.
+    fn value<T: FromStr>(&mut self, what: &str) -> Result<T, ParseError> {
+        let raw = self
+            .next()
+            .ok_or_else(|| ParseError(format!("missing <{what}>")))?;
+        raw.parse()
+            .map_err(|_| ParseError(format!("invalid <{what}>: {raw}")))
+    }
+
+    /// The value of `flag`: one of the `names`.
+    fn choice<T: Copy>(&mut self, flag: &str, names: &[(&str, T)]) -> Result<T, ParseError> {
+        let raw = self.next();
+        match names.iter().find(|(name, _)| Some(*name) == raw) {
+            Some(&(_, value)) => Ok(value),
+            None => {
+                let names: Vec<&str> = names.iter().map(|(name, _)| *name).collect();
+                Err(ParseError(format!(
+                    "invalid {flag} {:?} ({})",
+                    raw.unwrap_or("<none>"),
+                    names.join(" | ")
+                )))
+            }
+        }
+    }
+
+    /// A `--rate` value: a per-node injection probability, so it must lie
+    /// in `0..=1` (NaN and the infinities fail the range test).
+    fn rate(&mut self) -> Result<f64, ParseError> {
+        let rate: f64 = self.value("rate")?;
+        if !(0.0..=1.0).contains(&rate) {
+            return Err(ParseError(format!("--rate must be in 0..=1, got {rate}")));
+        }
+        Ok(rate)
+    }
+
+    /// A `--threads` value: in `1..=MAX_THREADS`.
+    fn threads(&mut self) -> Result<usize, ParseError> {
+        let threads: usize = self.value("threads")?;
+        if !(1..=MAX_THREADS).contains(&threads) {
+            return Err(ParseError(format!(
+                "--threads must be in 1..={MAX_THREADS}, got {threads}"
+            )));
+        }
+        Ok(threads)
+    }
+
+    /// Rejects whatever the command did not read.
+    fn end(mut self) -> Result<(), ParseError> {
+        match self.next() {
+            Some(arg) => Err(ParseError(format!("unexpected argument {arg}"))),
+            None => Ok(()),
+        }
+    }
+}
+
+fn unknown(flag: &str) -> ParseError {
+    ParseError(format!("unknown flag {flag}"))
 }
 
 /// The most worker threads `--threads` accepts. Results are identical
@@ -332,23 +420,12 @@ fn need_rate(args: &[String], i: usize) -> Result<f64, ParseError> {
 /// sharded run spawns (one per shard, up to one per node).
 const MAX_THREADS: usize = 256;
 
-/// Parses a `--threads` value: in `1..=MAX_THREADS`.
-fn need_threads(args: &[String], i: usize) -> Result<usize, ParseError> {
-    let threads: usize = need(args, i, "threads")?;
-    if !(1..=MAX_THREADS).contains(&threads) {
-        return Err(ParseError(format!(
-            "--threads must be in 1..={MAX_THREADS}, got {threads}"
-        )));
-    }
-    Ok(threads)
-}
-
-fn parse_index_list(raw: &str, what: &str) -> Result<Vec<usize>, ParseError> {
+fn parse_faults(raw: &str) -> Result<Vec<usize>, ParseError> {
     raw.split(',')
         .filter(|s| !s.is_empty())
         .map(|s| {
             s.parse::<usize>()
-                .map_err(|_| ParseError(format!("invalid {what}: {s}")))
+                .map_err(|_| ParseError(format!("invalid fault index: {s}")))
         })
         .collect()
 }
@@ -367,14 +444,14 @@ fn parse_link_list(raw: &str) -> Result<Vec<(usize, usize)>, ParseError> {
         .collect()
 }
 
-fn parse_sample(raw: Option<&str>) -> Result<SampleMode, ParseError> {
+fn parse_sample(raw: Option<&str>) -> Result<TraceSampling, ParseError> {
     match raw {
-        Some("off") => Ok(SampleMode::Off),
-        Some("all") => Ok(SampleMode::All),
-        Some("fault-adjacent") => Ok(SampleMode::FaultAdjacent),
+        Some("off") => Ok(TraceSampling::Off),
+        Some("all") => Ok(TraceSampling::All),
+        Some("fault-adjacent") => Ok(TraceSampling::FaultAdjacent),
         Some(s) if s.starts_with("every=") => s["every=".len()..]
             .parse::<u64>()
-            .map(SampleMode::EveryNth)
+            .map(TraceSampling::EveryNth)
             .map_err(|_| ParseError(format!("invalid --sample {s} (every=N needs a number)"))),
         other => Err(ParseError(format!(
             "invalid --sample {:?} (off | all | every=N | fault-adjacent)",
@@ -383,8 +460,7 @@ fn parse_sample(raw: Option<&str>) -> Result<SampleMode, ParseError> {
     }
 }
 
-fn parse_slo(raw: Option<&str>) -> Result<SloSpec, ParseError> {
-    let raw = raw.ok_or_else(|| ParseError("missing <slo>".into()))?;
+fn parse_slo(raw: &str) -> Result<SloSpec, ParseError> {
     let spec = SloSpec::parse(raw).map_err(|e| ParseError(format!("invalid --slo: {e}")))?;
     if spec.is_empty() {
         return Err(ParseError(
@@ -394,67 +470,60 @@ fn parse_slo(raw: Option<&str>) -> Result<SloSpec, ParseError> {
     Ok(spec)
 }
 
-fn parse_timeseries(raw: Option<&str>) -> Result<Option<u64>, ParseError> {
-    match raw {
-        Some("off") => Ok(None),
-        Some(s) => match s.parse::<u64>() {
-            Ok(c) if c > 0 => Ok(Some(c)),
-            _ => Err(ParseError(format!(
-                "invalid --timeseries {s} (a cadence >= 1, or `off`)"
-            ))),
-        },
-        None => Err(ParseError("missing <timeseries>".into())),
+fn parse_timeseries(raw: &str) -> Result<Option<u64>, ParseError> {
+    if raw == "off" {
+        return Ok(None);
+    }
+    match raw.parse::<u64>() {
+        Ok(c) if c > 0 => Ok(Some(c)),
+        _ => Err(ParseError(format!(
+            "invalid --timeseries {raw} (a cadence >= 1, or `off`)"
+        ))),
     }
 }
 
 /// Parses argv (without the program name).
 pub fn parse(args: &[String]) -> Result<Command, ParseError> {
-    let cmd = args.first().map(String::as_str).unwrap_or("help");
-    match cmd {
-        "help" | "--help" | "-h" => Ok(Command::Help),
-        "info" => Ok(Command::Info {
-            m: need(args, 1, "m")?,
-            n: need(args, 2, "n")?,
-            full: args.iter().any(|a| a == "--full"),
-        }),
-        "route" => Ok(Command::Route {
-            m: need(args, 1, "m")?,
-            n: need(args, 2, "n")?,
-            src: need(args, 3, "src")?,
-            dst: need(args, 4, "dst")?,
-        }),
-        "disjoint" => Ok(Command::Disjoint {
-            m: need(args, 1, "m")?,
-            n: need(args, 2, "n")?,
-            src: need(args, 3, "src")?,
-            dst: need(args, 4, "dst")?,
-        }),
-        "fault-route" => {
-            let faults_raw: String = need(args, 5, "faults")?;
-            let faults = faults_raw
-                .split(',')
-                .filter(|s| !s.is_empty())
-                .map(|s| {
-                    s.parse::<usize>()
-                        .map_err(|_| ParseError(format!("invalid fault index: {s}")))
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            Ok(Command::FaultRoute {
-                m: need(args, 1, "m")?,
-                n: need(args, 2, "n")?,
-                src: need(args, 3, "src")?,
-                dst: need(args, 4, "dst")?,
-                faults,
-            })
+    let mut c = Cursor { args: args.iter() };
+    let cmd = match c.next().unwrap_or("help") {
+        "help" | "--help" | "-h" => Command::Help,
+        "info" => {
+            let (m, n) = (c.value("m")?, c.value("n")?);
+            let mut full = false;
+            while let Some(flag) = c.next() {
+                match flag {
+                    "--full" => full = true,
+                    other => return Err(unknown(other)),
+                }
+            }
+            Command::Info { m, n, full }
         }
+        "route" => Command::Route {
+            m: c.value("m")?,
+            n: c.value("n")?,
+            src: c.value("src")?,
+            dst: c.value("dst")?,
+        },
+        "disjoint" => Command::Disjoint {
+            m: c.value("m")?,
+            n: c.value("n")?,
+            src: c.value("src")?,
+            dst: c.value("dst")?,
+        },
+        "fault-route" => Command::FaultRoute {
+            m: c.value("m")?,
+            n: c.value("n")?,
+            src: c.value("src")?,
+            dst: c.value("dst")?,
+            faults: parse_faults(&c.value::<String>("faults")?)?,
+        },
         "embed" => {
-            let m = need(args, 1, "m")?;
-            let n = need(args, 2, "n")?;
-            let what = match args.get(3).map(String::as_str) {
-                Some("cycle") => EmbedKind::Cycle(need(args, 4, "k")?),
+            let (m, n) = (c.value("m")?, c.value("n")?);
+            let what = match c.next() {
+                Some("cycle") => EmbedKind::Cycle(c.value("k")?),
                 Some("hamiltonian") => EmbedKind::Hamiltonian,
                 Some("tree") => EmbedKind::Tree,
-                Some("mot") => EmbedKind::MeshOfTrees(need(args, 4, "p")?, need(args, 5, "q")?),
+                Some("mot") => EmbedKind::MeshOfTrees(c.value("p")?, c.value("q")?),
                 other => {
                     return Err(ParseError(format!(
                         "unknown embedding {:?} (cycle | hamiltonian | tree | mot)",
@@ -462,435 +531,248 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                     )))
                 }
             };
-            Ok(Command::Embed { m, n, what })
+            Command::Embed { m, n, what }
         }
-        "simulate" => {
-            let m = need(args, 1, "m")?;
-            let n = need(args, 2, "n")?;
-            let mut rate = 0.1;
-            let mut cycles = 200;
-            let mut adaptive = false;
-            let mut telemetry = TelemetryMode::Off;
-            let mut faults = Vec::new();
-            let mut implicit = false;
-            let mut fault_links = Vec::new();
-            let mut fault_timeline = None;
-            let mut sample = SampleMode::Off;
-            let mut trace_out = None;
-            let mut threads = 1usize;
-            let mut shard_stats = false;
-            let mut timeseries = None;
-            let mut profile = false;
-            let mut slo = None;
-            let mut i = 3;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--rate" => {
-                        rate = need_rate(args, i + 1)?;
-                        i += 2;
-                    }
-                    "--cycles" => {
-                        cycles = need(args, i + 1, "cycles")?;
-                        i += 2;
-                    }
-                    "--adaptive" => {
-                        adaptive = true;
-                        i += 1;
-                    }
-                    "--implicit" => {
-                        implicit = true;
-                        i += 1;
-                    }
-                    "--telemetry" => {
-                        telemetry = match args.get(i + 1).map(String::as_str) {
-                            Some("off") => TelemetryMode::Off,
-                            Some("summary") => TelemetryMode::Summary,
-                            Some("trace") => TelemetryMode::Trace,
-                            other => {
-                                return Err(ParseError(format!(
-                                    "invalid --telemetry {:?} (off | summary | trace)",
-                                    other.unwrap_or("<none>")
-                                )))
-                            }
-                        };
-                        i += 2;
-                    }
-                    "--faults" => {
-                        let raw: String = need(args, i + 1, "faults")?;
-                        faults = parse_index_list(&raw, "fault index")?;
-                        i += 2;
-                    }
-                    "--fault-links" => {
-                        let raw: String = need(args, i + 1, "fault-links")?;
-                        fault_links = parse_link_list(&raw)?;
-                        i += 2;
-                    }
-                    "--fault-timeline" => {
-                        fault_timeline = Some(need::<String>(args, i + 1, "fault-timeline")?);
-                        i += 2;
-                    }
-                    "--sample" => {
-                        sample = parse_sample(args.get(i + 1).map(String::as_str))?;
-                        i += 2;
-                    }
-                    "--trace-out" => {
-                        trace_out = Some(need::<String>(args, i + 1, "trace-out")?);
-                        i += 2;
-                    }
-                    "--threads" => {
-                        threads = need_threads(args, i + 1)?;
-                        i += 2;
-                    }
-                    "--shard-stats" => {
-                        shard_stats = true;
-                        i += 1;
-                    }
-                    "--timeseries" => {
-                        timeseries = parse_timeseries(args.get(i + 1).map(String::as_str))?;
-                        i += 2;
-                    }
-                    "--profile" => {
-                        profile = true;
-                        i += 1;
-                    }
-                    "--slo" => {
-                        slo = Some(parse_slo(args.get(i + 1).map(String::as_str))?);
-                        i += 2;
-                    }
-                    other => return Err(ParseError(format!("unknown flag {other}"))),
-                }
-            }
-            if adaptive && threads > 1 {
-                return Err(ParseError(
-                    "--adaptive is a serial-only router (no --threads)".into(),
-                ));
-            }
-            // The series, the work profile, and the SLO snapshot all
-            // land in telemetry, so they need a handle: quietly raise
-            // `off` to `summary`.
-            if (timeseries.is_some() || profile || slo.is_some()) && telemetry == TelemetryMode::Off
-            {
-                telemetry = TelemetryMode::Summary;
-            }
-            if adaptive
-                && (!faults.is_empty() || !fault_links.is_empty() || sample != SampleMode::Off)
-            {
-                return Err(ParseError(
-                    "--adaptive cannot be combined with faults or sampling \
-                     (the flight recorder drives the oblivious router)"
-                        .into(),
-                ));
-            }
-            if shard_stats && (telemetry == TelemetryMode::Off || threads <= 1) {
-                return Err(ParseError(
-                    "--shard-stats needs --threads > 1 and --telemetry summary|trace \
-                     (the counters land in telemetry)"
-                        .into(),
-                ));
-            }
-            if trace_out.is_some() && telemetry != TelemetryMode::Trace {
-                return Err(ParseError("--trace-out needs --telemetry trace".into()));
-            }
-            Ok(Command::Simulate {
-                m,
-                n,
-                rate,
-                cycles,
-                adaptive,
-                implicit,
-                telemetry,
-                faults,
-                fault_links,
-                fault_timeline,
-                sample,
-                trace_out,
-                threads,
-                shard_stats,
-                timeseries,
-                profile,
-                slo,
-            })
-        }
-        "report" => {
-            let m = need(args, 1, "m")?;
-            let n = need(args, 2, "n")?;
-            let mut workload = ReportWorkload::Uniform;
-            let mut rate = 0.1;
-            let mut cycles = 200;
-            let mut hot_node = 0usize;
-            let mut hot_fraction = 0.5;
-            let mut cadence = 5u64;
-            let mut threads = 1usize;
-            let mut seed = 42u64;
-            let mut faults = Vec::new();
-            let mut fault_links = Vec::new();
-            let mut format = DumpFormat::Text;
-            let mut slo = None;
-            let mut i = 3;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--workload" => {
-                        workload = match args.get(i + 1).map(String::as_str) {
-                            Some("uniform") => ReportWorkload::Uniform,
-                            Some("hotspot") => ReportWorkload::Hotspot,
-                            other => {
-                                return Err(ParseError(format!(
-                                    "invalid --workload {:?} (uniform | hotspot)",
-                                    other.unwrap_or("<none>")
-                                )))
-                            }
-                        };
-                        i += 2;
-                    }
-                    "--rate" => {
-                        rate = need_rate(args, i + 1)?;
-                        i += 2;
-                    }
-                    "--cycles" => {
-                        cycles = need(args, i + 1, "cycles")?;
-                        i += 2;
-                    }
-                    "--hot-node" => {
-                        hot_node = need(args, i + 1, "hot-node")?;
-                        i += 2;
-                    }
-                    "--hot-fraction" => {
-                        hot_fraction = need(args, i + 1, "hot-fraction")?;
-                        i += 2;
-                    }
-                    "--cadence" => {
-                        cadence = need(args, i + 1, "cadence")?;
-                        if cadence == 0 {
-                            return Err(ParseError("--cadence must be at least 1".into()));
-                        }
-                        i += 2;
-                    }
-                    "--seed" => {
-                        seed = need(args, i + 1, "seed")?;
-                        i += 2;
-                    }
-                    "--faults" => {
-                        let raw: String = need(args, i + 1, "faults")?;
-                        faults = parse_index_list(&raw, "fault index")?;
-                        i += 2;
-                    }
-                    "--fault-links" => {
-                        let raw: String = need(args, i + 1, "fault-links")?;
-                        fault_links = parse_link_list(&raw)?;
-                        i += 2;
-                    }
-                    "--threads" => {
-                        threads = need_threads(args, i + 1)?;
-                        i += 2;
-                    }
-                    "--format" => {
-                        format = match args.get(i + 1).map(String::as_str) {
-                            Some("text") => DumpFormat::Text,
-                            Some("json") => DumpFormat::Json,
-                            Some("csv") => DumpFormat::Csv,
-                            other => {
-                                return Err(ParseError(format!(
-                                    "invalid --format {:?} (text | json | csv)",
-                                    other.unwrap_or("<none>")
-                                )))
-                            }
-                        };
-                        i += 2;
-                    }
-                    "--slo" => {
-                        slo = Some(parse_slo(args.get(i + 1).map(String::as_str))?);
-                        i += 2;
-                    }
-                    other => return Err(ParseError(format!("unknown flag {other}"))),
-                }
-            }
-            if !(0.0..=1.0).contains(&hot_fraction) {
-                return Err(ParseError("--hot-fraction must be in 0..=1".into()));
-            }
-            Ok(Command::Report {
-                m,
-                n,
-                workload,
-                rate,
-                cycles,
-                hot_node,
-                hot_fraction,
-                cadence,
-                threads,
-                seed,
-                faults,
-                fault_links,
-                format,
-                slo,
-            })
-        }
-        "bench" => {
-            let mut check = None;
-            let mut path = None;
-            let mut cycles = 40;
-            let mut seed = 42;
-            let mut threads = 1usize;
-            let mut explicit_run = false;
-            let mut i = 1;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--write" => {
-                        check = Some(false);
-                        path = Some(need::<String>(args, i + 1, "path")?);
-                        i += 2;
-                    }
-                    "--check" => {
-                        check = Some(true);
-                        path = Some(need::<String>(args, i + 1, "path")?);
-                        i += 2;
-                    }
-                    "--cycles" => {
-                        cycles = need(args, i + 1, "cycles")?;
-                        explicit_run = true;
-                        i += 2;
-                    }
-                    "--seed" => {
-                        seed = need(args, i + 1, "seed")?;
-                        explicit_run = true;
-                        i += 2;
-                    }
-                    "--threads" => {
-                        threads = need_threads(args, i + 1)?;
-                        i += 2;
-                    }
-                    other => return Err(ParseError(format!("unknown flag {other}"))),
-                }
-            }
-            let check = check.ok_or_else(|| ParseError("bench needs --write or --check".into()))?;
-            if check && explicit_run {
-                return Err(ParseError(
-                    "--cycles/--seed come from the baseline file with --check".into(),
-                ));
-            }
-            Ok(Command::Bench {
-                check,
-                path: path.expect("path set whenever mode is set"),
-                cycles,
-                seed,
-                threads,
-            })
-        }
+        "simulate" => simulate(&mut c)?,
+        "report" => report(&mut c)?,
+        "bench" => bench(&mut c)?,
         "telemetry" => {
-            let m = need(args, 1, "m")?;
-            let n = need(args, 2, "n")?;
-            let mut rate = 0.1;
-            let mut cycles = 200;
-            let mut adaptive = false;
+            let mut run = RunArgs::new(c.value("m")?, c.value("n")?);
             let mut format = DumpFormat::Text;
-            let mut i = 3;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--rate" => {
-                        rate = need_rate(args, i + 1)?;
-                        i += 2;
-                    }
-                    "--cycles" => {
-                        cycles = need(args, i + 1, "cycles")?;
-                        i += 2;
-                    }
-                    "--adaptive" => {
-                        adaptive = true;
-                        i += 1;
-                    }
-                    "--format" => {
-                        format = match args.get(i + 1).map(String::as_str) {
-                            Some("text") => DumpFormat::Text,
-                            Some("json") => DumpFormat::Json,
-                            Some("csv") => DumpFormat::Csv,
-                            other => {
-                                return Err(ParseError(format!(
-                                    "invalid --format {:?} (text | json | csv)",
-                                    other.unwrap_or("<none>")
-                                )))
-                            }
-                        };
-                        i += 2;
-                    }
-                    other => return Err(ParseError(format!("unknown flag {other}"))),
+            while let Some(flag) = c.next() {
+                match flag {
+                    "--rate" | "--cycles" | "--adaptive" => run.read(flag, &mut c)?,
+                    "--format" => format = c.choice(flag, FORMATS)?,
+                    other => return Err(unknown(other)),
                 }
             }
-            Ok(Command::Telemetry {
-                m,
-                n,
-                rate,
-                cycles,
-                adaptive,
-                format,
-            })
+            Command::Telemetry { run, format }
         }
-        "diff" => Ok(Command::Diff {
-            a: need(args, 1, "a.json")?,
-            b: need(args, 2, "b.json")?,
-        }),
-        "analyze" => {
-            let mut json = false;
-            let mut update_baseline = false;
-            let mut sarif = String::new();
-            let mut root = ".".to_string();
-            let mut i = 1;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--json" => {
-                        json = true;
-                        i += 1;
-                    }
-                    "--update-baseline" => {
-                        update_baseline = true;
-                        i += 1;
-                    }
-                    "--sarif" => {
-                        sarif = need(args, i + 1, "sarif path")?;
-                        i += 2;
-                    }
-                    "--root" => {
-                        root = need(args, i + 1, "root")?;
-                        i += 2;
-                    }
-                    other => return Err(ParseError(format!("unknown flag {other}"))),
-                }
-            }
-            if json && update_baseline {
-                return Err(ParseError(
-                    "--json reports findings; --update-baseline accepts them (pick one)".into(),
-                ));
-            }
-            if update_baseline && !sarif.is_empty() {
-                return Err(ParseError(
-                    "--sarif reports findings; --update-baseline accepts them (pick one)".into(),
-                ));
-            }
-            Ok(Command::Analyze {
-                json,
-                update_baseline,
-                sarif,
-                root,
-            })
+        "diff" => Command::Diff {
+            a: c.value("a.json")?,
+            b: c.value("b.json")?,
+        },
+        "analyze" => analyze(&mut c)?,
+        "elect" => Command::Elect {
+            m: c.value("m")?,
+            n: c.value("n")?,
+        },
+        "broadcast" => Command::Broadcast {
+            m: c.value("m")?,
+            n: c.value("n")?,
+        },
+        "sort" => Command::Sort { n: c.value("n")? },
+        "partition" => Command::Partition {
+            m: c.value("m")?,
+            n: c.value("n")?,
+            dim: c.value("dim")?,
+        },
+        other => {
+            return Err(ParseError(format!(
+                "unknown command {other} (try `hbnet help`)"
+            )))
         }
-        "elect" => Ok(Command::Elect {
-            m: need(args, 1, "m")?,
-            n: need(args, 2, "n")?,
-        }),
-        "broadcast" => Ok(Command::Broadcast {
-            m: need(args, 1, "m")?,
-            n: need(args, 2, "n")?,
-        }),
-        "sort" => Ok(Command::Sort {
-            n: need(args, 1, "n")?,
-        }),
-        "partition" => Ok(Command::Partition {
-            m: need(args, 1, "m")?,
-            n: need(args, 2, "n")?,
-            dim: need(args, 3, "dim")?,
-        }),
-        other => Err(ParseError(format!(
-            "unknown command {other} (try `hbnet help`)"
-        ))),
+    };
+    c.end()?;
+    Ok(cmd)
+}
+
+fn simulate(c: &mut Cursor) -> Result<Command, ParseError> {
+    let mut run = RunArgs::new(c.value("m")?, c.value("n")?);
+    let mut implicit = false;
+    let mut telemetry = TelemetryMode::Off;
+    let mut fault_timeline = None;
+    let mut sample = TraceSampling::Off;
+    let mut trace_out = None;
+    let mut shard_stats = false;
+    let mut timeseries = None;
+    let mut profile = false;
+    let mut slo = None;
+    while let Some(flag) = c.next() {
+        match flag {
+            "--rate" | "--cycles" | "--adaptive" | "--faults" | "--fault-links" | "--threads" => {
+                run.read(flag, c)?;
+            }
+            "--implicit" => implicit = true,
+            "--telemetry" => {
+                telemetry = c.choice(
+                    flag,
+                    &[
+                        ("off", TelemetryMode::Off),
+                        ("summary", TelemetryMode::Summary),
+                        ("trace", TelemetryMode::Trace),
+                    ],
+                )?;
+            }
+            "--fault-timeline" => fault_timeline = Some(c.value("fault-timeline")?),
+            "--sample" => sample = parse_sample(c.next())?,
+            "--trace-out" => trace_out = Some(c.value("trace-out")?),
+            "--shard-stats" => shard_stats = true,
+            "--timeseries" => timeseries = parse_timeseries(&c.value::<String>("timeseries")?)?,
+            "--profile" => profile = true,
+            "--slo" => slo = Some(parse_slo(&c.value::<String>("slo")?)?),
+            other => return Err(unknown(other)),
+        }
     }
+    if run.adaptive && run.threads > 1 {
+        return Err(ParseError(
+            "--adaptive is a serial-only router (no --threads)".into(),
+        ));
+    }
+    // The series, the work profile, and the SLO snapshot all
+    // land in telemetry, so they need a handle: quietly raise
+    // `off` to `summary`.
+    if (timeseries.is_some() || profile || slo.is_some()) && telemetry == TelemetryMode::Off {
+        telemetry = TelemetryMode::Summary;
+    }
+    if run.adaptive
+        && (!run.faults.is_empty() || !run.fault_links.is_empty() || sample != TraceSampling::Off)
+    {
+        return Err(ParseError(
+            "--adaptive cannot be combined with faults or sampling \
+             (the flight recorder drives the oblivious router)"
+                .into(),
+        ));
+    }
+    if shard_stats && (telemetry == TelemetryMode::Off || run.threads <= 1) {
+        return Err(ParseError(
+            "--shard-stats needs --threads > 1 and --telemetry summary|trace \
+             (the counters land in telemetry)"
+                .into(),
+        ));
+    }
+    if trace_out.is_some() && telemetry != TelemetryMode::Trace {
+        return Err(ParseError("--trace-out needs --telemetry trace".into()));
+    }
+    Ok(Command::Simulate {
+        run,
+        implicit,
+        telemetry,
+        fault_timeline,
+        sample,
+        trace_out,
+        shard_stats,
+        timeseries,
+        profile,
+        slo,
+    })
+}
+
+fn report(c: &mut Cursor) -> Result<Command, ParseError> {
+    let mut run = RunArgs::new(c.value("m")?, c.value("n")?);
+    let mut workload = ReportWorkload::Uniform;
+    let mut hot_node = 0;
+    let mut hot_fraction = 0.5;
+    let mut cadence = 5;
+    let mut format = DumpFormat::Text;
+    let mut slo = None;
+    while let Some(flag) = c.next() {
+        match flag {
+            "--rate" | "--cycles" | "--seed" | "--faults" | "--fault-links" | "--threads" => {
+                run.read(flag, c)?;
+            }
+            "--workload" => {
+                workload = c.choice(
+                    flag,
+                    &[
+                        ("uniform", ReportWorkload::Uniform),
+                        ("hotspot", ReportWorkload::Hotspot),
+                    ],
+                )?;
+            }
+            "--hot-node" => hot_node = c.value("hot-node")?,
+            "--hot-fraction" => hot_fraction = c.value("hot-fraction")?,
+            "--cadence" => {
+                cadence = c.value("cadence")?;
+                if cadence == 0 {
+                    return Err(ParseError("--cadence must be at least 1".into()));
+                }
+            }
+            "--format" => format = c.choice(flag, FORMATS)?,
+            "--slo" => slo = Some(parse_slo(&c.value::<String>("slo")?)?),
+            other => return Err(unknown(other)),
+        }
+    }
+    if !(0.0..=1.0).contains(&hot_fraction) {
+        return Err(ParseError("--hot-fraction must be in 0..=1".into()));
+    }
+    Ok(Command::Report {
+        run,
+        workload,
+        hot_node,
+        hot_fraction,
+        cadence,
+        format,
+        slo,
+    })
+}
+
+fn bench(c: &mut Cursor) -> Result<Command, ParseError> {
+    let mut mode = None;
+    let mut cycles = 40;
+    let mut seed = 42;
+    let mut threads = 1;
+    let mut explicit_run = false;
+    while let Some(flag) = c.next() {
+        match flag {
+            "--write" | "--check" => mode = Some((flag == "--check", c.value("path")?)),
+            "--cycles" => {
+                cycles = c.value("cycles")?;
+                explicit_run = true;
+            }
+            "--seed" => {
+                seed = c.value("seed")?;
+                explicit_run = true;
+            }
+            "--threads" => threads = c.threads()?,
+            other => return Err(unknown(other)),
+        }
+    }
+    let (check, path) = mode.ok_or_else(|| ParseError("bench needs --write or --check".into()))?;
+    if check && explicit_run {
+        return Err(ParseError(
+            "--cycles/--seed come from the baseline file with --check".into(),
+        ));
+    }
+    Ok(Command::Bench {
+        check,
+        path,
+        cycles,
+        seed,
+        threads,
+    })
+}
+
+fn analyze(c: &mut Cursor) -> Result<Command, ParseError> {
+    let mut json = false;
+    let mut update_baseline = false;
+    let mut sarif = String::new();
+    let mut root = ".".to_string();
+    while let Some(flag) = c.next() {
+        match flag {
+            "--json" => json = true,
+            "--update-baseline" => update_baseline = true,
+            "--sarif" => sarif = c.value("sarif path")?,
+            "--root" => root = c.value("root")?,
+            other => return Err(unknown(other)),
+        }
+    }
+    if json && update_baseline {
+        return Err(ParseError(
+            "--json reports findings; --update-baseline accepts them (pick one)".into(),
+        ));
+    }
+    if update_baseline && !sarif.is_empty() {
+        return Err(ParseError(
+            "--sarif reports findings; --update-baseline accepts them (pick one)".into(),
+        ));
+    }
+    Ok(Command::Analyze {
+        json,
+        update_baseline,
+        sarif,
+        root,
+    })
 }
 
 #[cfg(test)]
@@ -987,6 +869,21 @@ mod tests {
         assert!(parse(&argv("embed 2 3 torus")).is_err());
     }
 
+    /// `RunArgs` for `HB(m, n)` with every flag at its default.
+    fn run(m: u32, n: u32) -> RunArgs {
+        RunArgs {
+            m,
+            n,
+            rate: 0.1,
+            cycles: 200,
+            seed: 42,
+            adaptive: false,
+            faults: vec![],
+            fault_links: vec![],
+            threads: 1,
+        }
+    }
+
     /// A `Simulate` value with every post-`m n` field defaulted, so
     /// tests only spell out what their flag changes.
     struct Sim {
@@ -998,7 +895,7 @@ mod tests {
         faults: Vec<usize>,
         fault_links: Vec<(usize, usize)>,
         fault_timeline: Option<String>,
-        sample: SampleMode,
+        sample: TraceSampling,
         trace_out: Option<String>,
         threads: usize,
         shard_stats: bool,
@@ -1018,7 +915,7 @@ mod tests {
                 faults: vec![],
                 fault_links: vec![],
                 fault_timeline: None,
-                sample: SampleMode::Off,
+                sample: TraceSampling::Off,
                 trace_out: None,
                 threads: 1,
                 shard_stats: false,
@@ -1031,19 +928,20 @@ mod tests {
 
     fn simulate(m: u32, n: u32, s: Sim) -> Command {
         Command::Simulate {
-            m,
-            n,
-            rate: s.rate,
-            cycles: s.cycles,
-            adaptive: s.adaptive,
+            run: RunArgs {
+                rate: s.rate,
+                cycles: s.cycles,
+                adaptive: s.adaptive,
+                faults: s.faults,
+                fault_links: s.fault_links,
+                threads: s.threads,
+                ..run(m, n)
+            },
             implicit: s.implicit,
             telemetry: s.telemetry,
-            faults: s.faults,
-            fault_links: s.fault_links,
             fault_timeline: s.fault_timeline,
             sample: s.sample,
             trace_out: s.trace_out,
-            threads: s.threads,
             shard_stats: s.shard_stats,
             timeseries: s.timeseries,
             profile: s.profile,
@@ -1111,16 +1009,16 @@ mod tests {
                     telemetry: TelemetryMode::Trace,
                     faults: vec![3, 9],
                     fault_links: vec![(0, 1), (4, 12)],
-                    sample: SampleMode::FaultAdjacent,
+                    sample: TraceSampling::FaultAdjacent,
                     trace_out: Some("flight.json".into()),
                     ..Sim::default()
                 }
             )
         );
         for (word, mode) in [
-            ("off", SampleMode::Off),
-            ("all", SampleMode::All),
-            ("every=8", SampleMode::EveryNth(8)),
+            ("off", TraceSampling::Off),
+            ("all", TraceSampling::All),
+            ("every=8", TraceSampling::EveryNth(8)),
         ] {
             assert_eq!(
                 parse(&argv(&format!("simulate 2 3 --sample {word}"))).unwrap(),
@@ -1423,18 +1321,15 @@ mod tests {
 
     fn report(m: u32, n: u32, r: Rep) -> Command {
         Command::Report {
-            m,
-            n,
+            run: RunArgs {
+                cycles: r.cycles,
+                threads: r.threads,
+                ..run(m, n)
+            },
             workload: r.workload,
-            rate: 0.1,
-            cycles: r.cycles,
             hot_node: 0,
             hot_fraction: 0.5,
             cadence: 5,
-            threads: r.threads,
-            seed: 42,
-            faults: vec![],
-            fault_links: vec![],
             format: DumpFormat::Text,
             slo: None,
         }
@@ -1516,14 +1411,11 @@ mod tests {
         .unwrap()
         {
             Command::Report {
+                run,
                 workload,
                 hot_node,
                 hot_fraction,
                 cadence,
-                seed,
-                faults,
-                fault_links,
-                threads,
                 format,
                 ..
             } => {
@@ -1531,10 +1423,10 @@ mod tests {
                 assert_eq!(hot_node, 7);
                 assert_eq!(hot_fraction, 0.8);
                 assert_eq!(cadence, 4);
-                assert_eq!(seed, 9);
-                assert_eq!(faults, vec![1, 2]);
-                assert_eq!(fault_links, vec![(0, 1)]);
-                assert_eq!(threads, 4);
+                assert_eq!(run.seed, 9);
+                assert_eq!(run.faults, vec![1, 2]);
+                assert_eq!(run.fault_links, vec![(0, 1)]);
+                assert_eq!(run.threads, 4);
                 assert_eq!(format, DumpFormat::Json);
             }
             other => panic!("expected report, got {other:?}"),
@@ -1546,22 +1438,18 @@ mod tests {
         assert_eq!(
             parse(&argv("telemetry 2 3")).unwrap(),
             Command::Telemetry {
-                m: 2,
-                n: 3,
-                rate: 0.1,
-                cycles: 200,
-                adaptive: false,
+                run: run(2, 3),
                 format: DumpFormat::Text,
             }
         );
         assert_eq!(
             parse(&argv("telemetry 2 3 --format json --cycles 50 --adaptive")).unwrap(),
             Command::Telemetry {
-                m: 2,
-                n: 3,
-                rate: 0.1,
-                cycles: 50,
-                adaptive: true,
+                run: RunArgs {
+                    cycles: 50,
+                    adaptive: true,
+                    ..run(2, 3)
+                },
                 format: DumpFormat::Json,
             }
         );

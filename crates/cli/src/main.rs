@@ -8,9 +8,7 @@
 
 mod args;
 
-use args::{
-    parse, Command, DumpFormat, EmbedKind, ReportWorkload, SampleMode, TelemetryMode, USAGE,
-};
+use args::{parse, Command, DumpFormat, EmbedKind, ReportWorkload, RunArgs, TelemetryMode, USAGE};
 use hb_bench::baseline::{render_drifts, Baseline};
 use hb_core::disjoint::DisjointEngine;
 use hb_core::{decompose, embed, fault_routing, metrics, routing, HyperButterfly};
@@ -23,8 +21,8 @@ use hb_netsim::{
     TraceSampling,
 };
 use hb_telemetry::{
-    slo, ChromeTraceSink, CsvSink, JsonLinesSink, ProfileSink, ReportSink, Sink, SpanTreeSink,
-    Telemetry, TextSink, TsConfig,
+    slo, ChromeTraceSink, CsvSink, JsonLinesSink, ProfileSink, ReportSink, Sink, Snapshot,
+    SpanTreeSink, Telemetry, TextSink, TsConfig,
 };
 
 fn main() {
@@ -152,24 +150,27 @@ fn dispatch(cmd: Command) -> Result<(), Box<dyn std::error::Error>> {
             }
         }
         Command::Simulate {
-            m,
-            n,
-            rate,
-            cycles,
-            adaptive,
+            run,
             implicit,
             telemetry,
-            faults,
-            fault_links,
             fault_timeline,
             sample,
             trace_out,
-            threads,
             shard_stats,
             timeseries,
             profile,
             slo: slo_spec,
         } => {
+            let RunArgs {
+                m,
+                n,
+                rate,
+                cycles,
+                seed,
+                adaptive,
+                threads,
+                ..
+            } = run;
             // `--implicit` computes adjacency and routes algebraically —
             // no graph arrays — so million-node shapes construct in O(1).
             let net = if implicit {
@@ -178,14 +179,7 @@ fn dispatch(cmd: Command) -> Result<(), Box<dyn std::error::Error>> {
                 HyperButterflyNet::new(m, n, HbRouteOrder::CubeFirst)?
             };
             let hb = net.topology();
-            let nn = hb.num_nodes();
-            for &f in &faults {
-                check_index(hb, f)?;
-            }
-            for &(a, b) in &fault_links {
-                check_link(hb, a, b)?;
-            }
-            let plan = FaultPlan::from_sets(faults.iter().copied(), fault_links.iter().copied());
+            let plan = fault_plan(hb, &run)?;
             let timeline = match &fault_timeline {
                 Some(path) => {
                     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
@@ -200,14 +194,8 @@ fn dispatch(cmd: Command) -> Result<(), Box<dyn std::error::Error>> {
                 }
                 None => None,
             };
-            let sampling = match sample {
-                SampleMode::Off => TraceSampling::Off,
-                SampleMode::All => TraceSampling::All,
-                SampleMode::EveryNth(k) => TraceSampling::EveryNth(k),
-                SampleMode::FaultAdjacent => TraceSampling::FaultAdjacent,
-            };
-            let flight = !plan.is_empty() || sampling != TraceSampling::Off;
-            let inj = workload::uniform(nn, cycles, rate, 42);
+            let flight = !plan.is_empty() || sample != TraceSampling::Off;
+            let inj = workload::uniform(hb.num_nodes(), cycles, rate, seed);
             let tel = match telemetry {
                 TelemetryMode::Off => None,
                 TelemetryMode::Summary => Some(Telemetry::summary()),
@@ -226,7 +214,7 @@ fn dispatch(cmd: Command) -> Result<(), Box<dyn std::error::Error>> {
             let model = if adaptive {
                 Model::Adaptive
             } else {
-                Model::Oblivious(sampling)
+                Model::Oblivious(sample)
             };
             let mut sim = Sim::new(&net).model(model);
             if !plan.is_empty() {
@@ -376,30 +364,26 @@ fn dispatch(cmd: Command) -> Result<(), Box<dyn std::error::Error>> {
             }
         }
         Command::Report {
-            m,
-            n,
+            run,
             workload,
-            rate,
-            cycles,
             hot_node,
             hot_fraction,
             cadence,
-            threads,
-            seed,
-            faults,
-            fault_links,
             format,
             slo: slo_spec,
         } => {
+            let RunArgs {
+                m,
+                n,
+                rate,
+                cycles,
+                seed,
+                threads,
+                ..
+            } = run;
             let t = HyperButterflyNet::new(m, n, HbRouteOrder::CubeFirst)?;
             let nn = t.topology().num_nodes();
-            for &f in &faults {
-                check_index(t.topology(), f)?;
-            }
-            for &(a, b) in &fault_links {
-                check_link(t.topology(), a, b)?;
-            }
-            let plan = FaultPlan::from_sets(faults.iter().copied(), fault_links.iter().copied());
+            let plan = fault_plan(t.topology(), &run)?;
             let (inj, workload_desc) = match workload {
                 ReportWorkload::Uniform => (
                     workload::uniform(nn, cycles, rate, seed),
@@ -473,12 +457,7 @@ fn dispatch(cmd: Command) -> Result<(), Box<dyn std::error::Error>> {
                 slo: slo_spec,
                 ..ReportSink::default()
             };
-            let rendered = match format {
-                DumpFormat::Text => sink.render(&snapshot),
-                DumpFormat::Json => JsonLinesSink.render(&snapshot),
-                DumpFormat::Csv => CsvSink.render(&snapshot),
-            };
-            print!("{rendered}");
+            print!("{}", render(format, &sink, &snapshot));
             if let Some(checks) = slo_checks {
                 if !slo::all_pass(&checks) {
                     std::process::exit(1);
@@ -521,31 +500,18 @@ fn dispatch(cmd: Command) -> Result<(), Box<dyn std::error::Error>> {
                 );
             }
         }
-        Command::Telemetry {
-            m,
-            n,
-            rate,
-            cycles,
-            adaptive,
-            format,
-        } => {
-            let t = HyperButterflyNet::new(m, n, HbRouteOrder::CubeFirst)?;
-            let inj = workload::uniform(t.topology().num_nodes(), cycles, rate, 42);
+        Command::Telemetry { run, format } => {
+            let t = HyperButterflyNet::new(run.m, run.n, HbRouteOrder::CubeFirst)?;
+            let inj = workload::uniform(t.topology().num_nodes(), run.cycles, run.rate, run.seed);
             let tel = Telemetry::with_trace(4096);
-            let cfg = SimConfig::bounded(cycles * 100 + 50_000).with_telemetry(tel.clone());
-            let model = if adaptive {
+            let cfg = SimConfig::bounded(run.cycles * 100 + 50_000).with_telemetry(tel.clone());
+            let model = if run.adaptive {
                 Model::Adaptive
             } else {
                 Model::Oblivious(TraceSampling::Off)
             };
             Sim::new(&t).model(model).run(&inj, cfg);
-            let snapshot = tel.snapshot();
-            let rendered = match format {
-                DumpFormat::Text => TextSink::default().render(&snapshot),
-                DumpFormat::Json => JsonLinesSink.render(&snapshot),
-                DumpFormat::Csv => CsvSink.render(&snapshot),
-            };
-            print!("{rendered}");
+            print!("{}", render(format, &TextSink::default(), &tel.snapshot()));
         }
         Command::Diff { a, b } => {
             let base =
@@ -687,6 +653,30 @@ fn dispatch(cmd: Command) -> Result<(), Box<dyn std::error::Error>> {
         }
     }
     Ok(())
+}
+
+/// Renders `snapshot` in `format`, with `text` drawing the text form.
+fn render(format: DumpFormat, text: &dyn Sink, snapshot: &Snapshot) -> String {
+    match format {
+        DumpFormat::Text => text.render(snapshot),
+        DumpFormat::Json => JsonLinesSink.render(snapshot),
+        DumpFormat::Csv => CsvSink.render(snapshot),
+    }
+}
+
+/// The static fault plan of `--faults` and `--fault-links`, each checked
+/// against `HB(m, n)`.
+fn fault_plan(hb: &HyperButterfly, run: &RunArgs) -> Result<FaultPlan, hb_graphs::GraphError> {
+    for &f in &run.faults {
+        check_index(hb, f)?;
+    }
+    for &(a, b) in &run.fault_links {
+        check_link(hb, a, b)?;
+    }
+    Ok(FaultPlan::from_sets(
+        run.faults.iter().copied(),
+        run.fault_links.iter().copied(),
+    ))
 }
 
 fn check_index(hb: &HyperButterfly, idx: usize) -> Result<(), hb_graphs::GraphError> {

@@ -157,11 +157,15 @@ const REJECTIONS: &[(&str, &str)] = &[
         "frobnicate",
         "unknown command frobnicate (try `hbnet help`)",
     ),
+    ("help me", "unexpected argument me"),
     ("info 2", "missing <n>"),
     ("info x 3", "invalid <m>: x"),
+    ("info 2 3 --ful", "unknown flag --ful"),
     ("route 2 3 0", "missing <dst>"),
     ("route 2 3 a 5", "invalid <src>: a"),
+    ("route 2 3 0 5 7", "unexpected argument 7"),
     ("disjoint 2 3 0", "missing <dst>"),
+    ("fault-route 2 3", "missing <src>"),
     ("fault-route 2 3 0 5", "missing <faults>"),
     ("fault-route 2 3 0 5 4,x", "invalid fault index: x"),
     (
