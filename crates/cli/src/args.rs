@@ -619,9 +619,8 @@ fn simulate(c: &mut Cursor) -> Result<Command, ParseError> {
             "--adaptive is a serial-only router (no --threads)".into(),
         ));
     }
-    // The series, the work profile, and the SLO snapshot all
-    // land in telemetry, so they need a handle: quietly raise
-    // `off` to `summary`.
+    // The series, the work profile, and the SLO snapshot all land in
+    // telemetry, so they need a handle: quietly raise `off` to `summary`.
     if (timeseries.is_some() || profile || slo.is_some()) && telemetry == TelemetryMode::Off {
         telemetry = TelemetryMode::Summary;
     }
