@@ -342,7 +342,8 @@ const REJECTIONS: &[(&str, &str)] = &[
 
 #[test]
 fn rejections_exit_2_with_their_message_and_the_usage() {
-    let usage = std::fs::read_to_string(golden_path("help.txt")).expect("usage golden");
+    // `help` prints the usage; `runs_print_their_goldens` pins it.
+    let usage = String::from_utf8(hbnet("help", &root()).stdout).expect("usage is UTF-8");
     for &(line, message) in REJECTIONS {
         let out = hbnet(line, &root());
         assert_eq!(out.status.code(), Some(2), "{line}");
