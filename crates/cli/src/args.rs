@@ -1373,6 +1373,29 @@ mod tests {
     }
 
     #[test]
+    fn hot_flags_need_the_hotspot_workload() {
+        let err = |line: &str| parse(&argv(line)).unwrap_err().to_string();
+        assert_eq!(
+            err("report 2 3 --hot-node 9"),
+            "--hot-node needs --workload hotspot"
+        );
+        assert_eq!(
+            err("report 2 3 --workload uniform --hot-fraction 0.9"),
+            "--hot-fraction needs --workload hotspot"
+        );
+        assert_eq!(
+            err("report 2 3 --cycles 20 --hot-node 999 --hot-fraction 0.9"),
+            "--hot-node needs --workload hotspot"
+        );
+        // The per-value checks run first.
+        assert_eq!(
+            err("report 2 3 --hot-fraction 1.5"),
+            "--hot-fraction must be in 0..=1"
+        );
+        assert!(parse(&argv("report 2 3 --hot-node 9 --workload hotspot")).is_ok());
+    }
+
+    #[test]
     fn rate_must_be_a_probability() {
         for cmd in ["simulate 2 3", "report 2 3", "telemetry 2 3"] {
             for bad in ["2", "1.5", "-1", "-0.1", "nan", "inf", "-inf"] {

@@ -272,6 +272,18 @@ const REJECTIONS: &[(&str, &str)] = &[
         "report 2 3 --hot-fraction 1.5",
         "--hot-fraction must be in 0..=1",
     ),
+    (
+        "report 2 3 --hot-node 9",
+        "--hot-node needs --workload hotspot",
+    ),
+    (
+        "report 2 3 --workload uniform --hot-fraction 0.9",
+        "--hot-fraction needs --workload hotspot",
+    ),
+    (
+        "report 2 3 --cycles 20 --hot-node 999 --hot-fraction 0.9",
+        "--hot-node needs --workload hotspot",
+    ),
     ("report 2 3 --cadence", "missing <cadence>"),
     ("report 2 3 --cadence 0", "--cadence must be at least 1"),
     ("report 2 3 --seed x", "invalid <seed>: x"),
