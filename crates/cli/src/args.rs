@@ -70,10 +70,6 @@ pub enum Command {
     Report {
         run: RunArgs,
         workload: ReportWorkload,
-        /// Target node for the hotspot workload.
-        hot_node: usize,
-        /// Probability a packet targets the hot node.
-        hot_fraction: f64,
         /// Time-series window cadence in simulated cycles.
         cadence: u64,
         format: DumpFormat,
@@ -208,12 +204,18 @@ pub enum TelemetryMode {
 }
 
 /// Traffic pattern for the `report` subcommand.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum ReportWorkload {
     /// Uniformly random destinations.
     Uniform,
     /// Skewed traffic concentrating on one hot node.
-    Hotspot,
+    Hotspot {
+        /// The hot node (`--hot-node`, default 0).
+        node: usize,
+        /// Probability a packet targets it (`--hot-fraction`, default
+        /// 0.5).
+        fraction: f64,
+    },
 }
 
 /// Output format for the `telemetry` dump subcommand.
@@ -659,9 +661,9 @@ fn simulate(c: &mut Cursor) -> Result<Command, ParseError> {
 
 fn report(c: &mut Cursor) -> Result<Command, ParseError> {
     let mut run = RunArgs::new(c.value("m")?, c.value("n")?);
-    let mut workload = ReportWorkload::Uniform;
-    let mut hot_node = 0;
-    let mut hot_fraction = 0.5;
+    let mut hotspot = false;
+    let mut hot_node = None;
+    let mut hot_fraction = None;
     let mut cadence = 5;
     let mut format = DumpFormat::Text;
     let mut slo = None;
@@ -670,17 +672,9 @@ fn report(c: &mut Cursor) -> Result<Command, ParseError> {
             "--rate" | "--cycles" | "--seed" | "--faults" | "--fault-links" | "--threads" => {
                 run.read(flag, c)?;
             }
-            "--workload" => {
-                workload = c.choice(
-                    flag,
-                    &[
-                        ("uniform", ReportWorkload::Uniform),
-                        ("hotspot", ReportWorkload::Hotspot),
-                    ],
-                )?;
-            }
-            "--hot-node" => hot_node = c.value("hot-node")?,
-            "--hot-fraction" => hot_fraction = c.value("hot-fraction")?,
+            "--workload" => hotspot = c.choice(flag, &[("uniform", false), ("hotspot", true)])?,
+            "--hot-node" => hot_node = Some(c.value("hot-node")?),
+            "--hot-fraction" => hot_fraction = Some(c.value("hot-fraction")?),
             "--cadence" => {
                 cadence = c.value("cadence")?;
                 if cadence == 0 {
@@ -692,14 +686,24 @@ fn report(c: &mut Cursor) -> Result<Command, ParseError> {
             other => return Err(unknown(other)),
         }
     }
-    if !(0.0..=1.0).contains(&hot_fraction) {
+    if hot_fraction.is_some_and(|f| !(0.0..=1.0).contains(&f)) {
         return Err(ParseError("--hot-fraction must be in 0..=1".into()));
     }
+    let workload = if hotspot {
+        ReportWorkload::Hotspot {
+            node: hot_node.unwrap_or(0),
+            fraction: hot_fraction.unwrap_or(0.5),
+        }
+    } else if hot_node.is_some() {
+        return Err(ParseError("--hot-node needs --workload hotspot".into()));
+    } else if hot_fraction.is_some() {
+        return Err(ParseError("--hot-fraction needs --workload hotspot".into()));
+    } else {
+        ReportWorkload::Uniform
+    };
     Ok(Command::Report {
         run,
         workload,
-        hot_node,
-        hot_fraction,
         cadence,
         format,
         slo,
@@ -1326,8 +1330,6 @@ mod tests {
                 ..run(m, n)
             },
             workload: r.workload,
-            hot_node: 0,
-            hot_fraction: 0.5,
             cadence: 5,
             format: DumpFormat::Text,
             slo: None,
@@ -1346,7 +1348,10 @@ mod tests {
                 2,
                 3,
                 Rep {
-                    workload: ReportWorkload::Hotspot,
+                    workload: ReportWorkload::Hotspot {
+                        node: 0,
+                        fraction: 0.5,
+                    },
                     cycles: 60,
                     ..Rep::default()
                 }
@@ -1435,15 +1440,17 @@ mod tests {
             Command::Report {
                 run,
                 workload,
-                hot_node,
-                hot_fraction,
                 cadence,
                 format,
                 ..
             } => {
-                assert_eq!(workload, ReportWorkload::Hotspot);
-                assert_eq!(hot_node, 7);
-                assert_eq!(hot_fraction, 0.8);
+                assert_eq!(
+                    workload,
+                    ReportWorkload::Hotspot {
+                        node: 7,
+                        fraction: 0.8
+                    }
+                );
                 assert_eq!(cadence, 4);
                 assert_eq!(run.seed, 9);
                 assert_eq!(run.faults, vec![1, 2]);

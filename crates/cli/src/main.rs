@@ -366,8 +366,6 @@ fn dispatch(cmd: Command) -> Result<(), Box<dyn std::error::Error>> {
         Command::Report {
             run,
             workload,
-            hot_node,
-            hot_fraction,
             cadence,
             format,
             slo: slo_spec,
@@ -389,12 +387,12 @@ fn dispatch(cmd: Command) -> Result<(), Box<dyn std::error::Error>> {
                     workload::uniform(nn, cycles, rate, seed),
                     format!("uniform, rate {rate}, seed {seed}"),
                 ),
-                ReportWorkload::Hotspot => {
-                    check_index(t.topology(), hot_node)?;
+                ReportWorkload::Hotspot { node, fraction } => {
+                    check_index(t.topology(), node)?;
                     (
-                        workload::hotspot(nn, cycles, rate, hot_node, hot_fraction, seed),
+                        workload::hotspot(nn, cycles, rate, node, fraction, seed),
                         format!(
-                            "hotspot -> node {hot_node} (fraction {hot_fraction}), \
+                            "hotspot -> node {node} (fraction {fraction}), \
                              rate {rate}, seed {seed}"
                         ),
                     )
@@ -434,7 +432,7 @@ fn dispatch(cmd: Command) -> Result<(), Box<dyn std::error::Error>> {
                     "HB({m}, {n}) {}",
                     match workload {
                         ReportWorkload::Uniform => "uniform",
-                        ReportWorkload::Hotspot => "hotspot",
+                        ReportWorkload::Hotspot { .. } => "hotspot",
                     }
                 ),
                 meta: vec![
