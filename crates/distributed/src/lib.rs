@@ -3,8 +3,8 @@
 //! The paper's conclusion and the authors' follow-up work ("Leader
 //! Election in Hyper-Butterfly Graphs") treat `HB(m, n)` as a platform
 //! for distributed computation. This crate provides the standard
-//! synchronous message-passing model and the two primitives that work
-//! builds on:
+//! synchronous message-passing model and the protocols that work builds
+//! on:
 //!
 //! * [`runtime`] — the round-based execution engine (per-node state
 //!   machines, neighbor-only messaging, round/message accounting with
@@ -13,8 +13,6 @@
 //! * [`election`] — min-id flooding leader election with diameter-based
 //!   termination detection (`O(diameter)` rounds on `HB(m, n)`, whose
 //!   diameter `m + n + floor(n/2)` every node can know a priori);
-//! * [`allreduce`] — tree-based all-reduce (sum), the canonical
-//!   multiprocessor collective;
 //! * [`gossip`] — all-to-all token dissemination by incremental
 //!   flooding (the all-to-all counterpart of the paper's broadcast);
 //! * [`spanning_tree`] — distributed BFS spanning-tree construction with
@@ -24,7 +22,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod allreduce;
 pub mod election;
 pub mod gossip;
 pub mod runtime;
