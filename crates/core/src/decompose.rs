@@ -230,7 +230,7 @@ mod tests {
     #[test]
     fn slice_sizes_match_remark_5() {
         let hb = HyperButterfly::new(3, 4).unwrap();
-        let b = hb.identity_butterfly();
+        let b = hb.butterfly().identity();
         assert_eq!(hypercube_slice(&hb, b).len(), 8); // 2^m
         assert_eq!(butterfly_slice(&hb, 5).len(), 64); // n 2^n
                                                        // Counts: n 2^n hypercube slices, 2^m butterfly slices.

@@ -242,38 +242,6 @@ impl DisjointEngine {
         Ok(out)
     }
 
-    /// **Node-to-set** disjoint paths (cf. Latifi & Srimani's companion
-    /// work on hypercubes): internally vertex-disjoint paths from `u` to
-    /// each of up to `m + 4` distinct `targets`, sharing only `u`.
-    /// Existence for any target set of size `<= m + 4` follows from
-    /// `kappa = m + 4` by the fan lemma; computed as a max-flow fan on
-    /// the product graph.
-    ///
-    /// # Errors
-    /// [`GraphError::InvalidParameter`] for repeated targets, a target
-    /// equal to `u`, or more than `m + 4` targets.
-    pub fn node_to_set_paths(&self, u: HbNode, targets: &[HbNode]) -> Result<Vec<Vec<HbNode>>> {
-        if targets.len() > self.hb.degree() as usize {
-            return Err(GraphError::InvalidParameter(format!(
-                "at most m + 4 = {} targets supported",
-                self.hb.degree()
-            )));
-        }
-        let g = match self.full_graph.get() {
-            Some(g) => g,
-            None => {
-                let built = self.hb.build_graph()?;
-                self.full_graph.get_or_init(|| built)
-            }
-        };
-        let raw_targets: Vec<usize> = targets.iter().map(|t| self.hb.index(*t)).collect();
-        let fan = connectivity::fan_paths(g, self.hb.index(u), &raw_targets)?;
-        Ok(fan
-            .into_iter()
-            .map(|p| p.into_iter().map(|i| self.hb.node(i)).collect())
-            .collect())
-    }
-
     /// Exact Menger family on the materialised product graph (used for the
     /// adjacent-part degeneracies of Case 3).
     fn fallback(&self, u: HbNode, v: HbNode) -> Result<Vec<Vec<HbNode>>> {
@@ -487,28 +455,6 @@ mod tests {
             let flow = connectivity::max_disjoint_path_count(&g, 0, t, u32::MAX);
             assert_eq!(flow, hb.degree());
         }
-    }
-
-    #[test]
-    fn node_to_set_fans_validate() {
-        let hb = HyperButterfly::new(1, 3).unwrap();
-        let eng = DisjointEngine::new(hb).unwrap();
-        let g = hb.build_graph().unwrap();
-        let u = hb.node(0);
-        let targets: Vec<HbNode> = [5usize, 17, 23, 40, 47]
-            .iter()
-            .map(|&t| hb.node(t))
-            .collect();
-        let fan = eng.node_to_set_paths(u, &targets).unwrap();
-        let raw_t: Vec<usize> = targets.iter().map(|t| hb.index(*t)).collect();
-        let raw: Vec<Vec<usize>> = fan
-            .iter()
-            .map(|p| p.iter().map(|x| hb.index(*x)).collect())
-            .collect();
-        connectivity::verify_fan(&g, 0, &raw_t, &raw).unwrap();
-        // Too many targets is rejected.
-        let many: Vec<HbNode> = (1..=6).map(|t| hb.node(t)).collect();
-        assert!(eng.node_to_set_paths(u, &many).is_err());
     }
 
     #[test]

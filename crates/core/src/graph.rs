@@ -10,7 +10,7 @@ use crate::node::HbNode;
 use hb_butterfly::Butterfly;
 use hb_graphs::{Graph, GraphError, Result};
 use hb_group::cayley::CayleyTopology;
-use hb_group::signed::{ButterflyGen, SignedCycle};
+use hb_group::signed::ButterflyGen;
 use hb_hypercube::Hypercube;
 
 /// Which structural class an edge/generator belongs to (paper Def. 4):
@@ -163,16 +163,6 @@ impl HyperButterfly {
             .collect()
     }
 
-    /// Applies one generator to a node (paper §2.2). Hypercube generators
-    /// touch only the hypercube part; butterfly generators only the
-    /// butterfly part (Remark 4).
-    pub fn apply_gen(&self, kind: EdgeKind, v: HbNode) -> HbNode {
-        match kind {
-            EdgeKind::Hypercube { dim } => HbNode::new(v.h ^ (1 << dim), v.b),
-            EdgeKind::Butterfly { gen } => HbNode::new(v.h, v.b.apply(gen)),
-        }
-    }
-
     /// All `m + 4` neighbors of `v`, in generator order.
     pub fn neighbors(&self, v: HbNode) -> Vec<HbNode> {
         let mut out = Vec::with_capacity(self.degree() as usize);
@@ -209,12 +199,6 @@ impl HyperButterfly {
     /// Propagates graph-construction failures (none for valid dims).
     pub fn build_graph(&self) -> Result<Graph> {
         CayleyTopology::build_graph(self)
-    }
-
-    /// Convenience: the butterfly-part label of the identity coset used in
-    /// examples, i.e. `SignedCycle::identity(n)`.
-    pub fn identity_butterfly(&self) -> SignedCycle {
-        self.bfly.identity()
     }
 }
 

@@ -54,16 +54,6 @@ pub fn route(hb: &HyperButterfly, u: HbNode, v: HbNode) -> Vec<HbNode> {
     path
 }
 
-/// Optimal route, butterfly leg first. Same length as [`route`]; the two
-/// orders spread traffic differently, which the netsim ablation measures.
-/// Collects [`walk_butterfly_first`].
-pub fn route_butterfly_first(hb: &HyperButterfly, u: HbNode, v: HbNode) -> Vec<HbNode> {
-    let mut path = Vec::with_capacity(distance(hb, u, v) as usize + 1);
-    path.push(u);
-    walk_butterfly_first(u, v, |x| path.push(x));
-    path
-}
-
 /// Visits the nodes after `u` on the cube-first optimal route to `v`, in
 /// route order: the hypercube leg inside the slice `(H_m, b)`, then the
 /// butterfly leg inside `(h', B_n)`. No allocation.
@@ -74,7 +64,9 @@ pub fn walk(u: HbNode, v: HbNode, mut visit: impl FnMut(HbNode)) {
 }
 
 /// Visits the nodes after `u` on the butterfly-first optimal route to
-/// `v`, in route order. No allocation.
+/// `v`, in route order. Same length as [`walk`]'s route; the two orders
+/// spread traffic differently, which the netsim ablation measures. No
+/// allocation.
 #[inline]
 pub fn walk_butterfly_first(u: HbNode, v: HbNode, mut visit: impl FnMut(HbNode)) {
     brouting::walk(u.b, v.b, |b| visit(HbNode::new(u.h, b)));
@@ -138,7 +130,8 @@ mod tests {
             let u = hb.node(src);
             for dst in 0..hb.num_nodes() {
                 let v = hb.node(dst);
-                let p = route_butterfly_first(&hb, u, v);
+                let mut p = vec![u];
+                walk_butterfly_first(u, v, |x| p.push(x));
                 assert_eq!(p.len() as u32, distance(&hb, u, v) + 1);
                 let pu: Vec<usize> = p.iter().map(|x| hb.index(*x)).collect();
                 validate_path(&g, &pu).unwrap();

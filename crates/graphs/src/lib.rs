@@ -6,7 +6,7 @@
 //!
 //! * [`graph::Graph`] — CSR simple undirected graphs with validated
 //!   construction from edge lists or neighbor functions;
-//! * [`traverse`] — BFS / DFS / components / fault-avoiding search;
+//! * [`traverse`] — BFS / components / fault-avoiding search;
 //! * [`shortest`] — APSP, eccentricities, diameter, distance
 //!   distribution statistics;
 //! * [`flow`] — Dinic max-flow;

@@ -6,7 +6,7 @@
 //! odd cycles, which is why the hypercube and hyper-butterfly columns say
 //! "even cycles" while de Bruijn-based networks are pancyclic).
 
-use crate::graph::{Graph, NodeId};
+use crate::graph::Graph;
 
 /// Degree summary of a graph.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -115,14 +115,6 @@ pub fn all_degrees_are(g: &Graph, expected: usize) -> bool {
     g.nodes().all(|v| g.degree(v) == expected)
 }
 
-/// Nodes sorted by degree, ascending — handy for reporting the irregularity
-/// of hyper-deBruijn graphs.
-pub fn nodes_by_degree(g: &Graph) -> Vec<(NodeId, usize)> {
-    let mut v: Vec<_> = g.nodes().map(|x| (x, g.degree(x))).collect();
-    v.sort_by_key(|&(_, d)| d);
-    v
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -165,13 +157,5 @@ mod tests {
         // K_{2,3}.
         let g = Graph::from_edges(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)]).unwrap();
         assert_eq!(girth(&g), Some(4));
-    }
-
-    #[test]
-    fn nodes_by_degree_sorts_ascending() {
-        let g = Graph::from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2)]).unwrap();
-        let v = nodes_by_degree(&g);
-        assert_eq!(v[3].0, 0);
-        assert!(v.windows(2).all(|w| w[0].1 <= w[1].1));
     }
 }

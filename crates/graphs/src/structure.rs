@@ -1,5 +1,5 @@
-//! Structural resilience analysis: articulation points, bridges
-//! (Tarjan's low-link algorithm), and Kernighan–Lin bisection.
+//! Structural resilience analysis: articulation points (Tarjan's
+//! low-link algorithm) and Kernighan–Lin bisection.
 //!
 //! Uses in this reproduction:
 //!
@@ -66,51 +66,6 @@ pub fn articulation_points(g: &Graph) -> Vec<NodeId> {
         }
     }
     (0..n).filter(|&v| is_cut[v]).collect()
-}
-
-/// Bridges (cut edges) via the same low-link machinery.
-pub fn bridges(g: &Graph) -> Vec<(NodeId, NodeId)> {
-    let n = g.num_nodes();
-    let mut disc = vec![0u32; n];
-    let mut low = vec![0u32; n];
-    let mut parent = vec![usize::MAX; n];
-    let mut out = Vec::new();
-    let mut timer = 1u32;
-    let mut stack: Vec<(usize, usize)> = Vec::new();
-    for root in 0..n {
-        if disc[root] != 0 {
-            continue;
-        }
-        disc[root] = timer;
-        low[root] = timer;
-        timer += 1;
-        stack.push((root, 0));
-        while let Some(&mut (v, ref mut cursor)) = stack.last_mut() {
-            if *cursor < g.degree(v) {
-                let w = g.neighbors(v)[*cursor] as usize;
-                *cursor += 1;
-                if disc[w] == 0 {
-                    parent[w] = v;
-                    disc[w] = timer;
-                    low[w] = timer;
-                    timer += 1;
-                    stack.push((w, 0));
-                } else if w != parent[v] {
-                    low[v] = low[v].min(disc[w]);
-                }
-            } else {
-                stack.pop();
-                if let Some(&mut (p, _)) = stack.last_mut() {
-                    low[p] = low[p].min(low[v]);
-                    if low[v] > disc[p] {
-                        out.push((p.min(v), p.max(v)));
-                    }
-                }
-            }
-        }
-    }
-    out.sort_unstable();
-    out
 }
 
 /// One Kernighan–Lin bisection refinement run from a given starting
@@ -246,14 +201,12 @@ mod tests {
     fn path_graph_interior_nodes_are_cuts() {
         let g = generators::path(5).unwrap();
         assert_eq!(articulation_points(&g), vec![1, 2, 3]);
-        assert_eq!(bridges(&g).len(), 4);
     }
 
     #[test]
-    fn cycle_has_no_cuts_or_bridges() {
+    fn cycle_has_no_cuts() {
         let g = generators::cycle(6).unwrap();
         assert!(articulation_points(&g).is_empty());
-        assert!(bridges(&g).is_empty());
     }
 
     #[test]
@@ -261,7 +214,6 @@ mod tests {
         // Two triangles joined at vertex 2.
         let g = Graph::from_edges(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)]).unwrap();
         assert_eq!(articulation_points(&g), vec![2]);
-        assert!(bridges(&g).is_empty());
     }
 
     #[test]
@@ -269,7 +221,6 @@ mod tests {
         // C3 - bridge - C3.
         let g =
             Graph::from_edges(6, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3)]).unwrap();
-        assert_eq!(bridges(&g), vec![(2, 3)]);
         let cuts = articulation_points(&g);
         assert_eq!(cuts, vec![2, 3]);
     }

@@ -1,4 +1,4 @@
-//! Breadth-first and depth-first traversal primitives.
+//! Breadth-first traversal primitives.
 //!
 //! These are the workhorses behind distance verification (routing optimality
 //! is always cross-checked against BFS), connectivity, and component
@@ -186,26 +186,6 @@ pub fn is_connected_avoiding(g: &Graph, blocked: &[NodeId]) -> bool {
     components_avoiding(g, blocked).1 <= 1
 }
 
-/// Iterative DFS preorder starting from `source` (restricted to its
-/// component).
-pub fn dfs_preorder(g: &Graph, source: NodeId) -> Vec<NodeId> {
-    let mut seen = vec![false; g.num_nodes()];
-    let mut order = Vec::new();
-    let mut stack = vec![source];
-    seen[source] = true;
-    while let Some(u) = stack.pop() {
-        order.push(u);
-        // Push in reverse so lower-numbered neighbors are visited first.
-        for &w in g.neighbors(u).iter().rev() {
-            if !seen[w as usize] {
-                seen[w as usize] = true;
-                stack.push(w as usize);
-            }
-        }
-    }
-    order
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -313,15 +293,5 @@ mod tests {
                 assert_eq!(is_connected_avoiding(g, blocked), want_count <= 1);
             }
         }
-    }
-
-    #[test]
-    fn dfs_preorder_visits_component_once() {
-        let g = generators::cycle(5).unwrap();
-        let order = dfs_preorder(&g, 0);
-        assert_eq!(order.len(), 5);
-        let mut sorted = order.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, vec![0, 1, 2, 3, 4]);
     }
 }

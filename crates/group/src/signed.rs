@@ -162,13 +162,6 @@ impl SignedCycle {
         (self.mask >> self.symbol_at(pos)) & 1 == 1
     }
 
-    /// Whether symbol `s` (0-based) is complemented.
-    #[inline]
-    pub fn is_symbol_complemented(&self, s: u32) -> bool {
-        debug_assert!(s < self.n);
-        (self.mask >> s) & 1 == 1
-    }
-
     /// Applies a butterfly generator.
     #[inline]
     pub fn apply(&self, gen: ButterflyGen) -> Self {

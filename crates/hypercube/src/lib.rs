@@ -7,7 +7,7 @@
 //! * [`cube`] — the topology itself (labels, neighbors, Cayley structure,
 //!   counts, diameter `m`, connectivity `m`);
 //! * [`routing`] — bit-fixing shortest routing with arbitrary correction
-//!   orders (`d!` shortest paths) and exact fault-avoiding routing;
+//!   orders (`d!` shortest paths);
 //! * [`disjoint`] — the classic `m` internally vertex-disjoint paths
 //!   (Saad & Schultz), reused verbatim by the paper's Theorem 5;
 //! * [`embed`] — Gray-code Hamiltonian cycles, odd-length parity paths

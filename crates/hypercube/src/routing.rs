@@ -1,11 +1,10 @@
-//! Shortest and fault-tolerant point-to-point routing in `H_m`.
+//! Shortest point-to-point routing in `H_m`.
 //!
 //! The hyper-butterfly's optimal routing (paper §3) composes this module's
 //! bit-fixing route with the butterfly route, so correctness here is load
 //! bearing for the headline routing theorem.
 
 use crate::cube::Hypercube;
-use hb_graphs::{traverse, Graph, GraphError, Result};
 
 /// Shortest route from `src` to `dst` by ascending-dimension bit fixing;
 /// returns the node sequence including both endpoints (length
@@ -70,31 +69,6 @@ pub fn route_with_order(h: &Hypercube, src: u32, dst: u32, order: &[u32]) -> Vec
     path
 }
 
-/// Number of distinct shortest `src`–`dst` paths: `d!` where
-/// `d = distance(src, dst)` (one per correction order).
-pub fn shortest_path_count(h: &Hypercube, src: u32, dst: u32) -> u128 {
-    let d = h.distance(src, dst);
-    (1..=d as u128).product()
-}
-
-/// Fault-tolerant route: a shortest path in `H_m` minus the `faults` set,
-/// or `None` if `dst` is unreachable. Exact (BFS-based): succeeds whenever
-/// the survivor graph still connects `src` to `dst`, in particular for any
-/// fault set of size `< m` (hypercubes are maximally fault tolerant).
-///
-/// # Errors
-/// [`GraphError::InvalidParameter`] if an endpoint is faulty.
-pub fn route_avoiding(g: &Graph, src: u32, dst: u32, faults: &[u32]) -> Result<Option<Vec<u32>>> {
-    if faults.contains(&src) || faults.contains(&dst) {
-        return Err(GraphError::InvalidParameter("endpoint is faulty".into()));
-    }
-    let blocked: Vec<usize> = faults.iter().map(|&f| f as usize).collect();
-    let tree = traverse::bfs_avoiding(g, src as usize, &blocked);
-    Ok(tree
-        .path_to(dst as usize)
-        .map(|p| p.into_iter().map(|v| v as u32).collect()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -129,68 +103,5 @@ mod tests {
         let h = h4();
         let p = route_with_order(&h, 0b0000, 0b1011, &[3, 0, 1]);
         assert_eq!(p, vec![0b0000, 0b1000, 0b1001, 0b1011]);
-    }
-
-    #[test]
-    fn shortest_path_count_is_factorial() {
-        let h = h4();
-        assert_eq!(shortest_path_count(&h, 0, 0b1111), 24);
-        assert_eq!(shortest_path_count(&h, 0, 0), 1);
-        assert_eq!(shortest_path_count(&h, 0, 0b1), 1);
-    }
-
-    #[test]
-    fn route_avoiding_detours_around_faults() {
-        let h = h4();
-        let g = h.build_graph().unwrap();
-        // All shortest 0 -> 3 paths go through 1 or 2; block both.
-        let p = route_avoiding(&g, 0, 3, &[1, 2]).unwrap().unwrap();
-        assert_eq!(p[0], 0);
-        assert_eq!(*p.last().unwrap(), 3);
-        assert!(p.len() > 3, "must be longer than the shortest path");
-        assert!(!p.contains(&1) && !p.contains(&2));
-        let pu: Vec<usize> = p.iter().map(|&v| v as usize).collect();
-        validate_path(&g, &pu).unwrap();
-    }
-
-    #[test]
-    fn route_avoiding_with_max_tolerable_faults_always_succeeds() {
-        // m = 3: any 2 faults leave H_3 connected.
-        let h = Hypercube::new(3).unwrap();
-        let g = h.build_graph().unwrap();
-        for f1 in 0..8u32 {
-            for f2 in 0..8u32 {
-                if f1 == f2 {
-                    continue;
-                }
-                for src in 0..8u32 {
-                    for dst in 0..8u32 {
-                        if [f1, f2].contains(&src) || [f1, f2].contains(&dst) || src == dst {
-                            continue;
-                        }
-                        assert!(
-                            route_avoiding(&g, src, dst, &[f1, f2]).unwrap().is_some(),
-                            "disconnected with faults {{{f1},{f2}}} from {src} to {dst}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn route_avoiding_rejects_faulty_endpoint() {
-        let h = h4();
-        let g = h.build_graph().unwrap();
-        assert!(route_avoiding(&g, 0, 3, &[0]).is_err());
-        assert!(route_avoiding(&g, 0, 3, &[3]).is_err());
-    }
-
-    #[test]
-    fn route_avoiding_reports_disconnection() {
-        // m = 2: isolating node 0 with faults {1, 2}.
-        let h = Hypercube::new(2).unwrap();
-        let g = h.build_graph().unwrap();
-        assert_eq!(route_avoiding(&g, 0, 3, &[1, 2]).unwrap(), None);
     }
 }
