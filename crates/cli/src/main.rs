@@ -453,7 +453,6 @@ fn dispatch(cmd: Command) -> Result<(), Box<dyn std::error::Error>> {
                     ("cadence".into(), format!("{cadence} cycles/window")),
                 ],
                 slo: slo_spec,
-                ..ReportSink::default()
             };
             print!("{}", render(format, &sink, &snapshot));
             if let Some(checks) = slo_checks {
@@ -509,7 +508,7 @@ fn dispatch(cmd: Command) -> Result<(), Box<dyn std::error::Error>> {
                 Model::Oblivious(TraceSampling::Off)
             };
             Sim::new(&t).model(model).run(&inj, cfg);
-            print!("{}", render(format, &TextSink::default(), &tel.snapshot()));
+            print!("{}", render(format, &TextSink, &tel.snapshot()));
         }
         Command::Diff { a, b } => {
             let base =

@@ -1248,12 +1248,7 @@ mod tests {
         assert_eq!(frontier, sweep);
         assert!(frontier.stranded > 0, "the hot node's queues fill and drop");
         let (f, s) = (tel_f.snapshot(), tel_s.snapshot());
-        let sinks: [&dyn Sink; 4] = [
-            &JsonLinesSink,
-            &ReportSink::default(),
-            &TextSink::default(),
-            &CsvSink,
-        ];
+        let sinks: [&dyn Sink; 4] = [&JsonLinesSink, &ReportSink::default(), &TextSink, &CsvSink];
         for sink in sinks {
             assert_eq!(sink.render(&f), sink.render(&s));
         }

@@ -97,7 +97,7 @@ fn pin(name: &'static str, stats: &SimStats, tel: &Telemetry, extra: &str) -> Pi
         fnv1a(format!("{stats:?}").as_bytes()),
         fnv1a(render.as_bytes()),
         digest(ReportSink::default().render(&snapshot)),
-        digest(TextSink::default().render(&snapshot)),
+        digest(TextSink.render(&snapshot)),
         digest(CsvSink.render(&snapshot)),
     );
     Pinned { name, line, render }
@@ -321,7 +321,7 @@ fn a_run_without_traffic_renders_through_every_sink() {
     assert_eq!((stats.offered, stats.delivered), (0, 0));
     let s = tel.snapshot();
     assert_eq!(ReportSink::default().render(&s), EMPTY_REPORT);
-    assert_eq!(TextSink::default().render(&s), EMPTY_TEXT);
+    assert_eq!(TextSink.render(&s), EMPTY_TEXT);
     assert_eq!(JsonLinesSink.render(&s), EMPTY_JSON);
     assert_eq!(CsvSink.render(&s), EMPTY_CSV);
 }

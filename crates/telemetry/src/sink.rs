@@ -84,26 +84,17 @@ pub trait Sink {
     fn render(&self, snapshot: &Snapshot) -> String;
 }
 
-/// Fixed-width text tables for terminals.
-#[derive(Clone, Copy, Debug)]
-pub struct TextSink {
-    /// Maximum link rows to print (0 = all).
-    pub top_links: usize,
-    /// Maximum trace events to print (0 = all retained).
-    pub max_events: usize,
-    /// Maximum time-series rows to print (0 = all).
-    pub max_series: usize,
-}
+/// Fixed-width text tables for terminals: the 16 busiest links, the
+/// first 16 time series and the last 32 retained trace events.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct TextSink;
 
-impl Default for TextSink {
-    fn default() -> Self {
-        Self {
-            top_links: 16,
-            max_events: 32,
-            max_series: 16,
-        }
-    }
-}
+/// Link rows [`TextSink`] prints.
+const TEXT_TOP_LINKS: usize = 16;
+/// Trace events [`TextSink`] prints, the latest retained.
+const TEXT_MAX_EVENTS: usize = 32;
+/// Time-series rows [`TextSink`] prints.
+const TEXT_MAX_SERIES: usize = 16;
 
 impl Sink for TextSink {
     fn render(&self, s: &Snapshot) -> String {
@@ -159,16 +150,11 @@ impl Sink for TextSink {
                 s.links.len(),
                 s.cycles.map_or(String::new(), |c| format!(", {c} cycles"))
             );
-            out.push_str(&s.links.render_table(s.cycles.unwrap_or(0), self.top_links));
+            out.push_str(&s.links.render_table(s.cycles.unwrap_or(0), TEXT_TOP_LINKS));
         }
         if !s.timeseries.is_empty() {
             let _ = writeln!(out, "time-series ({} series):", s.timeseries.len());
-            let shown = if self.max_series == 0 {
-                s.timeseries.len()
-            } else {
-                self.max_series
-            };
-            for (n, series) in s.timeseries.iter().take(shown) {
+            for (n, series) in s.timeseries.iter().take(TEXT_MAX_SERIES) {
                 let hwm = series
                     .high_watermark()
                     .map_or(String::new(), |(v, c)| format!(", hwm {v} @ cycle {c}"));
@@ -181,11 +167,11 @@ impl Sink for TextSink {
                     series.dropped_windows()
                 );
             }
-            if s.timeseries.len() > shown {
+            if s.timeseries.len() > TEXT_MAX_SERIES {
                 let _ = writeln!(
                     out,
                     "  ({} more series not shown)",
-                    s.timeseries.len() - shown
+                    s.timeseries.len() - TEXT_MAX_SERIES
                 );
             }
         }
@@ -211,12 +197,7 @@ impl Sink for TextSink {
                 s.events.len(),
                 s.events_dropped
             );
-            let shown = if self.max_events == 0 {
-                s.events.len()
-            } else {
-                self.max_events
-            };
-            let skip = s.events.len().saturating_sub(shown);
+            let skip = s.events.len().saturating_sub(TEXT_MAX_EVENTS);
             if skip > 0 {
                 let _ = writeln!(out, "  ... {skip} earlier events omitted");
             }
@@ -652,33 +633,23 @@ impl Sink for ProfileSink {
 }
 
 /// A deterministic run report for one simulation: metadata, per-window
-/// phase timeline, top-k congested links as sparkline bars, the
-/// detector's anomalies, and (when configured) SLO gate verdicts.
-/// Output is pure logical-cycle data — same run, same bytes — so it can
-/// be golden-pinned in CI.
-#[derive(Clone, Debug)]
+/// phase timeline, the 8 most congested links as sparkline bars, the
+/// detector's anomalies, and (when configured) SLO gate verdicts. Output
+/// is pure logical-cycle data — same run, same bytes — so it can be
+/// golden-pinned in CI.
+#[derive(Clone, Debug, Default)]
 pub struct ReportSink {
     /// Report title (e.g. `HB(2, 3) hotspot`).
     pub title: String,
     /// Key/value header lines (topology, workload, fault plan, ...).
     pub meta: Vec<(String, String)>,
-    /// Most-congested links to chart (0 = all).
-    pub top_links: usize,
     /// SLO thresholds to evaluate and render as a gates section
     /// (`None` = no section, keeping existing reports byte-identical).
     pub slo: Option<SloSpec>,
 }
 
-impl Default for ReportSink {
-    fn default() -> Self {
-        ReportSink {
-            title: String::new(),
-            meta: Vec::new(),
-            top_links: 8,
-            slo: None,
-        }
-    }
-}
+/// Most-congested links [`ReportSink`] charts.
+const REPORT_TOP_LINKS: usize = 8;
 
 /// One sparkline character per window: `max` scaled into eight levels.
 fn sparkline(values: &[u64]) -> String {
@@ -751,7 +722,7 @@ impl Sink for ReportSink {
             .map(|(at, (n, series))| (series.total(), at, n, series))
             .collect();
         let total_links = links.len();
-        keep_top(&mut links, self.top_links, |a, b| {
+        keep_top(&mut links, REPORT_TOP_LINKS, |a, b| {
             b.0.cmp(&a.0).then(a.1.cmp(&b.1))
         });
         if !links.is_empty() {
@@ -835,6 +806,96 @@ pub fn csv_record<I: IntoIterator<Item = String>>(fields: I) -> String {
         .join(",")
 }
 
+/// The columns of [`CsvSink`]'s event section, in header order.
+/// Congestion and SLO rows fill the protocol, round and messages
+/// columns (see [`event_cells`]), so the header keeps them.
+const EVENT_COLUMNS: [&str; 12] = [
+    "event", "id", "src", "dst", "from", "to", "at", "latency", "protocol", "round", "messages",
+    "cycle",
+];
+
+/// The cells of `e`'s CSV row, as (column, value); its other columns
+/// stay blank.
+fn event_cells(e: &Event) -> Vec<(&'static str, String)> {
+    match e {
+        Event::PacketInjected {
+            id,
+            src,
+            dst,
+            cycle,
+        } => vec![
+            ("event", "packet_injected".into()),
+            ("id", id.to_string()),
+            ("src", src.to_string()),
+            ("dst", dst.to_string()),
+            ("cycle", cycle.to_string()),
+        ],
+        Event::PacketHop {
+            id,
+            from,
+            to,
+            cycle,
+        } => vec![
+            ("event", "packet_hop".into()),
+            ("id", id.to_string()),
+            ("from", from.to_string()),
+            ("to", to.to_string()),
+            ("cycle", cycle.to_string()),
+        ],
+        Event::PacketDelivered {
+            id,
+            dst,
+            latency,
+            cycle,
+        } => vec![
+            ("event", "packet_delivered".into()),
+            ("id", id.to_string()),
+            ("dst", dst.to_string()),
+            ("latency", latency.to_string()),
+            ("cycle", cycle.to_string()),
+        ],
+        Event::PacketDropped { id, at, cycle } => vec![
+            ("event", "packet_dropped".into()),
+            ("id", id.to_string()),
+            ("at", at.to_string()),
+            ("cycle", cycle.to_string()),
+        ],
+        // Congestion events reuse the shared columns: peak -> id,
+        // subject -> protocol, window span -> round/messages; the
+        // dedicated congestion section carries the full shape.
+        Event::Congestion {
+            kind,
+            severity,
+            subject,
+            window_start,
+            window_end,
+            peak,
+        } => vec![
+            (
+                "event",
+                format!("congestion_{}_{}", severity.label(), kind.label()),
+            ),
+            ("id", peak.to_string()),
+            ("protocol", subject.clone()),
+            ("round", window_start.to_string()),
+            ("messages", window_end.to_string()),
+        ],
+        // SLO verdicts reuse the shared columns: objective name ->
+        // protocol, threshold -> round, observed value -> messages.
+        Event::SloCheck {
+            name,
+            threshold,
+            actual,
+            pass,
+        } => vec![
+            ("event", if *pass { "slo_pass" } else { "slo_fail" }.into()),
+            ("protocol", name.clone()),
+            ("round", threshold.clone()),
+            ("messages", actual.clone()),
+        ],
+    }
+}
+
 /// RFC-4180 CSV, one headed section per instrument family, separated by
 /// blank lines.
 #[derive(Clone, Copy, Debug, Default)]
@@ -892,131 +953,15 @@ impl Sink for CsvSink {
             }
         }
         if !s.events.is_empty() {
-            // Congestion and SLO rows fill the protocol/round/messages
-            // columns (see their arms below), so the header keeps them.
-            out.push_str("\nevent,id,src,dst,from,to,at,latency,protocol,round,messages,cycle\n");
+            out.push('\n');
+            out.push_str(&EVENT_COLUMNS.join(","));
+            out.push('\n');
             for e in &s.events {
-                let empty = String::new;
-                let row = match e {
-                    Event::PacketInjected {
-                        id,
-                        src,
-                        dst,
-                        cycle,
-                    } => [
-                        "packet_injected".to_string(),
-                        id.to_string(),
-                        src.to_string(),
-                        dst.to_string(),
-                        empty(),
-                        empty(),
-                        empty(),
-                        empty(),
-                        empty(),
-                        empty(),
-                        empty(),
-                        cycle.to_string(),
-                    ],
-                    Event::PacketHop {
-                        id,
-                        from,
-                        to,
-                        cycle,
-                    } => [
-                        "packet_hop".to_string(),
-                        id.to_string(),
-                        empty(),
-                        empty(),
-                        from.to_string(),
-                        to.to_string(),
-                        empty(),
-                        empty(),
-                        empty(),
-                        empty(),
-                        empty(),
-                        cycle.to_string(),
-                    ],
-                    Event::PacketDelivered {
-                        id,
-                        dst,
-                        latency,
-                        cycle,
-                    } => [
-                        "packet_delivered".to_string(),
-                        id.to_string(),
-                        empty(),
-                        dst.to_string(),
-                        empty(),
-                        empty(),
-                        empty(),
-                        latency.to_string(),
-                        empty(),
-                        empty(),
-                        empty(),
-                        cycle.to_string(),
-                    ],
-                    Event::PacketDropped { id, at, cycle } => [
-                        "packet_dropped".to_string(),
-                        id.to_string(),
-                        empty(),
-                        empty(),
-                        empty(),
-                        empty(),
-                        at.to_string(),
-                        empty(),
-                        empty(),
-                        empty(),
-                        empty(),
-                        cycle.to_string(),
-                    ],
-                    // Congestion events reuse the shared columns:
-                    // subject -> protocol, window span -> round/messages,
-                    // flag cycle -> cycle; the dedicated congestion
-                    // section below carries the full shape.
-                    Event::Congestion {
-                        kind,
-                        severity,
-                        subject,
-                        window_start,
-                        window_end,
-                        peak,
-                    } => [
-                        format!("congestion_{}_{}", severity.label(), kind.label()),
-                        peak.to_string(),
-                        empty(),
-                        empty(),
-                        empty(),
-                        empty(),
-                        empty(),
-                        empty(),
-                        subject.clone(),
-                        window_start.to_string(),
-                        window_end.to_string(),
-                        empty(),
-                    ],
-                    // SLO verdicts reuse the shared columns:
-                    // objective name -> protocol, threshold -> round,
-                    // observed value -> messages.
-                    Event::SloCheck {
-                        name,
-                        threshold,
-                        actual,
-                        pass,
-                    } => [
-                        if *pass { "slo_pass" } else { "slo_fail" }.to_string(),
-                        empty(),
-                        empty(),
-                        empty(),
-                        empty(),
-                        empty(),
-                        empty(),
-                        empty(),
-                        name.clone(),
-                        threshold.clone(),
-                        actual.clone(),
-                        empty(),
-                    ],
-                };
+                let mut row: [String; 12] = Default::default();
+                for (column, value) in event_cells(e) {
+                    let at = EVENT_COLUMNS.iter().position(|&c| c == column);
+                    row[at.expect("invariant: event_cells fills only EVENT_COLUMNS")] = value;
+                }
                 out.push_str(&csv_record(row));
                 out.push('\n');
             }
@@ -1142,7 +1087,7 @@ mod tests {
 
     #[test]
     fn text_sink_has_quantile_and_link_sections() {
-        let s = TextSink::default().render(&sample_snapshot());
+        let s = TextSink.render(&sample_snapshot());
         assert!(s.contains("p50"));
         assert!(s.contains("p95"));
         assert!(s.contains("p99"));
@@ -1319,7 +1264,7 @@ mod tests {
     fn text_sink_surfaces_timeseries_congestion_and_span_drops() {
         let mut s = ts_snapshot();
         s.spans_dropped = 5;
-        let out = TextSink::default().render(&s);
+        let out = TextSink.render(&s);
         assert!(out.contains("time-series (3 series):"));
         assert!(out.contains("link.0->1.queue"));
         assert!(out.contains("hwm 3 @ cycle 8"));
@@ -1335,7 +1280,6 @@ mod tests {
         let sink = ReportSink {
             title: "test run".into(),
             meta: vec![("topology".into(), "HB(1, 2)".into())],
-            top_links: 4,
             slo: None,
         };
         let s = ts_snapshot();
@@ -1389,7 +1333,7 @@ work profile (3 phases, 77 work units):
     #[test]
     fn profile_reaches_every_format() {
         let s = profile_snapshot();
-        let text = TextSink::default().render(&s);
+        let text = TextSink.render(&s);
         assert!(text.contains("work profile (3 phases, 77 work units):"));
         assert!(text.contains("sim/route_lookup"));
         let json = JsonLinesSink.render(&s);
@@ -1421,7 +1365,7 @@ work profile (3 phases, 77 work units):
             }],
         );
         let s = t.snapshot();
-        assert!(TextSink::default()
+        assert!(TextSink
             .render(&s)
             .contains("[   slo] pass p99_latency <= 40 (actual 31)"));
         assert!(JsonLinesSink.render(&s).contains(
