@@ -319,29 +319,30 @@ impl Discipline for Bounded {
 pub(crate) struct Scoreboard {
     latency: Histogram,
     hops: Histogram,
-    /// First channel of the range; vectors are indexed `ch - base`.
+    /// First channel of the range; `links` is indexed `ch - base`.
     base: usize,
-    fwd: Vec<u64>,
-    busy: Vec<u64>,
-    peak: Vec<usize>,
+    links: Vec<LinkRecord>,
 }
 
 impl Scoreboard {
     fn new(channels: &Range<usize>) -> Self {
-        let c = channels.len();
         Self {
             latency: Histogram::new(),
             hops: Histogram::new(),
             base: channels.start,
-            fwd: vec![0; c],
-            busy: vec![0; c],
-            peak: vec![0; c],
+            links: vec![LinkRecord::default(); channels.len()],
         }
+    }
+
+    /// The record of channel `ch`.
+    #[inline]
+    fn link(&mut self, ch: usize) -> &mut LinkRecord {
+        &mut self.links[ch - self.base]
     }
 
     /// Packets forwarded over the range.
     pub(crate) fn forwarded(&self) -> u64 {
-        self.fwd.iter().sum()
+        self.links.iter().map(|r| r.forwarded).sum()
     }
 
     /// Merges the histograms into `tel` and appends a row to `ls` for
@@ -350,15 +351,7 @@ impl Scoreboard {
     fn merge_into(&self, tel: &Telemetry, ls: &mut LinkStats, ends: &[LinkKey]) {
         tel.merge_histogram("sim.latency", &self.latency);
         tel.merge_histogram("sim.hops", &self.hops);
-        for (i, key) in ends[self.base..self.base + self.fwd.len()]
-            .iter()
-            .enumerate()
-        {
-            let record = LinkRecord {
-                forwarded: self.fwd[i],
-                busy_cycles: self.busy[i],
-                peak_queue: self.peak[i],
-            };
+        for (key, &record) in ends[self.base..].iter().zip(&self.links) {
             if record != LinkRecord::default() {
                 ls.add(key.from, key.to, record);
             }
@@ -858,8 +851,8 @@ impl<'a, R: RoutePolicy, D: Discipline> Kernel<'a, R, D> {
             let len = self.queues.len(ch);
             peak = peak.max(len);
             if let Some(b) = self.board.as_mut() {
-                let i = ch - b.base;
-                b.peak[i] = b.peak[i].max(len);
+                let r = b.link(ch);
+                r.peak_queue = r.peak_queue.max(len);
             }
             if let Some(lt) = self.links.as_mut() {
                 lt.observe(ch, cycle, len as u64);
@@ -875,7 +868,7 @@ impl<'a, R: RoutePolicy, D: Discipline> Kernel<'a, R, D> {
         for i in 0..self.active.len() {
             let ch = self.active[i];
             if let Some(b) = self.board.as_mut() {
-                b.busy[ch - b.base] += 1;
+                b.link(ch).busy_cycles += 1;
             }
             let key = self
                 .queues
@@ -889,7 +882,7 @@ impl<'a, R: RoutePolicy, D: Discipline> Kernel<'a, R, D> {
                 self.queues.pop_front(ch);
                 *self.pool.get_mut(key) = p;
                 if let Some(b) = self.board.as_mut() {
-                    b.fwd[ch - b.base] += 1;
+                    b.link(ch).forwarded += 1;
                 }
                 let ends = &self.ctx.ends;
                 self.trace
