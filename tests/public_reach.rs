@@ -10,9 +10,10 @@
 //!
 //! `pub(crate)` items, `pub use` and `pub mod` are not collected, and
 //! comments and `use`/`mod` lines name nothing. The check matches names
-//! only, as whole words: it cannot see an unused item whose name
+//! only, as whole words, so it cannot see an unused item whose name
 //! another item shares (a method `new`, or a free `route_avoiding` in
-//! two crates), nor a name that appears only in a string.
+//! two crates), nor one that only another unused item names; a name
+//! inside a string literal counts.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
