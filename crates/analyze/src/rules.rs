@@ -773,6 +773,22 @@ mod tests {
     }
 
     #[test]
+    fn a1_checks_a_hot_fn_that_opens_its_enclosing_body() {
+        let drain = "// analyze: hot(per cycle)\n\
+                     fn drain(&mut self) { for i in 0..4 { let v: Vec<u32> = vec![i]; let _ = v; } }\n";
+        for open in ["impl Q {\n", "mod q {\n", "trait Q {\n", "fn outer() {\n"] {
+            let src = format!("{open}{drain}}}\n");
+            assert_eq!(rules_hit("crates/netsim/src/x.rs", &src), ["A1"], "{open}");
+        }
+    }
+
+    #[test]
+    fn cfg_test_item_after_inner_attributes_masks_from_its_own_line() {
+        let src = "#![warn(missing_docs)]\n#[cfg(test)]\nmod tests {}\npub fn f() {}\n";
+        assert_eq!(rules_hit("crates/netsim/src/lib.rs", src), ["S1"]);
+    }
+
+    #[test]
     fn a1_respects_allow_and_applies_anywhere_hot_is_annotated() {
         let src = "// analyze: hot(lookup)\n\
                    fn f(v: &[u32]) {\n\
