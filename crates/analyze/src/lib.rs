@@ -6,14 +6,15 @@
 //! reads in simulation paths, canonical ordering everywhere, and a
 //! panic discipline in library code. This crate machine-checks those
 //! invariants with a **zero-dependency** static-analysis pass — a
-//! hand-rolled, line-accurate Rust tokenizer ([`lexer`]), a lightweight
-//! item tree over it ([`tree`]: fn items with names and spans, impl/mod
-//! nesting, `#[cfg(test)]` subtree masking, loop-body spans), a rule
-//! engine ([`rules`]) and a baseline ratchet ([`baseline`]) — because
-//! the build container cannot reach the crates registry, so `syn`,
-//! `clippy_utils`, and friends are unavailable.
+//! hand-rolled, line-accurate Rust tokenizer ([`lexer`]), one scan over
+//! its tokens for the scopes the rules need ([`scan`]: the line spans
+//! of `#[cfg(test)]` items, and the hot fns with their loop bodies), a
+//! rule engine ([`rules`]) and a baseline ratchet ([`baseline`]) —
+//! because the build container cannot reach the crates registry, so
+//! `syn`, `clippy_utils`, and friends are unavailable.
 //!
-//! The shipped rules (see [`rules`] for the full table):
+//! The shipped rules ([`RULES`] holds each one's id, name and severity;
+//! [`rules`] has their scopes):
 //!
 //! * **A1 `alloc-in-hot`** — allocation-capable calls inside the loop
 //!   bodies of functions annotated `// analyze: hot(<reason>)`, the
@@ -54,13 +55,12 @@ pub mod diag;
 pub mod lexer;
 pub mod rules;
 pub mod sarif;
-pub mod tree;
+pub mod scan;
 pub mod walk;
 
 pub use diag::{render_human, render_jsonl, Finding, Severity};
-pub use rules::{analyze_file, classify};
-pub use sarif::{render_sarif, RULES};
-pub use tree::ItemTree;
+pub use rules::{analyze_file, classify, RULES};
+pub use sarif::render_sarif;
 
 use std::io;
 use std::path::Path;

@@ -1,6 +1,7 @@
-//! The rule engine: file classification, scope-aware `#[cfg(test)]`
-//! masking via the item tree, allow-comment parsing with stale
-//! detection, and the shipped rules.
+//! The rule engine: file classification, `#[cfg(test)]` masking and
+//! hot fns from the scope scan ([`crate::scan`]), allow-comment parsing
+//! with stale detection, and the shipped rules, each listed once in
+//! [`RULES`].
 //!
 //! | id | name             | scope                                        | what |
 //! |----|------------------|----------------------------------------------|------|
@@ -24,12 +25,105 @@
 //!
 //! Hot functions are declared with `// analyze: hot(<reason>)` directly
 //! above the `fn` item (doc comments and attributes may intervene); the
-//! item tree ([`crate::tree`]) resolves the annotation, the function
-//! span, and its loop bodies.
+//! scan resolves the annotation, the function span, and its loop
+//! bodies. A1 checks only those loop bodies.
 
 use crate::diag::{Finding, Severity};
 use crate::lexer::{lex, Tok, TokKind};
-use crate::tree::ItemTree;
+use crate::scan::scan;
+
+/// Static metadata for one rule: what every finding of it carries, and
+/// its entry in the SARIF `tool.driver.rules` array.
+pub struct RuleMeta {
+    /// Short id (`A1`, `D4`, …) — `ruleId` in SARIF results.
+    pub id: &'static str,
+    /// Name as used in allow-comments (`alloc-in-hot`, …).
+    pub name: &'static str,
+    /// One-line description.
+    pub short: &'static str,
+    /// Default severity.
+    pub level: Severity,
+}
+
+impl RuleMeta {
+    /// A finding of this rule at `file:line`, quoting the line.
+    fn finding(&self, file: &str, line: u32, message: String, lines: &[&str]) -> Finding {
+        Finding {
+            rule: self.id,
+            name: self.name,
+            severity: self.level,
+            file: file.to_string(),
+            line,
+            message,
+            snippet: snippet(lines, line),
+        }
+    }
+}
+
+/// Every shipped rule in fixed (id-sorted) order. SARIF results index
+/// into this table, so the order is part of the byte-golden contract.
+pub const RULES: &[RuleMeta] = &[A1, C1, D1, D2, D3, D4, D5, H1, P1, S1];
+
+const A1: RuleMeta = RuleMeta {
+    id: "A1",
+    name: "alloc-in-hot",
+    short: "allocation-capable call inside a loop of a `// analyze: hot(…)` function",
+    level: Severity::Error,
+};
+const C1: RuleMeta = RuleMeta {
+    id: "C1",
+    name: "narrowing-cast",
+    short: "`as` cast that can truncate between integer types in library code",
+    level: Severity::Warning,
+};
+const D1: RuleMeta = RuleMeta {
+    id: "D1",
+    name: "hash-order",
+    short: "HashMap/HashSet in a deterministic crate (randomized iteration order)",
+    level: Severity::Error,
+};
+const D2: RuleMeta = RuleMeta {
+    id: "D2",
+    name: "wall-clock",
+    short: "wall-clock read in library code (simulation time is logical)",
+    level: Severity::Error,
+};
+const D3: RuleMeta = RuleMeta {
+    id: "D3",
+    name: "rng",
+    short: "ambient randomness in library code (seed explicitly)",
+    level: Severity::Error,
+};
+const D4: RuleMeta = RuleMeta {
+    id: "D4",
+    name: "float-determinism",
+    short: "f32/f64 in float-free library code (order-dependent rounding)",
+    level: Severity::Error,
+};
+const D5: RuleMeta = RuleMeta {
+    id: "D5",
+    name: "unstable-order",
+    short: "keyed sort with potentially-duplicate keys, or hash machinery dodging D1",
+    level: Severity::Error,
+};
+const H1: RuleMeta = RuleMeta {
+    id: "H1",
+    name: "stale-allow",
+    short: "`// analyze: allow(…)` comment that suppresses zero findings",
+    level: Severity::Warning,
+};
+const P1: RuleMeta = RuleMeta {
+    id: "P1",
+    name: "panic-policy",
+    short: "unwrap()/undocumented expect()/panic! in library code under the panic policy",
+    level: Severity::Warning,
+};
+const S1: RuleMeta = RuleMeta {
+    id: "S1",
+    name: "unsafe-forbid",
+    short: "crate root missing #![forbid(unsafe_code)]",
+    level: Severity::Error,
+};
 
 /// Crates whose library code must be iteration-order deterministic
 /// (D1, D5). `analyze` is in the list because its own reports are
@@ -219,30 +313,20 @@ pub fn analyze_file(rel: &str, src: &str) -> Vec<Finding> {
         return Vec::new();
     }
     let toks = lex(src);
-    let tree = ItemTree::build(&toks);
+    let scopes = scan(&toks);
+    let test_spans = &scopes.test_spans;
     let allows = collect_allows(&toks);
     let code: Vec<&Tok> = toks.iter().filter(|t| t.kind != TokKind::Comment).collect();
-    let test_spans = tree.test_spans();
     let lines: Vec<&str> = src.lines().collect();
 
     // Findings are collected *before* allow filtering so stale allows
     // (H1) can be detected afterwards.
     let mut findings = Vec::new();
-    let mut push =
-        |rule: &'static str, name: &'static str, severity: Severity, line: u32, message: String| {
-            if in_spans(&test_spans, line) {
-                return;
-            }
-            findings.push(Finding {
-                rule,
-                name,
-                severity,
-                file: rel.to_string(),
-                line,
-                message,
-                snippet: snippet(&lines, line),
-            });
-        };
+    let mut push = |rule: &RuleMeta, line: u32, message: String| {
+        if !in_spans(test_spans, line) {
+            findings.push(rule.finding(rel, line, message, &lines));
+        }
+    };
 
     let crate_label = class.crate_name.as_deref().unwrap_or("the root package");
 
@@ -253,9 +337,7 @@ pub fn analyze_file(rel: &str, src: &str) -> Vec<Finding> {
             .any(|w| w[0].is_ident("forbid") && w[1].is_punct('(') && w[2].is_ident("unsafe_code"));
         if !has_forbid {
             push(
-                "S1",
-                "unsafe-forbid",
-                Severity::Error,
+                &S1,
                 1,
                 "crate root is missing `#![forbid(unsafe_code)]`".to_string(),
             );
@@ -283,9 +365,7 @@ pub fn analyze_file(rel: &str, src: &str) -> Vec<Finding> {
             // D1 hash-order.
             if deterministic && (t.is_ident("HashMap") || t.is_ident("HashSet")) {
                 push(
-                    "D1",
-                    "hash-order",
-                    Severity::Error,
+                    &D1,
                     t.line,
                     format!(
                         "`{}` in deterministic crate `{crate_label}`: iteration order is \
@@ -303,9 +383,7 @@ pub fn analyze_file(rel: &str, src: &str) -> Vec<Finding> {
                 && code.get(i + 3).is_some_and(|t| t.is_ident("now"));
             if instant_now || t.is_ident("SystemTime") {
                 push(
-                    "D2",
-                    "wall-clock",
-                    Severity::Error,
+                    &D2,
                     t.line,
                     "wall-clock read in library code: simulation time is logical; \
                      wall-clock measurement lives in `perfbench/` and tests"
@@ -316,9 +394,7 @@ pub fn analyze_file(rel: &str, src: &str) -> Vec<Finding> {
             // D3 rng.
             if t.is_ident("thread_rng") || t.is_ident("from_entropy") || t.is_ident("OsRng") {
                 push(
-                    "D3",
-                    "rng",
-                    Severity::Error,
+                    &D3,
                     t.line,
                     format!(
                         "ambient randomness (`{}`) in library code: seed explicitly \
@@ -335,9 +411,7 @@ pub fn analyze_file(rel: &str, src: &str) -> Vec<Finding> {
                 if float_type || float_lit {
                     d4_last_line = t.line;
                     push(
-                        "D4",
-                        "float-determinism",
-                        Severity::Error,
+                        &D4,
                         t.line,
                         format!(
                             "float ({}) in library code of `{crate_label}`: float sums are \
@@ -356,9 +430,7 @@ pub fn analyze_file(rel: &str, src: &str) -> Vec<Finding> {
                 if dotted && (t.is_ident("sort_unstable_by") || t.is_ident("sort_unstable_by_key"))
                 {
                     push(
-                        "D5",
-                        "unstable-order",
-                        Severity::Error,
+                        &D5,
                         t.line,
                         format!(
                             "`{}` in deterministic crate `{crate_label}`: equal keys end up \
@@ -371,9 +443,7 @@ pub fn analyze_file(rel: &str, src: &str) -> Vec<Finding> {
                 }
                 if dotted && t.is_ident("sort_by_key") {
                     push(
-                        "D5",
-                        "unstable-order",
-                        Severity::Error,
+                        &D5,
                         t.line,
                         "`sort_by_key` in a deterministic crate: ties keep their prior \
                          order, so on potentially-duplicate keys the result is only as \
@@ -393,9 +463,7 @@ pub fn analyze_file(rel: &str, src: &str) -> Vec<Finding> {
                         .is_some_and(|t| t.is_ident("hash_map") || t.is_ident("hash_set"));
                 if hash_module || t.is_ident("RandomState") || t.is_ident("DefaultHasher") {
                     push(
-                        "D5",
-                        "unstable-order",
-                        Severity::Error,
+                        &D5,
                         t.line,
                         "hash-table machinery referenced by module path in a deterministic \
                          crate: randomized hashing reaches iteration order even when the \
@@ -413,9 +481,7 @@ pub fn analyze_file(rel: &str, src: &str) -> Vec<Finding> {
             {
                 let target = &code[i + 1].text;
                 push(
-                    "C1",
-                    "narrowing-cast",
-                    Severity::Warning,
+                    &C1,
                     t.line,
                     format!(
                         "`as {target}` can silently truncate: use \
@@ -434,9 +500,7 @@ pub fn analyze_file(rel: &str, src: &str) -> Vec<Finding> {
                     && code.get(i + 1).is_some_and(|t| t.is_punct('('))
                 {
                     push(
-                        "P1",
-                        "panic-policy",
-                        Severity::Warning,
+                        &P1,
                         t.line,
                         "`unwrap()` in library code: return a typed error, or document \
                          the invariant with `expect(\"invariant: …\")`"
@@ -453,9 +517,7 @@ pub fn analyze_file(rel: &str, src: &str) -> Vec<Finding> {
                         .is_some_and(|m| m.starts_with("invariant:"));
                     if !documented {
                         push(
-                            "P1",
-                            "panic-policy",
-                            Severity::Warning,
+                            &P1,
                             t.line,
                             "undocumented `expect()` in library code: state the invariant \
                              (`expect(\"invariant: …\")`) or return a typed error"
@@ -465,9 +527,7 @@ pub fn analyze_file(rel: &str, src: &str) -> Vec<Finding> {
                 }
                 if t.is_ident("panic") && code.get(i + 1).is_some_and(|t| t.is_punct('!')) {
                     push(
-                        "P1",
-                        "panic-policy",
-                        Severity::Warning,
+                        &P1,
                         t.line,
                         "`panic!` in library code: return a typed error, or justify with \
                          `// analyze: allow(panic-policy, <why>)`"
@@ -478,13 +538,13 @@ pub fn analyze_file(rel: &str, src: &str) -> Vec<Finding> {
         }
 
         // A1 alloc-in-hot: allocation-capable calls inside the loop
-        // bodies of functions annotated `// analyze: hot(<reason>)`.
-        for hot in tree.hot_fns() {
-            if in_spans(&test_spans, hot.span.0) {
+        // bodies of functions annotated hot.
+        for hot in &scopes.hot_fns {
+            if in_spans(test_spans, hot.span.0) {
                 continue;
             }
             for (i, t) in code.iter().enumerate() {
-                if !in_spans(hot.loops, t.line) {
+                if !in_spans(&hot.loops, t.line) {
                     continue;
                 }
                 let dotted = i > 0 && code[i - 1].is_punct('.');
@@ -504,9 +564,7 @@ pub fn analyze_file(rel: &str, src: &str) -> Vec<Finding> {
                         t.text.clone()
                     };
                     push(
-                        "A1",
-                        "alloc-in-hot",
-                        Severity::Error,
+                        &A1,
                         t.line,
                         format!(
                             "`{what}` inside a loop of hot fn `{}` (hot: {}): hot loops \
@@ -541,22 +599,15 @@ pub fn analyze_file(rel: &str, src: &str) -> Vec<Finding> {
     // allow-suppressed — that would just recurse.
     if class.is_library {
         for (a, &was_used) in allows.iter().zip(&used) {
-            if was_used || in_spans(&test_spans, a.line) {
+            if was_used || in_spans(test_spans, a.line) {
                 continue;
             }
-            findings.push(Finding {
-                rule: "H1",
-                name: "stale-allow",
-                severity: Severity::Warning,
-                file: rel.to_string(),
-                line: a.line,
-                message: format!(
-                    "`allow({})` suppresses no finding: the debt it justified is gone; \
-                     delete the comment so a future regression cannot hide behind it",
-                    a.rule
-                ),
-                snippet: snippet(&lines, a.line),
-            });
+            let message = format!(
+                "`allow({})` suppresses no finding: the debt it justified is gone; \
+                 delete the comment so a future regression cannot hide behind it",
+                a.rule
+            );
+            findings.push(H1.finding(rel, a.line, message, &lines));
         }
     }
 

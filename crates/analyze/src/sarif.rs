@@ -13,92 +13,16 @@
 //! findings that made the gate fail.
 
 use crate::baseline::{bucket, Baseline};
-use crate::diag::{json_escape, Finding, Severity};
+use crate::diag::{json_escape, Finding};
+use crate::rules::RULES;
 use std::fmt::Write as _;
 
-/// Static metadata for one rule, embedded in the SARIF
-/// `tool.driver.rules` array (and the source for DESIGN.md §14's rule
-/// table).
-pub struct RuleMeta {
-    /// Short id (`A1`, `D4`, …) — `ruleId` in SARIF results.
-    pub id: &'static str,
-    /// Name as used in allow-comments (`alloc-in-hot`, …).
-    pub name: &'static str,
-    /// One-line description.
-    pub short: &'static str,
-    /// Default severity.
-    pub level: Severity,
-}
-
-/// Every shipped rule in fixed (id-sorted) order. SARIF results index
-/// into this table, so the order is part of the byte-golden contract.
-pub const RULES: &[RuleMeta] = &[
-    RuleMeta {
-        id: "A1",
-        name: "alloc-in-hot",
-        short: "allocation-capable call inside a loop of a `// analyze: hot(…)` function",
-        level: Severity::Error,
-    },
-    RuleMeta {
-        id: "C1",
-        name: "narrowing-cast",
-        short: "`as` cast that can truncate between integer types in library code",
-        level: Severity::Warning,
-    },
-    RuleMeta {
-        id: "D1",
-        name: "hash-order",
-        short: "HashMap/HashSet in a deterministic crate (randomized iteration order)",
-        level: Severity::Error,
-    },
-    RuleMeta {
-        id: "D2",
-        name: "wall-clock",
-        short: "wall-clock read in library code (simulation time is logical)",
-        level: Severity::Error,
-    },
-    RuleMeta {
-        id: "D3",
-        name: "rng",
-        short: "ambient randomness in library code (seed explicitly)",
-        level: Severity::Error,
-    },
-    RuleMeta {
-        id: "D4",
-        name: "float-determinism",
-        short: "f32/f64 in float-free library code (order-dependent rounding)",
-        level: Severity::Error,
-    },
-    RuleMeta {
-        id: "D5",
-        name: "unstable-order",
-        short: "keyed sort with potentially-duplicate keys, or hash machinery dodging D1",
-        level: Severity::Error,
-    },
-    RuleMeta {
-        id: "H1",
-        name: "stale-allow",
-        short: "`// analyze: allow(…)` comment that suppresses zero findings",
-        level: Severity::Warning,
-    },
-    RuleMeta {
-        id: "P1",
-        name: "panic-policy",
-        short: "unwrap()/undocumented expect()/panic! in library code under the panic policy",
-        level: Severity::Warning,
-    },
-    RuleMeta {
-        id: "S1",
-        name: "unsafe-forbid",
-        short: "crate root missing #![forbid(unsafe_code)]",
-        level: Severity::Error,
-    },
-];
-
-/// Index of a rule id in [`RULES`]; `None` for ids the table does not
-/// know (findings from a newer rule set rendered by an older sink).
-fn rule_index(id: &str) -> Option<usize> {
-    RULES.iter().position(|r| r.id == id)
+/// Index of a finding's rule in [`RULES`], its SARIF `ruleIndex`.
+fn rule_index(f: &Finding) -> usize {
+    RULES
+        .iter()
+        .position(|r| r.id == f.rule)
+        .expect("invariant: every finding comes from a rule in RULES")
 }
 
 /// Renders findings as a SARIF 2.1.0 document. `accepted` is the
@@ -151,9 +75,7 @@ pub fn render_sarif(findings: &[Finding], accepted: &Baseline) -> String {
         let state = if over { "new" } else { "unchanged" };
         out.push_str("        {\n");
         let _ = writeln!(out, "          \"ruleId\": \"{}\",", f.rule);
-        if let Some(idx) = rule_index(f.rule) {
-            let _ = writeln!(out, "          \"ruleIndex\": {idx},");
-        }
+        let _ = writeln!(out, "          \"ruleIndex\": {},", rule_index(f));
         let _ = writeln!(out, "          \"level\": \"{}\",", f.severity.label());
         let _ = writeln!(
             out,
@@ -195,6 +117,7 @@ pub fn render_sarif(findings: &[Finding], accepted: &Baseline) -> String {
 mod tests {
     use super::*;
     use crate::baseline;
+    use crate::diag::Severity;
 
     fn finding(rule: &'static str, file: &str, line: u32) -> Finding {
         Finding {

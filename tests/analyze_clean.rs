@@ -5,6 +5,8 @@
 //! workspace test so `cargo test` catches new violations before a PR
 //! ever reaches CI.
 
+use hb_analyze::lexer::TokKind;
+use hb_analyze::scan::parse_hot;
 use std::path::Path;
 
 #[test]
@@ -43,6 +45,46 @@ fn baseline_has_no_stale_buckets() {
         diff.stale.is_empty(),
         "stale baseline bucket(s) {:?}: run `hbnet analyze --update-baseline`",
         diff.stale
+    );
+}
+
+#[test]
+fn every_hot_annotation_in_library_code_annotates_a_fn() {
+    // A1 reads only the loops of the fns the scan resolves, so an
+    // annotation that annotates no fn checks nothing.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let (mut found, mut orphaned) = (0, Vec::new());
+    for (rel, path) in hb_analyze::walk::collect_rs_files(root).expect("workspace walks") {
+        if !hb_analyze::classify(&rel).is_library {
+            continue;
+        }
+        let src = std::fs::read_to_string(&path).expect("source reads");
+        let toks = hb_analyze::lexer::lex(&src);
+        let scopes = hb_analyze::scan::scan(&toks);
+        let annotations: Vec<u32> = toks
+            .iter()
+            .filter(|t| t.kind == TokKind::Comment && parse_hot(&t.text).is_some())
+            .map(|t| t.line)
+            .filter(|line| {
+                !scopes
+                    .test_spans
+                    .iter()
+                    .any(|(a, b)| (a..=b).contains(&line))
+            })
+            .collect();
+        found += annotations.len();
+        if annotations.len() != scopes.hot_fns.len() {
+            let fns: Vec<&str> = scopes.hot_fns.iter().map(|h| h.name.as_str()).collect();
+            orphaned.push(format!(
+                "{rel}: annotations on lines {annotations:?}, hot fns {fns:?}"
+            ));
+        }
+    }
+    assert!(found > 0, "no hot annotation in library code");
+    assert!(
+        orphaned.is_empty(),
+        "hot annotation(s) that annotate no fn:\n{}",
+        orphaned.join("\n")
     );
 }
 
