@@ -23,7 +23,6 @@
 pub mod broadcast;
 pub mod cayley;
 pub mod classic;
-pub mod decompose;
 pub mod disjoint;
 pub mod embed;
 pub mod emulate;

@@ -163,12 +163,6 @@ pub fn binary_tree(m: u32) -> (Vec<usize>, Vec<usize>) {
     (parent, map)
 }
 
-/// Number of levels of the tree produced by [`binary_tree`]:
-/// `1 + floor(m/2)`.
-pub fn binary_tree_levels(m: u32) -> u32 {
-    1 + m / 2
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -230,8 +224,7 @@ mod tests {
             let h = Hypercube::new(m).unwrap();
             let g = h.build_graph().unwrap();
             let (parent, map) = binary_tree(m);
-            let levels = binary_tree_levels(m);
-            assert_eq!(map.len(), (1usize << levels) - 1, "m = {m}");
+            assert_eq!(map.len(), (1usize << (1 + m / 2)) - 1, "m = {m}");
             validate_tree_embedding(&g, &parent, &map).unwrap_or_else(|e| panic!("m = {m}: {e}"));
         }
     }
