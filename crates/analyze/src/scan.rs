@@ -309,10 +309,7 @@ mod tests {
                    #[cfg(test)]\nuse std::collections::HashMap;\n\
                    fn live() {}\n";
         assert_eq!(scopes(src).test_spans, [(1, 2), (3, 4)]);
-    }
-
-    #[test]
-    fn cfg_test_after_inner_attributes_starts_at_its_own_attribute() {
+        // An item after inner attributes starts at its own attribute.
         let src = "#![forbid(unsafe_code)]\n#![warn(missing_docs)]\n#[cfg(test)]\nmod tests {}\n";
         assert_eq!(scopes(src).test_spans, [(3, 4)]);
     }
@@ -350,18 +347,6 @@ mod tests {
             scopes(src).hot_fns,
             [hot("serviced", "per-cycle service loop", (2, 2), &[(2, 2)])]
         );
-    }
-
-    #[test]
-    fn hot_annotation_attaches_to_the_first_item_of_a_body() {
-        for open in ["impl Q {", "mod q {", "trait Q {", "fn outer() {"] {
-            let src = format!("{open}\n// analyze: hot(h)\nfn f() {{ loop {{}} }}\n}}\n");
-            assert_eq!(
-                scopes(&src).hot_fns,
-                [hot("f", "h", (3, 3), &[(3, 3)])],
-                "{open}"
-            );
-        }
     }
 
     #[test]
