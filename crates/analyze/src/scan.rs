@@ -146,7 +146,7 @@ fn item_head(code: &[&Tok], mut i: usize) -> Option<(usize, bool)> {
         };
         if t.kind != TokKind::Ident {
             return None;
-        } else if t.is_ident("fn") || t.is_ident("mod") {
+        } else if t.is_ident("fn") {
             // `fn(…)` is a pointer type, not an item.
             return next
                 .is_some_and(|n| n.kind == TokKind::Ident)

@@ -45,8 +45,7 @@ fn every_rule_fires_in_the_violations_root() {
     );
     // The panic-policy fixture exercises all three flagged forms.
     assert_eq!(findings.iter().filter(|f| f.rule == "P1").count(), 3);
-    // The rule registry shipped with the SARIF sink covers exactly the
-    // rules the engine can emit.
+    // The rule table covers exactly the rules the engine can emit.
     let registry: BTreeSet<&str> = hb_analyze::RULES.iter().map(|r| r.id).collect();
     let fired: BTreeSet<&str> = findings.iter().map(|f| f.rule).collect();
     assert!(fired.is_subset(&registry), "every finding has metadata");
