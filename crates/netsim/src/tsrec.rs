@@ -6,11 +6,13 @@
 //! the end of the run: the global series one by one under their names,
 //! the link series as one frozen [`hb_telemetry::LinkSeries`] store
 //! (`crate::kernel::RunCtx::finish` freezes every shard's recorder
-//! together), which names a link only when a sink prints it. Both
-//! recorders key every sample by **logical cycle**, so a serial run and
-//! a sharded parallel run produce byte-identical series (the `par_equiv`
-//! suite asserts snapshot equality, which covers the series store and
-//! the congestion events).
+//! together, sorting each recorder's log by channel in place, so the
+//! store keeps the recorded windows instead of a copy), which names a
+//! link only when a sink prints it. Both recorders key every sample by
+//! **logical cycle**, so a serial run and a sharded parallel run
+//! produce byte-identical series (the `par_equiv` suite asserts
+//! snapshot equality, which covers the series store and the congestion
+//! events).
 //!
 //! Canonical series names (DESIGN.md §12):
 //!

@@ -15,7 +15,8 @@
 //! the end, like histograms and link stats. A [`SeriesSet`] records one
 //! series per id of a dense range (one per channel) under the same
 //! rules, without a ring per id, and freezes into a [`LinkSeries`]
-//! store: every link's windows in one link-major array.
+//! store in place: the log it recorded in, each group of ids' windows
+//! sorted by id over that group's own chunks.
 //!
 //! A [`SeriesStore`] holds a handle's named series beside its link
 //! store and walks both in series-name order, naming a link
@@ -279,11 +280,30 @@ impl<'a> SeriesView<'a> {
     }
 }
 
-/// Closed windows per chunk of a [`SeriesSet`] log (56 KiB). Chunks of
-/// one fixed size are reused from the allocator's free lists run after
-/// run; one growing log would be reallocated into ever larger blocks
-/// and, once freed, leave the next run a fragmented heap.
+/// Two views are equal when their series are: the same config,
+/// windows, evictions and high-watermark, wherever the windows split.
+impl PartialEq for SeriesView<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cfg == other.cfg
+            && self.dropped_windows == other.dropped_windows
+            && self.high_watermark == other.high_watermark
+            && self.windows().eq(other.windows())
+    }
+}
+
+impl Eq for SeriesView<'_> {}
+
+/// Closed windows per chunk of a [`SeriesSet`] log (48 KiB), which a
+/// [`LinkSeries`] store keeps once frozen. Chunks of one fixed size are
+/// reused from the allocator's free lists run after run; one growing log
+/// would be reallocated into ever larger blocks and, once freed, leave
+/// the next run a fragmented heap.
 const LOG_CHUNK: usize = 1024;
+
+/// Consecutive ids per log group of a [`SeriesSet`]. Freezing sorts one
+/// group's windows at a time, so the sort's scratch holds one group's
+/// windows, not the set's.
+const GROUP: usize = 1024;
 
 /// One id's open window, high-watermark and closed-window count in a
 /// [`SeriesSet`].
@@ -297,24 +317,58 @@ struct OpenWindow {
     closed: u64,
 }
 
+/// The closed windows of one group of [`GROUP`] ids, in recording order.
+#[derive(Default)]
+struct GroupLog {
+    /// The windows, [`LOG_CHUNK`] per chunk; every chunk but the last is
+    /// full.
+    chunks: Vec<Vec<WindowAgg>>,
+    /// Each window's id, less the group's first id.
+    ids: Vec<u16>,
+}
+
+impl GroupLog {
+    fn push(&mut self, id: u16, window: WindowAgg) {
+        match self.chunks.last_mut() {
+            Some(chunk) if chunk.len() < LOG_CHUNK => chunk.push(window),
+            _ => {
+                let mut chunk = Vec::with_capacity(LOG_CHUNK);
+                chunk.push(window);
+                self.chunks.push(chunk);
+            }
+        }
+        self.ids.push(id);
+    }
+
+    /// Keeps the first `len` windows.
+    fn truncate(&mut self, len: usize) {
+        let (full, rest) = (len / LOG_CHUNK, len % LOG_CHUNK);
+        self.chunks.truncate(full + usize::from(rest > 0));
+        if rest > 0 {
+            self.chunks[full].truncate(rest);
+        }
+        self.ids.truncate(len);
+    }
+}
+
 /// Windowed series for every id of the dense range `0..len`, recorded
 /// sample by sample under the window, high-watermark and drop-oldest
 /// rules of [`Series::record`], and frozen into a [`LinkSeries`] store
 /// by [`LinkSeries::freeze`].
 ///
 /// Each id costs one 72-byte open window in a dense array, recorded or
-/// not. A window that closes moves to a log shared by all ids, kept in
-/// fixed-size chunks; the retained windows of each id are picked out of
-/// the log only when the set is frozen. Once the log holds more than
-/// twice the windows the series can retain (plus a chunk), it is
-/// compacted down to those, so memory stays bounded by the retention
-/// however long the run.
+/// not. A window that closes moves to the log of its group of 1,024
+/// consecutive ids, kept in fixed-size chunks; freezing sorts each
+/// group's log by id in place, and the store keeps its chunks.
+/// Once the logs hold more than twice the windows the series can retain
+/// (plus a chunk), every group is compacted down to those, so memory
+/// stays bounded by the retention however long the run.
 pub struct SeriesSet {
     cfg: TsConfig,
     open: Vec<OpenWindow>,
-    /// Closed `(id, window)` pairs in recording order.
-    log: Vec<Vec<(usize, WindowAgg)>>,
-    /// Entries in `log`.
+    /// Group `g` logs the closed windows of ids `g * GROUP..`.
+    groups: Vec<GroupLog>,
+    /// Windows in all the groups' logs.
     logged: usize,
     /// Closed windows one series retains: `capacity - 1`, as the open
     /// window takes the last slot.
@@ -337,7 +391,9 @@ impl SeriesSet {
         SeriesSet {
             cfg,
             open: vec![unrecorded; len],
-            log: Vec::new(),
+            groups: std::iter::repeat_with(GroupLog::default)
+                .take(len.div_ceil(GROUP))
+                .collect(),
             logged: 0,
             keep: cfg.capacity.saturating_sub(1) as u64,
             retained: 0,
@@ -375,68 +431,64 @@ impl SeriesSet {
                 self.retained += 1;
             }
             open.closed += 1;
-            self.log_push(id, closed);
+            let offset = u16::try_from(id % GROUP).expect("invariant: a group has under 2^16 ids");
+            self.groups[id / GROUP].push(offset, closed);
+            self.logged += 1;
             if self.logged > 2 * self.retained + LOG_CHUNK {
                 self.compact();
             }
         }
     }
 
-    fn log_push(&mut self, id: usize, window: WindowAgg) {
-        match self.log.last_mut() {
-            Some(chunk) if chunk.len() < LOG_CHUNK => chunk.push((id, window)),
-            _ => {
-                let mut chunk = Vec::with_capacity(LOG_CHUNK);
-                chunk.push((id, window));
-                self.log.push(chunk);
-            }
-        }
-        self.logged += 1;
-    }
-
     /// Drops, in place, every logged window no series retains: each id
-    /// keeps its newest `keep`. Survivors move towards the front; every
-    /// chunk but the last stays full.
+    /// keeps its newest `keep`. In each group, survivors move towards
+    /// the front.
     fn compact(&mut self) {
-        let mut skip = vec![0u64; self.open.len()];
-        for &(id, _) in self.log.iter().flatten() {
-            skip[id] += 1;
-        }
-        for s in &mut skip {
-            *s = s.saturating_sub(self.keep);
-        }
-        let mut at = 0;
-        for r in 0..self.logged {
-            let entry = self.log[r / LOG_CHUNK][r % LOG_CHUNK];
-            if skip[entry.0] > 0 {
-                skip[entry.0] -= 1;
-            } else {
-                self.log[at / LOG_CHUNK][at % LOG_CHUNK] = entry;
-                at += 1;
+        let mut skip = [0u64; GROUP];
+        self.logged = 0;
+        for group in &mut self.groups {
+            skip.fill(0);
+            for &i in &group.ids {
+                skip[usize::from(i)] += 1;
             }
+            for s in &mut skip {
+                *s = s.saturating_sub(self.keep);
+            }
+            let mut at = 0;
+            for r in 0..group.ids.len() {
+                let i = group.ids[r];
+                if skip[usize::from(i)] > 0 {
+                    skip[usize::from(i)] -= 1;
+                } else {
+                    group.chunks[at / LOG_CHUNK][at % LOG_CHUNK] =
+                        group.chunks[r / LOG_CHUNK][r % LOG_CHUNK];
+                    group.ids[at] = i;
+                    at += 1;
+                }
+            }
+            group.truncate(at);
+            self.logged += at;
         }
-        let (full, rest) = (at / LOG_CHUNK, at % LOG_CHUNK);
-        self.log.truncate(full + usize::from(rest > 0));
-        if rest > 0 {
-            self.log[full].truncate(rest);
-        }
-        self.logged = at;
     }
 }
 
 /// The frozen link series of one or more runs: for every recorded link,
-/// in key order, its retained windows (all links' in one link-major
-/// array), its dropped-window count and its high-watermark, plus the
-/// order of the links by series name.
+/// in key order, its retained windows, its dropped-window count and its
+/// high-watermark, plus the order of the links by series name.
 ///
-/// Each link's series equals the [`Series`] that recording its samples
-/// one by one builds. A [`SeriesStore`] shares one store between a
-/// [`crate::Telemetry`] handle and its snapshots.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+/// The windows stay in the chunks their [`SeriesSet`] logged them in,
+/// sorted by link: each link's run of windows starts in one chunk and
+/// continues at most into the next, so it reads as two slices, like a
+/// wrapped ring. Each link's series equals the [`Series`] that recording
+/// its samples one by one builds, and two stores are equal when their
+/// links' series are, however their chunks are laid out. A
+/// [`SeriesStore`] shares one store between a [`crate::Telemetry`]
+/// handle and its snapshots.
+#[derive(Clone, Debug, Default)]
 pub struct LinkSeries {
     links: Vec<LinkHead>,
-    /// Link `i` owns `windows[links[i - 1].end..links[i].end]`.
-    windows: Vec<WindowAgg>,
+    /// The windows of every link, and empty chunks no link reads.
+    chunks: Vec<Vec<WindowAgg>>,
     /// Indices into `links`, ascending by `link.U->V.queue` name.
     by_name: Vec<u32>,
 }
@@ -445,18 +497,30 @@ pub struct LinkSeries {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct LinkHead {
     key: LinkKey,
-    /// One past the link's last window in `LinkSeries::windows`.
-    end: usize,
+    /// The chunk and offset of the link's first window, and its window
+    /// count. Windows past the chunk's end continue at the start of the
+    /// next chunk.
+    chunk: u32,
+    start: u32,
+    len: u32,
     cfg: TsConfig,
     dropped_windows: u64,
     high_watermark: (u64, u64),
 }
 
 impl LinkHead {
-    fn view<'a>(&self, windows: &'a [WindowAgg]) -> SeriesView<'a> {
+    fn view<'a>(&self, chunks: &'a [Vec<WindowAgg>]) -> SeriesView<'a> {
+        let chunk = self.chunk as usize;
+        let first = &chunks[chunk][self.start as usize..];
+        let len = self.len as usize;
+        let windows = if len <= first.len() {
+            (&first[..len], &[][..])
+        } else {
+            (first, &chunks[chunk + 1][..len - first.len()])
+        };
         SeriesView {
             cfg: self.cfg,
-            windows: (windows, &[]),
+            windows,
             dropped_windows: self.dropped_windows,
             high_watermark: Some(self.high_watermark),
         }
@@ -473,53 +537,100 @@ impl LinkSeries {
     /// Panics if a part's key count differs from its set's id count, or
     /// if the recorded keys do not ascend.
     pub fn freeze<'k>(parts: impl IntoIterator<Item = (SeriesSet, &'k [LinkKey])>) -> Self {
-        let mut links: Vec<LinkHead> = Vec::new();
-        let mut windows = Vec::new();
-        let mut at = Vec::new();
+        let mut store = LinkSeries::default();
+        // One group's windows in link order, reused group after group.
+        let mut sorted = Vec::new();
+        let mut at = Vec::with_capacity(GROUP);
         for (mut set, keys) in parts {
             assert_eq!(keys.len(), set.open.len(), "one key per id of the set");
             if set.logged > set.retained {
                 set.compact();
             }
-            // Every logged window is retained now: an id keeps its newest
-            // `keep` closed windows, then its open one.
-            at.clear();
-            let mut end = windows.len();
-            for (o, &key) in set.open.iter().zip(keys) {
-                at.push(end);
-                if o.window.count == 0 {
-                    continue;
+            let groups = std::mem::take(&mut set.groups);
+            for ((group, open), keys) in groups
+                .into_iter()
+                .zip(set.open.chunks(GROUP))
+                .zip(keys.chunks(GROUP))
+            {
+                // Every logged window is retained now: an id keeps its
+                // newest `keep` closed windows, then its open one.
+                let first = store.links.len();
+                at.clear();
+                let mut end = 0;
+                for (o, &key) in open.iter().zip(keys) {
+                    at.push(end);
+                    if o.window.count == 0 {
+                        continue;
+                    }
+                    assert!(
+                        store.links.last().is_none_or(|l| l.key < key),
+                        "link keys must ascend"
+                    );
+                    let kept = o.closed.min(set.keep);
+                    end += kept as usize + 1;
+                    store.links.push(LinkHead {
+                        key,
+                        chunk: 0,
+                        start: 0,
+                        len: u32::try_from(kept + 1)
+                            .expect("invariant: a series keeps under 2^32 windows"),
+                        cfg: set.cfg,
+                        dropped_windows: o.closed - kept,
+                        high_watermark: o.high_watermark,
+                    });
                 }
-                assert!(
-                    links.last().is_none_or(|l| l.key < key),
-                    "link keys must ascend"
-                );
-                let kept = o.closed.min(set.keep);
-                end += kept as usize + 1;
-                links.push(LinkHead {
-                    key,
-                    end,
-                    cfg: set.cfg,
-                    dropped_windows: o.closed - kept,
-                    high_watermark: o.high_watermark,
-                });
-            }
-            windows.resize(end, WindowAgg::EMPTY);
-            for &(id, w) in set.log.iter().flatten() {
-                windows[at[id]] = w;
-                at[id] += 1;
-            }
-            for (o, &slot) in set.open.iter().zip(&at) {
-                if o.window.count > 0 {
-                    windows[slot] = o.window;
+                sorted.clear();
+                sorted.resize(end, WindowAgg::EMPTY);
+                for (&w, &i) in group.chunks.iter().flatten().zip(&group.ids) {
+                    let slot = &mut at[usize::from(i)];
+                    sorted[*slot] = w;
+                    *slot += 1;
                 }
+                for (o, &slot) in open.iter().zip(&at) {
+                    if o.window.count > 0 {
+                        sorted[slot] = o.window;
+                    }
+                }
+                store.place(first, &sorted, group.chunks);
             }
         }
-        let by_name = name_order(&links);
-        LinkSeries {
-            links,
-            windows,
-            by_name,
+        store.by_name = name_order(&store.links);
+        store
+    }
+
+    /// Appends `sorted`, the windows of `links[first..]` in order, to the
+    /// store's windows: into the rest of its last chunk, then over the
+    /// `spare` chunks, then into new ones. A link's windows fill the rest
+    /// of one chunk and continue at the start of the next, which takes
+    /// all that is left of them, past [`LOG_CHUNK`] if need be: a link
+    /// never spans more than two chunks.
+    fn place(&mut self, first: usize, sorted: &[WindowAgg], spare: Vec<Vec<WindowAgg>>) {
+        let mut spare = spare.into_iter();
+        let mut fresh = || match spare.next() {
+            Some(mut chunk) => {
+                chunk.clear();
+                chunk
+            }
+            None => Vec::with_capacity(LOG_CHUNK),
+        };
+        let mut rest = sorted;
+        for h in &mut self.links[first..] {
+            let (windows, after) = rest.split_at(h.len as usize);
+            rest = after;
+            if self.chunks.last().is_none_or(|c| c.len() >= LOG_CHUNK) {
+                self.chunks.push(fresh());
+            }
+            let at = self.chunks.len() - 1;
+            let chunk = &mut self.chunks[at];
+            h.chunk = u32::try_from(at).expect("invariant: a store has under 2^32 chunks");
+            h.start = u32::try_from(chunk.len()).expect("invariant: a link starts inside a chunk");
+            let (head, tail) = windows.split_at(windows.len().min(LOG_CHUNK - chunk.len()));
+            chunk.extend_from_slice(head);
+            if !tail.is_empty() {
+                let mut next = fresh();
+                next.extend_from_slice(tail);
+                self.chunks.push(next);
+            }
         }
     }
 
@@ -535,59 +646,71 @@ impl LinkSeries {
 
     /// Every link and its series, in key order.
     pub fn iter(&self) -> impl Iterator<Item = (LinkKey, SeriesView<'_>)> {
-        self.heads().map(|(h, w)| (h.key, h.view(w)))
+        self.links.iter().map(|h| (h.key, h.view(&self.chunks)))
     }
 
     /// Every link and its series, in series-name order.
     pub(crate) fn by_name(&self) -> impl Iterator<Item = (LinkKey, SeriesView<'_>)> {
         self.by_name.iter().map(|&i| {
-            let i = i as usize;
-            let h = &self.links[i];
-            let start = if i == 0 { 0 } else { self.links[i - 1].end };
-            (h.key, h.view(&self.windows[start..h.end]))
-        })
-    }
-
-    /// Every link's head and windows, in key order.
-    fn heads(&self) -> impl Iterator<Item = (&LinkHead, &[WindowAgg])> {
-        let mut start = 0;
-        self.links.iter().map(move |h| {
-            let windows = &self.windows[start..h.end];
-            start = h.end;
-            (h, windows)
+            let h = &self.links[i as usize];
+            (h.key, h.view(&self.chunks))
         })
     }
 
     /// Merges a later store into this one: a link both hold takes the
-    /// later series, and every other link keeps its own.
+    /// later series, and every other link keeps its own. The later
+    /// store's chunks move over; a chunk no link reads any more is freed.
     fn merge(&mut self, later: LinkSeries) {
         if self.is_empty() {
             *self = later;
             return;
         }
-        let mut merged = LinkSeries::default();
-        {
-            let (mut a, mut b) = (self.heads().peekable(), later.heads().peekable());
-            while let Some(mut next) = match (a.peek(), b.peek()) {
-                (Some(x), Some(y)) if y.0.key < x.0.key => b.next(),
-                (Some(_), _) => a.next(),
-                _ => b.next(),
-            } {
-                if let Some(replacing) = b.next_if(|y| y.0.key == next.0.key) {
-                    next = replacing;
-                }
-                let (h, windows) = next;
-                merged.windows.extend_from_slice(windows);
-                merged.links.push(LinkHead {
-                    end: merged.windows.len(),
-                    ..*h
-                });
+        let shift =
+            u32::try_from(self.chunks.len()).expect("invariant: a store has under 2^32 chunks");
+        self.chunks.extend(later.chunks);
+        let mut a = std::mem::take(&mut self.links).into_iter().peekable();
+        let mut b = later
+            .links
+            .into_iter()
+            .map(|h| LinkHead {
+                chunk: h.chunk + shift,
+                ..h
+            })
+            .peekable();
+        while let Some(next) = match (a.peek(), b.peek()) {
+            (Some(x), Some(y)) if y.key <= x.key => {
+                a.next_if(|x| x.key == y.key);
+                b.next()
+            }
+            (Some(_), _) => a.next(),
+            _ => b.next(),
+        } {
+            self.links.push(next);
+        }
+        let mut read = vec![false; self.chunks.len()];
+        for h in &self.links {
+            let chunk = h.chunk as usize;
+            read[chunk] = true;
+            if !h.view(&self.chunks).windows.1.is_empty() {
+                read[chunk + 1] = true;
             }
         }
-        merged.by_name = name_order(&merged.links);
-        *self = merged;
+        for (chunk, read) in self.chunks.iter_mut().zip(read) {
+            if !read {
+                *chunk = Vec::new();
+            }
+        }
+        self.by_name = name_order(&self.links);
     }
 }
+
+impl PartialEq for LinkSeries {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for LinkSeries {}
 
 /// The order of `links` by their `link.{from}->{to}.queue` names, as
 /// indices. Two such names compare as the decimal strings of `from`,
@@ -997,13 +1120,119 @@ mod tests {
             set.record(2, cycle, cycle % 5);
             b.record(cycle, cycle % 5);
             assert!(set.logged <= 2 * set.retained + LOG_CHUNK);
-            assert_eq!(set.logged, set.log.iter().map(Vec::len).sum::<usize>());
+            let logged: usize = set.groups.iter().map(|g| g.ids.len()).sum();
+            assert_eq!(set.logged, logged);
         }
         assert_eq!(set.retained, 6);
         let keys = [0, 1, 2].map(|to| LinkKey { from: 7, to });
         let store = LinkSeries::freeze([(set, &keys[..])]);
         let got: Vec<(LinkKey, Series)> = store.iter().map(|(k, v)| (k, v.to_series())).collect();
         assert_eq!(got, vec![(keys[0], a), (keys[2], b)]);
+    }
+
+    /// Records the samples `sample(cycle, id)` draws, cycle by cycle and
+    /// in ascending id order, into one set over `0..len`, into two sets
+    /// cut at `cut` as two shards are, and into one `Series` per id.
+    /// Asserts that the frozen set holds exactly the oracles' series and
+    /// that the two shards frozen together equal it. Returns the store
+    /// and the number of groups whose log was compacted while recording.
+    fn freeze_against_oracles(
+        cfg: TsConfig,
+        len: usize,
+        cut: usize,
+        cycles: u64,
+        mut sample: impl FnMut(u64, usize) -> Option<u64>,
+    ) -> (LinkSeries, usize) {
+        let mut set = SeriesSet::new(cfg, len);
+        let mut shards = [SeriesSet::new(cfg, cut), SeriesSet::new(cfg, len - cut)];
+        let mut oracle: Vec<Option<Series>> = vec![None; len];
+        for cycle in 0..cycles {
+            for (id, series) in oracle.iter_mut().enumerate() {
+                if let Some(value) = sample(cycle, id) {
+                    set.record(id, cycle, value);
+                    match id.checked_sub(cut) {
+                        None => shards[0].record(id, cycle, value),
+                        Some(local) => shards[1].record(local, cycle, value),
+                    }
+                    series
+                        .get_or_insert_with(|| Series::new(cfg))
+                        .record(cycle, value);
+                }
+            }
+        }
+        // A group whose log holds fewer windows than its ids closed lost
+        // some to compaction.
+        let compacted = (set.groups.iter().enumerate())
+            .filter(|(g, group)| {
+                let open = set.open.chunks(GROUP).nth(*g).unwrap();
+                open.iter().map(|o| o.closed).sum::<u64>() > group.ids.len() as u64
+            })
+            .count();
+        let keys: Vec<LinkKey> = (0..len)
+            .map(|id| LinkKey {
+                from: (id / 4) as u32,
+                to: id as u32,
+            })
+            .collect();
+        let store = LinkSeries::freeze([(set, &keys[..])]);
+        let got: Vec<(LinkKey, Series)> = store.iter().map(|(k, v)| (k, v.to_series())).collect();
+        let want: Vec<(LinkKey, Series)> = (oracle.into_iter().zip(&keys))
+            .filter_map(|(s, &k)| s.map(|s| (k, s)))
+            .collect();
+        assert_eq!(got, want);
+        let [a, b] = shards;
+        let sharded = LinkSeries::freeze([(a, &keys[..cut]), (b, &keys[cut..])]);
+        assert!(sharded == store, "the sharded freeze differs");
+        (store, compacted)
+    }
+
+    /// A SplitMix64 step of `x`, reduced to `0..span`.
+    fn draw(x: &mut u64, span: u64) -> u64 {
+        *x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *x;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        (z ^ (z >> 31)) % span
+    }
+
+    #[test]
+    fn grouped_logs_freeze_across_groups_and_a_shard_cut_inside_one() {
+        // Four groups, the last one short, cut in the middle of the
+        // second: each id keeps five closed windows of its ~33, so every
+        // group's log compacts while recording, and each group's frozen
+        // windows fill several chunks.
+        let len = 3 * GROUP + 37;
+        let mut x = 7;
+        let (store, compacted) =
+            freeze_against_oracles(cfg(2, 6), len, GROUP + GROUP / 2 + 3, 200, |_, _| {
+                (draw(&mut x, 3) == 0).then(|| draw(&mut x, 5))
+            });
+        assert_eq!(compacted, 4);
+        assert_eq!(store.len(), len);
+        let crossing = store
+            .iter()
+            .filter(|(_, v)| !v.windows.1.is_empty())
+            .count();
+        assert!(crossing >= 4, "{crossing} links cross a chunk's end");
+    }
+
+    #[test]
+    fn capacity_above_a_chunk_keeps_each_link_in_two_slices() {
+        // Three links of two groups keep up to 2,148 windows each, more
+        // than two chunks hold, and evict the oldest.
+        let capacity = 2 * LOG_CHUNK + 100;
+        let recorded = [0, 2, GROUP + 1];
+        let (store, _) =
+            freeze_against_oracles(cfg(1, capacity), GROUP + 5, 1, 5000, |cycle, id| {
+                (recorded.contains(&id) && !(cycle + id as u64).is_multiple_of(7))
+                    .then_some(cycle % 9)
+            });
+        assert_eq!(store.len(), 3);
+        for (key, v) in store.iter() {
+            assert_eq!(v.len(), capacity, "{key:?}");
+            assert!(v.dropped_windows() > 0);
+            assert!(v.windows.1.len() > LOG_CHUNK, "{key:?} ends in one chunk");
+        }
     }
 
     #[test]
@@ -1035,7 +1264,9 @@ mod tests {
             for &to in &ids {
                 links.push(LinkHead {
                     key: LinkKey { from, to },
-                    end: 0,
+                    chunk: 0,
+                    start: 0,
+                    len: 1,
                     cfg: TsConfig::default(),
                     dropped_windows: 0,
                     high_watermark: (0, 0),
@@ -1096,17 +1327,28 @@ mod tests {
     fn merged_link_stores_keep_the_later_series_of_a_shared_link() {
         let cfg = cfg(1, 4);
         let keys = [0, 1, 2].map(|to| LinkKey { from: 0, to });
+        // A link of a run takes `value`, `value + 1`, … over six cycles:
+        // it keeps three closed windows and its open one.
+        let series = |value: u64| {
+            let mut s = Series::new(cfg);
+            for cycle in 0..6 {
+                s.record(cycle, value + cycle);
+            }
+            s
+        };
         let run = |ids: &[usize], value: u64| {
             let mut set = SeriesSet::new(cfg, 3);
-            for &id in ids {
-                set.record(id, 0, value);
+            for cycle in 0..6 {
+                for &id in ids {
+                    set.record(id, cycle, value + cycle);
+                }
             }
             LinkSeries::freeze([(set, &keys[..])])
         };
-        let hwm = |store: &SeriesStore| -> Vec<(String, u64)> {
+        let read = |store: &SeriesStore| -> Vec<(String, Series)> {
             store
                 .iter()
-                .map(|(n, v)| (n.to_string(), v.high_watermark().unwrap().0))
+                .map(|(n, v)| (n.to_string(), v.to_series()))
                 .collect()
         };
         let mut store = SeriesStore::default();
@@ -1114,9 +1356,29 @@ mod tests {
         let shared = store.clone();
         store.merge_links(run(&[1, 2], 9));
         let name = |to: u32| SeriesName::Link(keys[to as usize]).to_string();
-        assert_eq!(hwm(&store), [(name(0), 5), (name(1), 9), (name(2), 9)]);
+        // The later run's windows read from its chunks after they moved.
+        assert_eq!(
+            read(&store),
+            [
+                (name(0), series(5)),
+                (name(1), series(9)),
+                (name(2), series(9))
+            ]
+        );
         // A clone taken before the merge still holds the earlier series.
-        assert_eq!(hwm(&shared), [(name(0), 5), (name(1), 5)]);
+        assert_eq!(read(&shared), [(name(0), series(5)), (name(1), series(5))]);
+        // A run that records every link again frees the chunks before it.
+        store.merge_links(run(&[0, 1, 2], 2));
+        assert_eq!(
+            read(&store),
+            [
+                (name(0), series(2)),
+                (name(1), series(2)),
+                (name(2), series(2))
+            ]
+        );
+        let chunks: Vec<usize> = store.links.chunks.iter().map(Vec::len).collect();
+        assert_eq!(chunks, [0, 0, 12]);
     }
 
     #[test]
