@@ -171,6 +171,11 @@ pub fn lex(src: &str) -> Vec<Tok> {
                         continue;
                     }
                     if !raw && cs[i] == '\\' {
+                        // An escaped newline continues the string on the
+                        // next line.
+                        if cs.get(i + 1) == Some(&'\n') {
+                            line += 1;
+                        }
                         i += 2;
                         continue;
                     }
@@ -201,7 +206,12 @@ pub fn lex(src: &str) -> Vec<Tok> {
             i += 1;
             while i < n {
                 match cs[i] {
-                    '\\' => i += 2,
+                    '\\' => {
+                        if cs.get(i + 1) == Some(&'\n') {
+                            line += 1;
+                        }
+                        i += 2;
+                    }
                     '"' => {
                         i += 1;
                         break;
@@ -399,6 +409,12 @@ mod tests {
         assert_eq!(find("c"), 4);
         assert_eq!(find("d"), 5);
         assert_eq!(find("e"), 6);
+        // A `\` before a newline continues a string, cooked or byte, on
+        // the next line; the newline still counts.
+        let toks = lex("let s = \"a\\\n   b\";\nf\nlet t = b\"c\\\nd\";\ng");
+        let find = |s: &str| toks.iter().find(|t| t.is_ident(s)).unwrap().line;
+        assert_eq!(find("f"), 3);
+        assert_eq!(find("g"), 6);
     }
 
     #[test]
