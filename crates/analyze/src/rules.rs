@@ -5,7 +5,7 @@
 //!
 //! | id | name             | scope                                        | what |
 //! |----|------------------|----------------------------------------------|------|
-//! | A1 | `alloc-in-hot`   | loop bodies of `// analyze: hot(…)` fns      | allocation-capable calls (`collect`, `clone`, `to_vec`, `format!`, `vec!`, `Box::new`, `Vec::new`, `VecDeque::new`) |
+//! | A1 | `alloc-in-hot`   | loop bodies of `// analyze: hot(…)` fns; the whole body of one with no loop | allocation-capable calls (`collect`, `clone`, `to_vec`, `format!`, `vec!`, `Box::new`, `Vec::new`, `VecDeque::new`) |
 //! | C1 | `narrowing-cast` | all library code                             | `as` casts to `u8`/`u16`/`u32`/`i8`/`i16`/`i32` (can truncate) |
 //! | D1 | `hash-order`     | library code of the deterministic crates     | `HashMap`/`HashSet` (random iteration order) |
 //! | D2 | `wall-clock`     | all library code                             | `Instant::now` / `SystemTime` |
@@ -26,7 +26,8 @@
 //! Hot functions are declared with `// analyze: hot(<reason>)` directly
 //! above the `fn` item (doc comments and attributes may intervene); the
 //! scan resolves the annotation, the function span, and its loop
-//! bodies. A1 checks only those loop bodies.
+//! bodies. A1 checks only those loop bodies, or the whole function when
+//! it has no loop.
 
 use crate::diag::{Finding, Severity};
 use crate::lexer::{lex, Tok, TokKind};
@@ -538,13 +539,20 @@ pub fn analyze_file(rel: &str, src: &str) -> Vec<Finding> {
         }
 
         // A1 alloc-in-hot: allocation-capable calls inside the loop
-        // bodies of functions annotated hot.
+        // bodies of functions annotated hot, or anywhere in a hot fn
+        // that has no loop.
         for hot in &scopes.hot_fns {
             if in_spans(test_spans, hot.span.0) {
                 continue;
             }
+            let whole = [hot.span];
+            let (region, place, unit) = if hot.loops.is_empty() {
+                (&whole[..], "", "fn")
+            } else {
+                (&hot.loops[..], "a loop of ", "loop")
+            };
             for (i, t) in code.iter().enumerate() {
-                if !in_spans(&hot.loops, t.line) {
+                if !in_spans(region, t.line) {
                     continue;
                 }
                 let dotted = i > 0 && code[i - 1].is_punct('.');
@@ -567,10 +575,10 @@ pub fn analyze_file(rel: &str, src: &str) -> Vec<Finding> {
                         &A1,
                         t.line,
                         format!(
-                            "`{what}` inside a loop of hot fn `{}` (hot: {}): hot loops \
+                            "`{what}` inside {place}hot fn `{}` (hot: {}): hot {unit}s \
                              must stay allocation-free at steady state (the counting-\
                              allocator test `crates/netsim/tests/alloc_free.rs` enforces \
-                             this dynamically); hoist the allocation out of the loop or \
+                             this dynamically); hoist the allocation out of the {unit} or \
                              justify with `// analyze: allow(alloc-in-hot, <why>)`",
                             hot.name, hot.reason
                         ),
@@ -803,6 +811,25 @@ mod tests {
                            }\n\
                        }\n";
         assert!(rules_hit("crates/netsim/src/x.rs", hoisted).is_empty());
+    }
+
+    #[test]
+    fn a1_checks_the_whole_body_of_a_hot_fn_without_a_loop() {
+        let src = "// analyze: hot(per-packet lookup)\n\
+                   fn get(v: &[u32]) -> Vec<u32> {\n\
+                       v.to_vec()\n\
+                   }\n";
+        let findings = analyze_file("crates/netsim/src/x.rs", src);
+        let a1: Vec<(u32, &str)> = findings
+            .iter()
+            .filter(|f| f.rule == "A1")
+            .map(|f| (f.line, f.message.as_str()))
+            .collect();
+        assert_eq!(a1.len(), 1);
+        let (line, message) = a1[0];
+        assert_eq!(line, 3);
+        let lead = "`to_vec` inside hot fn `get` (hot: per-packet lookup): hot fns";
+        assert!(message.starts_with(lead), "{message}");
     }
 
     #[test]
