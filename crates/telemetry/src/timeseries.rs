@@ -82,8 +82,8 @@ pub struct WindowAgg {
 
 impl WindowAgg {
     /// The window no sample reached: `count == 0` marks an id of a
-    /// [`SeriesSet`] never recorded, and fills a [`LinkSeries`] store
-    /// before its windows are placed.
+    /// [`SeriesSet`] never recorded, and fills the buffer
+    /// [`LinkSeries::freeze`] sorts windows into before they are placed.
     const EMPTY: WindowAgg = WindowAgg {
         index: 0,
         min: 0,
