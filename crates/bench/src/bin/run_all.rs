@@ -56,7 +56,7 @@ fn sections(parts: &[(&str, String)]) -> String {
 
 fn figure_1(dir: &Path) -> Res {
     let certified = fig1::measure(2, 3, MeasureLevel::Full)?;
-    let larger = fig1::measure(3, 4, MeasureLevel::Diameter)?;
+    let larger = fig1::measure(3, 4, MeasureLevel::Full)?;
     write(dir, "fig1.txt", &fig1::render(2, 3, &certified))?;
     write(dir, "fig1.csv", &csv::metrics_csv(&certified))?;
     write(dir, "fig1_3_4.txt", &fig1::render(3, 4, &larger))?;

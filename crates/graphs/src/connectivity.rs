@@ -114,8 +114,11 @@ pub fn max_disjoint_paths(g: &Graph, s: NodeId, t: NodeId) -> Vec<Vec<NodeId>> {
 /// cut), so `S` separates two non-adjacent neighbours `x`, `y` of `v0`.
 /// Hence `kappa` is the minimum local connectivity over the pairs
 /// `(v0, t)` and `(x, y)`, at most `n - 1 - delta + delta(delta - 1)/2`
-/// max-flows. All of them run on one node-split network, reset between
-/// pairs, and each is capped at the best cut found so far.
+/// max-flows. The pairs are split over worker threads, each solving its
+/// share on its own copy of one node-split network, reset between pairs,
+/// and capping each flow at the best cut it has found so far; the answer
+/// is the minimum over the workers, whatever the split (see
+/// `min_flow`).
 ///
 /// # Errors
 /// [`GraphError::InvalidParameter`] for graphs with fewer than 2 nodes;
@@ -128,6 +131,12 @@ pub fn max_disjoint_paths(g: &Graph, s: NodeId, t: NodeId) -> Vec<Vec<NodeId>> {
 /// assert_eq!(connectivity::vertex_connectivity(&torus).unwrap(), 4);
 /// ```
 pub fn vertex_connectivity(g: &Graph) -> Result<u32> {
+    vertex_connectivity_on(g, None)
+}
+
+/// [`vertex_connectivity`] with the flows split over `workers` threads
+/// (`None`: `min_flow`'s choice).
+fn vertex_connectivity_on(g: &Graph, workers: Option<usize>) -> Result<u32> {
     let n = g.num_nodes();
     if n < 2 {
         return Err(GraphError::InvalidParameter(
@@ -143,31 +152,35 @@ pub fn vertex_connectivity(g: &Graph) -> Result<u32> {
     }
     let v0 = (0..n).min_by_key(|&v| g.degree(v)).expect("n >= 2");
     let nbrs = g.neighbors(v0);
-    let mut f = split_network(g, 0);
-    let mut best = nbrs.len() as u32;
-    let mut local = |s: NodeId, t: NodeId| {
-        f.reset();
-        best = best.min(f.max_flow(2 * s + 1, 2 * t, best));
-    };
-    // Cuts avoiding v0 separate it from a non-neighbour.
-    for t in (0..n).filter(|&t| t != v0 && !g.has_edge(v0, t)) {
-        local(v0, t);
-    }
+    // Flows run from `s_out = 2s + 1` to `t_in = 2t`. Cuts avoiding v0
+    // separate it from a non-neighbour.
+    let mut pairs: Vec<(usize, usize)> = (0..n)
+        .filter(|&t| t != v0 && !g.has_edge(v0, t))
+        .map(|t| (2 * v0 + 1, 2 * t))
+        .collect();
     // Cuts containing v0 separate two non-adjacent neighbours of v0.
     for (i, &x) in nbrs.iter().enumerate() {
         for &y in &nbrs[i + 1..] {
             if !g.has_edge(x as usize, y as usize) {
-                local(x as usize, y as usize);
+                pairs.push((2 * x as usize + 1, 2 * y as usize));
             }
         }
     }
-    Ok(best)
+    let delta = nbrs.len() as u32;
+    Ok(min_flow(split_network(g, 0), &pairs, delta, workers))
 }
 
 /// Exact edge connectivity `lambda(G)`: with a fixed source, every minimum
 /// edge cut separates it from some other node, so `min_t maxflow(s, t)`
-/// over all `t != s` is exact. One network serves every sink.
+/// over all `t != s` is exact. The sinks are split over worker threads as
+/// in [`vertex_connectivity`].
 pub fn edge_connectivity(g: &Graph) -> Result<u32> {
+    edge_connectivity_on(g, None)
+}
+
+/// [`edge_connectivity`] with the flows split over `workers` threads
+/// (`None`: `min_flow`'s choice).
+fn edge_connectivity_on(g: &Graph, workers: Option<usize>) -> Result<u32> {
     let n = g.num_nodes();
     if n < 2 {
         return Err(GraphError::InvalidParameter(
@@ -182,12 +195,59 @@ pub fn edge_connectivity(g: &Graph) -> Result<u32> {
         f.add_edge(u, v, 1);
         f.add_edge(v, u, 1);
     }
-    let mut best = (0..n).map(|v| g.degree(v)).min().expect("n >= 2") as u32;
-    for t in 1..n {
-        f.reset();
-        best = best.min(f.max_flow(0, t, best));
-    }
-    Ok(best)
+    let delta = (0..n).map(|v| g.degree(v)).min().expect("n >= 2") as u32;
+    let pairs: Vec<(usize, usize)> = (1..n).map(|t| (0, t)).collect();
+    Ok(min_flow(f, &pairs, delta, workers))
+}
+
+/// Pairs per flow worker. On a 2-vCPU VM a second worker broke even at
+/// 32–41 pairs and won on every graph measured from 44 pairs up
+/// (DESIGN.md §16).
+const MIN_PAIRS_PER_WORKER: usize = 48;
+
+/// `min(cap, min over pairs of maxflow(s, t))` on `net`.
+///
+/// The pairs are split over `w` workers: `workers`, or by default one per
+/// [`MIN_PAIRS_PER_WORKER`] pairs, at most one per available core. Worker
+/// `k` solves pairs `k, k + w, …` on its own copy of `net` (cloned once
+/// its index exists, so no worker allocates), capping each flow at the
+/// best it has found so far, starting at `cap`. A capped flow returns
+/// `min(its value, the cap)`, and every cap is at least the answer, so
+/// each worker returns `min(cap, its pairs' minimum)` and the minimum over
+/// workers is the same for any split. The calling thread is worker 0; a
+/// worker's panic is resumed on the caller.
+fn min_flow(
+    mut net: FlowNetwork,
+    pairs: &[(usize, usize)],
+    cap: u32,
+    workers: Option<usize>,
+) -> u32 {
+    let w = workers.unwrap_or_else(|| {
+        let cores = std::thread::available_parallelism().map_or(1, usize::from);
+        pairs.len().div_ceil(MIN_PAIRS_PER_WORKER).clamp(1, cores)
+    });
+    net.index();
+    let solve = |k: usize, mut f: FlowNetwork| {
+        pairs.iter().skip(k).step_by(w).fold(cap, |best, &(s, t)| {
+            f.reset();
+            best.min(f.max_flow(s, t, best))
+        })
+    };
+    std::thread::scope(|scope| {
+        let others: Vec<_> = (1..w)
+            .map(|k| {
+                let f = net.clone();
+                scope.spawn(move || solve(k, f))
+            })
+            .collect();
+        let mine = solve(0, net);
+        others.into_iter().fold(mine, |best, worker| {
+            let theirs = worker
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            best.min(theirs)
+        })
+    })
 }
 
 /// A **fan**: internally vertex-disjoint paths from `center` to each node
@@ -411,13 +471,9 @@ mod tests {
         assert_eq!(vertex_connectivity(&g).unwrap(), 1);
     }
 
-    #[test]
-    fn cut_through_the_min_degree_vertex_needs_the_neighbour_pairs() {
-        // Two K6 cliques {0..5} and {6..11} joined by the edge 5-11 and by
-        // node 12, adjacent to 0, 1, 6 and 7. Node 12 is the unique
-        // minimum-degree vertex and lies in both minimum cuts, so every
-        // non-neighbour is 3-connected to it: only the pairs of its
-        // neighbours find kappa = 2.
+    /// Two K6 cliques {0..5} and {6..11} joined by the edge 5-11 and by
+    /// node 12, adjacent to 0, 1, 6 and 7.
+    fn two_cliques_and_a_hub() -> Graph {
         let mut edges = Vec::new();
         for base in [0, 6] {
             for u in base..base + 6 {
@@ -425,7 +481,59 @@ mod tests {
             }
         }
         edges.extend([(5, 11), (0, 12), (1, 12), (6, 12), (7, 12)]);
-        let g = Graph::from_edges(13, edges).unwrap();
+        Graph::from_edges(13, edges).unwrap()
+    }
+
+    /// The 5-cube (kappa = delta = 5) plus two adjacent nodes `a` and `b`,
+    /// each joined to the same four cube nodes. Those four cut `{a, b}`
+    /// off, so kappa = 4, and only the flows from node 0 to `a` and to `b`
+    /// find that cut. Cube node `q` keeps id `q` below `a = 4`, and the
+    /// ids skip `a` and `b = 19`, so `a` and `b` come 2nd and 14th among
+    /// node 0's non-neighbours: pairs 1 and 13 of the flow list.
+    fn cut_in_one_stride() -> Graph {
+        let (a, b) = (4, 19);
+        let id = |q: usize| q + usize::from(q >= 4) + usize::from(q >= 18);
+        let mut edges: Vec<(usize, usize)> = (0..32)
+            .flat_map(|q| (0..5).map(move |bit| (q, q ^ 1 << bit)))
+            .filter(|&(q, r)| q < r)
+            .map(|(q, r)| (id(q), id(r)))
+            .collect();
+        edges.push((a, b));
+        for q in [3, 5, 6, 7] {
+            edges.extend([(a, id(q)), (b, id(q))]);
+        }
+        Graph::from_edges(34, edges).unwrap()
+    }
+
+    /// HB(2, 3), the product of the 2-cube and the wrapped butterfly
+    /// B(3): node `(h, l, w)` has id `24h + 8l + w`, and level `l` joins
+    /// `(l, w)` to `(l + 1 mod 3, w)` and `(l + 1 mod 3, w ^ 2^l)`.
+    fn hb_2_3() -> Graph {
+        let id = |h: usize, l: usize, w: usize| 24 * h + 8 * l + w;
+        let mut edges = Vec::new();
+        for h in 0..4 {
+            for l in 0..3 {
+                for w in 0..8 {
+                    let u = id(h, l, w);
+                    edges.push((u, id(h, (l + 1) % 3, w)));
+                    edges.push((u, id(h, (l + 1) % 3, w ^ 1 << l)));
+                    edges.extend(
+                        (0..2)
+                            .map(|bit| (u, id(h ^ 1 << bit, l, w)))
+                            .filter(|&(u, v)| u < v),
+                    );
+                }
+            }
+        }
+        Graph::from_edges(96, edges).unwrap()
+    }
+
+    #[test]
+    fn cut_through_the_min_degree_vertex_needs_the_neighbour_pairs() {
+        // Node 12 is the unique minimum-degree vertex and lies in both
+        // minimum cuts, so every non-neighbour is 3-connected to it: only
+        // the pairs of its neighbours find kappa = 2.
+        let g = two_cliques_and_a_hub();
         assert_eq!(g.degree(12), 4);
         assert!((0..12).all(|v| g.degree(v) > 4));
 
@@ -440,6 +548,62 @@ mod tests {
         let from_v0 = non_neighbours.map(|t| max_disjoint_path_count(&g, 12, t, u32::MAX));
         assert_eq!(from_v0.min(), Some(3));
         assert_eq!(vertex_connectivity(&g).unwrap(), 2);
+    }
+
+    #[test]
+    fn one_stride_graph_has_its_only_low_cut_at_pairs_1_and_13() {
+        let g = cut_in_one_stride();
+        let (a, b) = (4, 19);
+        assert_eq!((0..34).min_by_key(|&v| g.degree(v)), Some(0));
+        assert_eq!(g.degree(0), 5);
+        let others: Vec<usize> = (1..34).filter(|&t| !g.has_edge(0, t)).collect();
+        assert_eq!(others.len(), 28);
+        assert_eq!((others[1], others[13]), (a, b));
+        for t in others {
+            let local = max_disjoint_path_count(&g, 0, t, u32::MAX);
+            assert_eq!(local, if t == a || t == b { 4 } else { 5 }, "node {t}");
+        }
+        let nbrs = g.neighbors(0);
+        for (i, &x) in nbrs.iter().enumerate() {
+            for &y in &nbrs[i + 1..] {
+                let (x, y) = (x as usize, y as usize);
+                assert!(!g.has_edge(x, y));
+                assert_eq!(max_disjoint_path_count(&g, x, y, u32::MAX), 5);
+            }
+        }
+    }
+
+    /// The flows split over any number of workers give the same kappa and
+    /// lambda: 1 to 4 workers, and more workers than pairs (most of them
+    /// idle), on the graphs above. The brute-force proptests use graphs
+    /// too small to start a second worker.
+    #[test]
+    fn worker_count_cannot_change_the_answer() {
+        for (name, g, kappa, lambda) in [
+            ("two cliques", two_cliques_and_a_hub(), 2, 3),
+            ("one stride", cut_in_one_stride(), 4, 5),
+            ("HB(2, 3)", hb_2_3(), 6, 6),
+        ] {
+            let n = g.num_nodes();
+            let delta = (0..n).map(|v| g.degree(v)).min().unwrap();
+            // The flow lists hold at most n - 1 - delta + delta(delta - 1)/2
+            // and n - 1 pairs.
+            let more_than_pairs = n + delta * delta / 2;
+            for w in [1, 2, 3, 4, more_than_pairs] {
+                assert_eq!(
+                    vertex_connectivity_on(&g, Some(w)).unwrap(),
+                    kappa,
+                    "{name}, {w} workers"
+                );
+                assert_eq!(
+                    edge_connectivity_on(&g, Some(w)).unwrap(),
+                    lambda,
+                    "{name}, {w} workers"
+                );
+            }
+            assert_eq!(vertex_connectivity(&g).unwrap(), kappa, "{name}");
+            assert_eq!(edge_connectivity(&g).unwrap(), lambda, "{name}");
+        }
     }
 
     #[test]

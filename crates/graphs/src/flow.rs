@@ -11,7 +11,9 @@
 //!
 //! A network is built once and solved many times: [`FlowNetwork::reset`]
 //! restores the built capacities, and the BFS/DFS scratch belongs to the
-//! network, so a solve allocates nothing. Arcs keep their insertion ids
+//! network, so a solve allocates nothing. A clone of an indexed network
+//! copies the index and reserves its scratch, so it solves without
+//! allocating either. Arcs keep their insertion ids
 //! and each node's arcs are explored in insertion order, so the flow a
 //! solve finds depends only on the order arcs were added.
 //!
@@ -22,7 +24,7 @@
 //! never explores a branch that cannot reach `t`.
 
 /// A directed flow network under construction / after a max-flow run.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct FlowNetwork {
     /// Flat arc array by insertion id; arc `i ^ 1` is the reverse of arc `i`.
     edges: Vec<FlowEdge>,
@@ -125,7 +127,7 @@ impl FlowNetwork {
 
     /// Rebuilds the CSR arc index: a stable counting sort of the arc ids
     /// by tail node, so each node lists its arcs in insertion order.
-    fn index(&mut self) {
+    pub(crate) fn index(&mut self) {
         let n = self.num_nodes();
         self.first.fill(0);
         for e in &self.edges {
@@ -219,6 +221,25 @@ impl FlowNetwork {
             self.edges[eid as usize ^ 1].cap += bottleneck;
         }
         bottleneck
+    }
+}
+
+impl Clone for FlowNetwork {
+    /// Copies the arcs and the index, and gives the clone BFS-queue and
+    /// DFS-path scratch of full capacity: each node enters the queue at
+    /// most once, and a path's levels fall by one per arc.
+    fn clone(&self) -> Self {
+        let n = self.num_nodes();
+        Self {
+            edges: self.edges.clone(),
+            built: self.built.clone(),
+            first: self.first.clone(),
+            arcs: self.arcs.clone(),
+            level: self.level.clone(),
+            cursor: self.cursor.clone(),
+            queue: Vec::with_capacity(n),
+            path: Vec::with_capacity(n),
+        }
     }
 }
 

@@ -2,7 +2,7 @@
 //! force on random small graphs. The substrate referees the paper's
 //! claims, so it gets its own referee here.
 
-use hb_graphs::{connectivity, embedding, graph::Graph, props, shortest, traverse};
+use hb_graphs::{connectivity, embedding, graph::Graph, props, shortest, traverse, GraphError};
 use proptest::prelude::*;
 
 /// Random simple graph on `n` nodes with edge probability ~`p/100`,
@@ -170,17 +170,56 @@ proptest! {
         }
     }
 
-    /// Distance stats are internally consistent on connected graphs.
+    /// `diameter` and `distance_stats` agree with one `traverse::bfs` per
+    /// source on diameter, radius, histogram and mean. Graphs of up to 200
+    /// nodes span several 64-source batches and a partial last one. Sparse
+    /// draws are disconnected, and then both functions must say so.
     #[test]
-    fn distance_stats_consistency(n in 2usize..20, p in 30u32..90, seed in 0u64..300) {
+    fn distance_stats_match_per_source_bfs(n in 2usize..200, p in 1u32..25, seed in 0u64..1000) {
         let g = random_graph(n, p, seed);
-        prop_assume!(traverse::is_connected(&g));
-        let st = shortest::distance_stats(&g).unwrap();
-        prop_assert_eq!(st.diameter, shortest::diameter(&g).unwrap());
-        prop_assert!(st.radius <= st.diameter);
-        prop_assert!(st.diameter as f64 >= st.mean || n == 1);
-        prop_assert_eq!(st.histogram.iter().sum::<u64>(), (n * (n - 1)) as u64);
+        let dist: Vec<Vec<u32>> = (0..n).map(|s| traverse::bfs(&g, s).dist).collect();
+        if dist.iter().flatten().any(|&d| d == traverse::UNREACHABLE) {
+            prop_assert_eq!(shortest::diameter(&g), Err(GraphError::Disconnected));
+            prop_assert_eq!(shortest::distance_stats(&g), Err(GraphError::Disconnected));
+            return Ok(());
+        }
+        let ecc: Vec<u32> = dist.iter().map(|d| d.iter().copied().max().unwrap()).collect();
+        let diameter = ecc.iter().copied().max().unwrap();
+        let mut histogram = vec![0u64; diameter as usize + 1];
+        for &d in dist.iter().flatten().filter(|&&d| d > 0) {
+            histogram[d as usize] += 1;
+        }
+        let weighted: u64 = histogram.iter().enumerate().map(|(d, &c)| d as u64 * c).sum();
+        let expected = shortest::DistanceStats {
+            diameter,
+            radius: ecc.iter().copied().min().unwrap(),
+            mean: weighted as f64 / (n * (n - 1)) as f64,
+            histogram,
+        };
+        prop_assert_eq!(shortest::diameter(&g), Ok(diameter));
+        prop_assert_eq!(shortest::distance_stats(&g), Ok(expected));
     }
+}
+
+/// The sizes below one batch: an empty graph has diameter 0 and no
+/// distance stats, and a single node has eccentricity 0.
+#[test]
+fn distance_stats_of_empty_and_single_node_graphs() {
+    let empty = Graph::from_edges(0, std::iter::empty()).unwrap();
+    assert_eq!(shortest::diameter(&empty), Ok(0));
+    assert!(matches!(
+        shortest::distance_stats(&empty),
+        Err(GraphError::InvalidParameter(_))
+    ));
+    let one = Graph::from_edges(1, std::iter::empty()).unwrap();
+    assert_eq!(shortest::diameter(&one), Ok(0));
+    let expected = shortest::DistanceStats {
+        diameter: 0,
+        radius: 0,
+        mean: 0.0,
+        histogram: vec![0],
+    };
+    assert_eq!(shortest::distance_stats(&one), Ok(expected));
 }
 
 /// Brute-force vertex connectivity: exhaustive over cut bitmasks

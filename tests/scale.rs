@@ -24,13 +24,17 @@ fn hb_4_10_builds_and_measures() {
     }
 }
 
-/// The Figure-2 flagship at full APSP scale: mean distance of HB(3, 8).
+/// The Figure-2 flagship at full APSP scale: the distance distribution of
+/// HB(3, 8), 16,384 sources in 256 batches of the 64-source BFS.
 #[test]
 #[ignore = "full APSP at 16384 nodes; run with --release -- --ignored"]
 fn hb_3_8_full_distance_stats() {
     let hb = HyperButterfly::new(3, 8).unwrap();
     let g = hb.build_graph().unwrap();
     let stats = shortest::distance_stats(&g).unwrap();
+    let n = g.num_nodes() as u64;
+    assert_eq!(stats.histogram.iter().sum::<u64>(), n * (n - 1));
+    assert_eq!(stats.diameter, hb.diameter());
     assert_eq!(stats.diameter, 15);
     assert!(stats.mean > 7.0 && stats.mean < 12.0, "{}", stats.mean);
 }
