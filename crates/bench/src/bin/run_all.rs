@@ -9,6 +9,7 @@
 
 #![forbid(unsafe_code)]
 
+use hb_bench::fault_exp::Campaign;
 use hb_bench::fig2::Fig2Scale;
 use hb_bench::{
     broadcast_exp, congestion_exp, csv, disjoint_exp, distributed_exp, embed_exp, fault_exp, fig1,
@@ -119,16 +120,17 @@ fn disjoint(dir: &Path) -> Res {
 
 fn faults(dir: &Path) -> Res {
     const TRIALS: usize = 100;
+    let (hb, hd) = (HyperButterfly::new(2, 4)?, HyperDeBruijn::new(2, 6)?);
+    let (ghb, ghd) = (hb.build_graph()?, hd.build_graph()?);
+    let (kb, kd) = (hb.connectivity(), hd.connectivity());
     // Random sweeps first, then the targeted (adversarial) ones.
     let sweeps = [
-        fault_exp::sweep_hb(2, 4, 9, TRIALS, 0xE5)?,
-        fault_exp::sweep_hd(2, 6, 9, TRIALS, 0xE5)?,
-        fault_exp::adversarial_hb(2, 4, 7, TRIALS, 0xE5)?,
-        fault_exp::adversarial_hd(2, 6, 7, TRIALS, 0xE5)?,
+        fault_exp::sweep("HB(2, 4)", &ghb, kb, Campaign::Random, 9, TRIALS, 0xE5),
+        fault_exp::sweep("HD(2, 6)", &ghd, kd, Campaign::Random, 9, TRIALS, 0xE5),
+        fault_exp::sweep("HB(2, 4)", &ghb, kb, Campaign::Targeted, 7, TRIALS, 0xE5),
+        fault_exp::sweep("HD(2, 6)", &ghd, kd, Campaign::Targeted, 7, TRIALS, 0xE5),
     ];
     let mut fragility = String::new();
-    let ghb = HyperButterfly::new(2, 4)?.build_graph()?;
-    let ghd = HyperDeBruijn::new(2, 6)?.build_graph()?;
     for (name, g) in [("HB(2, 4)", &ghb), ("HD(2, 6)", &ghd)] {
         write!(fragility, "  {name:<10}")?;
         for f in [0usize, 4, 8, 16, 32, 64] {

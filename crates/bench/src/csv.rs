@@ -27,7 +27,7 @@ pub fn metrics_csv(rows: &[TopologyMetrics]) -> String {
             r.degree_min.to_string(),
             r.degree_max.to_string(),
             r.diameter_analytic.to_string(),
-            r.diameter_measured.map_or(String::new(), |d| d.to_string()),
+            r.diameter_measured.to_string(),
             r.fault_tolerance_analytic.to_string(),
             r.fault_tolerance_measured
                 .map_or(String::new(), |f| f.to_string()),
@@ -168,7 +168,7 @@ mod tests {
 
     #[test]
     fn metrics_csv_round_trips_basic_fields() {
-        let rows = vec![hyper_butterfly_metrics(1, 3, MeasureLevel::Structure).unwrap()];
+        let rows = vec![hyper_butterfly_metrics(1, 3, MeasureLevel::Diameter).unwrap()];
         let csv = metrics_csv(&rows);
         let mut lines = csv.lines();
         assert!(lines.next().unwrap().starts_with("topology,nodes"));
@@ -210,7 +210,10 @@ mod tests {
 
     #[test]
     fn fault_csv_flattens_sweeps() {
-        let sw = crate::fault_exp::sweep_hb(1, 3, 2, 4, 1).unwrap();
+        use crate::fault_exp::{sweep, Campaign};
+        let hb = hb_core::HyperButterfly::new(1, 3).unwrap();
+        let g = hb.build_graph().unwrap();
+        let sw = sweep("HB(1, 3)", &g, hb.connectivity(), Campaign::Random, 2, 4, 1);
         let csv = fault_csv(&[sw]);
         assert_eq!(csv.lines().count(), 1 + 3); // header + f = 0, 1, 2
         assert!(csv.contains("\"HB(1, 3)\",5,0,4,4,"));

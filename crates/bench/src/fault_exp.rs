@@ -12,7 +12,7 @@
 use hb_core::disjoint::DisjointEngine;
 use hb_core::{fault_routing, HyperButterfly};
 use hb_debruijn::HyperDeBruijn;
-use hb_graphs::Result;
+use hb_graphs::{Graph, Result};
 use hb_netsim::faults::{adversarial_fault_trials, random_fault_trials, FaultTrialStats};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -28,86 +28,44 @@ pub struct FaultSweep {
     pub per_level: Vec<FaultTrialStats>,
 }
 
-/// Sweeps `f = 0..=max_faults` on `HB(m, n)`.
-///
-/// # Errors
-/// Propagates construction failures.
-pub fn sweep_hb(m: u32, n: u32, max_faults: usize, trials: usize, seed: u64) -> Result<FaultSweep> {
-    let hb = HyperButterfly::new(m, n)?;
-    let g = hb.build_graph()?;
-    let per_level = (0..=max_faults)
-        .map(|f| random_fault_trials(&g, f, trials, 8, seed ^ f as u64))
-        .collect();
-    Ok(FaultSweep {
-        name: format!("HB({m}, {n})"),
-        kappa: hb.connectivity(),
-        per_level,
-    })
+/// Where a sweep places its faults.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Campaign {
+    /// Uniformly random nodes, with 8 sampled survivor pairs per trial.
+    Random,
+    /// Neighbours of a minimum-degree victim: the disconnection threshold
+    /// equals the minimum degree (`m + 4` for HB, `m + 2` for HD at the
+    /// same `m`).
+    Targeted,
 }
 
-/// Sweeps `f = 0..=max_faults` on `HD(m, n)`.
-///
-/// # Errors
-/// Propagates construction failures.
-pub fn sweep_hd(m: u32, n: u32, max_faults: usize, trials: usize, seed: u64) -> Result<FaultSweep> {
-    let hd = HyperDeBruijn::new(m, n)?;
-    let g = hd.build_graph()?;
-    let per_level = (0..=max_faults)
-        .map(|f| random_fault_trials(&g, f, trials, 8, seed ^ f as u64))
-        .collect();
-    Ok(FaultSweep {
-        name: format!("HD({m}, {n})"),
-        kappa: hd.connectivity(),
-        per_level,
-    })
-}
-
-/// Adversarial sweep on `HB(m, n)`: targeted neighborhood faults around
-/// minimum-degree victims — the disconnection threshold equals the
-/// minimum degree (`m + 4` for HB, `m + 2` for HD at the same `m`).
-///
-/// # Errors
-/// Propagates construction failures.
-pub fn adversarial_hb(
-    m: u32,
-    n: u32,
+/// Sweeps `f = 0..=max_faults` over `g`, the graph of topology `name`
+/// whose analytic connectivity is `kappa`; a targeted sweep's name says
+/// so.
+pub fn sweep(
+    name: &str,
+    g: &Graph,
+    kappa: u32,
+    campaign: Campaign,
     max_faults: usize,
     trials: usize,
     seed: u64,
-) -> Result<FaultSweep> {
-    let hb = HyperButterfly::new(m, n)?;
-    let g = hb.build_graph()?;
+) -> FaultSweep {
     let per_level = (0..=max_faults)
-        .map(|f| adversarial_fault_trials(&g, f, trials, seed ^ f as u64))
+        .map(|f| match campaign {
+            Campaign::Random => random_fault_trials(g, f, trials, 8, seed ^ f as u64),
+            Campaign::Targeted => adversarial_fault_trials(g, f, trials, seed ^ f as u64),
+        })
         .collect();
-    Ok(FaultSweep {
-        name: format!("HB({m}, {n}) targeted"),
-        kappa: hb.connectivity(),
+    let name = match campaign {
+        Campaign::Random => name.to_string(),
+        Campaign::Targeted => format!("{name} targeted"),
+    };
+    FaultSweep {
+        name,
+        kappa,
         per_level,
-    })
-}
-
-/// Adversarial sweep on `HD(m, n)` (see [`adversarial_hb`]).
-///
-/// # Errors
-/// Propagates construction failures.
-pub fn adversarial_hd(
-    m: u32,
-    n: u32,
-    max_faults: usize,
-    trials: usize,
-    seed: u64,
-) -> Result<FaultSweep> {
-    let hd = HyperDeBruijn::new(m, n)?;
-    let g = hd.build_graph()?;
-    let per_level = (0..=max_faults)
-        .map(|f| adversarial_fault_trials(&g, f, trials, seed ^ f as u64))
-        .collect();
-    Ok(FaultSweep {
-        name: format!("HD({m}, {n}) targeted"),
-        kappa: hd.connectivity(),
-        per_level,
-    })
+    }
 }
 
 /// Remark 10 exercised: random pairs with exactly `m + 3` random faults;
@@ -215,7 +173,9 @@ mod tests {
 
     #[test]
     fn hb_sweep_holds_below_kappa() {
-        let sw = sweep_hb(1, 3, 6, 20, 77).unwrap();
+        let hb = HyperButterfly::new(1, 3).unwrap();
+        let (g, kappa) = (hb.build_graph().unwrap(), hb.connectivity());
+        let sw = sweep("HB(1, 3)", &g, kappa, Campaign::Random, 6, 20, 77);
         assert_eq!(sw.kappa, 5);
         for lvl in &sw.per_level[..5] {
             assert_eq!(lvl.connected, lvl.trials, "f = {}", lvl.faults);
@@ -243,7 +203,9 @@ mod tests {
 
     #[test]
     fn render_lists_levels() {
-        let sw = sweep_hd(1, 3, 3, 5, 1).unwrap();
+        let hd = HyperDeBruijn::new(1, 3).unwrap();
+        let (g, kappa) = (hd.build_graph().unwrap(), hd.connectivity());
+        let sw = sweep("HD(1, 3)", &g, kappa, Campaign::Targeted, 3, 5, 1);
         let s = render(&[sw]);
         assert!(s.contains("kappa = 3"));
         assert!(s.contains("faults"));

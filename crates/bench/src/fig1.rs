@@ -101,10 +101,9 @@ pub fn discrepancies(m: u32, n: u32, rows: &[TopologyMetrics]) -> Vec<String> {
         if row.regular.is_some() != exp.regular {
             out.push(format!("{}: regularity mismatch", exp.name));
         }
-        if let Some(d) = row.diameter_measured {
-            if d != exp.diameter {
-                out.push(format!("{}: diameter {d} != {}", exp.name, exp.diameter));
-            }
+        let d = row.diameter_measured;
+        if d != exp.diameter {
+            out.push(format!("{}: diameter {d} != {}", exp.name, exp.diameter));
         }
         if let Some(f) = row.fault_tolerance_measured {
             if f != exp.fault_tolerance {
@@ -160,7 +159,7 @@ mod tests {
 
     #[test]
     fn report_renders() {
-        let s = render(1, 3, &measure(1, 3, MeasureLevel::Structure).unwrap());
+        let s = render(1, 3, &measure(1, 3, MeasureLevel::Diameter).unwrap());
         assert!(s.contains("Hyper") || s.contains("HB(1, 3)"));
         assert!(s.contains("Topology"));
     }

@@ -30,8 +30,8 @@ pub struct TopologyMetrics {
     pub degree_max: usize,
     /// Analytic diameter (from the topology's formula).
     pub diameter_analytic: u32,
-    /// Measured diameter (BFS), when the instance was measured.
-    pub diameter_measured: Option<u32>,
+    /// Measured diameter (BFS).
+    pub diameter_measured: u32,
     /// Analytic vertex connectivity = fault tolerance.
     pub fault_tolerance_analytic: u32,
     /// Measured vertex connectivity (max-flow), when measured.
@@ -43,9 +43,7 @@ pub struct TopologyMetrics {
 /// How much measurement to perform.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MeasureLevel {
-    /// Formulas only; graph is still built for degree statistics.
-    Structure,
-    /// Plus BFS diameter (single-source when vertex transitive).
+    /// Degrees and BFS diameter (single-source when vertex transitive).
     Diameter,
     /// Plus exact vertex connectivity (max-flow; slowest).
     Full,
@@ -60,13 +58,10 @@ fn common(
     level: MeasureLevel,
 ) -> Result<TopologyMetrics> {
     let stats = props::degree_stats(g);
-    let diameter_measured = match level {
-        MeasureLevel::Structure => None,
-        _ => Some(if vertex_transitive {
-            shortest::diameter_vertex_transitive(g)?
-        } else {
-            shortest::diameter(g)?
-        }),
+    let diameter_measured = if vertex_transitive {
+        shortest::diameter_vertex_transitive(g)?
+    } else {
+        shortest::diameter(g)?
     };
     let fault_tolerance_measured = match level {
         MeasureLevel::Full => Some(connectivity::vertex_connectivity(g)?),
@@ -156,7 +151,8 @@ pub fn hyper_butterfly_metrics(m: u32, n: u32, level: MeasureLevel) -> Result<To
 }
 
 /// Renders rows as a fixed-width text table (one row per metrics entry),
-/// in the spirit of the paper's Figures 1–2.
+/// in the spirit of the paper's Figures 1–2. A footnote explains the
+/// star when some FaultTol cell is analytic rather than measured.
 pub fn render_table(rows: &[TopologyMetrics]) -> String {
     use std::fmt::Write;
     let mut out = String::new();
@@ -171,10 +167,11 @@ pub fn render_table(rows: &[TopologyMetrics]) -> String {
         } else {
             format!("{}..{}", r.degree_min, r.degree_max)
         };
-        let diam = match r.diameter_measured {
-            Some(d) if d == r.diameter_analytic => format!("{d}"),
-            Some(d) => format!("{d}(!{})", r.diameter_analytic),
-            None => format!("{}*", r.diameter_analytic),
+        let d = r.diameter_measured;
+        let diam = if d == r.diameter_analytic {
+            format!("{d}")
+        } else {
+            format!("{d}(!{})", r.diameter_analytic)
         };
         let ft = match r.fault_tolerance_measured {
             Some(f) if f == r.fault_tolerance_analytic => format!("{f}"),
@@ -194,7 +191,9 @@ pub fn render_table(rows: &[TopologyMetrics]) -> String {
             if r.bipartite { "yes" } else { "no" },
         );
     }
-    out.push_str("(* = analytic value, not measured at this level)\n");
+    if rows.iter().any(|r| r.fault_tolerance_measured.is_none()) {
+        out.push_str("(* = analytic value, not measured at this level)\n");
+    }
     out
 }
 
@@ -225,18 +224,18 @@ mod tests {
         assert!((hd.fault_tolerance_measured.unwrap() as usize) < hd.degree_max);
 
         // Diameters match formulas.
-        assert_eq!(h.diameter_measured, Some(5));
-        assert_eq!(b.diameter_measured, Some(7)); // 5 + floor(5/2)
-        assert_eq!(hd.diameter_measured, Some(5)); // m + n
-        assert_eq!(hb.diameter_measured, Some(6)); // m + n + floor(n/2)
+        assert_eq!(h.diameter_measured, 5);
+        assert_eq!(b.diameter_measured, 7); // 5 + floor(5/2)
+        assert_eq!(hd.diameter_measured, 5); // m + n
+        assert_eq!(hb.diameter_measured, 6); // m + n + floor(n/2)
     }
 
     #[test]
     fn node_counts_match_figure_1_formulas() {
         let m = 3u32;
         let n = 4u32;
-        let hd = hyper_debruijn_metrics(m, n, MeasureLevel::Structure).unwrap();
-        let hb = hyper_butterfly_metrics(m, n, MeasureLevel::Structure).unwrap();
+        let hd = hyper_debruijn_metrics(m, n, MeasureLevel::Diameter).unwrap();
+        let hb = hyper_butterfly_metrics(m, n, MeasureLevel::Diameter).unwrap();
         assert_eq!(hd.nodes, 1 << (m + n));
         assert_eq!(hb.nodes, (n as usize) << (m + n));
         assert_eq!(hb.edges, (m as usize + 4) * hb.nodes / 2);
@@ -245,11 +244,25 @@ mod tests {
     #[test]
     fn render_table_mentions_every_row() {
         let rows = vec![
-            hypercube_metrics(3, MeasureLevel::Structure).unwrap(),
-            butterfly_metrics(3, MeasureLevel::Structure).unwrap(),
+            hypercube_metrics(3, MeasureLevel::Diameter).unwrap(),
+            butterfly_metrics(3, MeasureLevel::Diameter).unwrap(),
         ];
         let s = render_table(&rows);
         assert!(s.contains("H(3)"));
         assert!(s.contains("B(3)"));
+    }
+
+    #[test]
+    fn footnote_only_under_a_starred_cell() {
+        const NOTE: &str = "(* = analytic value";
+        let full = vec![hypercube_metrics(3, MeasureLevel::Full).unwrap()];
+        let s = render_table(&full);
+        assert!(!s.contains('*') && !s.contains(NOTE), "{s}");
+        let mixed = vec![
+            full[0].clone(),
+            butterfly_metrics(3, MeasureLevel::Diameter).unwrap(),
+        ];
+        let s = render_table(&mixed);
+        assert!(s.contains("4*") && s.ends_with(&format!("{NOTE}, not measured at this level)\n")));
     }
 }

@@ -453,15 +453,7 @@ pub fn random_fault_trials(
     let results: Vec<(bool, f64)> = (0..trials)
         .map(|t| {
             let mut rng = StdRng::seed_from_u64(seed ^ (t as u64).wrapping_mul(0x9E37_79B9));
-            let mut keep = vec![true; n];
-            let mut placed = 0;
-            while placed < faults {
-                let f = rng.random_range(0..n);
-                if keep[f] {
-                    keep[f] = false;
-                    placed += 1;
-                }
-            }
+            let keep = place_random_faults(n, faults, &mut rng);
             let blocked: Vec<NodeId> = (0..n).filter(|&v| !keep[v]).collect();
             // One labelling answers the connectivity question and every
             // sampled pair (meaningful even when disconnected).
@@ -512,33 +504,9 @@ pub fn adversarial_fault_trials(
     trials: usize,
     seed: u64,
 ) -> FaultTrialStats {
-    let n = g.num_nodes();
-    let min_deg = (0..n)
-        .map(|v| g.degree(v))
-        .min()
-        .expect("invariant: topologies have at least one node");
-    let victims: Vec<NodeId> = (0..n).filter(|&v| g.degree(v) == min_deg).collect();
-    let results: Vec<bool> = (0..trials)
-        .map(|t| {
-            let mut rng = StdRng::seed_from_u64(seed ^ (t as u64).wrapping_mul(0x51ED_270B));
-            let victim = victims[rng.random_range(0..victims.len())];
-            let mut nbrs: Vec<NodeId> = g.neighbors(victim).iter().map(|&w| w as usize).collect();
-            // Random subset of the neighborhood of the requested size.
-            for i in (1..nbrs.len()).rev() {
-                let j = rng.random_range(0..=i);
-                nbrs.swap(i, j);
-            }
-            nbrs.truncate(faults.min(nbrs.len()));
-            traverse::is_connected_avoiding(g, &nbrs)
-        })
-        .collect();
-    let connected = results.iter().filter(|&&c| c).count();
-    FaultTrialStats {
-        faults,
-        trials,
-        connected,
-        pair_reachability: connected as f64 / trials.max(1) as f64,
-    }
+    targeted_trials(g, faults, trials, seed, 0x51ED_270B, |_, nbrs| {
+        traverse::is_connected_avoiding(g, nbrs)
+    })
 }
 
 /// Adversarial **link**-fault trials: cut `faults` random links incident
@@ -552,34 +520,51 @@ pub fn adversarial_link_trials(
     trials: usize,
     seed: u64,
 ) -> FaultTrialStats {
+    targeted_trials(g, faults, trials, seed, 0x6A09_E667, |victim, cut| {
+        let removed: std::collections::BTreeSet<(usize, usize)> = cut
+            .iter()
+            .map(|&w| (victim.min(w), victim.max(w)))
+            .collect();
+        // Rebuild without the cut links and check connectivity.
+        let edges = g.edges().filter(|&(u, v)| !removed.contains(&(u, v)));
+        let h = Graph::from_edges(g.num_nodes(), edges)
+            .expect("invariant: removing edges keeps the graph simple");
+        traverse::is_connected(&h)
+    })
+}
+
+/// The targeted campaigns' shared loop: each trial seeds its generator
+/// from `seed` and its index times `stride`, picks a random victim of
+/// minimum degree and a random `faults`-subset of its neighbours (all
+/// of them when `faults >= degree`), and asks `connected(victim,
+/// subset)` whether the graph survives.
+fn targeted_trials(
+    g: &Graph,
+    faults: usize,
+    trials: usize,
+    seed: u64,
+    stride: u64,
+    connected: impl Fn(NodeId, &[NodeId]) -> bool,
+) -> FaultTrialStats {
     let n = g.num_nodes();
     let min_deg = (0..n)
         .map(|v| g.degree(v))
         .min()
         .expect("invariant: topologies have at least one node");
     let victims: Vec<NodeId> = (0..n).filter(|&v| g.degree(v) == min_deg).collect();
-    let results: Vec<bool> = (0..trials)
-        .map(|t| {
-            let mut rng = StdRng::seed_from_u64(seed ^ (t as u64).wrapping_mul(0x6A09_E667));
+    let connected = (0..trials)
+        .filter(|&t| {
+            let mut rng = StdRng::seed_from_u64(seed ^ (t as u64).wrapping_mul(stride));
             let victim = victims[rng.random_range(0..victims.len())];
-            let mut cut: Vec<NodeId> = g.neighbors(victim).iter().map(|&w| w as usize).collect();
-            for i in (1..cut.len()).rev() {
+            let mut nbrs: Vec<NodeId> = g.neighbors(victim).iter().map(|&w| w as usize).collect();
+            for i in (1..nbrs.len()).rev() {
                 let j = rng.random_range(0..=i);
-                cut.swap(i, j);
+                nbrs.swap(i, j);
             }
-            cut.truncate(faults.min(cut.len()));
-            let removed: std::collections::BTreeSet<(usize, usize)> = cut
-                .iter()
-                .map(|&w| (victim.min(w), victim.max(w)))
-                .collect();
-            // Rebuild without the cut links and check connectivity.
-            let edges = g.edges().filter(|&(u, v)| !removed.contains(&(u, v)));
-            let h = Graph::from_edges(n, edges)
-                .expect("invariant: removing edges keeps the graph simple");
-            traverse::is_connected(&h)
+            nbrs.truncate(faults.min(nbrs.len()));
+            connected(victim, &nbrs)
         })
-        .collect();
-    let connected = results.iter().filter(|&&c| c).count();
+        .count();
     FaultTrialStats {
         faults,
         trials,
@@ -599,20 +584,27 @@ pub fn survivor_fragility(g: &Graph, faults: usize, trials: usize, seed: u64) ->
     let total: usize = (0..trials)
         .map(|t| {
             let mut rng = StdRng::seed_from_u64(seed ^ (t as u64).wrapping_mul(0xA24B_AED4));
-            let mut keep = vec![true; n];
-            let mut placed = 0;
-            while placed < faults {
-                let f = rng.random_range(0..n);
-                if keep[f] {
-                    keep[f] = false;
-                    placed += 1;
-                }
-            }
+            let keep = place_random_faults(n, faults, &mut rng);
             let (sub, _) = g.induced_subgraph(&keep);
             hb_graphs::structure::articulation_points(&sub).len()
         })
         .sum();
     total as f64 / trials.max(1) as f64
+}
+
+/// Marks `faults` distinct random nodes of `0..n` faulty, drawing until
+/// that many are distinct: `keep[v]` is false exactly for them.
+fn place_random_faults(n: usize, faults: usize, rng: &mut StdRng) -> Vec<bool> {
+    let mut keep = vec![true; n];
+    let mut placed = 0;
+    while placed < faults {
+        let f = rng.random_range(0..n);
+        if keep[f] {
+            keep[f] = false;
+            placed += 1;
+        }
+    }
+    keep
 }
 
 /// Exhaustively verifies that **no** fault set of the given size

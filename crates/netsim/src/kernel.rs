@@ -24,9 +24,12 @@
 //!   full-channel sweep in place of the active worklist.
 //!
 //! Observers are runtime options: the [`Scoreboard`], link and global
-//! time series, the [`ProfCounters`], the trace, and the flight
-//! recorder's spans. [`drive_serial`] drives one kernel; the sharded
-//! engine (`crate::par`) drives one per shard (DESIGN.md §9, §17).
+//! time series, the [`ProfCounters`], the trace (straight into the
+//! handle in a serial run; in a shard, a ring of the handle's trace
+//! capacity that keeps the newest events and counts the evicted ones),
+//! and the flight recorder's spans. [`drive_serial`] drives one kernel;
+//! the sharded engine (`crate::par`) drives one per shard (DESIGN.md §9,
+//! §17).
 
 use crate::flight::Spans;
 use crate::par::ShardPort;
@@ -37,8 +40,8 @@ use crate::topology::{NetTopology, MAX_PRODUCTIVE};
 use crate::tsrec::{GlobalTs, LinkTs};
 use hb_graphs::NodeId;
 use hb_telemetry::{
-    Event, Histogram, LinkKey, LinkRecord, LinkSeries, LinkStats, Profile, Telemetry, TsConfig,
-    CYCLES_COUNTER,
+    Event, EventTrace, Histogram, LinkKey, LinkRecord, LinkSeries, LinkStats, Profile, Telemetry,
+    TsConfig, CYCLES_COUNTER,
 };
 use std::ops::Range;
 
@@ -436,8 +439,10 @@ enum Trace<'a> {
     Off,
     /// Straight into the handle, in emission order (serial runs).
     Direct(&'a Telemetry),
-    /// Buffered for the in-order merge after a sharded run.
-    Buffered(Vec<BufferedEvent>),
+    /// A shard's newest events, at most the handle's trace capacity, kept
+    /// for the in-order merge after a sharded run; the ring counts the
+    /// ones it evicts.
+    Buffered(EventTrace<BufferedEvent>),
 }
 
 impl Trace<'_> {
@@ -446,7 +451,7 @@ impl Trace<'_> {
         match self {
             Trace::Off => {}
             Trace::Direct(t) => t.event(make),
-            Trace::Buffered(v) => v.push((cycle, phase, key, make())),
+            Trace::Buffered(ring) => ring.push((cycle, phase, key, make())),
         }
     }
 }
@@ -525,7 +530,8 @@ pub(crate) struct Part {
     prof: ProfCounters,
     pub(crate) board: Option<Scoreboard>,
     links: Option<LinkTs>,
-    events: Vec<BufferedEvent>,
+    /// A shard's surviving trace events and the count it evicted.
+    events: Option<EventTrace<BufferedEvent>>,
     /// Routed packets still queued when the run stopped.
     in_flight: u64,
     /// How far the schedule was walked (identical in every shard).
@@ -630,19 +636,21 @@ impl<'a> RunCtx<'a> {
         if self.cfg.profile {
             prof.finish(tel, acct.route_build);
         }
-        let mut events: Vec<BufferedEvent> = Vec::new();
-        for p in &mut parts {
-            events.append(&mut p.events);
+        let (mut events, mut evicted) = (Vec::new(), 0);
+        for ring in parts.iter_mut().filter_map(|p| p.events.take()) {
+            evicted += ring.dropped();
+            events.extend(ring.into_vec());
         }
         // Stable sort on (cycle, phase, key): the key is unique across
         // shards, and equal keys only occur within one shard
         // (injected-then-delivered pairs), whose local order the stable
-        // sort preserves — exactly the serial emission order.
+        // sort preserves — exactly the serial emission order. A shard
+        // emits in that order, so each of the run's newest `capacity`
+        // events is among its own shard's newest `capacity`: the
+        // survivors hold every event the handle's ring would keep.
         // analyze: allow(unstable-order, stable sort; ties share a shard and keep serial emission order)
         events.sort_by_key(|e| (e.0, e.1, e.2));
-        for (_, _, _, ev) in events {
-            tel.event(|| ev);
-        }
+        tel.append_events(events.into_iter().map(|e| e.3), evicted);
         if acct.faults {
             tel.counter("sim.reroutes").add(t.reroutes);
         }
@@ -724,7 +732,7 @@ impl<'a, R: RoutePolicy, D: Discipline> Kernel<'a, R, D> {
         let trace = match tel {
             Some(t) if t.trace_enabled() => {
                 if shard.is_some() {
-                    Trace::Buffered(Vec::new())
+                    Trace::Buffered(EventTrace::new(t.trace_capacity()))
                 } else {
                     Trace::Direct(t)
                 }
@@ -992,8 +1000,8 @@ impl<'a, R: RoutePolicy, D: Discipline> Kernel<'a, R, D> {
             board: self.board,
             links: self.links,
             events: match self.trace {
-                Trace::Buffered(v) => v,
-                _ => Vec::new(),
+                Trace::Buffered(ring) => Some(ring),
+                _ => None,
             },
             in_flight: self.pool.live() as u64,
             consumed: self.next,
@@ -1073,4 +1081,34 @@ pub(crate) fn drive_serial<R: RoutePolicy, D: Discipline>(
         m.channel_store_bytes = k.queues.heap_bytes();
     }
     ctx.finish(vec![k.into_part()], globals, cycle)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_shard_trace_buffer_never_holds_more_than_capacity_events() {
+        for capacity in [0usize, 1, 3, 16] {
+            let mut trace = Trace::Buffered(EventTrace::new(capacity));
+            for id in 0..40u64 {
+                trace.emit(id / 4, 1, id, || Event::PacketDropped {
+                    id,
+                    at: 0,
+                    cycle: id / 4,
+                });
+                let Trace::Buffered(ring) = &trace else {
+                    unreachable!("stays buffered")
+                };
+                assert!(ring.clone().into_vec().len() <= capacity);
+            }
+            let Trace::Buffered(ring) = trace else {
+                unreachable!("stays buffered")
+            };
+            let kept = capacity.min(40) as u64;
+            assert_eq!(ring.dropped(), 40 - kept, "capacity {capacity}");
+            let keys: Vec<u64> = ring.into_vec().iter().map(|e| e.2).collect();
+            assert_eq!(keys, (40 - kept..40).collect::<Vec<_>>(), "the newest");
+        }
+    }
 }

@@ -46,7 +46,10 @@
 //! in fixed shard-index order after the join: integer sums/maxes are
 //! exact, and events are stable-sorted by `(cycle, phase,
 //! channel-or-id)` — a key that is unique across shards —
-//! reconstructing the serial emission order.
+//! reconstructing the serial emission order. Each shard buffers only
+//! its newest trace-capacity events and counts the rest: it emits in
+//! key order, so the run's newest events all survive, and a traced run
+//! holds at most threads × capacity events.
 
 use crate::kernel::{CycleSample, Kernel, Packet, Part, RunCtx, SourceRouted, Unbounded};
 use crate::pool::PacketPool;
@@ -476,20 +479,39 @@ mod tests {
 
     #[test]
     fn sharded_trace_events_match_serial_byte_for_byte() {
-        let t = HypercubeNet::new(3).unwrap();
-        let traffic = workload::uniform(t.num_nodes(), 30, 0.5, 21);
-        let tel_s = Telemetry::with_trace(4096);
-        let serial = Sim::new(&t).run(&traffic, SimConfig::default().with_telemetry(tel_s.clone()));
-        let tel_p = Telemetry::with_trace(4096);
-        let par = Sim::new(&t).run(
-            &traffic,
-            SimConfig::default()
-                .with_telemetry(tel_p.clone())
-                .with_threads(3),
-        );
-        assert_eq!(serial, par);
-        assert_eq!(tel_s.events(), tel_p.events(), "exact event order");
-        assert_eq!(tel_s.snapshot(), tel_p.snapshot());
+        // Each shard keeps only its newest `capacity` events; from small
+        // capacities up, the survivors must rebuild the serial ring, its
+        // drop count and, after them, the congestion events.
+        let t = HyperButterflyNet::new(1, 3, HbRouteOrder::CubeFirst).unwrap();
+        let traffic = workload::uniform(t.num_nodes(), 30, 0.3, 21);
+        let mut node_fault = FaultPlan::new();
+        node_fault.add_node(5);
+        for plan in [None, Some(&node_fault)] {
+            for capacity in [0, 1, 3, 16, 100, 1000] {
+                let run = |threads| {
+                    let tel = Telemetry::with_trace(capacity);
+                    tel.enable_timeseries(hb_telemetry::TsConfig::new(2));
+                    let cfg = SimConfig::default()
+                        .with_telemetry(tel.clone())
+                        .with_threads(threads);
+                    let stats = match plan {
+                        Some(p) => Sim::new(&t).faults(p).run(&traffic, cfg),
+                        None => Sim::new(&t).run(&traffic, cfg),
+                    };
+                    (stats, tel)
+                };
+                let (serial, tel_s) = run(1);
+                let snap_s = tel_s.snapshot();
+                assert!(snap_s.events_dropped > 0, "capacity {capacity} evicts");
+                for threads in 2..=4 {
+                    let (par, tel_p) = run(threads);
+                    let at = format!("capacity {capacity}, {threads} threads, {plan:?}");
+                    assert_eq!(serial, par, "{at}");
+                    assert_eq!(snap_s.events, tel_p.events(), "exact event order, {at}");
+                    assert_eq!(snap_s, tel_p.snapshot(), "{at}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@ use crate::trace::{Event, EventTrace};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Counter name the simulator stores its cycle count under; sinks use
 /// it to derive per-link utilization.
@@ -45,24 +45,27 @@ impl Counter {
 struct Inner {
     /// Whether the bounded event trace and span store record.
     tracing: bool,
-    counters: Mutex<BTreeMap<String, Counter>>,
-    histograms: Mutex<BTreeMap<String, Histogram>>,
-    links: Mutex<Arc<LinkStats>>,
-    trace: Mutex<EventTrace>,
-    spans: Mutex<SpanStore>,
-    timeseries: Mutex<TsState>,
-    profile: Mutex<Profile>,
+    state: Mutex<State>,
 }
 
-/// Windowed-series state: off until [`Telemetry::enable_timeseries`]
-/// sets a config. Runners record into local series and merge here once
-/// at the end, like histograms and link stats.
+/// Every instrument, behind the handle's one lock. Runners record into
+/// locals and merge here once at the end, so the lock is taken per
+/// merge, not per packet; only the serial trace and the flight
+/// recorder's spans take it per event.
 #[derive(Default)]
-struct TsState {
-    config: Option<TsConfig>,
+struct State {
+    counters: BTreeMap<String, Counter>,
+    histograms: BTreeMap<String, Histogram>,
+    links: Arc<LinkStats>,
+    trace: EventTrace,
+    spans: SpanStore,
+    /// Windowed-series sampling: off until
+    /// [`Telemetry::enable_timeseries`] sets a config.
+    ts_config: Option<TsConfig>,
     detector: DetectorConfig,
     series: SeriesStore,
     congestion: Vec<CongestionEvent>,
+    profile: Profile,
 }
 
 /// A shared telemetry sink. Cloning is cheap (reference-counted); all
@@ -95,20 +98,30 @@ impl Telemetry {
     }
 
     fn new(tracing: bool, trace_capacity: usize) -> Self {
+        let state = State {
+            trace: EventTrace::new(trace_capacity),
+            // Spans share the trace budget: the same capacity bounds
+            // both, so a `with_trace(N)` handle holds O(N) memory.
+            spans: SpanStore::new(trace_capacity),
+            ..State::default()
+        };
         Self {
             inner: Arc::new(Inner {
                 tracing,
-                counters: Mutex::new(BTreeMap::new()),
-                histograms: Mutex::new(BTreeMap::new()),
-                links: Mutex::new(Arc::new(LinkStats::new())),
-                trace: Mutex::new(EventTrace::new(trace_capacity)),
-                // Spans share the trace budget: the same capacity bounds
-                // both, so a `with_trace(N)` handle holds O(N) memory.
-                spans: Mutex::new(SpanStore::new(trace_capacity)),
-                timeseries: Mutex::new(TsState::default()),
-                profile: Mutex::new(Profile::new()),
+                state: Mutex::new(state),
             }),
         }
+    }
+
+    /// The one lock over every instrument. A method holding this guard
+    /// must not call another handle method, nor run caller code that
+    /// might: the lock is not reentrant, so that call would deadlock.
+    /// [`Self::event`] therefore builds its event before it locks.
+    fn state(&self) -> MutexGuard<'_, State> {
+        self.inner
+            .state
+            .lock()
+            .expect("invariant: telemetry mutex unpoisoned (holders never panic)")
     }
 
     /// Whether per-event tracing is on. Producers should gate event
@@ -118,11 +131,19 @@ impl Telemetry {
         self.inner.tracing
     }
 
+    /// How many events the trace retains (0 on a summary handle). A
+    /// producer that buffers events for [`Self::append_events`] needs to
+    /// keep no more than this many.
+    pub fn trace_capacity(&self) -> usize {
+        self.state().trace.capacity()
+    }
+
     /// The counter named `name` (created at zero if absent). Asking for
     /// the same name twice returns the same underlying cell, so
     /// independent producers can accumulate into one counter.
     pub fn counter(&self, name: &str) -> Counter {
-        self.counter_map()
+        self.state()
+            .counters
             .entry(name.to_string())
             .or_default()
             .clone()
@@ -130,64 +151,38 @@ impl Telemetry {
 
     /// Every counter's current value, sorted by name.
     pub fn counters(&self) -> Vec<(String, u64)> {
-        self.counter_map()
-            .iter()
-            .map(|(n, c)| (n.clone(), c.get()))
-            .collect()
-    }
-
-    fn counter_map(&self) -> std::sync::MutexGuard<'_, BTreeMap<String, Counter>> {
-        self.inner
-            .counters
-            .lock()
-            .expect("invariant: counter mutex unpoisoned (holders never panic)")
+        counter_values(&self.state().counters)
     }
 
     /// Merges a locally accumulated histogram into the one named `name`
     /// (hot loops accumulate privately, then merge once).
     pub fn merge_histogram(&self, name: &str, h: &Histogram) {
-        let mut hs = self
-            .inner
+        self.state()
             .histograms
-            .lock()
-            .expect("invariant: histogram mutex unpoisoned (holders never panic)");
-        hs.entry(name.to_string()).or_default().merge(h);
+            .entry(name.to_string())
+            .or_default()
+            .merge(h);
     }
 
     /// A clone of the histogram named `name`, if it exists.
     pub fn histogram(&self, name: &str) -> Option<Histogram> {
-        self.inner
-            .histograms
-            .lock()
-            .expect("invariant: histogram mutex unpoisoned (holders never panic)")
-            .get(name)
-            .cloned()
+        self.state().histograms.get(name).cloned()
     }
 
     /// Merges a run's link stats into the shared table: the first run's
     /// table is taken as it is, a later one summed in per link.
     pub fn merge_links(&self, ls: LinkStats) {
-        let mut links = self
-            .inner
-            .links
-            .lock()
-            .expect("invariant: links mutex unpoisoned (holders never panic)");
-        if links.is_empty() {
-            *links = Arc::new(ls);
+        let mut st = self.state();
+        if st.links.is_empty() {
+            st.links = Arc::new(ls);
         } else {
-            Arc::make_mut(&mut links).merge(&ls);
+            Arc::make_mut(&mut st.links).merge(&ls);
         }
     }
 
     /// The accumulated link stats, shared rather than copied.
     pub fn links(&self) -> Arc<LinkStats> {
-        Arc::clone(
-            &self
-                .inner
-                .links
-                .lock()
-                .expect("invariant: links mutex unpoisoned (holders never panic)"),
-        )
+        Arc::clone(&self.state().links)
     }
 
     /// Pushes an event if tracing is on; `make` is not even called
@@ -195,21 +190,24 @@ impl Telemetry {
     #[inline]
     pub fn event(&self, make: impl FnOnce() -> Event) {
         if self.trace_enabled() {
-            self.inner
-                .trace
-                .lock()
-                .expect("invariant: trace mutex unpoisoned (holders never panic)")
-                .push(make());
+            let e = make();
+            self.state().trace.push(e);
         }
+    }
+
+    /// Appends events buffered away from the handle, oldest first, and
+    /// counts `evicted` more as dropped: the events the producer's own
+    /// bounded buffer already let go. Equivalent to pushing every
+    /// buffered event in order whenever the retained ones include the
+    /// newest [`Self::trace_capacity`] of them. `events` is drained
+    /// under the handle's lock, so it must not reach the handle.
+    pub fn append_events(&self, events: impl IntoIterator<Item = Event>, evicted: u64) {
+        self.state().trace.append(events, evicted);
     }
 
     /// Retained trace events, oldest first.
     pub fn events(&self) -> Vec<Event> {
-        self.inner
-            .trace
-            .lock()
-            .expect("invariant: trace mutex unpoisoned (holders never panic)")
-            .to_vec()
+        self.state().trace.to_vec()
     }
 
     /// Starts a causal span at logical time `start`. Returns `None` when
@@ -221,22 +219,14 @@ impl Telemetry {
         if !self.trace_enabled() {
             return None;
         }
-        self.inner
-            .spans
-            .lock()
-            .expect("invariant: span mutex unpoisoned (holders never panic)")
-            .start(name, parent, start)
+        self.state().spans.start(name, parent, start)
     }
 
     /// Closes a span at logical time `end` (no-op for `None`).
     #[inline]
     pub fn span_end(&self, id: Option<SpanId>, end: u64) {
         if let Some(id) = id {
-            self.inner
-                .spans
-                .lock()
-                .expect("invariant: span mutex unpoisoned (holders never panic)")
-                .end(id, end);
+            self.state().spans.end(id, end);
         }
     }
 
@@ -245,48 +235,35 @@ impl Telemetry {
     #[inline]
     pub fn span_attr(&self, id: Option<SpanId>, key: &str, value: impl Into<String>) {
         if let Some(id) = id {
-            self.inner
-                .spans
-                .lock()
-                .expect("invariant: span mutex unpoisoned (holders never panic)")
-                .attr(id, key, value);
+            self.state().spans.attr(id, key, value);
         }
     }
 
     /// All recorded spans, in id order.
     pub fn spans(&self) -> Vec<SpanRecord> {
-        self.inner
-            .spans
-            .lock()
-            .expect("invariant: span mutex unpoisoned (holders never panic)")
-            .spans()
-            .to_vec()
+        self.state().spans.spans().to_vec()
     }
 
     /// Spans refused because the bounded store was full.
     pub fn spans_dropped(&self) -> u64 {
-        self.inner
-            .spans
-            .lock()
-            .expect("invariant: span mutex unpoisoned (holders never panic)")
-            .dropped()
+        self.state().spans.dropped()
     }
 
     /// Turns windowed time-series sampling on. Runners that see
     /// `Some(config)` from [`Self::timeseries_config`] record per-cycle
     /// series and merge them back via [`Self::merge_series`].
     pub fn enable_timeseries(&self, config: TsConfig) {
-        self.ts_state().config = Some(config);
+        self.state().ts_config = Some(config);
     }
 
     /// Overrides the congestion-detector thresholds.
     pub fn set_detector(&self, detector: DetectorConfig) {
-        self.ts_state().detector = detector;
+        self.state().detector = detector;
     }
 
     /// The active time-series config, if sampling is on.
     pub fn timeseries_config(&self) -> Option<TsConfig> {
-        self.ts_state().config
+        self.state().ts_config
     }
 
     /// Merges a locally recorded series under `name`. Series names are
@@ -294,14 +271,14 @@ impl Telemetry {
     /// same name twice keeps the later series. Link series arrive as one
     /// store through [`Self::merge_link_series`] instead.
     pub fn merge_series(&self, name: &str, series: Series) {
-        self.ts_state().series.insert(name, series);
+        self.state().series.insert(name, series);
     }
 
     /// Merges a run's frozen link series: a link recorded again takes
     /// the later series, and a link only an earlier run touched keeps
     /// its own. The first run's store is taken without a copy.
     pub fn merge_link_series(&self, links: LinkSeries) {
-        self.ts_state().series.merge_links(links);
+        self.state().series.merge_links(links);
     }
 
     /// Runs congestion detection over every merged series, storing the
@@ -309,31 +286,31 @@ impl Telemetry {
     /// to the event trace. Call once, after all series are merged; the
     /// name-ordered walk makes the emitted order deterministic.
     pub fn detect_congestion(&self) {
-        let events = {
-            let st = self.ts_state();
-            if st.config.is_none() {
-                return;
-            }
-            detect_congestion(&st.series, &st.detector)
-        };
-        for e in &events {
-            self.event(|| Event::Congestion {
-                kind: e.kind,
-                severity: e.severity,
-                subject: e.subject.clone(),
-                window_start: e.window_start,
-                window_end: e.window_end,
-                peak: e.peak,
-            });
+        let mut st = self.state();
+        if st.ts_config.is_none() {
+            return;
         }
-        self.ts_state().congestion = events;
+        let events = detect_congestion(&st.series, &st.detector);
+        if self.trace_enabled() {
+            for e in &events {
+                st.trace.push(Event::Congestion {
+                    kind: e.kind,
+                    severity: e.severity,
+                    subject: e.subject.clone(),
+                    window_start: e.window_start,
+                    window_end: e.window_end,
+                    peak: e.peak,
+                });
+            }
+        }
+        st.congestion = events;
     }
 
     /// Owned copies of every merged series, name-ordered, link series
     /// named `link.U->V.queue`. This formats and copies every link
     /// series; [`Self::timeseries`] shares them instead.
     pub fn series(&self) -> BTreeMap<String, Series> {
-        self.ts_state()
+        self.state()
             .series
             .iter()
             .map(|(name, s)| (name.to_string(), s.to_series()))
@@ -342,12 +319,12 @@ impl Telemetry {
 
     /// Every merged series, the link store shared rather than copied.
     pub fn timeseries(&self) -> SeriesStore {
-        self.ts_state().series.clone()
+        self.state().series.clone()
     }
 
     /// Congestion events found by the last [`Self::detect_congestion`].
     pub fn congestion(&self) -> Vec<CongestionEvent> {
-        self.ts_state().congestion.clone()
+        self.state().congestion.clone()
     }
 
     /// Merges a locally accumulated work-attribution profile into the
@@ -355,87 +332,62 @@ impl Telemetry {
     /// [`Profile`] once at the end, and merge it here — the hot path
     /// never touches this lock).
     pub fn merge_profile(&self, p: &Profile) {
-        self.inner
-            .profile
-            .lock()
-            .expect("invariant: profile mutex unpoisoned (holders never panic)")
-            .merge(p);
+        self.state().profile.merge(p);
     }
 
     /// A clone of the accumulated work-attribution profile.
     pub fn profile(&self) -> Profile {
-        self.inner
-            .profile
-            .lock()
-            .expect("invariant: profile mutex unpoisoned (holders never panic)")
-            .clone()
-    }
-
-    fn ts_state(&self) -> std::sync::MutexGuard<'_, TsState> {
-        self.inner
-            .timeseries
-            .lock()
-            .expect("invariant: timeseries mutex unpoisoned (holders never panic)")
+        self.state().profile.clone()
     }
 
     /// A point-in-time snapshot of every instrument, ready for a
-    /// [`crate::Sink`].
+    /// [`crate::Sink`], read under one acquisition of the lock.
     pub fn snapshot(&self) -> Snapshot {
-        let counters = self.counters();
+        let st = self.state();
+        let counters = counter_values(&st.counters);
         let cycles = counters
             .iter()
             .find(|(n, _)| n == CYCLES_COUNTER)
             .map(|&(_, v)| v);
-        let histograms = {
-            let hs = self
-                .inner
-                .histograms
-                .lock()
-                .expect("invariant: histogram mutex unpoisoned (holders never panic)");
-            hs.iter()
-                .filter_map(|(n, h)| {
-                    h.quantiles().map(|q| {
-                        (
-                            n.clone(),
-                            HistogramSummary {
-                                count: h.count(),
-                                mean: h.mean(),
-                                min: h.min().unwrap_or(0),
-                                p50: q.p50,
-                                p95: q.p95,
-                                p99: q.p99,
-                                max: q.max,
-                            },
-                        )
-                    })
+        let histograms = st
+            .histograms
+            .iter()
+            .filter_map(|(n, h)| {
+                h.quantiles().map(|q| {
+                    (
+                        n.clone(),
+                        HistogramSummary {
+                            count: h.count(),
+                            mean: h.mean(),
+                            min: h.min().unwrap_or(0),
+                            p50: q.p50,
+                            p95: q.p95,
+                            p99: q.p99,
+                            max: q.max,
+                        },
+                    )
                 })
-                .collect()
-        };
-        let trace = self
-            .inner
-            .trace
-            .lock()
-            .expect("invariant: trace mutex unpoisoned (holders never panic)");
-        let spans = self
-            .inner
-            .spans
-            .lock()
-            .expect("invariant: span mutex unpoisoned (holders never panic)");
-        let ts = self.ts_state();
+            })
+            .collect();
         Snapshot {
             counters,
             histograms,
-            links: self.links(),
+            links: Arc::clone(&st.links),
             cycles,
-            events: trace.to_vec(),
-            events_dropped: trace.dropped(),
-            spans: spans.spans().to_vec(),
-            spans_dropped: spans.dropped(),
-            timeseries: ts.series.clone(),
-            congestion: ts.congestion.clone(),
-            profile: self.profile(),
+            events: st.trace.to_vec(),
+            events_dropped: st.trace.dropped(),
+            spans: st.spans.spans().to_vec(),
+            spans_dropped: st.spans.dropped(),
+            timeseries: st.series.clone(),
+            congestion: st.congestion.clone(),
+            profile: st.profile.clone(),
         }
     }
+}
+
+/// Each counter's current value, in name order.
+fn counter_values(counters: &BTreeMap<String, Counter>) -> Vec<(String, u64)> {
+    counters.iter().map(|(n, c)| (n.clone(), c.get())).collect()
 }
 
 #[cfg(test)]

@@ -87,15 +87,23 @@ pub enum Event {
     },
 }
 
-/// A bounded ring buffer of [`Event`]s.
-#[derive(Clone, Debug, Default)]
-pub struct EventTrace {
-    buf: VecDeque<Event>,
+/// A bounded ring buffer of [`Event`]s — or of any `T`, for a producer
+/// that buffers its events before [`crate::Telemetry::append_events`]
+/// merges them.
+#[derive(Clone, Debug)]
+pub struct EventTrace<T = Event> {
+    buf: VecDeque<T>,
     capacity: usize,
     dropped: u64,
 }
 
-impl EventTrace {
+impl<T> Default for EventTrace<T> {
+    fn default() -> Self {
+        Self::new(0)
+    }
+}
+
+impl<T> EventTrace<T> {
     /// Creates a trace holding at most `capacity` events (0 = record
     /// nothing, count everything as dropped).
     pub fn new(capacity: usize) -> Self {
@@ -107,7 +115,7 @@ impl EventTrace {
     }
 
     /// Appends an event, evicting the oldest when full.
-    pub fn push(&mut self, e: Event) {
+    pub fn push(&mut self, e: T) {
         if self.capacity == 0 {
             self.dropped += 1;
             return;
@@ -119,14 +127,34 @@ impl EventTrace {
         self.buf.push_back(e);
     }
 
+    /// Pushes `events` in order, then counts `evicted` more as dropped.
+    pub(crate) fn append(&mut self, events: impl IntoIterator<Item = T>, evicted: u64) {
+        for e in events {
+            self.push(e);
+        }
+        self.dropped += evicted;
+    }
+
     /// Retained events as a vector, oldest first.
-    pub fn to_vec(&self) -> Vec<Event> {
+    pub fn to_vec(&self) -> Vec<T>
+    where
+        T: Clone,
+    {
         self.buf.iter().cloned().collect()
+    }
+
+    /// The retained events, oldest first, taken without a copy.
+    pub fn into_vec(self) -> Vec<T> {
+        self.buf.into()
     }
 
     /// Events evicted (or refused) because of the capacity bound.
     pub fn dropped(&self) -> u64 {
         self.dropped
+    }
+
+    pub(crate) fn capacity(&self) -> usize {
+        self.capacity
     }
 }
 
