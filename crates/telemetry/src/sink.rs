@@ -1163,6 +1163,83 @@ mod tests {
         assert_eq!(lines[3], "  [1..open] round 1 messages=7");
     }
 
+    /// Spans as a filtered or hand-edited snapshot may hold them: out of
+    /// id order, a parent listed after its child, an orphan whose parent
+    /// was filtered out (with a child of its own), and a link to a parent
+    /// with a larger id.
+    fn tangled_span_snapshot() -> Snapshot {
+        let t = Telemetry::with_trace(16);
+        let p0 = t.span_start("packet #0", None, 0);
+        let h01 = t.span_start("hop 0->1", p0, 0);
+        let h13 = t.span_start("hop 1->3", p0, 1);
+        let p1 = t.span_start("packet #1", None, 2);
+        let h23 = t.span_start("hop 2->3", p1, 2);
+        let wait = t.span_start("wait", h23, 3);
+        let p2 = t.span_start("packet #2", None, 4);
+        let h45 = t.span_start("hop 4->5", p2, 4);
+        let h57 = t.span_start("hop 5->7", h45, 5);
+        t.span_attr(h45, "queue", "1");
+        for (id, end) in [(h01, 1), (h13, 2), (p0, 2), (wait, 4), (h23, 4), (h57, 6)] {
+            t.span_end(id, end);
+        }
+        let mut s = t.snapshot();
+        let by_id = |id: Option<SpanId>| {
+            s.spans
+                .iter()
+                .find(|sp| Some(sp.id) == id)
+                .cloned()
+                .expect("span recorded")
+        };
+        let mut h13 = by_id(h13);
+        h13.parent = h45;
+        s.spans = vec![
+            by_id(h23),
+            h13,
+            by_id(h57),
+            by_id(p0),
+            by_id(h45),
+            by_id(wait),
+            by_id(h01),
+            by_id(p1),
+        ];
+        s
+    }
+
+    #[test]
+    fn span_sinks_pin_orphans_and_out_of_order_spans() {
+        let s = tangled_span_snapshot();
+        assert_eq!(
+            SpanTreeSink.render(&s),
+            "\
+spans (8 recorded, 0 dropped):
+  [0..2] packet #0
+    [0..1] hop 0->1
+  [4..open] hop 4->5 queue=1
+    [1..2] hop 1->3
+    [5..6] hop 5->7
+  [2..open] packet #1
+    [2..4] hop 2->3
+      [3..4] wait
+"
+        );
+        // A tid is the last ancestor reached through smaller ids, even
+        // one filtered out of the snapshot (7).
+        assert_eq!(
+            ChromeTraceSink.render(&s),
+            r#"{"traceEvents":[
+{"ph":"X","name":"hop 2->3","cat":"hb","ts":2,"dur":2,"pid":0,"tid":4,"args":{"span":"5","parent":"4"}},
+{"ph":"X","name":"hop 1->3","cat":"hb","ts":1,"dur":1,"pid":0,"tid":3,"args":{"span":"3","parent":"8"}},
+{"ph":"X","name":"hop 5->7","cat":"hb","ts":5,"dur":1,"pid":0,"tid":7,"args":{"span":"9","parent":"8"}},
+{"ph":"X","name":"packet #0","cat":"hb","ts":0,"dur":2,"pid":0,"tid":1,"args":{"span":"1"}},
+{"ph":"X","name":"hop 4->5","cat":"hb","ts":4,"dur":0,"pid":0,"tid":7,"args":{"span":"8","parent":"7","open":"true","queue":"1"}},
+{"ph":"X","name":"wait","cat":"hb","ts":3,"dur":1,"pid":0,"tid":4,"args":{"span":"6","parent":"5"}},
+{"ph":"X","name":"hop 0->1","cat":"hb","ts":0,"dur":1,"pid":0,"tid":1,"args":{"span":"2","parent":"1"}},
+{"ph":"X","name":"packet #1","cat":"hb","ts":2,"dur":0,"pid":0,"tid":4,"args":{"span":"4","open":"true"}}
+],"displayTimeUnit":"ms"}
+"#
+        );
+    }
+
     #[test]
     fn span_tree_empty_snapshot_renders_nothing() {
         assert_eq!(SpanTreeSink.render(&Snapshot::default()), "");
