@@ -24,6 +24,7 @@ use hb_telemetry::{
     slo, ChromeTraceSink, CsvSink, JsonLinesSink, ProfileSink, ReportSink, Sink, Snapshot,
     SpanTreeSink, Telemetry, TextSink, TsConfig,
 };
+use std::io::{self, BufWriter, Write};
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -231,6 +232,7 @@ fn dispatch(cmd: Command) -> Result<(), Box<dyn std::error::Error>> {
                 sim = sim.mem(&mut mem);
             }
             let stats = sim.run(&inj, cfg);
+            let snap = tel.as_ref().map(Telemetry::snapshot);
             println!(
                 "HB({m}, {n}) uniform rate {rate} for {cycles} cycles ({}):",
                 if adaptive { "adaptive" } else { "oblivious" }
@@ -250,23 +252,19 @@ fn dispatch(cmd: Command) -> Result<(), Box<dyn std::error::Error>> {
             if threads > 1 {
                 println!("  threads     {threads} (sharded engine, deterministic)");
             }
-            if shard_stats {
-                if let Some(t) = &tel {
-                    // Only the shards that ran registered counters: the
-                    // engine runs at most one shard per node, and a run
-                    // that stays serial (span tracing live) runs none.
-                    let counters: std::collections::BTreeMap<String, u64> =
-                        t.counters().into_iter().collect();
-                    let count = |k: usize, what: &str| {
-                        counters.get(&format!("sim.shard.{k}.{what}")).copied()
+            let counter = |s: &Snapshot, name: &str| {
+                s.counters.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
+            };
+            if let (true, Some(s)) = (shard_stats, &snap) {
+                // Only the shards that ran registered counters: the
+                // engine runs at most one shard per node, and a run that
+                // stays serial (span tracing live) runs none.
+                for k in 0..threads {
+                    let Some(delivered) = counter(s, &format!("sim.shard.{k}.delivered")) else {
+                        break;
                     };
-                    for k in 0..threads {
-                        let Some(delivered) = count(k, "delivered") else {
-                            break;
-                        };
-                        let forwarded = count(k, "forwarded").unwrap_or(0);
-                        println!("  shard {k:<5} delivered {delivered}, forwarded {forwarded}");
-                    }
+                    let forwarded = counter(s, &format!("sim.shard.{k}.forwarded")).unwrap_or(0);
+                    println!("  shard {k:<5} delivered {delivered}, forwarded {forwarded}");
                 }
             }
             if flight {
@@ -282,67 +280,63 @@ fn dispatch(cmd: Command) -> Result<(), Box<dyn std::error::Error>> {
                     tl.len()
                 );
             }
-            if let Some(t) = &tel {
+            if let Some(s) = &snap {
+                let count = |name: &str| counter(s, name).unwrap_or(0);
                 if flight || timeline.is_some() {
                     println!(
                         "  reroutes    {} (unroutable {})",
-                        t.counter("sim.reroutes").get(),
-                        t.counter("sim.unroutable").get()
+                        count("sim.reroutes"),
+                        count("sim.unroutable")
                     );
                 }
                 if timeline.is_some() {
                     println!(
                         "  repair      {} event(s) in {} delta(s): kept {}, respliced {} \
                          of {} scanned routes",
-                        t.counter("sim.repair.events").get(),
-                        t.counter("sim.repair.deltas").get(),
-                        t.counter("sim.repair.kept").get(),
-                        t.counter("sim.repair.respliced").get(),
-                        t.counter("sim.repair.scanned").get(),
+                        count("sim.repair.events"),
+                        count("sim.repair.deltas"),
+                        count("sim.repair.kept"),
+                        count("sim.repair.respliced"),
+                        count("sim.repair.scanned"),
                     );
                 }
-                if let Some(q) = t.histogram("sim.latency").and_then(|h| h.quantiles()) {
+                if let Some((_, q)) = s.histograms.iter().find(|(n, _)| n == "sim.latency") {
                     println!(
                         "  latency     p50 {} / p95 {} / p99 {} / max {} cycles",
                         q.p50, q.p95, q.p99, q.max
                     );
                 }
-                let sim_cycles = t.counter(hb_telemetry::CYCLES_COUNTER).get();
-                print!("{}", t.links().render_table(sim_cycles, 16));
+                print!("{}", s.links.render_table(s.cycles.unwrap_or(0), 16));
                 if timeseries.is_some() {
                     println!(
                         "  timeseries  {} series, {} congestion event(s) \
                          (`hbnet report` renders the full run report)",
-                        t.timeseries().len(),
-                        t.congestion().len()
+                        s.timeseries.len(),
+                        s.congestion.len()
                     );
                 }
                 if telemetry == TelemetryMode::Trace {
-                    let snapshot = t.snapshot();
                     println!(
                         "  trace: {} events retained (use `hbnet telemetry` to dump)",
-                        snapshot.events.len()
+                        s.events.len()
                     );
-                    if !snapshot.spans.is_empty() {
-                        print!("{}", SpanTreeSink.render(&snapshot));
+                    if !s.spans.is_empty() {
+                        stream(&SpanTreeSink, s, io::stdout().lock())?;
                     }
                     if let Some(path) = &trace_out {
-                        std::fs::write(path, ChromeTraceSink.render(&snapshot))?;
+                        stream(&ChromeTraceSink, s, std::fs::File::create(path)?)?;
                         println!(
                             "  wrote {} spans as Chrome trace-event JSON to {path}",
-                            snapshot.spans.len()
+                            s.spans.len()
                         );
                     }
                 }
-            }
-            if profile {
-                if let Some(t) = &tel {
-                    print!("{}", ProfileSink.render(&t.snapshot()));
+                if profile {
+                    stream(&ProfileSink, s, io::stdout().lock())?;
                 }
             }
-            if let (Some(spec), Some(t)) = (slo_spec, &tel) {
-                let checks = spec.evaluate(&t.snapshot());
-                slo::emit(t, &checks);
+            if let (Some(spec), Some(s)) = (slo_spec, &snap) {
+                let checks = spec.evaluate(s);
                 let ok = slo::all_pass(&checks);
                 println!(
                     "  slo gates   {} check(s): {}",
@@ -454,7 +448,7 @@ fn dispatch(cmd: Command) -> Result<(), Box<dyn std::error::Error>> {
                 ],
                 slo: slo_spec,
             };
-            print!("{}", render(format, &sink, &snapshot));
+            stream(sink_for(format, &sink), &snapshot, io::stdout().lock())?;
             if let Some(checks) = slo_checks {
                 if !slo::all_pass(&checks) {
                     std::process::exit(1);
@@ -508,7 +502,8 @@ fn dispatch(cmd: Command) -> Result<(), Box<dyn std::error::Error>> {
                 Model::Oblivious(TraceSampling::Off)
             };
             Sim::new(&t).model(model).run(&inj, cfg);
-            print!("{}", render(format, &TextSink, &tel.snapshot()));
+            let sink = sink_for(format, &TextSink);
+            stream(sink, &tel.snapshot(), io::stdout().lock())?;
         }
         Command::Diff { a, b } => {
             let base =
@@ -652,13 +647,22 @@ fn dispatch(cmd: Command) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-/// Renders `snapshot` in `format`, with `text` drawing the text form.
-fn render(format: DumpFormat, text: &dyn Sink, snapshot: &Snapshot) -> String {
+/// The sink that draws `format`, with `text` drawing the text form.
+fn sink_for(format: DumpFormat, text: &dyn Sink) -> &dyn Sink {
     match format {
-        DumpFormat::Text => text.render(snapshot),
-        DumpFormat::Json => JsonLinesSink.render(snapshot),
-        DumpFormat::Csv => CsvSink.render(snapshot),
+        DumpFormat::Text => text,
+        DumpFormat::Json => &JsonLinesSink,
+        DumpFormat::Csv => &CsvSink,
     }
+}
+
+/// Writes `sink`'s rendition of `snapshot` to `out` through a buffer,
+/// flushed before it returns: the first write error, such as a closed
+/// pipe, comes back instead of the rest of the output.
+fn stream(sink: &dyn Sink, snapshot: &Snapshot, out: impl Write) -> io::Result<()> {
+    let mut out = BufWriter::new(out);
+    sink.write_to(snapshot, &mut out)?;
+    out.flush()
 }
 
 /// The static fault plan of `--faults` and `--fault-links`, each checked

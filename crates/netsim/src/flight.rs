@@ -264,7 +264,7 @@ mod tests {
             .faults(&plan)
             .run(&traffic, SimConfig::default().with_telemetry(tel.clone()));
         assert_eq!(off, on, "the recorder observes, it never steers");
-        assert!(!tel.spans().is_empty());
+        assert!(!tel.snapshot().spans.is_empty());
         // Summary-level telemetry records counters but no spans.
         let sum = Telemetry::summary();
         let s = Sim::new(&t)
@@ -272,7 +272,7 @@ mod tests {
             .faults(&plan)
             .run(&traffic, SimConfig::default().with_telemetry(sum.clone()));
         assert_eq!(off, s);
-        assert!(sum.spans().is_empty());
+        assert!(sum.snapshot().spans.is_empty());
         assert_eq!(sum.counter("sim.delivered").get(), s.delivered);
     }
 
@@ -298,7 +298,7 @@ mod tests {
         // another dimension order.
         assert_eq!(s.avg_hops, 4.0);
         // The reroute hop span carries the attribution.
-        let spans = tel.spans();
+        let spans = tel.snapshot().spans;
         let reroute_hop = spans
             .iter()
             .find(|sp| sp.attr("decision") == Some("reroute"))
@@ -321,7 +321,7 @@ mod tests {
             .faults(&plan)
             .run(&inj, SimConfig::default().with_telemetry(tel.clone()));
         assert_eq!(s.delivered, 1);
-        let spans = tel.spans();
+        let spans = tel.snapshot().spans;
         let root = &spans[0];
         assert_eq!(root.attr("rerouted"), Some("true"));
         let hops: Vec<_> = spans
@@ -371,7 +371,8 @@ mod tests {
             .faults(&FaultPlan::new())
             .run(&inj, SimConfig::default().with_telemetry(tel.clone()));
         let roots: Vec<_> = tel
-            .spans()
+            .snapshot()
+            .spans
             .into_iter()
             .filter(|sp| sp.parent.is_none())
             .collect();
@@ -403,7 +404,8 @@ mod tests {
             .run(&inj, SimConfig::default().with_telemetry(tel.clone()));
         assert_eq!(s.delivered, 2);
         let roots: Vec<_> = tel
-            .spans()
+            .snapshot()
+            .spans
             .into_iter()
             .filter(|sp| sp.parent.is_none())
             .collect();
@@ -423,7 +425,7 @@ mod tests {
             .model(Model::Oblivious(TraceSampling::All))
             .faults(&FaultPlan::new())
             .run(&inj, SimConfig::default().with_telemetry(tel.clone()));
-        let spans = tel.spans();
+        let spans = tel.snapshot().spans;
         let second_hop = spans
             .iter()
             .find(|sp| sp.parent.is_some() && sp.attr("queue") == Some("1"))

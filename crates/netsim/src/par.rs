@@ -507,7 +507,11 @@ mod tests {
                     let (par, tel_p) = run(threads);
                     let at = format!("capacity {capacity}, {threads} threads, {plan:?}");
                     assert_eq!(serial, par, "{at}");
-                    assert_eq!(snap_s.events, tel_p.events(), "exact event order, {at}");
+                    assert_eq!(
+                        snap_s.events,
+                        tel_p.snapshot().events,
+                        "exact event order, {at}"
+                    );
                     assert_eq!(snap_s, tel_p.snapshot(), "{at}");
                 }
             }
@@ -531,7 +535,8 @@ mod tests {
             .sum();
         assert_eq!(per_shard, stats.delivered);
         let shard_spans: Vec<_> = tel
-            .spans()
+            .snapshot()
+            .spans
             .into_iter()
             .filter(|sp| sp.name.starts_with("shard "))
             .collect();

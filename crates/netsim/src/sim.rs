@@ -692,8 +692,8 @@ mod tests {
         assert!(q.p50 <= q.p95 && q.p95 <= q.p99 && q.p99 <= q.max);
         // Every hop of every delivered packet crossed exactly one link.
         let hops = tel.histogram("sim.hops").unwrap();
-        assert_eq!(tel.links().total_forwarded(), hops.sum());
-        assert!(!tel.events().is_empty());
+        assert_eq!(tel.snapshot().links.total_forwarded(), hops.sum());
+        assert!(!tel.snapshot().events.is_empty());
         assert_eq!(tel.snapshot().cycles, Some(on.cycles));
     }
 
@@ -703,11 +703,14 @@ mod tests {
         let inj: Vec<Injection> = (0..6).map(|_| inj(0, 1, 0)).collect();
         let tel = hb_telemetry::Telemetry::summary();
         let s = Sim::new(&t).run(&inj, SimConfig::default().with_telemetry(tel.clone()));
-        let links = tel.links();
+        let links = tel.snapshot().links;
         let per_link_peak = links.iter().map(|(_, r)| r.peak_queue).max().unwrap();
         assert_eq!(per_link_peak, s.peak_queue);
         assert_eq!(links.get(0, 1).unwrap().forwarded, 6);
-        assert!(tel.events().is_empty(), "summary level records no trace");
+        assert!(
+            tel.snapshot().events.is_empty(),
+            "summary level records no trace"
+        );
     }
 
     #[test]
@@ -734,7 +737,8 @@ mod tests {
         assert_eq!(s.delivered, 2);
         assert_eq!(tel.counter("sim.dropped").get(), 8);
         let drops = tel
-            .events()
+            .snapshot()
+            .events
             .iter()
             .filter(|e| matches!(e, hb_telemetry::Event::PacketDropped { .. }))
             .count();
@@ -808,7 +812,7 @@ mod tests {
             .run(&inj, SimConfig::default().with_telemetry(tel.clone()));
         assert_eq!(s.delivered, 8);
         // Minimal adaptivity: every packet takes exactly 4 hops.
-        assert_eq!(tel.links().total_forwarded(), 8 * 4);
+        assert_eq!(tel.snapshot().links.total_forwarded(), 8 * 4);
     }
 
     /// HB(2, 3) node 29 lists its neighbors as `[5, 36, 37, 41, 45, 77]`.
@@ -831,7 +835,8 @@ mod tests {
             .run(&[inj(29, 85, 0)], cfg);
         assert_eq!((s.delivered, s.avg_hops), (1, 2.0));
         let used: Vec<(u32, u32)> = tel
-            .links()
+            .snapshot()
+            .links
             .iter()
             .filter(|(_, r)| r.forwarded > 0)
             .map(|(key, _)| (key.from, key.to))
@@ -923,7 +928,7 @@ mod tests {
         let tel = hb_telemetry::Telemetry::with_trace(4096);
         tel.enable_timeseries(hb_telemetry::TsConfig::new(4));
         Sim::new(&t).run(&inj, SimConfig::default().with_telemetry(tel.clone()));
-        let events = tel.congestion();
+        let events = tel.snapshot().congestion;
         assert!(
             events
                 .iter()
@@ -934,7 +939,8 @@ mod tests {
         );
         // Detection also lands in the event trace.
         assert!(tel
-            .events()
+            .snapshot()
+            .events
             .iter()
             .any(|e| matches!(e, Event::Congestion { .. })));
     }
@@ -1167,7 +1173,8 @@ mod tests {
             let tel = Telemetry::summary();
             tel.enable_timeseries(hb_telemetry::TsConfig::new(5));
             let stats = sim.run(&traffic, SimConfig::default().with_telemetry(tel.clone()));
-            let counters: std::collections::BTreeMap<_, _> = tel.counters().into_iter().collect();
+            let counters: std::collections::BTreeMap<_, _> =
+                tel.snapshot().counters.into_iter().collect();
             let series = tel.series();
             let fault = ["sim.reroutes", "sim.unroutable"]
                 .map(|k| (counters.get(k).copied(), series.contains_key(k)));

@@ -277,18 +277,19 @@ fn the_pinned_runs_exercise_every_model_path() {
         .run(&inj, cfg);
     assert!(tel.counter("sim.unroutable").get() > 0);
     assert!(tel.counter("sim.reroutes").get() > 0);
-    assert!(!tel.spans().is_empty());
+    assert!(!tel.snapshot().spans.is_empty());
     // ...and bounded queues both drop at the source and block in transit.
     let (cfg, tel) = config();
     let b = Sim::new(&t).model(Model::Bounded(2)).run(&inj, cfg);
     assert!(tel.counter("sim.dropped").get() > 0);
-    let busy: u64 = tel.links().iter().map(|(_, r)| r.busy_cycles).sum();
-    assert!(busy > tel.links().total_forwarded(), "some heads blocked");
+    let links = tel.snapshot().links;
+    let busy: u64 = links.iter().map(|(_, r)| r.busy_cycles).sum();
+    assert!(busy > links.total_forwarded(), "some heads blocked");
     assert_eq!(b.delivered + b.stranded, b.offered);
     // The hot node congests enough for the detector to fire.
     let (cfg, tel) = config();
     Sim::new(&t).model(Model::Adaptive).run(&inj, cfg);
-    assert!(!tel.congestion().is_empty());
+    assert!(!tel.snapshot().congestion.is_empty());
     // On a shared handle the second run's link series replace the
     // first's, and links only the first run touched keep theirs.
     let (cfg, first) = config();

@@ -83,7 +83,7 @@ proptest! {
             for &k in order {
                 Sim::new(&t).run(&parts[k], SimConfig::default().with_telemetry(tel.clone()));
             }
-            tel.links()
+            tel.snapshot().links
         };
         let forward = stats_of(&[0, 1, 2]);
         let backward = stats_of(&[2, 1, 0]);

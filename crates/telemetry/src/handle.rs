@@ -5,7 +5,7 @@ use crate::histogram::Histogram;
 use crate::links::LinkStats;
 use crate::profile::Profile;
 use crate::sink::{HistogramSummary, Snapshot};
-use crate::span::{SpanId, SpanRecord, SpanStore};
+use crate::span::{SpanId, SpanStore};
 use crate::timeseries::{
     detect_congestion, CongestionEvent, DetectorConfig, LinkSeries, Series, SeriesStore, TsConfig,
 };
@@ -149,11 +149,6 @@ impl Telemetry {
             .clone()
     }
 
-    /// Every counter's current value, sorted by name.
-    pub fn counters(&self) -> Vec<(String, u64)> {
-        counter_values(&self.state().counters)
-    }
-
     /// Merges a locally accumulated histogram into the one named `name`
     /// (hot loops accumulate privately, then merge once).
     pub fn merge_histogram(&self, name: &str, h: &Histogram) {
@@ -180,11 +175,6 @@ impl Telemetry {
         }
     }
 
-    /// The accumulated link stats, shared rather than copied.
-    pub fn links(&self) -> Arc<LinkStats> {
-        Arc::clone(&self.state().links)
-    }
-
     /// Pushes an event if tracing is on; `make` is not even called
     /// otherwise.
     #[inline]
@@ -203,11 +193,6 @@ impl Telemetry {
     /// under the handle's lock, so it must not reach the handle.
     pub fn append_events(&self, events: impl IntoIterator<Item = Event>, evicted: u64) {
         self.state().trace.append(events, evicted);
-    }
-
-    /// Retained trace events, oldest first.
-    pub fn events(&self) -> Vec<Event> {
-        self.state().trace.to_vec()
     }
 
     /// Starts a causal span at logical time `start`. Returns `None` when
@@ -237,16 +222,6 @@ impl Telemetry {
         if let Some(id) = id {
             self.state().spans.attr(id, key, value);
         }
-    }
-
-    /// All recorded spans, in id order.
-    pub fn spans(&self) -> Vec<SpanRecord> {
-        self.state().spans.spans().to_vec()
-    }
-
-    /// Spans refused because the bounded store was full.
-    pub fn spans_dropped(&self) -> u64 {
-        self.state().spans.dropped()
     }
 
     /// Turns windowed time-series sampling on. Runners that see
@@ -308,23 +283,13 @@ impl Telemetry {
 
     /// Owned copies of every merged series, name-ordered, link series
     /// named `link.U->V.queue`. This formats and copies every link
-    /// series; [`Self::timeseries`] shares them instead.
+    /// series; a [`Self::snapshot`] shares them instead.
     pub fn series(&self) -> BTreeMap<String, Series> {
         self.state()
             .series
             .iter()
             .map(|(name, s)| (name.to_string(), s.to_series()))
             .collect()
-    }
-
-    /// Every merged series, the link store shared rather than copied.
-    pub fn timeseries(&self) -> SeriesStore {
-        self.state().series.clone()
-    }
-
-    /// Congestion events found by the last [`Self::detect_congestion`].
-    pub fn congestion(&self) -> Vec<CongestionEvent> {
-        self.state().congestion.clone()
     }
 
     /// Merges a locally accumulated work-attribution profile into the
@@ -344,7 +309,11 @@ impl Telemetry {
     /// [`crate::Sink`], read under one acquisition of the lock.
     pub fn snapshot(&self) -> Snapshot {
         let st = self.state();
-        let counters = counter_values(&st.counters);
+        let counters: Vec<(String, u64)> = st
+            .counters
+            .iter()
+            .map(|(n, c)| (n.clone(), c.get()))
+            .collect();
         let cycles = counters
             .iter()
             .find(|(n, _)| n == CYCLES_COUNTER)
@@ -385,11 +354,6 @@ impl Telemetry {
     }
 }
 
-/// Each counter's current value, in name order.
-fn counter_values(counters: &BTreeMap<String, Counter>) -> Vec<(String, u64)> {
-    counters.iter().map(|(n, c)| (n.clone(), c.get())).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -416,7 +380,7 @@ mod tests {
         a.add(1);
         b.add(4);
         assert_eq!(a.get(), 5);
-        assert_eq!(t.counters(), vec![("packets".to_string(), 5)]);
+        assert_eq!(t.snapshot().counters, vec![("packets".to_string(), 5)]);
     }
 
     #[test]
@@ -424,7 +388,7 @@ mod tests {
         let t = Telemetry::summary();
         t.counter("zeta").add(1);
         t.counter("alpha").add(1);
-        let names: Vec<String> = t.counters().into_iter().map(|(n, _)| n).collect();
+        let names: Vec<String> = t.snapshot().counters.into_iter().map(|(n, _)| n).collect();
         assert_eq!(names, vec!["alpha", "zeta"]);
     }
 
@@ -441,7 +405,7 @@ mod tests {
             }
         });
         assert!(!called, "summary level must not build events");
-        assert!(s.events().is_empty());
+        assert!(s.snapshot().events.is_empty());
 
         let t = Telemetry::with_trace(8);
         t.event(|| Event::PacketDropped {
@@ -449,14 +413,14 @@ mod tests {
             at: 1,
             cycle: 2,
         });
-        assert_eq!(t.events().len(), 1);
+        assert_eq!(t.snapshot().events.len(), 1);
     }
 
     #[test]
     fn spans_are_gated_by_level() {
         let s = Telemetry::summary();
         assert!(s.span_start("packet", None, 0).is_none());
-        assert_eq!(s.spans_dropped(), 0, "disabled, not dropped");
+        assert_eq!(s.snapshot().spans_dropped, 0, "disabled, not dropped");
 
         let t = Telemetry::with_trace(8);
         let root = t.span_start("packet #0", None, 0);
@@ -465,7 +429,7 @@ mod tests {
         t.span_attr(hop, "queue", "2");
         t.span_end(hop, 3);
         t.span_end(root, 5);
-        let spans = t.spans();
+        let spans = t.snapshot().spans;
         assert_eq!(spans.len(), 2);
         assert_eq!(spans[1].parent, root);
         assert_eq!(spans[1].attr("queue"), Some("2"));

@@ -1,7 +1,11 @@
 //! Pluggable renderers for telemetry snapshots.
 //!
 //! A [`Snapshot`] is a point-in-time copy of every instrument; a
-//! [`Sink`] turns it into text. Three formats ship here:
+//! [`Sink`] writes it as text into any [`Write`]r, row by row, so no
+//! sink holds its output: a JSON or CSV dump of a large run costs no
+//! more memory than the snapshot it reads. [`Sink::render`] collects the
+//! same bytes into a `String` for tests and goldens. Seven sinks ship
+//! here:
 //!
 //! * [`TextSink`] — fixed-width tables for terminals (the style of
 //!   `hb-core::metrics::render_table`);
@@ -19,6 +23,9 @@
 //!   per-window phase timeline, top-k congested links with sparkline
 //!   bars, detected anomalies, and optional SLO gate verdicts (the
 //!   `hbnet report` renderer).
+//!
+//! The two span sinks resolve parent links through one id index built
+//! per rendition, so they take O(n log n) time in the spans they print.
 
 use crate::links::{keep_top, LinkStats};
 use crate::profile::Profile;
@@ -26,6 +33,8 @@ use crate::slo::SloSpec;
 use crate::span::{SpanId, SpanRecord};
 use crate::timeseries::{CongestionEvent, SeriesStore};
 use crate::trace::Event;
+use std::collections::BTreeMap;
+use std::io::{self, Write};
 use std::sync::Arc;
 
 /// Summary statistics of one named histogram.
@@ -78,10 +87,19 @@ pub struct Snapshot {
     pub profile: Profile,
 }
 
-/// Renders a [`Snapshot`] to a string.
+/// Renders a [`Snapshot`] into a writer.
 pub trait Sink {
-    /// Produces the rendition.
-    fn render(&self, snapshot: &Snapshot) -> String;
+    /// Writes the rendition to `w` as it goes, returning the first
+    /// error `w` reports.
+    fn write_to(&self, snapshot: &Snapshot, w: &mut dyn Write) -> io::Result<()>;
+
+    /// The rendition as a string: the bytes [`Self::write_to`] writes.
+    fn render(&self, snapshot: &Snapshot) -> String {
+        let mut out = Vec::new();
+        self.write_to(snapshot, &mut out)
+            .expect("invariant: writing to a Vec never fails");
+        String::from_utf8(out).expect("invariant: sinks write UTF-8")
+    }
 }
 
 /// Fixed-width text tables for terminals: the 16 busiest links, the
@@ -97,89 +115,88 @@ const TEXT_MAX_EVENTS: usize = 32;
 const TEXT_MAX_SERIES: usize = 16;
 
 impl Sink for TextSink {
-    fn render(&self, s: &Snapshot) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
+    fn write_to(&self, s: &Snapshot, w: &mut dyn Write) -> io::Result<()> {
         if !s.counters.is_empty() {
-            let _ = writeln!(out, "counters:");
+            writeln!(w, "counters:")?;
             for (n, v) in &s.counters {
-                let _ = writeln!(out, "  {n:<32} {v:>12}");
+                writeln!(w, "  {n:<32} {v:>12}")?;
             }
         }
         if !s.histograms.is_empty() {
-            let _ = writeln!(
-                out,
+            writeln!(
+                w,
                 "{:<24} {:>9} {:>9} {:>6} {:>6} {:>6} {:>6} {:>8}",
                 "histogram", "count", "mean", "min", "p50", "p95", "p99", "max"
-            );
+            )?;
             for (n, h) in &s.histograms {
-                let _ = writeln!(
-                    out,
+                writeln!(
+                    w,
                     "{:<24} {:>9} {:>9.2} {:>6} {:>6} {:>6} {:>6} {:>8}",
                     n, h.count, h.mean, h.min, h.p50, h.p95, h.p99, h.max
-                );
+                )?;
             }
         }
         if !s.profile.is_empty() {
-            let _ = writeln!(
-                out,
+            writeln!(
+                w,
                 "work profile ({} phases, {} work units):",
                 s.profile.len(),
                 s.profile.total_work()
-            );
-            let _ = writeln!(
-                out,
+            )?;
+            writeln!(
+                w,
                 "  {:<30} {:>12} {:>14} {:>10}",
                 "phase", "invocations", "work", "work/inv"
-            );
+            )?;
             for (path, st) in s.profile.iter() {
-                let _ = writeln!(
-                    out,
+                writeln!(
+                    w,
                     "  {:<30} {:>12} {:>14} {:>10.2}",
                     path,
                     st.invocations,
                     st.work,
                     st.work_per_invocation()
-                );
+                )?;
             }
         }
         if !s.links.is_empty() {
-            let _ = writeln!(
-                out,
+            writeln!(
+                w,
                 "per-link utilization ({} links{}):",
                 s.links.len(),
                 s.cycles.map_or(String::new(), |c| format!(", {c} cycles"))
-            );
-            out.push_str(&s.links.render_table(s.cycles.unwrap_or(0), TEXT_TOP_LINKS));
+            )?;
+            let table = s.links.render_table(s.cycles.unwrap_or(0), TEXT_TOP_LINKS);
+            w.write_all(table.as_bytes())?;
         }
         if !s.timeseries.is_empty() {
-            let _ = writeln!(out, "time-series ({} series):", s.timeseries.len());
+            writeln!(w, "time-series ({} series):", s.timeseries.len())?;
             for (n, series) in s.timeseries.iter().take(TEXT_MAX_SERIES) {
                 let hwm = series
                     .high_watermark()
                     .map_or(String::new(), |(v, c)| format!(", hwm {v} @ cycle {c}"));
-                let _ = writeln!(
-                    out,
+                writeln!(
+                    w,
                     "  {:<32} {:>4} windows x{} cadence ({} dropped){hwm}",
                     n,
                     series.len(),
                     series.cadence(),
                     series.dropped_windows()
-                );
+                )?;
             }
             if s.timeseries.len() > TEXT_MAX_SERIES {
-                let _ = writeln!(
-                    out,
+                writeln!(
+                    w,
                     "  ({} more series not shown)",
                     s.timeseries.len() - TEXT_MAX_SERIES
-                );
+                )?;
             }
         }
         if !s.congestion.is_empty() {
-            let _ = writeln!(out, "congestion ({} events):", s.congestion.len());
+            writeln!(w, "congestion ({} events):", s.congestion.len())?;
             for e in &s.congestion {
-                let _ = writeln!(
-                    out,
+                writeln!(
+                    w,
                     "  [{:>8}] {:<12} {:<32} windows {}..{} peak {}",
                     e.severity.label(),
                     e.kind.label(),
@@ -187,64 +204,62 @@ impl Sink for TextSink {
                     e.window_start,
                     e.window_end,
                     e.peak
-                );
+                )?;
             }
         }
         if !s.events.is_empty() || s.events_dropped > 0 {
-            let _ = writeln!(
-                out,
+            writeln!(
+                w,
                 "trace ({} events retained, {} dropped):",
                 s.events.len(),
                 s.events_dropped
-            );
+            )?;
             let skip = s.events.len().saturating_sub(TEXT_MAX_EVENTS);
             if skip > 0 {
-                let _ = writeln!(out, "  ... {skip} earlier events omitted");
+                writeln!(w, "  ... {skip} earlier events omitted")?;
             }
             for e in s.events.iter().skip(skip) {
-                let _ = writeln!(out, "  {}", event_text(e));
+                write_event_text(w, e)?;
             }
         }
         if !s.spans.is_empty() || s.spans_dropped > 0 {
-            let _ = writeln!(
-                out,
+            writeln!(
+                w,
                 "spans: {} recorded, {} dropped",
                 s.spans.len(),
                 s.spans_dropped
-            );
+            )?;
         }
-        out
+        Ok(())
     }
 }
 
-fn event_text(e: &Event) -> String {
+/// Writes `e` as one indented line of [`TextSink`]'s trace section.
+fn write_event_text(w: &mut dyn Write, e: &Event) -> io::Result<()> {
     match e {
         Event::PacketInjected {
             id,
             src,
             dst,
             cycle,
-        } => {
-            format!("[{cycle:>6}] inject  #{id} {src} -> {dst}")
-        }
+        } => writeln!(w, "  [{cycle:>6}] inject  #{id} {src} -> {dst}"),
         Event::PacketHop {
             id,
             from,
             to,
             cycle,
-        } => {
-            format!("[{cycle:>6}] hop     #{id} {from} -> {to}")
-        }
+        } => writeln!(w, "  [{cycle:>6}] hop     #{id} {from} -> {to}"),
         Event::PacketDelivered {
             id,
             dst,
             latency,
             cycle,
-        } => {
-            format!("[{cycle:>6}] deliver #{id} at {dst} (latency {latency})")
-        }
+        } => writeln!(
+            w,
+            "  [{cycle:>6}] deliver #{id} at {dst} (latency {latency})"
+        ),
         Event::PacketDropped { id, at, cycle } => {
-            format!("[{cycle:>6}] drop    #{id} at {at}")
+            writeln!(w, "  [{cycle:>6}] drop    #{id} at {at}")
         }
         Event::Congestion {
             kind,
@@ -253,24 +268,22 @@ fn event_text(e: &Event) -> String {
             window_start,
             window_end,
             peak,
-        } => {
-            format!(
-                "[w {window_start:>4}..{window_end:<4}] {} {} {subject} (peak {peak})",
-                severity.label(),
-                kind.label()
-            )
-        }
+        } => writeln!(
+            w,
+            "  [w {window_start:>4}..{window_end:<4}] {} {} {subject} (peak {peak})",
+            severity.label(),
+            kind.label()
+        ),
         Event::SloCheck {
             name,
             threshold,
             actual,
             pass,
-        } => {
-            format!(
-                "[   slo] {} {name} {threshold} (actual {actual})",
-                if *pass { "pass" } else { "FAIL" }
-            )
-        }
+        } => writeln!(
+            w,
+            "  [   slo] {} {name} {threshold} (actual {actual})",
+            if *pass { "pass" } else { "FAIL" }
+        ),
     }
 }
 
@@ -292,14 +305,16 @@ pub fn json_escape(s: &str) -> String {
     out
 }
 
-fn event_json(e: &Event) -> String {
+/// Writes `e` as one line of [`JsonLinesSink`].
+fn write_event_json(w: &mut dyn Write, e: &Event) -> io::Result<()> {
     match e {
         Event::PacketInjected {
             id,
             src,
             dst,
             cycle,
-        } => format!(
+        } => writeln!(
+            w,
             "{{\"type\":\"event\",\"kind\":\"packet_injected\",\"id\":{id},\"src\":{src},\
              \"dst\":{dst},\"cycle\":{cycle}}}"
         ),
@@ -308,7 +323,8 @@ fn event_json(e: &Event) -> String {
             from,
             to,
             cycle,
-        } => format!(
+        } => writeln!(
+            w,
             "{{\"type\":\"event\",\"kind\":\"packet_hop\",\"id\":{id},\"from\":{from},\
              \"to\":{to},\"cycle\":{cycle}}}"
         ),
@@ -317,11 +333,13 @@ fn event_json(e: &Event) -> String {
             dst,
             latency,
             cycle,
-        } => format!(
+        } => writeln!(
+            w,
             "{{\"type\":\"event\",\"kind\":\"packet_delivered\",\"id\":{id},\"dst\":{dst},\
              \"latency\":{latency},\"cycle\":{cycle}}}"
         ),
-        Event::PacketDropped { id, at, cycle } => format!(
+        Event::PacketDropped { id, at, cycle } => writeln!(
+            w,
             "{{\"type\":\"event\",\"kind\":\"packet_dropped\",\"id\":{id},\"at\":{at},\
              \"cycle\":{cycle}}}"
         ),
@@ -332,7 +350,8 @@ fn event_json(e: &Event) -> String {
             window_start,
             window_end,
             peak,
-        } => format!(
+        } => writeln!(
+            w,
             "{{\"type\":\"event\",\"kind\":\"congestion\",\"congestion\":\"{}\",\
              \"severity\":\"{}\",\"subject\":\"{}\",\"window_start\":{window_start},\
              \"window_end\":{window_end},\"peak\":{peak}}}",
@@ -345,7 +364,8 @@ fn event_json(e: &Event) -> String {
             threshold,
             actual,
             pass,
-        } => format!(
+        } => writeln!(
+            w,
             "{{\"type\":\"event\",\"kind\":\"slo_check\",\"name\":\"{}\",\
              \"threshold\":\"{}\",\"actual\":\"{}\",\"pass\":{pass}}}",
             json_escape(name),
@@ -355,24 +375,33 @@ fn event_json(e: &Event) -> String {
     }
 }
 
+/// Writes `v` as a JSON number, or `null` for `None`.
+fn write_json_opt(w: &mut dyn Write, v: Option<u64>) -> io::Result<()> {
+    match v {
+        Some(v) => write!(w, "{v}"),
+        None => w.write_all(b"null"),
+    }
+}
+
 /// One JSON object per line: counters, histograms, links, then
 /// events. Floats are printed with up to 6 decimal places.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct JsonLinesSink;
 
 impl Sink for JsonLinesSink {
-    fn render(&self, s: &Snapshot) -> String {
-        let mut out = String::new();
+    fn write_to(&self, s: &Snapshot, w: &mut dyn Write) -> io::Result<()> {
         for (n, v) in &s.counters {
-            out.push_str(&format!(
-                "{{\"type\":\"counter\",\"name\":\"{}\",\"value\":{v}}}\n",
+            writeln!(
+                w,
+                "{{\"type\":\"counter\",\"name\":\"{}\",\"value\":{v}}}",
                 json_escape(n)
-            ));
+            )?;
         }
         for (n, h) in &s.histograms {
-            out.push_str(&format!(
+            writeln!(
+                w,
                 "{{\"type\":\"histogram\",\"name\":\"{}\",\"count\":{},\"mean\":{:.6},\
-                 \"min\":{},\"p50\":{},\"p95\":{},\"p99\":{},\"max\":{}}}\n",
+                 \"min\":{},\"p50\":{},\"p95\":{},\"p99\":{},\"max\":{}}}",
                 json_escape(n),
                 h.count,
                 h.mean,
@@ -381,89 +410,92 @@ impl Sink for JsonLinesSink {
                 h.p95,
                 h.p99,
                 h.max
-            ));
+            )?;
         }
         for (path, st) in s.profile.iter() {
-            out.push_str(&format!(
-                "{{\"type\":\"profile\",\"phase\":\"{}\",\"invocations\":{},\"work\":{}}}\n",
+            writeln!(
+                w,
+                "{{\"type\":\"profile\",\"phase\":\"{}\",\"invocations\":{},\"work\":{}}}",
                 json_escape(path),
                 st.invocations,
                 st.work
-            ));
+            )?;
         }
         for l in s.links.utilization_rows(s.cycles.unwrap_or(0), 0) {
-            out.push_str(&format!(
+            writeln!(
+                w,
                 "{{\"type\":\"link\",\"from\":{},\"to\":{},\"forwarded\":{},\
-                 \"busy_cycles\":{},\"peak_queue\":{},\"utilization\":{:.6}}}\n",
+                 \"busy_cycles\":{},\"peak_queue\":{},\"utilization\":{:.6}}}",
                 l.key.from,
                 l.key.to,
                 l.record.forwarded,
                 l.record.busy_cycles,
                 l.record.peak_queue,
                 l.utilization
-            ));
+            )?;
         }
         for (n, series) in s.timeseries.iter() {
-            let windows = series
-                .windows()
-                .map(|w| {
-                    format!(
-                        "{{\"index\":{},\"min\":{},\"max\":{},\"sum\":{},\
-                         \"count\":{},\"last\":{}}}",
-                        w.index, w.min, w.max, w.sum, w.count, w.last
-                    )
-                })
-                .collect::<Vec<_>>()
-                .join(",");
-            let (hwm_v, hwm_c) = series.high_watermark().map_or_else(
-                || ("null".to_string(), "null".to_string()),
-                |(v, c)| (v.to_string(), c.to_string()),
-            );
-            out.push_str(&format!(
+            write!(
+                w,
                 "{{\"type\":\"series\",\"name\":\"{}\",\"cadence\":{},\
-                 \"dropped_windows\":{},\"hwm_value\":{hwm_v},\"hwm_cycle\":{hwm_c},\
-                 \"windows\":[{windows}]}}\n",
+                 \"dropped_windows\":{},\"hwm_value\":",
                 json_escape(&n.to_string()),
                 series.cadence(),
                 series.dropped_windows(),
-            ));
+            )?;
+            let hwm = series.high_watermark();
+            write_json_opt(w, hwm.map(|(v, _)| v))?;
+            w.write_all(b",\"hwm_cycle\":")?;
+            write_json_opt(w, hwm.map(|(_, c)| c))?;
+            w.write_all(b",\"windows\":[")?;
+            for (i, win) in series.windows().enumerate() {
+                if i > 0 {
+                    w.write_all(b",")?;
+                }
+                write!(
+                    w,
+                    "{{\"index\":{},\"min\":{},\"max\":{},\"sum\":{},\"count\":{},\"last\":{}}}",
+                    win.index, win.min, win.max, win.sum, win.count, win.last
+                )?;
+            }
+            writeln!(w, "]}}")?;
         }
         for e in &s.congestion {
-            out.push_str(&format!(
+            writeln!(
+                w,
                 "{{\"type\":\"congestion\",\"kind\":\"{}\",\"severity\":\"{}\",\
-                 \"subject\":\"{}\",\"window_start\":{},\"window_end\":{},\"peak\":{}}}\n",
+                 \"subject\":\"{}\",\"window_start\":{},\"window_end\":{},\"peak\":{}}}",
                 e.kind.label(),
                 e.severity.label(),
                 json_escape(&e.subject),
                 e.window_start,
                 e.window_end,
                 e.peak
-            ));
+            )?;
         }
         for e in &s.events {
-            out.push_str(&event_json(e));
-            out.push('\n');
+            write_event_json(w, e)?;
         }
         for sp in &s.spans {
-            let parent = sp
-                .parent
-                .map_or_else(|| "null".to_string(), |p| p.get().to_string());
-            let end = sp.end.map_or_else(|| "null".to_string(), |e| e.to_string());
-            let attrs = sp
-                .attrs
-                .iter()
-                .map(|(k, v)| format!("\"{}\":\"{}\"", json_escape(k), json_escape(v)))
-                .collect::<Vec<_>>()
-                .join(",");
-            out.push_str(&format!(
-                "{{\"type\":\"span\",\"id\":{},\"parent\":{parent},\"name\":\"{}\",\
-                 \"start\":{},\"end\":{end},\"attrs\":{{{attrs}}}}}\n",
-                sp.id.get(),
+            write!(w, "{{\"type\":\"span\",\"id\":{},\"parent\":", sp.id)?;
+            write_json_opt(w, sp.parent.map(SpanId::get))?;
+            write!(
+                w,
+                ",\"name\":\"{}\",\"start\":{},\"end\":",
                 json_escape(&sp.name),
-                sp.start,
-            ));
+                sp.start
+            )?;
+            write_json_opt(w, sp.end)?;
+            w.write_all(b",\"attrs\":{")?;
+            for (i, (k, v)) in sp.attrs.iter().enumerate() {
+                if i > 0 {
+                    w.write_all(b",")?;
+                }
+                write!(w, "\"{}\":\"{}\"", json_escape(k), json_escape(v))?;
+            }
+            writeln!(w, "}}}}")?;
         }
-        out
+        Ok(())
     }
 }
 
@@ -479,108 +511,111 @@ impl Sink for JsonLinesSink {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ChromeTraceSink;
 
-/// The id of `id`'s root ancestor within `spans` (itself when its
-/// parent is absent — arbitrary snapshots may hold orphaned links).
-fn root_ancestor(spans: &[SpanRecord], id: SpanId) -> SpanId {
-    let parent_of = |id: SpanId| spans.iter().find(|sp| sp.id == id).and_then(|sp| sp.parent);
-    let mut cur = id;
-    let mut steps = 0;
-    while let Some(p) = parent_of(cur) {
-        steps += 1;
-        if p >= cur || steps > spans.len() {
-            break; // malformed link cycle in a hand-built snapshot
-        }
-        cur = p;
+/// Each span id's position in `spans`, the first one where an id
+/// repeats. A snapshot lists its spans in id order, but a filtered or
+/// hand-built one may list a child before its parent or orphan a span.
+fn span_index(spans: &[SpanRecord]) -> BTreeMap<SpanId, usize> {
+    let mut index = BTreeMap::new();
+    for (at, sp) in spans.iter().enumerate() {
+        index.entry(sp.id).or_insert(at);
     }
-    cur
+    index
+}
+
+/// Each span id's root ancestor: its parent links followed while each
+/// leads to a smaller id (a hand-built snapshot may link in cycles), up
+/// to the first id absent from `spans`, which is the root. Ids ascend,
+/// so a parent's root is known before its children ask for it.
+fn root_ancestors(spans: &[SpanRecord]) -> BTreeMap<SpanId, SpanId> {
+    let mut roots = BTreeMap::new();
+    for (id, at) in span_index(spans) {
+        let root = match spans[at].parent {
+            Some(p) if p < id => roots.get(&p).copied().unwrap_or(p),
+            _ => id,
+        };
+        roots.insert(id, root);
+    }
+    roots
 }
 
 impl Sink for ChromeTraceSink {
-    fn render(&self, s: &Snapshot) -> String {
-        let mut out = String::from("{\"traceEvents\":[\n");
+    fn write_to(&self, s: &Snapshot, w: &mut dyn Write) -> io::Result<()> {
+        let roots = root_ancestors(&s.spans);
+        w.write_all(b"{\"traceEvents\":[\n")?;
         for (i, sp) in s.spans.iter().enumerate() {
-            let mut args = format!("\"span\":\"{}\"", sp.id);
-            if let Some(p) = sp.parent {
-                args.push_str(&format!(",\"parent\":\"{p}\""));
-            }
-            if sp.end.is_none() {
-                args.push_str(",\"open\":\"true\"");
-            }
-            for (k, v) in &sp.attrs {
-                args.push_str(&format!(",\"{}\":\"{}\"", json_escape(k), json_escape(v)));
-            }
-            out.push_str(&format!(
+            write!(
+                w,
                 "{{\"ph\":\"X\",\"name\":\"{}\",\"cat\":\"hb\",\"ts\":{},\"dur\":{},\
-                 \"pid\":0,\"tid\":{},\"args\":{{{args}}}}}",
+                 \"pid\":0,\"tid\":{},\"args\":{{\"span\":\"{}\"",
                 json_escape(&sp.name),
                 sp.start,
                 sp.duration(),
-                root_ancestor(&s.spans, sp.id),
-            ));
-            if i + 1 < s.spans.len() {
-                out.push(',');
+                roots[&sp.id],
+                sp.id
+            )?;
+            if let Some(p) = sp.parent {
+                write!(w, ",\"parent\":\"{p}\"")?;
             }
-            out.push('\n');
+            if sp.end.is_none() {
+                w.write_all(b",\"open\":\"true\"")?;
+            }
+            for (k, v) in &sp.attrs {
+                write!(w, ",\"{}\":\"{}\"", json_escape(k), json_escape(v))?;
+            }
+            let last = i + 1 == s.spans.len();
+            w.write_all(if last { b"}}\n" } else { b"}},\n" })?;
         }
-        out.push_str("],\"displayTimeUnit\":\"ms\"}\n");
-        out
+        w.write_all(b"],\"displayTimeUnit\":\"ms\"}\n")
     }
 }
 
-/// Human-readable causal span trees: roots in id order, children
-/// indented beneath their parents.
+/// Human-readable causal span trees: roots, and each span's children
+/// indented beneath it, in the order the snapshot lists them (id order
+/// for a handle's snapshot).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SpanTreeSink;
 
-fn render_span_line(out: &mut String, sp: &SpanRecord, depth: usize) {
-    use std::fmt::Write;
-    let end = sp.end.map_or_else(|| "open".to_string(), |e| e.to_string());
-    let _ = write!(
-        out,
-        "{}[{}..{}] {}",
-        "  ".repeat(depth),
-        sp.start,
-        end,
-        sp.name
-    );
-    for (k, v) in &sp.attrs {
-        let _ = write!(out, " {k}={v}");
-    }
-    out.push('\n');
-}
-
-fn render_span_subtree(out: &mut String, spans: &[SpanRecord], id: SpanId, depth: usize) {
-    if let Some(sp) = spans.iter().find(|sp| sp.id == id) {
-        render_span_line(out, sp, depth);
-        for child in spans.iter().filter(|c| c.parent == Some(id)) {
-            render_span_subtree(out, spans, child.id, depth + 1);
-        }
-    }
-}
-
 impl Sink for SpanTreeSink {
-    fn render(&self, s: &Snapshot) -> String {
-        let mut out = String::new();
+    fn write_to(&self, s: &Snapshot, w: &mut dyn Write) -> io::Result<()> {
         if s.spans.is_empty() && s.spans_dropped == 0 {
-            return out;
+            return Ok(());
         }
-        out.push_str(&format!(
-            "spans ({} recorded, {} dropped):\n",
+        writeln!(
+            w,
+            "spans ({} recorded, {} dropped):",
             s.spans.len(),
             s.spans_dropped
-        ));
-        // A span whose parent is absent from the snapshot renders as a
-        // root, so orphans stay visible instead of vanishing.
-        for sp in &s.spans {
-            let is_root = match sp.parent {
-                None => true,
-                Some(p) => !s.spans.iter().any(|o| o.id == p),
-            };
-            if is_root {
-                render_span_subtree(&mut out, &s.spans, sp.id, 1);
+        )?;
+        // Each id renders its first record once; a later record of the
+        // same id is skipped, so every span has one parent and the walk
+        // ends. A span whose parent is absent from the snapshot renders
+        // as a root, so orphans stay visible instead of vanishing.
+        let index = span_index(&s.spans);
+        let mut children = vec![Vec::new(); s.spans.len()];
+        let mut roots = Vec::new();
+        for (at, sp) in s.spans.iter().enumerate() {
+            if index[&sp.id] == at {
+                match sp.parent.and_then(|p| index.get(&p)) {
+                    Some(&parent) => children[parent].push(at),
+                    None => roots.push(at),
+                }
             }
         }
-        out
+        let mut stack: Vec<(usize, usize)> = roots.iter().rev().map(|&at| (at, 1)).collect();
+        while let Some((at, depth)) = stack.pop() {
+            let sp = &s.spans[at];
+            write!(w, "{:indent$}[{}..", "", sp.start, indent = 2 * depth)?;
+            match sp.end {
+                Some(end) => write!(w, "{end}] {}", sp.name)?,
+                None => write!(w, "open] {}", sp.name)?,
+            }
+            for (k, v) in &sp.attrs {
+                write!(w, " {k}={v}")?;
+            }
+            writeln!(w)?;
+            stack.extend(children[at].iter().rev().map(|&c| (c, depth + 1)));
+        }
+        Ok(())
     }
 }
 
@@ -593,18 +628,16 @@ impl Sink for SpanTreeSink {
 pub struct ProfileSink;
 
 impl Sink for ProfileSink {
-    fn render(&self, s: &Snapshot) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
+    fn write_to(&self, s: &Snapshot, w: &mut dyn Write) -> io::Result<()> {
         if s.profile.is_empty() {
-            return out;
+            return Ok(());
         }
-        let _ = writeln!(
-            out,
+        writeln!(
+            w,
             "work profile ({} phases, {} work units):",
             s.profile.len(),
             s.profile.total_work()
-        );
+        )?;
         let mut prev: Vec<&str> = Vec::new();
         for (path, st) in s.profile.iter() {
             let segs: Vec<&str> = path.split('/').collect();
@@ -614,21 +647,21 @@ impl Sink for ProfileSink {
                 common += 1;
             }
             for (d, seg) in segs.iter().enumerate().take(dirs).skip(common) {
-                let _ = writeln!(out, "{}{seg}/", "  ".repeat(d + 1));
+                writeln!(w, "{}{seg}/", "  ".repeat(d + 1))?;
             }
-            let _ = writeln!(
-                out,
+            writeln!(
+                w,
                 "{}{:<24} invocations {:>10}  work {:>12}  work/inv {:>8.2}",
                 "  ".repeat(dirs + 1),
                 segs[dirs],
                 st.invocations,
                 st.work,
                 st.work_per_invocation()
-            );
+            )?;
             prev = segs;
             prev.truncate(dirs);
         }
-        out
+        Ok(())
     }
 }
 
@@ -651,32 +684,30 @@ pub struct ReportSink {
 /// Most-congested links [`ReportSink`] charts.
 const REPORT_TOP_LINKS: usize = 8;
 
-/// One sparkline character per window: `max` scaled into eight levels.
-fn sparkline(values: &[u64]) -> String {
+/// Writes one sparkline character per window: `max` scaled into eight
+/// levels.
+fn write_sparkline(w: &mut dyn Write, values: &[u64]) -> io::Result<()> {
     const BARS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
     let top = values.iter().copied().max().unwrap_or(0);
-    values
-        .iter()
-        .map(|&v| {
-            if top == 0 {
-                BARS[0]
-            } else {
-                BARS[((v as u128 * 7).div_ceil(top as u128)) as usize]
-            }
-        })
-        .collect()
+    for &v in values {
+        let level = if top == 0 {
+            0
+        } else {
+            (v as u128 * 7).div_ceil(top as u128) as usize
+        };
+        write!(w, "{}", BARS[level])?;
+    }
+    Ok(())
 }
 
 impl Sink for ReportSink {
-    fn render(&self, s: &Snapshot) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
-        let _ = writeln!(out, "run report: {}", self.title);
+    fn write_to(&self, s: &Snapshot, w: &mut dyn Write) -> io::Result<()> {
+        writeln!(w, "run report: {}", self.title)?;
         for (k, v) in &self.meta {
-            let _ = writeln!(out, "  {k:<14} {v}");
+            writeln!(w, "  {k:<14} {v}")?;
         }
         for (n, v) in &s.counters {
-            let _ = writeln!(out, "  {n:<14} {v}");
+            writeln!(w, "  {n:<14} {v}")?;
         }
 
         // Phase timeline: the global series all sample once per cycle,
@@ -684,30 +715,30 @@ impl Sink for ReportSink {
         let at = |name: &str, index: u64| -> Option<&crate::timeseries::WindowAgg> {
             s.timeseries
                 .named(name)
-                .and_then(|sr| sr.windows().find(|w| w.index == index))
+                .and_then(|sr| sr.windows().find(|win| win.index == index))
         };
         if let Some(fly) = s.timeseries.named("sim.in_flight") {
-            let _ = writeln!(
-                out,
+            writeln!(
+                w,
                 "phase timeline ({} windows x {} cycles, {} dropped):",
                 fly.len(),
                 fly.cadence(),
                 fly.dropped_windows()
-            );
-            let _ = writeln!(
-                out,
+            )?;
+            writeln!(
+                w,
                 "  {:>6} {:>9} {:>9} {:>9} {:>9}",
                 "window", "injected", "delivered", "in-flight", "queue-max"
-            );
-            for w in fly.windows() {
-                let inj = at("sim.injected", w.index).map_or(0, |x| x.sum);
-                let dvr = at("sim.delivered", w.index).map_or(0, |x| x.sum);
-                let qmx = at("sim.queue.max", w.index).map_or(0, |x| x.max);
-                let _ = writeln!(
-                    out,
+            )?;
+            for win in fly.windows() {
+                let inj = at("sim.injected", win.index).map_or(0, |x| x.sum);
+                let dvr = at("sim.delivered", win.index).map_or(0, |x| x.sum);
+                let qmx = at("sim.queue.max", win.index).map_or(0, |x| x.max);
+                writeln!(
+                    w,
                     "  {:>6} {:>9} {:>9} {:>9} {:>9}",
-                    w.index, inj, dvr, w.max, qmx
-                );
+                    win.index, inj, dvr, win.max, qmx
+                )?;
             }
         }
 
@@ -726,34 +757,31 @@ impl Sink for ReportSink {
             b.0.cmp(&a.0).then(a.1.cmp(&b.1))
         });
         if !links.is_empty() {
-            let _ = writeln!(
-                out,
+            writeln!(
+                w,
                 "top congested links ({} of {}, by queued packet-cycles):",
                 links.len(),
                 total_links
-            );
+            )?;
             for (total, _, n, series) in &links {
-                let maxes: Vec<u64> = series.windows().map(|w| w.max).collect();
-                let hwm = series
-                    .high_watermark()
-                    .map_or(String::new(), |(v, c)| format!("  hwm {v} @ cycle {c}"));
-                let _ = writeln!(
-                    out,
-                    "  {:<28} {}  total {:>6}{hwm}",
-                    n,
-                    sparkline(&maxes),
-                    total
-                );
+                let maxes: Vec<u64> = series.windows().map(|win| win.max).collect();
+                write!(w, "  {n:<28} ")?;
+                write_sparkline(w, &maxes)?;
+                write!(w, "  total {total:>6}")?;
+                if let Some((v, c)) = series.high_watermark() {
+                    write!(w, "  hwm {v} @ cycle {c}")?;
+                }
+                writeln!(w)?;
             }
         }
 
-        let _ = writeln!(out, "anomalies ({}):", s.congestion.len());
+        writeln!(w, "anomalies ({}):", s.congestion.len())?;
         if s.congestion.is_empty() {
-            let _ = writeln!(out, "  (none)");
+            writeln!(w, "  (none)")?;
         }
         for e in &s.congestion {
-            let _ = writeln!(
-                out,
+            writeln!(
+                w,
                 "  [{:>8}] {:<12} {:<28} windows {}..{} peak {}",
                 e.severity.label(),
                 e.kind.label(),
@@ -761,7 +789,7 @@ impl Sink for ReportSink {
                 e.window_start,
                 e.window_end,
                 e.peak
-            );
+            )?;
         }
 
         if let Some(spec) = &self.slo {
@@ -771,19 +799,19 @@ impl Sink for ReportSink {
             } else {
                 "FAIL"
             };
-            let _ = writeln!(out, "slo gates ({} checks): {verdict}", checks.len());
+            writeln!(w, "slo gates ({} checks): {verdict}", checks.len())?;
             for c in &checks {
-                let _ = writeln!(
-                    out,
+                writeln!(
+                    w,
                     "  [{}] {:<20} {:<10} actual {}",
                     if c.pass { "pass" } else { "FAIL" },
                     c.name,
                     c.threshold,
                     c.actual
-                );
+                )?;
             }
         }
-        out
+        Ok(())
     }
 }
 
@@ -806,60 +834,31 @@ pub fn csv_record<I: IntoIterator<Item = String>>(fields: I) -> String {
         .join(",")
 }
 
-/// The columns of [`CsvSink`]'s event section, in header order.
-/// Congestion and SLO rows fill the protocol, round and messages
-/// columns (see [`event_cells`]), so the header keeps them.
-const EVENT_COLUMNS: [&str; 12] = [
-    "event", "id", "src", "dst", "from", "to", "at", "latency", "protocol", "round", "messages",
-    "cycle",
-];
-
-/// The cells of `e`'s CSV row, as (column, value); its other columns
-/// stay blank.
-fn event_cells(e: &Event) -> Vec<(&'static str, String)> {
+/// Writes `e` as one row under [`CsvSink`]'s event header; a row leaves
+/// blank the columns its kind lacks.
+fn write_event_csv(w: &mut dyn Write, e: &Event) -> io::Result<()> {
     match e {
         Event::PacketInjected {
             id,
             src,
             dst,
             cycle,
-        } => vec![
-            ("event", "packet_injected".into()),
-            ("id", id.to_string()),
-            ("src", src.to_string()),
-            ("dst", dst.to_string()),
-            ("cycle", cycle.to_string()),
-        ],
+        } => writeln!(w, "packet_injected,{id},{src},{dst},,,,,,,,{cycle}"),
         Event::PacketHop {
             id,
             from,
             to,
             cycle,
-        } => vec![
-            ("event", "packet_hop".into()),
-            ("id", id.to_string()),
-            ("from", from.to_string()),
-            ("to", to.to_string()),
-            ("cycle", cycle.to_string()),
-        ],
+        } => writeln!(w, "packet_hop,{id},,,{from},{to},,,,,,{cycle}"),
         Event::PacketDelivered {
             id,
             dst,
             latency,
             cycle,
-        } => vec![
-            ("event", "packet_delivered".into()),
-            ("id", id.to_string()),
-            ("dst", dst.to_string()),
-            ("latency", latency.to_string()),
-            ("cycle", cycle.to_string()),
-        ],
-        Event::PacketDropped { id, at, cycle } => vec![
-            ("event", "packet_dropped".into()),
-            ("id", id.to_string()),
-            ("at", at.to_string()),
-            ("cycle", cycle.to_string()),
-        ],
+        } => writeln!(w, "packet_delivered,{id},,{dst},,,,{latency},,,,{cycle}"),
+        Event::PacketDropped { id, at, cycle } => {
+            writeln!(w, "packet_dropped,{id},,,,,{at},,,,,{cycle}")
+        }
         // Congestion events reuse the shared columns: peak -> id,
         // subject -> protocol, window span -> round/messages; the
         // dedicated congestion section carries the full shape.
@@ -870,16 +869,13 @@ fn event_cells(e: &Event) -> Vec<(&'static str, String)> {
             window_start,
             window_end,
             peak,
-        } => vec![
-            (
-                "event",
-                format!("congestion_{}_{}", severity.label(), kind.label()),
-            ),
-            ("id", peak.to_string()),
-            ("protocol", subject.clone()),
-            ("round", window_start.to_string()),
-            ("messages", window_end.to_string()),
-        ],
+        } => writeln!(
+            w,
+            "congestion_{}_{},{peak},,,,,,,{},{window_start},{window_end},",
+            severity.label(),
+            kind.label(),
+            csv_field(subject)
+        ),
         // SLO verdicts reuse the shared columns: objective name ->
         // protocol, threshold -> round, observed value -> messages.
         Event::SloCheck {
@@ -887,12 +883,14 @@ fn event_cells(e: &Event) -> Vec<(&'static str, String)> {
             threshold,
             actual,
             pass,
-        } => vec![
-            ("event", if *pass { "slo_pass" } else { "slo_fail" }.into()),
-            ("protocol", name.clone()),
-            ("round", threshold.clone()),
-            ("messages", actual.clone()),
-        ],
+        } => writeln!(
+            w,
+            "{},,,,,,,,{},{},{},",
+            if *pass { "slo_pass" } else { "slo_fail" },
+            csv_field(name),
+            csv_field(threshold),
+            csv_field(actual)
+        ),
     }
 }
 
@@ -902,103 +900,92 @@ fn event_cells(e: &Event) -> Vec<(&'static str, String)> {
 pub struct CsvSink;
 
 impl Sink for CsvSink {
-    fn render(&self, s: &Snapshot) -> String {
-        let mut out = String::new();
+    fn write_to(&self, s: &Snapshot, w: &mut dyn Write) -> io::Result<()> {
         if !s.counters.is_empty() {
-            out.push_str("kind,name,value\n");
+            writeln!(w, "kind,name,value")?;
             for (n, v) in &s.counters {
-                out.push_str(&csv_record(["counter".into(), n.clone(), v.to_string()]));
-                out.push('\n');
+                writeln!(w, "counter,{},{v}", csv_field(n))?;
             }
         }
         if !s.histograms.is_empty() {
-            out.push_str("\nhistogram,count,mean,min,p50,p95,p99,max\n");
+            writeln!(w, "\nhistogram,count,mean,min,p50,p95,p99,max")?;
             for (n, h) in &s.histograms {
-                out.push_str(&csv_record([
-                    n.clone(),
-                    h.count.to_string(),
-                    format!("{:.6}", h.mean),
-                    h.min.to_string(),
-                    h.p50.to_string(),
-                    h.p95.to_string(),
-                    h.p99.to_string(),
-                    h.max.to_string(),
-                ]));
-                out.push('\n');
+                writeln!(
+                    w,
+                    "{},{},{:.6},{},{},{},{},{}",
+                    csv_field(n),
+                    h.count,
+                    h.mean,
+                    h.min,
+                    h.p50,
+                    h.p95,
+                    h.p99,
+                    h.max
+                )?;
             }
         }
         if !s.profile.is_empty() {
-            out.push_str("\nphase,invocations,work\n");
+            writeln!(w, "\nphase,invocations,work")?;
             for (path, st) in s.profile.iter() {
-                out.push_str(&csv_record([
-                    path.to_string(),
-                    st.invocations.to_string(),
-                    st.work.to_string(),
-                ]));
-                out.push('\n');
+                writeln!(w, "{},{},{}", csv_field(path), st.invocations, st.work)?;
             }
         }
         if !s.links.is_empty() {
-            out.push_str("\nfrom,to,forwarded,busy_cycles,peak_queue,utilization\n");
+            writeln!(w, "\nfrom,to,forwarded,busy_cycles,peak_queue,utilization")?;
             for l in s.links.utilization_rows(s.cycles.unwrap_or(0), 0) {
-                out.push_str(&csv_record([
-                    l.key.from.to_string(),
-                    l.key.to.to_string(),
-                    l.record.forwarded.to_string(),
-                    l.record.busy_cycles.to_string(),
-                    l.record.peak_queue.to_string(),
-                    format!("{:.6}", l.utilization),
-                ]));
-                out.push('\n');
+                writeln!(
+                    w,
+                    "{},{},{},{},{},{:.6}",
+                    l.key.from,
+                    l.key.to,
+                    l.record.forwarded,
+                    l.record.busy_cycles,
+                    l.record.peak_queue,
+                    l.utilization
+                )?;
             }
         }
         if !s.events.is_empty() {
-            out.push('\n');
-            out.push_str(&EVENT_COLUMNS.join(","));
-            out.push('\n');
+            writeln!(
+                w,
+                "\nevent,id,src,dst,from,to,at,latency,protocol,round,messages,cycle"
+            )?;
             for e in &s.events {
-                let mut row: [String; 12] = Default::default();
-                for (column, value) in event_cells(e) {
-                    let at = EVENT_COLUMNS.iter().position(|&c| c == column);
-                    row[at.expect("invariant: event_cells fills only EVENT_COLUMNS")] = value;
-                }
-                out.push_str(&csv_record(row));
-                out.push('\n');
+                write_event_csv(w, e)?;
             }
         }
         if !s.timeseries.is_empty() {
-            out.push_str("\nseries,window,min,max,sum,count,last\n");
+            writeln!(w, "\nseries,window,min,max,sum,count,last")?;
             for (n, series) in s.timeseries.iter() {
-                let n = n.to_string();
-                for w in series.windows() {
-                    out.push_str(&csv_record([
-                        n.clone(),
-                        w.index.to_string(),
-                        w.min.to_string(),
-                        w.max.to_string(),
-                        w.sum.to_string(),
-                        w.count.to_string(),
-                        w.last.to_string(),
-                    ]));
-                    out.push('\n');
+                let n = csv_field(&n.to_string());
+                for win in series.windows() {
+                    writeln!(
+                        w,
+                        "{n},{},{},{},{},{},{}",
+                        win.index, win.min, win.max, win.sum, win.count, win.last
+                    )?;
                 }
             }
         }
         if !s.congestion.is_empty() {
-            out.push_str("\ncongestion,severity,subject,window_start,window_end,peak\n");
+            writeln!(
+                w,
+                "\ncongestion,severity,subject,window_start,window_end,peak"
+            )?;
             for e in &s.congestion {
-                out.push_str(&csv_record([
-                    e.kind.label().to_string(),
-                    e.severity.label().to_string(),
-                    e.subject.clone(),
-                    e.window_start.to_string(),
-                    e.window_end.to_string(),
-                    e.peak.to_string(),
-                ]));
-                out.push('\n');
+                writeln!(
+                    w,
+                    "{},{},{},{},{},{}",
+                    e.kind.label(),
+                    e.severity.label(),
+                    csv_field(&e.subject),
+                    e.window_start,
+                    e.window_end,
+                    e.peak
+                )?;
             }
         }
-        out
+        Ok(())
     }
 }
 
@@ -1241,6 +1228,25 @@ spans (8 recorded, 0 dropped):
     }
 
     #[test]
+    fn span_sinks_render_a_repeated_id_by_its_first_record() {
+        // A later record of id 1 naming itself as parent: the tree
+        // renders each id's first record once and ends, and the Chrome
+        // tid comes from the first record too.
+        let mut s = span_snapshot();
+        let mut again = s.spans[0].clone();
+        again.parent = Some(again.id);
+        s.spans.push(again);
+        let want = SpanTreeSink.render(&span_snapshot());
+        assert_eq!(
+            SpanTreeSink.render(&s),
+            want.replace("3 recorded", "4 recorded")
+        );
+        assert!(ChromeTraceSink
+            .render(&s)
+            .contains("\"tid\":1,\"args\":{\"span\":\"1\",\"parent\":\"1\""));
+    }
+
+    #[test]
     fn span_tree_empty_snapshot_renders_nothing() {
         assert_eq!(SpanTreeSink.render(&Snapshot::default()), "");
     }
@@ -1472,5 +1478,78 @@ work profile (3 phases, 77 work units):
         assert!(out.contains("slo gates (2 checks): FAIL"));
         assert!(out.contains("[FAIL] delivered_fraction   >= 0.9500  actual 0.9000"));
         assert!(out.contains("[pass] unroutable"));
+    }
+
+    /// A writer that takes `budget` bytes, then fails every write.
+    struct FailAfter {
+        budget: usize,
+        written: Vec<u8>,
+    }
+
+    impl Write for FailAfter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if self.budget == 0 {
+                return Err(io::Error::other("writer full"));
+            }
+            let n = buf.len().min(self.budget);
+            self.budget -= n;
+            self.written.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn every_sink_streams_its_rendition_and_returns_write_errors() {
+        let report = ReportSink {
+            title: "contract".into(),
+            meta: vec![("topology".into(), "HB(1, 2)".into())],
+            slo: Some(SloSpec {
+                max_p99_latency: Some(5),
+                ..SloSpec::default()
+            }),
+        };
+        let sinks: [&dyn Sink; 7] = [
+            &TextSink,
+            &JsonLinesSink,
+            &CsvSink,
+            &ChromeTraceSink,
+            &SpanTreeSink,
+            &ProfileSink,
+            &report,
+        ];
+        let snapshots = [
+            sample_snapshot(),
+            span_snapshot(),
+            ts_snapshot(),
+            profile_snapshot(),
+        ];
+        for (i, s) in snapshots.iter().enumerate() {
+            for (j, sink) in sinks.iter().enumerate() {
+                let want = sink.render(s);
+                let mut got = Vec::new();
+                sink.write_to(s, &mut got).expect("a Vec takes every byte");
+                assert_eq!(got, want.as_bytes(), "snapshot {i}, sink {j}");
+                let len = want.len();
+                for k in [0, 1, len / 2, len.saturating_sub(1), len] {
+                    let mut w = FailAfter {
+                        budget: k,
+                        written: Vec::new(),
+                    };
+                    let result = sink.write_to(s, &mut w);
+                    let at = format!("snapshot {i}, sink {j}, failing after {k} of {len} bytes");
+                    if k < len {
+                        let e = result.expect_err(&at);
+                        assert_eq!(e.to_string(), "writer full", "{at}");
+                    } else {
+                        result.expect(&at);
+                    }
+                    assert_eq!(w.written, want.as_bytes()[..k.min(len)], "{at}");
+                }
+            }
+        }
     }
 }

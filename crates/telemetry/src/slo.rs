@@ -276,10 +276,10 @@ mod tests {
             pass: true,
         }];
         emit(&t, &checks);
-        assert_eq!(t.events().len(), 1);
+        assert_eq!(t.snapshot().events.len(), 1);
         // Summary level stays event-free.
         let s = Telemetry::summary();
         emit(&s, &checks);
-        assert!(s.events().is_empty());
+        assert!(s.snapshot().events.is_empty());
     }
 }
