@@ -34,7 +34,9 @@
 //!   delivered fraction, queue depth, unroutable count) evaluated over
 //!   a finished run's snapshot;
 //! * [`sink`] — pluggable renderers to fixed-width text tables, JSON
-//!   lines, CSV, Chrome trace-event JSON, and span trees.
+//!   lines, CSV, Chrome trace-event JSON, span trees, work profiles and
+//!   run reports, each streaming into any [`std::io::Write`] through
+//!   [`Sink::write_to`] so no rendition is held in memory.
 //!
 //! The [`Telemetry`] handle ties these together and keeps the
 //! name-keyed monotonic [`Counter`]s itself. It is a cheap

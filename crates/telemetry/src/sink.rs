@@ -2,8 +2,8 @@
 //!
 //! A [`Snapshot`] is a point-in-time copy of every instrument; a
 //! [`Sink`] writes it as text into any [`Write`]r, row by row, so no
-//! sink holds its output: a JSON or CSV dump of a large run costs no
-//! more memory than the snapshot it reads. [`Sink::render`] collects the
+//! sink holds its output: a JSON or CSV dump of a large run needs little
+//! memory beyond the snapshot it reads. [`Sink::render`] collects the
 //! same bytes into a `String` for tests and goldens. Seven sinks ship
 //! here:
 //!
