@@ -6,11 +6,12 @@
 //! the end of the run: the global series one by one under their names,
 //! the link series as one frozen [`hb_telemetry::LinkSeries`] store
 //! (`crate::kernel::RunCtx::finish` freezes every shard's recorder
-//! together, sorting each recorder's log by channel in place, so the
-//! store keeps the recorded windows instead of a copy), which names a
-//! link only when a sink prints it. Both recorders key every sample by
-//! **logical cycle**, so a serial run and a sharded parallel run
-//! produce byte-identical series (the `par_equiv` suite asserts
+//! together: each recorder logs its samples in time order, and the
+//! freeze sorts them by channel and folds them into windows, written
+//! straight into the store), which names a link only when a sink
+//! prints it. Both recorders key every sample by **logical cycle**, so
+//! a serial run and a sharded parallel run produce byte-identical
+//! series (the `par_equiv` suite asserts
 //! snapshot equality, which covers the series store and the congestion
 //! events).
 //!
@@ -86,9 +87,10 @@ impl GlobalTs {
 /// Per-channel queue-depth series over the channel range
 /// `[lo, lo + len)` — the whole network for serial runs, one shard's
 /// slice for parallel runs (channels are disjoint across shards, so
-/// shard-local recording merges without conflicts). A dense
-/// [`SeriesSet`] over the range holds the windows; this adds the
-/// channel offset.
+/// shard-local recording merges without conflicts). A [`SeriesSet`]
+/// over the range logs the samples, with no state per channel, and
+/// folds them into windows when frozen, or earlier once a group's log
+/// passes a budget set by the retention; this adds the channel offset.
 pub(crate) struct LinkTs {
     lo: usize,
     len: usize,

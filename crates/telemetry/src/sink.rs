@@ -27,7 +27,7 @@
 //! The two span sinks resolve parent links through one id index built
 //! per rendition, so they take O(n log n) time in the spans they print.
 
-use crate::links::{keep_top, LinkStats};
+use crate::links::LinkStats;
 use crate::profile::Profile;
 use crate::slo::SloSpec;
 use crate::span::{SpanId, SpanRecord};
@@ -744,18 +744,19 @@ impl Sink for ReportSink {
 
         // Top-k congested links, ranked by total queued-packet-cycles
         // (sum over retained windows), name as the tiebreak: the walk is
-        // in name order, so its position stands in for the name.
-        let mut links: Vec<_> = s
-            .timeseries
-            .iter()
-            .filter(|(n, _)| n.is_link())
-            .enumerate()
-            .map(|(at, (n, series))| (series.total(), at, n, series))
-            .collect();
-        let total_links = links.len();
-        keep_top(&mut links, REPORT_TOP_LINKS, |a, b| {
-            b.0.cmp(&a.0).then(a.1.cmp(&b.1))
-        });
+        // in name order, so a link walked later sorts after every link of
+        // its total already kept. Only the best k are held.
+        let mut links = Vec::with_capacity(REPORT_TOP_LINKS + 1);
+        let mut total_links = 0;
+        for (n, series) in s.timeseries.iter().filter(|(n, _)| n.is_link()) {
+            total_links += 1;
+            let total = series.total();
+            let at = links.partition_point(|&(t, _, _)| t >= total);
+            if at < REPORT_TOP_LINKS {
+                links.insert(at, (total, n, series));
+                links.truncate(REPORT_TOP_LINKS);
+            }
+        }
         if !links.is_empty() {
             writeln!(
                 w,
@@ -763,7 +764,7 @@ impl Sink for ReportSink {
                 links.len(),
                 total_links
             )?;
-            for (total, _, n, series) in &links {
+            for (total, n, series) in &links {
                 let maxes: Vec<u64> = series.windows().map(|win| win.max).collect();
                 write!(w, "  {n:<28} ")?;
                 write_sparkline(w, &maxes)?;

@@ -14,9 +14,10 @@
 //! this). Hot loops record into thread-local series and merge once at
 //! the end, like histograms and link stats. A [`SeriesSet`] records one
 //! series per id of a dense range (one per channel) under the same
-//! rules, without a ring per id, and freezes into a [`LinkSeries`]
-//! store in place: the log it recorded in, each group of ids' windows
-//! sorted by id over that group's own chunks.
+//! rules, without a ring or any state per id: it appends each sample to
+//! a time-ordered log, and a fold per group of ids builds the windows,
+//! into a [`LinkSeries`] store at freeze, or onto the group's own
+//! folded windows once its log passes a budget set by the retention.
 //!
 //! A [`SeriesStore`] holds a handle's named series beside its link
 //! store and walks both in series-name order, naming a link
@@ -55,6 +56,16 @@ impl TsConfig {
         self.capacity = capacity.max(1);
         self
     }
+
+    /// Both fields at least 1, as [`TsConfig::new`] and
+    /// [`TsConfig::with_capacity`] set them. A literal may hold 0 in
+    /// either; every series is built from the clamped config.
+    fn clamped(self) -> Self {
+        TsConfig {
+            cadence: self.cadence.max(1),
+            capacity: self.capacity.max(1),
+        }
+    }
 }
 
 impl Default for TsConfig {
@@ -81,18 +92,6 @@ pub struct WindowAgg {
 }
 
 impl WindowAgg {
-    /// The window no sample reached: `count == 0` marks an id of a
-    /// [`SeriesSet`] never recorded, and fills the buffer
-    /// [`LinkSeries::freeze`] sorts windows into before they are placed.
-    const EMPTY: WindowAgg = WindowAgg {
-        index: 0,
-        min: 0,
-        max: 0,
-        sum: 0,
-        count: 0,
-        last: 0,
-    };
-
     fn new(index: u64, value: u64) -> Self {
         WindowAgg {
             index,
@@ -136,6 +135,7 @@ pub struct Series {
 impl Series {
     /// An empty series sampled per `cfg`.
     pub fn new(cfg: TsConfig) -> Self {
+        let cfg = cfg.clamped();
         Series {
             cadence: cfg.cadence,
             capacity: cfg.capacity,
@@ -293,61 +293,169 @@ impl PartialEq for SeriesView<'_> {
 
 impl Eq for SeriesView<'_> {}
 
-/// Closed windows per chunk of a [`SeriesSet`] log (48 KiB), which a
-/// [`LinkSeries`] store keeps once frozen. Chunks of one fixed size are
-/// reused from the allocator's free lists run after run; one growing log
-/// would be reallocated into ever larger blocks and, once freed, leave
-/// the next run a fragmented heap.
-const LOG_CHUNK: usize = 1024;
+/// Windows per chunk of a [`LinkSeries`] store (48 KiB). Chunks of one
+/// fixed size are reused from the allocator's free lists run after run;
+/// one growing store would be reallocated into ever larger blocks and,
+/// once freed, leave the next run a fragmented heap.
+const WINDOW_CHUNK: usize = 1024;
 
-/// Consecutive ids per log group of a [`SeriesSet`]. Freezing sorts one
-/// group's windows at a time, so the sort's scratch holds one group's
-/// windows, not the set's.
+/// Entries per chunk of a [`SeriesSet`] group's sample log (40 KiB), of
+/// one fixed size for the reason [`WINDOW_CHUNK`] gives.
+const SAMPLE_CHUNK: usize = 4096;
+
+/// Consecutive ids per group of a [`SeriesSet`]. A group's log names an
+/// id by its `u16` offset in the group, and a fold sorts the log by id
+/// with [`GROUP`] counters.
 const GROUP: usize = 1024;
 
-/// One id's open window, high-watermark and closed-window count in a
-/// [`SeriesSet`].
-#[derive(Clone, Copy)]
-struct OpenWindow {
-    /// The newest window; `count == 0` marks an id never recorded.
-    window: WindowAgg,
-    /// `(value, cycle)` of the first largest sample.
-    high_watermark: (u64, u64),
-    /// Windows closed so far, logged or compacted away.
-    closed: u64,
+/// The offset that marks a log entry as a cycle: the cycle of the
+/// samples after it. One past a group's last id.
+const CYCLE: u16 = 1024;
+
+const _: () = assert!(CYCLE as usize == GROUP);
+
+/// [`SAMPLE_CHUNK`] entries of a group's log, column by column: entry
+/// `i` is `(ids[i], values[i])`.
+struct LogChunk {
+    ids: Vec<u16>,
+    values: Vec<u64>,
 }
 
-/// The closed windows of one group of [`GROUP`] ids, in recording order.
-#[derive(Default)]
+/// One group of [`GROUP`] ids of a [`SeriesSet`]: the samples logged
+/// since its last fold, in recording order, and the windows folded
+/// before them.
 struct GroupLog {
-    /// The windows, [`LOG_CHUNK`] per chunk; every chunk but the last is
-    /// full.
-    chunks: Vec<Vec<WindowAgg>>,
-    /// Each window's id, less the group's first id.
-    ids: Vec<u16>,
+    /// A sample's id offset and value, or [`CYCLE`] and the cycle of the
+    /// samples that follow it. Every chunk but the last is full.
+    chunks: Vec<LogChunk>,
+    /// Entries in the log, samples and cycles.
+    entries: usize,
+    /// Entries the log holds at most: once past it, it is folded.
+    budget: usize,
+    /// The cycle the log's samples are at, if it has any.
+    cycle: Option<u64>,
+    /// Every folded id's series, id offset `i` under the key `0->i`.
+    folded: LinkSeries,
 }
 
 impl GroupLog {
-    fn push(&mut self, id: u16, window: WindowAgg) {
+    #[inline]
+    fn push(&mut self, id: u16, value: u64) {
         match self.chunks.last_mut() {
-            Some(chunk) if chunk.len() < LOG_CHUNK => chunk.push(window),
-            _ => {
-                let mut chunk = Vec::with_capacity(LOG_CHUNK);
-                chunk.push(window);
-                self.chunks.push(chunk);
+            Some(chunk) if chunk.ids.len() < SAMPLE_CHUNK => {
+                chunk.ids.push(id);
+                chunk.values.push(value);
             }
+            _ => self.push_chunk(id, value),
         }
-        self.ids.push(id);
+        self.entries += 1;
     }
 
-    /// Keeps the first `len` windows.
-    fn truncate(&mut self, len: usize) {
-        let (full, rest) = (len / LOG_CHUNK, len % LOG_CHUNK);
-        self.chunks.truncate(full + usize::from(rest > 0));
-        if rest > 0 {
-            self.chunks[full].truncate(rest);
+    #[cold]
+    fn push_chunk(&mut self, id: u16, value: u64) {
+        let mut chunk = LogChunk {
+            ids: Vec::with_capacity(SAMPLE_CHUNK),
+            values: Vec::with_capacity(SAMPLE_CHUNK),
+        };
+        chunk.ids.push(id);
+        chunk.values.push(value);
+        self.chunks.push(chunk);
+    }
+
+    /// Folds the log onto the folded windows and empties the group: every
+    /// id with a sample or a folded window gets its series, the folded
+    /// one continued by its samples, appended to `out` under
+    /// `key(offset)`, in id order. `sorted` is scratch.
+    fn fold(
+        &mut self,
+        cfg: TsConfig,
+        sorted: &mut Vec<(u64, u64)>,
+        out: &mut LinkSeries,
+        key: impl Fn(usize) -> LinkKey,
+    ) {
+        // A stable counting sort of the samples by id, each tagged with
+        // its cycle: count them (the cycle entries under `CYCLE`), turn
+        // the counts into each id's first slot, and scatter the log.
+        let mut at = [0usize; GROUP + 1];
+        for chunk in &self.chunks {
+            for &i in &chunk.ids {
+                at[usize::from(i)] += 1;
+            }
         }
-        self.ids.truncate(len);
+        sorted.clear();
+        sorted.resize(self.entries - at[GROUP], (0, 0));
+        let mut end = 0;
+        for slot in &mut at[..GROUP] {
+            end += *slot;
+            *slot = end - *slot;
+        }
+        let mut cycle = 0;
+        for chunk in &self.chunks {
+            for (&i, &value) in chunk.ids.iter().zip(&chunk.values) {
+                if i == CYCLE {
+                    cycle = value;
+                } else {
+                    let slot = &mut at[usize::from(i)];
+                    sorted[*slot] = (cycle, value);
+                    *slot += 1;
+                }
+            }
+        }
+        // Each id's samples now end where the next id's begin. The folded
+        // chunks before the next folded id's are read: `out` reuses them.
+        let LinkSeries {
+            links, mut chunks, ..
+        } = std::mem::take(&mut self.folded);
+        let mut heads = links.iter().peekable();
+        let (mut spare, mut read, mut start) = (Vec::new(), 0, 0);
+        for (i, &end) in at[..GROUP].iter().enumerate() {
+            let prev = heads.next_if(|h| h.key.to as usize == i);
+            let unread = prev
+                .or(heads.peek().copied())
+                .map_or(chunks.len(), |h| h.chunk as usize);
+            spare.extend(chunks[read..unread].iter_mut().map(std::mem::take));
+            read = unread;
+            if prev.is_some() || end > start {
+                let prev = prev.map(|h| h.view(&chunks));
+                out.append(key(i), cfg, prev, &sorted[start..end], &mut spare);
+            }
+            start = end;
+        }
+        self.chunks.clear();
+        self.entries = 0;
+        self.cycle = None;
+    }
+}
+
+/// Continues `open`, a series' newest window if it has one, with
+/// `samples` in recording order under the rules of [`Series::record`],
+/// and hands `each` every window that results, oldest first: `open`,
+/// continued, then one per window the samples open. A sample before
+/// the newest window is left out, as `Series::record` leaves it.
+fn walk(
+    open: Option<WindowAgg>,
+    samples: &[(u64, u64)],
+    cadence: u64,
+    mut each: impl FnMut(WindowAgg),
+) {
+    let mut window = open;
+    // The first cycle of `window`.
+    let mut first = window.map_or(0, |w| w.index * cadence);
+    for &(cycle, value) in samples {
+        match window {
+            Some(ref mut w) if cycle >= first && cycle - first < cadence => w.record(value),
+            Some(_) if cycle < first => {}
+            _ => {
+                let index = cycle / cadence;
+                first = index * cadence;
+                if let Some(closed) = window.replace(WindowAgg::new(index, value)) {
+                    each(closed);
+                }
+            }
+        }
+    }
+    if let Some(w) = window {
+        each(w);
     }
 }
 
@@ -356,49 +464,45 @@ impl GroupLog {
 /// rules of [`Series::record`], and frozen into a [`LinkSeries`] store
 /// by [`LinkSeries::freeze`].
 ///
-/// Each id costs one 72-byte open window in a dense array, recorded or
-/// not. A window that closes moves to the log of its group of 1,024
-/// consecutive ids, kept in fixed-size chunks; freezing sorts each
-/// group's log by id in place, and the store keeps its chunks.
-/// Once the logs hold more than twice the windows the series can retain
-/// (plus a chunk), every group is compacted down to those, so memory
-/// stays bounded by the retention however long the run.
+/// Recording touches no per-id state: a sample goes to the time-ordered
+/// log of its group of 1,024 consecutive ids as a `u16` id offset and
+/// its value, in fixed-size chunks, and the log notes the cycle once
+/// per run of same-cycle samples. A **fold** builds the windows: a
+/// stable counting sort of the group's samples by id, then one pass per
+/// id that continues the id's folded series with its samples and keeps
+/// the newest `capacity` windows. Freezing folds every group into the
+/// store. A group whose log passes `capacity` entries per id folds
+/// while recording, onto its own folded windows, so a set over `len`
+/// ids holds at most `capacity * len` log entries and `capacity * len`
+/// windows however long the run.
 pub struct SeriesSet {
     cfg: TsConfig,
-    open: Vec<OpenWindow>,
-    /// Group `g` logs the closed windows of ids `g * GROUP..`.
+    len: usize,
+    /// Group `g` logs the samples of ids `g * GROUP..`.
     groups: Vec<GroupLog>,
-    /// Windows in all the groups' logs.
-    logged: usize,
-    /// Closed windows one series retains: `capacity - 1`, as the open
-    /// window takes the last slot.
-    keep: u64,
-    /// Closed windows all series together retain.
-    retained: usize,
-    /// The last recorded cycle and its window index.
-    cycle: u64,
-    index: u64,
+    /// A fold's samples sorted by id, reused fold after fold.
+    sorted: Vec<(u64, u64)>,
 }
 
 impl SeriesSet {
     /// No recorded samples over the ids `0..len`, sampled per `cfg`.
     pub fn new(cfg: TsConfig, len: usize) -> Self {
-        let unrecorded = OpenWindow {
-            window: WindowAgg::EMPTY,
-            high_watermark: (0, 0),
-            closed: 0,
-        };
+        let cfg = cfg.clamped();
+        let groups = (0..len)
+            .step_by(GROUP)
+            .map(|lo| GroupLog {
+                chunks: Vec::new(),
+                entries: 0,
+                budget: cfg.capacity.saturating_mul(GROUP.min(len - lo)),
+                cycle: None,
+                folded: LinkSeries::default(),
+            })
+            .collect();
         SeriesSet {
             cfg,
-            open: vec![unrecorded; len],
-            groups: std::iter::repeat_with(GroupLog::default)
-                .take(len.div_ceil(GROUP))
-                .collect(),
-            logged: 0,
-            keep: cfg.capacity.saturating_sub(1) as u64,
-            retained: 0,
-            cycle: 0,
-            index: 0,
+            len,
+            groups,
+            sorted: Vec::new(),
         }
     }
 
@@ -409,66 +513,29 @@ impl SeriesSet {
     /// Panics if `id` is outside `0..len`.
     #[inline]
     pub fn record(&mut self, id: usize, cycle: u64, value: u64) {
-        if cycle != self.cycle {
-            self.cycle = cycle;
-            self.index = cycle / self.cfg.cadence;
+        assert!(id < self.len, "id {id} outside the set's 0..{}", self.len);
+        let group = &mut self.groups[id / GROUP];
+        if group.cycle != Some(cycle) {
+            group.cycle = Some(cycle);
+            group.push(CYCLE, cycle);
         }
-        let index = self.index;
-        let open = &mut self.open[id];
-        if open.window.count == 0 {
-            open.window = WindowAgg::new(index, value);
-            open.high_watermark = (value, cycle);
-            return;
-        }
-        if value > open.high_watermark.0 {
-            open.high_watermark = (value, cycle);
-        }
-        if open.window.index == index {
-            open.window.record(value);
-        } else if open.window.index < index {
-            let closed = std::mem::replace(&mut open.window, WindowAgg::new(index, value));
-            if open.closed < self.keep {
-                self.retained += 1;
-            }
-            open.closed += 1;
-            let offset = u16::try_from(id % GROUP).expect("invariant: a group has under 2^16 ids");
-            self.groups[id / GROUP].push(offset, closed);
-            self.logged += 1;
-            if self.logged > 2 * self.retained + LOG_CHUNK {
-                self.compact();
-            }
+        let offset = u16::try_from(id % GROUP).expect("invariant: a group has under 2^16 ids");
+        group.push(offset, value);
+        if group.entries > group.budget {
+            self.fold_group(id / GROUP);
         }
     }
 
-    /// Drops, in place, every logged window no series retains: each id
-    /// keeps its newest `keep`. In each group, survivors move towards
-    /// the front.
-    fn compact(&mut self) {
-        let mut skip = [0u64; GROUP];
-        self.logged = 0;
-        for group in &mut self.groups {
-            skip.fill(0);
-            for &i in &group.ids {
-                skip[usize::from(i)] += 1;
-            }
-            for s in &mut skip {
-                *s = s.saturating_sub(self.keep);
-            }
-            let mut at = 0;
-            for r in 0..group.ids.len() {
-                let i = group.ids[r];
-                if skip[usize::from(i)] > 0 {
-                    skip[usize::from(i)] -= 1;
-                } else {
-                    group.chunks[at / LOG_CHUNK][at % LOG_CHUNK] =
-                        group.chunks[r / LOG_CHUNK][r % LOG_CHUNK];
-                    group.ids[at] = i;
-                    at += 1;
-                }
-            }
-            group.truncate(at);
-            self.logged += at;
-        }
+    /// Folds group `g`'s log onto its folded windows.
+    #[cold]
+    #[inline(never)]
+    fn fold_group(&mut self, g: usize) {
+        let mut folded = LinkSeries::default();
+        self.groups[g].fold(self.cfg, &mut self.sorted, &mut folded, |i| LinkKey {
+            from: 0,
+            to: u32::try_from(i).expect("invariant: an offset is under GROUP"),
+        });
+        self.groups[g].folded = folded;
     }
 }
 
@@ -476,14 +543,14 @@ impl SeriesSet {
 /// in key order, its retained windows, its dropped-window count and its
 /// high-watermark, plus the order of the links by series name.
 ///
-/// The windows stay in the chunks their [`SeriesSet`] logged them in,
-/// sorted by link: each link's run of windows starts in one chunk and
-/// continues at most into the next, so it reads as two slices, like a
-/// wrapped ring. Each link's series equals the [`Series`] that recording
-/// its samples one by one builds, and two stores are equal when their
-/// links' series are, however their chunks are laid out. A
-/// [`SeriesStore`] shares one store between a [`crate::Telemetry`]
-/// handle and its snapshots.
+/// The fold that freezes a [`SeriesSet`] writes each link's windows
+/// into fixed-size chunks, link after link: each link's run of windows
+/// starts in one chunk and continues at most into the next, so it reads
+/// as two slices, like a wrapped ring. Each link's series equals the
+/// [`Series`] that recording its samples one by one builds, and two
+/// stores are equal when their links' series are, however their chunks
+/// are laid out. A [`SeriesStore`] shares one store between a
+/// [`crate::Telemetry`] handle and its snapshots.
 #[derive(Clone, Debug, Default)]
 pub struct LinkSeries {
     links: Vec<LinkHead>,
@@ -538,100 +605,107 @@ impl LinkSeries {
     /// if the recorded keys do not ascend.
     pub fn freeze<'k>(parts: impl IntoIterator<Item = (SeriesSet, &'k [LinkKey])>) -> Self {
         let mut store = LinkSeries::default();
-        // One group's windows in link order, reused group after group.
-        let mut sorted = Vec::new();
-        let mut at = Vec::with_capacity(GROUP);
-        for (mut set, keys) in parts {
-            assert_eq!(keys.len(), set.open.len(), "one key per id of the set");
-            if set.logged > set.retained {
-                set.compact();
-            }
-            let groups = std::mem::take(&mut set.groups);
-            for ((group, open), keys) in groups
-                .into_iter()
-                .zip(set.open.chunks(GROUP))
-                .zip(keys.chunks(GROUP))
-            {
-                // Every logged window is retained now: an id keeps its
-                // newest `keep` closed windows, then its open one.
-                let first = store.links.len();
-                at.clear();
-                let mut end = 0;
-                for (o, &key) in open.iter().zip(keys) {
-                    at.push(end);
-                    if o.window.count == 0 {
-                        continue;
-                    }
-                    assert!(
-                        store.links.last().is_none_or(|l| l.key < key),
-                        "link keys must ascend"
-                    );
-                    let kept = o.closed.min(set.keep);
-                    end += kept as usize + 1;
-                    store.links.push(LinkHead {
-                        key,
-                        chunk: 0,
-                        start: 0,
-                        len: u32::try_from(kept + 1)
-                            .expect("invariant: a series keeps under 2^32 windows"),
-                        cfg: set.cfg,
-                        dropped_windows: o.closed - kept,
-                        high_watermark: o.high_watermark,
-                    });
-                }
-                sorted.clear();
-                sorted.resize(end, WindowAgg::EMPTY);
-                for (&w, &i) in group.chunks.iter().flatten().zip(&group.ids) {
-                    let slot = &mut at[usize::from(i)];
-                    sorted[*slot] = w;
-                    *slot += 1;
-                }
-                for (o, &slot) in open.iter().zip(&at) {
-                    if o.window.count > 0 {
-                        sorted[slot] = o.window;
-                    }
-                }
-                store.place(first, &sorted, group.chunks);
+        for (set, keys) in parts {
+            assert_eq!(keys.len(), set.len, "one key per id of the set");
+            let SeriesSet {
+                cfg,
+                groups,
+                mut sorted,
+                ..
+            } = set;
+            // Each group's log and folded windows are freed once its
+            // series are in the store.
+            for (mut group, keys) in groups.into_iter().zip(keys.chunks(GROUP)) {
+                group.fold(cfg, &mut sorted, &mut store, |i| keys[i]);
             }
         }
         store.by_name = name_order(&store.links);
         store
     }
 
-    /// Appends `sorted`, the windows of `links[first..]` in order, to the
-    /// store's windows: into the rest of its last chunk, then over the
-    /// `spare` chunks, then into new ones. A link's windows fill the rest
-    /// of one chunk and continue at the start of the next, which takes
-    /// all that is left of them, past [`LOG_CHUNK`] if need be: a link
-    /// never spans more than two chunks.
-    fn place(&mut self, first: usize, sorted: &[WindowAgg], spare: Vec<Vec<WindowAgg>>) {
-        let mut spare = spare.into_iter();
-        let mut fresh = || match spare.next() {
-            Some(mut chunk) => {
-                chunk.clear();
-                chunk
-            }
-            None => Vec::with_capacity(LOG_CHUNK),
+    /// Appends link `key`'s series: `prev`, if the link has one, continued
+    /// by `samples`, the link's samples in recording order, under the
+    /// rules of [`Series::record`]. Only the newest `cfg.capacity` windows
+    /// are written, straight into the store's chunks: into the rest of
+    /// the last chunk, then all that is left of them into a new chunk,
+    /// past [`WINDOW_CHUNK`] if need be, so a link never spans more than
+    /// two chunks. A new chunk is taken from `spare` while it has one.
+    ///
+    /// # Panics
+    /// Panics if `key` does not follow the store's last link.
+    fn append(
+        &mut self,
+        key: LinkKey,
+        cfg: TsConfig,
+        prev: Option<SeriesView<'_>>,
+        samples: &[(u64, u64)],
+        spare: &mut Vec<Vec<WindowAgg>>,
+    ) {
+        assert!(
+            self.links.last().is_none_or(|l| l.key < key),
+            "link keys must ascend"
+        );
+        let prev = prev.unwrap_or(SeriesView {
+            cfg,
+            windows: (&[], &[]),
+            dropped_windows: 0,
+            high_watermark: None,
+        });
+        let high_watermark = samples
+            .iter()
+            .fold(prev.high_watermark, |hwm, &(cycle, value)| match hwm {
+                Some((h, _)) if value <= h => hwm,
+                _ => Some((value, cycle)),
+            })
+            .expect("invariant: an appended link has a window or a sample");
+        let mut old = prev.windows().copied();
+        let open = old.next_back();
+        // A sample opens at most one window, so no window is dropped
+        // unless this bound passes the capacity; then count them.
+        let most = prev.len() + samples.len();
+        let skip = if most <= cfg.capacity {
+            0
+        } else {
+            let mut windows = prev.len().saturating_sub(1);
+            walk(open, samples, cfg.cadence, |_| windows += 1);
+            windows.saturating_sub(cfg.capacity)
         };
-        let mut rest = sorted;
-        for h in &mut self.links[first..] {
-            let (windows, after) = rest.split_at(h.len as usize);
-            rest = after;
-            if self.chunks.last().is_none_or(|c| c.len() >= LOG_CHUNK) {
-                self.chunks.push(fresh());
-            }
-            let at = self.chunks.len() - 1;
-            let chunk = &mut self.chunks[at];
-            h.chunk = u32::try_from(at).expect("invariant: a store has under 2^32 chunks");
-            h.start = u32::try_from(chunk.len()).expect("invariant: a link starts inside a chunk");
-            let (head, tail) = windows.split_at(windows.len().min(LOG_CHUNK - chunk.len()));
-            chunk.extend_from_slice(head);
-            if !tail.is_empty() {
-                let mut next = fresh();
-                next.extend_from_slice(tail);
-                self.chunks.push(next);
-            }
+        let mut fresh = |windows: usize| {
+            let mut chunk = spare.pop().unwrap_or_default();
+            chunk.clear();
+            chunk.reserve_exact(WINDOW_CHUNK.max(windows));
+            chunk
+        };
+        if self.chunks.last().is_none_or(|c| c.len() >= WINDOW_CHUNK) {
+            self.chunks.push(fresh(0));
         }
+        let chunk = self.chunks.len() - 1;
+        let start = self.chunks[chunk].len();
+        // Windows seen, and at most how many are still to be written.
+        let (mut seen, mut left) = (0, (most - skip).min(cfg.capacity));
+        let chunks = &mut self.chunks;
+        let mut write = |w: WindowAgg| {
+            if seen >= skip {
+                if chunks.len() == chunk + 1 && chunks[chunk].len() >= WINDOW_CHUNK {
+                    chunks.push(fresh(left));
+                }
+                let last = chunks.len() - 1;
+                chunks[last].push(w);
+                left -= 1;
+            }
+            seen += 1;
+        };
+        old.for_each(&mut write);
+        walk(open, samples, cfg.cadence, write);
+        self.links.push(LinkHead {
+            key,
+            chunk: u32::try_from(chunk).expect("invariant: a store has under 2^32 chunks"),
+            start: u32::try_from(start).expect("invariant: a link starts inside a chunk"),
+            len: u32::try_from(seen - skip).expect("invariant: a series keeps under 2^32 windows"),
+            cfg,
+            dropped_windows: prev.dropped_windows + skip as u64,
+            high_watermark,
+        });
     }
 
     /// Number of links.
@@ -1107,27 +1181,74 @@ mod tests {
         assert_eq!(s.high_watermark(), Some((11, 11)));
     }
 
+    /// The log entries and the folded windows `set` holds.
+    fn held(set: &SeriesSet) -> (usize, usize) {
+        let entries = set.groups.iter().map(|g| g.entries).sum();
+        let in_chunks: usize = (set.groups.iter().flat_map(|g| &g.chunks))
+            .map(|c| c.ids.len())
+            .sum();
+        assert_eq!(entries, in_chunks);
+        let windows = (set.groups.iter().flat_map(|g| g.folded.iter()))
+            .map(|(_, v)| v.len())
+            .sum();
+        (entries, windows)
+    }
+
     #[test]
     fn series_set_log_stays_within_twice_the_retention() {
-        // Cadence 1 closes a window on every sample; capacity 4 retains
-        // three closed windows per id, so the log compacts many times.
+        // Cadence 1 opens a window on every sample; capacity 4 lets the
+        // group's log hold 12 entries, so it folds every few cycles.
         let cfg = cfg(1, 4);
         let mut set = SeriesSet::new(cfg, 3);
         let (mut a, mut b) = (Series::new(cfg), Series::new(cfg));
+        let (mut folds, mut before) = (0, 0);
         for cycle in 0..10_000 {
             set.record(0, cycle, cycle % 7);
             a.record(cycle, cycle % 7);
             set.record(2, cycle, cycle % 5);
             b.record(cycle, cycle % 5);
-            assert!(set.logged <= 2 * set.retained + LOG_CHUNK);
-            let logged: usize = set.groups.iter().map(|g| g.ids.len()).sum();
-            assert_eq!(set.logged, logged);
+            // At most `capacity` log entries and `capacity` windows per id.
+            let (entries, windows) = held(&set);
+            assert!(
+                entries <= 4 * 3 && windows <= 4 * 3,
+                "{entries} + {windows}"
+            );
+            assert!(entries + windows <= 2 * 4 * 3);
+            folds += usize::from(entries < before);
+            before = entries;
         }
-        assert_eq!(set.retained, 6);
+        assert!(folds > 1000, "{folds} folds");
         let keys = [0, 1, 2].map(|to| LinkKey { from: 7, to });
         let store = LinkSeries::freeze([(set, &keys[..])]);
         let got: Vec<(LinkKey, Series)> = store.iter().map(|(k, v)| (k, v.to_series())).collect();
         assert_eq!(got, vec![(keys[0], a), (keys[2], b)]);
+    }
+
+    #[test]
+    fn a_capacity_or_cadence_of_zero_acts_as_one_in_both_recorders() {
+        for cfg in [
+            TsConfig {
+                cadence: 1,
+                capacity: 0,
+            },
+            TsConfig {
+                cadence: 0,
+                capacity: 0,
+            },
+        ] {
+            let mut series = Series::new(cfg);
+            let mut set = SeriesSet::new(cfg, 1);
+            for cycle in 0..10 {
+                series.record(cycle, cycle);
+                set.record(0, cycle, cycle);
+            }
+            assert_eq!((series.len(), series.dropped_windows()), (1, 9));
+            let key = LinkKey { from: 0, to: 1 };
+            let store = LinkSeries::freeze([(set, &[key][..])]);
+            let got: Vec<(LinkKey, Series)> =
+                store.iter().map(|(k, v)| (k, v.to_series())).collect();
+            assert_eq!(got, [(key, series)]);
+        }
     }
 
     /// Records the samples `sample(cycle, id)` draws, cycle by cycle and
@@ -1135,7 +1256,7 @@ mod tests {
     /// cut at `cut` as two shards are, and into one `Series` per id.
     /// Asserts that the frozen set holds exactly the oracles' series and
     /// that the two shards frozen together equal it. Returns the store
-    /// and the number of groups whose log was compacted while recording.
+    /// and the number of groups that folded while recording.
     fn freeze_against_oracles(
         cfg: TsConfig,
         len: usize,
@@ -1160,14 +1281,8 @@ mod tests {
                 }
             }
         }
-        // A group whose log holds fewer windows than its ids closed lost
-        // some to compaction.
-        let compacted = (set.groups.iter().enumerate())
-            .filter(|(g, group)| {
-                let open = set.open.chunks(GROUP).nth(*g).unwrap();
-                open.iter().map(|o| o.closed).sum::<u64>() > group.ids.len() as u64
-            })
-            .count();
+        // A group that folded while recording holds folded windows.
+        let folded = set.groups.iter().filter(|g| !g.folded.is_empty()).count();
         let keys: Vec<LinkKey> = (0..len)
             .map(|id| LinkKey {
                 from: (id / 4) as u32,
@@ -1183,7 +1298,7 @@ mod tests {
         let [a, b] = shards;
         let sharded = LinkSeries::freeze([(a, &keys[..cut]), (b, &keys[cut..])]);
         assert!(sharded == store, "the sharded freeze differs");
-        (store, compacted)
+        (store, folded)
     }
 
     /// A SplitMix64 step of `x`, reduced to `0..span`.
@@ -1198,16 +1313,16 @@ mod tests {
     #[test]
     fn grouped_logs_freeze_across_groups_and_a_shard_cut_inside_one() {
         // Four groups, the last one short, cut in the middle of the
-        // second: each id keeps five closed windows of its ~33, so every
-        // group's log compacts while recording, and each group's frozen
-        // windows fill several chunks.
+        // second: each id keeps six of its ~56 windows, so every group
+        // folds while recording, and each group's frozen windows fill
+        // several chunks.
         let len = 3 * GROUP + 37;
         let mut x = 7;
-        let (store, compacted) =
+        let (store, folded) =
             freeze_against_oracles(cfg(2, 6), len, GROUP + GROUP / 2 + 3, 200, |_, _| {
                 (draw(&mut x, 3) == 0).then(|| draw(&mut x, 5))
             });
-        assert_eq!(compacted, 4);
+        assert_eq!(folded, 4);
         assert_eq!(store.len(), len);
         let crossing = store
             .iter()
@@ -1217,10 +1332,39 @@ mod tests {
     }
 
     #[test]
+    fn a_window_straddling_a_fold_continues_after_it() {
+        // Every id records every cycle, so a group's log gains one cycle
+        // entry and one sample per id a cycle. At capacity 2 a full
+        // group folds past 2,048 entries: in cycle 1, inside window 0
+        // (cycles 0..=3), which its ids continue after the fold. So do
+        // the 10-id last group (20 entries) and, in the shards cut 500
+        // ids into the second group, its 500- and 534-id groups. Later
+        // folds fall elsewhere in their windows, and capacity 2 drops
+        // the older ones. Few distinct values make high-watermark ties.
+        let cfg = cfg(4, 2);
+        let len = 2 * GROUP + 10;
+        let mut set = SeriesSet::new(cfg, len);
+        for cycle in 0..2 {
+            for id in 0..GROUP {
+                set.record(id, cycle, 1);
+            }
+        }
+        assert!(!set.groups[0].folded.is_empty() && set.groups[0].entries > 0);
+        let mut x = 11;
+        let (store, folded) =
+            freeze_against_oracles(cfg, len, GROUP + 500, 41, |_, _| Some(draw(&mut x, 3)));
+        assert_eq!(folded, 3);
+        assert_eq!(store.len(), len);
+        for (key, v) in store.iter() {
+            assert_eq!((v.len(), v.dropped_windows()), (2, 9), "{key:?}");
+        }
+    }
+
+    #[test]
     fn capacity_above_a_chunk_keeps_each_link_in_two_slices() {
         // Three links of two groups keep up to 2,148 windows each, more
         // than two chunks hold, and evict the oldest.
-        let capacity = 2 * LOG_CHUNK + 100;
+        let capacity = 2 * WINDOW_CHUNK + 100;
         let recorded = [0, 2, GROUP + 1];
         let (store, _) =
             freeze_against_oracles(cfg(1, capacity), GROUP + 5, 1, 5000, |cycle, id| {
@@ -1231,7 +1375,10 @@ mod tests {
         for (key, v) in store.iter() {
             assert_eq!(v.len(), capacity, "{key:?}");
             assert!(v.dropped_windows() > 0);
-            assert!(v.windows.1.len() > LOG_CHUNK, "{key:?} ends in one chunk");
+            assert!(
+                v.windows.1.len() > WINDOW_CHUNK,
+                "{key:?} ends in one chunk"
+            );
         }
     }
 
